@@ -360,7 +360,7 @@ def run_c9(base_seed: int = 0) -> tuple[bool, str]:
         got = (classify_wqo(pair) if which == "wqo" else classify_cw(pair)).status
         if got != want:
             return False, f"({a},{b}) {which}: got {got}, want {want}"
-    bad = check_rule_consistency(5)
+    bad = check_rule_consistency(6)
     if bad:
         return False, f"rule inconsistencies: {bad[:3]}"
     return True, "open lists, named verdicts, and rule disjointness all hold"

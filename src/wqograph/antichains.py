@@ -242,7 +242,7 @@ def verify_family(
 
     Every (member, pattern) and member pair is checked independently; a
     budget exhaustion is reported in the affected cell rather than aborting
-    the whole report.  Cells are emitted in sorted order, so the report is
+    the whole report.  ``node_budget`` is per cell; ``None`` means unlimited.  Cells are emitted in sorted order, so the report is
     deterministic for fixed inputs.
     """
     spec = FAMILIES[family] if family in FAMILIES else None
@@ -258,7 +258,7 @@ def verify_family(
     for n in ns:
         for pat in patterns:
             try:
-                budget = SearchBudget(node_budget) if node_budget else None
+                budget = None if node_budget is None else SearchBudget(node_budget)
                 res = is_free(members[n], [build(pat)], budget)
                 freeness.append(FreenessCell(n, pat, res.free, res.witness))
             except SearchBudgetExceeded:
@@ -267,7 +267,7 @@ def verify_family(
     for i, ni in enumerate(ns):
         for nj in ns[i + 1 :]:
             try:
-                budget = SearchBudget(node_budget) if node_budget else None
+                budget = None if node_budget is None else SearchBudget(node_budget)
                 emb = induced_embed(members[ni], members[nj], budget)
                 incomparability.append(
                     ComparabilityCell(ni, nj, emb is not None, emb)

@@ -70,16 +70,29 @@ def parse_graph_arg(text: str) -> Graph:
 def _parse_ns(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        ns = list(range(int(lo), int(hi) + 1))
+    else:
+        ns = [int(part) for part in text.split(",") if part]
+    if not ns:
+        raise ValueError(f"--n {text!r} names no parameter values")
+    return ns
+
+
+def _budget_nodes(args, default: int | None = None) -> int | None:
+    """Node budget from ``--budget``, else ``$WQOGRAPH_BUDGET``, else
+    ``default``; ``None`` means unlimited and 0 is a real zero budget."""
+    nodes = args.budget
+    if nodes is None:
+        env = os.environ.get(BUDGET_ENV)
+        nodes = int(env) if env else default
+    if nodes is not None and nodes < 0:
+        raise ValueError(f"node budget must be non-negative, got {nodes}")
+    return nodes
 
 
 def _budget(args) -> SearchBudget | None:
-    nodes = getattr(args, "budget", None)
-    if nodes is None:
-        env = os.environ.get(BUDGET_ENV)
-        nodes = int(env) if env else None
-    return SearchBudget(nodes) if nodes else None
+    nodes = _budget_nodes(args)
+    return None if nodes is None else SearchBudget(nodes)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -149,24 +162,35 @@ def cmd_antichain(args) -> int:
     if args.forbidden is not None:
         forbidden = [p.strip() for p in args.forbidden.split(",") if p.strip()]
     report = antichains.verify_family(
-        args.family, _parse_ns(args.n), forbidden, args.budget
+        args.family,
+        _parse_ns(args.n),
+        forbidden,
+        _budget_nodes(args, antichains.DEFAULT_CELL_BUDGET),
     )
     lines = [f"family {report.family} over n={list(report.ns)}"]
+    unknown = "unknown [budget exhausted]"
     for cell in report.freeness:
         lines.append(
             f"  n={cell.n} {cell.pattern}: "
-            + ("free" if cell.free else f"VIOLATED {cell.witness}")
-            + (" [budget exhausted]" if cell.exhausted else "")
+            + (unknown if cell.exhausted else "free" if cell.free else f"VIOLATED {cell.witness}")
         )
     for cell in report.incomparability:
         lines.append(
             f"  {cell.n_small} vs {cell.n_large}: "
-            + ("incomparable" if not cell.comparable else f"EMBEDS {cell.embedding}")
-            + (" [budget exhausted]" if cell.exhausted else "")
+            + (
+                unknown
+                if cell.exhausted
+                else f"EMBEDS {cell.embedding}" if cell.comparable else "incomparable"
+            )
         )
-    lines.append("ok" if report.ok else "FAILED")
+    violated = any(not c.free and not c.exhausted for c in report.freeness) or any(
+        c.comparable for c in report.incomparability
+    )
+    lines.append("ok" if report.ok else "FAILED" if violated else "UNKNOWN")
     _emit(args, report.to_json(), "\n".join(lines))
-    return 0 if report.ok else 1
+    if report.ok:
+        return 0
+    return 1 if violated else 2
 
 
 def cmd_uniform(args) -> int:

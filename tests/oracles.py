@@ -25,6 +25,21 @@ def oracle_isomorphic(a: Graph, b: Graph) -> bool:
     return a.n == b.n and oracle_embed(a, b) is not None
 
 
+def oracle_canonical_key(g: Graph) -> tuple:
+    """``(n, bits)`` with ``bits`` the least upper-triangle adjacency string
+    over all n! vertex orders."""
+    best = None
+    for perm in permutations(range(g.n)):
+        bits = tuple(
+            1 if g.adjacent(perm[i], perm[j]) else 0
+            for i in range(g.n)
+            for j in range(i + 1, g.n)
+        )
+        if best is None or bits < best:
+            best = bits
+    return (g.n, best)
+
+
 def oracle_subseq(a, b, leq) -> bool:
     """Exhaustive index-subsequence search."""
     for idx in combinations(range(len(b)), len(a)):

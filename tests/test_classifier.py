@@ -1,29 +1,56 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqograph.classifier import (
+    CW_RULES,
     ClassPair,
     OPEN_BOTH_PAIRS,
     OPEN_CW_PAIRS,
     OPEN_WQO_PAIRS,
+    WQO_RULES,
+    Rule,
+    RuleInconsistencyError,
+    _classify,
+    _holds,
+    _matches,
     audit_open_lists,
     canonical_key,
     classify,
     classify_cw,
     classify_wqo,
     equivalent_pairs,
-    isomorphic,
     nonisomorphic_graphs,
 )
-from wqograph.graphs import build, complement
+from wqograph.graphs import Graph, build, complement
+from oracles import oracle_canonical_key
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=7):
+    """A random graph on at most max_n vertices and a random relabelling."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(n)))
+    edges = [p for p, b in zip(pairs, bits) if b]
+    g = Graph.from_edges(n, edges)
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return g, h
+
+
+ATOMS = sorted(
+    {atom for rule in WQO_RULES + CW_RULES for atom in rule.first + rule.second}
+)
 
 
 class TestEquivalence:
     def test_triangle_p6_closure(self):
         pairs = equivalent_pairs(ClassPair.of("K3", "P6"))
-        paw = build("co(P1+P3)")
-        assert any(
-            isomorphic(p.h1, paw) or isomorphic(p.h2, paw) for p in pairs
-        )
+        paw = canonical_key(build("co(P1+P3)"))
+        assert any(paw in (canonical_key(p.h1), canonical_key(p.h2)) for p in pairs)
         co_p6 = complement(build("P6"))
         t3 = build("3P1")
         assert any(
@@ -126,14 +153,50 @@ class TestAudit:
 
 class TestCorpus:
     def test_counts_match_known_sequence(self):
-        assert [len(nonisomorphic_graphs(n)) for n in range(1, 6)] == [
+        assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [
             1,
             2,
             4,
             11,
             34,
+            156,
         ]
+
+    def test_rule_inconsistency_raised(self):
+        both = (
+            Rule("pos", "WqoLabelled", (("any",),), (("any",),)),
+            Rule("neg", "NotWqo", (("any",),), (("any",),)),
+        )
+        with pytest.raises(RuleInconsistencyError, match="pos and neg"):
+            _classify(ClassPair.of("P3", "P4"), both, "Open")
 
     def test_canonical_key_iso_invariant(self):
         assert canonical_key(build("S1,1,1")) == canonical_key(build("K1,3"))
         assert canonical_key(build("P4")) == canonical_key(complement(build("P4")))
+
+
+class TestCanonicalKey:
+    @given(relabelled_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_oracle(self, graphs):
+        g, _ = graphs
+        assert canonical_key(g) == oracle_canonical_key(g)
+
+    @given(relabelled_graphs(max_n=8))
+    @settings(max_examples=150, deadline=None)
+    def test_relabelling_invariant(self, graphs):
+        g, h = graphs
+        assert canonical_key(g) == canonical_key(h)
+
+    @given(relabelled_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_atom_table_equals_direct_evaluation(self, graphs):
+        g, h = graphs
+        for atom in ATOMS:
+            assert _holds(g, canonical_key(g), atom) == _matches(g, atom)
+            assert _holds(h, canonical_key(h), atom) == _matches(h, atom)
+
+    def test_order_cap(self):
+        assert canonical_key(build("P8"))[0] == 8
+        with pytest.raises(ValueError, match="at most 8 vertices"):
+            canonical_key(build("P9"))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from wqograph.cli import main, parse_graph_arg
+from wqograph import antichains
+from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
 from wqograph.graphs import build, decode_graph6, encode_graph6
 
 
@@ -111,3 +112,53 @@ class TestCommands:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestBudgetAndRange:
+    ANTICHAIN = ["antichain", "verify", "--family", "thm51", "--n", "2..3", "--json"]
+
+    def test_zero_budget_is_zero(self, capsys):
+        assert main(["embed", "--h", "P4", "--g", "P6", "--budget", "0"]) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_zero_budget_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV, "0")
+        assert main(["free", "--g", "P6", "--forbidden", "P4"]) == 2
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_negative_budget_exit_2(self, capsys, monkeypatch, where):
+        args = ["embed", "--h", "P4", "--g", "P6"]
+        if where == "flag":
+            args += ["--budget", "-1"]
+        else:
+            monkeypatch.setenv(BUDGET_ENV, "-1")
+        assert main(args) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_antichain_reads_environment_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV, "0")
+        assert main(self.ANTICHAIN) == 2  # every cell exhausted: unknown
+        blob = json.loads(capsys.readouterr().out)
+        assert not blob["ok"]
+        assert all(c["exhausted"] for c in blob["freeness"] + blob["incomparability"])
+
+    def test_antichain_default_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        seen = []
+        real = antichains.verify_family
+
+        def spy(family, ns, forbidden=None, node_budget=None):
+            seen.append(node_budget)
+            return real(family, ns, forbidden, node_budget)
+
+        monkeypatch.setattr(antichains, "verify_family", spy)
+        assert main(self.ANTICHAIN) == 0
+        assert main(self.ANTICHAIN + ["--budget", "7"]) == 2
+        assert seen == [antichains.DEFAULT_CELL_BUDGET, 7]
+
+    @pytest.mark.parametrize("ns", ["5..2", ",", ""])
+    def test_antichain_empty_range_exit_2(self, capsys, ns):
+        args = ["antichain", "verify", "--family", "thm51", "--n", ns]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "names no parameter values" in captured.err and "ok" not in captured.out
