@@ -55,7 +55,6 @@ from .ops import (
     SubgraphComplement,
     apply_script,
     bipartite_complement,
-    delete_vertex,
     split_labels,
     subgraph_complement,
 )

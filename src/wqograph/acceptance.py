@@ -25,7 +25,7 @@ from .classifier import (
     OPEN_CW_PAIRS,
     OPEN_WQO_PAIRS,
 )
-from .graphs import Graph, build, complete_graph, empty_graph, induced
+from .graphs import Graph, complete_graph, empty_graph, induced, pattern
 from .instances import (
     c4_instance,
     c4_branch_valid,
@@ -327,7 +327,7 @@ def run_c8(base_seed: int = 0) -> tuple[bool, str]:
             keep = [v for v in range(image.n) if image.degree(v) > 0]
             replay_ok = is_bipartite(complement(induced(image, keep))) is not None
         else:
-            replay_ok = is_free(image, [build("P3")]).free
+            replay_ok = is_free(image, [pattern("P3")]).free
         if not replay_ok:
             return False, f"seed {seed}: case {report.case} certificate replay failed"
     if seen_cases != {1, 2, 3, 4}:
@@ -374,7 +374,7 @@ def run_c10(base_seed: int = 0) -> tuple[bool, str]:
         got = uniformicity(empty_graph(n), 3)
         if got is None or got[0] != 1:
             return False, f"{n}P1 uniformicity != 1"
-    got = uniformicity(build("2K2"), 3)
+    got = uniformicity(pattern("2K2"), 3)
     if got is None or got[0] != 2:
         return False, "2K2 uniformicity != 2"
     # oracle for the lower bound: order-1 templates reach only cliques or
@@ -382,7 +382,7 @@ def run_c10(base_seed: int = 0) -> tuple[bool, str]:
     for diag in (0, 1):
         t = UniformTemplate(1, empty_graph(1), ((diag,),))
         image = expand_template(t, 4)
-        if induced_embed(build("2K2"), image) is not None:
+        if induced_embed(pattern("2K2"), image) is not None:
             return False, "oracle says 2K2 is 1-uniform"
     checked = 0
     for t in range(100):

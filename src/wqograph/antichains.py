@@ -254,12 +254,13 @@ def verify_family(
             raise ValueError(f"family {family} requires n >= {spec.min_n}")
     patterns = tuple(forbidden) if forbidden is not None else spec.forbidden
     members = {n: family_member(family, n) for n in ns}
+    parsed = [build(p) for p in patterns]
     freeness = []
     for n in ns:
-        for pat in patterns:
+        for pat, h in zip(patterns, parsed):
             try:
                 budget = None if node_budget is None else SearchBudget(node_budget)
-                res = is_free(members[n], [build(pat)], budget)
+                res = is_free(members[n], [h], budget)
                 freeness.append(FreenessCell(n, pat, res.free, res.witness))
             except SearchBudgetExceeded:
                 freeness.append(FreenessCell(n, pat, False, None, exhausted=True))

@@ -17,17 +17,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, build, complement, encode_graph6
+from .graphs import Graph, build, complement, encode_graph6, pattern
 from .order import induced_embed, in_class_S, is_linear_forest
 
 
 class RuleInconsistencyError(RuntimeError):
     """A positive and a negative rule of the same table both fired."""
-
-
-@lru_cache(maxsize=None)
-def _pattern(expr: str) -> Graph:
-    return build(expr)
 
 
 # Largest order canonical_key accepts.  The exact least-string search is
@@ -137,8 +132,8 @@ class ClassPair:
 
 def equivalent_pairs(pair: ClassPair) -> tuple[ClassPair, ...]:
     """Closure under complement-both and the triangle <-> paw swap."""
-    triangle = _pattern("K3")
-    paw = _pattern("co(P1+P3)")
+    triangle = pattern("K3")
+    paw = pattern("co(P1+P3)")
     k_triangle, k_paw = canonical_key(triangle), canonical_key(paw)
     swap = {k_triangle: (paw, k_paw), k_paw: (triangle, k_triangle)}
     seen: dict[tuple, ClassPair] = {}
@@ -166,13 +161,13 @@ def _matches(g: Graph, atom: tuple) -> bool:
     if op == "any":
         return True
     if op == "sub":  # g embeds into the pattern
-        return induced_embed(g, _pattern(atom[1])) is not None
+        return induced_embed(g, pattern(atom[1])) is not None
     if op == "sup":  # the pattern embeds into g
-        return induced_embed(_pattern(atom[1]), g) is not None
+        return induced_embed(pattern(atom[1]), g) is not None
     if op == "co_sub":
-        return induced_embed(complement(g), _pattern(atom[1])) is not None
+        return induced_embed(complement(g), pattern(atom[1])) is not None
     if op == "co_sup":
-        return induced_embed(_pattern(atom[1]), complement(g)) is not None
+        return induced_embed(pattern(atom[1]), complement(g)) is not None
     if op == "edgeless":
         return g.edge_count() == 0
     if op == "complete":

@@ -3,9 +3,15 @@ catalog, and graph6/JSON codecs.
 
 Vertices are dense integers ``0..n-1``.  Adjacency is one Python int per
 vertex (bit ``w`` set on row ``v`` iff ``vw`` is an edge), which keeps
-neighbourhood intersection cheap for the sizes this library targets.  A hard
-cap (64 vertices by default, configurable) keeps rows word-sized.  Graph
-values are immutable after construction and safe for concurrent reads.
+neighbourhood intersection cheap for the sizes this library targets.  A fixed
+cap of ``MAX_VERTICES`` (64) vertices keeps rows word-sized.  Graph values are
+immutable after construction and safe for concurrent reads.
+
+Graphs are validated where they enter: the public constructor, the catalog,
+the parser and both codecs check every row.  Operations that derive a graph
+with no more vertices from a valid one (complement, induced subgraphs,
+subgraph and bipartite complementation) build their result with the
+unchecked ``_graph``.
 
 Catalog expression grammar (EBNF)::
 
@@ -22,24 +28,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-DEFAULT_MAX_VERTICES = 64
-
-_max_vertices = DEFAULT_MAX_VERTICES
-
-
-def max_vertices() -> int:
-    """Current hard cap on graph order."""
-    return _max_vertices
-
-
-def set_max_vertices(n: int) -> None:
-    """Raise or lower the hard cap on graph order (global)."""
-    global _max_vertices
-    if n < 1:
-        raise ValueError("vertex cap must be positive")
-    _max_vertices = n
+MAX_VERTICES = 64
 
 
 class GraphSpecError(ValueError):
@@ -64,9 +56,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        if self.n > _max_vertices:
+        if self.n > MAX_VERTICES:
             raise ValueError(
-                f"graph on {self.n} vertices exceeds the cap of {_max_vertices}"
+                f"graph on {self.n} vertices exceeds the cap of {MAX_VERTICES}"
             )
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
@@ -120,11 +112,17 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in range(self.n)))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()!r})"
+
+
+def _graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph built without the checks of ``__post_init__``; only for
+    results derived from a valid graph with no more vertices than it."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 def _bits(mask: int):
@@ -209,7 +207,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     mask = g.mask
-    return Graph(g.n, tuple((row ^ mask) & ~(1 << v) for v, row in enumerate(g.rows)))
+    return _graph(g.n, tuple((row ^ mask) & ~(1 << v) for v, row in enumerate(g.rows)))
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -224,7 +222,7 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
         for w in _bits(g.rows[v]):
             if w in pos:
                 rows[pos[v]] |= 1 << pos[w]
-    return Graph(len(vs), tuple(rows))
+    return _graph(len(vs), tuple(rows))
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -419,6 +417,14 @@ def build(spec: str | Graph) -> Graph:
     if parser.pos != len(parser.text):
         parser.error("trailing input")
     return g
+
+
+@lru_cache(maxsize=None)
+def pattern(expr: str) -> Graph:
+    """The graph of one of the library's own fixed catalog expressions,
+    parsed once per process.  Text from users goes through :func:`build`,
+    so it never enters this cache."""
+    return build(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable
 
-from .graphs import Graph, build
+from .graphs import Graph
+from .ops import subgraph_complement
 from .order import is_free
 from .structure import class_forbidden, find_clique, find_induced_cycle
 
@@ -393,10 +394,7 @@ def c5_claim_mutants(g: Graph, report) -> list[tuple[str, Graph]]:
         if key in seen:
             continue
         seen.add(key)
-        rows = list(g.rows)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        out.append((claim, Graph(g.n, tuple(rows))))
+        out.append((claim, subgraph_complement(g, key)))
     return out
 
 

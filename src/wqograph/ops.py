@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import Graph, bits_of, mask_of
+from .graphs import Graph, _graph, bits_of, delete_vertices, mask_of
 from .order import LabelledGraph, QuasiOrder
 
 
@@ -32,7 +32,7 @@ def subgraph_complement(g: Graph, vertices: Iterable[int]) -> Graph:
     rows = list(g.rows)
     for v in bits_of(m):
         rows[v] ^= m & ~(1 << v)
-    return Graph(g.n, tuple(rows))
+    return _graph(g.n, tuple(rows))
 
 
 def bipartite_complement(g: Graph, x: Iterable[int], y: Iterable[int]) -> Graph:
@@ -48,21 +48,7 @@ def bipartite_complement(g: Graph, x: Iterable[int], y: Iterable[int]) -> Graph:
         rows[v] ^= my
     for v in bits_of(my):
         rows[v] ^= mx
-    return Graph(g.n, tuple(rows))
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove one vertex; the rest keep their relative order, renumbered."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    keep = [w for w in range(g.n) if w != v]
-    pos = {w: i for i, w in enumerate(keep)}
-    rows = [0] * (g.n - 1)
-    for w in keep:
-        for u in bits_of(g.rows[w]):
-            if u != v:
-                rows[pos[w]] |= 1 << pos[u]
-    return Graph(g.n - 1, tuple(rows))
+    return _graph(g.n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -93,7 +79,11 @@ class DeleteVertex:
     v: int
 
     def apply(self, g: Graph) -> Graph:
-        return delete_vertex(g, self.v)
+        """Remove vertex ``v``; the rest keep their relative order,
+        renumbered."""
+        if not 0 <= self.v < g.n:
+            raise ValueError(f"vertex {self.v} out of range")
+        return delete_vertices(g, (self.v,))
 
     def to_json(self) -> dict:
         return {"op": "del", "v": self.v}

@@ -22,12 +22,12 @@ from typing import Iterable, Sequence
 from .graphs import (
     Graph,
     bits_of,
-    build,
     complement,
     connected_components,
     induced,
     is_bipartite,
     mask_of,
+    pattern,
 )
 from .order import induced_embed, is_free
 from .ops import (
@@ -49,7 +49,7 @@ CLASS_FORBIDDEN_EXPRS = ("co(2P1+P2)", "P2+P3")
 
 
 def class_forbidden() -> tuple[Graph, Graph]:
-    return tuple(build(e) for e in CLASS_FORBIDDEN_EXPRS)
+    return tuple(pattern(e) for e in CLASS_FORBIDDEN_EXPRS)
 
 
 class RouteError(ValueError):
@@ -137,14 +137,14 @@ class DecompositionReport:
 
 
 def find_clique(g: Graph, size: int) -> tuple[int, ...] | None:
-    emb = induced_embed(build(f"K{size}"), g)
+    emb = induced_embed(pattern(f"K{size}"), g)
     return tuple(sorted(emb)) if emb is not None else None
 
 
 def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
     """First induced cycle in search order, normalized to start at its
     smallest vertex and run towards the smaller of its two neighbours."""
-    emb = induced_embed(build(f"C{length}"), g)
+    emb = induced_embed(pattern(f"C{length}"), g)
     if emb is None:
         return None
     cyc = list(emb)
@@ -159,11 +159,11 @@ def route(g: Graph) -> str:
     """Branch selection with class validation.
 
     Raises :class:`RouteError` when the input contains one of the class's
-    forbidden patterns.  The Sparse branch re-verifies freeness from P6, K5
-    and K2,2 before returning.
+    forbidden patterns.  A Sparse input is then free of K5 and of C4 (= K2,2)
+    by the checks before it, and of P6 because P6 contains an induced P2+P3.
     """
-    for expr, pattern in zip(CLASS_FORBIDDEN_EXPRS, class_forbidden()):
-        res = is_free(g, [pattern])
+    for expr, forbidden in zip(CLASS_FORBIDDEN_EXPRS, class_forbidden()):
+        res = is_free(g, [forbidden])
         if not res.free:
             raise RouteError(f"input contains {expr}", res.witness)
     if find_clique(g, 5) is not None:
@@ -172,10 +172,6 @@ def route(g: Graph) -> str:
         return "C5"
     if find_induced_cycle(g, 4) is not None:
         return "C4"
-    for expr in ("P6", "K5", "K2,2"):
-        res = is_free(g, [build(expr)])
-        if not res.free:
-            raise RouteError(f"sparse branch should be {expr}-free", res.witness)
     return "Sparse"
 
 
@@ -379,7 +375,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
             Part(
                 "clique-union",
                 tuple(v for v in range(g.n) if v not in set(deletions)),
-                is_free(image, [build("P3")]).free,
+                is_free(image, [pattern("P3")]).free,
             )
         )
     if deletions:
@@ -721,16 +717,6 @@ def _c5_witness_part(
     )
 
 
-_PAW = None
-
-
-def _paw() -> Graph:
-    global _PAW
-    if _PAW is None:
-        _PAW = build("co(P1+P3)")
-    return _PAW
-
-
 def _paw_route_witness(
     g: Graph,
     single: list[int],
@@ -753,7 +739,7 @@ def _paw_route_witness(
     la = [pos[v] for v in pair_a]
     lb = [pos[v] for v in pair_b]
     flipped = bipartite_complement(sub, la, lb)
-    paw = _paw()
+    paw = pattern("co(P1+P3)")
     zeros4 = ((0,) * 4,) * 4
     t0 = UniformTemplate(4, paw, zeros4)
     assign0: dict[int, tuple[int, int]] = {}
@@ -1018,7 +1004,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         and _not_independent(rest_graph, named_side2) is None
     )
     bip = is_bipartite(rest_graph)
-    free_res = is_free(rest_graph, [build("P2+P3")])
+    free_res = is_free(rest_graph, [pattern("P2+P3")])
     parts.append(
         Part(
             "bipartite-p2p3-free",

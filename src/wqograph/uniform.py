@@ -26,10 +26,11 @@ the required flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphs import Graph, induced
+from .graphs import Graph
 from .order import SearchBudget
 
 
@@ -149,14 +150,10 @@ MAX_SEARCH_K = 3
 MAX_SEARCH_N = 10
 
 
-_template_cache: dict[int, list[UniformTemplate]] = {}
-
-
+@lru_cache(maxsize=None)
 def _canonical_templates(k: int) -> list[UniformTemplate]:
     """All (K, F) pairs up to simultaneous class permutation, in search order
     (K packed bits ascending, then F edge sets ascending)."""
-    if k in _template_cache:
-        return _template_cache[k]
     kpairs = [(i, j) for i in range(k) for j in range(i, k)]
     fpairs = list(combinations(range(k), 2))
     perms = list(permutations(range(k)))
@@ -180,7 +177,6 @@ def _canonical_templates(k: int) -> list[UniformTemplate]:
                     tuple(tuple(row) for row in matrix),
                 )
             )
-    _template_cache[k] = out
     return out
 
 
@@ -340,10 +336,3 @@ def witness_for_expansion(template: UniformTemplate, copies: int) -> UniformWitn
     k = template.k
     assign = tuple((v // k, v % k) for v in range(copies * k))
     return UniformWitness(template, assign)
-
-
-def hereditary_check(
-    g: Graph, witness: UniformWitness, vertices: Sequence[int]
-) -> WitnessCheck:
-    """Restriction of a valid witness verifies on the induced subgraph."""
-    return verify_witness(induced(g, vertices), restrict_witness(witness, vertices))

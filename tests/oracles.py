@@ -1,24 +1,14 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here enumerates: no pruning, no shared code with the package's
-search paths.
+search paths.  ``oracle_embed`` is the package's own injection oracle,
+which the selftest also runs against the embedding solver.
 """
 
 from itertools import combinations, permutations, product
 
+from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.graphs import Graph
-
-
-def oracle_embed(h: Graph, g: Graph):
-    """First induced embedding by plain injection enumeration, or None."""
-    for image in permutations(range(g.n), h.n):
-        if all(
-            h.adjacent(u, v) == g.adjacent(image[u], image[v])
-            for u in range(h.n)
-            for v in range(u + 1, h.n)
-        ):
-            return image
-    return None
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:

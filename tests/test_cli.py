@@ -100,6 +100,11 @@ class TestCommands:
     def test_bad_expression_exit_2(self, capsys):
         assert main(["gen", "--spec", "S2,1,1"]) == 2
 
+    def test_over_cap_exit_2(self, capsys):
+        assert main(["gen", "--spec", "65P1"]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap of 64" in err and "Traceback" not in err
+
     def test_selftest_subset(self, capsys):
         assert main(["selftest", "--only", "C1,C3"]) == 0
         out = capsys.readouterr().out

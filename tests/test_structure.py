@@ -15,7 +15,7 @@ from wqograph.instances import (
     k5_instance,
 )
 from wqograph.ops import BipartiteComplement, apply_script
-from wqograph.order import is_free
+from wqograph.order import induced_embed, is_free
 from wqograph.structure import (
     RouteError,
     c5_case_of,
@@ -35,6 +35,12 @@ class TestRoute:
         assert route(build("C5")) == "C5"
         assert route(build("C4")) == "C4"
         assert route(build("P5")) == "Sparse"
+
+    def test_p6_contains_p2_p3(self):
+        # route rejects P2+P3 first, so a Sparse input is P6-free too
+        assert induced_embed(build("P2+P3"), build("P6")) is not None
+        with pytest.raises(RouteError, match="input contains P2\\+P3"):
+            route(build("P6"))
 
     def test_class_violation_with_witness(self):
         with pytest.raises(RouteError) as info:
