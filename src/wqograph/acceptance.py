@@ -40,9 +40,7 @@ from .ops import BipartiteComplement, apply_script, subgraph_complement, split_l
 from .order import LabelledGraph, QuasiOrder, induced_embed, labelled_embed
 from .structure import decompose_c4, decompose_c5, decompose_k5
 from .uniform import (
-    complement_template,
     expand_template,
-    is_k_uniform,
     restrict_witness,
     transport_complement,
     uniformicity,

@@ -22,7 +22,7 @@ consistently in reports and reconstructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import Graph, build, cycle_graph, encode_graph6

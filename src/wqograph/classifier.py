@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, build, complement, encode_graph6, pattern
 from .order import induced_embed, in_class_S, is_linear_forest

@@ -17,10 +17,9 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import antichains, classifier, structure
-from .acceptance import CRITERIA, run_criteria
+from .acceptance import run_criteria
 from .graphs import (
     Graph,
     Graph6Error,

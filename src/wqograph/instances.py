@@ -12,7 +12,7 @@ failures, so every accepted instance is reproducible from its seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from typing import Callable
 
 from .graphs import Graph
 from .ops import subgraph_complement

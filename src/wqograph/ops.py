@@ -89,6 +89,16 @@ class DeleteVertex:
         return {"op": "del", "v": self.v}
 
 
+def _vertices(step_index: int, raw) -> tuple[int, ...]:
+    """Vertices of a script step read from JSON: each must be a
+    non-negative int, and ``bool`` does not count as one."""
+    vs = tuple(raw)
+    for v in vs:
+        if type(v) is not int or v < 0:
+            raise OpScriptError(step_index, f"vertex {v!r} is not a non-negative integer")
+    return vs
+
+
 OpStep = Union[SubgraphComplement, BipartiteComplement, DeleteVertex]
 
 
@@ -108,11 +118,12 @@ class OpScript:
             try:
                 op = raw["op"]
                 if op == "sc":
-                    steps.append(SubgraphComplement(tuple(raw["s"])))
+                    steps.append(SubgraphComplement(_vertices(i, raw["s"])))
                 elif op == "bc":
-                    steps.append(BipartiteComplement(tuple(raw["x"]), tuple(raw["y"])))
+                    x, y = _vertices(i, raw["x"]), _vertices(i, raw["y"])
+                    steps.append(BipartiteComplement(x, y))
                 elif op == "del":
-                    steps.append(DeleteVertex(int(raw["v"])))
+                    steps.append(DeleteVertex(*_vertices(i, [raw["v"]])))
                 else:
                     raise OpScriptError(i, f"unknown op {op!r}")
             except (KeyError, TypeError) as exc:

@@ -14,7 +14,7 @@ as "no embedding".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, bits_of, connected_components

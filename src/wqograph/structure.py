@@ -21,12 +21,10 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
-    bits_of,
     complement,
     connected_components,
     induced,
     is_bipartite,
-    mask_of,
     pattern,
 )
 from .order import induced_embed, is_free

@@ -21,6 +21,16 @@ most one flipped vertex read the unchanged K and F entries, flipped pairs in
 different copies read the flipped K entry, and flipped pairs sharing a copy
 read the doubled F edge together with the flipped K entry, which combine to
 the required flip.
+
+The bounded search (``is_k_uniform``, ``uniformicity``) tries the canonical
+templates of order k in a fixed order and, for each, places vertices
+0..n-1 in turn on the free slots (c, i) in ascending order, opening copies in
+first-use order, so the first witness found is canonical.  After each
+placement a forward check asks whether every later vertex still fits some
+free slot given the placed ones, and abandons the placement if one does not.
+The check only cuts subtrees that hold no witness, so the first witness is
+that of the plain slot search and the slots tried are a subset of its.  One
+search node, one ``SearchBudget.spend()``, is one free slot tried.
 """
 
 from __future__ import annotations
@@ -192,40 +202,94 @@ def _template_key(k, matrix, edges, perm):
     return kvals, fvals
 
 
+@lru_cache(maxsize=None)
+def _class_lists(template: UniformTemplate) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each class i, the classes j with K(i, j) = 1 and the F-neighbours
+    of i.  Only the canonical templates (134 for k <= 3) reach this cache."""
+    k = template.k
+    return (
+        tuple(tuple(j for j in range(k) if template.matrix[i][j]) for i in range(k)),
+        tuple(tuple(j for j in range(k) if template.f.adjacent(i, j)) for i in range(k)),
+    )
+
+
 def _find_assignment(
     g: Graph, template: UniformTemplate, budget: SearchBudget | None
 ) -> tuple[tuple[int, int], ...] | None:
-    """Backtracking slot assignment; copies are opened in first-use order so
-    the first solution is canonical."""
-    k = template.k
+    """First slot assignment in search order, or None.
+
+    Placed vertices are kept as bitmasks: ``across[i]`` holds those that a
+    class-i vertex in another copy must be adjacent to (their class j has
+    K(i, j) = 1), ``flips[i]`` those whose adjacency to class i flips when
+    they share its copy (their class j is an F-neighbour of i), and
+    ``members[c]`` the vertices of copy c.  A vertex whose neighbourhood
+    among the placed vertices is N fits the free slot (c, i) iff
+    ``N ^ across[i] == flips[i] & members[c]``.
+    """
+    n, k = g.n, template.k
+    rows = g.rows
+    spend = None if budget is None else budget.spend
+    k_classes, f_classes = _class_lists(template)
+    across = [0] * k
+    flips = [0] * k
+    members = [0] * n
+    taken = [0] * n  # classes used in each copy, as a bitmask
+    copy_of = [0] * n
     assign: list[tuple[int, int]] = []
-    used: set[tuple[int, int]] = set()
 
-    def consistent(v: int, slot: tuple[int, int]) -> bool:
-        return all(
-            g.adjacent(u, v) == template.law(assign[u], slot) for u in range(v)
-        )
+    def viable(v: int) -> bool:
+        """Every vertex after v still fits some slot.  With D = N ^ across[j]
+        zero, class j of a fresh copy fits; otherwise only the copy of D's
+        lowest vertex can."""
+        placed = (2 << v) - 1
+        for w in range(v + 1, n):
+            nw = rows[w] & placed
+            if nw in across:
+                continue
+            for j in range(k):
+                d = nw ^ across[j]
+                c = copy_of[(d & -d).bit_length() - 1]
+                if flips[j] & members[c] == d and not taken[c] >> j & 1:
+                    break
+            else:
+                return False
+        return True
 
-    def rec(v: int, copies_used: int) -> bool:
-        if v == g.n:
+    def place(v: int, copies: int) -> bool:
+        if v == n:
             return True
-        for c in range(min(copies_used + 1, g.n)):
+        nv = rows[v] & ((1 << v) - 1)
+        bit = 1 << v
+        for c in range(copies + 1):  # copies <= v, so a fresh copy exists
+            cm = members[c]
+            tk = taken[c]
             for i in range(k):
-                slot = (c, i)
-                if slot in used:
+                if tk >> i & 1:
                     continue
-                if budget is not None:
-                    budget.spend()
-                if consistent(v, slot):
-                    assign.append(slot)
-                    used.add(slot)
-                    if rec(v + 1, max(copies_used, c + 1)):
-                        return True
-                    assign.pop()
-                    used.remove(slot)
+                if spend is not None:
+                    spend()
+                if nv ^ across[i] != flips[i] & cm:
+                    continue
+                for j in k_classes[i]:
+                    across[j] |= bit
+                for j in f_classes[i]:
+                    flips[j] |= bit
+                members[c] = cm | bit
+                taken[c] = tk | 1 << i
+                copy_of[v] = c
+                assign.append((c, i))
+                if viable(v) and place(v + 1, max(copies, c + 1)):
+                    return True
+                assign.pop()
+                for j in k_classes[i]:
+                    across[j] ^= bit
+                for j in f_classes[i]:
+                    flips[j] ^= bit
+                members[c] = cm
+                taken[c] = tk
         return False
 
-    if rec(0, 0):
+    if place(0, 0):
         return tuple(assign)
     return None
 
@@ -264,6 +328,8 @@ def uniformicity(
     budget: SearchBudget | None = None,
 ) -> tuple[int, UniformWitness] | None:
     """Smallest k <= kmax admitting a witness, with the witness; else None."""
+    if kmax < 1:
+        raise ValueError("kmax must be positive")
     for k in range(1, kmax + 1):
         witness = is_k_uniform(g, k, max_k=max_k, max_n=max_n, budget=budget)
         if witness is not None:

@@ -1,8 +1,11 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here enumerates: no pruning, no shared code with the package's
-search paths.  ``oracle_embed`` is the package's own injection oracle,
-which the selftest also runs against the embedding solver.
+Everything here enumerates, or backtracks without look-ahead, and shares
+no code with the package's search paths.  ``oracle_embed`` is the
+package's own injection oracle, which the selftest also runs against the
+embedding solver.  ``oracle_find_assignment`` is the plain slot search that
+the package's forward-checked uniformicity search must agree with, witness
+for witness.
 """
 
 from itertools import combinations, permutations, product
@@ -78,3 +81,41 @@ def oracle_k_uniform(g: Graph, k: int) -> bool:
                 ):
                     return True
     return False
+
+
+def oracle_find_assignment(g: Graph, template, budget=None):
+    """Backtracking slot assignment without pruning: vertices in order,
+    slots (copy, class) ascending, copies opened in first-use order, one
+    ``budget.spend()`` per free slot tried.  Returns the first assignment
+    found, or None."""
+    k = template.k
+    assign: list[tuple[int, int]] = []
+    used: set[tuple[int, int]] = set()
+
+    def consistent(v: int, slot: tuple[int, int]) -> bool:
+        return all(
+            g.adjacent(u, v) == template.law(assign[u], slot) for u in range(v)
+        )
+
+    def rec(v: int, copies_used: int) -> bool:
+        if v == g.n:
+            return True
+        for c in range(min(copies_used + 1, g.n)):
+            for i in range(k):
+                slot = (c, i)
+                if slot in used:
+                    continue
+                if budget is not None:
+                    budget.spend()
+                if consistent(v, slot):
+                    assign.append(slot)
+                    used.add(slot)
+                    if rec(v + 1, max(copies_used, c + 1)):
+                        return True
+                    assign.pop()
+                    used.remove(slot)
+        return False
+
+    if rec(0, 0):
+        return tuple(assign)
+    return None

@@ -167,3 +167,38 @@ class TestBudgetAndRange:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert "names no parameter values" in captured.err and "ok" not in captured.out
+
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_uniform_kmax_below_one_exit_2(self, capsys, kmax):
+        assert main(["uniform", "--g", "C5", "--kmax", kmax]) == 2
+        captured = capsys.readouterr()
+        assert "kmax must be positive" in captured.err and "not k-uniform" not in captured.out
+
+    def test_uniform_budget_exhausted_exit_2(self, capsys):
+        assert main(["uniform", "--g", "C5", "--budget", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and "not k-uniform" not in captured.out
+
+
+class TestOpScriptVertices:
+    @pytest.mark.parametrize(
+        "script,message",
+        [
+            ('[{"op":"sc","s":["a"]}]', "step 0: vertex 'a'"),
+            ('[{"op":"bc","x":[0,1.5],"y":[2]}]', "step 0: vertex 1.5"),
+            ('[{"op":"sc","s":[-1]}]', "step 0: vertex -1"),
+            ('[{"op":"sc","s":[true]}]', "step 0: vertex True"),
+            ('[{"op":"del","v":true}]', "step 0: vertex True"),
+            ('[{"op":"sc","s":[0,1]},{"op":"del","v":"3"}]', "step 1: vertex '3'"),
+        ],
+    )
+    def test_rejected_exit_2(self, capsys, script, message):
+        assert main(["ops", "--in", "P5", "--script", script]) == 2
+        err = capsys.readouterr().err
+        assert f"{message} is not a non-negative integer" in err
+        assert "Traceback" not in err
+
+    def test_plain_int_vertices_accepted(self, capsys):
+        script = '[{"op":"sc","s":[0,1]},{"op":"del","v":4}]'
+        assert main(["ops", "--in", "P5", "--script", script, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 4

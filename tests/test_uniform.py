@@ -2,12 +2,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqograph.graphs import Graph, build, complete_graph, empty_graph, induced
-from wqograph.order import induced_embed
+from wqograph.order import SearchBudget, SearchBudgetExceeded, induced_embed
 from wqograph.ops import bipartite_complement, subgraph_complement
 from wqograph.uniform import (
     SearchRefused,
+    _canonical_templates,
+    _find_assignment,
     UniformTemplate,
     UniformWitness,
     bipartite_complement_template,
@@ -21,7 +25,7 @@ from wqograph.uniform import (
     verify_witness,
     witness_for_expansion,
 )
-from oracles import oracle_isomorphic, oracle_k_uniform
+from oracles import oracle_find_assignment, oracle_isomorphic, oracle_k_uniform
 
 
 def random_template(rng, kmax=3):
@@ -113,6 +117,37 @@ class TestSearch:
                 assert verify_witness(g, w).ok
 
 
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b])
+
+
+class TestSearchAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(1, 3))
+    def test_same_assignment_no_more_nodes(self, g, k):
+        """Per template: the pruned search returns the plain slot search's
+        first assignment and spends at most its budget nodes."""
+        for template in _canonical_templates(k):
+            fast, plain = SearchBudget(10**9), SearchBudget(10**9)
+            found = _find_assignment(g, template, fast)
+            assert found == oracle_find_assignment(g, template, plain)
+            assert fast.used <= plain.used
+            if found is not None:
+                assert verify_witness(g, UniformWitness(template, found)).ok
+
+    def test_forward_check_prunes(self):
+        g = build("C5+P3")
+        fast, plain = SearchBudget(10**9), SearchBudget(10**9)
+        for template in _canonical_templates(3):
+            _find_assignment(g, template, fast)
+            oracle_find_assignment(g, template, plain)
+        assert fast.used < plain.used
+
+
 class TestUniformicity:
     def test_cliques_and_edgeless(self):
         for n in (1, 2, 5):
@@ -143,6 +178,17 @@ class TestUniformicity:
             g = Graph.from_edges(n, edges)
             for k in (1, 2):
                 assert (is_k_uniform(g, k) is not None) == oracle_k_uniform(g, k)
+
+    def test_kmax_below_one_rejected(self):
+        for kmax in (0, -2):
+            with pytest.raises(ValueError):
+                uniformicity(build("C5"), kmax)
+
+    def test_exhausted_budget_is_unknown(self):
+        budget = SearchBudget(3)
+        with pytest.raises(SearchBudgetExceeded):
+            uniformicity(build("C5"), 3, budget=budget)
+        assert budget.used == 4
 
     def test_deletion_never_increases(self):
         rng = random.Random(3)
