@@ -242,7 +242,8 @@ def verify_family(
 
     Every (member, pattern) and member pair is checked independently; a
     budget exhaustion is reported in the affected cell rather than aborting
-    the whole report.  ``node_budget`` is per cell; ``None`` means unlimited.  Cells are emitted in sorted order, so the report is
+    the whole report.  ``node_budget`` is per cell; ``None`` means
+    unlimited.  Cells are emitted in sorted order, so the report is
     deterministic for fixed inputs.
     """
     spec = FAMILIES[family] if family in FAMILIES else None

@@ -77,6 +77,13 @@ def _parse_ns(text: str) -> list[int]:
     return ns
 
 
+def _patterns(text: str) -> list[str]:
+    patterns = [p.strip() for p in text.split(",") if p.strip()]
+    if not patterns:
+        raise ValueError(f"--forbidden {text!r} names no pattern")
+    return patterns
+
+
 def _budget_nodes(args, default: int | None = None) -> int | None:
     """Node budget from ``--budget``, else ``$WQOGRAPH_BUDGET``, else
     ``default``; ``None`` means unlimited and 0 is a real zero budget."""
@@ -132,7 +139,7 @@ def cmd_embed(args) -> int:
     found = emb is not None
     _emit(
         args,
-        {"found": found, "embedding": list(emb) if emb else None},
+        {"found": found, "embedding": list(emb) if found else None},
         f"embedding: {list(emb)}" if found else "no induced embedding",
     )
     return 0 if found else 1
@@ -140,14 +147,14 @@ def cmd_embed(args) -> int:
 
 def cmd_free(args) -> int:
     g = parse_graph_arg(args.g)
-    patterns = [p.strip() for p in args.forbidden.split(",") if p.strip()]
+    patterns = _patterns(args.forbidden)
     res = is_free(g, [build(p) for p in patterns], _budget(args))
     _emit(
         args,
         {
             "free": res.free,
             "pattern": patterns[res.pattern_index] if not res.free else None,
-            "witness": list(res.witness) if res.witness else None,
+            "witness": list(res.witness) if res.witness is not None else None,
         },
         "free"
         if res.free
@@ -157,15 +164,16 @@ def cmd_free(args) -> int:
 
 
 def cmd_antichain(args) -> int:
-    forbidden = None
-    if args.forbidden is not None:
-        forbidden = [p.strip() for p in args.forbidden.split(",") if p.strip()]
     report = antichains.verify_family(
         args.family,
         _parse_ns(args.n),
-        forbidden,
+        None if args.forbidden is None else _patterns(args.forbidden),
         _budget_nodes(args, antichains.DEFAULT_CELL_BUDGET),
     )
+    if not report.freeness and not report.incomparability:
+        raise ValueError(
+            f"family {report.family} over n={list(report.ns)} has no cell to check"
+        )
     lines = [f"family {report.family} over n={list(report.ns)}"]
     unknown = "unknown [budget exhausted]"
     for cell in report.freeness:
@@ -399,8 +407,11 @@ def main(argv=None) -> int:
     except (GraphSpecError, Graph6Error, OpScriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SearchBudgetExceeded, SearchRefused) as exc:
+    except SearchBudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        return 2
+    except SearchRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,16 @@ vertex keeps a candidate bitmask that is intersected with the neighbourhood
 ascending host-vertex order, so the first embedding found is deterministic
 and tests can pin exact witnesses.
 
-Long searches accept an optional :class:`SearchBudget`; exhausting it raises
+Once only the last two pattern vertices S and L are left, the search looks
+ahead on that pair: it keeps a candidate w of S only if some candidate
+x != w of L is adjacent to w exactly when S is adjacent to L.  The test is
+bit-parallel over L's candidates (the union of their rows, or the
+intersection of their closed neighbourhoods).  A candidate it drops could
+only have led to a dead end, so the search returns the same first
+embedding as without the look-ahead and never visits more nodes.
+
+Long searches accept an optional :class:`SearchBudget`; one node is one
+host vertex tried for one pattern vertex.  Exhausting it raises
 :class:`SearchBudgetExceeded`, which callers must treat as "unknown", never
 as "no embedding".
 """
@@ -133,6 +142,30 @@ class LabelledGraph:
 # Embedding search
 
 
+def _with_partner(cs: int, cl: int, rows, adjacent: bool) -> int:
+    """The host vertices w in ``cs`` that have some x != w in ``cl`` which
+    is adjacent to w iff ``adjacent``.
+
+    Bit-parallel over ``cl``: the union of the x's rows when adjacent, else
+    the complement of the intersection of the x's closed neighbourhoods
+    (stopping once that intersection no longer meets ``cs``)."""
+    if adjacent:
+        reach = 0
+        while cl:
+            low = cl & -cl
+            cl ^= low
+            reach |= rows[low.bit_length() - 1]
+        return cs & reach
+    blocked = -1
+    while cl:
+        low = cl & -cl
+        cl ^= low
+        blocked &= rows[low.bit_length() - 1] | low
+        if not blocked & cs:
+            return cs
+    return cs & ~blocked
+
+
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     """Core backtracking search; returns an assignment tuple or None."""
     nh, ng = h.n, g.n
@@ -154,38 +187,45 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         if not allowed:
             return None
         cand.append(allowed)
-    hadj = [[h.adjacent(order[p], order[q]) for q in range(nh)] for p in range(nh)]
+    # later[p]: adjacency of pattern position p to each of p+1, ..., nh-1.
+    later = [
+        [h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)
+    ]
+    last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
+    look_ahead = nh - 3
+    rows = g.rows
     assign = [0] * nh
 
-    def rec(pos: int, cand_masks) -> bool:
-        if pos == nh:
-            return True
-        m = cand_masks[pos]
+    def rec(pos: int, m: int, rest: list[int]) -> bool:
+        # m: candidates of pattern position pos; rest: those of pos+1, ...
+        adj = later[pos]
         while m:
             low = m & -m
             m ^= low
             w = low.bit_length() - 1
             if budget is not None:
                 budget.spend()
+            nbr = rows[w]
+            non = gmask ^ nbr ^ low
             nxt = []
-            ok = True
-            for q in range(pos + 1, nh):
-                if hadj[pos][q]:
-                    nm = cand_masks[q] & g.rows[w]
-                else:
-                    nm = cand_masks[q] & ~g.rows[w] & gmask
-                nm &= ~low
+            for a, cm in zip(adj, rest):
+                nm = cm & (nbr if a else non)
                 if not nm:
-                    ok = False
                     break
                 nxt.append(nm)
-            if ok:
+            else:
                 assign[pos] = w
-                if rec(pos + 1, cand_masks[: pos + 1] + nxt):
+                if not nxt:
+                    return True
+                if pos == look_ahead:
+                    nxt[0] = _with_partner(nxt[0], nxt[1], rows, last_pair_adjacent)
+                    if not nxt[0]:
+                        continue
+                if rec(pos + 1, nxt[0], nxt[1:]):
                     return True
         return False
 
-    if not rec(0, cand):
+    if not rec(0, cand[0], cand[1:]):
         return None
     out = [0] * nh
     for p, v in enumerate(order):

@@ -5,13 +5,15 @@ no code with the package's search paths.  ``oracle_embed`` is the
 package's own injection oracle, which the selftest also runs against the
 embedding solver.  ``oracle_find_assignment`` is the plain slot search that
 the package's forward-checked uniformicity search must agree with, witness
-for witness.
+for witness.  ``oracle_embed_search`` is the embedding search as it was
+before the last-pair look-ahead: the package's search must return its
+assignment and spend no more nodes.
 """
 
 from itertools import combinations, permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
-from wqograph.graphs import Graph
+from wqograph.graphs import Graph, bits_of
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:
@@ -119,3 +121,66 @@ def oracle_find_assignment(g: Graph, template, budget=None):
     if rec(0, 0):
         return tuple(assign)
     return None
+
+
+def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
+    """The embedding search without look-ahead: pattern vertices in
+    descending-degree order, host candidates ascending, a forward check of
+    every later vertex, one ``budget.spend()`` per host vertex tried.
+    Returns the first assignment found, or None."""
+    nh, ng = h.n, g.n
+    if nh > ng:
+        return None
+    if nh == 0:
+        return ()
+    order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
+    gmask = g.mask
+    hdeg = [h.degree(v) for v in range(nh)]
+    gdeg = [g.degree(w) for w in range(ng)]
+    cand = []
+    for v in order:
+        m = base_candidates[v]
+        allowed = 0
+        for w in bits_of(m):
+            if hdeg[v] <= gdeg[w] and nh - 1 - hdeg[v] <= ng - 1 - gdeg[w]:
+                allowed |= 1 << w
+        if not allowed:
+            return None
+        cand.append(allowed)
+    hadj = [[h.adjacent(order[p], order[q]) for q in range(nh)] for p in range(nh)]
+    assign = [0] * nh
+
+    def rec(pos: int, cand_masks) -> bool:
+        if pos == nh:
+            return True
+        m = cand_masks[pos]
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            if budget is not None:
+                budget.spend()
+            nxt = []
+            ok = True
+            for q in range(pos + 1, nh):
+                if hadj[pos][q]:
+                    nm = cand_masks[q] & g.rows[w]
+                else:
+                    nm = cand_masks[q] & ~g.rows[w] & gmask
+                nm &= ~low
+                if not nm:
+                    ok = False
+                    break
+                nxt.append(nm)
+            if ok:
+                assign[pos] = w
+                if rec(pos + 1, cand_masks[: pos + 1] + nxt):
+                    return True
+        return False
+
+    if not rec(0, cand):
+        return None
+    out = [0] * nh
+    for p, v in enumerate(order):
+        out[v] = assign[p]
+    return tuple(out)

@@ -40,6 +40,17 @@ class TestCommands:
     def test_embed_not_found(self, capsys):
         assert main(["embed", "--h", "C5", "--g", "C6"]) == 1
 
+    def test_embed_empty_pattern_json(self, capsys):
+        assert main(["embed", "--h", "g6:?", "--g", "P3", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["found"] and blob["embedding"] == []
+
+    @pytest.mark.parametrize("forbidden", [",", ""])
+    def test_free_without_patterns_exit_2(self, capsys, forbidden):
+        assert main(["free", "--g", "P5", "--forbidden", forbidden]) == 2
+        captured = capsys.readouterr()
+        assert "names no pattern" in captured.err and "free" not in captured.out
+
     def test_free_violation_exit_1(self, capsys):
         assert main(["free", "--g", "P6", "--forbidden", "P4,K3", "--json"]) == 1
         blob = json.loads(capsys.readouterr().out)
@@ -69,6 +80,12 @@ class TestCommands:
 
     def test_uniform_bounds_exit_2(self, capsys):
         assert main(["uniform", "--g", "P6+P6", "--kmax", "3"]) == 2
+        assert capsys.readouterr().err.startswith("refused: ")
+
+    def test_uniform_refused_above_kmax_bound(self, capsys):
+        assert main(["uniform", "--g", "C5+P3", "--kmax", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and "budget" not in err
 
     def test_ops_script(self, capsys):
         script = '[{"op":"bc","x":[0,2],"y":[1,3]}]'
@@ -167,6 +184,19 @@ class TestBudgetAndRange:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert "names no parameter values" in captured.err and "ok" not in captured.out
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--family", "thm52", "--n", "3..4", "--forbidden", ","], "names no pattern"),
+            (["--family", "thm51", "--n", "2", "--forbidden", ""], "names no pattern"),
+            (["--family", "cycles", "--n", "4"], "has no cell to check"),
+        ],
+    )
+    def test_antichain_nothing_to_check_exit_2(self, capsys, extra, message):
+        assert main(["antichain", "verify", *extra]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "ok" not in captured.out
 
     @pytest.mark.parametrize("kmax", ["0", "-2"])
     def test_uniform_kmax_below_one_exit_2(self, capsys, kmax):

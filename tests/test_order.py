@@ -21,8 +21,9 @@ from wqograph.order import (
     modules_of,
     subseq_leq,
 )
-from wqograph.antichains import gen_thm51
-from oracles import oracle_embed, oracle_is_module, oracle_subseq
+from wqograph.antichains import gen_thm51, gen_thm52
+from oracles import oracle_embed, oracle_embed_search, oracle_is_module, oracle_subseq
+from strategies import small_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -81,6 +82,60 @@ class TestInducedEmbed:
     def test_budget_exhaustion_distinct(self):
         with pytest.raises(SearchBudgetExceeded):
             induced_embed(build("P4"), build("P6"), SearchBudget(1))
+
+
+LABEL_ORDERS = (QuasiOrder.equality((0, 1)), QuasiOrder.total((0, 1, 2)))
+
+
+class TestSearchAgainstOracle:
+    """The look-ahead search against the search without it: the same first
+    embedding, never more nodes, and an exhausted budget always raises."""
+
+    @staticmethod
+    def check(h, g, candidates, search):
+        fast, plain = SearchBudget(10**9), SearchBudget(10**9)
+        found = search(fast)
+        assert found == oracle_embed_search(h, g, candidates, plain)
+        assert fast.used <= plain.used
+        if fast.used:
+            with pytest.raises(SearchBudgetExceeded):
+                search(SearchBudget(fast.used - 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(7), small_graphs(14))
+    def test_induced(self, h, g):
+        self.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(7), small_graphs(14), st.sampled_from(LABEL_ORDERS), st.data())
+    def test_labelled(self, h, g, order, data):
+        labels = st.sampled_from(order.elements)
+        lh = LabelledGraph(h, tuple(data.draw(labels) for _ in range(h.n)))
+        lg = LabelledGraph(g, tuple(data.draw(labels) for _ in range(g.n)))
+        candidates = [
+            sum(1 << w for w in range(g.n) if order.leq(a, lg.labels[w]))
+            for a in lh.labels
+        ]
+        self.check(h, g, candidates, lambda b: labelled_embed(lh, lg, order, b))
+
+    @pytest.mark.parametrize(
+        "pattern, host, nodes, oracle_nodes",
+        [
+            ("P1+2P2", gen_thm52(12), 24_480, 448_800),
+            ("co(P1+P4)", gen_thm52(12), 22_272, 43_392),
+            # Every second vertex's only non-neighbour among the last
+            # vertex's candidates is itself, so each first vertex is cut.
+            ("3P1", build("2K2"), 4, 12),
+            ("3P1", build("C5"), 5, 15),
+        ],
+        ids=["thm52-12-P1+2P2", "thm52-12-co(P1+P4)", "2K2-3P1", "C5-3P1"],
+    )
+    def test_pinned_nodes(self, pattern, host, nodes, oracle_nodes):
+        h = build(pattern)
+        fast, plain = SearchBudget(10**9), SearchBudget(10**9)
+        assert induced_embed(h, host, fast) is None
+        assert oracle_embed_search(h, host, [host.mask] * h.n, plain) is None
+        assert (fast.used, plain.used) == (nodes, oracle_nodes)
 
 
 class TestLabelledEmbed:

@@ -26,6 +26,7 @@ from wqograph.uniform import (
     witness_for_expansion,
 )
 from oracles import oracle_find_assignment, oracle_isomorphic, oracle_k_uniform
+from strategies import small_graphs
 
 
 def random_template(rng, kmax=3):
@@ -115,14 +116,6 @@ class TestSearch:
                 k, w = res
                 assert w.template.k == k
                 assert verify_witness(g, w).ok
-
-
-@st.composite
-def small_graphs(draw, max_n=8):
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b])
 
 
 class TestSearchAgainstOracle:
