@@ -10,7 +10,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     GraphSpecError,
-    Relation,
     biclique,
     build,
     complement,
@@ -26,26 +25,20 @@ from .graphs import (
     induced,
     is_bipartite,
     path_graph,
-    relation_between,
     subdivided_claw,
     to_json_dict,
 )
 from .order import (
-    AntichainResult,
     FreeResult,
     LabelledGraph,
     QuasiOrder,
     SearchBudget,
     SearchBudgetExceeded,
-    antichain_check,
     induced_embed,
     in_class_S,
     is_free,
     is_linear_forest,
-    is_prime,
     labelled_embed,
-    modules_of,
-    subseq_leq,
 )
 from .ops import (
     BipartiteComplement,
@@ -62,7 +55,6 @@ from .uniform import (
     SearchRefused,
     UniformTemplate,
     UniformWitness,
-    bipartite_complement_template,
     complement_template,
     expand_template,
     is_k_uniform,

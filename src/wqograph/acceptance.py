@@ -111,7 +111,7 @@ def _random_quasi_order(rng: random.Random, size: int) -> QuasiOrder:
         for b in elements
         if a != b and rng.random() < 0.35
     ]
-    return QuasiOrder.from_pairs(elements, pairs, close=True)
+    return QuasiOrder.from_pairs(elements, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, build, cycle_graph, encode_graph6
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    _bits,
+    _graph,
+    build,
+    connected_components,
+    cycle_graph,
+    encode_graph6,
+    mask_of,
+)
 from .order import SearchBudget, SearchBudgetExceeded, induced_embed, is_free
 
 
@@ -95,8 +105,14 @@ _GENERATORS = {"thm51": gen_thm51, "thm52": gen_thm52, "cycles": gen_cycle}
 
 
 def family_member(family: str, n: int) -> Graph:
+    """Member n of a family; every member has at least n vertices, so an n
+    above the vertex cap is refused before anything is built."""
     if family not in _GENERATORS:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(_GENERATORS)}")
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"{family}({n}) has at least {n} vertices, over the cap of {MAX_VERTICES}"
+        )
     return _GENERATORS[family](n)
 
 
@@ -138,28 +154,16 @@ def reconstruct_thm52(g: Graph, x1: int) -> tuple[int, ...] | None:
 
 
 def _same_side_components(g: Graph) -> list[int] | None:
-    link = [[False] * g.n for _ in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adjacent(u, v) and g.rows[u] & g.rows[v]:
-                link[u][v] = link[v][u] = True
-    side = [-1] * g.n
-    comp = 0
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        if comp >= 2:
-            return None
-        stack = [start]
-        side[start] = comp
-        while stack:
-            v = stack.pop()
-            for w in range(g.n):
-                if link[v][w] and side[w] == -1:
-                    side[w] = comp
-                    stack.append(w)
-        comp += 1
-    return side if comp == 2 else None
+    """Component index of each vertex in the graph linking adjacent vertices
+    with a common neighbour; None unless there are exactly two components."""
+    link = tuple(mask_of(v for v in _bits(row) if row & g.rows[v]) for row in g.rows)
+    comps = connected_components(_graph(g.n, link))
+    if len(comps) != 2:
+        return None
+    side = [0] * g.n
+    for v in comps[1]:
+        side[v] = 1
+    return side
 
 
 # ---------------------------------------------------------------------------

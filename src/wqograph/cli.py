@@ -21,6 +21,7 @@ import sys
 from . import antichains, classifier, structure
 from .acceptance import run_criteria
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     Graph6Error,
     GraphSpecError,
@@ -67,11 +68,17 @@ def parse_graph_arg(text: str) -> Graph:
 
 
 def _parse_ns(text: str) -> list[int]:
+    """Values of ``--n``, each in 0..MAX_VERTICES (a family member on n has
+    at least n vertices), checked before a range is expanded."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        ns = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split("..", 1))
+        given = [lo, hi]
     else:
-        ns = [int(part) for part in text.split(",") if part]
+        given = [int(part) for part in text.split(",") if part]
+    for n in given:
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"--n {text!r}: {n} is outside 0..{MAX_VERTICES}")
+    ns = list(range(lo, hi + 1)) if ".." in text else given
     if not ns:
         raise ValueError(f"--n {text!r} names no parameter values")
     return ns
@@ -413,7 +420,7 @@ def main(argv=None) -> int:
     except SearchRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

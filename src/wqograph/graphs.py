@@ -277,51 +277,6 @@ def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     return side0, side1
 
 
-@dataclass(frozen=True)
-class Relation:
-    """How two disjoint vertex sets relate, with detailed flags.
-
-    ``kind`` is the strongest applicable category, with precedence
-    complete > anticomplete > matching > comatching > other.  The flags
-    report every category that holds (an anticomplete pair is also a
-    matching, for instance).
-    """
-
-    kind: str
-    complete: bool
-    anticomplete: bool
-    matching: bool
-    comatching: bool
-
-
-def relation_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> Relation:
-    amask = mask_of(a)
-    bmask = mask_of(b)
-    if amask & bmask:
-        raise ValueError("vertex sets overlap")
-    alist = bits_of(amask)
-    blist = bits_of(bmask)
-    complete = all(g.rows[v] & bmask == bmask for v in alist)
-    anticomplete = all(g.rows[v] & bmask == 0 for v in alist)
-    matching = all(
-        bin(g.rows[v] & bmask).count("1") <= 1 for v in alist
-    ) and all(bin(g.rows[v] & amask).count("1") <= 1 for v in blist)
-    comatching = all(
-        bin((g.rows[v] & bmask) ^ bmask).count("1") <= 1 for v in alist
-    ) and all(bin((g.rows[v] & amask) ^ amask).count("1") <= 1 for v in blist)
-    if complete:
-        kind = "complete"
-    elif anticomplete:
-        kind = "anticomplete"
-    elif matching:
-        kind = "matching"
-    elif comatching:
-        kind = "comatching"
-    else:
-        kind = "other"
-    return Relation(kind, complete, anticomplete, matching, comatching)
-
-
 # ---------------------------------------------------------------------------
 # Catalog expression parser
 
@@ -348,13 +303,18 @@ class _Parser:
         self.pos += 1
 
     def integer(self) -> int:
+        """Every integer of the grammar bounds the vertex count from below,
+        so one above the cap is refused before anything is built."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        value = int(self.text[start : self.pos])
+        if value > MAX_VERTICES:
+            self.error(f"{value} exceeds the cap of {MAX_VERTICES} vertices")
+        return value
 
     def expr(self) -> Graph:
         parts = [self.term()]
@@ -509,6 +469,17 @@ def to_json_dict(g: Graph) -> dict:
 
 
 def from_json_dict(obj: dict) -> Graph:
+    """Read ``{"n": n, "edges": [[u, v], ...]}``; the shape and the types
+    are checked before anything is allocated (``bool`` is not an int here)."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
-    return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int or not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"graph JSON 'n' must be an integer in 0..{MAX_VERTICES}")
+    if not isinstance(edges, list):
+        raise ValueError("graph JSON 'edges' must be a list")
+    for i, e in enumerate(edges):
+        pair = isinstance(e, (list, tuple)) and len(e) == 2
+        if not pair or any(type(v) is not int for v in e):
+            raise ValueError(f"graph JSON edge {i} is not a pair of integers")
+    return Graph.from_edges(n, [tuple(e) for e in edges])

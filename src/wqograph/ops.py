@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import Graph, _graph, bits_of, delete_vertices, mask_of
+from .graphs import MAX_VERTICES, Graph, _graph, bits_of, delete_vertices, mask_of
 from .order import LabelledGraph, QuasiOrder
 
 
@@ -91,11 +91,14 @@ class DeleteVertex:
 
 def _vertices(step_index: int, raw) -> tuple[int, ...]:
     """Vertices of a script step read from JSON: each must be a
-    non-negative int, and ``bool`` does not count as one."""
+    non-negative int below the vertex cap, and ``bool`` does not count as
+    one."""
     vs = tuple(raw)
     for v in vs:
         if type(v) is not int or v < 0:
             raise OpScriptError(step_index, f"vertex {v!r} is not a non-negative integer")
+        if v >= MAX_VERTICES:
+            raise OpScriptError(step_index, f"vertex {v} exceeds the cap of {MAX_VERTICES}")
     return vs
 
 
@@ -113,6 +116,8 @@ class OpScript:
 
     @staticmethod
     def from_json(obj: list) -> "OpScript":
+        if not isinstance(obj, list):
+            raise ValueError("an op script must be a JSON list of steps")
         steps: list[OpStep] = []
         for i, raw in enumerate(obj):
             try:
@@ -129,16 +134,6 @@ class OpScript:
             except (KeyError, TypeError) as exc:
                 raise OpScriptError(i, f"malformed step: {exc}") from exc
         return OpScript(tuple(steps))
-
-    def inverse(self) -> "OpScript":
-        """Reversed script undoing each step.  Deletion loses information and
-        has no inverse."""
-        inv: list[OpStep] = []
-        for step in reversed(self.steps):
-            if isinstance(step, DeleteVertex):
-                raise ValueError("vertex deletion is not invertible")
-            inv.append(step)
-        return OpScript(tuple(inv))
 
 
 def apply_script(g: Graph, script: OpScript) -> Graph:

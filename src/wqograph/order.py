@@ -1,4 +1,7 @@
-"""The induced-subgraph quasi-order and its labelled refinement.
+"""The induced-subgraph quasi-order and its labelled refinement: finite
+quasi-orders on labels, the induced embedding search (plain and
+label-respecting), forbidden-subgraph freeness, and the two special classes
+the classifier names (linear forests and the path-or-subdivided-claw class).
 
 The embedding search is a backtracking solver over pattern vertices in
 descending-degree order with forward checking: every unassigned pattern
@@ -96,15 +99,12 @@ class QuasiOrder:
         return QuasiOrder(elems, pairs)
 
     @staticmethod
-    def from_pairs(
-        elements: Iterable[Hashable], pairs: Iterable[tuple], *, close: bool = False
-    ) -> "QuasiOrder":
+    def from_pairs(elements: Iterable[Hashable], pairs: Iterable[tuple]) -> "QuasiOrder":
+        """The reflexive transitive closure of ``pairs``."""
         elems = tuple(elements)
         rel = set(tuple(p) for p in pairs)
         rel.update((e, e) for e in elems)
-        if close:
-            rel = set(_transitive_closure(frozenset(rel)))
-        return QuasiOrder(elems, frozenset(rel))
+        return QuasiOrder(elems, _transitive_closure(frozenset(rel)))
 
     def doubled(self) -> "QuasiOrder":
         """Two incomparable copies: (t, a) <= (t', b) iff t == t' and a <= b."""
@@ -281,53 +281,6 @@ def is_free(
     return FreeResult(True, None, None)
 
 
-class AntichainResult(NamedTuple):
-    is_antichain: bool
-    pair: tuple[int, int] | None
-    embedding: tuple[int, ...] | None
-
-
-def antichain_check(
-    graphs: Sequence[Graph], budget: SearchBudget | None = None
-) -> AntichainResult:
-    """True iff no listed graph induced-embeds into another.
-
-    Only the small-into-large direction is searched; for equal orders one
-    direction suffices because an embedding between equal orders is an
-    isomorphism.  On failure returns the comparable index pair (i, j) with
-    graphs[i] embedding into graphs[j].
-    """
-    for i, gi in enumerate(graphs):
-        for j, gj in enumerate(graphs):
-            if i == j or gi.n > gj.n:
-                continue
-            if gi.n == gj.n and i > j:
-                continue
-            emb = induced_embed(gi, gj, budget)
-            if emb is not None:
-                return AntichainResult(False, (i, j), emb)
-    return AntichainResult(True, None, None)
-
-
-def subseq_leq(a: Sequence, b: Sequence, order: QuasiOrder) -> bool:
-    """Subsequence order: a strictly increasing index map with pointwise <=.
-
-    Decided greedily left to right; the greedy choice is safe because any
-    later valid index for a[i] can be exchanged for the earliest one.
-    """
-    for lab in (*a, *b):
-        if lab not in order:
-            raise ValueError(f"label {lab!r} not in the quasi-order")
-    j = 0
-    for x in a:
-        while j < len(b) and not order.leq(x, b[j]):
-            j += 1
-        if j == len(b):
-            return False
-        j += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Special families
 
@@ -356,31 +309,3 @@ def in_class_S(g: Graph) -> bool:
         if degs[-1] != 3 or degs.count(3) != 1 or degs.count(1) != 3:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Modules and primality (subset enumeration; intended for small graphs)
-
-MODULES_CAP = 16
-
-
-def modules_of(g: Graph, cap: int = MODULES_CAP) -> list[tuple[int, ...]]:
-    """All non-trivial modules, as sorted vertex tuples in mask order."""
-    if g.n > cap:
-        raise ValueError(f"modules_of is enumeration-based; n={g.n} exceeds cap {cap}")
-    out = []
-    for m in range(3, 1 << g.n):
-        size = bin(m).count("1")
-        if size < 2 or size >= g.n:
-            continue
-        if all(
-            (g.rows[y] & m) in (0, m)
-            for y in range(g.n)
-            if not (m >> y & 1)
-        ):
-            out.append(bits_of(m))
-    return out
-
-
-def is_prime(g: Graph, cap: int = MODULES_CAP) -> bool:
-    return not modules_of(g, cap)

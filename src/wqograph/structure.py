@@ -21,10 +21,12 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    bits_of,
     complement,
     connected_components,
     induced,
     is_bipartite,
+    mask_of,
     pattern,
 )
 from .order import induced_embed, is_free
@@ -174,56 +176,50 @@ def route(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Claim predicates (each returns a counterexample tuple or None)
+# Claim predicates: each returns the first counterexample in list order, or
+# None.  A vertex is tested against a whole list with one mask AND; the
+# partner is the first listed vertex in the hit, because some lists (such as
+# V_{i-1} + V_{i+1}) are not ascending.  ``edge`` says which relation is the
+# counterexample: an edge (True) or a non-edge (False).
 
 
-def _not_independent(g: Graph, vs: Sequence[int]):
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if g.adjacent(u, v):
-                return (u, v)
-    return None
-
-
-def _not_complete(g: Graph, a: Sequence[int], b: Sequence[int]):
+def _first_pair(g: Graph, a: Sequence[int], b: Sequence[int], edge: bool):
+    """First (u, v), u from ``a`` and v from ``b``, that is an edge iff
+    ``edge``: a counterexample to ``a`` anticomplete (True) or complete
+    (False) to ``b``."""
+    bmask = mask_of(b)
     for u in a:
-        for v in b:
-            if not g.adjacent(u, v):
-                return (u, v)
+        hit = (g.rows[u] if edge else ~g.rows[u]) & bmask
+        if hit:
+            return u, next(v for v in b if hit >> v & 1)
     return None
 
 
-def _not_anticomplete(g: Graph, a: Sequence[int], b: Sequence[int]):
-    for u in a:
-        for v in b:
-            if g.adjacent(u, v):
-                return (u, v)
-    return None
-
-
-def _not_matching(g: Graph, a: Sequence[int], b: Sequence[int]):
-    for side, other in ((a, b), (b, a)):
-        for u in side:
-            nbrs = [v for v in other if g.adjacent(u, v)]
-            if len(nbrs) > 1:
-                return (u, nbrs[0], nbrs[1])
-    return None
-
-
-def _not_comatching(g: Graph, a: Sequence[int], b: Sequence[int]):
-    for side, other in ((a, b), (b, a)):
-        for u in side:
-            non = [v for v in other if not g.adjacent(u, v)]
-            if len(non) > 1:
-                return (u, non[0], non[1])
-    return None
-
-
-def _not_clique(g: Graph, vs: Sequence[int]):
+def _first_inside(g: Graph, vs: Sequence[int], edge: bool):
+    """First (u, v), u listed before v in ``vs``, that is an edge iff
+    ``edge``: a counterexample to ``vs`` independent (True) or a clique
+    (False)."""
+    later = [0] * len(vs)
+    for i in range(len(vs) - 1, 0, -1):
+        later[i - 1] = later[i] | 1 << vs[i]
     for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if not g.adjacent(u, v):
-                return (u, v)
+        hit = (g.rows[u] if edge else ~g.rows[u]) & later[i]
+        if hit:
+            return u, next(v for v in vs[i + 1 :] if hit >> v & 1)
+    return None
+
+
+def _first_two(g: Graph, a: Sequence[int], b: Sequence[int], edge: bool):
+    """First u in ``a`` with two or more vertices of ``b`` adjacent to it iff
+    ``edge``, as (u, v, w) with v, w the first two: a counterexample to each
+    vertex of ``a`` having at most one neighbour (True) or non-neighbour
+    (False) in ``b``.  The vertices of ``b`` are distinct."""
+    bmask = mask_of(b)
+    for u in a:
+        hit = (g.rows[u] if edge else ~g.rows[u]) & bmask
+        if hit & (hit - 1):
+            v, w = [v for v in b if hit >> v & 1][:2]
+            return u, v, w
     return None
 
 
@@ -261,51 +257,41 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
     anchor = tuple(sorted(clique)) if clique is not None else find_clique(g, 5)
     if anchor is None:
         raise ValueError("no 5-clique present")
-    if len(anchor) != 5 or _not_clique(g, anchor):
+    if len(anchor) != 5 or _first_inside(g, anchor, False):
         raise ValueError("anchor is not a 5-clique")
-    xset = set(anchor)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if v not in xset and all(g.adjacent(v, u) for u in xset):
-                xset.add(v)
-                changed = True
-                break
-    x = tuple(sorted(xset))
-    outside = tuple(v for v in range(g.n) if v not in xset)
+    # greedy growth: the lowest vertex adjacent to the whole clique joins it;
+    # one ascending pass suffices because the clique only grows
+    xmask = mask_of(anchor)
+    common = g.mask
+    for u in anchor:
+        common &= g.rows[u]
+    while common:
+        low = common & -common
+        xmask |= low
+        common &= g.rows[low.bit_length() - 1]
+    x = bits_of(xmask)
+    outside = bits_of(g.mask & ~xmask)
 
     claims = []
-    worst = None
-    for v in outside:
-        nbrs = [u for u in x if g.adjacent(v, u)]
-        if len(nbrs) > 1:
-            worst = (v, nbrs[0], nbrs[1])
-            break
+    worst = _first_two(g, outside, x, True)
     claims.append(ClaimCheck("L4.1-C1", worst is None, worst))
 
     comps = _components_within(g, outside)
-    bad = None
-    for comp in comps:
-        viol = _not_clique(g, comp)
-        if viol:
-            bad = viol
-            break
+    bad = next(filter(None, (_first_inside(g, comp, False) for comp in comps)), None)
     claims.append(ClaimCheck("L4.1-P3", bad is None, bad))
 
     large = [c for c in comps if len(c) >= 2]
+    comp_masks = [mask_of(c) for c in comps]
     viol2 = None
     for xv in x:
-        touched = [i for i, c in enumerate(comps) if any(g.adjacent(xv, u) for u in c)]
+        touched = [j for j, m in enumerate(comp_masks) if g.rows[xv] & m]
         if not touched:
             continue
         for j, comp in enumerate(comps):
-            if len(comp) < 2 or touched == [j]:
-                continue
-            non = [u for u in comp if not g.adjacent(xv, u)]
-            if len(non) > 1:
-                viol2 = (xv, non[0], non[1])
-                break
+            if len(comp) >= 2 and touched != [j]:
+                viol2 = _first_two(g, (xv,), comp, False)
+                if viol2:
+                    break
         if viol2:
             break
     claims.append(ClaimCheck("L4.1-C2", viol2 is None, viol2))
@@ -344,10 +330,8 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
             Part("star-forest", tuple(range(g.n)), _is_star_forest(image))
         )
     elif case == 3:
-        small_union = [v for c in comps if len(c) == 1 for v in c]
-        dels = sorted(
-            xv for xv in x if any(g.adjacent(xv, u) for u in small_union)
-        )
+        small = mask_of(v for c in comps if len(c) == 1 for v in c)
+        dels = [xv for xv in x if g.rows[xv] & small]
         claims.append(ClaimCheck("L4.1-C3-DEL", len(dels) <= 2, tuple(dels)))
         deletions = tuple(dels)
         script = _deletion_script(g, deletions)
@@ -362,9 +346,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
             )
         )
     else:
-        dels = sorted(
-            xv for xv in x if any(g.adjacent(xv, u) for u in outside)
-        )
+        dels = [xv for xv in x if g.rows[xv] & ~xmask]
         claims.append(ClaimCheck("L4.1-C4-DEL", len(dels) <= 2, tuple(dels)))
         deletions = tuple(dels)
         script = _deletion_script(g, deletions)
@@ -462,9 +444,10 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     junk: set[int] = set()
     for i in range(5):
         a, b = cyc[i], cyc[(i + 1) % 5]
-        yi = tuple(v for v in off if g.adjacent(v, a) and g.adjacent(v, b))
+        both = g.rows[a] & g.rows[b]
+        yi = tuple(v for v in off if both >> v & 1)
         sets[f"Y{i + 1}"] = yi
-        viol = _not_clique(g, yi)
+        viol = _first_inside(g, yi, False)
         ok = viol is None and len(yi) <= 2
         claims.append(
             ClaimCheck(f"L4.2-Y{i + 1}", ok, viol if viol else (yi if not ok else None))
@@ -502,83 +485,61 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
             vsets[i].append(v)
     for i in range(5):
         sets[f"V{i + 1}"] = tuple(vsets[i])
-        viol = _not_independent(g, vsets[i])
+        viol = _first_inside(g, vsets[i], True)
         claims.append(ClaimCheck(f"L4.2-ind-V{i + 1}", viol is None, viol))
     sets["X"] = tuple(xset)
-    viol = _not_independent(g, xset)
+    viol = _first_inside(g, xset, True)
     claims.append(ClaimCheck("L4.2-ind-X", viol is None, viol))
 
     large = {i for i in range(5) if len(vsets[i]) >= 3}
     x_large = len(xset) >= 3
 
     # the seven claims
-    worst = None
-    for i in range(5):
-        worst = _not_matching(g, vsets[i], xset)
-        if worst:
-            break
-    claims.append(ClaimCheck("L4.2-C1", worst is None, worst))
+    def vs(i: int) -> list[int]:
+        return vsets[i % 5]
 
-    worst = None
-    for i in range(5):
-        worst = _not_matching(g, vsets[i], vsets[(i + 2) % 5])
-        if worst:
-            break
-    claims.append(ClaimCheck("L4.2-C2", worst is None, worst))
+    def claim(claim_id: str, found) -> None:
+        worst = next(filter(None, found), None)
+        claims.append(ClaimCheck(claim_id, worst is None, worst))
 
-    worst = None
-    for i in range(5):
-        worst = _not_comatching(g, vsets[i], vsets[(i + 1) % 5])
-        if worst:
-            break
-    claims.append(ClaimCheck("L4.2-C3", worst is None, worst))
+    def at_most_one(a, b, edge: bool):
+        return _first_two(g, a, b, edge) or _first_two(g, b, a, edge)
 
-    worst = None
-    for i in sorted(large):
-        worst = _not_anticomplete(
-            g, xset, vsets[(i - 2) % 5] + vsets[(i + 2) % 5]
-        )
-        if worst:
-            break
-    claims.append(ClaimCheck("L4.2-C4", worst is None, worst))
+    def split(i: int, j: int):
+        """Non-adjacent y in V_i, z in V_j and the first w in X + V_{i+3}
+        adjacent to exactly one of them."""
+        ws = xset + vs(i + 3)
+        wmask = mask_of(ws)
+        for y in vs(i):
+            for z in vs(j):
+                hit = (g.rows[y] ^ g.rows[z]) & wmask
+                if hit and not g.adjacent(y, z):
+                    return next(w for w in ws if hit >> w & 1), y, z
+        return None
 
-    worst = None
-    for i in sorted(large):
-        worst = _not_anticomplete(g, vsets[(i - 1) % 5], vsets[(i + 1) % 5])
-        if worst:
-            break
-    claims.append(ClaimCheck("L4.2-C5", worst is None, worst))
-
-    worst = None
-    for i in range(5):
-        if {(i - 1) % 5, i, (i + 1) % 5} <= large:
-            worst = _not_complete(
-                g, vsets[i], vsets[(i - 1) % 5] + vsets[(i + 1) % 5]
-            )
-            if worst:
-                break
-    claims.append(ClaimCheck("L4.2-C6", worst is None, worst))
-
-    worst = None
-    for i in range(5):
-        j = (i + 1) % 5
-        if i not in large or j not in large:
-            continue
-        for y in vsets[i]:
-            for z in vsets[j]:
-                if g.adjacent(y, z):
-                    continue
-                for w in xset + vsets[(i + 3) % 5]:
-                    if g.adjacent(w, y) != g.adjacent(w, z):
-                        worst = (w, y, z)
-                        break
-                if worst:
-                    break
-            if worst:
-                break
-        if worst:
-            break
-    claims.append(ClaimCheck("L4.2-C7", worst is None, worst))
+    claim("L4.2-C1", (at_most_one(vs(i), xset, True) for i in range(5)))
+    claim("L4.2-C2", (at_most_one(vs(i), vs(i + 2), True) for i in range(5)))
+    claim("L4.2-C3", (at_most_one(vs(i), vs(i + 1), False) for i in range(5)))
+    claim(
+        "L4.2-C4",
+        (_first_pair(g, xset, vs(i - 2) + vs(i + 2), True) for i in sorted(large)),
+    )
+    claim(
+        "L4.2-C5",
+        (_first_pair(g, vs(i - 1), vs(i + 1), True) for i in sorted(large)),
+    )
+    claim(
+        "L4.2-C6",
+        (
+            _first_pair(g, vs(i), vs(i - 1) + vs(i + 1), False)
+            for i in range(5)
+            if {(i - 1) % 5, i, (i + 1) % 5} <= large
+        ),
+    )
+    claim(
+        "L4.2-C7",
+        (split(i, (i + 1) % 5) for i in range(5) if {i, (i + 1) % 5} <= large),
+    )
 
     # delete cycle, junk and all small sets; survivors carry the witness
     small_vertices = [v for i in range(5) if i not in large for v in vsets[i]]
@@ -601,12 +562,11 @@ def _is_induced_cycle(g: Graph, cyc: Sequence[int]) -> bool:
     n = len(cyc)
     if len(set(cyc)) != n:
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            expected = (j - i) % n in (1, n - 1)
-            if g.adjacent(cyc[i], cyc[j]) != expected:
-                return False
-    return True
+    on = mask_of(cyc)
+    return all(
+        g.rows[v] & on == (1 << cyc[i - 1]) | (1 << cyc[(i + 1) % n])
+        for i, v in enumerate(cyc)
+    )
 
 
 def _simple_template_witness(
@@ -805,9 +765,10 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     junk: set[int] = set()
     for i in range(4):
         a, b = cyc[i], cyc[(i + 1) % 4]
-        yi = tuple(v for v in off if g.adjacent(v, a) and g.adjacent(v, b))
+        both = g.rows[a] & g.rows[b]
+        yi = tuple(v for v in off if both >> v & 1)
         sets[f"Y{i + 1}"] = yi
-        viol = _not_clique(g, yi)
+        viol = _first_inside(g, yi, False)
         ok = viol is None and len(yi) <= 2
         claims.append(
             ClaimCheck(f"L4.3-Y{i + 1}", ok, viol if viol else (yi if not ok else None))
@@ -871,34 +832,27 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     sets["X"] = tuple(xset)
 
     for name, vs in (("V1", v1), ("V2", v2)):
-        viol = _not_independent(g, vs)
+        viol = _first_inside(g, vs, True)
         claims.append(ClaimCheck(f"L4.3-B1-{name}", viol is None, viol))
     for i, vs in enumerate((w1, w2, wlists[2], wlists[3]), start=1):
-        viol = _not_independent(g, vs)
+        viol = _first_inside(g, vs, True)
         claims.append(ClaimCheck(f"L4.3-B2-W{i}", viol is None, viol))
-    viol = _not_independent(g, xset)
+    viol = _first_inside(g, xset, True)
     claims.append(ClaimCheck("L4.3-B3", viol is None, viol))
-    viol = _not_anticomplete(g, w1 + w2 + wlists[2] + wlists[3], xset)
+    viol = _first_pair(g, w1 + w2 + wlists[2] + wlists[3], xset, True)
     claims.append(ClaimCheck("L4.3-B4", viol is None, viol))
 
     def recompute_kernel():
+        live1 = mask_of(u for u in v1 if u not in deletions)
+        live2 = mask_of(u for u in v2 if u not in deletions)
         x0 = [
             v
             for v in xset
-            if v not in deletions
-            and any(g.adjacent(v, u) for u in v1 if u not in deletions)
-            and any(g.adjacent(v, u) for u in v2 if u not in deletions)
+            if v not in deletions and g.rows[v] & live1 and g.rows[v] & live2
         ]
-        v10 = [
-            u
-            for u in v1
-            if u not in deletions and any(g.adjacent(u, v) for v in x0)
-        ]
-        v20 = [
-            u
-            for u in v2
-            if u not in deletions and any(g.adjacent(u, v) for v in x0)
-        ]
+        near = mask_of(x0)
+        v10 = [u for u in v1 if u not in deletions and g.rows[u] & near]
+        v20 = [u for u in v2 if u not in deletions and g.rows[u] & near]
         return x0, v10, v20
 
     x0, v10, v20 = recompute_kernel()
@@ -910,13 +864,11 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     sets["V20"] = tuple(v20)
 
     live_x = [v for v in xset if v not in deletions]
+    live_v1 = [u for u in v1 if u not in deletions]
+    live_v2 = [u for u in v2 if u not in deletions]
     x0set = set(x0)
-    x1 = [
-        v
-        for v in live_x
-        if v not in x0set
-        and not any(g.adjacent(v, u) for u in v1 if u not in deletions)
-    ]
+    touches_v1 = mask_of(live_v1)
+    x1 = [v for v in live_x if v not in x0set and not g.rows[v] & touches_v1]
     x2 = [v for v in live_x if v not in x0set and v not in set(x1)]
     sets["X1"] = tuple(x1)
     sets["X2"] = tuple(x2)
@@ -939,21 +891,19 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
             break
     claims.append(ClaimCheck("L4.3-C2", worst is None, worst))
 
-    live_v1 = [u for u in v1 if u not in deletions]
-    live_v2 = [u for u in v2 if u not in deletions]
-    worst = _not_complete(g, v10, live_v2) or _not_complete(g, v20, live_v1)
+    worst = _first_pair(g, v10, live_v2, False) or _first_pair(g, v20, live_v1, False)
     claims.append(ClaimCheck("L4.3-C3", worst is None, worst))
 
-    worst = None
-    for w in w1 + w2 + x1 + x2:
-        for vi0 in (v10, v20):
-            nbrs = [u for u in vi0 if g.adjacent(w, u)]
-            if 0 < len(nbrs) < len(vi0):
-                non = next(u for u in vi0 if not g.adjacent(w, u))
-                worst = (w, nbrs[0], non)
-                break
-        if worst:
-            break
+    def mixed(w: int, vi0: list[int]):
+        """w with a neighbour and a non-neighbour in vi0, and the first of each."""
+        nbr = _first_pair(g, (w,), vi0, True)
+        non = _first_pair(g, (w,), vi0, False)
+        return (w, nbr[1], non[1]) if nbr and non else None
+
+    worst = next(
+        filter(None, (mixed(w, vi0) for w in w1 + w2 + x1 + x2 for vi0 in (v10, v20))),
+        None,
+    )
     claims.append(ClaimCheck("L4.3-C4", worst is None, worst))
 
     deletions |= on_cycle
@@ -968,11 +918,8 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     for vi0 in (v10, v20):
         if not vi0:
             continue
-        side = [
-            w
-            for w in rest
-            if all(g.adjacent(w, u) for u in vi0)
-        ]
+        complete = mask_of(vi0)
+        side = [w for w in rest if g.rows[w] & complete == complete]
         if side:
             steps.append(
                 BipartiteComplement(
@@ -985,9 +932,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
 
     kernel_local = _local_ids(survivors, kernel)
     rest_local = _local_ids(survivors, rest)
-    separated = all(
-        not final.adjacent(u, v) for u in kernel_local for v in rest_local
-    )
+    separated = _first_pair(final, kernel_local, rest_local, True) is None
 
     parts: list[Part] = []
     # part A: bipartite and P2+P3-free
@@ -998,8 +943,8 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     named_ok = (
         set(named_side1) | set(named_side2) == set(range(rest_graph.n))
         and not set(named_side1) & set(named_side2)
-        and _not_independent(rest_graph, named_side1) is None
-        and _not_independent(rest_graph, named_side2) is None
+        and _first_inside(rest_graph, named_side1, True) is None
+        and _first_inside(rest_graph, named_side2, True) is None
     )
     bip = is_bipartite(rest_graph)
     free_res = is_free(rest_graph, [pattern("P2+P3")])

@@ -377,13 +377,6 @@ def transport_complement(
     return UniformWitness(complement_template(witness.template), assign)
 
 
-def bipartite_complement_template(template: UniformTemplate) -> UniformTemplate:
-    """Order-8k template accommodating one bipartite complementation, which
-    decomposes into three subgraph complementations (each side, then the
-    union)."""
-    return complement_template(complement_template(complement_template(template)))
-
-
 def transport_bipartite(
     witness: UniformWitness, x: Iterable[int], y: Iterable[int]
 ) -> UniformWitness:

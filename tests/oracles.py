@@ -7,10 +7,14 @@ embedding solver.  ``oracle_find_assignment`` is the plain slot search that
 the package's forward-checked uniformicity search must agree with, witness
 for witness.  ``oracle_embed_search`` is the embedding search as it was
 before the last-pair look-ahead: the package's search must return its
-assignment and spend no more nodes.
+assignment and spend no more nodes.  ``oracle_first_pair``,
+``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
+that the structure claims ran before their bitset layer: the bitset helpers
+must return the same first counterexample.  ``oracle_same_side_components``
+is the matrix search that the bitset one in ``antichains`` replaced.
 """
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.graphs import Graph, bits_of
@@ -35,23 +39,59 @@ def oracle_canonical_key(g: Graph) -> tuple:
     return (g.n, best)
 
 
-def oracle_subseq(a, b, leq) -> bool:
-    """Exhaustive index-subsequence search."""
-    for idx in combinations(range(len(b)), len(a)):
-        if all(leq(a[k], b[idx[k]]) for k in range(len(a))):
-            return True
-    return False
+def oracle_first_pair(g: Graph, a, b, edge: bool):
+    """First (u, v) in list order, u in ``a`` and v in ``b``, that is an
+    edge iff ``edge``."""
+    for u in a:
+        for v in b:
+            if g.adjacent(u, v) == edge:
+                return (u, v)
+    return None
 
 
-def oracle_is_module(g: Graph, vs) -> bool:
-    vs = set(vs)
-    for y in range(g.n):
-        if y in vs:
+def oracle_first_inside(g: Graph, vs, edge: bool):
+    """First (u, v) with u listed before v in ``vs`` that is an edge iff
+    ``edge``."""
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            if g.adjacent(u, v) == edge:
+                return (u, v)
+    return None
+
+
+def oracle_first_two(g: Graph, a, b, edge: bool):
+    """First u in ``a`` with two or more v in ``b`` adjacent to u iff
+    ``edge``, with the first two such v."""
+    for u in a:
+        hits = [v for v in b if g.adjacent(u, v) == edge]
+        if len(hits) > 1:
+            return (u, hits[0], hits[1])
+    return None
+
+
+def oracle_same_side_components(g: Graph):
+    """Side index of each vertex when the graph joining adjacent vertices
+    with a common neighbour has exactly two components, else None: a
+    depth-first search over an n-by-n link matrix."""
+    link = [
+        [g.adjacent(u, v) and bool(g.rows[u] & g.rows[v]) for v in range(g.n)]
+        for u in range(g.n)
+    ]
+    side = [-1] * g.n
+    comp = 0
+    for start in range(g.n):
+        if side[start] != -1:
             continue
-        hits = sum(1 for v in vs if g.adjacent(y, v))
-        if hits not in (0, len(vs)):
-            return False
-    return True
+        side[start] = comp
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in range(g.n):
+                if link[v][w] and side[w] == -1:
+                    side[w] = comp
+                    stack.append(w)
+        comp += 1
+    return side if comp == 2 else None
 
 
 def oracle_k_uniform(g: Graph, k: int) -> bool:

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqograph.antichains import (
     FAMILIES,
+    _same_side_components,
     family_member,
     gen_thm51,
     gen_thm52,
@@ -10,8 +13,10 @@ from wqograph.antichains import (
     thm52_parts,
     verify_family,
 )
-from wqograph.graphs import build, induced
+from wqograph.graphs import Graph, build, disjoint_union, induced
 from wqograph.order import induced_embed, is_free
+from oracles import oracle_same_side_components
+from strategies import small_graphs
 
 
 class TestThm51:
@@ -136,3 +141,36 @@ class TestSmallerIntoLarger:
         assert family_member("cycles", 5) == build("C5")
         with pytest.raises(ValueError):
             family_member("nope", 4)
+
+
+@st.composite
+def relabelled_unions(draw):
+    """A disjoint union of up to three small graphs, randomly relabelled, so
+    that one, two and three link components all occur."""
+    g = disjoint_union(draw(st.lists(small_graphs(6), min_size=1, max_size=3)))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestSameSideComponents:
+    @given(st.one_of(small_graphs(14), relabelled_unions()))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_matrix_search(self, g):
+        assert _same_side_components(g) == oracle_same_side_components(g)
+
+    def test_thm52_sides(self):
+        for n in (3, 4, 5):
+            g = gen_thm52(n)
+            x, y = thm52_parts(n)
+            side = _same_side_components(g)
+            assert side == oracle_same_side_components(g)
+            assert {side[v] for v in x} != {side[v] for v in y}
+            assert len({side[v] for v in x}) == len({side[v] for v in y}) == 1
+
+
+class TestMemberCap:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_refused_before_building(self, family):
+        # a member on n has at least n vertices (4n for thm51 and thm52)
+        with pytest.raises(ValueError, match="over the cap of 64"):
+            family_member(family, 10**6)

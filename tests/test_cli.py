@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqograph import antichains
 from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
@@ -232,3 +236,137 @@ class TestOpScriptVertices:
         script = '[{"op":"sc","s":[0,1]},{"op":"del","v":4}]'
         assert main(["ops", "--in", "P5", "--script", script, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 4
+
+
+class TestSizesRefusedBeforeBuilding:
+    """Sizes above the vertex cap are refused where they are read, with a
+    message and exit 2, before anything of that size is allocated."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("embed --h P1 --g P1000000", "1000000 exceeds the cap of 64 vertices"),
+            ("embed --h P1 --g 1000000P1", "1000000 exceeds the cap of 64 vertices"),
+            ("gen --family thm52 --n 1000000", "over the cap of 64"),
+            ("gen --family cycles --n 1000000", "over the cap of 64"),
+            ("antichain verify --family cycles --n 4..1000000", "1000000 is outside 0..64"),
+            ("antichain verify --family cycles --n=-1000000..4", "-1000000 is outside"),
+            ("antichain verify --family thm51 --n 2,65", "65 is outside 0..64"),
+            ('ops --in P3 --script [{"op":"sc","s":[1000000]}]', "vertex 1000000 exceeds"),
+            ('embed --h P1 --g {"n":1000000,"edges":[]}', "must be an integer in 0..64"),
+        ],
+    )
+    def test_exit_2(self, capsys, args, message):
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
+class TestMalformedJsonGraph:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n":3,"edges":[[0,"a"]]}',
+            '{"n":3,"edges":5}',
+            '{"n":3,"edges":[null]}',
+            '{"n":[1],"edges":[]}',
+            '{"n":3,"edges":[[0,1.0]]}',
+            '{"n":2.7,"edges":[]}',
+            '{"n":true,"edges":[]}',
+            '{"n":2,"edges":[[true,false]]}',
+        ],
+    )
+    def test_exit_2(self, capsys, text):
+        assert main(["embed", "--h", "P1", "--g", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: graph JSON") and captured.out == ""
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--spec", "(" * 400 + "P1" + ")" * 400],
+            ["embed", "--h", "P1", "--g", '{"n":1,"edges":' + "[" * 10**5 + "]" * 10**5 + "}"],
+            ["ops", "--in", "P3", "--script", "[" * 10**5 + "]" * 10**5],
+            ["ops", "--in", "P3", "--script", "5"],
+            ["ops", "--in", "P3", "--script", '{"op":"sc","s":[0]}'],
+        ],
+        ids=["deep-expression", "deep-json-graph", "deep-script", "int-script", "dict-script"],
+    )
+    def test_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 70)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(list("nsxyv") + ["op", "edges"]), inner, max_size=4),
+    max_leaves=12,
+)
+SMALL_INTS = st.integers(-2, 8)
+EDGE_LISTS = st.lists(st.lists(SMALL_INTS, max_size=3), max_size=5)
+JSON_GRAPHS = st.fixed_dictionaries(
+    {
+        "n": st.one_of(st.integers(0, 8), JSON_VALUES),
+        "edges": st.one_of(EDGE_LISTS, JSON_VALUES),
+    }
+)
+STEPS = st.fixed_dictionaries(
+    {"op": st.sampled_from(["sc", "bc", "del", "cut"])},
+    optional={
+        "s": st.one_of(st.lists(SMALL_INTS, max_size=4), JSON_VALUES),
+        "x": st.one_of(st.lists(SMALL_INTS, max_size=3), JSON_VALUES),
+        "y": st.one_of(st.lists(SMALL_INTS, max_size=3), JSON_VALUES),
+        "v": st.one_of(SMALL_INTS, JSON_VALUES),
+    },
+)
+
+
+class TestFuzz:
+    """Any input text exits 0, 1 or 2 without an uncaught exception, and
+    exit 2 always comes with a message."""
+
+    @staticmethod
+    def check(argv):
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith(("error: ", "budget: ", "refused: ")) and not out
+        else:
+            assert out
+        assert "Traceback" not in err
+
+    @given(st.text(alphabet="PCKS0123456789,+() co\t", max_size=16) | st.text(max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_expression_text(self, text):
+        self.check(["embed", "--h", "P1", "--g=" + text.lstrip("@{g")])
+
+    @given(st.text(alphabet=[chr(c) for c in range(58, 130)], max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_graph6_text(self, text):
+        self.check(["embed", "--h", "P1", "--g", "g6:" + text])
+
+    @given(st.one_of(JSON_GRAPHS, JSON_VALUES.filter(lambda v: isinstance(v, dict))))
+    @settings(max_examples=150, deadline=None)
+    def test_json_graph(self, obj):
+        self.check(["embed", "--h", "P1", "--g=" + json.dumps(obj)])
+
+    @given(st.one_of(st.lists(STEPS, max_size=3), JSON_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_op_script(self, script):
+        self.check(["ops", "--in", "P5", "--script=" + json.dumps(script)])

@@ -22,10 +22,10 @@ from wqograph.graphs import (
     induced,
     is_bipartite,
     path_graph,
-    relation_between,
     subdivided_claw,
     to_json_dict,
 )
+from wqograph.structure import _first_inside, _first_pair, _first_two
 from oracles import oracle_isomorphic
 
 
@@ -147,13 +147,20 @@ class TestBipartite:
 
 
 class TestRelations:
+    """Relations between vertex sets, through the bitset claim helpers of
+    ``structure``: each returns the first counterexample in list order, or
+    None when the relation holds."""
+
     def test_biclique_parts_complete(self):
-        r = relation_between(build("K2,2"), [0, 1], [2, 3])
-        assert r.kind == "complete" and r.matching is False
+        g = build("K2,2")
+        assert _first_pair(g, [0, 1], [2, 3], False) is None
+        assert _first_two(g, [0, 1], [2, 3], True) == (0, 2, 3)  # not a matching
 
     def test_2p2_matching(self):
-        r = relation_between(build("2P2"), [0, 2], [1, 3])
-        assert r.kind == "matching"
+        g = build("2P2")
+        assert _first_two(g, [0, 2], [1, 3], True) is None
+        assert _first_two(g, [1, 3], [0, 2], True) is None
+        assert _first_pair(g, [0, 2], [1, 3], True) == (0, 1)  # not anticomplete
 
     def test_c6_alternating(self):
         # direct count: each side-A vertex has two B-neighbours (so not a
@@ -161,16 +168,15 @@ class TestRelations:
         g = build("C6")
         for v in (0, 2, 4):
             assert sum(g.adjacent(v, w) for w in (1, 3, 5)) == 2
-        r = relation_between(g, [0, 2, 4], [1, 3, 5])
-        assert r.kind == "comatching" and not r.matching
+        assert _first_two(g, [0, 2, 4], [1, 3, 5], False) is None
+        assert _first_two(g, [1, 3, 5], [0, 2, 4], False) is None
+        assert _first_two(g, [0, 2, 4], [1, 3, 5], True) == (0, 1, 5)
 
     def test_anticomplete_is_also_matching(self):
-        r = relation_between(build("2P2"), [0, 1], [2, 3])
-        assert r.kind == "anticomplete" and r.matching
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            relation_between(build("P4"), [0, 1], [1, 2])
+        g = build("2P2")
+        assert _first_pair(g, [0, 1], [2, 3], True) is None
+        assert _first_two(g, [0, 1], [2, 3], True) is None
+        assert _first_two(g, [2, 3], [0, 1], True) is None
 
     def test_complement_duality(self):
         rng = random.Random(2)
@@ -180,12 +186,11 @@ class TestRelations:
             rng.shuffle(vs)
             cut = rng.randint(1, g.n - 1)
             a, b = vs[:cut], vs[cut:]
-            r = relation_between(g, a, b)
-            rc = relation_between(complement(g), a, b)
-            assert r.complete == rc.anticomplete
-            assert r.anticomplete == rc.complete
-            assert r.matching == rc.comatching
-            assert r.comatching == rc.matching
+            gc = complement(g)
+            for edge in (True, False):
+                assert _first_pair(g, a, b, edge) == _first_pair(gc, a, b, not edge)
+                assert _first_two(g, a, b, edge) == _first_two(gc, a, b, not edge)
+                assert _first_inside(g, vs, edge) == _first_inside(gc, vs, not edge)
 
 
 class TestGraph6:
@@ -252,6 +257,14 @@ class TestVertexCap:
         with pytest.raises(ValueError, match="exceeds the cap of 64"):
             make()
 
+    @pytest.mark.parametrize(
+        "spec", ["P1000000", "1000000P1", "K2,1000000", "S1,1,1000000", "co(C1000000)"]
+    )
+    def test_parser_refuses_before_building(self, spec):
+        # every integer of the grammar bounds the vertex count from below
+        with pytest.raises(GraphSpecError, match="1000000 exceeds the cap of 64"):
+            build(spec)
+
     def test_cap_is_inclusive(self):
         assert MAX_VERTICES == 64
         g = build("co(64P1)")
@@ -267,6 +280,26 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             from_json_dict({"edges": []})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 3, "edges": [[0, "a"]]},
+            {"n": 3, "edges": 5},
+            {"n": 3, "edges": [None]},
+            {"n": 3, "edges": [[0, 1, 2]]},
+            {"n": 3, "edges": [[0, 1.0]]},
+            {"n": 2, "edges": [[True, False]]},
+            {"n": [1], "edges": []},
+            {"n": 2.7, "edges": []},
+            {"n": True, "edges": []},
+            {"n": -1, "edges": []},
+            {"n": 10**6, "edges": []},
+        ],
+    )
+    def test_checked_before_building(self, obj):
+        with pytest.raises(ValueError, match="graph JSON"):
+            from_json_dict(obj)
 
 
 class TestBasics:

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqograph.graphs import Graph, build, complement, induced, is_bipartite
 from wqograph.instances import (
@@ -18,6 +20,9 @@ from wqograph.ops import BipartiteComplement, apply_script
 from wqograph.order import induced_embed, is_free
 from wqograph.structure import (
     RouteError,
+    _first_inside,
+    _first_pair,
+    _first_two,
     c5_case_of,
     decompose_c4,
     decompose_c5,
@@ -27,6 +32,44 @@ from wqograph.structure import (
     route,
 )
 from wqograph.uniform import verify_witness
+from oracles import oracle_first_inside, oracle_first_pair, oracle_first_two
+from strategies import small_graphs
+
+
+@st.composite
+def two_lists(draw):
+    """A graph with n <= 12 and two disjoint vertex lists in random order."""
+    g = draw(small_graphs(12))
+    order = draw(st.permutations(range(g.n)))
+    cut = draw(st.integers(0, g.n))
+    end = draw(st.integers(cut, g.n))
+    return g, order[:cut], order[cut:end]
+
+
+class TestClaimHelpers:
+    """The bitset claim predicates return the first counterexample in list
+    order, as the pair-by-pair loops do; the lists need not be ascending."""
+
+    @given(two_lists(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_agree_with_loops(self, case, edge):
+        g, a, b = case
+        assert _first_pair(g, a, b, edge) == oracle_first_pair(g, a, b, edge)
+        assert _first_two(g, a, b, edge) == oracle_first_two(g, a, b, edge)
+        assert _first_inside(g, a + b, edge) == oracle_first_inside(g, a + b, edge)
+
+    def test_partner_in_list_order(self):
+        g = Graph.empty(4)
+        assert _first_pair(g, [3], [2, 0, 1], False) == (3, 2)
+        assert _first_two(g, [3], [2, 0, 1], False) == (3, 2, 0)
+        assert _first_inside(g, [3, 2, 0], False) == (3, 2)
+        assert _first_inside(g, [3, 2, 0], True) is None
+
+    def test_repeated_vertex_is_a_non_edge(self):
+        # a 5-tuple anchor that repeats a vertex is not a 5-clique
+        assert _first_inside(build("K4"), [0, 1, 1, 2, 3], False) == (1, 1)
+        with pytest.raises(ValueError, match="not a 5-clique"):
+            decompose_k5(build("K5"), clique=(0, 1, 1, 2, 3))
 
 
 class TestRoute:

@@ -14,7 +14,6 @@ from wqograph.uniform import (
     _find_assignment,
     UniformTemplate,
     UniformWitness,
-    bipartite_complement_template,
     complement_template,
     expand_template,
     is_k_uniform,
@@ -260,7 +259,8 @@ class TestComplementTemplate:
 class TestBipartiteTemplate:
     def test_order_eight(self):
         t = UniformTemplate(1, empty_graph(1), ((0,),))
-        assert bipartite_complement_template(t).k == 8
+        moved = transport_bipartite(witness_for_expansion(t, 2), [0], [1])
+        assert moved.template.k == 8
 
     def test_empty_side_trivial(self):
         t = UniformTemplate(2, build("K2"), ((0, 1), (1, 0)))
