@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per family of observable outputs, so that two
+checkouts can be compared with one command:
+
+    diff <(PYTHONPATH=src python scripts/output_digest.py) \\
+         <(cd ../other && PYTHONPATH=src python scripts/output_digest.py)
+
+Families:
+
+- ``selftest``: stdout of ``wqograph selftest --json``;
+- ``decompose``: ``route``, the report of the decomposer it selects and the
+  image of the report's script, over the class members the ``certify``
+  benchmark sets up for seed 1 (same makers, counts and seeds);
+- ``mutants``: the reports of ``decompose_c5`` with the member's anchor over
+  every C5 claim mutant of those members;
+- ``route``: the branch, or the ``RouteError`` message and witness, over a
+  fixed battery of random graphs with at most 14 vertices;
+- ``embed``: ``induced_embed`` of five patterns into the same battery;
+- ``delete``: ``delete_vertices`` of random vertex sets, with some vertices
+  out of range, over the same battery.
+
+Takes no arguments; about half a minute on one core.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+
+from wqograph import cli, instances, structure
+from wqograph.graphs import Graph, build, delete_vertices
+from wqograph.ops import apply_script
+from wqograph.order import induced_embed
+
+MEMBERS = (
+    ("K5", instances.k5_instance, instances.k5_branch_valid, 150),
+    ("C5", instances.c5_instance, instances.c5_branch_valid, 250),
+    ("C4", instances.c4_instance, instances.c4_branch_valid, 150),
+)
+MEMBER_START_SEED = 1_000_000
+BATTERY_SEED = 20261018
+BATTERY_SIZE = 3000
+PATTERNS = ("K3", "P4", "C5", "co(2P1+P2)", "P2+P3")
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def add(self, value) -> None:
+        self.sha.update(json.dumps(value, sort_keys=True).encode())
+        self.sha.update(b"\n")
+
+    def hex(self) -> str:
+        return self.sha.hexdigest()
+
+
+def selftest() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["selftest", "--json"])
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def members_and_mutants() -> tuple[str, str]:
+    members, mutants = Digest(), Digest()
+    for branch, maker, valid, count in MEMBERS:
+        found = instances.class_members(
+            maker, count, start_seed=MEMBER_START_SEED, valid=valid
+        )
+        for seed, g in found:
+            routed = structure.route(g)
+            report = getattr(structure, "decompose_" + routed.lower())(g)
+            image = apply_script(g, report.script)
+            members.add([branch, seed, routed, report.to_json(), list(image.rows)])
+            if branch != "C5":
+                continue
+            for claim, mutant in instances.c5_claim_mutants(g, report):
+                mrep = structure.decompose_c5(mutant, cycle=report.anchor)
+                image = apply_script(mutant, mrep.script)
+                mutants.add([seed, claim, mrep.to_json(), list(image.rows)])
+    return members.hex(), mutants.hex()
+
+
+def battery() -> list[Graph]:
+    rng = random.Random(BATTERY_SEED)
+    graphs = []
+    for _ in range(BATTERY_SIZE):
+        n = rng.randint(0, 14)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def random_graphs() -> tuple[str, str, str]:
+    routes, embeds, deletes = Digest(), Digest(), Digest()
+    patterns = [build(p) for p in PATTERNS]
+    rng = random.Random(BATTERY_SEED + 1)
+    for g in battery():
+        try:
+            routes.add(["branch", structure.route(g)])
+        except structure.RouteError as exc:
+            routes.add(["error", str(exc), list(exc.witness or ())])
+        for h in patterns:
+            emb = induced_embed(h, g)
+            embeds.add(None if emb is None else list(emb))
+        drop = [v for v in range(g.n + 3) if rng.random() < 0.3]
+        deletes.add([drop, list(delete_vertices(g, drop).rows)])
+    return routes.hex(), embeds.hex(), deletes.hex()
+
+
+def main() -> int:
+    digests = {"selftest": selftest()}
+    digests["decompose"], digests["mutants"] = members_and_mutants()
+    digests["route"], digests["embed"], digests["delete"] = random_graphs()
+    for name, value in digests.items():
+        print(f"{name} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

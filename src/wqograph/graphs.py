@@ -97,7 +97,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.rows[v]))
@@ -226,8 +226,16 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
-    drop = set(vertices)
-    return induced(g, (v for v in range(g.n) if v not in drop))
+    """``g`` without ``vertices``, the rest renumbered in ascending order;
+    vertices outside ``0..n-1`` are ignored.  Each deleted bit is squeezed
+    out of every row, highest vertex first, so the lower ones keep their
+    positions."""
+    rows = list(g.rows)
+    for v in sorted({v for v in vertices if 0 <= v < g.n}, reverse=True):
+        del rows[v]
+        low = (1 << v) - 1
+        rows = [r & low | r >> (v + 1) << v for r in rows]
+    return _graph(len(rows), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +289,9 @@ def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 # Catalog expression parser
 
 
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -303,18 +314,20 @@ class _Parser:
         self.pos += 1
 
     def integer(self) -> int:
-        """Every integer of the grammar bounds the vertex count from below,
-        so one above the cap is refused before anything is built."""
+        """An ASCII digit run.  Every integer of the grammar bounds the
+        vertex count from below, so one above the cap is refused before
+        anything is built, and a run with more significant digits than the
+        cap is refused before it is converted."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        value = int(self.text[start : self.pos])
-        if value > MAX_VERTICES:
-            self.error(f"{value} exceeds the cap of {MAX_VERTICES} vertices")
-        return value
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+            self.error(f"{digits} exceeds the cap of {MAX_VERTICES} vertices")
+        return int(digits)
 
     def expr(self) -> Graph:
         parts = [self.term()]
@@ -325,7 +338,7 @@ class _Parser:
 
     def term(self) -> Graph:
         count = 1
-        if self.peek().isdigit():
+        if self.peek() in _DIGITS:
             count = self.integer()
             if count < 1:
                 self.error("multiplier must be at least 1")

@@ -16,12 +16,11 @@ from typing import Callable
 
 from .graphs import Graph
 from .ops import subgraph_complement
-from .order import is_free
-from .structure import class_forbidden, find_clique, find_induced_cycle
+from .structure import find_clique, find_induced_cycle, is_diamond_free, is_p2p3_free
 
 
 def is_class_member(g: Graph) -> bool:
-    return is_free(g, list(class_forbidden())).free
+    return is_diamond_free(g) and is_p2p3_free(g)
 
 
 def class_members(

@@ -18,6 +18,13 @@ intersection of their closed neighbourhoods).  A candidate it drops could
 only have led to a dead end, so the search returns the same first
 embedding as without the look-ahead and never visits more nodes.
 
+The set-up that depends on the pattern alone (the search order, the degrees
+in that order, each position's adjacency to the later ones) is a plan held
+in a bounded cache keyed by the pattern graph.  The degree filter on the
+host is built from one pass over its rows: a pattern vertex of degree d
+keeps the host vertices whose degree leaves room for d neighbours and
+n(h) - 1 - d non-neighbours.
+
 Long searches accept an optional :class:`SearchBudget`; one node is one
 host vertex tried for one pattern vertex.  Exhausting it raises
 :class:`SearchBudgetExceeded`, which callers must treat as "unknown", never
@@ -27,9 +34,10 @@ as "no embedding".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, bits_of, connected_components
+from .graphs import Graph, connected_components
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -166,6 +174,21 @@ def _with_partner(cs: int, cl: int, rows, adjacent: bool) -> int:
     return cs & ~blocked
 
 
+@lru_cache(maxsize=256)
+def _plan(h: Graph):
+    """The search plan of pattern ``h``: its vertices in search order, their
+    degrees in that order, each position's adjacency to the later ones, and
+    the adjacency of the last two."""
+    nh = h.n
+    order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
+    degrees = [h.degree(v) for v in order]
+    later = [
+        [h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)
+    ]
+    last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
+    return order, degrees, later, last_pair_adjacent
+
+
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     """Core backtracking search; returns an assignment tuple or None."""
     nh, ng = h.n, g.n
@@ -173,25 +196,22 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         return None
     if nh == 0:
         return ()
-    order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
-    gmask = g.mask
-    hdeg = [h.degree(v) for v in range(nh)]
-    gdeg = [g.degree(w) for w in range(ng)]
+    order, degrees, later, last_pair_adjacent = _plan(h)
+    # at_least[d]: host vertices of degree d or more.  A pattern vertex of
+    # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
+    # enough neighbours and enough non-neighbours.
+    at_least = [0] * (ng + 1)
+    for w, row in enumerate(g.rows):
+        at_least[row.bit_count()] |= 1 << w
+    for d in range(ng - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
     cand = []
-    for v in order:
-        m = base_candidates[v]
-        allowed = 0
-        for w in bits_of(m):
-            if hdeg[v] <= gdeg[w] and nh - 1 - hdeg[v] <= ng - 1 - gdeg[w]:
-                allowed |= 1 << w
+    for v, dv in zip(order, degrees):
+        allowed = base_candidates[v] & at_least[dv] & ~at_least[dv + ng - nh + 1]
         if not allowed:
             return None
         cand.append(allowed)
-    # later[p]: adjacency of pattern position p to each of p+1, ..., nh-1.
-    later = [
-        [h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)
-    ]
-    last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
+    gmask = g.mask
     look_ahead = nh - 3
     rows = g.rows
     assign = [0] * nh

@@ -10,6 +10,20 @@ script plus per-part checkers (bipartite / star forest / clique union /
 uniform-template witness).  Claim failures signal an input outside the
 class; on class members every claim holds and every certificate replays.
 
+Membership in the class is decided without an embedding search, by two
+exact characterisations on bitsets (:func:`is_diamond_free`,
+:func:`is_p2p3_free`):
+
+- G is diamond-free iff, for every edge uv, N(u) & N(v) is a clique;
+- G is P2+P3-free iff, for every edge uv, G - N[u] - N[v] is a disjoint
+  union of cliques.
+
+The search for a forbidden pattern runs only when one of them fails, to name
+the witness that :class:`RouteError` carries.  The anchors of the most
+recently searched graph are memoised behind :func:`find_clique` and
+:func:`find_induced_cycle`, so the decomposer that :func:`route` selects
+does not search again for what ``route`` found.
+
 Claim identifiers are stable strings ("L4.1-C1", "L4.2-C3", "L4.3-C4", ...)
 used in JSON reports and by the mutation tests.
 """
@@ -17,6 +31,7 @@ used in JSON reports and by the mutation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -46,10 +61,6 @@ from .uniform import (
 )
 
 CLASS_FORBIDDEN_EXPRS = ("co(2P1+P2)", "P2+P3")
-
-
-def class_forbidden() -> tuple[Graph, Graph]:
-    return tuple(pattern(e) for e in CLASS_FORBIDDEN_EXPRS)
 
 
 class RouteError(ValueError):
@@ -133,18 +144,91 @@ class DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
+# Class membership
+
+
+def is_diamond_free(g: Graph) -> bool:
+    """Exact test for ``co(2P1+P2)``-freeness: for every edge uv the common
+    neighbourhood N(u) & N(v) is a clique, since two non-adjacent common
+    neighbours and uv form a diamond."""
+    rows = g.rows
+    for u, row in enumerate(rows):
+        later = row >> (u + 1) << (u + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            common = row & rows[low.bit_length() - 1]
+            # each common neighbour against the later ones
+            while common:
+                w = common & -common
+                common ^= w
+                if common & ~rows[w.bit_length() - 1]:
+                    return False
+    return True
+
+
+def is_p2p3_free(g: Graph) -> bool:
+    """Exact test for ``P2+P3``-freeness: for every edge uv the rest
+    R = V - N[u] - N[v] is a disjoint union of cliques (it has no induced
+    P3).  The component of R's lowest vertex x is taken as N[x] & R, and
+    each of its vertices must have exactly that closed neighbourhood in R;
+    then the component is removed and the next lowest vertex taken."""
+    rows = g.rows
+    closed = [row | 1 << v for v, row in enumerate(rows)]
+    full = g.mask
+    for u, row in enumerate(rows):
+        later = row >> (u + 1) << (u + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            rest = full & ~(closed[u] | closed[low.bit_length() - 1])
+            while rest:
+                x = rest & -rest
+                clique = closed[x.bit_length() - 1] & rest
+                others = clique ^ x
+                while others:
+                    w = others & -others
+                    others ^= w
+                    if closed[w.bit_length() - 1] & rest != clique:
+                        return False
+                rest ^= clique
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Anchors
+#
+# ``route`` and the decomposer it selects look for the same anchors in the
+# same graph.  The anchors of the most recently searched graph are held in a
+# memo keyed by the graph's value, so the second look is a dictionary hit;
+# a search in any other graph replaces it.
+
+
+@lru_cache(maxsize=1)
+def _anchors(g: Graph) -> dict[str, tuple[int, ...] | None]:
+    return {}
 
 
 def find_clique(g: Graph, size: int) -> tuple[int, ...] | None:
-    emb = induced_embed(pattern(f"K{size}"), g)
-    return tuple(sorted(emb)) if emb is not None else None
+    memo = _anchors(g)
+    key = f"K{size}"
+    if key not in memo:
+        emb = induced_embed(pattern(key), g)
+        memo[key] = tuple(sorted(emb)) if emb is not None else None
+    return memo[key]
 
 
 def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
     """First induced cycle in search order, normalized to start at its
     smallest vertex and run towards the smaller of its two neighbours."""
-    emb = induced_embed(pattern(f"C{length}"), g)
+    memo = _anchors(g)
+    key = f"C{length}"
+    if key not in memo:
+        memo[key] = _normal_cycle(induced_embed(pattern(key), g))
+    return memo[key]
+
+
+def _normal_cycle(emb: tuple[int, ...] | None) -> tuple[int, ...] | None:
     if emb is None:
         return None
     cyc = list(emb)
@@ -158,14 +242,18 @@ def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
 def route(g: Graph) -> str:
     """Branch selection with class validation.
 
-    Raises :class:`RouteError` when the input contains one of the class's
-    forbidden patterns.  A Sparse input is then free of K5 and of C4 (= K2,2)
-    by the checks before it, and of P6 because P6 contains an induced P2+P3.
+    Membership is decided by :func:`is_diamond_free` and
+    :func:`is_p2p3_free`; the embedding search runs only when one of them
+    fails, to name the witness.  Raises :class:`RouteError` when the input
+    contains one of the class's forbidden patterns, the diamond first.  A
+    Sparse input is then free of K5 and of C4 (= K2,2) by the checks before
+    it, and of P6 because P6 contains an induced P2+P3.  The anchors found
+    here are memoised for the decomposer that runs next on the same graph.
     """
-    for expr, forbidden in zip(CLASS_FORBIDDEN_EXPRS, class_forbidden()):
-        res = is_free(g, [forbidden])
-        if not res.free:
-            raise RouteError(f"input contains {expr}", res.witness)
+    for expr, member in zip(CLASS_FORBIDDEN_EXPRS, (is_diamond_free, is_p2p3_free)):
+        if not member(g):
+            witness = is_free(g, [pattern(expr)]).witness
+            raise RouteError(f"input contains {expr}", witness)
     if find_clique(g, 5) is not None:
         return "K5"
     if find_induced_cycle(g, 5) is not None:
@@ -173,6 +261,22 @@ def route(g: Graph) -> str:
     if find_induced_cycle(g, 4) is not None:
         return "C4"
     return "Sparse"
+
+
+def _caller_anchor(g: Graph, given: Sequence[int], size: int, shape: str):
+    """A caller's anchor as a tuple, once it is ``size`` distinct vertices
+    of ``g``; checked before any bit operation uses it."""
+    anchor = tuple(given)
+    if (
+        len(anchor) != size
+        or len(set(anchor)) != size
+        or not all(isinstance(v, int) and 0 <= v < g.n for v in anchor)
+    ):
+        raise ValueError(
+            f"anchor {anchor} is not {shape}: "
+            f"it needs {size} distinct vertices in 0..{g.n - 1}"
+        )
+    return anchor
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +358,14 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
     (no large outside clique), or at most two deletions reaching one of
     those forms (one / several large outside cliques).
     """
-    anchor = tuple(sorted(clique)) if clique is not None else find_clique(g, 5)
+    if clique is not None:
+        anchor = tuple(sorted(_caller_anchor(g, clique, 5, "a 5-clique")))
+    else:
+        anchor = find_clique(g, 5)
     if anchor is None:
         raise ValueError("no 5-clique present")
-    if len(anchor) != 5 or _first_inside(g, anchor, False):
-        raise ValueError("anchor is not a 5-clique")
+    if _first_inside(g, anchor, False):
+        raise ValueError(f"anchor {anchor} is not a 5-clique")
     # greedy growth: the lowest vertex adjacent to the whole clique joins it;
     # one ascending pass suffices because the clique only grows
     xmask = mask_of(anchor)
@@ -430,11 +537,14 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     the largeness pattern; two patterns route through a complementation of
     one set pair plus template transport instead of a direct template.
     """
-    cyc = tuple(cycle) if cycle is not None else find_induced_cycle(g, 5)
+    if cycle is not None:
+        cyc = _caller_anchor(g, cycle, 5, "an induced 5-cycle")
+    else:
+        cyc = find_induced_cycle(g, 5)
     if cyc is None:
         raise ValueError("no induced 5-cycle present")
-    if len(cyc) != 5 or not _is_induced_cycle(g, cyc):
-        raise ValueError("anchor is not an induced 5-cycle")
+    if not _is_induced_cycle(g, cyc):
+        raise ValueError(f"anchor {cyc} is not an induced 5-cycle")
     on_cycle = set(cyc)
     off = [v for v in range(g.n) if v not in on_cycle]
 
@@ -746,15 +856,17 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     witness (one triangle per copy); the remainder must be bipartite and
     free of P2+P3.
     """
+    if cycle is not None:
+        cycle = _caller_anchor(g, cycle, 4, "an induced 4-cycle")
     if find_clique(g, 5) is not None:
         raise ValueError("decompose_c4 requires a K5-free input")
     if find_induced_cycle(g, 5) is not None:
         raise ValueError("decompose_c4 requires a C5-free input")
-    cyc = tuple(cycle) if cycle is not None else find_induced_cycle(g, 4)
+    cyc = cycle if cycle is not None else find_induced_cycle(g, 4)
     if cyc is None:
         raise ValueError("no induced 4-cycle present")
-    if len(cyc) != 4 or not _is_induced_cycle(g, cyc):
-        raise ValueError("anchor is not an induced 4-cycle")
+    if not _is_induced_cycle(g, cyc):
+        raise ValueError(f"anchor {cyc} is not an induced 4-cycle")
 
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
@@ -947,16 +1059,16 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         and _first_inside(rest_graph, named_side2, True) is None
     )
     bip = is_bipartite(rest_graph)
-    free_res = is_free(rest_graph, [pattern("P2+P3")])
+    p2p3_free = is_p2p3_free(rest_graph)
     parts.append(
         Part(
             "bipartite-p2p3-free",
             rest,
-            bip is not None and free_res.free and separated,
+            bip is not None and p2p3_free and separated,
             {
                 "sides": "named" if named_ok else "recomputed",
                 "separated": separated,
-                "p2p3_free": free_res.free,
+                "p2p3_free": p2p3_free,
             },
         )
     )

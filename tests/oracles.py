@@ -12,12 +12,14 @@ assignment and spend no more nodes.  ``oracle_first_pair``,
 that the structure claims ran before their bitset layer: the bitset helpers
 must return the same first counterexample.  ``oracle_same_side_components``
 is the matrix search that the bitset one in ``antichains`` replaced.
+``oracle_delete_vertices`` is vertex deletion as it was before rows were
+shifted in place: the subgraph induced by the survivors.
 """
 
 from itertools import permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
-from wqograph.graphs import Graph, bits_of
+from wqograph.graphs import Graph, bits_of, induced
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:
@@ -67,6 +69,13 @@ def oracle_first_two(g: Graph, a, b, edge: bool):
         if len(hits) > 1:
             return (u, hits[0], hits[1])
     return None
+
+
+def oracle_delete_vertices(g: Graph, vertices) -> Graph:
+    """The subgraph induced by the vertices not listed; listed vertices
+    outside 0..n-1 delete nothing."""
+    drop = set(vertices)
+    return induced(g, [v for v in range(g.n) if v not in drop])
 
 
 def oracle_same_side_components(g: Graph):

@@ -262,6 +262,26 @@ class TestSizesRefusedBeforeBuilding:
         assert message in captured.err and captured.out == ""
 
 
+class TestExpressionIntegers:
+    """Only ASCII digits make an integer; each input exits 2 with a
+    positioned message."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("P\u0663", "expected an integer at position 1"),
+            ("P\u00b2", "expected an integer at position 1"),
+            ("P" + "9" * 5000, "exceeds the cap of 64 vertices at position 5001"),
+        ],
+        ids=["arabic-indic-3", "superscript-2", "5000-nines"],
+    )
+    def test_exit_2(self, capsys, spec, message):
+        assert main(["gen", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert message in captured.err
+
+
 class TestMalformedJsonGraph:
     @pytest.mark.parametrize(
         "text",

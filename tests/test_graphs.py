@@ -26,7 +26,8 @@ from wqograph.graphs import (
     to_json_dict,
 )
 from wqograph.structure import _first_inside, _first_pair, _first_two
-from oracles import oracle_isomorphic
+from oracles import oracle_delete_vertices, oracle_isomorphic
+from strategies import small_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -317,3 +318,44 @@ class TestBasics:
 
     def test_delete_vertices(self):
         assert delete_vertices(build("C5"), [0]) == build("P4")
+
+
+class TestDeleteVertices:
+    """Deletion squeezes bits out of the rows; the subgraph induced by the
+    survivors is the reference."""
+
+    @given(small_graphs(20), st.lists(st.integers(-3, 23), max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_induced_survivors(self, g, drop):
+        assert delete_vertices(g, drop) == oracle_delete_vertices(g, drop)
+
+    def test_out_of_range_deletes_nothing(self):
+        g = build("C5")
+        assert delete_vertices(g, [-1, 5, 64]) == g
+        assert delete_vertices(g, [4, 7, 0, 4]) == build("P3")
+
+    def test_every_vertex(self):
+        assert delete_vertices(build("K64"), range(64)) == Graph.empty(0)
+
+
+class TestExpressionIntegers:
+    """An integer of the grammar is a run of ASCII digits, and a run with
+    more significant digits than the cap is refused before conversion."""
+
+    @pytest.mark.parametrize("spec", ["P\u0663", "P\u00b2", "K2,\u0663", "\u0663P1"])
+    def test_non_ascii_digits_refused(self, spec):
+        with pytest.raises(GraphSpecError, match="expected"):
+            build(spec)
+
+    def test_long_run_refused_with_cap_message(self):
+        spec = "P" + "9" * 5000
+        with pytest.raises(GraphSpecError) as info:
+            build(spec)
+        assert str(info.value).startswith("9" * 5000 + " exceeds the cap of 64 vertices")
+        assert "at position 5001" in str(info.value)
+
+    def test_leading_zeros(self):
+        assert build("P003") == build("P3")
+        assert build("P" + "0" * 5000 + "64") == build("P64")
+        with pytest.raises(GraphSpecError, match="65 exceeds the cap of 64"):
+            build("P0065")

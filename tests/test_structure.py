@@ -1,10 +1,11 @@
-from itertools import combinations
+import re
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqograph.graphs import Graph, build, complement, induced, is_bipartite
+from wqograph.graphs import Graph, build, induced, is_bipartite, pattern
 from wqograph.instances import (
     c4_branch_valid,
     c4_instance,
@@ -27,8 +28,11 @@ from wqograph.structure import (
     decompose_c4,
     decompose_c5,
     decompose_k5,
+    _normal_cycle,
     find_clique,
     find_induced_cycle,
+    is_diamond_free,
+    is_p2p3_free,
     route,
 )
 from wqograph.uniform import verify_witness
@@ -70,6 +74,116 @@ class TestClaimHelpers:
         assert _first_inside(build("K4"), [0, 1, 1, 2, 3], False) == (1, 1)
         with pytest.raises(ValueError, match="not a 5-clique"):
             decompose_k5(build("K5"), clique=(0, 1, 1, 2, 3))
+
+
+# The makers, counts and first seed of the certify benchmark's members for
+# its seed 1.
+CERTIFY_MEMBERS = (
+    (k5_instance, k5_branch_valid, 150),
+    (c5_instance, c5_branch_valid, 250),
+    (c4_instance, c4_branch_valid, 150),
+)
+CERTIFY_START_SEED = 1_000_000
+
+
+class TestMembership:
+    """The two exact bitset tests decide what the embedding search decides,
+    and ``is_class_member`` is their conjunction."""
+
+    @staticmethod
+    def searched(g: Graph) -> tuple[bool, bool]:
+        diamond = is_free(g, [build("co(2P1+P2)")]).free
+        p2p3 = is_free(g, [build("P2+P3")]).free
+        assert is_diamond_free(g) == diamond
+        assert is_p2p3_free(g) == p2p3
+        assert is_class_member(g) == (diamond and p2p3)
+        return diamond, p2p3
+
+    @given(small_graphs(14))
+    @settings(max_examples=500, deadline=None)
+    def test_random_graphs(self, g):
+        self.searched(g)
+
+    def test_certify_candidates(self):
+        # every candidate scanned while the benchmark's members are set up,
+        # accepted or rejected
+        outcomes = set()
+        for maker, valid, count in CERTIFY_MEMBERS:
+            accepted = 0
+            seed = CERTIFY_START_SEED
+            while accepted < count:
+                g = maker(seed)
+                member = all(self.searched(g))
+                outcomes.add(member)
+                accepted += member and valid(g)
+                seed += 1
+        assert outcomes == {True, False}
+
+    def test_c5_claim_mutants(self):
+        outcomes = set()
+        members = class_members(
+            c5_instance, 10, start_seed=CERTIFY_START_SEED, valid=c5_branch_valid
+        )
+        for _, g in members:
+            for _, mutant in c5_claim_mutants(g, decompose_c5(g)):
+                outcomes.add(self.searched(mutant))
+        assert {(False, True), (True, False)} <= outcomes
+
+
+DECOMPOSERS = {"K5": decompose_k5, "C5": decompose_c5, "C4": decompose_c4}
+
+
+class TestAnchorMemo:
+    """``route`` and the decomposers share the anchors of the most recently
+    searched graph only: whatever was searched in between, each graph gets
+    its own anchor and certificate."""
+
+    def test_interleaved_graphs(self):
+        graphs = []
+        for branch, maker, valid in (
+            ("K5", k5_instance, k5_branch_valid),
+            ("C5", c5_instance, c5_branch_valid),
+            ("C4", c4_instance, c4_branch_valid),
+        ):
+            for _, g in class_members(maker, 2, valid=valid):
+                # the reversed labelling has the same size, other anchors
+                flip = Graph.from_edges(
+                    g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]
+                )
+                graphs += [(branch, g), (branch, flip)]
+        expected = []
+        for branch, g in graphs:
+            # the anchor from a direct search, passed explicitly
+            emb = induced_embed(pattern(branch), g)
+            anchor = tuple(sorted(emb)) if branch == "K5" else _normal_cycle(emb)
+            expected.append(DECOMPOSERS[branch](g, anchor).to_json())
+        for (i, (a_branch, a)), (j, (b_branch, b)) in permutations(enumerate(graphs), 2):
+            assert route(a) == a_branch
+            assert route(b) == b_branch
+            assert DECOMPOSERS[a_branch](a).to_json() == expected[i]
+            assert DECOMPOSERS[b_branch](b).to_json() == expected[j]
+            assert DECOMPOSERS[a_branch](a).to_json() == expected[i]
+
+
+class TestCallerAnchor:
+    """A caller's anchor is checked for length, distinct vertices and range
+    before any bit operation, and the message names it."""
+
+    @pytest.mark.parametrize(
+        "decompose, spec, anchor",
+        [
+            (decompose_c5, "C5", (9, 0, 1, 2, 3)),
+            (decompose_k5, "K5", (-1, 0, 1, 2, 3)),
+            (decompose_c5, "C5", (0, 1, 2, 3, 3)),
+            (decompose_c4, "C4", (0, 1, 1, 2)),
+            (decompose_c4, "C4", (0, 1, 2, 4)),
+            (decompose_c4, "C4", (0, 1, 2)),
+            (decompose_k5, "K5", (0, 1, 2, 3, 4, 0)),
+        ],
+    )
+    def test_refused(self, decompose, spec, anchor):
+        with pytest.raises(ValueError, match=re.escape(f"anchor {anchor} is not")):
+            decompose(build(spec), anchor)
 
 
 class TestRoute:
