@@ -17,9 +17,14 @@ Families:
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
 - ``delete``: ``delete_vertices`` of random vertex sets, with some vertices
-  out of range, over the same battery.
+  out of range, over the same battery;
+- ``uniform``: ``uniformicity(g, 3)``, the order and the witness or None,
+  over random graphs with at most 10 vertices at several edge densities and
+  over random induced subgraphs of expansions of random templates of order
+  at most 3;
+- ``templates``: the canonical templates of orders 1 to 3, in search order.
 
-Takes no arguments; about half a minute on one core.
+Takes no arguments; under a minute on one core.
 """
 
 import contextlib
@@ -29,8 +34,8 @@ import json
 import random
 import sys
 
-from wqograph import cli, instances, structure
-from wqograph.graphs import Graph, build, delete_vertices
+from wqograph import cli, instances, structure, uniform
+from wqograph.graphs import Graph, build, delete_vertices, induced
 from wqograph.ops import apply_script
 from wqograph.order import induced_embed
 
@@ -43,6 +48,10 @@ MEMBER_START_SEED = 1_000_000
 BATTERY_SEED = 20261018
 BATTERY_SIZE = 3000
 PATTERNS = ("K3", "P4", "C5", "co(2P1+P2)", "P2+P3")
+UNIFORM_SEED = 20261019
+UNIFORM_DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
+UNIFORM_GRAPHS = 300  # per density
+UNIFORM_EXPANSIONS = 500
 
 
 class Digest:
@@ -112,10 +121,51 @@ def random_graphs() -> tuple[str, str, str]:
     return routes.hex(), embeds.hex(), deletes.hex()
 
 
+def uniform_battery() -> list[Graph]:
+    rng = random.Random(UNIFORM_SEED)
+    graphs = []
+    for p in UNIFORM_DENSITIES:
+        for _ in range(UNIFORM_GRAPHS):
+            n = rng.randint(0, uniform.MAX_SEARCH_N)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            graphs.append(Graph.from_edges(n, edges))
+    for _ in range(UNIFORM_EXPANSIONS):
+        k = rng.randint(1, 3)
+        f = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
+        matrix = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
+        template = uniform.UniformTemplate(
+            k, Graph.from_edges(k, f), tuple(tuple(r) for r in matrix)
+        )
+        g = uniform.expand_template(template, rng.randint(1, 4))
+        size = rng.randint(1, min(g.n, uniform.MAX_SEARCH_N))
+        graphs.append(induced(g, sorted(rng.sample(range(g.n), size))))
+    return graphs
+
+
+def uniform_searches() -> str:
+    digest = Digest()
+    for g in uniform_battery():
+        found = uniform.uniformicity(g, 3)
+        digest.add(None if found is None else [found[0], found[1].to_json()])
+    return digest.hex()
+
+
+def templates() -> str:
+    digest = Digest()
+    for k in (1, 2, 3):
+        digest.add([t.to_json() for t in uniform._canonical_templates(k)])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
+    digests["uniform"] = uniform_searches()
+    digests["templates"] = templates()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

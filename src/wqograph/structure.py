@@ -565,11 +565,16 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         junk.update(yi)
 
     remaining = [v for v in off if v not in junk]
+    # bit i of pattern[v]: v is adjacent to cyc[i]
+    cycle_rows = [g.rows[c] for c in cyc]
+    pattern = {
+        v: sum((row >> v & 1) << i for i, row in enumerate(cycle_rows))
+        for v in remaining
+    }
     wsets: dict[int, list[int]] = {i: [] for i in range(5)}
     for v in remaining:
-        nbrs = [i for i in range(5) if g.adjacent(v, cyc[i])]
-        if len(nbrs) == 1:
-            wsets[nbrs[0]].append(v)
+        if pattern[v] and not pattern[v] & (pattern[v] - 1):
+            wsets[pattern[v].bit_length() - 1].append(v)
     for i in range(5):
         wi = tuple(wsets[i])
         sets[f"W{i + 1}"] = wi
@@ -581,18 +586,13 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     remaining = [v for v in off if v not in junk]
     vsets: dict[int, list[int]] = {i: [] for i in range(5)}
     xset: list[int] = []
+    # two opposite neighbours {i-1, i+1} name the set V_i
+    opposite = {1 << (i - 1) % 5 | 1 << (i + 1) % 5: i for i in range(5)}
     for v in remaining:
-        nbrs = [i for i in range(5) if g.adjacent(v, cyc[i])]
-        if not nbrs:
+        if not pattern[v]:
             xset.append(v)
         else:
-            # two opposite neighbours {i-1, i+1} name the set V_i
-            i = next(
-                j
-                for j in range(5)
-                if set(nbrs) == {(j - 1) % 5, (j + 1) % 5}
-            )
-            vsets[i].append(v)
+            vsets[opposite[pattern[v]]].append(v)
     for i in range(5):
         sets[f"V{i + 1}"] = tuple(vsets[i])
         viol = _first_inside(g, vsets[i], True)

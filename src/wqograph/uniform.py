@@ -22,15 +22,27 @@ different copies read the flipped K entry, and flipped pairs sharing a copy
 read the doubled F edge together with the flipped K entry, which combine to
 the required flip.
 
-The bounded search (``is_k_uniform``, ``uniformicity``) tries the canonical
-templates of order k in a fixed order and, for each, places vertices
-0..n-1 in turn on the free slots (c, i) in ascending order, opening copies in
-first-use order, so the first witness found is canonical.  After each
+The bounded search (``is_k_uniform``, ``uniformicity``) first asks whether
+the vertices split into at most k parts, each a clique or an independent
+set, with a matching or a co-matching between any two parts.  The classes of
+any order-k witness form such a partition: two vertices of one class i sit
+in different copies, so they are adjacent iff K(i, i) = 1; and between
+classes i and j the adjacency XOR K(i, j) marks exactly the pairs in one
+copy if ij is an edge of F and no pair otherwise, while one copy holds at
+most one vertex of each class.  When no such partition exists there is no
+order-k witness and no template is tried.  The check may accept graphs that
+have no witness; then the template loop decides.
+
+The template loop tries the canonical templates of order k in a fixed order
+and, for each, places vertices 0..n-1 in turn on the free slots (c, i) in
+ascending order, opening copies in first-use order, so the first witness
+found is canonical.  After each
 placement a forward check asks whether every later vertex still fits some
 free slot given the placed ones, and abandons the placement if one does not.
 The check only cuts subtrees that hold no witness, so the first witness is
 that of the plain slot search and the slots tried are a subset of its.  One
-search node, one ``SearchBudget.spend()``, is one free slot tried.
+search node, one ``SearchBudget.spend()``, is one part tried for a vertex in
+the partition check or one free slot tried in the template loop.
 """
 
 from __future__ import annotations
@@ -128,22 +140,37 @@ def verify_witness(g: Graph, witness: UniformWitness) -> WitnessCheck:
     """Check the adjacency law on every vertex pair.
 
     Malformed assignments (wrong length, slot out of range, slot reuse)
-    raise; a law violation is reported as the first offending pair.
+    raise; a law violation is reported as the first offending pair (u, v),
+    u < v, in lexicographic order.  Each vertex's row is compared with the
+    row its slot expects: the members of its K-classes, flipped on the
+    members of its F-neighbour classes in its own copy.
     """
     t = witness.template
     if len(witness.assign) != g.n:
         raise ValueError("assignment must cover every vertex")
     seen = set()
+    in_class: dict[int, int] = {}
+    in_copy: dict[int, int] = {}
     for v, (c, i) in enumerate(witness.assign):
         if c < 0 or not 0 <= i < t.k:
             raise ValueError(f"vertex {v} assigned invalid slot ({c},{i})")
         if (c, i) in seen:
             raise ValueError(f"slot ({c},{i}) assigned twice")
         seen.add((c, i))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adjacent(u, v) != t.law(witness.assign[u], witness.assign[v]):
-                return WitnessCheck(False, (u, v))
+        in_class[i] = in_class.get(i, 0) | 1 << v
+        in_copy[c] = in_copy.get(c, 0) | 1 << v
+    across = dict.fromkeys(in_class, 0)
+    flips = dict.fromkeys(in_class, 0)
+    for i in in_class:  # only the classes in use: k may far exceed n
+        for j, members in in_class.items():
+            if t.matrix[i][j]:
+                across[i] |= members
+            if t.f.rows[i] >> j & 1:
+                flips[i] |= members
+    for u, (c, i) in enumerate(witness.assign):
+        wrong = (g.rows[u] ^ across[i] ^ flips[i] & in_copy[c]) >> u + 1
+        if wrong:
+            return WitnessCheck(False, (u, u + (wrong & -wrong).bit_length()))
     return WitnessCheck(True)
 
 
@@ -163,23 +190,33 @@ MAX_SEARCH_N = 10
 @lru_cache(maxsize=None)
 def _canonical_templates(k: int) -> list[UniformTemplate]:
     """All (K, F) pairs up to simultaneous class permutation, in search order
-    (K packed bits ascending, then F edge sets ascending)."""
+    (K packed bits ascending, then F edge sets ascending), each orbit
+    represented by its first member in that order.
+
+    A (K, F) pair is packed as ``kbits << len(fpairs) | fbits``; every
+    permutation of the classes acts on the packed K and F bits through one
+    lookup table each, and a first member marks its whole orbit as seen.
+    """
     kpairs = [(i, j) for i in range(k) for j in range(i, k)]
     fpairs = list(combinations(range(k), 2))
-    perms = list(permutations(range(k)))
-    seen = set()
+    nf = len(fpairs)
+    tables = [
+        (_bit_images(kpairs, perm), _bit_images(fpairs, perm))
+        for perm in permutations(range(k))
+    ]
+    seen = bytearray(1 << (len(kpairs) + nf))
     out = []
     for kbits in range(1 << len(kpairs)):
         matrix = [[0] * k for _ in range(k)]
         for idx, (i, j) in enumerate(kpairs):
             if kbits >> idx & 1:
                 matrix[i][j] = matrix[j][i] = 1
-        for fbits in range(1 << len(fpairs)):
-            edges = [fpairs[idx] for idx in range(len(fpairs)) if fbits >> idx & 1]
-            key = min(_template_key(k, matrix, edges, p) for p in perms)
-            if key in seen:
+        for fbits in range(1 << nf):
+            if seen[kbits << nf | fbits]:
                 continue
-            seen.add(key)
+            for kimage, fimage in tables:
+                seen[kimage[kbits] << nf | fimage[fbits]] = 1
+            edges = [fpairs[idx] for idx in range(nf) if fbits >> idx & 1]
             out.append(
                 UniformTemplate(
                     k,
@@ -190,16 +227,16 @@ def _canonical_templates(k: int) -> list[UniformTemplate]:
     return out
 
 
-def _template_key(k, matrix, edges, perm):
-    kvals = tuple(matrix[perm[i]][perm[j]] for i in range(k) for j in range(i, k))
-    eset = frozenset(
-        (min(perm.index(u), perm.index(v)), max(perm.index(u), perm.index(v)))
-        for u, v in edges
-    )
-    fvals = tuple(
-        1 if (i, j) in eset else 0 for i in range(k) for j in range(i + 1, k)
-    )
-    return kvals, fvals
+def _bit_images(pairs, perm) -> list[int]:
+    """For every set of ``pairs`` packed as bits, the packed set of their
+    images under the class permutation ``perm``."""
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    moved = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
+    images = [0] * (1 << len(pairs))
+    for bits in range(1, len(images)):
+        low = bits & -bits
+        images[bits] = images[bits ^ low] | moved[low.bit_length() - 1]
+    return images
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +331,78 @@ def _find_assignment(
     return None
 
 
+def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
+    """Whether the vertices split into at most k parts, each a clique or an
+    independent set, with a matching or a co-matching between any two parts.
+
+    The classes of any order-k witness form such a partition, so False rules
+    out every order-k template.  Vertices are placed 0..n-1 on the open parts
+    and then on a fresh one (parts open in first-use order); one search node,
+    one ``SearchBudget.spend()``, is one part tried for one vertex.
+    ``modes[p][q]`` holds what the placed vertices still allow between parts
+    p and q: bit 1 a matching, bit 2 a co-matching.
+    """
+    n = g.n
+    rows = g.rows
+    spend = None if budget is None else budget.spend
+    parts = [0] * k
+    modes = [[3] * k for _ in range(k)]
+
+    def narrowed(v: int, p: int, opened: int) -> list[tuple[int, int, int]] | None:
+        """``(q, old, new)`` for each part q whose modes with part p narrow
+        when v joins p, or None if v cannot join p."""
+        nv = rows[v]
+        pm = parts[p]
+        if pm & (pm - 1):
+            inside = nv & pm
+            if inside != (pm if rows[(pm & -pm).bit_length() - 1] & pm else 0):
+                return None
+        out = []
+        for q in range(opened):
+            if q == p:
+                continue
+            qm = parts[q]
+            old = modes[p][q]
+            mode = 0
+            # a matching lets v have one neighbour in q, with none in p yet
+            hit = nv & qm
+            if old & 1 and not hit & (hit - 1):
+                if not hit or not rows[(hit & -hit).bit_length() - 1] & pm:
+                    mode = 1
+            # a co-matching lets v miss one vertex of q, adjacent to all of p
+            miss = qm & ~nv
+            if old & 2 and not miss & (miss - 1):
+                if not miss or rows[(miss & -miss).bit_length() - 1] & pm == pm:
+                    mode |= 2
+            if not mode:
+                return None
+            if mode != old:
+                out.append((q, old, mode))
+        return out
+
+    def place(v: int, opened: int) -> bool:
+        if v == n:
+            return True
+        bit = 1 << v
+        for p in range(min(opened + 1, k)):
+            if spend is not None:
+                spend()
+            changes = narrowed(v, p, opened)
+            if changes is None:
+                continue
+            for q, _, mode in changes:
+                modes[p][q] = modes[q][p] = mode
+            parts[p] |= bit
+            if place(v + 1, max(opened, p + 1)):
+                return True
+            parts[p] ^= bit
+            for q, old, _ in changes:
+                modes[p][q] = modes[q][p] = old
+        return False
+
+    return place(0, 0)
+
+
 def is_k_uniform(
     g: Graph,
     k: int,
@@ -312,6 +421,8 @@ def is_k_uniform(
         raise SearchRefused(
             f"uniformicity search bounded to k <= {max_k}, n <= {max_n}"
         )
+    if not _class_partition(g, k, budget):
+        return None
     for template in _canonical_templates(k):
         assign = _find_assignment(g, template, budget)
         if assign is not None:

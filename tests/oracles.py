@@ -14,12 +14,22 @@ must return the same first counterexample.  ``oracle_same_side_components``
 is the matrix search that the bitset one in ``antichains`` replaced.
 ``oracle_delete_vertices`` is vertex deletion as it was before rows were
 shifted in place: the subgraph induced by the survivors.
+``oracle_canonical_templates`` is the template dedup that compared the
+least relabelled key over all k! class orders, which the orbit marking in
+``uniform`` replaced: the lists must be equal.  ``oracle_verify_witness``
+checks a witness pair by pair through the template's adjacency law, as
+``uniform.verify_witness`` did before it compared rows.
+``oracle_class_partition`` decides by enumeration whether the vertices split
+into at most k parts that are cliques or independent sets with a matching or
+co-matching between any two, which ``uniform``'s partition check decides by
+backtracking.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.graphs import Graph, bits_of, induced
+from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:
@@ -233,3 +243,82 @@ def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
     for p, v in enumerate(order):
         out[v] = assign[p]
     return tuple(out)
+
+
+def oracle_canonical_templates(k: int) -> list:
+    """Templates of order k in search order (K packed bits ascending, then F
+    edge sets ascending), keeping a template unless an earlier one has the
+    same least key over all k! class orders."""
+    kpairs = [(i, j) for i in range(k) for j in range(i, k)]
+    fpairs = list(combinations(range(k), 2))
+    perms = list(permutations(range(k)))
+    seen = set()
+    out = []
+    for kbits in range(1 << len(kpairs)):
+        matrix = [[0] * k for _ in range(k)]
+        for idx, (i, j) in enumerate(kpairs):
+            if kbits >> idx & 1:
+                matrix[i][j] = matrix[j][i] = 1
+        for fbits in range(1 << len(fpairs)):
+            edges = [fpairs[idx] for idx in range(len(fpairs)) if fbits >> idx & 1]
+            key = min(_template_key(k, matrix, edges, p) for p in perms)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(
+                UniformTemplate(
+                    k,
+                    Graph.from_edges(k, edges),
+                    tuple(tuple(row) for row in matrix),
+                )
+            )
+    return out
+
+
+def _template_key(k, matrix, edges, perm):
+    kvals = tuple(matrix[perm[i]][perm[j]] for i in range(k) for j in range(i, k))
+    eset = frozenset(
+        (min(perm.index(u), perm.index(v)), max(perm.index(u), perm.index(v)))
+        for u, v in edges
+    )
+    fvals = tuple(
+        1 if (i, j) in eset else 0 for i in range(k) for j in range(i + 1, k)
+    )
+    return kvals, fvals
+
+
+def oracle_class_partition(g: Graph, k: int) -> bool:
+    """Whether some map of the vertices to k parts makes every part a clique
+    or an independent set, and every two parts joined by a matching or a
+    co-matching, by trying all k^n maps."""
+    n = g.n
+
+    def joined(a, b, edge):
+        return all(sum(g.adjacent(u, v) == edge for v in b) <= 1 for u in a) and all(
+            sum(g.adjacent(u, v) == edge for u in a) <= 1 for v in b
+        )
+
+    for labels in product(range(k), repeat=n):
+        parts = [[v for v in range(n) if labels[v] == p] for p in range(k)]
+        if all(
+            all(g.adjacent(u, v) for u, v in combinations(part, 2))
+            or not any(g.adjacent(u, v) for u, v in combinations(part, 2))
+            for part in parts
+        ) and all(
+            joined(a, b, True) or joined(a, b, False)
+            for a, b in combinations(parts, 2)
+        ):
+            return True
+    return False
+
+
+def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:
+    """The adjacency law pair by pair, u ascending, then v > u ascending;
+    the first pair that breaks it is the violation.  The assignment is
+    assumed well formed."""
+    t = witness.template
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adjacent(u, v) != t.law(witness.assign[u], witness.assign[v]):
+                return WitnessCheck(False, (u, v))
+    return WitnessCheck(True)

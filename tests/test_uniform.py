@@ -1,5 +1,7 @@
 import json
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,14 @@ from wqograph.graphs import Graph, build, complete_graph, empty_graph, induced
 from wqograph.order import SearchBudget, SearchBudgetExceeded, induced_embed
 from wqograph.ops import bipartite_complement, subgraph_complement
 from wqograph.uniform import (
+    MAX_SEARCH_N,
     SearchRefused,
     _canonical_templates,
+    _class_partition,
     _find_assignment,
     UniformTemplate,
     UniformWitness,
+    WitnessCheck,
     complement_template,
     expand_template,
     is_k_uniform,
@@ -24,7 +29,14 @@ from wqograph.uniform import (
     verify_witness,
     witness_for_expansion,
 )
-from oracles import oracle_find_assignment, oracle_isomorphic, oracle_k_uniform
+from oracles import (
+    oracle_canonical_templates,
+    oracle_class_partition,
+    oracle_find_assignment,
+    oracle_isomorphic,
+    oracle_k_uniform,
+    oracle_verify_witness,
+)
 from strategies import small_graphs
 
 
@@ -36,6 +48,27 @@ def random_template(rng, kmax=3):
         for j in range(i, k):
             matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
     return UniformTemplate(k, Graph.from_edges(k, edges), tuple(map(tuple, matrix)))
+
+
+@st.composite
+def templates(draw, kmax=4):
+    k = draw(st.integers(1, kmax))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    matrix = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            matrix[i][j] = matrix[j][i] = draw(st.integers(0, 1))
+    return UniformTemplate(k, Graph.from_edges(k, edges), tuple(map(tuple, matrix)))
+
+
+def restricted_expansion(rng, template, max_n):
+    """A random induced subgraph with at most ``max_n`` vertices of an
+    expansion of ``template``, with its restricted identity witness."""
+    copies = rng.randint(1, max(1, max_n // template.k))
+    g = expand_template(template, copies)
+    keep = sorted(rng.sample(range(g.n), rng.randint(1, min(g.n, max_n))))
+    return induced(g, keep), restrict_witness(witness_for_expansion(template, copies), keep)
 
 
 class TestExpand:
@@ -76,6 +109,35 @@ class TestVerifyWitness:
             verify_witness(g, UniformWitness(t, ((0, 0), (0, 0))))
         with pytest.raises(ValueError):
             verify_witness(g, UniformWitness(t, ((0, 0),)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(templates(kmax=5), st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_equals_pairwise_oracle(self, t, copies, rng):
+        """Valid witnesses, witnesses with flipped graph pairs and witnesses
+        with a vertex moved to another free slot: the same verdict and the
+        same first violating pair as the pair-by-pair check."""
+        g = expand_template(t, copies)
+        keep = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+        g = induced(g, keep)
+        w = restrict_witness(witness_for_expansion(t, copies), keep)
+        assert verify_witness(g, w) == oracle_verify_witness(g, w) == WitnessCheck(True)
+        if g.n > 1:
+            edges = set(g.edges())
+            for _ in range(rng.randint(1, 3)):
+                edges ^= {tuple(sorted(rng.sample(range(g.n), 2)))}
+            flipped = Graph.from_edges(g.n, sorted(edges))
+            assert verify_witness(flipped, w) == oracle_verify_witness(flipped, w)
+        if g.n:
+            v = rng.randrange(g.n)
+            free = [
+                (c, i)
+                for c in range(copies + 1)
+                for i in range(t.k)
+                if (c, i) not in w.assign
+            ]
+            moved = w.assign[:v] + (rng.choice(free),) + w.assign[v + 1 :]
+            bad = UniformWitness(t, moved)
+            assert verify_witness(g, bad) == oracle_verify_witness(g, bad)
 
 
 class TestSearch:
@@ -140,7 +202,94 @@ class TestSearchAgainstOracle:
         assert fast.used < plain.used
 
 
+class TestCanonicalTemplates:
+    def test_equals_permutation_dedup(self):
+        for k in (1, 2, 3):
+            assert _canonical_templates(k) == oracle_canonical_templates(k)
+
+    def test_order_four_count(self):
+        assert len(_canonical_templates(4)) == 3400
+
+
+@lru_cache(maxsize=None)
+def dedup_templates(k):
+    return oracle_canonical_templates(k)
+
+
+def template_loop(g, kmax):
+    """``uniformicity`` without the partition check: the first template of
+    the least order, in the permutation-dedup list, with an assignment."""
+    for k in range(1, kmax + 1):
+        for template in dedup_templates(k):
+            found = _find_assignment(g, template, None)
+            if found is not None:
+                return k, UniformWitness(template, found)
+    return None
+
+
+class TestClassPartition:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_n=7), st.integers(1, 3))
+    def test_equals_oracle(self, g, k):
+        assert _class_partition(g, k, None) == oracle_class_partition(g, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_n=9), st.integers(1, 3))
+    def test_no_only_without_witness(self, g, k):
+        if not _class_partition(g, k, None):
+            for template in _canonical_templates(k):
+                assert _find_assignment(g, template, None) is None
+
+    def test_expansions_of_every_template(self):
+        rng = random.Random(8)
+        for k in (1, 2, 3):
+            for template in _canonical_templates(k):
+                for _ in range(5):
+                    g, w = restricted_expansion(rng, template, MAX_SEARCH_N)
+                    assert verify_witness(g, w).ok
+                    assert _class_partition(g, k, None)
+                    assert is_k_uniform(g, k) is not None
+
+    def test_refutes_random_graphs(self):
+        rng = random.Random(9)
+        refuted = 0
+        for _ in range(20):
+            pairs = list(combinations(range(10), 2))
+            g = Graph.from_edges(10, rng.sample(pairs, len(pairs) // 2))
+            refuted += not _class_partition(g, 3, None)
+        assert refuted >= 15
+
+    def test_nodes_are_charged(self):
+        """Every budget short of what the refutation spends is exhausted and
+        never read as "not uniform"; the refutation spends only the check's
+        nodes."""
+        rng = random.Random(10)
+        pairs = list(combinations(range(10), 2))
+        g = Graph.from_edges(10, rng.sample(pairs, len(pairs) // 2))
+        full = SearchBudget(10**9)
+        assert uniformicity(g, 3, budget=full) is None
+        per_k = [SearchBudget(10**9) for _ in range(3)]
+        for k, budget in enumerate(per_k, 1):
+            assert not _class_partition(g, k, budget)
+        assert full.used == sum(b.used for b in per_k) > 0
+        for limit in range(full.used):
+            with pytest.raises(SearchBudgetExceeded):
+                uniformicity(g, 3, budget=SearchBudget(limit))
+
+
 class TestUniformicity:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_n=9))
+    def test_equals_template_loop(self, g):
+        assert uniformicity(g, 3) == template_loop(g, 3)
+
+    def test_equals_template_loop_on_expansions(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            t = random_template(rng)
+            g, _ = restricted_expansion(rng, t, MAX_SEARCH_N)
+            assert uniformicity(g, 3) == template_loop(g, 3)
+
     def test_cliques_and_edgeless(self):
         for n in (1, 2, 5):
             assert uniformicity(complete_graph(n), 3)[0] == 1
