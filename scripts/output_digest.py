@@ -22,7 +22,12 @@ Families:
   over random graphs with at most 10 vertices at several edge densities and
   over random induced subgraphs of expansions of random templates of order
   at most 3;
-- ``templates``: the canonical templates of orders 1 to 3, in search order.
+- ``templates``: the canonical templates of orders 1 to 3, in search order;
+- ``antichain``: ``verify_family`` reports (thm51 2..6, thm52 3..5, cycles
+  4..13); ``induced_embed`` both ways between randomly relabelled members of
+  one family; the first embeddings of paths, cycles, cliques and matchings
+  into canonical and relabelled members; and ``reconstruct_thm52`` from
+  every start of thm52 3..16, canonical and relabelled.
 
 Takes no arguments; under a minute on one core.
 """
@@ -34,7 +39,7 @@ import json
 import random
 import sys
 
-from wqograph import cli, instances, structure, uniform
+from wqograph import antichains, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, induced
 from wqograph.ops import apply_script
 from wqograph.order import induced_embed
@@ -52,6 +57,16 @@ UNIFORM_SEED = 20261019
 UNIFORM_DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
 UNIFORM_GRAPHS = 300  # per density
 UNIFORM_EXPANSIONS = 500
+ANTICHAIN_SEED = 20261020
+FAMILY_REPORTS = (("thm51", range(2, 7)), ("thm52", range(3, 6)), ("cycles", range(4, 14)))
+RELABELLED_PAIRS = (("thm51", range(2, 6)), ("thm52", range(3, 6)), ("cycles", range(4, 14)))
+SMALL_PATTERNS = (
+    [f"P{k}" for k in range(2, 9)]
+    + [f"C{k}" for k in range(3, 9)]
+    + [f"K{k}" for k in range(2, 6)]
+    + [f"{k}K2" for k in range(1, 5)]
+)
+PATTERN_HOSTS = (("thm51", range(2, 5)), ("thm52", range(3, 5)), ("cycles", range(4, 11)))
 
 
 class Digest:
@@ -160,12 +175,46 @@ def templates() -> str:
     return digest.hex()
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def antichain() -> str:
+    digest = Digest()
+    rng = random.Random(ANTICHAIN_SEED)
+    for family, ns in FAMILY_REPORTS:
+        digest.add(antichains.verify_family(family, ns).to_json())
+    for family, ns in RELABELLED_PAIRS:
+        members = [relabelled(antichains.family_member(family, n), rng) for n in ns]
+        for i, small in enumerate(members):
+            for large in members[i + 1 :]:
+                for h, g in ((small, large), (large, small)):
+                    emb = induced_embed(h, g)
+                    emb = None if emb is None else list(emb)
+                    digest.add([family, list(h.rows), list(g.rows), emb])
+    patterns = [build(p) for p in SMALL_PATTERNS]
+    for family, ns in PATTERN_HOSTS:
+        for n in ns:
+            member = antichains.family_member(family, n)
+            for g in (member, relabelled(member, rng)):
+                for expr, h in zip(SMALL_PATTERNS, patterns):
+                    emb = induced_embed(h, g)
+                    digest.add([family, n, expr, list(g.rows), None if emb is None else list(emb)])
+    for n in range(3, 17):
+        member = antichains.gen_thm52(n)
+        for g in (member, relabelled(member, rng)):
+            digest.add([list(g.rows), [antichains.reconstruct_thm52(g, s) for s in range(g.n)]])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
     digests["uniform"] = uniform_searches()
     digests["templates"] = templates()
+    digests["antichain"] = antichain()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

@@ -23,6 +23,7 @@ consistently in reports and reconstructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -129,28 +130,34 @@ def reconstruct_thm52(g: Graph, x1: int) -> tuple[int, ...] | None:
     m = g.n
     if m % 4 or m < 12 or not 0 <= x1 < m:
         return None
-    side_of = _same_side_components(g)
-    if side_of is None:
+    sides = _side_masks(g)
+    if sides is None:
         return None
+    rows = g.rows
     walk = [x1]
-    seen = {x1}
-    cur = x1
+    seen = cur = 1 << x1
     for step in range(1, m):
-        cur_side = side_of[cur]
-        if step % 2 == 1:
-            cands = [w for w in g.neighbours(cur) if side_of[w] != cur_side]
-        else:
-            cands = [
-                w
-                for w in range(m)
-                if w != cur and side_of[w] == cur_side and not g.adjacent(cur, w)
-            ]
-        if len(cands) != 1 or cands[0] in seen:
+        same = sides[0] if sides[0] & cur else sides[1]
+        row = rows[cur.bit_length() - 1]
+        step_to = row & ~same if step % 2 else same & ~row & ~cur
+        if not step_to or step_to & (step_to - 1) or step_to & seen:
             return None
-        cur = cands[0]
-        walk.append(cur)
-        seen.add(cur)
+        cur = step_to
+        walk.append(cur.bit_length() - 1)
+        seen |= cur
     return tuple(walk)
+
+
+@lru_cache(maxsize=1)
+def _side_masks(g: Graph) -> tuple[int, int] | None:
+    """The two sides of :func:`_same_side_components` as vertex masks, or
+    None.  Every start of a reconstruction shares them, so the split of the
+    most recent graph is memoised, keyed by the graph's value."""
+    side = _same_side_components(g)
+    if side is None:
+        return None
+    one = mask_of(v for v in range(g.n) if side[v])
+    return g.mask ^ one, one
 
 
 def _same_side_components(g: Graph) -> list[int] | None:

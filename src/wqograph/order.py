@@ -18,6 +18,34 @@ intersection of their closed neighbourhoods).  A candidate it drops could
 only have led to a dead end, so the search returns the same first
 embedding as without the look-ahead and never visits more nodes.
 
+The search also breaks the pattern's symmetry with lex-leader constraints
+(Crawford, Ginsberg, Luks & Roy, 1996) taken along the search order's
+stabiliser chain.  Let p_0, p_1, ... be the pattern vertices in search order
+and G_i the automorphisms of the pattern that fix p_0 .. p_{i-1}; for every
+q != p_i in the orbit of p_i under G_i, the image of p_i must be less than
+the image of q.  If an embedding f breaks this, some s in G_i gives an
+embedding f.s that agrees with f before position i and is smaller at i, so
+f is not the least embedding in position order.  The search tries host
+vertices in ascending order, so the first embedding it finds is that least
+one, which keeps every constraint: the constraints change no answer, and
+since they only narrow candidate masks (one AND with the host vertices
+above the one placed), the pruned tree is a subtree of the plain one,
+visited in the same order, and never has more nodes.  Labels can break the
+symmetry, so only plain :func:`induced_embed` applies them, never
+:func:`labelled_embed`.
+
+The constraints are applied only once a root candidate has failed, another
+is left, and the search has spent at least n(h)**2 nodes, the most that
+their detection may take; from then on they apply to every node.  Pruning
+that starts partway is still sound, since every assignment it drops is not
+the least.  Calls that succeed at once, and searches too small to repay the
+detection, never pay for it.  The detection is a pure function of the
+pattern, cached beside the plan, so node counts repeat whatever the cache
+holds.  It keeps only automorphisms it has checked, and its work is bounded
+by n(h)**2 + n(h) + 1 refinements of a partition of the pattern (see
+:func:`_lex_leader`); a test that runs out only drops constraints.  It is
+not charged to the caller's budget and never raises.
+
 The set-up that depends on the pattern alone (the search order, the degrees
 in that order, each position's adjacency to the later ones) is a plan held
 in a bounded cache keyed by the pattern graph.  The degree filter on the
@@ -26,9 +54,11 @@ keeps the host vertices whose degree leaves room for d neighbours and
 n(h) - 1 - d non-neighbours.
 
 Long searches accept an optional :class:`SearchBudget`; one node is one
-host vertex tried for one pattern vertex.  Exhausting it raises
-:class:`SearchBudgetExceeded`, which callers must treat as "unknown", never
-as "no embedding".
+host vertex tried for one pattern vertex.  The search counts its nodes in a
+local integer and adds them to the budget when it returns or raises.
+Exhausting the budget raises :class:`SearchBudgetExceeded` at the same node
+as spending it node by node would, which callers must treat as "unknown",
+never as "no embedding".
 """
 
 from __future__ import annotations
@@ -189,8 +219,247 @@ def _plan(h: Graph):
     return order, degrees, later, last_pair_adjacent
 
 
+# ---------------------------------------------------------------------------
+# Lex-leader constraints from the pattern's automorphisms
+
+
+def _refine(rows, cells: list[int], queue: list[int], trace: list, expect=None) -> bool:
+    """Refine the ordered partition ``cells`` (vertex masks, changed in place)
+    until it is equitable, splitting by the cells whose indices are queued.
+
+    A split cell keeps its first fragment at its index and appends the
+    others; fragments are ordered by their number of neighbours in the
+    splitter.  Nothing depends on vertex labels, so an automorphism that maps
+    one individualised partition onto another maps their refinements onto
+    each other cell by cell, with equal traces.  Every split is appended to
+    ``trace`` as the splitter's and the cell's indices and the fragment
+    sizes; given ``expect``, the refinement stops with False at the first
+    split that differs from it."""
+    queued = set(queue)
+    # bit x set: cell x has two vertices or more, so it may still split
+    unsplit = 0
+    for x, cell in enumerate(cells):
+        if cell & (cell - 1):
+            unsplit |= 1 << x
+    for s in queue:
+        if not unsplit:
+            break
+        queued.discard(s)
+        splitter = cells[s]
+        if splitter & (splitter - 1):
+            # planes[k]: the vertices whose neighbour count in the splitter has bit k
+            planes: list[int] = []
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                carry = rows[low.bit_length() - 1]
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            planes.reverse()
+            touched = 0
+            for plane in planes:
+                touched |= plane
+        else:
+            touched = rows[splitter.bit_length() - 1]
+            planes = [touched]
+        single = len(planes) == 1
+        todo = unsplit
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            cell = cells[x]
+            inside = cell & touched
+            if not inside:
+                continue
+            if single:
+                if inside == cell:
+                    continue
+                frags = [cell ^ inside, inside]
+            else:
+                frags = [cell]
+                for plane in planes:
+                    inside = cell & plane
+                    if inside and inside != cell:
+                        frags = [part for f in frags for part in (f & ~plane, f & plane) if part]
+                if len(frags) == 1:
+                    continue
+            sizes = [f.bit_count() for f in frags]
+            trace.append((s, x, *sizes))
+            if expect is not None and (
+                len(trace) > len(expect) or trace[-1] != expect[len(trace) - 1]
+            ):
+                return False
+            # A cell no longer queued is stable, and the counts into its
+            # first largest fragment follow from those into the others.
+            skip = -1 if x in queued else sizes.index(max(sizes))
+            cells[x] = frags[0]
+            if not frags[0] & (frags[0] - 1):
+                unsplit ^= low
+            if skip and x not in queued:
+                queued.add(x)
+                queue.append(x)
+            for k in range(1, len(frags)):
+                y = len(cells)
+                if k != skip:
+                    queued.add(y)
+                    queue.append(y)
+                if frags[k] & (frags[k] - 1):
+                    unsplit |= 1 << y
+                cells.append(frags[k])
+    return expect is None or len(trace) == len(expect)
+
+
+def _individualise(rows, cells: list[int], x: int, v: int, trace: list, expect=None) -> bool:
+    """Split vertex ``v`` off its cell ``x`` of the equitable partition
+    ``cells`` as a new last cell, then refine; splitting by ``{v}`` alone
+    suffices."""
+    cells[x] ^= 1 << v
+    cells.append(1 << v)
+    return _refine(rows, cells, [len(cells) - 1], trace, expect)
+
+
+def _orbit(v: int, gens) -> int:
+    """The orbit of ``v`` under the group generated by ``gens``, as a mask."""
+    orbit, frontier = 1 << v, [v]
+    while frontier:
+        x = frontier.pop()
+        for gen in gens:
+            y = gen[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                frontier.append(y)
+    return orbit
+
+
+@lru_cache(maxsize=256)
+def _lex_leader(h: Graph):
+    """The lex-leader constraints of pattern ``h`` in search order, and the
+    detection nodes spent on them.
+
+    For each position i the constraints are None or the positions q > i,
+    counted from i + 1, whose host vertex must lie above p_i's: those that an
+    automorphism fixing the first i pattern vertices maps p_i onto.
+
+    Orbits are found by individualisation and refinement (McKay & Piperno,
+    *Practical graph isomorphism II*, 2014).  The chain starts from the
+    equitable refinement of the degree partition and individualises p_0,
+    p_1, ... in turn, skipping a vertex already alone in its cell, until the
+    partition is discrete; past that point only the identity fixes the
+    prefix.  Levels are done deepest first, so the automorphisms found at a
+    level (they fix its prefix) close the orbits of every shallower one.  An
+    automorphism mapping p_i to q is searched by individualising q in p_i's
+    place, then at each deeper step every vertex of the cell matching the
+    chain's, keeping only refinements whose traces equal the chain's; a
+    discrete end gives a bijection that is kept only if it is checked to be
+    an automorphism.  One node is one such individualisation; after
+    ``n(h) ** 2`` of them every open test gives up and keeps the orbit found
+    so far, which only drops constraints.  With the chain's own, at most
+    n(h), that bounds the refinements by n(h) ** 2 + n(h) + 1."""
+    order = _plan(h)[0]
+    n, rows = h.n, h.rows
+    if n < 2:
+        return (None,) * n, 0
+    limit = n * n
+    nodes = 0
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    chain = [[by_degree[d] for d in sorted(by_degree)]]
+    _refine(rows, chain[0], list(range(len(by_degree))), [])
+    traces: list[list] = [[]]
+    # steps[k]: the position individualised between chain[k] and chain[k + 1]
+    # and the index of its cell; positions whose vertex is already alone in
+    # its cell are fixed by every automorphism that fixes the earlier ones.
+    steps = []
+    for i, v in enumerate(order):
+        cells = chain[-1]
+        if len(cells) == n:
+            break
+        x = next(x for x, cell in enumerate(cells) if cell >> v & 1)
+        if cells[x] == 1 << v:
+            continue
+        cells, trace = cells.copy(), []
+        _individualise(rows, cells, x, v, trace)
+        steps.append((i, x))
+        chain.append(cells)
+        traces.append(trace)
+    depth = len(steps)
+
+    def extend(k: int, right: list[int], cands: int):
+        # Images in cands of the vertex individualised at step k, in the
+        # partition right that matches chain[k].
+        nonlocal nodes
+        x = steps[k][1]
+        while cands and nodes < limit:
+            low = cands & -cands
+            cands ^= low
+            nodes += 1
+            cells = right.copy()
+            if not _individualise(rows, cells, x, low.bit_length() - 1, [], traces[k + 1]):
+                continue
+            if k + 1 < depth:
+                found = extend(k + 1, cells, cells[steps[k + 1][1]])
+            else:
+                found = [0] * n
+                for a, b in zip(chain[depth], cells):
+                    found[a.bit_length() - 1] = b.bit_length() - 1
+                for v, row in enumerate(rows):
+                    image = 0
+                    while row:
+                        bit = row & -row
+                        row ^= bit
+                        image |= 1 << found[bit.bit_length() - 1]
+                    if image != rows[found[v]]:
+                        found = None
+                        break
+            if found is not None:
+                return found
+        return None
+
+    gens: list[list[int]] = []
+    bounds: list = [None] * n
+    for k in range(depth - 1, -1, -1):
+        i, x = steps[k]
+        v = order[i]
+        orbit = _orbit(v, gens)
+        todo = chain[k][x] & ~orbit
+        while todo and nodes < limit:
+            low = todo & -todo
+            sigma = extend(k, chain[k], low)
+            if sigma is None:
+                todo &= ~_orbit(low.bit_length() - 1, gens)
+            else:
+                gens.append(sigma)
+                orbit = _orbit(v, gens)
+                todo &= ~orbit
+        if orbit != 1 << v:
+            bounds[i] = tuple(q - i - 1 for q in range(i + 1, n) if orbit >> order[q] & 1)
+    return tuple(bounds), nodes
+
+
+def _above(masks: list[int], positions, above: int) -> bool:
+    """Narrow ``masks`` at ``positions`` to the bits of ``above``; False as
+    soon as one of them empties."""
+    for j in positions:
+        m = masks[j] & above
+        if not m:
+            return False
+        masks[j] = m
+    return True
+
+
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
-    """Core backtracking search; returns an assignment tuple or None."""
+    """Core backtracking search; returns an assignment tuple or None.
+
+    ``base_candidates`` None means every host vertex, and only then are the
+    pattern's lex-leader constraints applied."""
     nh, ng = h.n, g.n
     if nh > ng:
         return None
@@ -205,26 +474,38 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         at_least[row.bit_count()] |= 1 << w
     for d in range(ng - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
+    gmask = g.mask
     cand = []
     for v, dv in zip(order, degrees):
-        allowed = base_candidates[v] & at_least[dv] & ~at_least[dv + ng - nh + 1]
+        base = gmask if base_candidates is None else base_candidates[v]
+        allowed = base & at_least[dv] & ~at_least[dv + ng - nh + 1]
         if not allowed:
             return None
         cand.append(allowed)
-    gmask = g.mask
     look_ahead = nh - 3
     rows = g.rows
     assign = [0] * nh
+    # Nodes are counted here and charged to the budget on the way out; the
+    # search raises at the same node as spending them one by one would.
+    # Without a budget the cap is out of reach.
+    cap = 1 << 62 if budget is None else budget.limit - budget.used
+    spent = 0
+    # bounds[pos]: None, or the later positions (counted from pos + 1) that
+    # must take a host vertex above the one at pos.
+    bounds = (None,) * nh
 
     def rec(pos: int, m: int, rest: list[int]) -> bool:
         # m: candidates of pattern position pos; rest: those of pos+1, ...
+        nonlocal spent
         adj = later[pos]
+        lex = bounds[pos]
         while m:
             low = m & -m
             m ^= low
             w = low.bit_length() - 1
-            if budget is not None:
-                budget.spend()
+            spent += 1
+            if spent > cap:
+                raise SearchBudgetExceeded(budget.used + spent)
             nbr = rows[w]
             non = gmask ^ nbr ^ low
             nxt = []
@@ -234,6 +515,8 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                     break
                 nxt.append(nm)
             else:
+                if lex is not None and not _above(nxt, lex, -(low << 1)):
+                    continue
                 assign[pos] = w
                 if not nxt:
                     return True
@@ -245,8 +528,24 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                     return True
         return False
 
-    if not rec(0, cand[0], cand[1:]):
-        return None
+    # The lex-leader constraints start once a root candidate has failed and
+    # the search has spent as many nodes as their detection may (n(h)**2).
+    detect = base_candidates is None
+    roots, rest = cand[0], cand[1:]
+    try:
+        while roots:
+            low = roots & -roots
+            roots ^= low
+            if rec(0, low, rest):
+                break
+            if detect and roots and spent >= nh * nh:
+                detect = False
+                bounds = _lex_leader(h)[0]
+        else:
+            return None
+    finally:
+        if budget is not None:
+            budget.used += spent
     out = [0] * nh
     for p, v in enumerate(order):
         out[v] = assign[p]
@@ -259,8 +558,7 @@ def induced_embed(
     """First induced embedding of ``h`` into ``g`` under the fixed search
     order, or None.  The search is complete: None means no embedding exists.
     """
-    full = [g.mask] * h.n
-    return _embed(h, g, full, budget)
+    return _embed(h, g, None, budget)
 
 
 def labelled_embed(

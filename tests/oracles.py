@@ -22,7 +22,11 @@ checks a witness pair by pair through the template's adjacency law, as
 ``oracle_class_partition`` decides by enumeration whether the vertices split
 into at most k parts that are cliques or independent sets with a matching or
 co-matching between any two, which ``uniform``'s partition check decides by
-backtracking.
+backtracking.  ``oracle_lex_orbits`` lists, for each position of a search
+order, the later positions that an automorphism fixing the earlier ones maps
+it onto, from all n! permutations; the embedding search's lex-leader
+constraints must equal it.  ``oracle_reconstruct_thm52`` is the thm52 walk
+as it ran before its bitmask form, over the matrix side split.
 """
 
 from itertools import combinations, permutations, product
@@ -322,3 +326,51 @@ def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:
             if g.adjacent(u, v) != t.law(witness.assign[u], witness.assign[v]):
                 return WitnessCheck(False, (u, v))
     return WitnessCheck(True)
+
+
+def oracle_lex_orbits(h: Graph, order) -> list[tuple[int, ...]]:
+    """For each position i of ``order``, the positions q > i such that some
+    automorphism of ``h`` fixing order[0..i-1] maps order[i] to order[q]."""
+    n = h.n
+    autos = [
+        p
+        for p in permutations(range(n))
+        if all(h.adjacent(p[u], p[v]) == h.adjacent(u, v) for u, v in combinations(range(n), 2))
+    ]
+    out = []
+    for i, v in enumerate(order):
+        images = {p[v] for p in autos if all(p[order[j]] == order[j] for j in range(i))}
+        out.append(tuple(q for q in range(i + 1, n) if order[q] in images))
+    return out
+
+
+def oracle_reconstruct_thm52(g: Graph, x1: int):
+    """The thm52 walk from x_1 over lists: odd steps take the unique
+    cross-side neighbour, even steps the unique same-side non-neighbour,
+    with the sides from ``oracle_same_side_components``; None when a step is
+    not forced or revisits a vertex."""
+    m = g.n
+    if m % 4 or m < 12 or not 0 <= x1 < m:
+        return None
+    side_of = oracle_same_side_components(g)
+    if side_of is None:
+        return None
+    walk = [x1]
+    seen = {x1}
+    cur = x1
+    for step in range(1, m):
+        cur_side = side_of[cur]
+        if step % 2 == 1:
+            cands = [w for w in g.neighbours(cur) if side_of[w] != cur_side]
+        else:
+            cands = [
+                w
+                for w in range(m)
+                if w != cur and side_of[w] == cur_side and not g.adjacent(cur, w)
+            ]
+        if len(cands) != 1 or cands[0] in seen:
+            return None
+        cur = cands[0]
+        walk.append(cur)
+        seen.add(cur)
+    return tuple(walk)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from wqograph.antichains import (
 )
 from wqograph.graphs import Graph, build, disjoint_union, induced
 from wqograph.order import induced_embed, is_free
-from oracles import oracle_same_side_components
+from oracles import oracle_reconstruct_thm52, oracle_same_side_components
 from strategies import small_graphs
 
 
@@ -166,6 +168,60 @@ class TestSameSideComponents:
             assert side == oracle_same_side_components(g)
             assert {side[v] for v in x} != {side[v] for v in y}
             assert len({side[v] for v in x}) == len({side[v] for v in y}) == 1
+
+
+@st.composite
+def thm52_like(draw):
+    """A thm52 member, relabelled or not, with or without one vertex pair
+    flipped, or a random graph whose vertex count is a multiple of four."""
+    kind = draw(st.sampled_from(("member", "relabelled", "flipped", "random")))
+    if kind == "random":
+        n = draw(st.sampled_from((12, 16, 20)))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b])
+    g = gen_thm52(draw(st.integers(3, 8)))
+    if kind == "member":
+        return g
+    perm = draw(st.permutations(range(g.n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+    if kind == "flipped":
+        u, v = sorted(draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)))
+        edges ^= {(u, v)}
+    return Graph.from_edges(g.n, sorted(edges))
+
+
+class TestReconstructThm52:
+    @given(thm52_like())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_list_walk(self, g):
+        for start in range(-1, g.n + 1):
+            assert reconstruct_thm52(g, start) == oracle_reconstruct_thm52(g, start)
+
+    def test_parallel_matchings_have_no_walk(self):
+        # Each side is K6 minus a perfect matching and every vertex has one
+        # cross neighbour, as in thm52(3), but the cross matching pairs the
+        # side matchings, so every walk closes after four steps.
+        side_a = [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 1 or u % 2]
+        edges = side_a + [(u + 6, v + 6) for u, v in side_a] + [(v, v + 6) for v in range(6)]
+        g = Graph.from_edges(12, edges)
+        assert all(g.degree(v) == 5 for v in range(12))
+        for start in range(12):
+            assert reconstruct_thm52(g, start) is None
+            assert oracle_reconstruct_thm52(g, start) is None
+
+    def test_members_every_start(self):
+        rng = random.Random(52)
+        for n in range(3, 17):
+            canonical = gen_thm52(n)
+            perm = rng.sample(range(canonical.n), canonical.n)
+            relabelled = Graph.from_edges(
+                canonical.n, [(perm[u], perm[v]) for u, v in canonical.edges()]
+            )
+            for g in (canonical, relabelled):
+                for start in range(g.n):
+                    walk = reconstruct_thm52(g, start)
+                    assert walk is not None and walk == oracle_reconstruct_thm52(g, start)
 
 
 class TestMemberCap:

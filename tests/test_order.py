@@ -5,12 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqograph.graphs import Graph, build, complement, induced
+from wqograph.graphs import (
+    Graph,
+    biclique,
+    build,
+    complement,
+    complete_graph,
+    cycle_graph,
+    decode_graph6,
+    disjoint_union,
+    induced,
+)
 from wqograph.order import (
     LabelledGraph,
     QuasiOrder,
     SearchBudget,
     SearchBudgetExceeded,
+    _lex_leader,
+    _plan,
     induced_embed,
     in_class_S,
     is_free,
@@ -18,13 +30,45 @@ from wqograph.order import (
     labelled_embed,
 )
 from wqograph.antichains import gen_thm51, gen_thm52
-from oracles import oracle_embed, oracle_embed_search
+from oracles import oracle_embed, oracle_embed_search, oracle_lex_orbits
 from strategies import small_graphs
 
 
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def relabel(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(
+        q, [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in squares]
+    )
+
+
+@st.composite
+def symmetric_graphs(draw, max_n=16):
+    """A relabelled cycle, clique, perfect matching, complete bipartite graph
+    or antichain family member on at most ``max_n`` vertices: graphs with
+    many automorphisms, which random graphs rarely have."""
+    members = [m for m in (gen_thm51(2), gen_thm51(3), gen_thm52(3), gen_thm52(4)) if m.n <= max_n]
+    kinds = ("cycle", "clique", "matching", "biclique") + (("member",) if members else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cycle":
+        g = cycle_graph(draw(st.integers(3, max_n)))
+    elif kind == "clique":
+        g = complete_graph(draw(st.integers(1, min(max_n, 7))))
+    elif kind == "matching":
+        g = disjoint_union([complete_graph(2)] * draw(st.integers(1, max_n // 2)))
+    elif kind == "biclique":
+        g = biclique(draw(st.integers(1, max_n // 2)), draw(st.integers(1, max_n // 2)))
+    else:
+        g = draw(st.sampled_from(members))
+    return relabel(g, draw(st.permutations(range(g.n))))
 
 
 class TestInducedEmbed:
@@ -93,9 +137,13 @@ class TestSearchAgainstOracle:
         found = search(fast)
         assert found == oracle_embed_search(h, g, candidates, plain)
         assert fast.used <= plain.used
+        shared = SearchBudget(fast.used + 7, used=7)
+        assert search(shared) == found and shared.used == fast.used + 7
         if fast.used:
-            with pytest.raises(SearchBudgetExceeded):
-                search(SearchBudget(fast.used - 1))
+            short = SearchBudget(fast.used + 6, used=7)
+            with pytest.raises(SearchBudgetExceeded) as exc:
+                search(short)
+            assert exc.value.nodes == short.used == fast.used + 7
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(7), small_graphs(14))
@@ -114,17 +162,46 @@ class TestSearchAgainstOracle:
         ]
         self.check(h, g, candidates, lambda b: labelled_embed(lh, lg, order, b))
 
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_graphs(9), st.one_of(small_graphs(14), symmetric_graphs()))
+    def test_induced_symmetric(self, h, g):
+        self.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
+
+    def test_labels_break_symmetry(self):
+        # The two pattern vertices are twins, but only the second may take a
+        # host vertex labelled 0, and the embeddings found map the first
+        # pattern vertex above the second.  In the second host the first four
+        # root candidates fail, which is as many nodes as a 2-vertex
+        # pattern's symmetry detection may take.
+        chain = QuasiOrder.total((1, 0))
+        h = LabelledGraph(Graph.empty(2), (1, 0))
+        g = LabelledGraph(Graph.empty(2), (0, 1))
+        assert labelled_embed(h, g, chain) == (1, 0)
+        g = LabelledGraph(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), (0, 1, 1, 1, 1))
+        budget = SearchBudget(10**9)
+        assert labelled_embed(h, g, chain, budget) == (4, 0)
+        assert budget.used == 6
+
     @pytest.mark.parametrize(
         "pattern, host, nodes, oracle_nodes",
         [
-            ("P1+2P2", gen_thm52(12), 24_480, 448_800),
-            ("co(P1+P4)", gen_thm52(12), 22_272, 43_392),
+            ("P1+2P2", gen_thm52(12), 8_444, 448_800),
+            ("co(P1+P4)", gen_thm52(12), 11_932, 43_392),
             # Every second vertex's only non-neighbour among the last
             # vertex's candidates is itself, so each first vertex is cut.
             ("3P1", build("2K2"), 4, 12),
             ("3P1", build("C5"), 5, 15),
+            ("C8", build("C9"), 70, 117),
+            (gen_thm52(3), gen_thm52(4), 347, 1_200),
         ],
-        ids=["thm52-12-P1+2P2", "thm52-12-co(P1+P4)", "2K2-3P1", "C5-3P1"],
+        ids=[
+            "thm52-12-P1+2P2",
+            "thm52-12-co(P1+P4)",
+            "2K2-3P1",
+            "C5-3P1",
+            "C9-C8",
+            "thm52-4-thm52-3",
+        ],
     )
     def test_pinned_nodes(self, pattern, host, nodes, oracle_nodes):
         h = build(pattern)
@@ -134,6 +211,55 @@ class TestSearchAgainstOracle:
         assert (fast.used, plain.used) == (nodes, oracle_nodes)
 
 
+class TestLexLeader:
+    """The constraints the search takes from the pattern's automorphisms."""
+
+    @staticmethod
+    def constrained(h):
+        bounds, _ = _lex_leader(h)
+        return [tuple(i + 1 + j for j in b or ()) for i, b in enumerate(bounds)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_graphs(7), symmetric_graphs(7)))
+    def test_equal_stabiliser_orbits(self, h):
+        assert self.constrained(h) == oracle_lex_orbits(h, _plan(h)[0])
+
+    def test_refinement_alone_is_no_proof(self):
+        # A 4-regular graph on 9 vertices in which individualised partitions
+        # refine alike although no automorphism maps one onto the other: the
+        # bijection read off them must be checked.
+        h = decode_graph6("HHUmdjI")
+        assert self.constrained(h) == oracle_lex_orbits(h, _plan(h)[0])
+
+    @pytest.mark.parametrize(
+        "big, small, host",
+        [
+            (cycle_graph(64), cycle_graph(10), cycle_graph(13)),
+            (gen_thm51(16), gen_thm51(2), gen_thm51(3)),
+            (gen_thm52(16), gen_thm52(3), gen_thm52(4)),
+            (paley(61), paley(13), paley(17)),
+            (biclique(32, 32), biclique(4, 4), build("K4,5+P3")),
+            (
+                disjoint_union([complete_graph(4)] * 16),
+                disjoint_union([complete_graph(4)] * 3),
+                build("2K4+K3+P4"),
+            ),
+        ],
+        ids=["C64", "thm51-16", "thm52-16", "paley-61", "K32,32", "16K4"],
+    )
+    def test_detection_bounded(self, big, small, host):
+        """Detection on a relabelled 61- or 64-vertex graph stays within
+        n(h)**2 nodes and finds constraints; a smaller graph of the same kind
+        gives the oracle's embedding into a relabelled host."""
+        rng = random.Random(big.n)
+        h = relabel(big, rng.sample(range(big.n), big.n))
+        bounds, nodes = _lex_leader(h)
+        assert 0 < nodes <= h.n**2
+        assert bounds[0] is not None
+        h = relabel(small, rng.sample(range(small.n), small.n))
+        g = relabel(host, rng.sample(range(host.n), host.n))
+        assert _lex_leader(h)[0][0] is not None
+        TestSearchAgainstOracle.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
 class TestLabelledEmbed:
     def test_equal_labels_reduce_to_plain(self):
         rng = random.Random(2)
