@@ -22,6 +22,11 @@ Families:
   over random graphs with at most 10 vertices at several edge densities and
   over random induced subgraphs of expansions of random templates of order
   at most 3;
+- ``uniform-hard``: ``uniformicity(g, 3)`` over graphs drawn as the ``uniform``
+  benchmark draws its 8-vertex searches (14 of the 28 pairs as edges), many of
+  which split into three parts with a matching or a co-matching between any
+  two yet have no witness, and over restricted template expansions with one
+  vertex pair flipped;
 - ``templates``: the canonical templates of orders 1 to 3, in search order;
 - ``antichain``: ``verify_family`` reports (thm51 2..6, thm52 3..5, cycles
   4..13); ``induced_embed`` both ways between randomly relabelled members of
@@ -57,6 +62,9 @@ UNIFORM_SEED = 20261019
 UNIFORM_DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
 UNIFORM_GRAPHS = 300  # per density
 UNIFORM_EXPANSIONS = 500
+UNIFORM_HARD_SEED = 20261021
+UNIFORM_HARD_GRAPHS = 300
+UNIFORM_HARD_MUTANTS = 300
 ANTICHAIN_SEED = 20261020
 FAMILY_REPORTS = (("thm51", range(2, 7)), ("thm52", range(3, 6)), ("cycles", range(4, 14)))
 RELABELLED_PAIRS = (("thm51", range(2, 6)), ("thm52", range(3, 6)), ("cycles", range(4, 14)))
@@ -145,24 +153,40 @@ def uniform_battery() -> list[Graph]:
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             graphs.append(Graph.from_edges(n, edges))
     for _ in range(UNIFORM_EXPANSIONS):
-        k = rng.randint(1, 3)
-        f = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
-        matrix = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
-        template = uniform.UniformTemplate(
-            k, Graph.from_edges(k, f), tuple(tuple(r) for r in matrix)
-        )
-        g = uniform.expand_template(template, rng.randint(1, 4))
-        size = rng.randint(1, min(g.n, uniform.MAX_SEARCH_N))
-        graphs.append(induced(g, sorted(rng.sample(range(g.n), size))))
+        graphs.append(restricted_expansion(rng))
     return graphs
 
 
-def uniform_searches() -> str:
+def restricted_expansion(rng: random.Random) -> Graph:
+    """A random induced subgraph, with at most ``MAX_SEARCH_N`` vertices, of
+    an expansion of a random template of order at most 3."""
+    k = rng.randint(1, 3)
+    f = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
+    matrix = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
+    template = uniform.UniformTemplate(k, Graph.from_edges(k, f), tuple(tuple(r) for r in matrix))
+    g = uniform.expand_template(template, rng.randint(1, 4))
+    size = rng.randint(1, min(g.n, uniform.MAX_SEARCH_N))
+    return induced(g, sorted(rng.sample(range(g.n), size)))
+
+
+def uniform_hard_battery() -> list[Graph]:
+    rng = random.Random(UNIFORM_HARD_SEED)
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    graphs = [Graph.from_edges(8, rng.sample(pairs, len(pairs) // 2)) for _ in range(UNIFORM_HARD_GRAPHS)]
+    while len(graphs) < UNIFORM_HARD_GRAPHS + UNIFORM_HARD_MUTANTS:
+        g = restricted_expansion(rng)
+        if g.n > 1:
+            flip = tuple(sorted(rng.sample(range(g.n), 2)))
+            graphs.append(Graph.from_edges(g.n, sorted(set(g.edges()) ^ {flip})))
+    return graphs
+
+
+def uniform_searches(battery: list[Graph]) -> str:
     digest = Digest()
-    for g in uniform_battery():
+    for g in battery:
         found = uniform.uniformicity(g, 3)
         digest.add(None if found is None else [found[0], found[1].to_json()])
     return digest.hex()
@@ -212,7 +236,8 @@ def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
-    digests["uniform"] = uniform_searches()
+    digests["uniform"] = uniform_searches(uniform_battery())
+    digests["uniform-hard"] = uniform_searches(uniform_hard_battery())
     digests["templates"] = templates()
     digests["antichain"] = antichain()
     for name, value in digests.items():

@@ -23,15 +23,26 @@ read the doubled F edge together with the flipped K entry, which combine to
 the required flip.
 
 The bounded search (``is_k_uniform``, ``uniformicity``) first asks whether
-the vertices split into at most k parts, each a clique or an independent
-set, with a matching or a co-matching between any two parts.  The classes of
-any order-k witness form such a partition: two vertices of one class i sit
-in different copies, so they are adjacent iff K(i, i) = 1; and between
-classes i and j the adjacency XOR K(i, j) marks exactly the pairs in one
-copy if ij is an edge of F and no pair otherwise, while one copy holds at
-most one vertex of each class.  When no such partition exists there is no
-order-k witness and no template is tried.  The check may accept graphs that
-have no witness; then the template loop decides.
+the classes and copies of an order-k witness can be laid out at all.  Two
+vertices of one class i sit in different copies, so they are adjacent iff
+K(i, i) = 1: every class is a clique or an independent set.  Between
+classes i and j, call the pairs whose adjacency differs from K(i, j) the
+deviation: it holds exactly the pairs in one copy if ij is an edge of F and
+no pair otherwise, and since a copy holds at most one vertex of each class
+it is a matching.  The check therefore looks for a split of the vertices
+into at most k parts, each a clique or an independent set, with the edges
+(K = 0) or the non-edges (K = 1) between any two parts a matching, and a
+copy relation that fits it: no copy holds two vertices of one part, and
+between two parts with a non-empty deviation (which forces the F-edge) the
+pairs in one copy are exactly the deviation.  An empty deviation imposes
+nothing (take no F-edge).  Any relation that fits contains every deviation
+pair, and joining more pairs can only break the two conditions, so the
+least relation, the closure of the deviation pairs, fits whenever any
+relation does; where both the edges and the non-edges between two parts
+form a non-empty matching (parts of at most two vertices), both are tried.
+A split with a fitting relation is itself a witness, with the parts as
+classes, so the check is exact: when it fails no template is tried, and
+when it holds the template loop finds a witness.
 
 The template loop tries the canonical templates of order k in a fixed order
 and, for each, places vertices 0..n-1 in turn on the free slots (c, i) in
@@ -41,19 +52,23 @@ placement a forward check asks whether every later vertex still fits some
 free slot given the placed ones, and abandons the placement if one does not.
 The check only cuts subtrees that hold no witness, so the first witness is
 that of the plain slot search and the slots tried are a subset of its.  One
-search node, one ``SearchBudget.spend()``, is one part tried for a vertex in
-the partition check or one free slot tried in the template loop.
+search node is one part tried for a vertex in the partition check or one
+free slot tried in the template loop; testing the copies of a complete split
+is no node, as each such test follows at least one (but on the empty graph,
+where it is trivial).  Both searches count their nodes locally, charge them
+to the budget on the way out, and raise :class:`SearchBudgetExceeded` at the
+node where spending them one by one would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable
 
-from .graphs import Graph
-from .order import SearchBudget
+from .graphs import Graph, bits_of
+from .order import SearchBudget, SearchBudgetExceeded
 
 
 class SearchRefused(RuntimeError):
@@ -265,7 +280,8 @@ def _find_assignment(
     """
     n, k = g.n, template.k
     rows = g.rows
-    spend = None if budget is None else budget.spend
+    cap = 1 << 62 if budget is None else budget.limit - budget.used
+    spent = 0
     k_classes, f_classes = _class_lists(template)
     across = [0] * k
     flips = [0] * k
@@ -293,6 +309,7 @@ def _find_assignment(
         return True
 
     def place(v: int, copies: int) -> bool:
+        nonlocal spent
         if v == n:
             return True
         nv = rows[v] & ((1 << v) - 1)
@@ -303,8 +320,9 @@ def _find_assignment(
             for i in range(k):
                 if tk >> i & 1:
                     continue
-                if spend is not None:
-                    spend()
+                spent += 1
+                if spent > cap:
+                    raise SearchBudgetExceeded(budget.used + spent)
                 if nv ^ across[i] != flips[i] & cm:
                     continue
                 for j in k_classes[i]:
@@ -326,25 +344,30 @@ def _find_assignment(
                 taken[c] = tk
         return False
 
-    if place(0, 0):
-        return tuple(assign)
-    return None
+    try:
+        found = place(0, 0)
+    finally:
+        if budget is not None:
+            budget.used += spent
+    return tuple(assign) if found else None
 
 
 def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
-    """Whether the vertices split into at most k parts, each a clique or an
-    independent set, with a matching or a co-matching between any two parts.
+    """Whether the vertices split into at most k parts with a copy relation
+    that fits, as the module docstring sets out: exactly when some order-k
+    template has a witness.
 
-    The classes of any order-k witness form such a partition, so False rules
-    out every order-k template.  Vertices are placed 0..n-1 on the open parts
-    and then on a fresh one (parts open in first-use order); one search node,
-    one ``SearchBudget.spend()``, is one part tried for one vertex.
-    ``modes[p][q]`` holds what the placed vertices still allow between parts
-    p and q: bit 1 a matching, bit 2 a co-matching.
+    Vertices are placed 0..n-1 on the open parts and then on a fresh one
+    (parts open in first-use order); one search node is one part tried for
+    one vertex.  ``modes[p][q]`` holds what the placed vertices still allow
+    between parts p and q: bit 1 a matching, bit 2 a co-matching.  Each
+    complete split is tested for copies, and the search goes on when none
+    fit.
     """
     n = g.n
     rows = g.rows
-    spend = None if budget is None else budget.spend
+    cap = 1 << 62 if budget is None else budget.limit - budget.used
+    spent = 0
     parts = [0] * k
     modes = [[3] * k for _ in range(k)]
 
@@ -380,13 +403,53 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
                 out.append((q, old, mode))
         return out
 
+    def copies_fit(opened: int) -> bool:
+        """Whether the closure of the deviation pairs fits the complete
+        split, for some choice of K between parts whose edges and non-edges
+        both form a non-empty matching.  A deviation is kept as ``(qm,
+        devs)``: part q's mask and, for each vertex u of part p, the mask of
+        its partner in q (0 if none).
+
+        The closure fits iff no component holds a cross pair of a non-empty
+        deviation's parts that is not a deviation pair.  That keeps two
+        vertices of one part apart too: if u and u' of part p share a
+        component, one of them, say u, was joined to a partner v in some
+        part q, and (u', v) is then such a cross pair."""
+        choices = []
+        for p in range(opened):
+            members = bits_of(parts[p])
+            for q in range(p + 1, opened):
+                qm = parts[q]
+                options = []
+                for bit, flip in ((1, 0), (2, -1)):  # K = 0: edges; K = 1: non-edges
+                    if modes[p][q] & bit:
+                        devs = [(u, (rows[u] ^ flip) & qm) for u in members]
+                        if not any(d for _, d in devs):
+                            break  # an empty deviation imposes nothing
+                        options.append((qm, devs))
+                else:
+                    choices.append(options)
+        for chosen in product(*choices):
+            comp = [1 << v for v in range(n)]
+            for _, devs in chosen:
+                for u, d in devs:
+                    if d and not comp[u] & d:
+                        joined = comp[u] | comp[d.bit_length() - 1]
+                        for w in bits_of(joined):
+                            comp[w] = joined
+            if all(not comp[u] & qm or comp[u] & qm == d for qm, devs in chosen for u, d in devs):
+                return True
+        return False
+
     def place(v: int, opened: int) -> bool:
+        nonlocal spent
         if v == n:
-            return True
+            return copies_fit(opened)
         bit = 1 << v
         for p in range(min(opened + 1, k)):
-            if spend is not None:
-                spend()
+            spent += 1
+            if spent > cap:
+                raise SearchBudgetExceeded(budget.used + spent)
             changes = narrowed(v, p, opened)
             if changes is None:
                 continue
@@ -400,7 +463,11 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
                 modes[p][q] = modes[q][p] = old
         return False
 
-    return place(0, 0)
+    try:
+        return place(0, 0)
+    finally:
+        if budget is not None:
+            budget.used += spent
 
 
 def is_k_uniform(

@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wqograph
 from wqograph import antichains
 from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
 from wqograph.graphs import build, decode_graph6, encode_graph6
@@ -130,6 +134,19 @@ class TestCommands:
         assert main(["selftest", "--only", "C1,C3"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    def test_python_m_runs_main(self, capsys):
+        """``python -m wqograph`` is ``cli.main``: same exit code, same
+        stdout (on two quick criteria, to keep the suite short)."""
+        args = ["selftest", "--json", "--only", "C1,C10"]
+        src = os.path.dirname(os.path.dirname(wqograph.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "wqograph", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert main(args) == done.returncode == 0
+        assert done.stdout == capsys.readouterr().out
 
     def test_json_deterministic(self, capsys):
         args = ["classify", "--h1", "K3", "--h2", "P6", "--json"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqograph.graphs import Graph, build, complete_graph, empty_graph, induced
+from wqograph.graphs import Graph, build, complete_graph, decode_graph6, empty_graph, induced
 from wqograph.order import SearchBudget, SearchBudgetExceeded, induced_embed
 from wqograph.ops import bipartite_complement, subgraph_complement
 from wqograph.uniform import (
@@ -227,18 +227,76 @@ def template_loop(g, kmax):
     return None
 
 
+def has_witness(g, k):
+    """Whether some template of order k, in the permutation-dedup list, has
+    an assignment for ``g``."""
+    return any(_find_assignment(g, t, None) is not None for t in dedup_templates(k))
+
+
+@st.composite
+def near_uniform_graphs(draw, max_n=9):
+    """A restricted expansion of a template of order at most 3 with at most
+    ``max_n`` vertices, with at most one vertex pair flipped."""
+    t = draw(templates(kmax=3))
+    copies = draw(st.integers(1, max(1, max_n // t.k)))
+    g = expand_template(t, copies)
+    keep = draw(st.lists(st.sampled_from(range(g.n)), min_size=1, max_size=max_n, unique=True))
+    g = induced(g, sorted(keep))
+    if g.n > 1 and draw(st.booleans()):
+        u, v = draw(st.lists(st.sampled_from(range(g.n)), min_size=2, max_size=2, unique=True))
+        g = Graph.from_edges(g.n, sorted(set(g.edges()) ^ {(min(u, v), max(u, v))}))
+    return g
+
+
+def assert_budget_exact(search):
+    """A budget already holding 7 nodes ends holding the search's nodes on
+    top, and one a node short is exhausted at exactly that count."""
+    full = SearchBudget(10**9)
+    found = search(full)
+    shared = SearchBudget(full.used + 7, used=7)
+    assert search(shared) == found and shared.used == full.used + 7
+    if full.used:
+        short = SearchBudget(full.used + 6, used=7)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(short)
+        assert exc.value.nodes == short.used == full.used + 7
+    return found, full.used
+
+
+# Three 8-vertex graphs that the copy-blind check accepted although they have
+# no witness of order 3, with the nodes ``uniformicity(g, 3)`` spends on them
+# (5,692, 5,363 and 5,706 with the template loop run on each).
+NO_WITNESS_NODES = {"Gg?Vns": 232, "GQXdg{": 160, "G`txEc": 155}
+
+
 class TestClassPartition:
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(max_n=7), st.integers(1, 3))
     def test_equals_oracle(self, g, k):
-        assert _class_partition(g, k, None) == oracle_class_partition(g, k)
+        """The check decides witnesses exactly, and whatever it accepts the
+        copy-blind partition oracle accepts too."""
+        found = _class_partition(g, k, None)
+        assert found == has_witness(g, k)
+        assert not found or oracle_class_partition(g, k)
 
-    @settings(max_examples=150, deadline=None)
-    @given(small_graphs(max_n=9), st.integers(1, 3))
-    def test_no_only_without_witness(self, g, k):
-        if not _class_partition(g, k, None):
-            for template in _canonical_templates(k):
-                assert _find_assignment(g, template, None) is None
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_graphs(max_n=9), near_uniform_graphs()), st.integers(1, 3))
+    def test_equals_witness_search(self, g, k):
+        assert _class_partition(g, k, None) == has_witness(g, k)
+
+    def test_every_graph_to_five_vertices(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                for k in (1, 2, 3):
+                    assert _class_partition(g, k, None) == has_witness(g, k), (g.rows, k)
+
+    def test_no_template_loop_without_witness(self):
+        for g6, nodes in NO_WITNESS_NODES.items():
+            g = decode_graph6(g6)
+            assert oracle_class_partition(g, 3) and not has_witness(g, 3)
+            assert assert_budget_exact(lambda b: uniformicity(g, 3, budget=b)) == (None, nodes)
 
     def test_expansions_of_every_template(self):
         rng = random.Random(8)
@@ -282,6 +340,14 @@ class TestUniformicity:
     @given(small_graphs(max_n=9))
     def test_equals_template_loop(self, g):
         assert uniformicity(g, 3) == template_loop(g, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_graphs(max_n=9), near_uniform_graphs()))
+    def test_budget_counted_exactly(self, g):
+        """Both searches charge their nodes on the way out and raise at the
+        node where spending them one by one would."""
+        found, _ = assert_budget_exact(lambda b: uniformicity(g, 3, budget=b))
+        assert found == uniformicity(g, 3)
 
     def test_equals_template_loop_on_expansions(self):
         rng = random.Random(11)
