@@ -13,6 +13,10 @@ Families:
   benchmark sets up for seed 1 (same makers, counts and seeds);
 - ``mutants``: the reports of ``decompose_c5`` with the member's anchor over
   every C5 claim mutant of those members;
+- ``claims``: for each of those members, four seeded one-pair toggles, and
+  for each the report of the member's decomposer with the member's anchor,
+  or its ``ValueError`` message, so that the claim failures and witnesses of
+  all three branches are compared;
 - ``route``: the branch, or the ``RouteError`` message and witness, over a
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
@@ -55,6 +59,8 @@ MEMBERS = (
     ("C4", instances.c4_instance, instances.c4_branch_valid, 150),
 )
 MEMBER_START_SEED = 1_000_000
+CLAIMS_SEED = 20261022
+CLAIMS_TOGGLES = 4  # per member
 BATTERY_SEED = 20261018
 BATTERY_SIZE = 3000
 PATTERNS = ("K3", "P4", "C5", "co(2P1+P2)", "P2+P3")
@@ -96,24 +102,34 @@ def selftest() -> str:
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
 
 
-def members_and_mutants() -> tuple[str, str]:
-    members, mutants = Digest(), Digest()
+def members_and_mutants() -> tuple[str, str, str]:
+    members, mutants, claims = Digest(), Digest(), Digest()
+    rng = random.Random(CLAIMS_SEED)
     for branch, maker, valid, count in MEMBERS:
         found = instances.class_members(
             maker, count, start_seed=MEMBER_START_SEED, valid=valid
         )
         for seed, g in found:
             routed = structure.route(g)
-            report = getattr(structure, "decompose_" + routed.lower())(g)
+            decompose = getattr(structure, "decompose_" + routed.lower())
+            report = decompose(g)
             image = apply_script(g, report.script)
             members.add([branch, seed, routed, report.to_json(), list(image.rows)])
+            for _ in range(CLAIMS_TOGGLES):
+                pair = tuple(sorted(rng.sample(range(g.n), 2)))
+                toggled = Graph.from_edges(g.n, sorted(set(g.edges()) ^ {pair}))
+                try:
+                    out = decompose(toggled, report.anchor).to_json()
+                except ValueError as exc:
+                    out = str(exc)
+                claims.add([seed, pair, out])
             if branch != "C5":
                 continue
             for claim, mutant in instances.c5_claim_mutants(g, report):
                 mrep = structure.decompose_c5(mutant, cycle=report.anchor)
                 image = apply_script(mutant, mrep.script)
                 mutants.add([seed, claim, mrep.to_json(), list(image.rows)])
-    return members.hex(), mutants.hex()
+    return members.hex(), mutants.hex(), claims.hex()
 
 
 def battery() -> list[Graph]:
@@ -234,7 +250,7 @@ def antichain() -> str:
 
 def main() -> int:
     digests = {"selftest": selftest()}
-    digests["decompose"], digests["mutants"] = members_and_mutants()
+    digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
     digests["uniform"] = uniform_searches(uniform_battery())
     digests["uniform-hard"] = uniform_searches(uniform_hard_battery())

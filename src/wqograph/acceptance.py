@@ -47,6 +47,7 @@ from .uniform import (
     verify_witness,
     witness_for_expansion,
     UniformTemplate,
+    UniformWitness,
 )
 
 
@@ -64,6 +65,23 @@ def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def _restricted_expansion(rng: random.Random) -> tuple[Graph, UniformWitness]:
+    """A random template of order at most 3 expanded with one to four copies,
+    restricted to a random vertex subset, with its restricted witness."""
+    k = rng.randint(1, 3)
+    f = _random_graph(rng, k)
+    matrix = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
+    template = UniformTemplate(k, f, tuple(tuple(r) for r in matrix))
+    copies = rng.randint(1, 4)
+    g = expand_template(template, copies)
+    witness = witness_for_expansion(template, copies)
+    keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+    return induced(g, keep), restrict_witness(witness, keep)
 
 
 def brute_force_embed(h: Graph, g: Graph) -> tuple[int, ...] | None:
@@ -149,23 +167,11 @@ def run_c3(base_seed: int = 0) -> tuple[bool, str]:
     passed = 0
     for t in range(50):
         rng = random.Random(base_seed * 1000 + t)
-        k = rng.randint(1, 3)
-        f = _random_graph(rng, k)
-        matrix = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
-        template = UniformTemplate(k, f, tuple(tuple(r) for r in matrix))
-        copies = rng.randint(1, 4)
-        g = expand_template(template, copies)
-        witness = witness_for_expansion(template, copies)
-        keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
-        g = induced(g, keep)
-        witness = restrict_witness(witness, keep)
+        g, witness = _restricted_expansion(rng)
         flip = [v for v in range(g.n) if rng.random() < 0.5]
         flipped = subgraph_complement(g, flip)
         transported = transport_complement(witness, flip)
-        if transported.template.k != 2 * k:
+        if transported.template.k != 2 * witness.template.k:
             return False, f"trial {t}: wrong doubled order"
         if not verify_witness(flipped, transported).ok:
             return False, f"trial {t}: transported witness failed"
@@ -385,18 +391,8 @@ def run_c10(base_seed: int = 0) -> tuple[bool, str]:
     checked = 0
     for t in range(100):
         rng = random.Random(base_seed * 1000 + t)
-        k = rng.randint(1, 3)
-        f = _random_graph(rng, k)
-        matrix = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
-        template = UniformTemplate(k, f, tuple(tuple(r) for r in matrix))
-        copies = rng.randint(1, 4)
-        g = expand_template(template, copies)
-        witness = witness_for_expansion(template, copies)
-        keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
-        if not verify_witness(induced(g, keep), restrict_witness(witness, keep)).ok:
+        g, witness = _restricted_expansion(rng)
+        if not verify_witness(g, witness).ok:
             return False, f"restriction {t} failed to verify"
         checked += 1
     return True, f"ground truths exact; {checked}/100 restrictions verify"

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import antichains, classifier, structure
-from .acceptance import run_criteria
+from .acceptance import CRITERIA, run_criteria
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -59,7 +59,8 @@ def parse_graph_arg(text: str) -> Graph:
             content = fh.read().strip()
         if content.startswith("{"):
             return from_json_dict(json.loads(content))
-        return decode_graph6(content.splitlines()[0])
+        # an empty file reaches the graph6 decoder, which refuses it
+        return decode_graph6((content.splitlines() or [""])[0])
     if text.startswith("g6:"):
         return decode_graph6(text[3:])
     if text.lstrip().startswith("{"):
@@ -89,6 +90,15 @@ def _patterns(text: str) -> list[str]:
     if not patterns:
         raise ValueError(f"--forbidden {text!r} names no pattern")
     return patterns
+
+
+def _criterion_ids(text: str) -> list[str]:
+    """Values of ``--only``: at least one id, each a known criterion."""
+    valid = [cid for cid, _, _ in CRITERIA]
+    ids = [c.strip() for c in text.split(",") if c.strip()]
+    if not ids or not set(ids) <= set(valid):
+        raise ValueError(f"--only {text!r}: the criterion ids are {', '.join(valid)}")
+    return ids
 
 
 def _budget_nodes(args, default: int | None = None) -> int | None:
@@ -305,7 +315,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else _criterion_ids(args.only)
     results = run_criteria(only, base_seed=args.seed)
     payload = {
         "seed": args.seed,

@@ -99,9 +99,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.rows[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):

@@ -85,11 +85,6 @@ class SearchBudget:
     limit: int
     used: int = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise SearchBudgetExceeded(self.used)
-
 
 @dataclass(frozen=True)
 class QuasiOrder:
@@ -126,15 +121,6 @@ class QuasiOrder:
     def equality(elements: Iterable[Hashable]) -> "QuasiOrder":
         elems = tuple(elements)
         return QuasiOrder(elems, frozenset((e, e) for e in elems))
-
-    @staticmethod
-    def total(elements: Sequence[Hashable]) -> "QuasiOrder":
-        """Chain in the given element order."""
-        elems = tuple(elements)
-        pairs = frozenset(
-            (elems[i], elems[j]) for i in range(len(elems)) for j in range(i, len(elems))
-        )
-        return QuasiOrder(elems, pairs)
 
     @staticmethod
     def from_pairs(elements: Iterable[Hashable], pairs: Iterable[tuple]) -> "QuasiOrder":

@@ -327,13 +327,20 @@ def _first_two(g: Graph, a: Sequence[int], b: Sequence[int], edge: bool):
     return None
 
 
+def _claim(claims: list[ClaimCheck], claim_id: str, found: Iterable) -> None:
+    """Record a claim that holds iff ``found`` yields no counterexample; the
+    first one it yields is the witness, and a generator is not run past it."""
+    worst = next(filter(None, found), None)
+    claims.append(ClaimCheck(claim_id, worst is None, worst))
+
+
 def _components_within(g: Graph, vertices: Iterable[int]) -> list[tuple[int, ...]]:
     vs = sorted(set(vertices))
     sub = induced(g, vs)
     return [tuple(vs[i] for i in comp) for comp in connected_components(sub)]
 
 
-def _deletion_script(g: Graph, deletions: Iterable[int]) -> OpScript:
+def _deletion_script(deletions: Iterable[int]) -> OpScript:
     steps = tuple(DeleteVertex(v) for v in sorted(deletions, reverse=True))
     return OpScript(steps)
 
@@ -341,6 +348,64 @@ def _deletion_script(g: Graph, deletions: Iterable[int]) -> OpScript:
 def _local_ids(survivors: Sequence[int], subset: Iterable[int]) -> tuple[int, ...]:
     pos = {v: i for i, v in enumerate(sorted(survivors))}
     return tuple(sorted(pos[v] for v in subset))
+
+
+def _cycle_split(
+    g: Graph,
+    cyc: Sequence[int],
+    prefix: str,
+    claims: list[ClaimCheck],
+    sets: dict[str, tuple[int, ...]],
+) -> tuple[set[int], dict[int, int]]:
+    """Split the off-cycle vertices of an induced cycle.
+
+    The junk set Y_i holds the common neighbours of cycle vertices i and
+    i + 1; each is claimed a clique of at most two.  Returns the junk and,
+    for every other off-cycle vertex in ascending order, its cycle-neighbour
+    pattern: bit i is set iff the vertex is adjacent to ``cyc[i]``.
+    """
+    n = len(cyc)
+    off = [v for v in range(g.n) if v not in cyc]
+    junk: set[int] = set()
+    for i in range(n):
+        both = g.rows[cyc[i]] & g.rows[cyc[(i + 1) % n]]
+        yi = tuple(v for v in off if both >> v & 1)
+        sets[f"Y{i + 1}"] = yi
+        big = yi if len(yi) > 2 else None
+        _claim(claims, f"{prefix}-Y{i + 1}", [_first_inside(g, yi, False), big])
+        junk.update(yi)
+    cycle_rows = [g.rows[c] for c in cyc]
+    return junk, {
+        v: sum((row >> v & 1) << i for i, row in enumerate(cycle_rows))
+        for v in off
+        if v not in junk
+    }
+
+
+def _template_witness(
+    class_lists: Sequence[Sequence[int]],
+    f_edges: Sequence[tuple[int, int]],
+    k_ones: Sequence[tuple[int, int]],
+    groups: Sequence[Sequence[int]],
+) -> tuple[UniformWitness, tuple[int, ...]]:
+    """Witness over the listed classes: the vertices of each copy group
+    share a copy, in group order, and every other vertex gets a fresh copy
+    in ascending order.  Returns the witness and the sorted vertex set it
+    covers; assignments are indexed by position in that sorted set."""
+    k = len(class_lists)
+    matrix = [[0] * k for _ in range(k)]
+    for i, j in k_ones:
+        matrix[i][j] = matrix[j][i] = 1
+    template = UniformTemplate(
+        k, Graph.from_edges(k, f_edges), tuple(tuple(r) for r in matrix)
+    )
+    cls = {v: c for c, lst in enumerate(class_lists) for v in lst}
+    vertices = sorted(cls)
+    copy_of = {v: c for c, group in enumerate(groups) for v in group}
+    fresh = [v for v in vertices if v not in copy_of]
+    copy_of.update((v, c) for c, v in enumerate(fresh, start=len(groups)))
+    assign = tuple((copy_of[v], cls[v]) for v in vertices)
+    return UniformWitness(template, assign), tuple(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -379,29 +444,26 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
     x = bits_of(xmask)
     outside = bits_of(g.mask & ~xmask)
 
-    claims = []
-    worst = _first_two(g, outside, x, True)
-    claims.append(ClaimCheck("L4.1-C1", worst is None, worst))
+    claims: list[ClaimCheck] = []
+    _claim(claims, "L4.1-C1", [_first_two(g, outside, x, True)])
 
     comps = _components_within(g, outside)
-    bad = next(filter(None, (_first_inside(g, comp, False) for comp in comps)), None)
-    claims.append(ClaimCheck("L4.1-P3", bad is None, bad))
+    _claim(claims, "L4.1-P3", (_first_inside(g, comp, False) for comp in comps))
 
     large = [c for c in comps if len(c) >= 2]
     comp_masks = [mask_of(c) for c in comps]
-    viol2 = None
-    for xv in x:
-        touched = [j for j, m in enumerate(comp_masks) if g.rows[xv] & m]
-        if not touched:
-            continue
-        for j, comp in enumerate(comps):
-            if len(comp) >= 2 and touched != [j]:
-                viol2 = _first_two(g, (xv,), comp, False)
-                if viol2:
-                    break
-        if viol2:
-            break
-    claims.append(ClaimCheck("L4.1-C2", viol2 is None, viol2))
+    touched = [[j for j, m in enumerate(comp_masks) if g.rows[xv] & m] for xv in x]
+    _claim(
+        claims,
+        "L4.1-C2",
+        (
+            _first_two(g, (xv,), comp, False)
+            for xv, hit in zip(x, touched)
+            if hit
+            for j, comp in enumerate(comps)
+            if len(comp) >= 2 and hit != [j]
+        ),
+    )
 
     sets = {"X": x}
     for i, comp in enumerate(comps, start=1):
@@ -441,7 +503,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         dels = [xv for xv in x if g.rows[xv] & small]
         claims.append(ClaimCheck("L4.1-C3-DEL", len(dels) <= 2, tuple(dels)))
         deletions = tuple(dels)
-        script = _deletion_script(g, deletions)
+        script = _deletion_script(deletions)
         image = apply_script(g, script)
         keep = [v for v in range(image.n) if image.degree(v) > 0]
         parts.append(
@@ -456,7 +518,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         dels = [xv for xv in x if g.rows[xv] & ~xmask]
         claims.append(ClaimCheck("L4.1-C4-DEL", len(dels) <= 2, tuple(dels)))
         deletions = tuple(dels)
-        script = _deletion_script(g, deletions)
+        script = _deletion_script(deletions)
         image = apply_script(g, script)
         parts.append(
             Part(
@@ -488,6 +550,16 @@ def _is_star_forest(g: Graph) -> bool:
 
 C5_STATED_ORDER = {1: 6, 2: 5, 3: 4, 4: 13, 5: 12, 6: 3, 7: 2}
 C5_COMPOSED_ORDER = {1: 6, 2: 5, 3: 4, 4: 33, 5: 32, 6: 3, 7: 2}
+# The direct template of each case but 4 and 5: the canonical positions of
+# the V sets used as classes (X is the class after them), the F edges and
+# the class pairs with K = 1.
+C5_TEMPLATES = {
+    1: ((0, 1, 2, 3, 4), (), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))),
+    2: ((0, 1, 2, 3), ((0, 3),), ((0, 1), (1, 2), (2, 3))),
+    3: ((0, 1, 2), ((1, 3),), ((0, 1), (1, 2))),
+    6: ((0, 2), ((0, 1),), ()),
+    7: ((0,), ((0, 1),), ()),
+}
 
 
 def c5_case_of(large: set[int]) -> tuple[int, int]:
@@ -546,60 +618,33 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     if not _is_induced_cycle(g, cyc):
         raise ValueError(f"anchor {cyc} is not an induced 5-cycle")
     on_cycle = set(cyc)
-    off = [v for v in range(g.n) if v not in on_cycle]
 
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
+    junk, pattern = _cycle_split(g, cyc, "L4.2", claims, sets)
 
-    junk: set[int] = set()
     for i in range(5):
-        a, b = cyc[i], cyc[(i + 1) % 5]
-        both = g.rows[a] & g.rows[b]
-        yi = tuple(v for v in off if both >> v & 1)
-        sets[f"Y{i + 1}"] = yi
-        viol = _first_inside(g, yi, False)
-        ok = viol is None and len(yi) <= 2
-        claims.append(
-            ClaimCheck(f"L4.2-Y{i + 1}", ok, viol if viol else (yi if not ok else None))
-        )
-        junk.update(yi)
-
-    remaining = [v for v in off if v not in junk]
-    # bit i of pattern[v]: v is adjacent to cyc[i]
-    cycle_rows = [g.rows[c] for c in cyc]
-    pattern = {
-        v: sum((row >> v & 1) << i for i, row in enumerate(cycle_rows))
-        for v in remaining
-    }
-    wsets: dict[int, list[int]] = {i: [] for i in range(5)}
-    for v in remaining:
-        if pattern[v] and not pattern[v] & (pattern[v] - 1):
-            wsets[pattern[v].bit_length() - 1].append(v)
-    for i in range(5):
-        wi = tuple(wsets[i])
+        wi = tuple(v for v, bits in pattern.items() if bits == 1 << i)
         sets[f"W{i + 1}"] = wi
-        claims.append(
-            ClaimCheck(f"L4.2-W{i + 1}", len(wi) <= 1, wi if len(wi) > 1 else None)
-        )
+        _claim(claims, f"L4.2-W{i + 1}", [wi if len(wi) > 1 else None])
         junk.update(wi)
 
-    remaining = [v for v in off if v not in junk]
     vsets: dict[int, list[int]] = {i: [] for i in range(5)}
     xset: list[int] = []
     # two opposite neighbours {i-1, i+1} name the set V_i
     opposite = {1 << (i - 1) % 5 | 1 << (i + 1) % 5: i for i in range(5)}
-    for v in remaining:
-        if not pattern[v]:
+    for v, bits in pattern.items():
+        if v in junk:
+            continue
+        if not bits:
             xset.append(v)
         else:
-            vsets[opposite[pattern[v]]].append(v)
+            vsets[opposite[bits]].append(v)
     for i in range(5):
         sets[f"V{i + 1}"] = tuple(vsets[i])
-        viol = _first_inside(g, vsets[i], True)
-        claims.append(ClaimCheck(f"L4.2-ind-V{i + 1}", viol is None, viol))
+        _claim(claims, f"L4.2-ind-V{i + 1}", [_first_inside(g, vsets[i], True)])
     sets["X"] = tuple(xset)
-    viol = _first_inside(g, xset, True)
-    claims.append(ClaimCheck("L4.2-ind-X", viol is None, viol))
+    _claim(claims, "L4.2-ind-X", [_first_inside(g, xset, True)])
 
     large = {i for i in range(5) if len(vsets[i]) >= 3}
     x_large = len(xset) >= 3
@@ -607,10 +652,6 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     # the seven claims
     def vs(i: int) -> list[int]:
         return vsets[i % 5]
-
-    def claim(claim_id: str, found) -> None:
-        worst = next(filter(None, found), None)
-        claims.append(ClaimCheck(claim_id, worst is None, worst))
 
     def at_most_one(a, b, edge: bool):
         return _first_two(g, a, b, edge) or _first_two(g, b, a, edge)
@@ -627,18 +668,21 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
                     return next(w for w in ws if hit >> w & 1), y, z
         return None
 
-    claim("L4.2-C1", (at_most_one(vs(i), xset, True) for i in range(5)))
-    claim("L4.2-C2", (at_most_one(vs(i), vs(i + 2), True) for i in range(5)))
-    claim("L4.2-C3", (at_most_one(vs(i), vs(i + 1), False) for i in range(5)))
-    claim(
+    _claim(claims, "L4.2-C1", (at_most_one(vs(i), xset, True) for i in range(5)))
+    _claim(claims, "L4.2-C2", (at_most_one(vs(i), vs(i + 2), True) for i in range(5)))
+    _claim(claims, "L4.2-C3", (at_most_one(vs(i), vs(i + 1), False) for i in range(5)))
+    _claim(
+        claims,
         "L4.2-C4",
         (_first_pair(g, xset, vs(i - 2) + vs(i + 2), True) for i in sorted(large)),
     )
-    claim(
+    _claim(
+        claims,
         "L4.2-C5",
         (_first_pair(g, vs(i - 1), vs(i + 1), True) for i in sorted(large)),
     )
-    claim(
+    _claim(
+        claims,
         "L4.2-C6",
         (
             _first_pair(g, vs(i), vs(i - 1) + vs(i + 1), False)
@@ -646,7 +690,8 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
             if {(i - 1) % 5, i, (i + 1) % 5} <= large
         ),
     )
-    claim(
+    _claim(
+        claims,
         "L4.2-C7",
         (split(i, (i + 1) % 5) for i in range(5) if {i, (i + 1) % 5} <= large),
     )
@@ -656,8 +701,7 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     if not x_large:
         small_vertices.extend(xset)
     deletions = tuple(sorted(junk | on_cycle | set(small_vertices)))
-    survivors = tuple(v for v in range(g.n) if v not in set(deletions))
-    script = _deletion_script(g, deletions)
+    script = _deletion_script(deletions)
 
     case, rot = c5_case_of(large)
     vr = [vsets[(p + rot) % 5] if (p + rot) % 5 in large else [] for p in range(5)]
@@ -679,46 +723,6 @@ def _is_induced_cycle(g: Graph, cyc: Sequence[int]) -> bool:
     )
 
 
-def _simple_template_witness(
-    g: Graph,
-    class_lists: list[list[int]],
-    f_edges: list[tuple[int, int]],
-    k_ones: list[tuple[int, int]],
-    matched_pair: tuple[int, int] | None,
-) -> tuple[UniformWitness, tuple[int, ...]]:
-    """Witness over the listed classes: matched vertices (actual edges
-    between the one F-linked class pair) share a copy, everything else gets
-    a fresh copy.  Returns the witness and the sorted vertex set it covers;
-    assignments are indexed by position in that sorted set."""
-    k = len(class_lists)
-    matrix = [[0] * k for _ in range(k)]
-    for i, j in k_ones:
-        matrix[i][j] = matrix[j][i] = 1
-    template = UniformTemplate(
-        k, Graph.from_edges(k, f_edges), tuple(tuple(r) for r in matrix)
-    )
-    vertices = sorted(v for lst in class_lists for v in lst)
-    cls = {}
-    for c, lst in enumerate(class_lists):
-        for v in lst:
-            cls[v] = c
-    copy_of: dict[int, int] = {}
-    counter = 0
-    if matched_pair is not None:
-        a, b = matched_pair
-        for u in sorted(class_lists[a]):
-            for v in sorted(class_lists[b]):
-                if g.adjacent(u, v):
-                    copy_of[u] = copy_of[v] = counter
-                    counter += 1
-    for v in vertices:
-        if v not in copy_of:
-            copy_of[v] = counter
-            counter += 1
-    assign = tuple((copy_of[v], cls[v]) for v in vertices)
-    return UniformWitness(template, assign), tuple(vertices)
-
-
 def _c5_witness_part(
     g: Graph,
     case: int,
@@ -732,44 +736,26 @@ def _c5_witness_part(
         single = vr[0] if case == 4 else list(xs)
         pair_a, pair_b = vr[2], vr[3]
         extra_x = xs if case == 4 else []
-        witness, vertices, ok, viol = _paw_route_witness(
+        witness, vertices, viol = _paw_route_witness(
             g, single, pair_a, pair_b, extra_x
         )
-        claims.append(ClaimCheck("L4.2-paw", viol is None, viol))
+        _claim(claims, "L4.2-paw", [viol])
         route_name = "composed"
     else:
-        if case == 1:
-            classes = vr + [list(xs)]
-            f_edges: list[tuple[int, int]] = []
-            k_ones = [(p, (p + 1) % 5) for p in range(5)]
-            matched = None
-        elif case == 2:
-            classes = vr[:4] + [list(xs)]
-            f_edges = [(0, 3)]
-            k_ones = [(0, 1), (1, 2), (2, 3)]
-            matched = (0, 3)
-        elif case == 3:
-            classes = vr[:3] + [list(xs)]
-            f_edges = [(1, 3)]
-            k_ones = [(0, 1), (1, 2)]
-            matched = (1, 3)
-        elif case == 6:
-            classes = [vr[0], vr[2], list(xs)]
-            f_edges = [(0, 1)]
-            k_ones = []
-            matched = (0, 1)
-        else:
-            classes = [list(vr[0]), list(xs)]
-            f_edges = [(0, 1)]
-            k_ones = []
-            matched = (0, 1)
-        witness, vertices = _simple_template_witness(
-            g, classes, f_edges, k_ones, matched
-        )
-        ok = True
+        positions, f_edges, k_ones = C5_TEMPLATES[case]
+        classes = [vr[p] for p in positions] + [xs]
+        # the edges between an F-linked class pair share copies
+        groups = [
+            (u, v)
+            for a, b in f_edges
+            for u in sorted(classes[a])
+            for v in sorted(classes[b])
+            if g.adjacent(u, v)
+        ]
+        witness, vertices = _template_witness(classes, f_edges, k_ones, groups)
         route_name = "direct"
-    check = verify_witness(induced(g, vertices), witness) if ok else None
-    verified = bool(ok and check and check.ok)
+    check = None if witness is None else verify_witness(induced(g, vertices), witness)
+    verified = bool(check and check.ok)
     return Part(
         "uniform",
         vertices,
@@ -799,7 +785,7 @@ def _paw_route_witness(
     copy of a paw template, and transporting the witness back through the
     complementation (three doublings) covers the original graph.  Vertices
     in ``extra_x`` join as one additional always-anticomplete class.
-    Returns (witness, vertices, ok, violation).
+    Returns (witness, vertices, violation); the witness is None on a violation.
     """
     base_vertices = sorted(set(single) | set(pair_a) | set(pair_b))
     pos = {v: i for i, v in enumerate(base_vertices)}
@@ -816,14 +802,14 @@ def _paw_route_witness(
         emb = induced_embed(comp_graph, paw)
         if emb is None:
             bad = tuple(base_vertices[v] for v in comp)
-            return None, tuple(base_vertices + sorted(extra_x)), False, bad
+            return None, tuple(base_vertices + sorted(extra_x)), bad
         for local_idx, v in enumerate(sorted(comp)):
             assign0[v] = (copy_idx, emb[local_idx])
     w0 = UniformWitness(t0, tuple(assign0[v] for v in range(len(base_vertices))))
     w3 = transport_bipartite(w0, la, lb)
     t3 = w3.template
     if not extra_x:
-        return w3, tuple(base_vertices), True, None
+        return w3, tuple(base_vertices), None
     k = t3.k
     f_ext = Graph.from_edges(k + 1, t3.f.edges())
     matrix = tuple(tuple(list(row) + [0]) for row in t3.matrix) + ((0,) * (k + 1),)
@@ -838,7 +824,7 @@ def _paw_route_witness(
         else:
             assign.append((fresh, k))
             fresh += 1
-    return UniformWitness(t_ext, tuple(assign)), tuple(all_vertices), True, None
+    return UniformWitness(t_ext, tuple(assign)), tuple(all_vertices), None
 
 
 # ---------------------------------------------------------------------------
@@ -870,38 +856,21 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
 
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
-    deletions: set[int] = set()
-
     on_cycle = set(cyc)
-    off = [v for v in range(g.n) if v not in on_cycle]
-    junk: set[int] = set()
-    for i in range(4):
-        a, b = cyc[i], cyc[(i + 1) % 4]
-        both = g.rows[a] & g.rows[b]
-        yi = tuple(v for v in off if both >> v & 1)
-        sets[f"Y{i + 1}"] = yi
-        viol = _first_inside(g, yi, False)
-        ok = viol is None and len(yi) <= 2
-        claims.append(
-            ClaimCheck(f"L4.3-Y{i + 1}", ok, viol if viol else (yi if not ok else None))
-        )
-        junk.update(yi)
-    deletions |= junk
+    deletions, pattern = _cycle_split(g, cyc, "L4.3", claims, sets)
 
-    remaining = [v for v in off if v not in junk]
     wlists: dict[int, list[int]] = {i: [] for i in range(4)}
     v1: list[int] = []
     v2: list[int] = []
     xset: list[int] = []
-    for v in remaining:
-        nbrs = {i for i in range(4) if g.adjacent(v, cyc[i])}
-        if not nbrs:
+    for v, bits in pattern.items():
+        if not bits:
             xset.append(v)
-        elif len(nbrs) == 1:
-            wlists[next(iter(nbrs))].append(v)
-        elif nbrs == {1, 3}:
+        elif not bits & (bits - 1):
+            wlists[bits.bit_length() - 1].append(v)
+        elif bits == 0b1010:
             v1.append(v)
-        elif nbrs == {0, 2}:
+        elif bits == 0b0101:
             v2.append(v)
         else:  # unreachable once consecutive-neighbour junk is removed
             raise AssertionError("unclassifiable vertex after junk removal")
@@ -911,16 +880,14 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
             deletions.update(wlists[i])
             wlists[i] = []
 
-    both13 = bool(wlists[0]) and bool(wlists[2])
-    both24 = bool(wlists[1]) and bool(wlists[3])
-    claims.append(
-        ClaimCheck(
-            "L4.3-C5",
-            not (both13 or both24),
-            tuple(wlists[0][:1] + wlists[2][:1])
-            if both13
-            else (tuple(wlists[1][:1] + wlists[3][:1]) if both24 else None),
-        )
+    _claim(
+        claims,
+        "L4.3-C5",
+        (
+            (wlists[i][0], wlists[i + 2][0])
+            for i in (0, 1)
+            if wlists[i] and wlists[i + 2]
+        ),
     )
     # rotate so the nonempty one-neighbour sets sit at cycle positions 0, 1
     occupied = {i for i in range(4) if wlists[i]}
@@ -935,24 +902,17 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         v1, v2 = v2, v1
 
     w1, w2 = wlists[0], wlists[1]
-    sets["V1"] = tuple(v1)
-    sets["V2"] = tuple(v2)
-    sets["W1"] = tuple(w1)
-    sets["W2"] = tuple(w2)
-    sets["W3"] = tuple(wlists[2])
-    sets["W4"] = tuple(wlists[3])
-    sets["X"] = tuple(xset)
-
     for name, vs in (("V1", v1), ("V2", v2)):
-        viol = _first_inside(g, vs, True)
-        claims.append(ClaimCheck(f"L4.3-B1-{name}", viol is None, viol))
-    for i, vs in enumerate((w1, w2, wlists[2], wlists[3]), start=1):
-        viol = _first_inside(g, vs, True)
-        claims.append(ClaimCheck(f"L4.3-B2-W{i}", viol is None, viol))
-    viol = _first_inside(g, xset, True)
-    claims.append(ClaimCheck("L4.3-B3", viol is None, viol))
-    viol = _first_pair(g, w1 + w2 + wlists[2] + wlists[3], xset, True)
-    claims.append(ClaimCheck("L4.3-B4", viol is None, viol))
+        sets[name] = tuple(vs)
+        _claim(claims, f"L4.3-B1-{name}", [_first_inside(g, vs, True)])
+    for i in range(4):
+        sets[f"W{i + 1}"] = tuple(wlists[i])
+        _claim(claims, f"L4.3-B2-W{i + 1}", [_first_inside(g, wlists[i], True)])
+    sets["X"] = tuple(xset)
+    _claim(claims, "L4.3-B3", [_first_inside(g, xset, True)])
+    _claim(
+        claims, "L4.3-B4", [_first_pair(g, w1 + w2 + wlists[2] + wlists[3], xset, True)]
+    )
 
     def recompute_kernel():
         live1 = mask_of(u for u in v1 if u not in deletions)
@@ -985,15 +945,18 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     sets["X1"] = tuple(x1)
     sets["X2"] = tuple(x2)
 
-    # kernel claims
+    # kernel claims; each x in X0 forms a triangle with its one neighbour in
+    # each of V10 and V20
     worst = None
+    triangles = []
     for x in x0:
         n10 = [u for u in v10 if g.adjacent(x, u)]
         n20 = [u for u in v20 if g.adjacent(x, u)]
         if len(n10) != 1 or len(n20) != 1 or not g.adjacent(n10[0], n20[0]):
             worst = tuple([x] + n10[:2] + n20[:2])
             break
-    claims.append(ClaimCheck("L4.3-C1", worst is None, worst))
+        triangles.append((n10[0], x, n20[0]))
+    _claim(claims, "L4.3-C1", [worst])
 
     worst = None
     for u in v10 + v20:
@@ -1001,10 +964,12 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         if len(nx) != 1:
             worst = tuple([u] + nx[:2])
             break
-    claims.append(ClaimCheck("L4.3-C2", worst is None, worst))
-
-    worst = _first_pair(g, v10, live_v2, False) or _first_pair(g, v20, live_v1, False)
-    claims.append(ClaimCheck("L4.3-C3", worst is None, worst))
+    _claim(claims, "L4.3-C2", [worst])
+    _claim(
+        claims,
+        "L4.3-C3",
+        [_first_pair(g, v10, live_v2, False) or _first_pair(g, v20, live_v1, False)],
+    )
 
     def mixed(w: int, vi0: list[int]):
         """w with a neighbour and a non-neighbour in vi0, and the first of each."""
@@ -1012,11 +977,11 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         non = _first_pair(g, (w,), vi0, False)
         return (w, nbr[1], non[1]) if nbr and non else None
 
-    worst = next(
-        filter(None, (mixed(w, vi0) for w in w1 + w2 + x1 + x2 for vi0 in (v10, v20))),
-        None,
+    _claim(
+        claims,
+        "L4.3-C4",
+        (mixed(w, vi0) for w in w1 + w2 + x1 + x2 for vi0 in (v10, v20)),
     )
-    claims.append(ClaimCheck("L4.3-C4", worst is None, worst))
 
     deletions |= on_cycle
     deletions_t = tuple(sorted(deletions))
@@ -1025,7 +990,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     rest = tuple(v for v in survivors if v not in set(kernel))
 
     # separation: flip each kernel side against its complete outsiders
-    steps: list = list(_deletion_script(g, deletions_t).steps)
+    steps: list = list(_deletion_script(deletions_t).steps)
     n_complementations = 0
     for vi0 in (v10, v20):
         if not vi0:
@@ -1073,26 +1038,12 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         )
     )
 
-    # part B: order-3 template, one triangle per copy
+    # part B: order-3 template over V10, X0, V20, one triangle per copy
     tri_ok = all(c.ok for c in claims if c.id in ("L4.3-C1", "L4.3-C2", "L4.3-C3"))
     if kernel and tri_ok:
-        f3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-        matrix = ((0, 0, 1), (0, 0, 0), (1, 0, 0))
-        t3 = UniformTemplate(3, f3, matrix)
-        copy_of: dict[int, int] = {}
-        for idx, x in enumerate(sorted(x0)):
-            y = next(u for u in v10 if g.adjacent(x, u))
-            z = next(u for u in v20 if g.adjacent(x, u))
-            copy_of[y] = copy_of[x] = copy_of[z] = idx
-        cls = {}
-        for u in v10:
-            cls[u] = 0
-        for u in x0:
-            cls[u] = 1
-        for u in v20:
-            cls[u] = 2
-        assign = tuple((copy_of[v], cls[v]) for v in kernel)
-        wit = UniformWitness(t3, assign)
+        wit, _ = _template_witness(
+            (v10, x0, v20), [(0, 1), (1, 2)], [(0, 2)], triangles
+        )
         check = verify_witness(induced(g, kernel), wit)
         parts.append(
             Part(

@@ -474,19 +474,18 @@ def is_k_uniform(
     g: Graph,
     k: int,
     *,
-    max_k: int = MAX_SEARCH_K,
-    max_n: int = MAX_SEARCH_N,
     budget: SearchBudget | None = None,
 ) -> UniformWitness | None:
-    """Search for an order-k witness.  Complete within the configured bounds;
-    out-of-bounds requests raise :class:`SearchRefused` so "too big to try"
-    is never confused with "not k-uniform".
+    """Search for an order-k witness.  Complete for k <= ``MAX_SEARCH_K`` and
+    at most ``MAX_SEARCH_N`` vertices; larger requests raise
+    :class:`SearchRefused` so "too big to try" is never confused with "not
+    k-uniform".
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if k > max_k or g.n > max_n:
+    if k > MAX_SEARCH_K or g.n > MAX_SEARCH_N:
         raise SearchRefused(
-            f"uniformicity search bounded to k <= {max_k}, n <= {max_n}"
+            f"uniformicity search bounded to k <= {MAX_SEARCH_K}, n <= {MAX_SEARCH_N}"
         )
     if not _class_partition(g, k, budget):
         return None
@@ -501,15 +500,13 @@ def uniformicity(
     g: Graph,
     kmax: int,
     *,
-    max_k: int = MAX_SEARCH_K,
-    max_n: int = MAX_SEARCH_N,
     budget: SearchBudget | None = None,
 ) -> tuple[int, UniformWitness] | None:
     """Smallest k <= kmax admitting a witness, with the witness; else None."""
     if kmax < 1:
         raise ValueError("kmax must be positive")
     for k in range(1, kmax + 1):
-        witness = is_k_uniform(g, k, max_k=max_k, max_n=max_n, budget=budget)
+        witness = is_k_uniform(g, k, budget=budget)
         if witness is not None:
             return k, witness
     return None

@@ -33,6 +33,7 @@ from itertools import combinations, permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.graphs import Graph, bits_of, induced
+from wqograph.order import SearchBudgetExceeded
 from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
@@ -148,11 +149,18 @@ def oracle_k_uniform(g: Graph, k: int) -> bool:
     return False
 
 
+def _charge(budget) -> None:
+    """Charge one search node to ``budget``; raise once it is overspent."""
+    budget.used += 1
+    if budget.used > budget.limit:
+        raise SearchBudgetExceeded(budget.used)
+
+
 def oracle_find_assignment(g: Graph, template, budget=None):
     """Backtracking slot assignment without pruning: vertices in order,
     slots (copy, class) ascending, copies opened in first-use order, one
-    ``budget.spend()`` per free slot tried.  Returns the first assignment
-    found, or None."""
+    node charged to ``budget`` per free slot tried.  Returns the first
+    assignment found, or None."""
     k = template.k
     assign: list[tuple[int, int]] = []
     used: set[tuple[int, int]] = set()
@@ -171,7 +179,7 @@ def oracle_find_assignment(g: Graph, template, budget=None):
                 if slot in used:
                     continue
                 if budget is not None:
-                    budget.spend()
+                    _charge(budget)
                 if consistent(v, slot):
                     assign.append(slot)
                     used.add(slot)
@@ -189,7 +197,7 @@ def oracle_find_assignment(g: Graph, template, budget=None):
 def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
     """The embedding search without look-ahead: pattern vertices in
     descending-degree order, host candidates ascending, a forward check of
-    every later vertex, one ``budget.spend()`` per host vertex tried.
+    every later vertex, one node charged to ``budget`` per host vertex tried.
     Returns the first assignment found, or None."""
     nh, ng = h.n, g.n
     if nh > ng:
@@ -222,7 +230,7 @@ def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
             m ^= low
             w = low.bit_length() - 1
             if budget is not None:
-                budget.spend()
+                _charge(budget)
             nxt = []
             ok = True
             for q in range(pos + 1, nh):
@@ -361,7 +369,7 @@ def oracle_reconstruct_thm52(g: Graph, x1: int):
     for step in range(1, m):
         cur_side = side_of[cur]
         if step % 2 == 1:
-            cands = [w for w in g.neighbours(cur) if side_of[w] != cur_side]
+            cands = [w for w in bits_of(g.rows[cur]) if side_of[w] != cur_side]
         else:
             cands = [
                 w

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,24 @@ class TestCommands:
         assert main(["selftest", "--only", "C1,C3"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    @pytest.mark.parametrize("only", ["C99", "c1", "", "C1,C99"])
+    def test_selftest_unknown_ids_exit_2(self, capsys, only):
+        """An ``--only`` value that names no known criterion runs nothing
+        and exits 2 with the valid ids, never a vacuous pass."""
+        assert main(["selftest", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --only") and captured.out == ""
+        assert "C1, C2, C3, C4, C5, C6, C7, C8, C9, C10" in captured.err
+
+    @pytest.mark.parametrize("content", ["", " \n\n\t\n"], ids=["empty", "blank"])
+    def test_empty_graph_file_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "g.g6"
+        path.write_text(content)
+        assert main(["embed", "--h", "P2", "--g", "@" + str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: empty graph6 string")
+        assert captured.out == ""
 
     def test_python_m_runs_main(self, capsys):
         """``python -m wqograph`` is ``cli.main``: same exit code, same
@@ -397,6 +416,18 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_graph6_text(self, text):
         self.check(["embed", "--h", "P1", "--g", "g6:" + text])
+
+    @given(
+        st.text(alphabet=[chr(c) for c in range(58, 130)] + list(" \t\n{}"), max_size=12)
+        | st.text(max_size=8)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_graph_file_text(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            self.check(["embed", "--h", "P1", "--g", "@" + path])
 
     @given(st.one_of(JSON_GRAPHS, JSON_VALUES.filter(lambda v: isinstance(v, dict))))
     @settings(max_examples=150, deadline=None)

@@ -326,6 +326,19 @@ class TestDecomposeC5:
                 seen.add(case)
         assert seen == set(range(1, 8))
 
+    def test_junk_claims_name_their_sets(self):
+        """Three common neighbours of cycle edge 0-1 break L4.2-Y1 even as a
+        clique, and two vertices seeing only cycle vertex 0 break L4.2-W1;
+        each claim's witness is its set."""
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(y, z) for y, z in combinations((5, 6, 7), 2)]
+        edges += [(y, c) for y in (5, 6, 7) for c in (0, 1)] + [(8, 0), (9, 0)]
+        rep = decompose_c5(Graph.from_edges(10, edges), cycle=(0, 1, 2, 3, 4))
+        assert rep.failed_claims() == ("L4.2-Y1", "L4.2-W1")
+        witness = {c.id: c.witness for c in rep.claims}
+        assert rep.sets["Y1"] == witness["L4.2-Y1"] == (5, 6, 7)
+        assert rep.sets["W1"] == witness["L4.2-W1"] == (8, 9)
+
     def test_requires_cycle(self):
         with pytest.raises(ValueError):
             decompose_c5(build("K5"))
@@ -402,6 +415,21 @@ class TestDecomposeC4:
             rep = decompose_c4(g)
             assert rep.ok
             assert all(p.kind != "uniform" for p in rep.parts)
+
+    @pytest.mark.parametrize(
+        "hubs, witness", [((1, 3), (4, 6)), ((0, 1, 2, 3), (4, 8))]
+    )
+    def test_opposite_one_neighbour_sets(self, hubs, witness):
+        """Two pendant vertices at each hub: L4.3-C5 fails with the first
+        vertex of each of the first two opposite sets, W1 and W3 before W2
+        and W4."""
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        for i, hub in enumerate(hubs):
+            edges += [(4 + 2 * i, hub), (5 + 2 * i, hub)]
+        g = Graph.from_edges(4 + 2 * len(hubs), edges)
+        rep = decompose_c4(g, cycle=(0, 1, 2, 3))
+        claim = next(c for c in rep.claims if c.id == "L4.3-C5")
+        assert not claim.ok and claim.witness == witness
 
     def test_rejects_c5_bearing_input(self):
         with pytest.raises(ValueError):
