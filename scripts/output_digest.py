@@ -20,6 +20,10 @@ Families:
 - ``route``: the branch, or the ``RouteError`` message and witness, over a
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
+- ``free``: ``is_free`` (verdict, pattern index and witness) of those five
+  patterns, the gem ``co(P1+P4)`` and ``P1+2P2`` over the same battery, and
+  of each forbidden pattern of thm51 (2..12) and thm52 (3..12), one at a
+  time and all together, in canonical and randomly relabelled members;
 - ``delete``: ``delete_vertices`` of random vertex sets, with some vertices
   out of range, over the same battery;
 - ``uniform``: ``uniformicity(g, 3)``, the order and the witness or None,
@@ -51,7 +55,7 @@ import sys
 from wqograph import antichains, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, induced
 from wqograph.ops import apply_script
-from wqograph.order import induced_embed
+from wqograph.order import induced_embed, is_free
 
 MEMBERS = (
     ("K5", instances.k5_instance, instances.k5_branch_valid, 150),
@@ -64,6 +68,9 @@ CLAIMS_TOGGLES = 4  # per member
 BATTERY_SEED = 20261018
 BATTERY_SIZE = 3000
 PATTERNS = ("K3", "P4", "C5", "co(2P1+P2)", "P2+P3")
+FREE_PATTERNS = PATTERNS + ("co(P1+P4)", "P1+2P2")
+FREE_SEED = 20261023
+FREE_FAMILIES = (("thm51", range(2, 13)), ("thm52", range(3, 13)))
 UNIFORM_SEED = 20261019
 UNIFORM_DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
 UNIFORM_GRAPHS = 300  # per density
@@ -160,6 +167,25 @@ def random_graphs() -> tuple[str, str, str]:
     return routes.hex(), embeds.hex(), deletes.hex()
 
 
+def freeness() -> str:
+    digest = Digest()
+    patterns = [build(p) for p in FREE_PATTERNS]
+    for g in battery():
+        for h in patterns:
+            digest.add(list(is_free(g, [h])))
+    rng = random.Random(FREE_SEED)
+    for family, ns in FREE_FAMILIES:
+        exprs = antichains.FAMILIES[family].forbidden
+        forbidden = [build(p) for p in exprs]
+        for n in ns:
+            member = antichains.family_member(family, n)
+            for g in (member, relabelled(member, rng)):
+                for expr, h in zip(exprs, forbidden):
+                    digest.add([family, n, expr, list(g.rows), list(is_free(g, [h]))])
+                digest.add([family, n, list(g.rows), list(is_free(g, forbidden))])
+    return digest.hex()
+
+
 def uniform_battery() -> list[Graph]:
     rng = random.Random(UNIFORM_SEED)
     graphs = []
@@ -252,6 +278,7 @@ def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
+    digests["free"] = freeness()
     digests["uniform"] = uniform_searches(uniform_battery())
     digests["uniform-hard"] = uniform_searches(uniform_hard_battery())
     digests["templates"] = templates()

@@ -14,13 +14,14 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .graphs import Graph
+from .graphs import Graph, pattern
 from .ops import subgraph_complement
-from .structure import find_clique, find_induced_cycle, is_diamond_free, is_p2p3_free
+from .order import _split_free
+from .structure import CLASS_FORBIDDEN_EXPRS, find_clique, find_induced_cycle
 
 
 def is_class_member(g: Graph) -> bool:
-    return is_diamond_free(g) and is_p2p3_free(g)
+    return all(_split_free(pattern(expr), g) for expr in CLASS_FORBIDDEN_EXPRS)
 
 
 def class_members(

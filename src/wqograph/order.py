@@ -1,7 +1,9 @@
 """The induced-subgraph quasi-order and its labelled refinement: finite
 quasi-orders on labels, the induced embedding search (plain and
-label-respecting), forbidden-subgraph freeness, and the two special classes
-the classifier names (linear forests and the path-or-subdivided-claw class).
+label-respecting), forbidden-subgraph freeness (decided without a search
+for patterns that split into small base cases), and the two special
+classes the classifier names (linear forests and the path-or-subdivided-claw
+class).
 
 The embedding search is a backtracking solver over pattern vertices in
 descending-degree order with forward checking: every unassigned pattern
@@ -52,6 +54,35 @@ in a bounded cache keyed by the pattern graph.  The degree filter on the
 host is built from one pass over its rows: a pattern vertex of degree d
 keeps the host vertices whose degree leaves room for d neighbours and
 n(h) - 1 - d non-neighbours.
+
+:func:`is_free` first asks a freeness decider that needs no search.  A
+pattern H splits, and the decider tests a smaller pattern H' in vertex
+masks of the host G, by these rules:
+
+- P1 + H': H' in G - N[v] for some vertex v;
+- K1 v H' (a universal vertex): H' in G[N(v)] for some v;
+- P2 + H' (a K2 component): H' in G - N[a] - N[b] for some edge ab;
+- K2 v H' (two universal vertices): H' in N(a) & N(b) for some edge ab.
+
+The splits end in base cases tested directly on masks: K1, K2 and 2P1;
+P3 (the set is not a disjoint union of cliques); co(P3) (non-adjacency is
+not an equivalence); P4 (the set is not a cograph: a part with two
+vertices or more that is connected and has a connected complement,
+found by splitting parts by their components and co-components); and 2K2
+(non-adjacent a and c with b in N(a) - N[c] and d in N(c) - N[a], b and d
+non-adjacent).  The split tree is built once per pattern and cached beside
+the plan.  A pattern stays on the search when it does not split down to
+base cases, when its tree would run a P4 test inside an edge loop (P2+P4
+is decided faster by the search), or when the tree's cost degree is above
+four: a vertex loop adds one to the degree of the test inside it, an edge
+loop two, and a decision on an n-vertex host costs O(n**4) mask
+operations at most, whatever the pattern.  The decider spends no node: a
+free verdict from it returns at once, even with a zero budget; when it
+finds the pattern, :func:`induced_embed` names the witness as before, with
+the caller's budget.  The pattern index and the witness are those of the
+search alone, and a call with one pattern runs out of budget at the node
+it always did; with several, a pattern decided free no longer spends nodes
+of the shared budget.
 
 Long searches accept an optional :class:`SearchBudget`; one node is one
 host vertex tried for one pattern vertex.  The search counts its nodes in a
@@ -567,6 +598,268 @@ def labelled_embed(
     return _embed(h.graph, g.graph, cands, budget)
 
 
+# ---------------------------------------------------------------------------
+# Freeness by splitting
+#
+# A split tree is a composition of test factories.  A factory takes the host
+# tables (see _host) and returns a test on vertex masks S, true iff the
+# pattern has an induced copy in G[S].  A test is only called on masks with
+# at least as many vertices as its pattern.
+
+
+@lru_cache(maxsize=1)
+def _host(g: Graph):
+    """The rows of ``g``, its closed neighbourhoods and their complements
+    (the vertices w != v not adjacent to v), kept for the last host, which
+    is usually tested for more than one pattern in a row."""
+    closed = [row | 1 << v for v, row in enumerate(g.rows)]
+    return g.rows, closed, [~c for c in closed]
+
+
+def _pair(table):
+    """Test: some v and w in S with w in table[v], that is, an edge (K2,
+    table = rows) or a non-edge (2P1, table = the complements of the closed
+    neighbourhoods)."""
+
+    def test(s):
+        # each vertex against the later ones
+        while s:
+            low = s & -s
+            s ^= low
+            if s & table[low.bit_length() - 1]:
+                return True
+        return False
+
+    return test
+
+
+def _classes(table):
+    """Test: the sets table[v] & S do not partition S, that is, S is not
+    a disjoint union of cliques (P3, table = closed neighbourhoods) or not
+    complete multipartite (co(P3), table = complements of the rows).  The
+    lowest vertex's set must be every member's, and is then removed."""
+
+    def test(s):
+        while s:
+            low = s & -s
+            part = table[low.bit_length() - 1] & s
+            others = part ^ low
+            while others:
+                w = others & -others
+                others ^= w
+                if table[w.bit_length() - 1] & s != part:
+                    return True
+            s ^= part
+        return False
+
+    return test
+
+
+def _p4(host):
+    rows, closed = host[0], host[1]
+
+    def test(s):
+        # G[S] is P4-free iff every part with two vertices or more is
+        # disconnected or has a disconnected complement (Seinsche, 1974), so
+        # parts are split by their components, then by their co-components.
+        parts = [s]
+        while parts:
+            s = parts.pop()
+            if not s & (s - 1):
+                continue
+            low = s & -s
+            comp = frontier = low
+            while frontier:
+                reach = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    reach |= rows[b.bit_length() - 1]
+                frontier = reach & s & ~comp
+                comp |= frontier
+            if comp == s:
+                comp = frontier = low
+                while frontier:
+                    common = s
+                    while frontier:
+                        b = frontier & -frontier
+                        frontier ^= b
+                        common &= closed[b.bit_length() - 1]
+                    frontier = s & ~common & ~comp
+                    comp |= frontier
+                if comp == s:
+                    return True
+            parts.append(comp)
+            parts.append(s ^ comp)
+        return False
+
+    return test
+
+
+def _2k2(host):
+    rows, _, away = host
+
+    def test(s):
+        # a and c non-adjacent, b in N(a) - N[c], d in N(c) - N[a], b and d
+        # non-adjacent: then ab and cd are an induced 2K2.
+        t = s
+        while t:
+            low = t & -t
+            t ^= low
+            a = low.bit_length() - 1
+            near_a = rows[a] & s
+            if not near_a:
+                continue
+            others = away[a] & t
+            while others:
+                c = others & -others
+                others ^= c
+                c = c.bit_length() - 1
+                bs = near_a & away[c]
+                ds = rows[c] & away[a] & s
+                if not (bs and ds):
+                    continue
+                while bs:
+                    b = bs & -bs
+                    bs ^= b
+                    if ds & ~rows[b.bit_length() - 1]:
+                        return True
+        return False
+
+    return test
+
+
+# Base cases by sorted degree sequence, which names each of these graphs,
+# with the degree of their cost: a test on an n-vertex mask takes O(n**d)
+# mask operations.
+_BASES = {
+    (0,): (lambda host: bool, 0),
+    (1, 1): (lambda host: _pair(host[0]), 1),
+    (0, 0): (lambda host: _pair(host[2]), 1),
+    (1, 1, 2): (lambda host: _classes(host[1]), 1),
+    (0, 1, 1): (lambda host: _classes([~row for row in host[0]]), 1),
+    (1, 1, 2, 2): (_p4, 2),
+    (1, 1, 1, 1): (_2k2, 3),
+}
+# A vertex loop adds one to the degree and an edge loop two.  A split tree
+# of higher degree than this stays on the search, so that a decision, which
+# no budget bounds, costs O(n**4) mask operations at most.
+_MAX_DEGREE = 4
+
+
+def _vertex_split(sub, need: int, join: bool):
+    """H in G[S] for some v in S, with H tested in S & N(v) (K1 v H) or in
+    S - N[v] (P1 + H)."""
+
+    def make(host):
+        # a join tests in N(v), a union in V - N[v]
+        inner, side = sub(host), host[0 if join else 2]
+
+        def test(s):
+            t = s
+            while t:
+                low = t & -t
+                t ^= low
+                rest = s & side[low.bit_length() - 1]
+                if rest.bit_count() >= need and inner(rest):
+                    return True
+            return False
+
+        return test
+
+    return make
+
+
+def _edge_split(sub, need: int, join: bool):
+    """H in G[S] for some edge ab of G[S], with H tested in S & N(a) & N(b)
+    (K2 v H) or in S - N[a] - N[b] (P2 + H)."""
+
+    def make(host):
+        inner, rows, side = sub(host), host[0], host[0 if join else 2]
+
+        def test(s):
+            t = s
+            while t:
+                low = t & -t
+                t ^= low
+                a = low.bit_length() - 1
+                near = s & side[a]
+                if near.bit_count() < need:
+                    continue
+                later = rows[a] & t
+                while later:
+                    b = later & -later
+                    later ^= b
+                    rest = near & side[b.bit_length() - 1]
+                    if rest.bit_count() >= need and inner(rest):
+                        return True
+            return False
+
+        return test
+
+    return make
+
+
+def _split(rows, s: int, memo: dict):
+    """The split tree of the pattern induced on ``s``, its degree and
+    whether it holds a P4 test; None if it does not split down to base
+    cases within ``_MAX_DEGREE``.  ``memo`` holds the answers for the masks
+    already tried: a pattern may split several ways, and without it one
+    whose splits all fail would be tried along exponentially many orders."""
+    if s in memo:
+        return memo[s]
+    vs = [v for v in range(s.bit_length()) if s >> v & 1]
+    base = _BASES.get(tuple(sorted((rows[v] & s).bit_count() for v in vs)))
+    if base is not None:
+        return base[0], base[1], base[0] is _p4
+    isolated = [v for v in vs if not rows[v] & s]
+    universal = [v for v in vs if rows[v] & s == s ^ 1 << v]
+    matched = [
+        (a, b) for a in vs for b in vs if a < b and rows[a] & s == 1 << b and rows[b] & s == 1 << a
+    ]
+    # In this order: an isolated vertex, two universal vertices (one edge
+    # loop instead of two nested vertex loops), one universal vertex, a K2
+    # component.  An edge loop never runs a P4 test.
+    splits = [(_vertex_split, False, isolated[:1])]
+    if len(universal) >= 2:
+        splits.append((_edge_split, True, universal[:2]))
+    splits.append((_vertex_split, True, universal[:1]))
+    splits.append((_edge_split, False, list(matched[0]) if matched else []))
+    memo[s] = None
+    for split, join, taken in splits:
+        if not taken:
+            continue
+        found = _split(rows, s & ~sum(1 << v for v in taken), memo)
+        if found is None:
+            continue
+        sub, degree, has_p4 = found
+        degree += len(taken)
+        if degree > _MAX_DEGREE or (split is _edge_split and has_p4):
+            continue
+        memo[s] = split(sub, len(vs) - len(taken), join), degree, has_p4
+        break
+    return memo[s]
+
+
+@lru_cache(maxsize=256)
+def _split_tree(h: Graph):
+    """The split tree of pattern ``h`` (a factory of host tests), or None
+    when ``h`` stays on the search."""
+    found = _split(h.rows, h.mask, {}) if h.n else None
+    return None if found is None else found[0]
+
+
+def _split_free(h: Graph, g: Graph) -> bool | None:
+    """Whether ``g`` is ``h``-free, decided by ``h``'s split tree without a
+    search; None if ``h`` has no split tree."""
+    tree = _split_tree(h)
+    if tree is None:
+        return None
+    if h.n > g.n:
+        return True
+    return not tree(_host(g))(g.mask)
+
+
 class FreeResult(NamedTuple):
     free: bool
     pattern_index: int | None
@@ -577,8 +870,13 @@ def is_free(
     g: Graph, forbidden: Sequence[Graph], budget: SearchBudget | None = None
 ) -> FreeResult:
     """True iff no forbidden graph induced-embeds; otherwise the witness
-    vertex set (sorted image) and the index of the pattern found."""
+    vertex set (sorted image) and the index of the pattern found.
+
+    A pattern with a split tree is decided first without a search; only a
+    pattern found that way, or one without a split tree, is searched."""
     for idx, pattern in enumerate(forbidden):
+        if _split_free(pattern, g):
+            continue
         emb = induced_embed(pattern, g, budget)
         if emb is not None:
             return FreeResult(False, idx, tuple(sorted(emb)))

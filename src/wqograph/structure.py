@@ -10,13 +10,13 @@ script plus per-part checkers (bipartite / star forest / clique union /
 uniform-template witness).  Claim failures signal an input outside the
 class; on class members every claim holds and every certificate replays.
 
-Membership in the class is decided without an embedding search, by two
-exact characterisations on bitsets (:func:`is_diamond_free`,
-:func:`is_p2p3_free`):
+Membership in the class is decided without an embedding search, by the
+split trees of the freeness decider in :mod:`wqograph.order`:
 
-- G is diamond-free iff, for every edge uv, N(u) & N(v) is a clique;
-- G is P2+P3-free iff, for every edge uv, G - N[u] - N[v] is a disjoint
-  union of cliques.
+- the diamond is K2 joined with 2P1, so G is diamond-free iff, for every
+  edge uv, N(u) & N(v) is a clique;
+- P2+P3 is P2 beside P3, so G is P2+P3-free iff, for every edge uv,
+  G - N[u] - N[v] is a disjoint union of cliques.
 
 The search for a forbidden pattern runs only when one of them fails, to name
 the witness that :class:`RouteError` carries.  The anchors of the most
@@ -44,7 +44,7 @@ from .graphs import (
     mask_of,
     pattern,
 )
-from .order import induced_embed, is_free
+from .order import _split_free, induced_embed, is_free
 from .ops import (
     BipartiteComplement,
     DeleteVertex,
@@ -144,58 +144,6 @@ class DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# Class membership
-
-
-def is_diamond_free(g: Graph) -> bool:
-    """Exact test for ``co(2P1+P2)``-freeness: for every edge uv the common
-    neighbourhood N(u) & N(v) is a clique, since two non-adjacent common
-    neighbours and uv form a diamond."""
-    rows = g.rows
-    for u, row in enumerate(rows):
-        later = row >> (u + 1) << (u + 1)
-        while later:
-            low = later & -later
-            later ^= low
-            common = row & rows[low.bit_length() - 1]
-            # each common neighbour against the later ones
-            while common:
-                w = common & -common
-                common ^= w
-                if common & ~rows[w.bit_length() - 1]:
-                    return False
-    return True
-
-
-def is_p2p3_free(g: Graph) -> bool:
-    """Exact test for ``P2+P3``-freeness: for every edge uv the rest
-    R = V - N[u] - N[v] is a disjoint union of cliques (it has no induced
-    P3).  The component of R's lowest vertex x is taken as N[x] & R, and
-    each of its vertices must have exactly that closed neighbourhood in R;
-    then the component is removed and the next lowest vertex taken."""
-    rows = g.rows
-    closed = [row | 1 << v for v, row in enumerate(rows)]
-    full = g.mask
-    for u, row in enumerate(rows):
-        later = row >> (u + 1) << (u + 1)
-        while later:
-            low = later & -later
-            later ^= low
-            rest = full & ~(closed[u] | closed[low.bit_length() - 1])
-            while rest:
-                x = rest & -rest
-                clique = closed[x.bit_length() - 1] & rest
-                others = clique ^ x
-                while others:
-                    w = others & -others
-                    others ^= w
-                    if closed[w.bit_length() - 1] & rest != clique:
-                        return False
-                rest ^= clique
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Anchors
 #
 # ``route`` and the decomposer it selects look for the same anchors in the
@@ -242,18 +190,19 @@ def _normal_cycle(emb: tuple[int, ...] | None) -> tuple[int, ...] | None:
 def route(g: Graph) -> str:
     """Branch selection with class validation.
 
-    Membership is decided by :func:`is_diamond_free` and
-    :func:`is_p2p3_free`; the embedding search runs only when one of them
-    fails, to name the witness.  Raises :class:`RouteError` when the input
-    contains one of the class's forbidden patterns, the diamond first.  A
-    Sparse input is then free of K5 and of C4 (= K2,2) by the checks before
-    it, and of P6 because P6 contains an induced P2+P3.  The anchors found
-    here are memoised for the decomposer that runs next on the same graph.
+    Membership is decided by :func:`~wqograph.order.is_free`, whose split
+    trees decide both forbidden patterns without a search; the embedding
+    search runs only when one of them is found, to name the witness.  Raises
+    :class:`RouteError` when the input contains one of the class's forbidden
+    patterns, the diamond first.  A Sparse input is then free of K5 and of
+    C4 (= K2,2) by the checks before it, and of P6 because P6 contains an
+    induced P2+P3.  The anchors found here are memoised for the decomposer
+    that runs next on the same graph.
     """
-    for expr, member in zip(CLASS_FORBIDDEN_EXPRS, (is_diamond_free, is_p2p3_free)):
-        if not member(g):
-            witness = is_free(g, [pattern(expr)]).witness
-            raise RouteError(f"input contains {expr}", witness)
+    found = is_free(g, [pattern(expr) for expr in CLASS_FORBIDDEN_EXPRS])
+    if not found.free:
+        expr = CLASS_FORBIDDEN_EXPRS[found.pattern_index]
+        raise RouteError(f"input contains {expr}", found.witness)
     if find_clique(g, 5) is not None:
         return "K5"
     if find_induced_cycle(g, 5) is not None:
@@ -621,10 +570,10 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
 
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
-    junk, pattern = _cycle_split(g, cyc, "L4.2", claims, sets)
+    junk, cycle_bits = _cycle_split(g, cyc, "L4.2", claims, sets)
 
     for i in range(5):
-        wi = tuple(v for v, bits in pattern.items() if bits == 1 << i)
+        wi = tuple(v for v, bits in cycle_bits.items() if bits == 1 << i)
         sets[f"W{i + 1}"] = wi
         _claim(claims, f"L4.2-W{i + 1}", [wi if len(wi) > 1 else None])
         junk.update(wi)
@@ -633,7 +582,7 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     xset: list[int] = []
     # two opposite neighbours {i-1, i+1} name the set V_i
     opposite = {1 << (i - 1) % 5 | 1 << (i + 1) % 5: i for i in range(5)}
-    for v, bits in pattern.items():
+    for v, bits in cycle_bits.items():
         if v in junk:
             continue
         if not bits:
@@ -857,13 +806,13 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
     on_cycle = set(cyc)
-    deletions, pattern = _cycle_split(g, cyc, "L4.3", claims, sets)
+    deletions, cycle_bits = _cycle_split(g, cyc, "L4.3", claims, sets)
 
     wlists: dict[int, list[int]] = {i: [] for i in range(4)}
     v1: list[int] = []
     v2: list[int] = []
     xset: list[int] = []
-    for v, bits in pattern.items():
+    for v, bits in cycle_bits.items():
         if not bits:
             xset.append(v)
         elif not bits & (bits - 1):
@@ -1024,7 +973,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         and _first_inside(rest_graph, named_side2, True) is None
     )
     bip = is_bipartite(rest_graph)
-    p2p3_free = is_p2p3_free(rest_graph)
+    p2p3_free = _split_free(pattern("P2+P3"), rest_graph)
     parts.append(
         Part(
             "bipartite-p2p3-free",

@@ -199,10 +199,26 @@ class TestBudgetAndRange:
 
     def test_antichain_reads_environment_budget(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV, "0")
-        assert main(self.ANTICHAIN) == 2  # every cell exhausted: unknown
+        assert main(self.ANTICHAIN) == 2  # every searched cell exhausted: unknown
         blob = json.loads(capsys.readouterr().out)
         assert not blob["ok"]
-        assert all(c["exhausted"] for c in blob["freeness"] + blob["incomparability"])
+        # the diamond's split tree decides its cells without a node; P2+P4,
+        # P6 and the incomparability cells need the search
+        for cell in blob["freeness"]:
+            diamond = cell["pattern"] == "co(2P1+P2)"
+            assert (cell["free"], cell["exhausted"]) == (diamond, not diamond)
+        assert all(c["exhausted"] for c in blob["incomparability"])
+
+    def test_free_verdict_needs_no_budget(self, capsys):
+        # The gem has a split tree, so a zero budget decides this cell; the
+        # search alone exhausts it at its first node.
+        g6 = encode_graph6(antichains.gen_thm52(12))
+        args = ["free", "--g", "g6:" + g6, "--forbidden", "co(P1+P4)", "--budget", "0"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "free\n" and not captured.err
+        assert main(args[:4] + ["P2+P4", "--budget", "0"]) == 2
+        assert capsys.readouterr().err.strip() == "budget: search budget exhausted after 1 nodes"
 
     def test_antichain_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv(BUDGET_ENV, raising=False)

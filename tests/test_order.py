@@ -23,13 +23,16 @@ from wqograph.order import (
     SearchBudgetExceeded,
     _lex_leader,
     _plan,
+    _split_free,
+    _split_tree,
     induced_embed,
     in_class_S,
     is_free,
     is_linear_forest,
     labelled_embed,
 )
-from wqograph.antichains import gen_thm51, gen_thm52
+from wqograph.antichains import family_member, gen_thm51, gen_thm52
+from wqograph.classifier import nonisomorphic_graphs
 from oracles import oracle_embed, oracle_embed_search, oracle_lex_orbits
 from strategies import small_graphs
 
@@ -337,6 +340,97 @@ class TestIsFree:
             if is_free(g, patterns).free:
                 s = [v for v in range(g.n) if rng.random() < 0.6]
                 assert is_free(induced(g, s), patterns).free
+
+
+# Every graph with at most five vertices that has a split tree, and the
+# split patterns the library tests most.
+SPLIT_PATTERNS = [
+    g for n in range(1, 6) for g in nonisomorphic_graphs(n) if _split_tree(g) is not None
+] + [build(expr) for expr in ("co(P1+P4)", "P1+2P2", "P2+P3", "co(2P1+P2)")]
+
+
+@st.composite
+def family_hosts(draw):
+    """A thm51 or thm52 member, half of the time with one vertex pair
+    toggled."""
+    family = draw(st.sampled_from(("thm51", "thm52")))
+    g = family_member(family, draw(st.integers(2 if family == "thm51" else 3, 12)))
+    if draw(st.booleans()):
+        u, v = sorted(draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)))
+        g = Graph.from_edges(g.n, sorted(set(g.edges()) ^ {(u, v)}))
+    return g
+
+
+class TestSplitFree:
+    """The split-tree decider says what the embedding search says, and a
+    free verdict from it spends no node."""
+
+    @staticmethod
+    def check(h, g):
+        free = induced_embed(h, g) is None
+        assert _split_free(h, g) == free
+        budget = SearchBudget(10**9)
+        found = is_free(g, [h], budget)
+        assert found.free == free
+        assert budget.used == 0 or not free
+        if not free:
+            assert found.witness == tuple(sorted(induced_embed(h, g)))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(SPLIT_PATTERNS), small_graphs(11))
+    def test_random_hosts(self, h, g):
+        self.check(h, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SPLIT_PATTERNS), family_hosts())
+    def test_family_hosts(self, h, g):
+        self.check(h, g)
+
+    def test_family_members_free(self):
+        # the antichains' own freeness cells, on every member
+        for family, ns, exprs in (
+            ("thm51", range(2, 13), ("co(2P1+P2)",)),
+            ("thm52", range(3, 13), ("co(P1+P4)", "P1+2P2")),
+        ):
+            for n in ns:
+                for expr in exprs:
+                    assert _split_free(build(expr), family_member(family, n)) is True
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["P2+P4", "P1+P2+P4", "P6", "C5", "C4", "co(P2+P3)", "6P1", "3K2", "12P1+12P2+P6"],
+    )
+    def test_patterns_left_to_the_search(self, expr):
+        # A P4 test under an edge loop (P2+P4, P1+P2+P4), no split (P6, C5,
+        # C4, co(P2+P3)), or a split tree of degree above four (6P1 is five
+        # vertex loops over 2P1, 3K2 an edge loop over 2K2).  The last
+        # pattern may drop an isolated vertex or a K2 component first at
+        # each of 24 steps, and every order ends at P6.
+        assert _split_tree(build(expr)) is None
+        assert _split_free(build(expr), build("P8")) is None
+
+    def test_family_members_left_to_the_search(self):
+        assert _split_tree(gen_thm51(3)) is None and _split_tree(gen_thm52(3)) is None
+
+    def test_free_verdict_spends_no_node(self):
+        # the search needs 11,932 nodes to show this (see test_pinned_nodes)
+        budget = SearchBudget(0)
+        assert is_free(gen_thm52(12), [build("co(P1+P4)")], budget).free
+        assert budget.used == 0
+
+    def test_budget_ends_where_the_search_ends(self):
+        # on a non-free input the search names the witness with the budget
+        h, g = build("P1+2P2"), gen_thm51(3)
+        spent = SearchBudget(10**9)
+        assert induced_embed(h, g, spent) is not None
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            is_free(g, [h], SearchBudget(spent.used - 1))
+        assert exc.value.nodes == spent.used
+
+    def test_smaller_host_is_free(self):
+        assert _split_free(build("P1+2P2"), build("2K2")) is True
+        assert _split_free(build("K1"), Graph.empty(0)) is True
+        assert _split_free(build("K1"), Graph.empty(1)) is False
 
 
 class TestAntichainCheck:

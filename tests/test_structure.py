@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import combinations, permutations
 
@@ -31,8 +32,6 @@ from wqograph.structure import (
     _normal_cycle,
     find_clique,
     find_induced_cycle,
-    is_diamond_free,
-    is_p2p3_free,
     route,
 )
 from wqograph.uniform import verify_witness
@@ -87,15 +86,16 @@ CERTIFY_START_SEED = 1_000_000
 
 
 class TestMembership:
-    """The two exact bitset tests decide what the embedding search decides,
-    and ``is_class_member`` is their conjunction."""
+    """``is_free``, which decides both forbidden patterns by their split
+    trees, says what the embedding search says, and ``is_class_member`` is
+    the conjunction."""
 
     @staticmethod
     def searched(g: Graph) -> tuple[bool, bool]:
-        diamond = is_free(g, [build("co(2P1+P2)")]).free
-        p2p3 = is_free(g, [build("P2+P3")]).free
-        assert is_diamond_free(g) == diamond
-        assert is_p2p3_free(g) == p2p3
+        diamond = induced_embed(build("co(2P1+P2)"), g) is None
+        p2p3 = induced_embed(build("P2+P3"), g) is None
+        assert is_free(g, [build("co(2P1+P2)")]).free == diamond
+        assert is_free(g, [build("P2+P3")]).free == p2p3
         assert is_class_member(g) == (diamond and p2p3)
         return diamond, p2p3
 
@@ -441,3 +441,101 @@ class TestDecomposeC4:
         assert blob["branch"] == "C4"
         assert {"id", "ok"} <= set(blob["claims"][0].keys())
         assert isinstance(blob["script"], list)
+
+
+# ---------------------------------------------------------------------------
+# Junk-claim mutants
+#
+# The instance makers build members without junk: no Y or W set of the
+# certify members is ever non-empty, so no one-pair toggle of them breaks a
+# junk claim.  The battery first adds one junk vertex to a member (adjacent
+# to one cycle vertex or to two consecutive ones, and to a random set of the
+# other off-cycle vertices), keeps the graph if it is still a member of the
+# same branch, and then toggles one pair of an off-cycle vertex and a cycle
+# vertex.
+
+JUNK_SEED = 20261024
+JUNK_SOURCES = 100  # members per branch
+JUNK_TRIES = 20  # junk vertices tried per member
+JUNK_TOGGLES = 12  # one-pair mutants per junk member
+CYCLE_BRANCHES = (
+    ("C5", c5_instance, c5_branch_valid, decompose_c5),
+    ("C4", c4_instance, c4_branch_valid, decompose_c4),
+)
+
+
+def _toggled(g: Graph, *pairs) -> Graph:
+    return Graph.from_edges(g.n, sorted(set(g.edges()) ^ {tuple(sorted(p)) for p in pairs}))
+
+
+def _in_branch(g: Graph, branch: str) -> bool:
+    return is_class_member(g) and route(g) == branch
+
+
+def junk_members(rng):
+    """(branch, decomposer, member with one junk vertex, anchor, the junk
+    vertex's cycle neighbours) for each source member that takes a junk
+    vertex within ``JUNK_TRIES``."""
+    for branch, maker, valid, decompose in CYCLE_BRANCHES:
+        for _, g in class_members(maker, JUNK_SOURCES, start_seed=CERTIFY_START_SEED, valid=valid):
+            cyc = decompose(g).anchor
+            off = [v for v in range(g.n) if v not in cyc]
+            for _ in range(JUNK_TRIES):
+                i = rng.randrange(len(cyc))
+                hubs = (cyc[i], cyc[(i + 1) % len(cyc)])[: rng.randint(1, 2)]
+                p = rng.choice((0, rng.random()))
+                near = hubs + tuple(v for v in off if rng.random() < p)
+                h = Graph.from_edges(g.n + 1, g.edges() + [(v, g.n) for v in near])
+                if _in_branch(h, branch):
+                    yield branch, decompose, h, cyc, hubs
+                    break
+
+
+class TestJunkClaimMutants:
+    def test_first_failed_claims(self):
+        """On a member every claim holds.  Toggling one pair of an off-cycle
+        vertex and a cycle neighbour of the junk vertex makes each junk
+        claim kind the first failed claim of some mutant, and a mutant that
+        is still a member of the branch fails no claim."""
+        rng = random.Random(JUNK_SEED)
+        first = set()
+        for branch, decompose, h, cyc, hubs in junk_members(rng):
+            assert decompose(h, cyc).ok
+            off = [v for v in range(h.n) if v not in cyc]
+            for _ in range(JUNK_TOGGLES):
+                m = _toggled(h, (rng.choice(off), rng.choice(hubs)))
+                try:
+                    rep = decompose(m, cyc)
+                except ValueError:  # the C4 decomposer refuses a C5 or a K5
+                    continue
+                if _in_branch(m, branch):
+                    assert rep.ok
+                elif rep.failed_claims():
+                    first.add(re.sub(r"\d+$", "*", rep.failed_claims()[0]))
+        assert {"L4.2-Y*", "L4.2-W*", "L4.3-Y*"} <= first
+
+    def test_opposite_sets_need_two_toggles(self):
+        """L4.3-C5 fails when two opposite W sets both keep two vertices or
+        more.  A one-pair toggle moves one vertex, so a one-pair mutant
+        would need a member with two vertices a, b in W_i and one, x, in
+        W_{i+2}; but x adjacent to a closes a C5 through the cycle, and
+        otherwise the independent set {a, b} (claim B2) makes a P3 with
+        its hub that x and its hub, an edge, miss: a P2+P3.  So this
+        battery toggles two X vertices onto the hub opposite a W set of
+        two, which makes L4.3-C5 the first failed claim."""
+        hits = 0
+        for _, g in class_members(c4_instance, 60, start_seed=CERTIFY_START_SEED, valid=c4_branch_valid):
+            rep = decompose_c4(g)
+            cyc, xs = rep.anchor, rep.sets["X"]
+            for i in range(4):
+                if len(rep.sets[f"W{i + 1}"]) < 2:
+                    continue
+                hub = cyc[(i + 2) % 4]
+                for x, y in combinations(xs, 2):
+                    m = _toggled(g, (x, hub), (y, hub))
+                    try:
+                        failed = decompose_c4(m, cyc).failed_claims()
+                    except ValueError:
+                        continue
+                    hits += failed[:1] == ("L4.3-C5",)
+        assert hits
