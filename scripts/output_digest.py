@@ -35,7 +35,9 @@ Families:
   which split into three parts with a matching or a co-matching between any
   two yet have no witness, and over restricted template expansions with one
   vertex pair flipped;
-- ``templates``: the canonical templates of orders 1 to 3, in search order;
+- ``uniform-order``: the orders alone (or None) of the ``uniform`` and
+  ``uniform-hard`` searches, so that two checkouts whose witnesses differ
+  can still be compared on verdicts;
 - ``antichain``: ``verify_family`` reports (thm51 2..6, thm52 3..5, cycles
   4..13); ``induced_embed`` both ways between randomly relabelled members of
   one family; the first embeddings of paths, cycles, cliques and matchings
@@ -226,18 +228,14 @@ def uniform_hard_battery() -> list[Graph]:
     return graphs
 
 
-def uniform_searches(battery: list[Graph]) -> str:
+def uniform_searches(battery: list[Graph], orders: Digest) -> str:
+    """The digest of the orders and witnesses; the orders alone also go to
+    ``orders``."""
     digest = Digest()
     for g in battery:
         found = uniform.uniformicity(g, 3)
         digest.add(None if found is None else [found[0], found[1].to_json()])
-    return digest.hex()
-
-
-def templates() -> str:
-    digest = Digest()
-    for k in (1, 2, 3):
-        digest.add([t.to_json() for t in uniform._canonical_templates(k)])
+        orders.add(None if found is None else found[0])
     return digest.hex()
 
 
@@ -279,9 +277,10 @@ def main() -> int:
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
     digests["free"] = freeness()
-    digests["uniform"] = uniform_searches(uniform_battery())
-    digests["uniform-hard"] = uniform_searches(uniform_hard_battery())
-    digests["templates"] = templates()
+    orders = Digest()
+    digests["uniform"] = uniform_searches(uniform_battery(), orders)
+    digests["uniform-hard"] = uniform_searches(uniform_hard_battery(), orders)
+    digests["uniform-order"] = orders.hex()
     digests["antichain"] = antichain()
     for name, value in digests.items():
         print(f"{name} {value}")

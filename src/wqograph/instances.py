@@ -24,20 +24,23 @@ def is_class_member(g: Graph) -> bool:
     return all(_split_free(pattern(expr), g) for expr in CLASS_FORBIDDEN_EXPRS)
 
 
+MAX_ATTEMPTS = 4000
+
+
 def class_members(
     maker: Callable[[int], Graph],
     count: int,
     *,
     start_seed: int = 0,
-    max_attempts: int = 4000,
     valid: Callable[[Graph], bool] | None = None,
 ) -> list[tuple[int, Graph]]:
     """First ``count`` seeds whose candidate passes membership (plus any
-    extra validity predicate), scanning seeds from ``start_seed``."""
+    extra validity predicate), scanning at most ``MAX_ATTEMPTS`` seeds from
+    ``start_seed``."""
     out = []
     seed = start_seed
     attempts = 0
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < MAX_ATTEMPTS:
         g = maker(seed)
         if is_class_member(g) and (valid is None or valid(g)):
             out.append((seed, g))

@@ -450,7 +450,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
     elif case == 3:
         small = mask_of(v for c in comps if len(c) == 1 for v in c)
         dels = [xv for xv in x if g.rows[xv] & small]
-        claims.append(ClaimCheck("L4.1-C3-DEL", len(dels) <= 2, tuple(dels)))
+        _claim(claims, "L4.1-C3-DEL", [tuple(dels) if len(dels) > 2 else None])
         deletions = tuple(dels)
         script = _deletion_script(deletions)
         image = apply_script(g, script)
@@ -465,7 +465,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         )
     else:
         dels = [xv for xv in x if g.rows[xv] & ~xmask]
-        claims.append(ClaimCheck("L4.1-C4-DEL", len(dels) <= 2, tuple(dels)))
+        _claim(claims, "L4.1-C4-DEL", [tuple(dels) if len(dels) > 2 else None])
         deletions = tuple(dels)
         script = _deletion_script(deletions)
         image = apply_script(g, script)

@@ -22,7 +22,7 @@ different copies read the flipped K entry, and flipped pairs sharing a copy
 read the doubled F edge together with the flipped K entry, which combine to
 the required flip.
 
-The bounded search (``is_k_uniform``, ``uniformicity``) first asks whether
+The bounded search (``is_k_uniform``, ``uniformicity``) asks whether
 the classes and copies of an order-k witness can be laid out at all.  Two
 vertices of one class i sit in different copies, so they are adjacent iff
 K(i, i) = 1: every class is a clique or an independent set.  Between
@@ -40,31 +40,26 @@ pair, and joining more pairs can only break the two conditions, so the
 least relation, the closure of the deviation pairs, fits whenever any
 relation does; where both the edges and the non-edges between two parts
 form a non-empty matching (parts of at most two vertices), both are tried.
-A split with a fitting relation is itself a witness, with the parts as
-classes, so the check is exact: when it fails no template is tried, and
-when it holds the template loop finds a witness.
 
-The template loop tries the canonical templates of order k in a fixed order
-and, for each, places vertices 0..n-1 in turn on the free slots (c, i) in
-ascending order, opening copies in first-use order, so the first witness
-found is canonical.  After each
-placement a forward check asks whether every later vertex still fits some
-free slot given the placed ones, and abandons the placement if one does not.
-The check only cuts subtrees that hold no witness, so the first witness is
-that of the plain slot search and the slots tried are a subset of its.  One
-search node is one part tried for a vertex in the partition check or one
-free slot tried in the template loop; testing the copies of a complete split
-is no node, as each such test follows at least one (but on the empty graph,
-where it is trivial).  Both searches count their nodes locally, charge them
-to the budget on the way out, and raise :class:`SearchBudgetExceeded` at the
-node where spending them one by one would.
+A split with a fitting relation is itself a witness, so the check is exact,
+and the first such split the search reaches is the witness it returns.
+Part p is class p, with K(p, p) = 1 iff the part holds an edge (it is then
+a clique); between two parts, K is 0 if the deviation taken is the edges
+and 1 if it is the non-edges, and F has an edge exactly where that
+deviation is non-empty.  The copies are the components of the closure,
+numbered in order of their lowest vertex, and classes beyond the parts pad
+the template to order k with K = 0 and no F-edge.  One search node is one
+part tried for one vertex; testing the copies of a complete split is no
+node, as each such test follows at least one (but on the empty graph, where
+it is trivial).  The search counts its nodes locally, charges them to the
+budget on the way out, and raises :class:`SearchBudgetExceeded` at the node
+where spending them one by one would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import product
 from typing import Iterable
 
 from .graphs import Graph, bits_of
@@ -202,160 +197,10 @@ MAX_SEARCH_K = 3
 MAX_SEARCH_N = 10
 
 
-@lru_cache(maxsize=None)
-def _canonical_templates(k: int) -> list[UniformTemplate]:
-    """All (K, F) pairs up to simultaneous class permutation, in search order
-    (K packed bits ascending, then F edge sets ascending), each orbit
-    represented by its first member in that order.
-
-    A (K, F) pair is packed as ``kbits << len(fpairs) | fbits``; every
-    permutation of the classes acts on the packed K and F bits through one
-    lookup table each, and a first member marks its whole orbit as seen.
-    """
-    kpairs = [(i, j) for i in range(k) for j in range(i, k)]
-    fpairs = list(combinations(range(k), 2))
-    nf = len(fpairs)
-    tables = [
-        (_bit_images(kpairs, perm), _bit_images(fpairs, perm))
-        for perm in permutations(range(k))
-    ]
-    seen = bytearray(1 << (len(kpairs) + nf))
-    out = []
-    for kbits in range(1 << len(kpairs)):
-        matrix = [[0] * k for _ in range(k)]
-        for idx, (i, j) in enumerate(kpairs):
-            if kbits >> idx & 1:
-                matrix[i][j] = matrix[j][i] = 1
-        for fbits in range(1 << nf):
-            if seen[kbits << nf | fbits]:
-                continue
-            for kimage, fimage in tables:
-                seen[kimage[kbits] << nf | fimage[fbits]] = 1
-            edges = [fpairs[idx] for idx in range(nf) if fbits >> idx & 1]
-            out.append(
-                UniformTemplate(
-                    k,
-                    Graph.from_edges(k, edges),
-                    tuple(tuple(row) for row in matrix),
-                )
-            )
-    return out
-
-
-def _bit_images(pairs, perm) -> list[int]:
-    """For every set of ``pairs`` packed as bits, the packed set of their
-    images under the class permutation ``perm``."""
-    index = {pair: idx for idx, pair in enumerate(pairs)}
-    moved = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
-    images = [0] * (1 << len(pairs))
-    for bits in range(1, len(images)):
-        low = bits & -bits
-        images[bits] = images[bits ^ low] | moved[low.bit_length() - 1]
-    return images
-
-
-@lru_cache(maxsize=None)
-def _class_lists(template: UniformTemplate) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each class i, the classes j with K(i, j) = 1 and the F-neighbours
-    of i.  Only the canonical templates (134 for k <= 3) reach this cache."""
-    k = template.k
-    return (
-        tuple(tuple(j for j in range(k) if template.matrix[i][j]) for i in range(k)),
-        tuple(tuple(j for j in range(k) if template.f.adjacent(i, j)) for i in range(k)),
-    )
-
-
-def _find_assignment(
-    g: Graph, template: UniformTemplate, budget: SearchBudget | None
-) -> tuple[tuple[int, int], ...] | None:
-    """First slot assignment in search order, or None.
-
-    Placed vertices are kept as bitmasks: ``across[i]`` holds those that a
-    class-i vertex in another copy must be adjacent to (their class j has
-    K(i, j) = 1), ``flips[i]`` those whose adjacency to class i flips when
-    they share its copy (their class j is an F-neighbour of i), and
-    ``members[c]`` the vertices of copy c.  A vertex whose neighbourhood
-    among the placed vertices is N fits the free slot (c, i) iff
-    ``N ^ across[i] == flips[i] & members[c]``.
-    """
-    n, k = g.n, template.k
-    rows = g.rows
-    cap = 1 << 62 if budget is None else budget.limit - budget.used
-    spent = 0
-    k_classes, f_classes = _class_lists(template)
-    across = [0] * k
-    flips = [0] * k
-    members = [0] * n
-    taken = [0] * n  # classes used in each copy, as a bitmask
-    copy_of = [0] * n
-    assign: list[tuple[int, int]] = []
-
-    def viable(v: int) -> bool:
-        """Every vertex after v still fits some slot.  With D = N ^ across[j]
-        zero, class j of a fresh copy fits; otherwise only the copy of D's
-        lowest vertex can."""
-        placed = (2 << v) - 1
-        for w in range(v + 1, n):
-            nw = rows[w] & placed
-            if nw in across:
-                continue
-            for j in range(k):
-                d = nw ^ across[j]
-                c = copy_of[(d & -d).bit_length() - 1]
-                if flips[j] & members[c] == d and not taken[c] >> j & 1:
-                    break
-            else:
-                return False
-        return True
-
-    def place(v: int, copies: int) -> bool:
-        nonlocal spent
-        if v == n:
-            return True
-        nv = rows[v] & ((1 << v) - 1)
-        bit = 1 << v
-        for c in range(copies + 1):  # copies <= v, so a fresh copy exists
-            cm = members[c]
-            tk = taken[c]
-            for i in range(k):
-                if tk >> i & 1:
-                    continue
-                spent += 1
-                if spent > cap:
-                    raise SearchBudgetExceeded(budget.used + spent)
-                if nv ^ across[i] != flips[i] & cm:
-                    continue
-                for j in k_classes[i]:
-                    across[j] |= bit
-                for j in f_classes[i]:
-                    flips[j] |= bit
-                members[c] = cm | bit
-                taken[c] = tk | 1 << i
-                copy_of[v] = c
-                assign.append((c, i))
-                if viable(v) and place(v + 1, max(copies, c + 1)):
-                    return True
-                assign.pop()
-                for j in k_classes[i]:
-                    across[j] ^= bit
-                for j in f_classes[i]:
-                    flips[j] ^= bit
-                members[c] = cm
-                taken[c] = tk
-        return False
-
-    try:
-        found = place(0, 0)
-    finally:
-        if budget is not None:
-            budget.used += spent
-    return tuple(assign) if found else None
-
-
-def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
-    """Whether the vertices split into at most k parts with a copy relation
-    that fits, as the module docstring sets out: exactly when some order-k
-    template has a witness.
+def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> UniformWitness | None:
+    """The witness of the first split into at most k parts with a copy
+    relation that fits, as the module docstring sets out, or None: exactly
+    when no order-k template has a witness.
 
     Vertices are placed 0..n-1 on the open parts and then on a fresh one
     (parts open in first-use order); one search node is one part tried for
@@ -403,48 +248,65 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
                 out.append((q, old, mode))
         return out
 
-    def copies_fit(opened: int) -> bool:
-        """Whether the closure of the deviation pairs fits the complete
-        split, for some choice of K between parts whose edges and non-edges
-        both form a non-empty matching.  A deviation is kept as ``(qm,
-        devs)``: part q's mask and, for each vertex u of part p, the mask of
-        its partner in q (0 if none).
+    def witness(opened: int) -> UniformWitness | None:
+        """The witness of the complete split if the closure of the deviation
+        pairs fits it, for some choice of K between parts whose edges and
+        non-edges both form a non-empty matching.  A deviation is kept as
+        ``(p, q, K(p, q), devs)``: for each vertex u of part p, ``devs``
+        pairs u with the mask of its partner in part q (0 if none).
 
         The closure fits iff no component holds a cross pair of a non-empty
         deviation's parts that is not a deviation pair.  That keeps two
         vertices of one part apart too: if u and u' of part p share a
         component, one of them, say u, was joined to a partner v in some
         part q, and (u', v) is then such a cross pair."""
+        matrix = [[0] * k for _ in range(k)]
         choices = []
         for p in range(opened):
-            members = bits_of(parts[p])
+            pm = parts[p]
+            matrix[p][p] = int(bool(rows[(pm & -pm).bit_length() - 1] & pm))
+            members = bits_of(pm)
             for q in range(p + 1, opened):
-                qm = parts[q]
                 options = []
-                for bit, flip in ((1, 0), (2, -1)):  # K = 0: edges; K = 1: non-edges
-                    if modes[p][q] & bit:
-                        devs = [(u, (rows[u] ^ flip) & qm) for u in members]
+                for kpq, flip in ((0, 0), (1, -1)):  # K = 0: edges; K = 1: non-edges
+                    if modes[p][q] >> kpq & 1:
+                        devs = [(u, (rows[u] ^ flip) & parts[q]) for u in members]
                         if not any(d for _, d in devs):
+                            matrix[p][q] = matrix[q][p] = kpq
                             break  # an empty deviation imposes nothing
-                        options.append((qm, devs))
+                        options.append((p, q, kpq, devs))
                 else:
                     choices.append(options)
         for chosen in product(*choices):
             comp = [1 << v for v in range(n)]
-            for _, devs in chosen:
+            for _, _, _, devs in chosen:
                 for u, d in devs:
                     if d and not comp[u] & d:
                         joined = comp[u] | comp[d.bit_length() - 1]
                         for w in bits_of(joined):
                             comp[w] = joined
-            if all(not comp[u] & qm or comp[u] & qm == d for qm, devs in chosen for u, d in devs):
-                return True
-        return False
+            if all(
+                not comp[u] & parts[q] or comp[u] & parts[q] == d
+                for _, q, _, devs in chosen
+                for u, d in devs
+            ):
+                for p, q, kpq, _ in chosen:
+                    matrix[p][q] = matrix[q][p] = kpq
+                f = Graph.from_edges(k, [(p, q) for p, q, _, _ in chosen])
+                template = UniformTemplate(k, f, tuple(map(tuple, matrix)))
+                part_of = [0] * n
+                for p in range(opened):
+                    for v in bits_of(parts[p]):
+                        part_of[v] = p
+                copies: dict[int, int] = {}  # component mask -> copy
+                assign = [(copies.setdefault(comp[v], len(copies)), part_of[v]) for v in range(n)]
+                return UniformWitness(template, tuple(assign))
+        return None
 
-    def place(v: int, opened: int) -> bool:
+    def place(v: int, opened: int) -> UniformWitness | None:
         nonlocal spent
         if v == n:
-            return copies_fit(opened)
+            return witness(opened)
         bit = 1 << v
         for p in range(min(opened + 1, k)):
             spent += 1
@@ -456,12 +318,13 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> bool:
             for q, _, mode in changes:
                 modes[p][q] = modes[q][p] = mode
             parts[p] |= bit
-            if place(v + 1, max(opened, p + 1)):
-                return True
+            found = place(v + 1, max(opened, p + 1))
+            if found is not None:
+                return found
             parts[p] ^= bit
             for q, old, _ in changes:
                 modes[p][q] = modes[q][p] = old
-        return False
+        return None
 
     try:
         return place(0, 0)
@@ -487,13 +350,7 @@ def is_k_uniform(
         raise SearchRefused(
             f"uniformicity search bounded to k <= {MAX_SEARCH_K}, n <= {MAX_SEARCH_N}"
         )
-    if not _class_partition(g, k, budget):
-        return None
-    for template in _canonical_templates(k):
-        assign = _find_assignment(g, template, budget)
-        if assign is not None:
-            return UniformWitness(template, assign)
-    return None
+    return _class_partition(g, k, budget)
 
 
 def uniformicity(

@@ -1,11 +1,15 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here enumerates, or backtracks without look-ahead, and shares
-no code with the package's search paths.  ``oracle_embed`` is the
-package's own injection oracle, which the selftest also runs against the
-embedding solver.  ``oracle_find_assignment`` is the plain slot search that
-the package's forward-checked uniformicity search must agree with, witness
-for witness.  ``oracle_embed_search`` is the embedding search as it was
+Everything here enumerates, or backtracks without look-ahead (but for the
+one forward-checked search named below), and shares no code with the
+package's search paths.  ``oracle_embed`` is the package's own injection
+oracle, which the selftest also runs against the embedding solver.
+``oracle_find_assignment`` is the plain slot search for a uniform witness
+over one template, and ``oracle_forward_assignment`` the same search on
+bitmasks with a forward check, as the package ran it after its partition
+check until that check returned its own witness; the tests take the faster
+one as the reference for which graphs have a witness, and check it against
+the plain one.  ``oracle_embed_search`` is the embedding search as it was
 before the last-pair look-ahead: the package's search must return its
 assignment and spend no more nodes.  ``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
@@ -14,19 +18,19 @@ must return the same first counterexample.  ``oracle_same_side_components``
 is the matrix search that the bitset one in ``antichains`` replaced.
 ``oracle_delete_vertices`` is vertex deletion as it was before rows were
 shifted in place: the subgraph induced by the survivors.
-``oracle_canonical_templates`` is the template dedup that compared the
-least relabelled key over all k! class orders, which the orbit marking in
-``uniform`` replaced: the lists must be equal.  ``oracle_verify_witness``
-checks a witness pair by pair through the template's adjacency law, as
-``uniform.verify_witness`` did before it compared rows.
-``oracle_class_partition`` decides by enumeration whether the vertices split
-into at most k parts that are cliques or independent sets with a matching or
-co-matching between any two, which ``uniform``'s partition check decides by
-backtracking.  ``oracle_lex_orbits`` lists, for each position of a search
-order, the later positions that an automorphism fixing the earlier ones maps
-it onto, from all n! permutations; the embedding search's lex-leader
-constraints must equal it.  ``oracle_reconstruct_thm52`` is the thm52 walk
-as it ran before its bitmask form, over the matrix side split.
+``oracle_canonical_templates`` lists the templates of order k up to a
+permutation of the classes, by the least relabelled key over all k! class
+orders.  ``oracle_verify_witness`` checks a witness pair by pair through the
+template's adjacency law, as ``uniform.verify_witness`` did before it
+compared rows.  ``oracle_class_partition`` decides by enumeration whether
+the vertices split into at most k parts that are cliques or independent
+sets with a matching or co-matching between any two, which ``uniform``'s
+partition check decides by backtracking.  ``oracle_lex_orbits`` lists, for
+each position of a search order, the later positions that an automorphism
+fixing the earlier ones maps it onto, from all n! permutations; the
+embedding search's lex-leader constraints must equal it.
+``oracle_reconstruct_thm52`` is the thm52 walk as it ran before its bitmask
+form, over the matrix side split.
 """
 
 from itertools import combinations, permutations, product
@@ -156,11 +160,10 @@ def _charge(budget) -> None:
         raise SearchBudgetExceeded(budget.used)
 
 
-def oracle_find_assignment(g: Graph, template, budget=None):
+def oracle_find_assignment(g: Graph, template):
     """Backtracking slot assignment without pruning: vertices in order,
-    slots (copy, class) ascending, copies opened in first-use order, one
-    node charged to ``budget`` per free slot tried.  Returns the first
-    assignment found, or None."""
+    slots (copy, class) ascending, copies opened in first-use order.
+    Returns the first assignment found, or None."""
     k = template.k
     assign: list[tuple[int, int]] = []
     used: set[tuple[int, int]] = set()
@@ -178,8 +181,6 @@ def oracle_find_assignment(g: Graph, template, budget=None):
                 slot = (c, i)
                 if slot in used:
                     continue
-                if budget is not None:
-                    _charge(budget)
                 if consistent(v, slot):
                     assign.append(slot)
                     used.add(slot)
@@ -192,6 +193,83 @@ def oracle_find_assignment(g: Graph, template, budget=None):
     if rec(0, 0):
         return tuple(assign)
     return None
+
+
+def oracle_forward_assignment(g: Graph, template):
+    """The first assignment of ``oracle_find_assignment``, or None, found on
+    bitmasks with a forward check.
+
+    Placed vertices are kept as bitmasks: ``across[i]`` holds those that a
+    class-i vertex in another copy must be adjacent to (their class j has
+    K(i, j) = 1), ``flips[i]`` those whose adjacency to class i flips when
+    they share its copy (their class j is an F-neighbour of i), and
+    ``members[c]`` the vertices of copy c.  A vertex whose neighbourhood
+    among the placed vertices is N fits the free slot (c, i) iff
+    ``N ^ across[i] == flips[i] & members[c]``.  After each placement every
+    later vertex must still fit some free slot; that check only cuts
+    subtrees without an assignment, so the first assignment is the plain
+    search's.
+    """
+    n, k = g.n, template.k
+    rows = g.rows
+    k_classes = [[j for j in range(k) if template.matrix[i][j]] for i in range(k)]
+    f_classes = [[j for j in range(k) if template.f.adjacent(i, j)] for i in range(k)]
+    across = [0] * k
+    flips = [0] * k
+    members = [0] * n
+    taken = [0] * n  # classes used in each copy, as a bitmask
+    copy_of = [0] * n
+    assign: list[tuple[int, int]] = []
+
+    def viable(v: int) -> bool:
+        """Every vertex after v still fits some slot.  With D = N ^ across[j]
+        zero, class j of a fresh copy fits; otherwise only the copy of D's
+        lowest vertex can."""
+        placed = (2 << v) - 1
+        for w in range(v + 1, n):
+            nw = rows[w] & placed
+            if nw in across:
+                continue
+            for j in range(k):
+                d = nw ^ across[j]
+                c = copy_of[(d & -d).bit_length() - 1]
+                if flips[j] & members[c] == d and not taken[c] >> j & 1:
+                    break
+            else:
+                return False
+        return True
+
+    def place(v: int, copies: int) -> bool:
+        if v == n:
+            return True
+        nv = rows[v] & ((1 << v) - 1)
+        bit = 1 << v
+        for c in range(copies + 1):  # copies <= v, so a fresh copy exists
+            cm = members[c]
+            tk = taken[c]
+            for i in range(k):
+                if tk >> i & 1 or nv ^ across[i] != flips[i] & cm:
+                    continue
+                for j in k_classes[i]:
+                    across[j] |= bit
+                for j in f_classes[i]:
+                    flips[j] |= bit
+                members[c] = cm | bit
+                taken[c] = tk | 1 << i
+                copy_of[v] = c
+                assign.append((c, i))
+                if viable(v) and place(v + 1, max(copies, c + 1)):
+                    return True
+                assign.pop()
+                for j in k_classes[i]:
+                    across[j] ^= bit
+                for j in f_classes[i]:
+                    flips[j] ^= bit
+                members[c] = cm
+                taken[c] = tk
+        return False
+
+    return tuple(assign) if place(0, 0) else None
 
 
 def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):

@@ -14,6 +14,7 @@ import wqograph
 from wqograph import antichains
 from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
 from wqograph.graphs import build, decode_graph6, encode_graph6
+from wqograph.uniform import UniformTemplate, UniformWitness, verify_witness
 
 
 class TestGraphArgs:
@@ -86,6 +87,15 @@ class TestCommands:
     def test_uniform(self, capsys):
         assert main(["uniform", "--g", "2K2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["uniformicity"] == 2
+
+    @pytest.mark.parametrize("expr, order", [("K4", 1), ("2K2", 2), ("C5", 3)])
+    def test_uniform_witness_verifies(self, capsys, expr, order):
+        assert main(["uniform", "--g", expr, "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["uniformicity"] == order
+        template = UniformTemplate.from_json(blob["witness"])
+        witness = UniformWitness(template, tuple(map(tuple, blob["witness"]["assign"])))
+        assert template.k == order and verify_witness(build(expr), witness).ok
 
     def test_uniform_bounds_exit_2(self, capsys):
         assert main(["uniform", "--g", "P6+P6", "--kmax", "3"]) == 2

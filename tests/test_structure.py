@@ -256,6 +256,36 @@ class TestDecomposeK5:
         with pytest.raises(ValueError):
             decompose_k5(build("C5"))
 
+    def test_deletion_claims_hold_without_witness(self):
+        """A deletion list of at most two vertices is recorded as the
+        report's deletions, not as the witness of a claim that holds."""
+        cases = set()
+        for seed, g in class_members(k5_instance, 40, valid=k5_branch_valid):
+            rep = decompose_k5(g)
+            if not rep.deletions:
+                continue
+            cases.add(rep.case)
+            (claim,) = [c for c in rep.claims if c.id.endswith("-DEL")]
+            assert claim.id == f"L4.1-C{rep.case}-DEL"
+            assert claim.ok and claim.witness is None, seed
+            assert claim.to_json() == {"id": claim.id, "ok": True}
+        assert cases == {3, 4}
+
+    @pytest.mark.parametrize(
+        "n, extra, claim",
+        [
+            (10, [(5, 6), (7, 0), (8, 1), (9, 2), (5, 0), (6, 1)], "L4.1-C3-DEL"),
+            (11, [(5, 6), (7, 8), (9, 10), (5, 0), (7, 1), (9, 2), (6, 1), (8, 0)], "L4.1-C4-DEL"),
+        ],
+    )
+    def test_deletion_claim_fails_with_its_list(self, n, extra, claim):
+        """Three clique vertices to delete: the claim fails, and its witness
+        is the deletion list."""
+        clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        rep = decompose_k5(Graph.from_edges(n, clique + extra))
+        (check,) = [c for c in rep.claims if c.id == claim]
+        assert not check.ok and check.witness == rep.deletions == (0, 1, 2)
+
 
 def _case1_c5_member() -> Graph:
     """All five satellite sets large with the forced pattern, plus a large

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from wqograph.graphs import Graph, build, complete_graph, decode_graph6, empty_graph, induced
 from wqograph.order import SearchBudget, SearchBudgetExceeded, induced_embed
 from wqograph.ops import bipartite_complement, subgraph_complement
+from wqograph import uniform
 from wqograph.uniform import (
     MAX_SEARCH_N,
     SearchRefused,
-    _canonical_templates,
     _class_partition,
-    _find_assignment,
     UniformTemplate,
     UniformWitness,
     WitnessCheck,
@@ -33,6 +32,7 @@ from oracles import (
     oracle_canonical_templates,
     oracle_class_partition,
     oracle_find_assignment,
+    oracle_forward_assignment,
     oracle_isomorphic,
     oracle_k_uniform,
     oracle_verify_witness,
@@ -179,49 +179,17 @@ class TestSearch:
                 assert verify_witness(g, w).ok
 
 
-class TestSearchAgainstOracle:
-    @settings(max_examples=150, deadline=None)
-    @given(small_graphs(), st.integers(1, 3))
-    def test_same_assignment_no_more_nodes(self, g, k):
-        """Per template: the pruned search returns the plain slot search's
-        first assignment and spends at most its budget nodes."""
-        for template in _canonical_templates(k):
-            fast, plain = SearchBudget(10**9), SearchBudget(10**9)
-            found = _find_assignment(g, template, fast)
-            assert found == oracle_find_assignment(g, template, plain)
-            assert fast.used <= plain.used
-            if found is not None:
-                assert verify_witness(g, UniformWitness(template, found)).ok
-
-    def test_forward_check_prunes(self):
-        g = build("C5+P3")
-        fast, plain = SearchBudget(10**9), SearchBudget(10**9)
-        for template in _canonical_templates(3):
-            _find_assignment(g, template, fast)
-            oracle_find_assignment(g, template, plain)
-        assert fast.used < plain.used
-
-
-class TestCanonicalTemplates:
-    def test_equals_permutation_dedup(self):
-        for k in (1, 2, 3):
-            assert _canonical_templates(k) == oracle_canonical_templates(k)
-
-    def test_order_four_count(self):
-        assert len(_canonical_templates(4)) == 3400
-
-
 @lru_cache(maxsize=None)
 def dedup_templates(k):
     return oracle_canonical_templates(k)
 
 
 def template_loop(g, kmax):
-    """``uniformicity`` without the partition check: the first template of
-    the least order, in the permutation-dedup list, with an assignment."""
+    """Uniformicity by slot search alone: the first template of the least
+    order, in the permutation-dedup list, with an assignment."""
     for k in range(1, kmax + 1):
         for template in dedup_templates(k):
-            found = _find_assignment(g, template, None)
+            found = oracle_forward_assignment(g, template)
             if found is not None:
                 return k, UniformWitness(template, found)
     return None
@@ -230,7 +198,36 @@ def template_loop(g, kmax):
 def has_witness(g, k):
     """Whether some template of order k, in the permutation-dedup list, has
     an assignment for ``g``."""
-    return any(_find_assignment(g, t, None) is not None for t in dedup_templates(k))
+    return any(oracle_forward_assignment(g, t) is not None for t in dedup_templates(k))
+
+
+def assert_witness(g, k, witness):
+    """``witness`` is an order-k witness for ``g`` whose copies open in
+    first-use order."""
+    assert witness.template.k == k and verify_witness(g, witness).ok
+    opened = 0
+    for c, _ in witness.assign:
+        assert c <= opened
+        opened = max(opened, c + 1)
+
+
+def assert_least_order(g):
+    """``uniformicity(g, 3)`` finds the least order that the slot search
+    finds, with a witness of that order."""
+    found, loop = uniformicity(g, 3), template_loop(g, 3)
+    assert (found is None) == (loop is None)
+    if found is not None:
+        assert found[0] == loop[0]
+        assert_witness(g, found[0], found[1])
+
+
+def assert_decides(g, k):
+    """``is_k_uniform`` returns None exactly when the slot search finds no
+    assignment over any template of order k, and a witness otherwise."""
+    found = is_k_uniform(g, k)
+    assert (found is not None) == has_witness(g, k), (g.rows, k)
+    if found is not None:
+        assert_witness(g, k, found)
 
 
 @st.composite
@@ -264,9 +261,31 @@ def assert_budget_exact(search):
 
 
 # Three 8-vertex graphs that the copy-blind check accepted although they have
-# no witness of order 3, with the nodes ``uniformicity(g, 3)`` spends on them
-# (5,692, 5,363 and 5,706 with the template loop run on each).
+# no witness of order 3, with the nodes ``uniformicity(g, 3)`` spends on them.
 NO_WITNESS_NODES = {"Gg?Vns": 232, "GQXdg{": 160, "G`txEc": 155}
+
+
+class TestReferenceSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(1, 3))
+    def test_forward_check_keeps_first_assignment(self, g, k):
+        """The reference behind ``has_witness`` and ``template_loop`` finds
+        the plain slot search's first assignment over every template."""
+        for template in dedup_templates(k):
+            found = oracle_forward_assignment(g, template)
+            assert found == oracle_find_assignment(g, template)
+            if found is not None:
+                assert verify_witness(g, UniformWitness(template, found)).ok
+
+
+# The two 3-uniform graphs beyond the 10-vertex cap on which a slot search
+# over the templates in list order spends more than 400,000 nodes on
+# templates without an assignment, with the nodes ``uniformicity(g, 3)``
+# spends on them.
+TAIL_NODES = {
+    "O???C???CAG???_Q?????": 139_052,
+    "YC?C_??c_???cc???????????????Ccc????cc_O???????cc_S???@?": 2_124,
+}
 
 
 class TestClassPartition:
@@ -275,14 +294,13 @@ class TestClassPartition:
     def test_equals_oracle(self, g, k):
         """The check decides witnesses exactly, and whatever it accepts the
         copy-blind partition oracle accepts too."""
-        found = _class_partition(g, k, None)
-        assert found == has_witness(g, k)
-        assert not found or oracle_class_partition(g, k)
+        assert_decides(g, k)
+        assert is_k_uniform(g, k) is None or oracle_class_partition(g, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(small_graphs(max_n=9), near_uniform_graphs()), st.integers(1, 3))
     def test_equals_witness_search(self, g, k):
-        assert _class_partition(g, k, None) == has_witness(g, k)
+        assert_decides(g, k)
 
     def test_every_graph_to_five_vertices(self):
         for n in range(6):
@@ -290,7 +308,7 @@ class TestClassPartition:
             for bits in range(1 << len(pairs)):
                 g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
                 for k in (1, 2, 3):
-                    assert _class_partition(g, k, None) == has_witness(g, k), (g.rows, k)
+                    assert_decides(g, k)
 
     def test_no_template_loop_without_witness(self):
         for g6, nodes in NO_WITNESS_NODES.items():
@@ -301,12 +319,13 @@ class TestClassPartition:
     def test_expansions_of_every_template(self):
         rng = random.Random(8)
         for k in (1, 2, 3):
-            for template in _canonical_templates(k):
+            for template in dedup_templates(k):
                 for _ in range(5):
                     g, w = restricted_expansion(rng, template, MAX_SEARCH_N)
                     assert verify_witness(g, w).ok
-                    assert _class_partition(g, k, None)
-                    assert is_k_uniform(g, k) is not None
+                    found = is_k_uniform(g, k)
+                    assert found is not None
+                    assert_witness(g, k, found)
 
     def test_refutes_random_graphs(self):
         rng = random.Random(9)
@@ -314,8 +333,41 @@ class TestClassPartition:
         for _ in range(20):
             pairs = list(combinations(range(10), 2))
             g = Graph.from_edges(10, rng.sample(pairs, len(pairs) // 2))
-            refuted += not _class_partition(g, 3, None)
+            refuted += is_k_uniform(g, 3) is None
         assert refuted >= 15
+
+    @pytest.mark.parametrize("g6", sorted(TAIL_NODES))
+    def test_tail_graphs(self, g6, monkeypatch):
+        monkeypatch.setattr(uniform, "MAX_SEARCH_N", 64)
+        g = decode_graph6(g6)
+        found, nodes = assert_budget_exact(lambda b: uniformicity(g, 3, budget=b))
+        assert found[0] == 3 and nodes == TAIL_NODES[g6]
+        assert_witness(g, 3, found[1])
+
+    def test_witness_is_the_split(self):
+        """Parts are classes, K(p, p) = 1 on a clique part, K between two
+        parts is 0 on a deviation of edges and 1 on one of non-edges, F has
+        an edge where the deviation is non-empty, copies are the closure's
+        components in order of their lowest vertex, and the template is
+        padded to order k."""
+        found = uniformicity(build("P4"), 3)
+        assert found[0] == 2 and found[1].to_json() == {
+            "k": 2,
+            "F_edges": [[0, 1]],
+            "K": [[1, 0], [0, 1]],
+            "assign": [[0, 0], [1, 0], [1, 1], [2, 1]],
+        }
+        found = uniformicity(build("co(3K2)"), 3)
+        assert found[1].to_json() == {
+            "k": 2,
+            "F_edges": [[0, 1]],
+            "K": [[1, 1], [1, 1]],
+            "assign": [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]],
+        }
+        padded = is_k_uniform(build("K3"), 3)
+        assert padded.template.matrix == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+        assert padded.template.f.edge_count() == 0
+        assert padded.assign == ((0, 0), (1, 0), (2, 0))
 
     def test_nodes_are_charged(self):
         """Every budget short of what the refutation spends is exhausted and
@@ -328,7 +380,7 @@ class TestClassPartition:
         assert uniformicity(g, 3, budget=full) is None
         per_k = [SearchBudget(10**9) for _ in range(3)]
         for k, budget in enumerate(per_k, 1):
-            assert not _class_partition(g, k, budget)
+            assert _class_partition(g, k, budget) is None
         assert full.used == sum(b.used for b in per_k) > 0
         for limit in range(full.used):
             with pytest.raises(SearchBudgetExceeded):
@@ -339,13 +391,13 @@ class TestUniformicity:
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_n=9))
     def test_equals_template_loop(self, g):
-        assert uniformicity(g, 3) == template_loop(g, 3)
+        assert_least_order(g)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(small_graphs(max_n=9), near_uniform_graphs()))
     def test_budget_counted_exactly(self, g):
-        """Both searches charge their nodes on the way out and raise at the
-        node where spending them one by one would."""
+        """The search charges its nodes on the way out and raises at the node
+        where spending them one by one would."""
         found, _ = assert_budget_exact(lambda b: uniformicity(g, 3, budget=b))
         assert found == uniformicity(g, 3)
 
@@ -354,7 +406,7 @@ class TestUniformicity:
         for _ in range(100):
             t = random_template(rng)
             g, _ = restricted_expansion(rng, t, MAX_SEARCH_N)
-            assert uniformicity(g, 3) == template_loop(g, 3)
+            assert_least_order(g)
 
     def test_cliques_and_edgeless(self):
         for n in (1, 2, 5):
