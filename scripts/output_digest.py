@@ -42,7 +42,12 @@ Families:
   4..13); ``induced_embed`` both ways between randomly relabelled members of
   one family; the first embeddings of paths, cycles, cliques and matchings
   into canonical and relabelled members; and ``reconstruct_thm52`` from
-  every start of thm52 3..16, canonical and relabelled.
+  every start of thm52 3..16, canonical and relabelled;
+- ``classify``: the ``classify`` report (verdicts, rules, witnesses, families
+  and warnings) of both orientations of every ``pair_corpus(5)`` pair and of
+  random pairs on 4..7 vertices, and the open-list audit;
+- ``instances``: the rows of ``k5_instance``, ``c5_instance`` and
+  ``c4_instance`` for seeds 0..4,999.
 
 Takes no arguments; under a minute on one core.
 """
@@ -54,7 +59,7 @@ import json
 import random
 import sys
 
-from wqograph import antichains, cli, instances, structure, uniform
+from wqograph import antichains, classifier, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, induced
 from wqograph.ops import apply_script
 from wqograph.order import induced_embed, is_free
@@ -90,6 +95,10 @@ SMALL_PATTERNS = (
     + [f"{k}K2" for k in range(1, 5)]
 )
 PATTERN_HOSTS = (("thm51", range(2, 5)), ("thm52", range(3, 5)), ("cycles", range(4, 11)))
+CLASSIFY_SEED = 20261024
+CLASSIFY_RANDOM_PAIRS = 300
+INSTANCE_MAKERS = (instances.k5_instance, instances.c5_instance, instances.c4_instance)
+INSTANCE_SEEDS = range(5000)
 
 
 class Digest:
@@ -272,6 +281,31 @@ def antichain() -> str:
     return digest.hex()
 
 
+def classify() -> str:
+    digest = Digest()
+    for pair in classifier.pair_corpus(5):
+        for a, b in ((pair.h1, pair.h2), (pair.h2, pair.h1)):
+            digest.add(classifier.classify(a, b).to_json())
+    rng = random.Random(CLASSIFY_SEED)
+    for _ in range(CLASSIFY_RANDOM_PAIRS):
+        pair = []
+        for _ in range(2):
+            n, p = rng.randint(4, 7), rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            pair.append(Graph.from_edges(n, edges))
+        digest.add(classifier.classify(*pair).to_json())
+    digest.add(classifier.audit_open_lists().to_json())
+    return digest.hex()
+
+
+def instance_rows() -> str:
+    digest = Digest()
+    for maker in INSTANCE_MAKERS:
+        for seed in INSTANCE_SEEDS:
+            digest.add([maker.__name__, seed, list(maker(seed).rows)])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
@@ -282,6 +316,8 @@ def main() -> int:
     digests["uniform-hard"] = uniform_searches(uniform_hard_battery(), orders)
     digests["uniform-order"] = orders.hex()
     digests["antichain"] = antichain()
+    digests["classify"] = classify()
+    digests["instances"] = instance_rows()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

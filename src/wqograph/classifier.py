@@ -164,10 +164,6 @@ def _matches(g: Graph, atom: tuple) -> bool:
         return induced_embed(g, pattern(atom[1])) is not None
     if op == "sup":  # the pattern embeds into g
         return induced_embed(pattern(atom[1]), g) is not None
-    if op == "co_sub":
-        return induced_embed(complement(g), pattern(atom[1])) is not None
-    if op == "co_sup":
-        return induced_embed(pattern(atom[1]), complement(g)) is not None
     if op == "edgeless":
         return g.edge_count() == 0
     if op == "complete":
@@ -224,14 +220,6 @@ def _sups(*exprs: str) -> tuple[tuple, ...]:
     return tuple(("sup", e) for e in exprs)
 
 
-def _co_subs(*exprs: str) -> tuple[tuple, ...]:
-    return tuple(("co_sub", e) for e in exprs)
-
-
-def _co_sups(*exprs: str) -> tuple[tuple, ...]:
-    return tuple(("co_sup", e) for e in exprs)
-
-
 WQO_RULES: tuple[Rule, ...] = (
     Rule("T6.1-1(i)", "WqoLabelled", _subs("P4"), (("any",),)),
     Rule("T6.1-1(ii)", "WqoLabelled", (("edgeless",),), (("complete",),)),
@@ -268,47 +256,47 @@ CW_RULES: tuple[Rule, ...] = (
         "T6.2-1(iii)",
         "Bounded",
         _subs("P1+P3"),
-        _co_subs(
-            "K1,3+3P1",
-            "K1,3+P2",
-            "P1+P2+P3",
-            "P1+P5",
-            "P1+S1,1,2",
-            "P6",
-            "S1,1,3",
-            "S1,2,2",
+        _subs(
+            "co(K1,3+3P1)",
+            "co(K1,3+P2)",
+            "co(P1+P2+P3)",
+            "co(P1+P5)",
+            "co(P1+S1,1,2)",
+            "co(P6)",
+            "co(S1,1,3)",
+            "co(S1,2,2)",
         ),
     ),
     Rule(
         "T6.2-1(iv)",
         "Bounded",
         _subs("2P1+P2"),
-        _co_subs("P1+2P2", "2P1+P3", "3P1+P2", "P2+P3"),
+        _subs("co(P1+2P2)", "co(2P1+P3)", "co(3P1+P2)", "co(P2+P3)"),
     ),
-    Rule("T6.2-1(v)", "Bounded", _subs("P1+P4"), _co_subs("P1+P4", "P5")),
-    Rule("T6.2-1(vi)", "Bounded", _subs("4P1"), _co_subs("2P1+P3")),
-    Rule("T6.2-1(vii)", "Bounded", _subs("K1,3"), _co_subs("K1,3")),
+    Rule("T6.2-1(v)", "Bounded", _subs("P1+P4"), _subs("co(P1+P4)", "co(P5)")),
+    Rule("T6.2-1(vi)", "Bounded", _subs("4P1"), _subs("co(2P1+P3)")),
+    Rule("T6.2-1(vii)", "Bounded", _subs("K1,3"), _subs("co(K1,3)")),
     Rule("T6.2-2(i)", "Unbounded", (("not_in_S",),), (("not_in_S",),)),
     Rule("T6.2-2(ii)", "Unbounded", (("co_not_in_S",),), (("co_not_in_S",),)),
     Rule(
         "T6.2-2(iii)",
         "Unbounded",
         _sups("K1,3", "2P2"),
-        _co_sups("4P1", "2P2"),
+        _sups("co(4P1)", "co(2P2)"),
     ),
     Rule(
         "T6.2-2(iv)",
         "Unbounded",
         _sups("2P1+P2"),
-        _co_sups("K1,3", "5P1", "P2+P4", "P6"),
+        _sups("co(K1,3)", "co(5P1)", "co(P2+P4)", "co(P6)"),
     ),
     Rule(
         "T6.2-2(v)",
         "Unbounded",
         _sups("3P1"),
-        _co_sups("2P1+2P2", "2P1+P4", "4P1+P2", "3P2", "2P3"),
+        _sups("co(2P1+2P2)", "co(2P1+P4)", "co(4P1+P2)", "co(3P2)", "co(2P3)"),
     ),
-    Rule("T6.2-2(vi)", "Unbounded", _sups("4P1"), _co_sups("P1+P4", "3P1+P2")),
+    Rule("T6.2-2(vi)", "Unbounded", _sups("4P1"), _sups("co(P1+P4)", "co(3P1+P2)")),
 )
 
 
@@ -318,15 +306,6 @@ class Verdict:
     rule: str | None = None
     via: tuple[str, str] | None = None
     family: str | None = None
-
-    def to_json(self) -> dict:
-        out = {"status": self.status}
-        if self.rule:
-            out["rule"] = self.rule
-            out["via"] = list(self.via)
-        if self.family:
-            out["family"] = self.family
-        return out
 
 
 def _fire(rule: Rule, members: Sequence[ClassPair]) -> Verdict | None:
@@ -346,11 +325,11 @@ def _fire(rule: Rule, members: Sequence[ClassPair]) -> Verdict | None:
     return None
 
 
-def _classify(pair: ClassPair, rules: Sequence[Rule], open_status: str) -> Verdict:
-    """The first positive verdict in table order, else the first negative.
-    Once one rule of a polarity fired, the later rules of that polarity
-    cannot change the outcome and are not evaluated."""
-    members = equivalent_pairs(pair)
+def _classify(members: Sequence[ClassPair], rules: Sequence[Rule]) -> Verdict:
+    """The first positive verdict in table order over the equivalence class
+    ``members``, else the first negative.  Once one rule of a polarity fired,
+    the later rules of that polarity cannot change the outcome and are not
+    evaluated."""
     fired: dict[bool, Verdict] = {}
     for rule in rules:
         positive = rule.verdict in ("WqoLabelled", "Bounded")
@@ -362,15 +341,15 @@ def _classify(pair: ClassPair, rules: Sequence[Rule], open_status: str) -> Verdi
         raise RuleInconsistencyError(
             f"pair fired {fired[True].rule} and {fired[False].rule}"
         )
-    return fired.get(True) or fired.get(False) or Verdict(open_status)
+    return fired.get(True) or fired.get(False) or Verdict("Open")
 
 
 def classify_wqo(pair: ClassPair) -> Verdict:
-    return _classify(pair, WQO_RULES, "Open")
+    return _classify(equivalent_pairs(pair), WQO_RULES)
 
 
 def classify_cw(pair: ClassPair) -> Verdict:
-    return _classify(pair, CW_RULES, "Open")
+    return _classify(equivalent_pairs(pair), CW_RULES)
 
 
 @dataclass(frozen=True)
@@ -407,10 +386,13 @@ def classify(h1: Graph | str, h2: Graph | str) -> ClassStatus:
     describe the class of the smaller pattern.
     """
     pair = ClassPair.of(h1, h2)
+    members = equivalent_pairs(pair)
     warnings = ()
     if pair.comparable():
         warnings = ("pair is comparable under the induced subgraph relation",)
-    return ClassStatus(pair, classify_wqo(pair), classify_cw(pair), warnings)
+    return ClassStatus(
+        pair, _classify(members, WQO_RULES), _classify(members, CW_RULES), warnings
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +501,22 @@ def pair_corpus(max_n: int = 5) -> list[ClassPair]:
 
 
 def check_rule_consistency(max_n: int = 5) -> list[tuple[str, str]]:
-    """Classify the whole corpus; any inconsistency is collected (an empty
-    result is the expected outcome)."""
+    """Classify the whole corpus, each equivalence class once at its first
+    pair; every pair of an inconsistent class is collected with the class's
+    error (an empty result is the expected outcome)."""
+    errors: dict[tuple, str | None] = {}
     bad = []
     for pair in pair_corpus(max_n):
-        try:
-            classify_wqo(pair)
-            classify_cw(pair)
-        except RuleInconsistencyError as exc:
-            bad.append((encode_graph6(pair.h1) + "," + encode_graph6(pair.h2), str(exc)))
+        if pair.key() not in errors:
+            members = equivalent_pairs(pair)
+            try:
+                _classify(members, WQO_RULES)
+                _classify(members, CW_RULES)
+                error = None
+            except RuleInconsistencyError as exc:
+                error = str(exc)
+            errors.update((p.key(), error) for p in members)
+        if errors[pair.key()] is not None:
+            name = encode_graph6(pair.h1) + "," + encode_graph6(pair.h2)
+            bad.append((name, errors[pair.key()]))
     return bad

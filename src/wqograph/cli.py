@@ -285,7 +285,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    status = classifier.classify(args.h1, args.h2)
+    status = classifier.classify(parse_graph_arg(args.h1), parse_graph_arg(args.h2))
     payload = status.to_json()
     human = (
         f"wqo: {status.wqo.status}"

@@ -17,7 +17,7 @@ from typing import Callable
 from .graphs import Graph, pattern
 from .ops import subgraph_complement
 from .order import _split_free
-from .structure import CLASS_FORBIDDEN_EXPRS, find_clique, find_induced_cycle
+from .structure import C5_CASES, CLASS_FORBIDDEN_EXPRS, find_clique, find_induced_cycle
 
 
 def is_class_member(g: Graph) -> bool:
@@ -126,21 +126,11 @@ def k5_instance(seed: int) -> Graph:
         if rng.random() < 0.5:
             (v,) = add_clique(1)
             edges.append((rng.choice(designated), v))
-    return Graph.from_edges(n, sorted(set(tuple(sorted(e)) for e in edges)))
+    return Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------
 # 5-cycle branch instances
-
-_C5_CANONICAL = {
-    1: {0, 1, 2, 3, 4},
-    2: {0, 1, 2, 3},
-    3: {0, 1, 2},
-    4: {0, 2, 3},
-    5: {2, 3},
-    6: {0, 2},
-    7: {0},
-}
 
 
 def c5_instance(seed: int) -> Graph:
@@ -155,7 +145,7 @@ def c5_instance(seed: int) -> Graph:
     rng = random.Random(seed)
     case = seed % 7 + 1
     rot = rng.randrange(5)
-    large = {(p + rot) % 5 for p in _C5_CANONICAL[case]}
+    large = {(p + rot) % 5 for p in C5_CASES[case][0]}
     if case == 7 and rng.random() < 0.3:
         large = set()
     sizes = [
@@ -185,8 +175,8 @@ def c5_instance(seed: int) -> Graph:
         )
 
     # consecutive pairs: complete when a large triple forces it, otherwise a
-    # co-matching; pairs removed between two large sets get coupling marks
-    blocked: dict[int, tuple[int, int]] = {}
+    # co-matching; the ends of pairs removed between two large sets are marked
+    blocked: set[int] = set()
     removed_pairs: list[tuple[int, int, int]] = []
     for a in range(5):
         b = (a + 1) % 5
@@ -206,17 +196,15 @@ def c5_instance(seed: int) -> Graph:
         if a in large and b in large:
             for y, z in removed:
                 removed_pairs.append((a, y, z))
-                blocked[y] = (a, z)
-                blocked[z] = (a, y)
+                blocked.update((y, z))
 
-    def add_matching(src: list[int], dst: list[int], guard: int | None) -> None:
-        """Random partial matching; vertices carrying a coupling mark for
-        the guarded position are skipped (joint edges are added separately)."""
+    def add_matching(src: list[int], dst: list[int]) -> None:
+        """Random partial matching from ``src`` into ``dst``."""
         if not src or not dst:
             return
-        dst_free = [v for v in dst if not (guard is not None and v in blocked and blocked[v][0] == guard)]
-        rng.shuffle(dst_free)
-        used = iter(dst_free)
+        dst = list(dst)
+        rng.shuffle(dst)
+        used = iter(dst)
         for s in src:
             if rng.random() < 0.4:
                 t = next(used, None)
@@ -229,28 +217,23 @@ def c5_instance(seed: int) -> Graph:
         between = (a + 1) % 5
         if between in large:
             continue  # anticomplete forced
-        add_matching(vsets[a], vsets[c], guard=None)
+        add_matching(vsets[a], vsets[c])
     for i in range(5):
         if large & {(i - 2) % 5, (i + 2) % 5}:
             continue  # X anticomplete to V_i forced
-        add_matching(xset, vsets[i], guard=None)
+        add_matching(xset, vsets[i])
 
     # re-add coupled joints: one satellite adjacent to both ends of a removed
     # pair keeps the complete-or-anticomplete rule satisfied
-    joint_pool = list(xset)
     for a, y, z in removed_pairs:
-        far = vsets[(a + 3) % 5]
-        pool = [x for x in joint_pool + far if x not in blocked]
+        pool = [x for x in xset + vsets[(a + 3) % 5] if x not in blocked]
         if pool and rng.random() < 0.3:
             x = rng.choice(pool)
             edges.append((x, y))
             edges.append((x, z))
-            blocked[x] = (a, y)
+            blocked.add(x)
 
-    edges = [e for e in edges if e[0] != e[1]]
-    uniq = sorted(set(tuple(sorted(e)) for e in edges))
-    g = Graph.from_edges(n, uniq)
-    return g
+    return Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +309,7 @@ def c4_instance(seed: int) -> Graph:
     sparse(v1p, v2p, 0.3)
     sparse(w1, w2, 0.2)
 
-    uniq = sorted(set(tuple(sorted(e)) for e in edges))
-    return Graph.from_edges(n, uniq)
+    return Graph.from_edges(n, edges)
 
 
 def c5_branch_valid(g: Graph) -> bool:

@@ -497,17 +497,25 @@ def _is_star_forest(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # C5 branch
 
-C5_STATED_ORDER = {1: 6, 2: 5, 3: 4, 4: 13, 5: 12, 6: 3, 7: 2}
-C5_COMPOSED_ORDER = {1: 6, 2: 5, 3: 4, 4: 33, 5: 32, 6: 3, 7: 2}
-# The direct template of each case but 4 and 5: the canonical positions of
-# the V sets used as classes (X is the class after them), the F edges and
-# the class pairs with K = 1.
-C5_TEMPLATES = {
-    1: ((0, 1, 2, 3, 4), (), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))),
-    2: ((0, 1, 2, 3), ((0, 3),), ((0, 1), (1, 2), (2, 3))),
-    3: ((0, 1, 2), ((1, 3),), ((0, 1), (1, 2))),
-    6: ((0, 2), ((0, 1),), ()),
-    7: ((0,), ((0, 1),), ()),
+# The seven cases of the largeness pattern: the canonical large positions,
+# the stated and the composed witness order, and the direct template or None
+# where the witness is composed (cases 4 and 5).  A template gives the F
+# edges and the class pairs with K = 1 over the large V sets in position
+# order, with X the class after them.
+C5_CASES = {
+    1: ((0, 1, 2, 3, 4), 6, 6, ((), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))),
+    2: ((0, 1, 2, 3), 5, 5, (((0, 3),), ((0, 1), (1, 2), (2, 3)))),
+    3: ((0, 1, 2), 4, 4, (((1, 3),), ((0, 1), (1, 2)))),
+    4: ((0, 2, 3), 13, 33, None),
+    5: ((2, 3), 12, 32, None),
+    6: ((0, 2), 3, 3, (((0, 1),), ())),
+    7: ((0,), 2, 2, (((0, 1),), ())),
+}
+# Built in reverse, so that the first case and its smallest rotation win.
+_C5_CASE_OF = {
+    frozenset((p + rot) % 5 for p in positions): (case, rot)
+    for case, (positions, *_) in reversed(C5_CASES.items())
+    for rot in reversed(range(5))
 }
 
 
@@ -515,34 +523,11 @@ def c5_case_of(large: set[int]) -> tuple[int, int]:
     """(case, rotation) for a largeness pattern over cycle positions 0..4.
 
     The rotation r maps canonical position p to original position (p + r) % 5
-    and is the smallest one placing the pattern in canonical form:
-    case 1 all large; case 2 small at 4; case 3 large at 0,1,2;
-    case 4 large at 0,2,3; case 5 large at 2,3; case 6 large at 0,2;
-    case 7 at most one large, at 0.
+    and is the smallest one placing the pattern at the canonical positions of
+    the first matching case in ``C5_CASES``; a pattern with no large set is
+    case 7 at rotation 0.
     """
-    k = len(large)
-    if k == 5:
-        return 1, 0
-    if k == 4:
-        small = next(i for i in range(5) if i not in large)
-        return 2, (small + 1) % 5
-    if k == 3:
-        for a in range(5):
-            if {a, (a + 1) % 5, (a + 2) % 5} == large:
-                return 3, a
-        for a in range(5):
-            if {a % 5, (a + 1) % 5} <= large:
-                return 4, (a - 2) % 5
-    if k == 2:
-        for a in range(5):
-            if {a, (a + 1) % 5} == large:
-                return 5, (a - 2) % 5
-        for a in range(5):
-            if {a, (a + 2) % 5} == large:
-                return 6, a
-    if k == 1:
-        return 7, next(iter(large))
-    return 7, 0
+    return _C5_CASE_OF.get(frozenset(large), (7, 0))
 
 
 def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionReport:
@@ -679,9 +664,8 @@ def _c5_witness_part(
     xs: list[int],
     claims: list[ClaimCheck],
 ) -> Part:
-    stated = C5_STATED_ORDER[case]
-    bound = C5_COMPOSED_ORDER[case]
-    if case in (4, 5):
+    positions, stated, bound, template = C5_CASES[case]
+    if template is None:
         single = vr[0] if case == 4 else list(xs)
         pair_a, pair_b = vr[2], vr[3]
         extra_x = xs if case == 4 else []
@@ -691,7 +675,7 @@ def _c5_witness_part(
         _claim(claims, "L4.2-paw", [viol])
         route_name = "composed"
     else:
-        positions, f_edges, k_ones = C5_TEMPLATES[case]
+        f_edges, k_ones = template
         classes = [vr[p] for p in positions] + [xs]
         # the edges between an F-linked class pair share copies
         groups = [

@@ -30,14 +30,27 @@ each position of a search order, the later positions that an automorphism
 fixing the earlier ones maps it onto, from all n! permutations; the
 embedding search's lex-leader constraints must equal it.
 ``oracle_reconstruct_thm52`` is the thm52 walk as it ran before its bitmask
-form, over the matrix side split.
+form, over the matrix side split.  ``oracle_c5_case_of`` is the 5-cycle
+case analysis as an if-chain, as ``structure`` stated it before its case
+table.  ``ORACLE_CO_ATOMS`` are the second members of the clique-width
+rules as the classifier stated them before they became complement
+patterns, and ``oracle_co_atom`` evaluates one as it did then, through the
+package's ``induced_embed`` (what is checked is the rewrite, not the
+search).  ``oracle_rule_consistency`` classifies the corpus pair by pair,
+as the classifier did before it classified each equivalence class once.
 """
 
 from itertools import combinations, permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
-from wqograph.graphs import Graph, bits_of, induced
-from wqograph.order import SearchBudgetExceeded
+from wqograph.classifier import (
+    RuleInconsistencyError,
+    classify_cw,
+    classify_wqo,
+    pair_corpus,
+)
+from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
+from wqograph.order import SearchBudgetExceeded, induced_embed
 from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
@@ -460,3 +473,81 @@ def oracle_reconstruct_thm52(g: Graph, x1: int):
         walk.append(cur)
         seen.add(cur)
     return tuple(walk)
+
+
+def oracle_c5_case_of(large: set[int]) -> tuple[int, int]:
+    """(case, rotation) of a largeness pattern: case 1 all large; case 2
+    small at 4; case 3 large at 0,1,2; case 4 large at 0,2,3; case 5 large
+    at 2,3; case 6 large at 0,2; case 7 at most one large, at 0."""
+    k = len(large)
+    if k == 5:
+        return 1, 0
+    if k == 4:
+        small = next(i for i in range(5) if i not in large)
+        return 2, (small + 1) % 5
+    if k == 3:
+        for a in range(5):
+            if {a, (a + 1) % 5, (a + 2) % 5} == large:
+                return 3, a
+        for a in range(5):
+            if {a % 5, (a + 1) % 5} <= large:
+                return 4, (a - 2) % 5
+    if k == 2:
+        for a in range(5):
+            if {a, (a + 1) % 5} == large:
+                return 5, (a - 2) % 5
+        for a in range(5):
+            if {a, (a + 2) % 5} == large:
+                return 6, a
+    if k == 1:
+        return 7, next(iter(large))
+    return 7, 0
+
+
+def _co_atoms(op: str, *exprs: str) -> tuple[tuple, ...]:
+    return tuple((op, e) for e in exprs)
+
+
+ORACLE_CO_ATOMS = {
+    "T6.2-1(iii)": _co_atoms(
+        "co_sub",
+        "K1,3+3P1",
+        "K1,3+P2",
+        "P1+P2+P3",
+        "P1+P5",
+        "P1+S1,1,2",
+        "P6",
+        "S1,1,3",
+        "S1,2,2",
+    ),
+    "T6.2-1(iv)": _co_atoms("co_sub", "P1+2P2", "2P1+P3", "3P1+P2", "P2+P3"),
+    "T6.2-1(v)": _co_atoms("co_sub", "P1+P4", "P5"),
+    "T6.2-1(vi)": _co_atoms("co_sub", "2P1+P3"),
+    "T6.2-1(vii)": _co_atoms("co_sub", "K1,3"),
+    "T6.2-2(iii)": _co_atoms("co_sup", "4P1", "2P2"),
+    "T6.2-2(iv)": _co_atoms("co_sup", "K1,3", "5P1", "P2+P4", "P6"),
+    "T6.2-2(v)": _co_atoms("co_sup", "2P1+2P2", "2P1+P4", "4P1+P2", "3P2", "2P3"),
+    "T6.2-2(vi)": _co_atoms("co_sup", "P1+P4", "3P1+P2"),
+}
+
+
+def oracle_co_atom(g: Graph, atom: tuple) -> bool:
+    """``("co_sub", X)``: co(g) embeds into X; ``("co_sup", X)``: X embeds
+    into co(g)."""
+    op, expr = atom
+    if op == "co_sub":
+        return induced_embed(complement(g), pattern(expr)) is not None
+    return induced_embed(pattern(expr), complement(g)) is not None
+
+
+def oracle_rule_consistency(max_n: int) -> list[tuple[str, str]]:
+    """Every corpus pair whose classification raises, with the message."""
+    bad = []
+    for pair in pair_corpus(max_n):
+        try:
+            classify_wqo(pair)
+            classify_cw(pair)
+        except RuleInconsistencyError as exc:
+            name = encode_graph6(pair.h1) + "," + encode_graph6(pair.h2)
+            bad.append((name, str(exc)))
+    return bad

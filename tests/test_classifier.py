@@ -16,16 +16,24 @@ from wqograph.classifier import (
     _classify,
     _holds,
     _matches,
+    _sups,
     audit_open_lists,
     canonical_key,
+    check_rule_consistency,
     classify,
     classify_cw,
     classify_wqo,
     equivalent_pairs,
     nonisomorphic_graphs,
 )
+from wqograph import classifier
 from wqograph.graphs import Graph, build, complement
-from oracles import oracle_canonical_key
+from oracles import (
+    ORACLE_CO_ATOMS,
+    oracle_canonical_key,
+    oracle_co_atom,
+    oracle_rule_consistency,
+)
 
 
 @st.composite
@@ -137,6 +145,17 @@ class TestJointClassify:
                 assert classify_wqo(member).status == wqo
                 assert classify_cw(member).status == cw
 
+    @given(relabelled_graphs(max_n=6), relabelled_graphs(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_two_tables(self, first, second):
+        """One equivalence class serves both tables: the verdicts, rules,
+        witnesses and families equal those of ``classify_wqo`` and
+        ``classify_cw``."""
+        status = classify(first[0], second[1])
+        pair = ClassPair.of(first[0], second[1])
+        assert status.wqo == classify_wqo(pair)
+        assert status.cw == classify_cw(pair)
+
 
 class TestAudit:
     def test_lists_have_documented_sizes(self):
@@ -168,11 +187,48 @@ class TestCorpus:
             Rule("neg", "NotWqo", (("any",),), (("any",),)),
         )
         with pytest.raises(RuleInconsistencyError, match="pos and neg"):
-            _classify(ClassPair.of("P3", "P4"), both, "Open")
+            _classify(equivalent_pairs(ClassPair.of("P3", "P4")), both)
+
+    def test_injected_inconsistency_equals_per_pair_oracle(self, monkeypatch):
+        """With a negative rule that contradicts positive ones in each table,
+        classifying each equivalence class once reports the same pairs, in
+        the same order and with the same messages, as classifying every
+        corpus pair."""
+        monkeypatch.setattr(
+            classifier,
+            "WQO_RULES",
+            WQO_RULES + (Rule("inj", "NotWqo", _sups("P3"), _sups("P3")),),
+        )
+        monkeypatch.setattr(
+            classifier,
+            "CW_RULES",
+            CW_RULES + (Rule("inj-cw", "Unbounded", _sups("2P1"), _sups("2P1")),),
+        )
+        bad = check_rule_consistency(4)
+        assert len(bad) == 98
+        assert {m.split()[-1] for _, m in bad} == {"inj", "inj-cw"}
+        assert bad == oracle_rule_consistency(4)
 
     def test_canonical_key_iso_invariant(self):
         assert canonical_key(build("S1,1,1")) == canonical_key(build("K1,3"))
         assert canonical_key(build("P4")) == canonical_key(complement(build("P4")))
+
+
+class TestComplementPatterns:
+    def test_equal_complement_atoms(self):
+        """Each clique-width atom on a complement pattern holds exactly where
+        the complement atom it replaced held, on every graph with at most six
+        vertices: g embeds into co(X) iff co(g) embeds into X, and co(X)
+        embeds into g iff X embeds into co(g)."""
+        graphs = [g for n in range(7) for g in nonisomorphic_graphs(n)]
+        rules = {rule.id: rule for rule in CW_RULES}
+        for rule_id, old_atoms in ORACLE_CO_ATOMS.items():
+            atoms = rules[rule_id].second
+            assert len(atoms) == len(old_atoms)
+            for atom, old in zip(atoms, old_atoms):
+                assert atom == (old[0].removeprefix("co_"), f"co({old[1]})")
+                for g in graphs:
+                    assert _matches(g, atom) == oracle_co_atom(g, old), (atom, g)
 
 
 class TestCanonicalKey:

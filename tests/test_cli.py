@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import wqograph
 from wqograph import antichains
+from wqograph.classifier import OPEN_BOTH_PAIRS, OPEN_CW_PAIRS, OPEN_WQO_PAIRS
 from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
-from wqograph.graphs import build, decode_graph6, encode_graph6
+from wqograph.graphs import build, decode_graph6, encode_graph6, to_json_dict
 from wqograph.uniform import UniformTemplate, UniformWitness, verify_witness
 
 
@@ -132,6 +133,30 @@ class TestCommands:
         blob = json.loads(capsys.readouterr().out)
         assert blob["wqo"] == "WqoLabelled" and blob["rule"] == "T6.1-1(iv)"
         assert blob["cw"] == "Bounded" and blob["cw_rule"] == "T6.2-1(iv)"
+
+    def test_classify_reads_graph_arguments(self, capsys, tmp_path):
+        """Both graphs go through the graph-argument grammar: on every pair
+        of the three open lists, the ``g6:`` form and an ``@file`` JSON form
+        print what the catalog expressions print."""
+        for h1, h2 in OPEN_WQO_PAIRS + OPEN_CW_PAIRS + OPEN_BOTH_PAIRS:
+            assert main(["classify", "--h1", h1, "--h2", h2, "--json"]) == 0
+            expected = capsys.readouterr().out
+            g6, files = [], []
+            for side, expr in (("h1", h1), ("h2", h2)):
+                g = build(expr)
+                g6.append("g6:" + encode_graph6(g))
+                path = tmp_path / f"{side}.json"
+                path.write_text(json.dumps(to_json_dict(g)))
+                files.append("@" + str(path))
+            for a, b in (g6, files):
+                assert main(["classify", "--h1", a, "--h2", b, "--json"]) == 0
+                assert capsys.readouterr().out == expected, (h1, h2, a, b)
+
+    def test_classify_empty_graph(self, capsys):
+        assert main(["classify", "--h1", "g6:?", "--h2", "P3", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["h1"] == "?" and blob["wqo"] == "WqoLabelled"
+        assert blob["warnings"]  # the empty graph embeds into every graph
 
     def test_bad_expression_exit_2(self, capsys):
         assert main(["gen", "--spec", "S2,1,1"]) == 2

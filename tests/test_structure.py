@@ -35,7 +35,12 @@ from wqograph.structure import (
     route,
 )
 from wqograph.uniform import verify_witness
-from oracles import oracle_first_inside, oracle_first_pair, oracle_first_two
+from oracles import (
+    oracle_c5_case_of,
+    oracle_first_inside,
+    oracle_first_pair,
+    oracle_first_two,
+)
 from strategies import small_graphs
 
 
@@ -353,6 +358,7 @@ class TestDecomposeC5:
             for combo in combinations(range(5), size):
                 case, rot = c5_case_of(set(combo))
                 assert 1 <= case <= 7 and 0 <= rot < 5
+                assert (case, rot) == oracle_c5_case_of(set(combo)), combo
                 seen.add(case)
         assert seen == set(range(1, 8))
 
