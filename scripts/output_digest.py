@@ -46,6 +46,8 @@ Families:
 - ``classify``: the ``classify`` report (verdicts, rules, witnesses, families
   and warnings) of both orientations of every ``pair_corpus(5)`` pair and of
   random pairs on 4..7 vertices, and the open-list audit;
+- ``corpus``: the rows of every graph of ``nonisomorphic_graphs(n)`` for
+  n = 0..6, in order;
 - ``instances``: the rows of ``k5_instance``, ``c5_instance`` and
   ``c4_instance`` for seeds 0..4,999.
 
@@ -298,6 +300,14 @@ def classify() -> str:
     return digest.hex()
 
 
+def corpus() -> str:
+    digest = Digest()
+    for n in range(7):
+        for g in classifier.nonisomorphic_graphs(n):
+            digest.add([n, list(g.rows)])
+    return digest.hex()
+
+
 def instance_rows() -> str:
     digest = Digest()
     for maker in INSTANCE_MAKERS:
@@ -317,6 +327,7 @@ def main() -> int:
     digests["uniform-order"] = orders.hex()
     digests["antichain"] = antichain()
     digests["classify"] = classify()
+    digests["corpus"] = corpus()
     digests["instances"] = instance_rows()
     for name, value in digests.items():
         print(f"{name} {value}")

@@ -150,27 +150,17 @@ def reconstruct_thm52(g: Graph, x1: int) -> tuple[int, ...] | None:
 
 @lru_cache(maxsize=1)
 def _side_masks(g: Graph) -> tuple[int, int] | None:
-    """The two sides of :func:`_same_side_components` as vertex masks, or
-    None.  Every start of a reconstruction shares them, so the split of the
-    most recent graph is memoised, keyed by the graph's value."""
-    side = _same_side_components(g)
-    if side is None:
-        return None
-    one = mask_of(v for v in range(g.n) if side[v])
-    return g.mask ^ one, one
-
-
-def _same_side_components(g: Graph) -> list[int] | None:
-    """Component index of each vertex in the graph linking adjacent vertices
-    with a common neighbour; None unless there are exactly two components."""
+    """The vertex masks of the two components of the graph linking adjacent
+    vertices with a common neighbour, the one holding vertex 0 first; None
+    unless there are exactly two.  Every start of a reconstruction shares
+    them, so the split of the most recent graph is memoised, keyed by the
+    graph's value."""
     link = tuple(mask_of(v for v in _bits(row) if row & g.rows[v]) for row in g.rows)
     comps = connected_components(_graph(g.n, link))
     if len(comps) != 2:
         return None
-    side = [0] * g.n
-    for v in comps[1]:
-        side[v] = 1
-    return side
+    one = mask_of(comps[1])
+    return g.mask ^ one, one
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .graphs import Graph, build, complement, encode_graph6, pattern
@@ -27,24 +27,24 @@ class RuleInconsistencyError(RuntimeError):
 
 # Largest order canonical_key accepts.  The exact least-string search is
 # exponential on graphs whose partitions never split: on disjoint unions of
-# 5-cycles it takes about 0.16 s for 3C5 (15 vertices) and about 8 s for 4C5
+# 5-cycles it takes about 0.25 s for 3C5 (15 vertices) and about 14 s for 4C5
 # (20 vertices).  Every pattern in the tables has at most 7 vertices.
 MAX_KEY_N = 8
 
 
 @lru_cache(maxsize=4096)
-def canonical_key(g: Graph) -> tuple:
-    """Isomorphism-invariant key ``(n, bits)``: ``bits`` is the
-    lexicographically least upper-triangle adjacency string, row by row,
-    over all vertex orders.
+def canonical_key(g: Graph) -> tuple[int, int]:
+    """Isomorphism-invariant key ``(n, code)``: ``code`` is the least
+    upper-triangle adjacency string over all vertex orders, read row by row
+    as a binary number with the first pair most significant.  Keys of equal
+    order compare as their strings do.
 
     Branch and bound over ordered partitions of the vertices not yet
     placed.  Position i takes a vertex v from the first cell; every cell
     then splits into (non-neighbours of v, neighbours of v), which is the
     only arrangement that makes row i least for that v.  Only the choices
-    of v with the least row i are searched further, a twin of a vertex
-    already tried in the same cell gives the same string and is skipped,
-    and the least suffix is memoised by the tuple of cell masks.
+    of v with the least row i are searched further, and a twin of a vertex
+    already tried in the same cell gives the same string and is skipped.
     """
     n = g.n
     if n > MAX_KEY_N:
@@ -53,15 +53,11 @@ def canonical_key(g: Graph) -> tuple:
             "(the exact least-string search is exponential in the worst case)"
         )
     rows = g.rows
-    memo: dict[tuple[int, ...], int] = {}
 
     def least(cells: tuple[int, ...], left: int) -> int:
         """Least string of the rows of the ``left`` unplaced vertices."""
         if left <= 1:
             return 0
-        hit = memo.get(cells)
-        if hit is not None:
-            return hit
         first = cells[0]
         best_row = -1
         branches: list[tuple[int, ...]] = []
@@ -90,13 +86,9 @@ def canonical_key(g: Graph) -> tuple:
             elif row == best_row:
                 branches.append(tuple(split))
         suffix = min(least(split, left - 1) for split in branches)
-        out = best_row << (left - 1) * (left - 2) // 2 | suffix
-        memo[cells] = out
-        return out
+        return best_row << (left - 1) * (left - 2) // 2 | suffix
 
-    width = n * (n - 1) // 2
-    code = least(((1 << n) - 1,), n)
-    return (n, tuple(code >> (width - 1 - i) & 1 for i in range(width)))
+    return (n, least(((1 << n) - 1,), n))
 
 
 @dataclass(frozen=True)
@@ -304,7 +296,7 @@ CW_RULES: tuple[Rule, ...] = (
 class Verdict:
     status: str
     rule: str | None = None
-    via: tuple[str, str] | None = None
+    via: tuple[Graph, Graph] | None = None
     family: str | None = None
 
 
@@ -316,12 +308,7 @@ def _fire(rule: Rule, members: Sequence[ClassPair]) -> Verdict | None:
             if hit is not None:
                 satom = hit[1]
                 family = rule.families.get(satom[1]) if len(satom) > 1 else None
-                return Verdict(
-                    rule.verdict,
-                    rule.id,
-                    (encode_graph6(a), encode_graph6(b)),
-                    family,
-                )
+                return Verdict(rule.verdict, rule.id, (a, b), family)
     return None
 
 
@@ -368,12 +355,12 @@ class ClassStatus:
         }
         if self.wqo.rule:
             out["rule"] = self.wqo.rule
-            out["via"] = list(self.wqo.via)
+            out["via"] = [encode_graph6(g) for g in self.wqo.via]
         if self.wqo.family:
             out["family"] = self.wqo.family
         if self.cw.rule:
             out["cw_rule"] = self.cw.rule
-            out["cw_via"] = list(self.cw.via)
+            out["cw_via"] = [encode_graph6(g) for g in self.cw.via]
         if self.warnings:
             out["warnings"] = list(self.warnings)
         return out
@@ -476,16 +463,27 @@ def audit_open_lists() -> AuditReport:
 
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on exactly n vertices up to isomorphism."""
+    """All graphs on exactly n vertices up to isomorphism, each class by its
+    labelled graph of least edge mask (bit i for the i-th pair of
+    ``combinations(range(n), 2)``), in ascending mask order.  The first mask
+    not yet seen starts a class; its images under all n! vertex
+    permutations mark the class seen."""
     pairs = list(combinations(range(n), 2))
-    seen = {}
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        g = Graph.from_edges(n, edges)
-        key = canonical_key(g)
-        if key not in seen:
-            seen[key] = g
-    return tuple(seen.values())
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    images = [
+        [bit[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
+        for p in permutations(range(n))
+    ]
+    seen = bytearray(1 << len(pairs))
+    out = []
+    for mask in range(len(seen)):
+        if seen[mask]:
+            continue
+        edges = [i for i in range(len(pairs)) if mask >> i & 1]
+        out.append(Graph.from_edges(n, [pairs[i] for i in edges]))
+        for image in images:
+            seen[sum(image[i] for i in edges)] = 1
+    return tuple(out)
 
 
 def pair_corpus(max_n: int = 5) -> list[ClassPair]:

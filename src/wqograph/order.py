@@ -149,11 +149,6 @@ class QuasiOrder:
         return element in self.elements
 
     @staticmethod
-    def equality(elements: Iterable[Hashable]) -> "QuasiOrder":
-        elems = tuple(elements)
-        return QuasiOrder(elems, frozenset((e, e) for e in elems))
-
-    @staticmethod
     def from_pairs(elements: Iterable[Hashable], pairs: Iterable[tuple]) -> "QuasiOrder":
         """The reflexive transitive closure of ``pairs``."""
         elems = tuple(elements)

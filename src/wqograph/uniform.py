@@ -103,13 +103,6 @@ class UniformTemplate:
             "K": [list(row) for row in self.matrix],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "UniformTemplate":
-        k = int(obj["k"])
-        f = Graph.from_edges(k, [tuple(e) for e in obj["F_edges"]])
-        matrix = tuple(tuple(int(x) for x in row) for row in obj["K"])
-        return UniformTemplate(k, f, matrix)
-
 
 @dataclass(frozen=True)
 class UniformWitness:

@@ -38,6 +38,12 @@ patterns, and ``oracle_co_atom`` evaluates one as it did then, through the
 package's ``induced_embed`` (what is checked is the rewrite, not the
 search).  ``oracle_rule_consistency`` classifies the corpus pair by pair,
 as the classifier did before it classified each equivalence class once.
+``oracle_key_bits`` is the canonical key as a tuple of bits, as the package
+returned it before it returned the number those bits spell, which
+``oracle_canonical_key`` reads off.  ``oracle_nonisomorphic_graphs`` builds
+the corpus by keying every labelled graph, as the classifier did before it
+marked each class's relabellings.  ``oracle_template_from_json`` reads a
+template back from its JSON, as ``UniformTemplate.from_json`` did.
 """
 
 from itertools import combinations, permutations, product
@@ -45,6 +51,7 @@ from itertools import combinations, permutations, product
 from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.classifier import (
     RuleInconsistencyError,
+    canonical_key,
     classify_cw,
     classify_wqo,
     pair_corpus,
@@ -58,19 +65,50 @@ def oracle_isomorphic(a: Graph, b: Graph) -> bool:
     return a.n == b.n and oracle_embed(a, b) is not None
 
 
-def oracle_canonical_key(g: Graph) -> tuple:
-    """``(n, bits)`` with ``bits`` the least upper-triangle adjacency string
-    over all n! vertex orders."""
+def oracle_key_bits(g: Graph) -> tuple:
+    """``(n, bits)`` with ``bits`` the least upper-triangle adjacency string,
+    row by row, over all n! vertex orders."""
+    pairs = list(combinations(range(g.n), 2))
+    rows = g.rows
     best = None
     for perm in permutations(range(g.n)):
-        bits = tuple(
-            1 if g.adjacent(perm[i], perm[j]) else 0
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        )
+        bits = tuple(rows[perm[i]] >> perm[j] & 1 for i, j in pairs)
         if best is None or bits < best:
             best = bits
     return (g.n, best)
+
+
+def oracle_canonical_key(g: Graph) -> tuple[int, int]:
+    """``(n, code)`` with ``code`` the bits of ``oracle_key_bits`` read as a
+    binary number, the first bit most significant."""
+    n, bits = oracle_key_bits(g)
+    code = 0
+    for bit in bits:
+        code = code << 1 | bit
+    return (n, code)
+
+
+def oracle_nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
+    """The first labelled graph of each isomorphism class in edge-bit order,
+    bit i for the i-th pair of ``combinations(range(n), 2)``: every labelled
+    graph is keyed, and the first of each key is kept."""
+    pairs = list(combinations(range(n), 2))
+    seen = {}
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        g = Graph.from_edges(n, edges)
+        key = canonical_key(g)
+        if key not in seen:
+            seen[key] = g
+    return tuple(seen.values())
+
+
+def oracle_template_from_json(obj: dict) -> UniformTemplate:
+    """The template that ``UniformTemplate.to_json`` wrote."""
+    k = int(obj["k"])
+    f = Graph.from_edges(k, [tuple(e) for e in obj["F_edges"]])
+    matrix = tuple(tuple(int(x) for x in row) for row in obj["K"])
+    return UniformTemplate(k, f, matrix)
 
 
 def oracle_first_pair(g: Graph, a, b, edge: bool):

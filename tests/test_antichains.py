@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from wqograph.antichains import (
     FAMILIES,
-    _same_side_components,
+    _side_masks,
     family_member,
     gen_thm51,
     gen_thm52,
@@ -15,7 +15,7 @@ from wqograph.antichains import (
     thm52_parts,
     verify_family,
 )
-from wqograph.graphs import Graph, build, disjoint_union, induced
+from wqograph.graphs import Graph, build, disjoint_union, induced, mask_of
 from wqograph.order import induced_embed, is_free
 from oracles import oracle_reconstruct_thm52, oracle_same_side_components
 from strategies import small_graphs
@@ -154,20 +154,29 @@ def relabelled_unions(draw):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def oracle_side_masks(g: Graph):
+    """The sides of ``oracle_same_side_components`` as vertex masks, side 0
+    first, or None."""
+    side = oracle_same_side_components(g)
+    if side is None:
+        return None
+    one = mask_of(v for v in range(g.n) if side[v])
+    return g.mask ^ one, one
+
+
 class TestSameSideComponents:
     @given(st.one_of(small_graphs(14), relabelled_unions()))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_matrix_search(self, g):
-        assert _same_side_components(g) == oracle_same_side_components(g)
+        assert _side_masks(g) == oracle_side_masks(g)
 
     def test_thm52_sides(self):
         for n in (3, 4, 5):
             g = gen_thm52(n)
             x, y = thm52_parts(n)
-            side = _same_side_components(g)
-            assert side == oracle_same_side_components(g)
-            assert {side[v] for v in x} != {side[v] for v in y}
-            assert len({side[v] for v in x}) == len({side[v] for v in y}) == 1
+            sides = _side_masks(g)
+            assert sides == oracle_side_masks(g)
+            assert set(sides) == {mask_of(x), mask_of(y)}
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wqograph.classifier import (
@@ -27,11 +27,13 @@ from wqograph.classifier import (
     nonisomorphic_graphs,
 )
 from wqograph import classifier
-from wqograph.graphs import Graph, build, complement
+from wqograph.graphs import Graph, build, complement, encode_graph6
 from oracles import (
     ORACLE_CO_ATOMS,
     oracle_canonical_key,
     oracle_co_atom,
+    oracle_key_bits,
+    oracle_nonisomorphic_graphs,
     oracle_rule_consistency,
 )
 
@@ -49,9 +51,22 @@ def relabelled_graphs(draw, max_n=7):
     return g, h
 
 
+@st.composite
+def same_order_pairs(draw, max_n=7):
+    """Two random graphs on the same number of vertices, at most max_n."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    graphs = []
+    for _ in range(2):
+        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graphs.append(Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b]))
+    return graphs
+
+
 ATOMS = sorted(
     {atom for rule in WQO_RULES + CW_RULES for atom in rule.first + rule.second}
 )
+RULES = {rule.id: rule for rule in WQO_RULES + CW_RULES}
 
 
 class TestEquivalence:
@@ -156,6 +171,26 @@ class TestJointClassify:
         assert status.wqo == classify_wqo(pair)
         assert status.cw == classify_cw(pair)
 
+    @given(relabelled_graphs(max_n=6), relabelled_graphs(max_n=6))
+    @example((build("K3"),) * 2, (build("P6"),) * 2)
+    @example((build("P3"),) * 2, (build("2P2"),) * 2)
+    @settings(max_examples=60, deadline=None)
+    def test_witness_replays(self, first, second):
+        """A verdict's ``via`` is a member of the pair's equivalence class in
+        the orientation its rule matched, and the report prints it."""
+        status = classify(first[0], second[1])
+        members = {p.key() for p in equivalent_pairs(status.pair)}
+        blob = status.to_json()
+        for verdict, name in ((status.wqo, "via"), (status.cw, "cw_via")):
+            if verdict.rule is None:
+                assert name not in blob
+                continue
+            a, b = verdict.via
+            ka, kb = canonical_key(a), canonical_key(b)
+            assert RULES[verdict.rule].match(a, ka, b, kb) is not None
+            assert ClassPair.of(a, b).key() in members
+            assert blob[name] == [encode_graph6(a), encode_graph6(b)]
+
 
 class TestAudit:
     def test_lists_have_documented_sizes(self):
@@ -213,6 +248,30 @@ class TestCorpus:
         assert canonical_key(build("S1,1,1")) == canonical_key(build("K1,3"))
         assert canonical_key(build("P4")) == canonical_key(complement(build("P4")))
 
+    def test_equals_key_loop(self):
+        for n in range(6):
+            assert nonisomorphic_graphs(n) == oracle_nonisomorphic_graphs(n)
+
+    def test_six_vertex_representatives(self):
+        """Checked without either construction: each of the 156 graphs has
+        the least edge mask of its 720 relabellings, so the masks, which
+        ascend, name pairwise distinct classes."""
+        pairs = list(itertools.combinations(range(6), 2))
+        perms = list(itertools.permutations(range(6)))
+
+        def mask(g, perm):
+            return sum(
+                (g.rows[perm[u]] >> perm[v] & 1) << i for i, (u, v) in enumerate(pairs)
+            )
+
+        graphs = nonisomorphic_graphs(6)
+        assert len(graphs) == 156
+        masks = [mask(g, perms[0]) for g in graphs]
+        assert masks == sorted(set(masks))
+        for g, own in zip(graphs, masks):
+            assert own == min(mask(g, p) for p in perms)
+        assert len({canonical_key(g) for g in graphs}) == 156
+
 
 class TestComplementPatterns:
     def test_equal_complement_atoms(self):
@@ -237,6 +296,17 @@ class TestCanonicalKey:
     def test_equals_oracle(self, graphs):
         g, _ = graphs
         assert canonical_key(g) == oracle_canonical_key(g)
+
+    @given(same_order_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_order_equals_oracle_bit_strings(self, graphs):
+        """Keys of equal order compare as the oracle's least bit strings do,
+        so ``ClassPair`` member order is that of bit-tuple keys; keys of
+        different orders compare by order in both forms."""
+        g, h = graphs
+        kg, kh = canonical_key(g), canonical_key(h)
+        bg, bh = oracle_key_bits(g), oracle_key_bits(h)
+        assert (kg < kh, kg == kh) == (bg < bh, bg == bh)
 
     @given(relabelled_graphs(max_n=8))
     @settings(max_examples=150, deadline=None)

@@ -15,7 +15,8 @@ from wqograph import antichains
 from wqograph.classifier import OPEN_BOTH_PAIRS, OPEN_CW_PAIRS, OPEN_WQO_PAIRS
 from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
 from wqograph.graphs import build, decode_graph6, encode_graph6, to_json_dict
-from wqograph.uniform import UniformTemplate, UniformWitness, verify_witness
+from wqograph.uniform import UniformWitness, verify_witness
+from oracles import oracle_template_from_json
 
 
 class TestGraphArgs:
@@ -94,7 +95,7 @@ class TestCommands:
         assert main(["uniform", "--g", expr, "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["uniformicity"] == order
-        template = UniformTemplate.from_json(blob["witness"])
+        template = oracle_template_from_json(blob["witness"])
         witness = UniformWitness(template, tuple(map(tuple, blob["witness"]["assign"])))
         assert template.k == order and verify_witness(build(expr), witness).ok
 

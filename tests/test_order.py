@@ -128,7 +128,7 @@ class TestInducedEmbed:
 
 
 LABEL_ORDERS = (
-    QuasiOrder.equality((0, 1)),
+    QuasiOrder.from_pairs((0, 1), ()),
     QuasiOrder.from_pairs((0, 1, 2), [(0, 1), (1, 2)]),
 )
 
@@ -269,7 +269,7 @@ class TestLexLeader:
 class TestLabelledEmbed:
     def test_equal_labels_reduce_to_plain(self):
         rng = random.Random(2)
-        order = QuasiOrder.equality(("a",))
+        order = QuasiOrder.from_pairs(("a",), ())
         for _ in range(200):
             h = random_graph(rng, rng.randint(1, 4))
             g = random_graph(rng, rng.randint(1, 6))
@@ -280,13 +280,13 @@ class TestLabelledEmbed:
             )
 
     def test_incomparable_labels_block(self):
-        order = QuasiOrder.equality(("a", "b"))
+        order = QuasiOrder.from_pairs(("a", "b"), ())
         h = LabelledGraph(Graph.empty(1), ("a",))
         g = LabelledGraph(Graph.empty(1), ("b",))
         assert labelled_embed(h, g, order) is None
 
     def test_unknown_label_rejected(self):
-        order = QuasiOrder.equality(("a",))
+        order = QuasiOrder.from_pairs(("a",), ())
         h = LabelledGraph(Graph.empty(1), ("z",))
         g = LabelledGraph(Graph.empty(1), ("a",))
         with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ from oracles import (
     oracle_forward_assignment,
     oracle_isomorphic,
     oracle_k_uniform,
+    oracle_template_from_json,
     oracle_verify_witness,
 )
 from strategies import small_graphs
@@ -564,4 +565,4 @@ class TestTemplateJson:
         rng = random.Random(7)
         t = random_template(rng)
         blob = json.dumps(t.to_json())
-        assert UniformTemplate.from_json(json.loads(blob)) == t
+        assert oracle_template_from_json(json.loads(blob)) == t
