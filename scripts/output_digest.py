@@ -46,6 +46,10 @@ Families:
 - ``classify``: the ``classify`` report (verdicts, rules, witnesses, families
   and warnings) of both orientations of every ``pair_corpus(5)`` pair and of
   random pairs on 4..7 vertices, and the open-list audit;
+- ``tables``: ``classify_cw`` then ``classify_wqo`` (reversed on alternate
+  pairs) of every ``pair_corpus(5)`` pair and of the same random pairs, each
+  verdict's status, rule, graph6 of ``via`` and family, so that one table's
+  call cannot leak into the other's;
 - ``corpus``: the rows of every graph of ``nonisomorphic_graphs(n)`` for
   n = 0..6, in order;
 - ``instances``: the rows of ``k5_instance``, ``c5_instance`` and
@@ -62,7 +66,7 @@ import random
 import sys
 
 from wqograph import antichains, classifier, cli, instances, structure, uniform
-from wqograph.graphs import Graph, build, delete_vertices, induced
+from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
 from wqograph.ops import apply_script
 from wqograph.order import induced_embed, is_free
 
@@ -283,20 +287,40 @@ def antichain() -> str:
     return digest.hex()
 
 
-def classify() -> str:
-    digest = Digest()
-    for pair in classifier.pair_corpus(5):
-        for a, b in ((pair.h1, pair.h2), (pair.h2, pair.h1)):
-            digest.add(classifier.classify(a, b).to_json())
+def classify_random_pairs() -> list[tuple[Graph, Graph]]:
     rng = random.Random(CLASSIFY_SEED)
+    pairs = []
     for _ in range(CLASSIFY_RANDOM_PAIRS):
         pair = []
         for _ in range(2):
             n, p = rng.randint(4, 7), rng.random()
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             pair.append(Graph.from_edges(n, edges))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def classify() -> str:
+    digest = Digest()
+    for pair in classifier.pair_corpus(5):
+        for a, b in ((pair.h1, pair.h2), (pair.h2, pair.h1)):
+            digest.add(classifier.classify(a, b).to_json())
+    for pair in classify_random_pairs():
         digest.add(classifier.classify(*pair).to_json())
     digest.add(classifier.audit_open_lists().to_json())
+    return digest.hex()
+
+
+def tables() -> str:
+    digest = Digest()
+    order = (("cw", classifier.classify_cw), ("wqo", classifier.classify_wqo))
+    pairs = [(p.h1, p.h2) for p in classifier.pair_corpus(5)] + classify_random_pairs()
+    for i, (a, b) in enumerate(pairs):
+        pair = classifier.ClassPair.of(a, b)
+        for table, classify_one in order if i % 2 == 0 else order[::-1]:
+            v = classify_one(pair)
+            via = None if v.via is None else [encode_graph6(g) for g in v.via]
+            digest.add([table, v.status, v.rule, via, v.family])
     return digest.hex()
 
 
@@ -327,6 +351,7 @@ def main() -> int:
     digests["uniform-order"] = orders.hex()
     digests["antichain"] = antichain()
     digests["classify"] = classify()
+    digests["tables"] = tables()
     digests["corpus"] = corpus()
     digests["instances"] = instance_rows()
     for name, value in digests.items():

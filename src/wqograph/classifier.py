@@ -8,6 +8,11 @@ report can print exactly which rule matched and on which equivalent pair.
 Two pairs are equivalent when one arises from the other by complementing
 both members or by swapping a triangle member for the paw (co(P1+P3)) and
 vice versa; verdicts are invariant across an equivalence class.
+
+:func:`equivalent_pairs` memoises the last pair's class by the pair's value
+(its labelled graphs), so both tables share one class.  Each rule keeps, per
+side and canonical key, the side's first atom that holds (or none), found
+lazily in table order.
 """
 
 from __future__ import annotations
@@ -116,18 +121,17 @@ class ClassPair:
         return (self.k1, self.k2)
 
     def comparable(self) -> bool:
-        small, big = (
-            (self.h1, self.h2) if self.h1.n <= self.h2.n else (self.h2, self.h1)
-        )
-        return induced_embed(small, big) is not None
+        return induced_embed(self.h1, self.h2) is not None  # h1 is the smaller
 
 
+# The triangle <-> paw swap: each one's key -> the other, with its key.
+_KEYED = [(g, canonical_key(g)) for g in (pattern("K3"), pattern("co(P1+P3)"))]
+_SWAP = {k: other for (_, k), other in zip(_KEYED, reversed(_KEYED))}
+
+
+@lru_cache(maxsize=1)
 def equivalent_pairs(pair: ClassPair) -> tuple[ClassPair, ...]:
     """Closure under complement-both and the triangle <-> paw swap."""
-    triangle = pattern("K3")
-    paw = pattern("co(P1+P3)")
-    k_triangle, k_paw = canonical_key(triangle), canonical_key(paw)
-    swap = {k_triangle: (paw, k_paw), k_paw: (triangle, k_triangle)}
     seen: dict[tuple, ClassPair] = {}
     frontier = [pair]
     while frontier:
@@ -136,10 +140,11 @@ def equivalent_pairs(pair: ClassPair) -> tuple[ClassPair, ...]:
         if k in seen:
             continue
         seen[k] = p
-        nxt = [ClassPair.of(complement(p.h1), complement(p.h2))]
+        ca, cb = complement(p.h1), complement(p.h2)
+        nxt = [ClassPair._keyed(ca, canonical_key(ca), cb, canonical_key(cb))]
         for ka, b, kb in ((p.k1, p.h2, p.k2), (p.k2, p.h1, p.k1)):
-            if ka in swap:
-                nxt.append(ClassPair._keyed(*swap[ka], b, kb))
+            if ka in _SWAP:
+                nxt.append(ClassPair._keyed(*_SWAP[ka], b, kb))
         frontier.extend(nxt)
     return tuple(seen.values())
 
@@ -191,17 +196,25 @@ class Rule:
     first: tuple[tuple, ...]
     second: tuple[tuple, ...]
     families: dict = field(default_factory=dict)
+    # Per side, canonical key -> the side's first atom that holds, or ().
+    _hits: tuple[dict, dict] = field(
+        default_factory=lambda: ({}, {}), init=False, compare=False, repr=False
+    )
 
     def match(self, a: Graph, ka: tuple, b: Graph, kb: tuple) -> tuple | None:
-        """Matched (atom_first, atom_second) or None, in table order; ``ka``
-        and ``kb`` are the canonical keys of ``a`` and ``b``."""
-        for fa in self.first:
-            if not _holds(a, ka, fa):
-                continue
-            for sa in self.second:
-                if _holds(b, kb, sa):
-                    return fa, sa
-        return None
+        """(atom_first, atom_second), each the first of its side in table
+        order that holds, or None; ``ka`` and ``kb`` are the canonical keys
+        of ``a`` and ``b``."""
+        firsts, seconds = self._hits
+        fa = firsts.get(ka)
+        if fa is None:
+            fa = firsts[ka] = next((t for t in self.first if _holds(a, ka, t)), ())
+        if not fa:
+            return None
+        sa = seconds.get(kb)
+        if sa is None:
+            sa = seconds[kb] = next((t for t in self.second if _holds(b, kb, t)), ())
+        return (fa, sa) if sa else None
 
 
 def _subs(*exprs: str) -> tuple[tuple, ...]:
@@ -300,15 +313,15 @@ class Verdict:
     family: str | None = None
 
 
-def _fire(rule: Rule, members: Sequence[ClassPair]) -> Verdict | None:
-    """The rule's verdict at its first match, in member and orientation order."""
-    for p in members:
-        for a, ka, b, kb in ((p.h1, p.k1, p.h2, p.k2), (p.h2, p.k2, p.h1, p.k1)):
-            hit = rule.match(a, ka, b, kb)
-            if hit is not None:
-                satom = hit[1]
-                family = rule.families.get(satom[1]) if len(satom) > 1 else None
-                return Verdict(rule.verdict, rule.id, (a, b), family)
+def _fire(rule: Rule, oriented: Sequence[tuple]) -> Verdict | None:
+    """The rule's verdict at its first match over ``oriented``, the class's
+    members as (a, ka, b, kb), each member in both orientations."""
+    for a, ka, b, kb in oriented:
+        hit = rule.match(a, ka, b, kb)
+        if hit is not None:
+            satom = hit[1]
+            family = rule.families.get(satom[1]) if len(satom) > 1 else None
+            return Verdict(rule.verdict, rule.id, (a, b), family)
     return None
 
 
@@ -317,11 +330,14 @@ def _classify(members: Sequence[ClassPair], rules: Sequence[Rule]) -> Verdict:
     ``members``, else the first negative.  Once one rule of a polarity fired,
     the later rules of that polarity cannot change the outcome and are not
     evaluated."""
+    oriented: list[tuple] = []
+    for p in members:
+        oriented += (p.h1, p.k1, p.h2, p.k2), (p.h2, p.k2, p.h1, p.k1)
     fired: dict[bool, Verdict] = {}
     for rule in rules:
         positive = rule.verdict in ("WqoLabelled", "Bounded")
         if positive not in fired:
-            verdict = _fire(rule, members)
+            verdict = _fire(rule, oriented)
             if verdict is not None:
                 fired[positive] = verdict
     if len(fired) == 2:
@@ -373,13 +389,10 @@ def classify(h1: Graph | str, h2: Graph | str) -> ClassStatus:
     describe the class of the smaller pattern.
     """
     pair = ClassPair.of(h1, h2)
-    members = equivalent_pairs(pair)
     warnings = ()
     if pair.comparable():
         warnings = ("pair is comparable under the induced subgraph relation",)
-    return ClassStatus(
-        pair, _classify(members, WQO_RULES), _classify(members, CW_RULES), warnings
-    )
+    return ClassStatus(pair, classify_wqo(pair), classify_cw(pair), warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import antichains, classifier, structure
 from .acceptance import CRITERIA, run_criteria
@@ -339,6 +340,7 @@ def cmd_selftest(args) -> int:
     return 0 if payload["ok"] else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wqograph",

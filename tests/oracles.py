@@ -44,13 +44,22 @@ returned it before it returned the number those bits spell, which
 the corpus by keying every labelled graph, as the classifier did before it
 marked each class's relabellings.  ``oracle_template_from_json`` reads a
 template back from its JSON, as ``UniformTemplate.from_json`` did.
+``oracle_classify`` is one table's verdict as the classifier found it
+before it memoised the last pair's class and resolved rule sides once per
+key: ``oracle_equivalent_pairs`` rebuilds the class on every call, and
+every rule tries its atoms pair by pair on every member and orientation,
+each atom evaluated directly on the labelled graph.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.classifier import (
+    ClassPair,
     RuleInconsistencyError,
+    Verdict,
+    _matches,
     canonical_key,
     classify_cw,
     classify_wqo,
@@ -589,3 +598,70 @@ def oracle_rule_consistency(max_n: int) -> list[tuple[str, str]]:
             name = encode_graph6(pair.h1) + "," + encode_graph6(pair.h2)
             bad.append((name, str(exc)))
     return bad
+
+
+def oracle_equivalent_pairs(pair: ClassPair) -> tuple[ClassPair, ...]:
+    """Closure under complement-both and the triangle <-> paw swap."""
+    triangle = pattern("K3")
+    paw = pattern("co(P1+P3)")
+    k_triangle, k_paw = canonical_key(triangle), canonical_key(paw)
+    swap = {k_triangle: (paw, k_paw), k_paw: (triangle, k_triangle)}
+    seen = {}
+    frontier = [pair]
+    while frontier:
+        p = frontier.pop(0)
+        k = p.key()
+        if k in seen:
+            continue
+        seen[k] = p
+        nxt = [ClassPair.of(complement(p.h1), complement(p.h2))]
+        for ka, b, kb in ((p.k1, p.h2, p.k2), (p.k2, p.h1, p.k1)):
+            if ka in swap:
+                nxt.append(ClassPair._keyed(*swap[ka], b, kb))
+        frontier.extend(nxt)
+    return tuple(seen.values())
+
+
+@lru_cache(maxsize=None)
+def _oracle_atom(g: Graph, atom: tuple) -> bool:
+    return _matches(g, atom)
+
+
+def oracle_match(rule, a: Graph, b: Graph) -> tuple | None:
+    """Matched (atom_first, atom_second) or None, in table order."""
+    for fa in rule.first:
+        if not _oracle_atom(a, fa):
+            continue
+        for sa in rule.second:
+            if _oracle_atom(b, sa):
+                return fa, sa
+    return None
+
+
+def oracle_fire(rule, members) -> Verdict | None:
+    """The rule's verdict at its first match, in member and orientation order."""
+    for p in members:
+        for a, b in ((p.h1, p.h2), (p.h2, p.h1)):
+            hit = oracle_match(rule, a, b)
+            if hit is not None:
+                satom = hit[1]
+                family = rule.families.get(satom[1]) if len(satom) > 1 else None
+                return Verdict(rule.verdict, rule.id, (a, b), family)
+    return None
+
+
+def oracle_classify(pair: ClassPair, rules) -> Verdict:
+    """The first positive verdict in table order, else the first negative;
+    raises ``RuleInconsistencyError`` if rules of both polarities fire."""
+    members = oracle_equivalent_pairs(pair)
+    fired = {}
+    for rule in rules:
+        verdict = oracle_fire(rule, members)
+        positive = rule.verdict in ("WqoLabelled", "Bounded")
+        if verdict is not None and positive not in fired:
+            fired[positive] = verdict
+    if len(fired) == 2:
+        raise RuleInconsistencyError(
+            f"pair fired {fired[True].rule} and {fired[False].rule}"
+        )
+    return fired.get(True) or fired.get(False) or Verdict("Open")

@@ -25,12 +25,14 @@ from wqograph.classifier import (
     classify_wqo,
     equivalent_pairs,
     nonisomorphic_graphs,
+    pair_corpus,
 )
 from wqograph import classifier
 from wqograph.graphs import Graph, build, complement, encode_graph6
 from oracles import (
     ORACLE_CO_ATOMS,
     oracle_canonical_key,
+    oracle_classify,
     oracle_co_atom,
     oracle_key_bits,
     oracle_nonisomorphic_graphs,
@@ -190,6 +192,84 @@ class TestJointClassify:
             assert RULES[verdict.rule].match(a, ka, b, kb) is not None
             assert ClassPair.of(a, b).key() in members
             assert blob[name] == [encode_graph6(a), encode_graph6(b)]
+
+
+def _outcome(classify_one, pair):
+    """The verdict, or the inconsistency message."""
+    try:
+        return classify_one(pair)
+    except RuleInconsistencyError as exc:
+        return str(exc)
+
+
+TABLES = {"wqo": (classify_wqo, "WQO_RULES"), "cw": (classify_cw, "CW_RULES")}
+
+
+def _assert_tables(pair, order):
+    """Classify ``pair`` in the tables of ``order``, in that order, and
+    compare each verdict (status, rule, via, family) with the reference on
+    the table's current rules."""
+    for table in order:
+        fast, rules = TABLES[table]
+        reference = lambda p: oracle_classify(p, getattr(classifier, rules))
+        assert _outcome(fast, pair) == _outcome(reference, pair), (table, pair)
+
+
+@st.composite
+def relabelled_pairs(draw, max_n=7):
+    """Labelled pairs on at most max_n vertices, each followed by a copy
+    with both members relabelled."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        (a, a2), (b, b2) = draw(relabelled_graphs(max_n)), draw(relabelled_graphs(max_n))
+        out += [ClassPair.of(a, b), ClassPair.of(a2, b2)]
+    return out
+
+
+class TestFastPath:
+    """The memoised class and the per-key rule sides give the verdicts of
+    the reference loop, which rebuilds the class on every call and tries
+    every atom pair by pair."""
+
+    def test_corpus_both_orders(self):
+        for i, pair in enumerate(pair_corpus(5)):
+            _assert_tables(pair, ("wqo", "cw") if i % 2 else ("cw", "wqo"))
+
+    def test_relabelled_copy_back_to_back(self):
+        """Equal keys, other labelling: the copy's ``via`` is its own."""
+        p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+        p3_relabelled = Graph.from_edges(3, [(1, 0), (0, 2)])
+        first = ClassPair.of(p3, build("2P2"))
+        copy = ClassPair.of(p3_relabelled, build("2P2"))
+        for pair in (first, copy):
+            _assert_tables(pair, ("wqo", "cw"))
+        assert classify_wqo(copy).via[0] == p3_relabelled
+
+    @given(relabelled_pairs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs_interleaved(self, pairs, data):
+        """Each pair and its relabelled copy back to back in a drawn table
+        order, then every (pair, table) step again in a drawn interleaving."""
+        for pair in pairs:
+            _assert_tables(pair, data.draw(st.permutations(("wqo", "cw"))))
+        steps = [(pair, table) for pair in pairs for table in TABLES]
+        for pair, table in data.draw(st.permutations(steps)):
+            _assert_tables(pair, (table,))
+
+    def test_reused_rule_ids(self, monkeypatch):
+        """Ad-hoc rules that reuse an id, patched into both tables in turn,
+        are resolved on their own atoms, including the inconsistency."""
+        pair = ClassPair.of("P3", "P4")
+        neg = Rule("neg", "NotWqo", (("any",),), (("any",),))
+        outcomes = []
+        for first in (_sups("K3"), _sups("P3"), _sups("C4")):
+            pos = Rule("pos", "WqoLabelled", first, (("any",),))
+            monkeypatch.setattr(classifier, "WQO_RULES", (pos, neg))
+            monkeypatch.setattr(classifier, "CW_RULES", (pos, neg))
+            _assert_tables(pair, ("wqo", "cw"))
+            outcomes.append(_outcome(classify_cw, pair))
+        assert outcomes[0].status == outcomes[2].status == "NotWqo"
+        assert outcomes[1] == "pair fired pos and neg"
 
 
 class TestAudit:

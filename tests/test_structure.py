@@ -209,6 +209,17 @@ class TestRoute:
             route(build("P2+P3"))
         assert info.value.witness is not None
 
+    @given(st.integers(0, 14), st.sampled_from((0.3, 0.6, 0.8, 0.95)), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_find_clique_equals_search(self, n, density, rng):
+        """The split-tree decider answers K5-free hosts; the anchor equals
+        the plain search's, free or not (dense hosts hold a K5)."""
+        g = Graph.from_edges(
+            n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+        )
+        emb = induced_embed(pattern("K5"), g)
+        assert find_clique(g, 5) == (None if emb is None else tuple(sorted(emb)))
+
     def test_anchor_normalisation(self):
         cyc = find_induced_cycle(build("C5"), 5)
         assert cyc == (0, 1, 2, 3, 4)
