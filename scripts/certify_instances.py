@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Generate seeded class members for each dense branch, run the matching
 decomposer, and summarize case coverage, witness orders, and certificate
-budgets.
+budgets.  Every C5 witness must have its case's stated order.
 
 Usage: python scripts/certify_instances.py [count_per_branch]
 """
@@ -30,15 +30,15 @@ def main() -> int:
     print(f"K5 branch: {len(members)} members, cases {dict(sorted(cases.items()))}")
 
     members = class_members(c5_instance, count, valid=c5_branch_valid)
-    cases = Counter()
     orders = Counter()
-    for _, g in members:
+    for seed, g in members:
         rep = decompose_c5(g)
-        cases[rep.case] += 1
-        orders[rep.parts[0].detail["order"]] += 1
-        assert rep.ok
-    print(f"C5 branch: {len(members)} members, cases {dict(sorted(cases.items()))}")
-    print(f"           witness orders {dict(sorted(orders.items()))}")
+        detail = rep.parts[0].detail
+        assert rep.ok, seed
+        assert detail["order"] == detail["stated_order"], seed
+        orders[rep.case, detail["order"]] += 1
+    by_case = ", ".join(f"{c}: {n} at {k}" for (c, k), n in sorted(orders.items()))
+    print(f"C5 branch: {len(members)} members, cases (witness order) {by_case}")
 
     members = class_members(c4_instance, count, valid=c4_branch_valid)
     deletions = Counter()

@@ -56,7 +56,6 @@ from .ops import (
 from .uniform import (
     UniformTemplate,
     UniformWitness,
-    transport_bipartite,
     verify_witness,
 )
 
@@ -497,19 +496,31 @@ def _is_star_forest(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # C5 branch
 
+# The template of cases 4 and 5 over the classes that ``_paw_layout`` lays
+# out: F is the paw between the classes of any two sets, and K = 1 exactly
+# between A-classes and B-classes.  Case 4's X is class 12, with K = 0.
+_PAW = pattern("co(P1+P3)")
+_PAW_TEMPLATE = (
+    tuple(
+        (4 * s + p, 4 * t + q)
+        for p, q in _PAW.edges()
+        for s in range(3)
+        for t in range(3)
+    ),
+    tuple((4 + p, 8 + q) for p in range(4) for q in range(4)),
+)
 # The seven cases of the largeness pattern: the canonical large positions,
-# the stated and the composed witness order, and the direct template or None
-# where the witness is composed (cases 4 and 5).  A template gives the F
-# edges and the class pairs with K = 1 over the large V sets in position
-# order, with X the class after them.
+# the stated witness order, and the template.  A template gives the F edges
+# and the class pairs with K = 1; in cases 1-3, 6 and 7 its classes are the
+# large V sets in position order, with X the class after them.
 C5_CASES = {
-    1: ((0, 1, 2, 3, 4), 6, 6, ((), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))),
-    2: ((0, 1, 2, 3), 5, 5, (((0, 3),), ((0, 1), (1, 2), (2, 3)))),
-    3: ((0, 1, 2), 4, 4, (((1, 3),), ((0, 1), (1, 2)))),
-    4: ((0, 2, 3), 13, 33, None),
-    5: ((2, 3), 12, 32, None),
-    6: ((0, 2), 3, 3, (((0, 1),), ())),
-    7: ((0,), 2, 2, (((0, 1),), ())),
+    1: ((0, 1, 2, 3, 4), 6, ((), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))),
+    2: ((0, 1, 2, 3), 5, (((0, 3),), ((0, 1), (1, 2), (2, 3)))),
+    3: ((0, 1, 2), 4, (((1, 3),), ((0, 1), (1, 2)))),
+    4: ((0, 2, 3), 13, _PAW_TEMPLATE),
+    5: ((2, 3), 12, _PAW_TEMPLATE),
+    6: ((0, 2), 3, (((0, 1),), ())),
+    7: ((0,), 2, (((0, 1),), ())),
 }
 # Built in reverse, so that the first case and its smallest rotation win.
 _C5_CASE_OF = {
@@ -540,8 +551,9 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     neighbours) and V_1..V_5 (two opposite neighbours).  After checking the
     claim battery, the cycle and all small sets are deleted and the
     surviving sets receive a uniform-template witness whose shape depends on
-    the largeness pattern; two patterns route through a complementation of
-    one set pair plus template transport instead of a direct template.
+    the largeness pattern.  In cases 4 and 5 the template's classes refine
+    the paw that covers each component once the edges between one set pair
+    are complemented; every witness has the case's stated order.
     """
     if cycle is not None:
         cyc = _caller_anchor(g, cycle, 5, "an induced 5-cycle")
@@ -664,18 +676,14 @@ def _c5_witness_part(
     xs: list[int],
     claims: list[ClaimCheck],
 ) -> Part:
-    positions, stated, bound, template = C5_CASES[case]
-    if template is None:
-        single = vr[0] if case == 4 else list(xs)
-        pair_a, pair_b = vr[2], vr[3]
-        extra_x = xs if case == 4 else []
-        witness, vertices, viol = _paw_route_witness(
-            g, single, pair_a, pair_b, extra_x
-        )
-        _claim(claims, "L4.2-paw", [viol])
-        route_name = "composed"
+    positions, stated, (f_edges, k_ones) = C5_CASES[case]
+    if case in (4, 5):
+        single = vr[0] if case == 4 else xs
+        classes, groups, bad = _paw_layout(g, single, vr[2], vr[3])
+        _claim(claims, "L4.2-paw", [bad])
+        if case == 4:
+            classes.append(xs)
     else:
-        f_edges, k_ones = template
         classes = [vr[p] for p in positions] + [xs]
         # the edges between an F-linked class pair share copies
         groups = [
@@ -685,79 +693,54 @@ def _c5_witness_part(
             for v in sorted(classes[b])
             if g.adjacent(u, v)
         ]
+        bad = None
+    witness = check = None
+    if bad is None:
         witness, vertices = _template_witness(classes, f_edges, k_ones, groups)
-        route_name = "direct"
-    check = None if witness is None else verify_witness(induced(g, vertices), witness)
-    verified = bool(check and check.ok)
+        check = verify_witness(induced(g, vertices), witness)
+    else:
+        vertices = tuple(sorted(v for cls in classes for v in cls))
     return Part(
         "uniform",
         vertices,
-        verified,
+        bool(check and check.ok),
         {
             "witness": witness,
             "order": witness.template.k if witness else None,
             "stated_order": stated,
-            "order_bound": bound,
-            "route": route_name,
             "violation": None if not check or check.ok else check.violation,
         },
     )
 
 
-def _paw_route_witness(
-    g: Graph,
-    single: list[int],
-    pair_a: list[int],
-    pair_b: list[int],
-    extra_x: list[int],
-):
-    """Witness for single+pair sets via complementing the pair's edges.
+def _paw_layout(
+    g: Graph, single: list[int], pair_a: list[int], pair_b: list[int]
+) -> tuple[list[list[int]], list[tuple[int, ...]], tuple[int, ...] | None]:
+    """Classes and copy groups of ``_PAW_TEMPLATE`` over the three sets.
 
-    After complementing the edges between the two paired sets, every
-    component must induced-embed into the paw; each component becomes one
-    copy of a paw template, and transporting the witness back through the
-    complementation (three doublings) covers the original graph.  Vertices
-    in ``extra_x`` join as one additional always-anticomplete class.
-    Returns (witness, vertices, violation); the witness is None on a violation.
+    Complementing the edges between A and B must leave components that
+    each induced-embed into the paw; each component is one copy, and class
+    4 s + p holds the vertices of set s (single, A, B) at paw vertex p.
+    Complementing A x B back flips exactly the K entries between A-classes
+    and B-classes.  Returns (classes, groups, violation): the violation is
+    None, or the first component that does not embed, and the classes are
+    then the three sets themselves.
     """
-    base_vertices = sorted(set(single) | set(pair_a) | set(pair_b))
-    pos = {v: i for i, v in enumerate(base_vertices)}
-    sub = induced(g, base_vertices)
-    la = [pos[v] for v in pair_a]
-    lb = [pos[v] for v in pair_b]
-    flipped = bipartite_complement(sub, la, lb)
-    paw = pattern("co(P1+P3)")
-    zeros4 = ((0,) * 4,) * 4
-    t0 = UniformTemplate(4, paw, zeros4)
-    assign0: dict[int, tuple[int, int]] = {}
-    for copy_idx, comp in enumerate(connected_components(flipped)):
-        comp_graph = induced(flipped, comp)
-        emb = induced_embed(comp_graph, paw)
+    sets = (single, pair_a, pair_b)
+    set_of = {v: s for s, vs in enumerate(sets) for v in vs}
+    base = sorted(set_of)
+    flipped = induced(bipartite_complement(g, pair_a, pair_b), base)
+    classes: list[list[int]] = [[] for _ in range(12)]
+    groups = []
+    for comp in connected_components(flipped):
+        group = tuple(base[v] for v in comp)
+        emb = induced_embed(induced(flipped, comp), _PAW)
         if emb is None:
-            bad = tuple(base_vertices[v] for v in comp)
-            return None, tuple(base_vertices + sorted(extra_x)), bad
-        for local_idx, v in enumerate(sorted(comp)):
-            assign0[v] = (copy_idx, emb[local_idx])
-    w0 = UniformWitness(t0, tuple(assign0[v] for v in range(len(base_vertices))))
-    w3 = transport_bipartite(w0, la, lb)
-    t3 = w3.template
-    if not extra_x:
-        return w3, tuple(base_vertices), None
-    k = t3.k
-    f_ext = Graph.from_edges(k + 1, t3.f.edges())
-    matrix = tuple(tuple(list(row) + [0]) for row in t3.matrix) + ((0,) * (k + 1),)
-    t_ext = UniformTemplate(k + 1, f_ext, matrix)
-    all_vertices = sorted(set(base_vertices) | set(extra_x))
-    max_copy = max((c for c, _ in w3.assign), default=-1)
-    assign: list[tuple[int, int]] = []
-    fresh = max_copy + 1
-    for v in all_vertices:
-        if v in pos:
-            assign.append(w3.assign[pos[v]])
-        else:
-            assign.append((fresh, k))
-            fresh += 1
-    return UniformWitness(t_ext, tuple(assign)), tuple(all_vertices), None
+            return [list(vs) for vs in sets], [], group
+        for v, p in zip(group, emb):
+            classes[4 * set_of[v] + p].append(v)
+        groups.append(group)
+    return classes, groups, None
 
 
 # ---------------------------------------------------------------------------

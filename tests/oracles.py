@@ -4,14 +4,14 @@ Everything here enumerates, or backtracks without look-ahead (but for the
 one forward-checked search named below), and shares no code with the
 package's search paths.  ``oracle_embed`` is the package's own injection
 oracle, which the selftest also runs against the embedding solver.
-``oracle_find_assignment`` is the plain slot search for a uniform witness
-over one template, and ``oracle_forward_assignment`` the same search on
-bitmasks with a forward check, as the package ran it after its partition
-check until that check returned its own witness; the tests take the faster
-one as the reference for which graphs have a witness, and check it against
-the plain one.  ``oracle_embed_search`` is the embedding search as it was
-before the last-pair look-ahead: the package's search must return its
-assignment and spend no more nodes.  ``oracle_first_pair``,
+``oracle_forward_assignment`` is the slot search for a uniform witness over
+one template, on bitmasks with a forward check, as the package ran it after
+its partition check until that check returned its own witness; the tests
+take it as the reference for which graphs have a witness, and
+``oracle_k_uniform`` as the exhaustive one.  ``oracle_embed_search`` is the
+embedding search as it was before the last-pair look-ahead: the package's
+search must return its assignment and spend no more nodes.
+``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
 that the structure claims ran before their bitset layer: the bitset helpers
 must return the same first counterexample.  ``oracle_same_side_components``
@@ -220,44 +220,10 @@ def _charge(budget) -> None:
         raise SearchBudgetExceeded(budget.used)
 
 
-def oracle_find_assignment(g: Graph, template):
-    """Backtracking slot assignment without pruning: vertices in order,
-    slots (copy, class) ascending, copies opened in first-use order.
-    Returns the first assignment found, or None."""
-    k = template.k
-    assign: list[tuple[int, int]] = []
-    used: set[tuple[int, int]] = set()
-
-    def consistent(v: int, slot: tuple[int, int]) -> bool:
-        return all(
-            g.adjacent(u, v) == template.law(assign[u], slot) for u in range(v)
-        )
-
-    def rec(v: int, copies_used: int) -> bool:
-        if v == g.n:
-            return True
-        for c in range(min(copies_used + 1, g.n)):
-            for i in range(k):
-                slot = (c, i)
-                if slot in used:
-                    continue
-                if consistent(v, slot):
-                    assign.append(slot)
-                    used.add(slot)
-                    if rec(v + 1, max(copies_used, c + 1)):
-                        return True
-                    assign.pop()
-                    used.remove(slot)
-        return False
-
-    if rec(0, 0):
-        return tuple(assign)
-    return None
-
-
 def oracle_forward_assignment(g: Graph, template):
-    """The first assignment of ``oracle_find_assignment``, or None, found on
-    bitmasks with a forward check.
+    """The first assignment of a backtracking slot search, or None: vertices
+    in order, slots (copy, class) ascending, copies opened in first-use
+    order, on bitmasks with a forward check.
 
     Placed vertices are kept as bitmasks: ``across[i]`` holds those that a
     class-i vertex in another copy must be adjacent to (their class j has
@@ -267,8 +233,8 @@ def oracle_forward_assignment(g: Graph, template):
     among the placed vertices is N fits the free slot (c, i) iff
     ``N ^ across[i] == flips[i] & members[c]``.  After each placement every
     later vertex must still fit some free slot; that check only cuts
-    subtrees without an assignment, so the first assignment is the plain
-    search's.
+    subtrees without an assignment, so the first assignment is the one the
+    search without it finds.
     """
     n, k = g.n, template.k
     rows = g.rows

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -331,6 +332,19 @@ class TestCorpus:
     def test_equals_key_loop(self):
         for n in range(6):
             assert nonisomorphic_graphs(n) == oracle_nonisomorphic_graphs(n)
+
+    def test_keys_equal_networkx_atlas(self):
+        """The atlas lists one graph per isomorphism class with at most seven
+        vertices, and is built independently of both corpus constructions."""
+        atlas: dict[int, set] = {n: set() for n in range(7)}
+        for h in networkx.graph_atlas_g():
+            if h.number_of_nodes() < 7:
+                g = Graph.from_edges(h.number_of_nodes(), h.edges())
+                atlas[g.n].add(canonical_key(g))
+        for n in range(7):
+            keys = [canonical_key(g) for g in nonisomorphic_graphs(n)]
+            assert len(set(keys)) == len(keys) == len(atlas[n])
+            assert set(keys) == atlas[n]
 
     def test_six_vertex_representatives(self):
         """Checked without either construction: each of the 156 graphs has

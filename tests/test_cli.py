@@ -119,6 +119,19 @@ class TestCommands:
         blob = json.loads(capsys.readouterr().out)
         assert blob["branch"] == "K5" and blob["ok"]
 
+    def test_decompose_c5_case4_stated_order(self, capsys):
+        # c5_instance(59): a case-4 member whose X (16..19) is large
+        g6 = "g6:ShedDA_I@OD?cFcNQBc_w????????????"
+        assert main(["decompose", "--in", g6, "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["branch"] == "C5" and blob["case"] == 4 and blob["ok"]
+        part = blob["parts"][0]
+        detail = part["detail"]
+        assert detail["order"] == detail["stated_order"] == 13
+        assert not {"order_bound", "route"} & set(detail)
+        assert blob["sets"]["X"] == [16, 17, 18, 19] == part["vertices"][-4:]
+        assert [cls for _, cls in detail["witness"]["assign"][-4:]] == [12] * 4
+
     def test_decompose_class_violation(self, capsys):
         assert main(["decompose", "--in", "P2+P3"]) == 1
 

@@ -343,14 +343,12 @@ class TestDecomposeC5:
             rep = decompose_c5(g)
             assert rep.ok, (seed, rep.failed_claims())
             part = rep.parts[0]
-            assert part.detail["order"] <= part.detail["order_bound"]
+            assert part.detail["order"] == part.detail["stated_order"]
             survivors = tuple(
                 v for v in range(g.n) if v not in set(rep.deletions)
             )
             assert apply_script(g, rep.script) == induced(g, survivors)
             assert part.vertices == survivors
-            if part.detail["route"] == "direct":
-                assert part.detail["order"] == part.detail["stated_order"]
 
     def test_mutants_name_claims(self):
         members = class_members(c5_instance, 30, valid=c5_branch_valid)

@@ -31,7 +31,6 @@ from wqograph.uniform import (
 from oracles import (
     oracle_canonical_templates,
     oracle_class_partition,
-    oracle_find_assignment,
     oracle_forward_assignment,
     oracle_isomorphic,
     oracle_k_uniform,
@@ -264,19 +263,6 @@ def assert_budget_exact(search):
 # Three 8-vertex graphs that the copy-blind check accepted although they have
 # no witness of order 3, with the nodes ``uniformicity(g, 3)`` spends on them.
 NO_WITNESS_NODES = {"Gg?Vns": 232, "GQXdg{": 160, "G`txEc": 155}
-
-
-class TestReferenceSearch:
-    @settings(max_examples=150, deadline=None)
-    @given(small_graphs(), st.integers(1, 3))
-    def test_forward_check_keeps_first_assignment(self, g, k):
-        """The reference behind ``has_witness`` and ``template_loop`` finds
-        the plain slot search's first assignment over every template."""
-        for template in dedup_templates(k):
-            found = oracle_forward_assignment(g, template)
-            assert found == oracle_find_assignment(g, template)
-            if found is not None:
-                assert verify_witness(g, UniformWitness(template, found)).ok
 
 
 # The two 3-uniform graphs beyond the 10-vertex cap on which a slot search
