@@ -12,6 +12,25 @@ vertex keeps a candidate bitmask that is intersected with the neighbourhood
 ascending host-vertex order, so the first embedding found is deterministic
 and tests can pin exact witnesses.
 
+The candidate masks of all later positions are packed into one integer,
+so that a node costs a fixed number of big-integer operations and none
+loops over positions (bit-parallel domains, as in San Segundo et al., 2011,
+and McCreesh, Prosser & Trimble, 2020).  On a host of ng vertices, field j
+holds the mask of the j-th later position and is ng + 1 bits wide; its top
+bit is a spare bit, clear in every packed mask.  Placing host vertex w
+narrows all fields at once to rest & (N(w)*R ^ ((V - w)*R & ~A)), where R
+has a one at the foot of each field, so that m*R copies mask m into every
+field, and A covers the fields of the positions adjacent to the placed one.
+A field's value is below 2**ng, so adding 2**ng - 1 to it carries into its
+spare bit exactly when it is not empty, and never into the next field: with
+F that value in every field and H the spare bits, the wipe-out test is
+(nxt + F) & H == H.  The next position takes the lowest field, and the word
+shifted down by one field is the rest.  These words depend only on the
+pattern and ng and are kept in the plan per host size.  The fields hold the
+masks a list of one mask per position would, and the candidates are tried
+and dropped in the same order, so nodes, first embeddings and the node at
+which a budget runs out are those of the per-position loop.
+
 Once only the last two pattern vertices S and L are left, the search looks
 ahead on that pair: it keeps a candidate w of S only if some candidate
 x != w of L is adjacent to w exactly when S is adjacent to L.  The test is
@@ -30,11 +49,11 @@ embedding f.s that agrees with f before position i and is smaller at i, so
 f is not the least embedding in position order.  The search tries host
 vertices in ascending order, so the first embedding it finds is that least
 one, which keeps every constraint: the constraints change no answer, and
-since they only narrow candidate masks (one AND with the host vertices
-above the one placed), the pruned tree is a subtree of the plain one,
-visited in the same order, and never has more nodes.  Labels can break the
-symmetry, so only plain :func:`induced_embed` applies them, never
-:func:`labelled_embed`.
+since they only narrow candidate masks (one AND that clears the host
+vertices up to the one placed in the constrained fields), the pruned tree
+is a subtree of the plain one, visited in the same order, and never has
+more nodes.  Labels can break the symmetry, so only plain
+:func:`induced_embed` applies them, never :func:`labelled_embed`.
 
 The constraints are applied only once a root candidate has failed, another
 is left, and the search has spent at least n(h)**2 nodes, the most that
@@ -219,8 +238,9 @@ def _with_partner(cs: int, cl: int, rows, adjacent: bool) -> int:
 @lru_cache(maxsize=256)
 def _plan(h: Graph):
     """The search plan of pattern ``h``: its vertices in search order, their
-    degrees in that order, each position's adjacency to the later ones, and
-    the adjacency of the last two."""
+    degrees in that order, each position's adjacency to the later ones, the
+    adjacency of the last two, and the packed forward-check words of each
+    host size met so far (filled in by :func:`_embed`)."""
     nh = h.n
     order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
     degrees = [h.degree(v) for v in order]
@@ -228,7 +248,7 @@ def _plan(h: Graph):
         [h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)
     ]
     last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
-    return order, degrees, later, last_pair_adjacent
+    return order, degrees, later, last_pair_adjacent, {}
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +476,6 @@ def _lex_leader(h: Graph):
     return tuple(bounds), nodes
 
 
-def _above(masks: list[int], positions, above: int) -> bool:
-    """Narrow ``masks`` at ``positions`` to the bits of ``above``; False as
-    soon as one of them empties."""
-    for j in positions:
-        m = masks[j] & above
-        if not m:
-            return False
-        masks[j] = m
-    return True
-
-
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     """Core backtracking search; returns an assignment tuple or None.
 
@@ -477,7 +486,21 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         return None
     if nh == 0:
         return ()
-    order, degrees, later, last_pair_adjacent = _plan(h)
+    order, degrees, later, last_pair_adjacent, packed = _plan(h)
+    width, field = ng + 1, (1 << ng) - 1
+    # words[pos], over the fields of the positions after pos: R (a one at
+    # the foot of each field), V*R and R in the fields of those not adjacent
+    # to pos (so (V - w)*R & ~A is the one xor the other shifted by w), F, H.
+    words = packed.get(ng)
+    if words is None:
+        words = packed[ng] = []
+        for adjacent in later:
+            r = non = 0
+            for j, a in enumerate(adjacent):
+                r |= 1 << j * width
+                if not a:
+                    non |= field << j * width
+            words.append((r, non & r * field, non & r, r * field, r << ng))
     # at_least[d]: host vertices of degree d or more.  A pattern vertex of
     # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
     # enough neighbours and enough non-neighbours.
@@ -487,13 +510,15 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     for d in range(ng - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
     gmask = g.mask
-    cand = []
-    for v, dv in zip(order, degrees):
+    rest = 0
+    for p, (v, dv) in enumerate(zip(order, degrees)):
         base = gmask if base_candidates is None else base_candidates[v]
         allowed = base & at_least[dv] & ~at_least[dv + ng - nh + 1]
         if not allowed:
             return None
-        cand.append(allowed)
+        rest |= allowed << p * width
+    # roots: the first position's candidates; rest: the later ones'
+    roots, rest = rest & field, rest >> width
     look_ahead = nh - 3
     rows = g.rows
     assign = [0] * nh
@@ -502,48 +527,44 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     # Without a budget the cap is out of reach.
     cap = 1 << 62 if budget is None else budget.limit - budget.used
     spent = 0
-    # bounds[pos]: None, or the later positions (counted from pos + 1) that
-    # must take a host vertex above the one at pos.
-    bounds = (None,) * nh
+    # bounds[pos]: 0, or a one at the foot of each later field whose
+    # position must take a host vertex above the one at pos.
+    bounds = (0,) * nh
 
-    def rec(pos: int, m: int, rest: list[int]) -> bool:
+    def rec(pos: int, m: int, rest: int) -> bool:
         # m: candidates of pattern position pos; rest: those of pos+1, ...
+        # packed, one field each
         nonlocal spent
-        adj = later[pos]
+        r, gnon, rnon, ones, spare = words[pos]
         lex = bounds[pos]
         while m:
             low = m & -m
             m ^= low
-            w = low.bit_length() - 1
             spent += 1
             if spent > cap:
                 raise SearchBudgetExceeded(budget.used + spent)
-            nbr = rows[w]
-            non = gmask ^ nbr ^ low
-            nxt = []
-            for a, cm in zip(adj, rest):
-                nm = cm & (nbr if a else non)
-                if not nm:
-                    break
-                nxt.append(nm)
-            else:
-                if lex is not None and not _above(nxt, lex, -(low << 1)):
+            w = low.bit_length() - 1
+            nxt = rest & (rows[w] * r ^ gnon ^ (rnon << w))
+            if lex:
+                nxt &= ~(((low << 1) - 1) * lex)
+            # a field that is not empty carries into its spare bit
+            if (nxt + ones) & spare != spare:
+                continue
+            assign[pos] = w
+            if not nxt:
+                return True
+            head, tail = nxt & field, nxt >> width
+            if pos == look_ahead:
+                head = _with_partner(head, tail, rows, last_pair_adjacent)
+                if not head:
                     continue
-                assign[pos] = w
-                if not nxt:
-                    return True
-                if pos == look_ahead:
-                    nxt[0] = _with_partner(nxt[0], nxt[1], rows, last_pair_adjacent)
-                    if not nxt[0]:
-                        continue
-                if rec(pos + 1, nxt[0], nxt[1:]):
-                    return True
+            if rec(pos + 1, head, tail):
+                return True
         return False
 
     # The lex-leader constraints start once a root candidate has failed and
     # the search has spent as many nodes as their detection may (n(h)**2).
     detect = base_candidates is None
-    roots, rest = cand[0], cand[1:]
     try:
         while roots:
             low = roots & -roots
@@ -552,7 +573,9 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                 break
             if detect and roots and spent >= nh * nh:
                 detect = False
-                bounds = _lex_leader(h)[0]
+                bounds = [
+                    sum(1 << j * width for j in b or ()) for b in _lex_leader(h)[0]
+                ]
         else:
             return None
     finally:

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here enumerates, or backtracks without look-ahead (but for the
-one forward-checked search named below), and shares no code with the
-package's search paths.  ``oracle_embed`` is the package's own injection
-oracle, which the selftest also runs against the embedding solver.
+two forward-checked searches named below), and shares no code with the
+package's search paths, but for the lex-leader constraints that
+``oracle_embed_exact`` takes from the package.  ``oracle_embed`` is the
+package's own injection oracle, which the selftest also runs against the
+embedding solver.
 ``oracle_forward_assignment`` is the slot search for a uniform witness over
 one template, on bitmasks with a forward check, as the package ran it after
 its partition check until that check returned its own witness; the tests
@@ -11,7 +13,11 @@ take it as the reference for which graphs have a witness, and
 ``oracle_k_uniform`` as the exhaustive one.  ``oracle_embed_search`` is the
 embedding search as it was before the last-pair look-ahead: the package's
 search must return its assignment and spend no more nodes.
-``oracle_first_pair``,
+``oracle_embed_exact`` is the search with look-ahead and lex-leader
+constraints as it ran on a list of candidate masks, one per later
+position, before it packed them into one integer: the package's search
+must return its assignment, spend its nodes and run out of budget at its
+node.  ``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
 that the structure claims ran before their bitset layer: the bitset helpers
 must return the same first counterexample.  ``oracle_same_side_components``
@@ -66,7 +72,7 @@ from wqograph.classifier import (
     pair_corpus,
 )
 from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
-from wqograph.order import SearchBudgetExceeded, induced_embed
+from wqograph.order import SearchBudgetExceeded, _lex_leader, induced_embed
 from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
@@ -355,6 +361,98 @@ def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
 
     if not rec(0, cand):
         return None
+    out = [0] * nh
+    for p, v in enumerate(order):
+        out[v] = assign[p]
+    return tuple(out)
+
+
+def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None):
+    """The package's embedding search as it ran on lists of candidate masks,
+    one per later position, before it packed them into one integer: the
+    same order, degree filter, forward check, last-pair look-ahead,
+    lex-leader constraints (from ``order._lex_leader``, started at the same
+    node) and budget charging.  The package must return its assignment,
+    spend its nodes and run out of budget at its node.  ``base_candidates``
+    None means every host vertex."""
+    nh, ng = h.n, g.n
+    if nh > ng:
+        return None
+    if nh == 0:
+        return ()
+    order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
+    later = [[h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)]
+    rows, gmask = g.rows, g.mask
+    cand = []
+    for v in order:
+        dv = h.degree(v)
+        base = gmask if base_candidates is None else base_candidates[v]
+        allowed = sum(
+            1 << w for w in bits_of(base) if dv <= g.degree(w) <= dv + ng - nh
+        )
+        if not allowed:
+            return None
+        cand.append(allowed)
+    # the last pair's look-ahead, candidate by candidate
+    s_adj_l = nh >= 2 and h.adjacent(order[-2], order[-1])
+
+    def with_partner(cs, cl):
+        return sum(
+            1 << w
+            for w in bits_of(cs)
+            if any(x != w and g.adjacent(w, x) == s_adj_l for x in bits_of(cl))
+        )
+
+    assign = [0] * nh
+    cap = 1 << 62 if budget is None else budget.limit - budget.used
+    spent = 0
+    bounds = (None,) * nh
+
+    def rec(pos: int, m: int, rest: list) -> bool:
+        nonlocal spent
+        for w in bits_of(m):
+            spent += 1
+            if spent > cap:
+                raise SearchBudgetExceeded(budget.used + spent)
+            nbr = rows[w]
+            non = gmask & ~nbr & ~(1 << w)
+            nxt = []
+            for a, cm in zip(later[pos], rest):
+                nm = cm & (nbr if a else non)
+                if not nm:
+                    break
+                nxt.append(nm)
+            else:
+                if bounds[pos] is not None:
+                    above = -(1 << (w + 1))
+                    nxt = [nm & above if j in bounds[pos] else nm for j, nm in enumerate(nxt)]
+                    if not all(nxt):
+                        continue
+                assign[pos] = w
+                if not nxt:
+                    return True
+                if pos == nh - 3:
+                    nxt[0] = with_partner(nxt[0], nxt[1])
+                    if not nxt[0]:
+                        continue
+                if rec(pos + 1, nxt[0], nxt[1:]):
+                    return True
+        return False
+
+    detect = base_candidates is None
+    roots = list(bits_of(cand[0]))
+    try:
+        for k, w in enumerate(roots):
+            if rec(0, 1 << w, cand[1:]):
+                break
+            if detect and k + 1 < len(roots) and spent >= nh * nh:
+                detect = False
+                bounds = _lex_leader(h)[0]
+        else:
+            return None
+    finally:
+        if budget is not None:
+            budget.used += spent
     out = [0] * nh
     for p, v in enumerate(order):
         out[v] = assign[p]

@@ -104,6 +104,17 @@ class TestVerifyFamily:
         assert report.ok
         assert not any(c.comparable for c in report.incomparability)
 
+    @pytest.mark.parametrize(
+        "family, ns, cells",
+        [("thm51", range(2, 17), (45, 105)), ("thm52", range(3, 17), (28, 91))],
+    )
+    def test_up_to_64_vertices(self, family, ns, cells):
+        # thm51(16) and thm52(16) are the last members within the 64-vertex cap
+        report = verify_family(family, ns)
+        assert report.ok
+        assert (len(report.freeness), len(report.incomparability)) == cells
+        assert not any(c.exhausted for c in report.freeness + report.incomparability)
+
     def test_cycles(self):
         report = verify_family("cycles", range(4, 9))
         assert report.ok and report.forbidden == ()

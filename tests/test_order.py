@@ -33,7 +33,7 @@ from wqograph.order import (
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
 from wqograph.classifier import nonisomorphic_graphs
-from oracles import oracle_embed, oracle_embed_search, oracle_lex_orbits
+from oracles import oracle_embed, oracle_embed_exact, oracle_embed_search, oracle_lex_orbits
 from strategies import small_graphs
 
 
@@ -215,6 +215,77 @@ class TestSearchAgainstOracle:
         assert induced_embed(h, host, fast) is None
         assert oracle_embed_search(h, host, [host.mask] * h.n, plain) is None
         assert (fast.used, plain.used) == (nodes, oracle_nodes)
+
+
+class TestSearchAgainstLists:
+    """The packed search against the search on one candidate mask per later
+    position that it replaced: the same assignment, the same nodes, and an
+    exhausted budget at the same node."""
+
+    @staticmethod
+    def check(h, g, candidates, search, data):
+        def outcome(run, limit):
+            budget = SearchBudget(limit, used=3)
+            try:
+                found = run(budget)
+            except SearchBudgetExceeded as exc:
+                found = ("exhausted", exc.nodes)
+            return found, budget.used
+
+        def reference(budget):
+            return oracle_embed_exact(h, g, candidates, budget)
+
+        full = outcome(search, 10**9)
+        assert full == outcome(reference, 10**9)
+        limit = data.draw(st.integers(3, full[1]), label="limit")
+        assert outcome(search, limit) == outcome(reference, limit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(7), small_graphs(14), st.data())
+    def test_induced(self, h, g, data):
+        self.check(h, g, None, lambda b: induced_embed(h, g, b), data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_graphs(9), st.one_of(small_graphs(14), symmetric_graphs()), st.data())
+    def test_induced_symmetric(self, h, g, data):
+        self.check(h, g, None, lambda b: induced_embed(h, g, b), data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(7), small_graphs(14), st.sampled_from(LABEL_ORDERS), st.data())
+    def test_labelled(self, h, g, order, data):
+        labels = st.sampled_from(order.elements)
+        lh = LabelledGraph(h, tuple(data.draw(labels) for _ in range(h.n)))
+        lg = LabelledGraph(g, tuple(data.draw(labels) for _ in range(g.n)))
+        candidates = [
+            sum(1 << w for w in range(g.n) if order.leq(a, lg.labels[w]))
+            for a in lh.labels
+        ]
+        self.check(h, g, candidates, lambda b: labelled_embed(lh, lg, order, b), data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            small_graphs(7),
+            symmetric_graphs(9),
+            st.sampled_from([gen_thm51(2), gen_thm52(3)]),
+        ),
+        st.sampled_from(["thm51-16", "thm52-15", "cycle", "random"]),
+        st.data(),
+    )
+    def test_large_hosts(self, h, kind, data):
+        # 60 to 64 host vertices: fields 61 to 65 bits wide, up to 63 of them
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        if kind == "thm51-16":
+            g = gen_thm51(16)
+        elif kind == "thm52-15":
+            g = gen_thm52(15)
+        elif kind == "cycle":
+            g = cycle_graph(rng.randint(60, 64))
+        else:
+            g = random_graph(rng, rng.randint(60, 64), rng.choice((0.1, 0.5, 0.9)))
+        h = relabel(h, rng.sample(range(h.n), h.n))
+        g = relabel(g, rng.sample(range(g.n), g.n))
+        self.check(h, g, None, lambda b: induced_embed(h, g, b), data)
 
 
 class TestLexLeader:

@@ -419,6 +419,11 @@ class TestDecomposeC4:
         assert kernel.detail["order"] == 3
         assert verify_witness(induced(g, kernel.vertices), kernel.detail["witness"]).ok
 
+    def test_scan_grows_with_count(self):
+        # 1,400 members take 4,475 seeds, more than the fixed floor of 4,000
+        members = class_members(c4_instance, 1400, valid=c4_branch_valid)
+        assert len(members) == 1400 and members[-1][0] == 4474
+
     def test_battery_50(self):
         members = class_members(c4_instance, 50, valid=c4_branch_valid)
         for seed, g in members:
