@@ -208,7 +208,7 @@ def uniform_battery() -> list[Graph]:
     graphs = []
     for p in UNIFORM_DENSITIES:
         for _ in range(UNIFORM_GRAPHS):
-            n = rng.randint(0, uniform.MAX_SEARCH_N)
+            n = rng.randint(0, 10)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             graphs.append(Graph.from_edges(n, edges))
     for _ in range(UNIFORM_EXPANSIONS):
@@ -217,7 +217,7 @@ def uniform_battery() -> list[Graph]:
 
 
 def restricted_expansion(rng: random.Random) -> Graph:
-    """A random induced subgraph, with at most ``MAX_SEARCH_N`` vertices, of
+    """A random induced subgraph, with at most 10 vertices, of
     an expansion of a random template of order at most 3."""
     k = rng.randint(1, 3)
     f = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
@@ -227,7 +227,7 @@ def restricted_expansion(rng: random.Random) -> Graph:
             matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
     template = uniform.UniformTemplate(k, Graph.from_edges(k, f), tuple(tuple(r) for r in matrix))
     g = uniform.expand_template(template, rng.randint(1, 4))
-    size = rng.randint(1, min(g.n, uniform.MAX_SEARCH_N))
+    size = rng.randint(1, min(g.n, 10))
     return induced(g, sorted(rng.sample(range(g.n), size)))
 
 

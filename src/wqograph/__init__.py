@@ -52,7 +52,6 @@ from .ops import (
     subgraph_complement,
 )
 from .uniform import (
-    SearchRefused,
     UniformTemplate,
     UniformWitness,
     complement_template,

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 every check passed, 1 a check failed (a witness is printed),
-2 usage error or search budget/bounds exceeded.  Machine-readable output via
+2 usage error or search budget exceeded.  Machine-readable output via
 ``--json`` is deterministic for fixed flags and seed (timings go to stderr
 in human mode only).
 
@@ -39,7 +39,7 @@ from .order import (
     induced_embed,
     is_free,
 )
-from .uniform import SearchRefused, uniformicity
+from .uniform import uniformicity
 
 SCHEMA = "wqograph-report/1"
 BUDGET_ENV = "WQOGRAPH_BUDGET"
@@ -220,7 +220,8 @@ def cmd_antichain(args) -> int:
 
 def cmd_uniform(args) -> int:
     g = parse_graph_arg(args.g)
-    result = uniformicity(g, args.kmax, budget=_budget(args))
+    budget = SearchBudget(_budget_nodes(args, antichains.DEFAULT_CELL_BUDGET))
+    result = uniformicity(g, args.kmax, budget=budget)
     if result is None:
         _emit(
             args,
@@ -428,9 +429,6 @@ def main(argv=None) -> int:
         return 2
     except SearchBudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
-        return 2
-    except SearchRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""k-uniform graph templates, membership witnesses, bounded uniformicity
-search, and template doubling under complementation.
+"""k-uniform graph templates, membership witnesses, uniformicity search,
+and template doubling under complementation.
 
 A template is a pair (F, K): a graph F on k classes and a symmetric 0/1
 matrix K of order k.  Expanding the template with m copies yields the graph
@@ -22,10 +22,10 @@ different copies read the flipped K entry, and flipped pairs sharing a copy
 read the doubled F edge together with the flipped K entry, which combine to
 the required flip.
 
-The bounded search (``is_k_uniform``, ``uniformicity``) asks whether
-the classes and copies of an order-k witness can be laid out at all.  Two
-vertices of one class i sit in different copies, so they are adjacent iff
-K(i, i) = 1: every class is a clique or an independent set.  Between
+The search (``is_k_uniform``, ``uniformicity``) asks whether the classes
+and copies of an order-k witness can be laid out at all.  Two vertices of
+one class i sit in different copies, so they are adjacent iff K(i, i) = 1:
+every class is a clique or an independent set.  Between
 classes i and j, call the pairs whose adjacency differs from K(i, j) the
 deviation: it holds exactly the pairs in one copy if ij is an edge of F and
 no pair otherwise, and since a copy holds at most one vertex of each class
@@ -39,7 +39,9 @@ nothing (take no F-edge).  Any relation that fits contains every deviation
 pair, and joining more pairs can only break the two conditions, so the
 least relation, the closure of the deviation pairs, fits whenever any
 relation does; where both the edges and the non-edges between two parts
-form a non-empty matching (parts of at most two vertices), both are tried.
+form a non-empty matching (parts of at most two vertices), both are tried
+depth first, K = 0 first in part order; joining more pairs never mends a
+misfit, so a choice that misfits is dropped with all the choices after it.
 
 A split with a fitting relation is itself a witness, so the check is exact,
 and the first such split the search reaches is the witness it returns.
@@ -49,9 +51,9 @@ and 1 if it is the non-edges, and F has an edge exactly where that
 deviation is non-empty.  The copies are the components of the closure,
 numbered in order of their lowest vertex, and classes beyond the parts pad
 the template to order k with K = 0 and no F-edge.  One search node is one
-part tried for one vertex; testing the copies of a complete split is no
-node, as each such test follows at least one (but on the empty graph, where
-it is trivial).  The search counts its nodes locally, charges them to the
+part tried for one vertex, or one K = 1 tried: between two of these the
+copy test tries K = 0 at most once per pair, so the nodes bound all the
+work.  The search counts its nodes locally, charges them to the
 budget on the way out, and raises :class:`SearchBudgetExceeded` at the node
 where spending them one by one would.
 """
@@ -59,15 +61,10 @@ where spending them one by one would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
-from .graphs import Graph, bits_of
+from .graphs import MAX_VERTICES, Graph, bits_of
 from .order import SearchBudget, SearchBudgetExceeded
-
-
-class SearchRefused(RuntimeError):
-    """The requested search exceeds the configured bounds; no verdict."""
 
 
 @dataclass(frozen=True)
@@ -184,24 +181,31 @@ def restrict_witness(witness: UniformWitness, vertices: Iterable[int]) -> Unifor
 
 
 # ---------------------------------------------------------------------------
-# Bounded uniformicity search
+# Uniformicity search
 
-MAX_SEARCH_K = 3
-MAX_SEARCH_N = 10
+MAX_SEARCH_N = 10  # sizes perfbench's uniform expansions; no search reads it
 
 
-def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> UniformWitness | None:
+def is_k_uniform(
+    g: Graph,
+    k: int,
+    *,
+    budget: SearchBudget | None = None,
+) -> UniformWitness | None:
     """The witness of the first split into at most k parts with a copy
     relation that fits, as the module docstring sets out, or None: exactly
-    when no order-k template has a witness.
+    when no order-k template has a witness.  ``k`` must lie in 1..64, the
+    vertex cap of the template's class graph.
 
     Vertices are placed 0..n-1 on the open parts and then on a fresh one
     (parts open in first-use order); one search node is one part tried for
-    one vertex.  ``modes[p][q]`` holds what the placed vertices still allow
-    between parts p and q: bit 1 a matching, bit 2 a co-matching.  Each
-    complete split is tested for copies, and the search goes on when none
-    fit.
+    one vertex, or one K = 1 tried in a copy test.  ``modes[p][q]`` holds
+    what the placed vertices still allow between parts p and q: bit 1 a
+    matching, bit 2 a co-matching.  Each complete split is tested for
+    copies, and the search goes on when none fit.
     """
+    if not 1 <= k <= MAX_VERTICES:
+        raise ValueError(f"k must be in 1..{MAX_VERTICES}, got {k}")
     n = g.n
     rows = g.rows
     cap = 1 << 62 if budget is None else budget.limit - budget.used
@@ -243,18 +247,21 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> UniformWi
 
     def witness(opened: int) -> UniformWitness | None:
         """The witness of the complete split if the closure of the deviation
-        pairs fits it, for some choice of K between parts whose edges and
-        non-edges both form a non-empty matching.  A deviation is kept as
-        ``(p, q, K(p, q), devs)``: for each vertex u of part p, ``devs``
-        pairs u with the mask of its partner in part q (0 if none).
+        pairs fits it, for the first choice of K, 0 before 1 in part order,
+        between parts whose edges and non-edges both form a non-empty
+        matching.  A deviation is kept as ``(p, q, K(p, q), devs)``: for
+        each vertex u of part p, ``devs`` pairs u with the mask of its
+        partner in part q (0 if none).
 
         The closure fits iff no component holds a cross pair of a non-empty
         deviation's parts that is not a deviation pair.  That keeps two
         vertices of one part apart too: if u and u' of part p share a
         component, one of them, say u, was joined to a partner v in some
         part q, and (u', v) is then such a cross pair."""
+        nonlocal spent
         matrix = [[0] * k for _ in range(k)]
-        choices = []
+        fixed = []  # the deviations with one option
+        pairs = []  # (K = 0, K = 1) where both deviations are non-empty
         for p in range(opened):
             pm = parts[p]
             matrix[p][p] = int(bool(rows[(pm & -pm).bit_length() - 1] & pm))
@@ -269,8 +276,16 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> UniformWi
                             break  # an empty deviation imposes nothing
                         options.append((p, q, kpq, devs))
                 else:
-                    choices.append(options)
-        for chosen in product(*choices):
+                    if len(options) == 2:
+                        pairs.append(options)
+                    else:
+                        fixed += options
+        todo = [(0, fixed, 0)]  # pairs decided, deviations taken, nodes
+        while todo:
+            i, chosen, nodes = todo.pop()
+            spent += nodes
+            if spent > cap:
+                raise SearchBudgetExceeded(budget.used + spent)
             comp = [1 << v for v in range(n)]
             for _, _, _, devs in chosen:
                 for u, d in devs:
@@ -278,22 +293,26 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> UniformWi
                         joined = comp[u] | comp[d.bit_length() - 1]
                         for w in bits_of(joined):
                             comp[w] = joined
-            if all(
+            if not all(
                 not comp[u] & parts[q] or comp[u] & parts[q] == d
                 for _, q, _, devs in chosen
                 for u, d in devs
             ):
-                for p, q, kpq, _ in chosen:
-                    matrix[p][q] = matrix[q][p] = kpq
-                f = Graph.from_edges(k, [(p, q) for p, q, _, _ in chosen])
-                template = UniformTemplate(k, f, tuple(map(tuple, matrix)))
-                part_of = [0] * n
-                for p in range(opened):
-                    for v in bits_of(parts[p]):
-                        part_of[v] = p
-                copies: dict[int, int] = {}  # component mask -> copy
-                assign = [(copies.setdefault(comp[v], len(copies)), part_of[v]) for v in range(n)]
-                return UniformWitness(template, tuple(assign))
+                continue
+            if i < len(pairs):  # K = 0 on top, and K = 1 costs a node
+                todo += [(i + 1, chosen + [opt], opt[2]) for opt in pairs[i][::-1]]
+                continue
+            for p, q, kpq, _ in chosen:
+                matrix[p][q] = matrix[q][p] = kpq
+            f = Graph.from_edges(k, [(p, q) for p, q, _, _ in chosen])
+            template = UniformTemplate(k, f, tuple(map(tuple, matrix)))
+            part_of = [0] * n
+            for p in range(opened):
+                for v in bits_of(parts[p]):
+                    part_of[v] = p
+            copies: dict[int, int] = {}  # component mask -> copy
+            assign = [(copies.setdefault(comp[v], len(copies)), part_of[v]) for v in range(n)]
+            return UniformWitness(template, tuple(assign))
         return None
 
     def place(v: int, opened: int) -> UniformWitness | None:
@@ -326,33 +345,14 @@ def _class_partition(g: Graph, k: int, budget: SearchBudget | None) -> UniformWi
             budget.used += spent
 
 
-def is_k_uniform(
-    g: Graph,
-    k: int,
-    *,
-    budget: SearchBudget | None = None,
-) -> UniformWitness | None:
-    """Search for an order-k witness.  Complete for k <= ``MAX_SEARCH_K`` and
-    at most ``MAX_SEARCH_N`` vertices; larger requests raise
-    :class:`SearchRefused` so "too big to try" is never confused with "not
-    k-uniform".
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > MAX_SEARCH_K or g.n > MAX_SEARCH_N:
-        raise SearchRefused(
-            f"uniformicity search bounded to k <= {MAX_SEARCH_K}, n <= {MAX_SEARCH_N}"
-        )
-    return _class_partition(g, k, budget)
-
-
 def uniformicity(
     g: Graph,
     kmax: int,
     *,
     budget: SearchBudget | None = None,
 ) -> tuple[int, UniformWitness] | None:
-    """Smallest k <= kmax admitting a witness, with the witness; else None."""
+    """Smallest k <= kmax admitting a witness, with the witness; else None.
+    It stops by k = max(n, 1), as the split into singletons is a witness."""
     if kmax < 1:
         raise ValueError("kmax must be positive")
     for k in range(1, kmax + 1):

@@ -25,16 +25,13 @@ is the matrix search that the bitset one in ``antichains`` replaced.
 ``oracle_delete_vertices`` is vertex deletion as it was before rows were
 shifted in place: the subgraph induced by the survivors.
 ``oracle_canonical_templates`` lists the templates of order k up to a
-permutation of the classes, by the least relabelled key over all k! class
-orders.  ``oracle_verify_witness`` checks a witness pair by pair through the
+permutation of the classes, by marking the orbit of each template kept.
+``oracle_verify_witness`` checks a witness pair by pair through the
 template's adjacency law, as ``uniform.verify_witness`` did before it
-compared rows.  ``oracle_class_partition`` decides by enumeration whether
-the vertices split into at most k parts that are cliques or independent
-sets with a matching or co-matching between any two, which ``uniform``'s
-partition check decides by backtracking.  ``oracle_lex_orbits`` lists, for
-each position of a search order, the later positions that an automorphism
-fixing the earlier ones maps it onto, from all n! permutations; the
-embedding search's lex-leader constraints must equal it.
+compared rows.  ``oracle_lex_orbits`` lists, for each position of a search
+order, the later positions that an automorphism fixing the earlier ones
+maps it onto, from all n! permutations; the embedding search's lex-leader
+constraints must equal it.
 ``oracle_reconstruct_thm52`` is the thm52 walk as it ran before its bitmask
 form, over the matrix side split.  ``oracle_c5_case_of`` is the 5-cycle
 case analysis as an if-chain, as ``structure`` stated it before its case
@@ -461,69 +458,35 @@ def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None):
 
 def oracle_canonical_templates(k: int) -> list:
     """Templates of order k in search order (K packed bits ascending, then F
-    edge sets ascending), keeping a template unless an earlier one has the
-    same least key over all k! class orders."""
+    edge sets ascending), one per orbit under the k! class orders: the
+    first template of each orbit not yet marked is kept, and all its images
+    are marked."""
     kpairs = [(i, j) for i in range(k) for j in range(i, k)]
     fpairs = list(combinations(range(k), 2))
-    perms = list(permutations(range(k)))
-    seen = set()
+    width = len(fpairs)
+    # a template is the code kbits << width | fbits; per class order, the
+    # bit each bit of the code moves to
+    moves = [
+        [fpairs.index((min(p[i], p[j]), max(p[i], p[j]))) for i, j in fpairs]
+        + [width + kpairs.index((min(p[i], p[j]), max(p[i], p[j]))) for i, j in kpairs]
+        for p in permutations(range(k))
+    ]
+    marked = bytearray(1 << (width + len(kpairs)))
     out = []
-    for kbits in range(1 << len(kpairs)):
+    for code in range(len(marked)):
+        if marked[code]:
+            continue
+        for move in moves:
+            marked[sum(1 << to for b, to in enumerate(move) if code >> b & 1)] = 1
         matrix = [[0] * k for _ in range(k)]
         for idx, (i, j) in enumerate(kpairs):
-            if kbits >> idx & 1:
+            if code >> width + idx & 1:
                 matrix[i][j] = matrix[j][i] = 1
-        for fbits in range(1 << len(fpairs)):
-            edges = [fpairs[idx] for idx in range(len(fpairs)) if fbits >> idx & 1]
-            key = min(_template_key(k, matrix, edges, p) for p in perms)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                UniformTemplate(
-                    k,
-                    Graph.from_edges(k, edges),
-                    tuple(tuple(row) for row in matrix),
-                )
-            )
-    return out
-
-
-def _template_key(k, matrix, edges, perm):
-    kvals = tuple(matrix[perm[i]][perm[j]] for i in range(k) for j in range(i, k))
-    eset = frozenset(
-        (min(perm.index(u), perm.index(v)), max(perm.index(u), perm.index(v)))
-        for u, v in edges
-    )
-    fvals = tuple(
-        1 if (i, j) in eset else 0 for i in range(k) for j in range(i + 1, k)
-    )
-    return kvals, fvals
-
-
-def oracle_class_partition(g: Graph, k: int) -> bool:
-    """Whether some map of the vertices to k parts makes every part a clique
-    or an independent set, and every two parts joined by a matching or a
-    co-matching, by trying all k^n maps."""
-    n = g.n
-
-    def joined(a, b, edge):
-        return all(sum(g.adjacent(u, v) == edge for v in b) <= 1 for u in a) and all(
-            sum(g.adjacent(u, v) == edge for u in a) <= 1 for v in b
+        edges = [pair for idx, pair in enumerate(fpairs) if code >> idx & 1]
+        out.append(
+            UniformTemplate(k, Graph.from_edges(k, edges), tuple(tuple(row) for row in matrix))
         )
-
-    for labels in product(range(k), repeat=n):
-        parts = [[v for v in range(n) if labels[v] == p] for p in range(k)]
-        if all(
-            all(g.adjacent(u, v) for u, v in combinations(part, 2))
-            or not any(g.adjacent(u, v) for u, v in combinations(part, 2))
-            for part in parts
-        ) and all(
-            joined(a, b, True) or joined(a, b, False)
-            for a, b in combinations(parts, 2)
-        ):
-            return True
-    return False
+    return out
 
 
 def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:

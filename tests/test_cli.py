@@ -90,23 +90,18 @@ class TestCommands:
         assert main(["uniform", "--g", "2K2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["uniformicity"] == 2
 
-    @pytest.mark.parametrize("expr, order", [("K4", 1), ("2K2", 2), ("C5", 3)])
+    @pytest.mark.parametrize("expr, order", [("K4", 1), ("2K2", 2), ("C5", 3), ("C5+P3", 4)])
     def test_uniform_witness_verifies(self, capsys, expr, order):
-        assert main(["uniform", "--g", expr, "--json"]) == 0
+        assert main(["uniform", "--g", expr, "--kmax", "4", "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["uniformicity"] == order
         template = oracle_template_from_json(blob["witness"])
         witness = UniformWitness(template, tuple(map(tuple, blob["witness"]["assign"])))
         assert template.k == order and verify_witness(build(expr), witness).ok
 
-    def test_uniform_bounds_exit_2(self, capsys):
-        assert main(["uniform", "--g", "P6+P6", "--kmax", "3"]) == 2
-        assert capsys.readouterr().err.startswith("refused: ")
-
-    def test_uniform_refused_above_kmax_bound(self, capsys):
-        assert main(["uniform", "--g", "C5+P3", "--kmax", "4"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("refused: ") and "budget" not in err
+    def test_uniform_refutes_12_vertices(self, capsys):
+        assert main(["uniform", "--g", "P6+P6", "--kmax", "3"]) == 1
+        assert capsys.readouterr().out.startswith("not k-uniform")
 
     def test_ops_script(self, capsys):
         script = '[{"op":"bc","x":[0,2],"y":[1,3]}]'
@@ -312,7 +307,14 @@ class TestBudgetAndRange:
     def test_uniform_budget_exhausted_exit_2(self, capsys):
         assert main(["uniform", "--g", "C5", "--budget", "3"]) == 2
         captured = capsys.readouterr()
-        assert "budget" in captured.err and "not k-uniform" not in captured.out
+        assert captured.err.startswith("budget: ") and not captured.out
+
+    def test_uniform_two_lift_budget_exit_2(self, capsys):
+        # a 2-lift of K_8: sixteen vertices in eight two-vertex fibres
+        g6 = "OKhTIpdebTQiXUehJJLLK"
+        assert main(["uniform", "--g", "g6:" + g6, "--kmax", "10", "--budget", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("budget: ") and not captured.out
 
 
 class TestOpScriptVertices:
@@ -467,7 +469,7 @@ class TestFuzz:
         code, out, err = _run(argv)
         assert code in (0, 1, 2)
         if code == 2:
-            assert err.startswith(("error: ", "budget: ", "refused: ")) and not out
+            assert err.startswith(("error: ", "budget: ")) and not out
         else:
             assert out
         assert "Traceback" not in err

@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,9 @@ from oracles import (
     oracle_first_two,
 )
 from strategies import small_graphs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from certify_instances import exact_orders
 
 
 @st.composite
@@ -402,6 +407,28 @@ def _triangle_kernel_member(m: int = 3) -> Graph:
         edges += [(x, y), (x, z)]
     edges += [(y, z) for y in v10 for z in v20]
     return Graph.from_edges(4 + 3 * m, edges)
+
+
+# (decomposer order, exact least order) -> uniform parts, over the first 20
+# C5 and the first 20 C4 branch members
+EXACT_ORDERS = {
+    (2, 1): 2, (3, 2): 5, (3, 3): 6, (4, 2): 1, (4, 3): 1, (5, 4): 2,
+    (5, 5): 5, (6, 5): 2, (6, 6): 5, (12, 2): 1, (13, 3): 1,
+}
+
+
+def test_exact_order_of_uniform_parts():
+    """The second certificate that ``scripts/certify_instances.py`` prints,
+    on the first 20 members of the C5 and the C4 branch."""
+    reports = [
+        (seed, g, decompose(g))
+        for maker, valid, decompose in (
+            (c5_instance, c5_branch_valid, decompose_c5),
+            (c4_instance, c4_branch_valid, decompose_c4),
+        )
+        for seed, g in class_members(maker, 20, valid=valid)
+    ]
+    assert exact_orders(reports)[0] == EXACT_ORDERS
 
 
 class TestDecomposeC4:

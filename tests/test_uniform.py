@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from wqograph.graphs import Graph, build, complete_graph, decode_graph6, empty_graph, induced
 from wqograph.order import SearchBudget, SearchBudgetExceeded, induced_embed
 from wqograph.ops import bipartite_complement, subgraph_complement
-from wqograph import uniform
 from wqograph.uniform import (
-    MAX_SEARCH_N,
-    SearchRefused,
-    _class_partition,
     UniformTemplate,
     UniformWitness,
     WitnessCheck,
@@ -30,7 +26,6 @@ from wqograph.uniform import (
 )
 from oracles import (
     oracle_canonical_templates,
-    oracle_class_partition,
     oracle_forward_assignment,
     oracle_isomorphic,
     oracle_k_uniform,
@@ -155,11 +150,17 @@ class TestSearch:
         assert w is not None and verify_witness(build("P3"), w).ok
         assert oracle_k_uniform(build("P3"), 2)
 
-    def test_search_refused_is_distinct(self):
-        with pytest.raises(SearchRefused):
-            is_k_uniform(empty_graph(11), 1)
-        with pytest.raises(SearchRefused):
-            is_k_uniform(empty_graph(3), 4)
+    def test_no_size_refusal(self):
+        for g, k in ((empty_graph(11), 1), (build("3P1"), 4)):
+            w = is_k_uniform(g, k)
+            assert w is not None and w.template.k == k and verify_witness(g, w).ok
+
+    @pytest.mark.parametrize("k", [0, 65, 10**9])
+    def test_order_outside_class_graph_cap_rejected(self, k):
+        """k is checked before the k x k modes or the class graph F (at most
+        64 vertices) is allocated, and before any node is spent."""
+        with pytest.raises(ValueError):
+            is_k_uniform(build("P4"), k, budget=SearchBudget(0))
 
     def test_witnesses_reverify(self):
         rng = random.Random(1)
@@ -182,6 +183,12 @@ class TestSearch:
 @lru_cache(maxsize=None)
 def dedup_templates(k):
     return oracle_canonical_templates(k)
+
+
+def test_orbit_marked_template_counts():
+    """One template per orbit of the class orders: 2, 12, 120 and 3,400 for
+    k = 1..4, the counts the least-relabelled-key list had too."""
+    assert [len(dedup_templates(k)) for k in (1, 2, 3, 4)] == [2, 12, 120, 3_400]
 
 
 def template_loop(g, kmax):
@@ -260,12 +267,13 @@ def assert_budget_exact(search):
     return found, full.used
 
 
-# Three 8-vertex graphs that the copy-blind check accepted although they have
-# no witness of order 3, with the nodes ``uniformicity(g, 3)`` spends on them.
+# Three 8-vertex graphs that split into at most 3 cliques or independent sets
+# joined pairwise by a matching or a co-matching, but have no witness of
+# order 3, with the nodes ``uniformicity(g, 3)`` spends on them.
 NO_WITNESS_NODES = {"Gg?Vns": 232, "GQXdg{": 160, "G`txEc": 155}
 
 
-# The two 3-uniform graphs beyond the 10-vertex cap on which a slot search
+# The two 3-uniform graphs with more than 10 vertices on which a slot search
 # over the templates in list order spends more than 400,000 nodes on
 # templates without an assignment, with the nodes ``uniformicity(g, 3)``
 # spends on them.
@@ -275,14 +283,16 @@ TAIL_NODES = {
 }
 
 
+# Random graphs on 9 and 10 vertices with no witness of order 4, with the
+# nodes ``uniformicity(g, 4)`` spends on them.
+ORDER_4_REFUTATIONS = {"HTJ_p@i": 960, "Hjbsh~z": 812, r"Icn\w{hY?": 1_114}
+
+
 class TestClassPartition:
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(max_n=7), st.integers(1, 3))
     def test_equals_oracle(self, g, k):
-        """The check decides witnesses exactly, and whatever it accepts the
-        copy-blind partition oracle accepts too."""
         assert_decides(g, k)
-        assert is_k_uniform(g, k) is None or oracle_class_partition(g, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(small_graphs(max_n=9), near_uniform_graphs()), st.integers(1, 3))
@@ -300,7 +310,7 @@ class TestClassPartition:
     def test_no_template_loop_without_witness(self):
         for g6, nodes in NO_WITNESS_NODES.items():
             g = decode_graph6(g6)
-            assert oracle_class_partition(g, 3) and not has_witness(g, 3)
+            assert not has_witness(g, 3)
             assert assert_budget_exact(lambda b: uniformicity(g, 3, budget=b)) == (None, nodes)
 
     def test_expansions_of_every_template(self):
@@ -308,7 +318,7 @@ class TestClassPartition:
         for k in (1, 2, 3):
             for template in dedup_templates(k):
                 for _ in range(5):
-                    g, w = restricted_expansion(rng, template, MAX_SEARCH_N)
+                    g, w = restricted_expansion(rng, template, 10)
                     assert verify_witness(g, w).ok
                     found = is_k_uniform(g, k)
                     assert found is not None
@@ -324,12 +334,32 @@ class TestClassPartition:
         assert refuted >= 15
 
     @pytest.mark.parametrize("g6", sorted(TAIL_NODES))
-    def test_tail_graphs(self, g6, monkeypatch):
-        monkeypatch.setattr(uniform, "MAX_SEARCH_N", 64)
+    def test_tail_graphs(self, g6):
         g = decode_graph6(g6)
         found, nodes = assert_budget_exact(lambda b: uniformicity(g, 3, budget=b))
         assert found[0] == 3 and nodes == TAIL_NODES[g6]
         assert_witness(g, 3, found[1])
+
+    @pytest.mark.parametrize("g6", sorted(ORDER_4_REFUTATIONS))
+    def test_order_4_refutations(self, g6):
+        """No template of order 4 has an assignment either."""
+        g = decode_graph6(g6)
+        found, nodes = assert_budget_exact(lambda b: uniformicity(g, 4, budget=b))
+        assert found is None and nodes == ORDER_4_REFUTATIONS[g6]
+        assert not has_witness(g, 4)
+
+    def test_expansions_of_order_4_templates(self):
+        """Three copies of every 85th template of order 4: the least order
+        agrees with the template loop up to 3, and past it ``is_k_uniform``
+        finds the order-4 witness that the expansion is known to have."""
+        order_4 = 0
+        for template in dedup_templates(4)[::85]:
+            g = expand_template(template, 3)
+            assert_least_order(g)
+            if uniformicity(g, 3) is None:
+                assert_witness(g, 4, is_k_uniform(g, 4))
+                order_4 += 1
+        assert order_4 >= 30
 
     def test_witness_is_the_split(self):
         """Parts are classes, K(p, p) = 1 on a clique part, K between two
@@ -356,6 +386,23 @@ class TestClassPartition:
         assert padded.template.f.edge_count() == 0
         assert padded.assign == ((0, 0), (1, 0), (2, 0))
 
+    def test_copy_walk_on_two_vertex_parts(self):
+        """A 2-lift of K_10 first splits into its ten fibres, between any two
+        of which both the edges and the non-edges form a perfect matching.
+        The copy walk drops each misfitting choice with all that follow it,
+        so it does not try the 2^45 combinations in order, and each K = 1
+        it tries is charged as a node."""
+        rng = random.Random(12)
+        edges = []
+        for i, j in combinations(range(10), 2):
+            cross = rng.random() < 0.5
+            edges += [(2 * i, 2 * j + cross), (2 * i + 1, 2 * j + 1 - cross)]
+        g = Graph.from_edges(20, edges)
+        found, nodes = assert_budget_exact(lambda b: is_k_uniform(g, 10, budget=b))
+        assert_witness(g, 10, found)
+        assert [i for _, i in found.assign] == [v // 2 for v in range(20)]
+        assert nodes == 127
+
     def test_nodes_are_charged(self):
         """Every budget short of what the refutation spends is exhausted and
         never read as "not uniform"; the refutation spends only the check's
@@ -367,7 +414,7 @@ class TestClassPartition:
         assert uniformicity(g, 3, budget=full) is None
         per_k = [SearchBudget(10**9) for _ in range(3)]
         for k, budget in enumerate(per_k, 1):
-            assert _class_partition(g, k, budget) is None
+            assert is_k_uniform(g, k, budget=budget) is None
         assert full.used == sum(b.used for b in per_k) > 0
         for limit in range(full.used):
             with pytest.raises(SearchBudgetExceeded):
@@ -392,7 +439,7 @@ class TestUniformicity:
         rng = random.Random(11)
         for _ in range(100):
             t = random_template(rng)
-            g, _ = restricted_expansion(rng, t, MAX_SEARCH_N)
+            g, _ = restricted_expansion(rng, t, 10)
             assert_least_order(g)
 
     def test_cliques_and_edgeless(self):
