@@ -214,11 +214,13 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     pos = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
+    keep = mask_of(vs)
+    rows = []
     for v in vs:
-        for w in _bits(g.rows[v]):
-            if w in pos:
-                rows[pos[v]] |= 1 << pos[w]
+        row = 0
+        for w in _bits(g.rows[v] & keep):
+            row |= 1 << pos[w]
+        rows.append(row)
     return _graph(len(vs), tuple(rows))
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .graphs import Graph, pattern
-from .ops import subgraph_complement
+from .graphs import Graph, _graph, bits_of, mask_of, pattern
 from .order import _split_free
 from .structure import C5_CASES, CLASS_FORBIDDEN_EXPRS, find_clique, find_induced_cycle
 
@@ -329,59 +328,56 @@ def c5_claim_mutants(g: Graph, report) -> list[tuple[str, Graph]]:
     """
     V = [sorted(report.sets[f"V{i + 1}"]) for i in range(5)]
     X = sorted(report.sets["X"])
+    masks = [mask_of(vs) for vs in V]
+    xmask = mask_of(X)
+    rows = g.rows
     large = {i for i in range(5) if len(V[i]) >= 3}
     toggles: list[tuple[str, int, int]] = []
 
-    def nb(x, vs):
-        return [y for y in vs if g.adjacent(x, y)]
-
-    def non(x, vs):
-        return [y for y in vs if not g.adjacent(x, y)]
+    def least(m: int) -> int:
+        return (m & -m).bit_length() - 1
 
     for i in range(5):
         for x in X:
-            if nb(x, V[i]) and non(x, V[i]):
-                toggles.append(("L4.2-C1", x, non(x, V[i])[0]))
+            if rows[x] & masks[i] and masks[i] & ~rows[x]:
+                toggles.append(("L4.2-C1", x, least(masks[i] & ~rows[x])))
+        opp, nxt = masks[(i + 2) % 5], masks[(i + 1) % 5]
         for y in V[i]:
-            opp = V[(i + 2) % 5]
-            if nb(y, opp) and non(y, opp):
-                toggles.append(("L4.2-C2", y, non(y, opp)[0]))
+            if rows[y] & opp and opp & ~rows[y]:
+                toggles.append(("L4.2-C2", y, least(opp & ~rows[y])))
         for y in V[i]:
-            nxt = V[(i + 1) % 5]
-            if nb(y, nxt) and non(y, nxt):
-                toggles.append(("L4.2-C3", y, nb(y, nxt)[0]))
+            if rows[y] & nxt and nxt & ~rows[y]:
+                toggles.append(("L4.2-C3", y, least(rows[y] & nxt)))
     for i in sorted(large):
         for v in V[(i - 2) % 5] + V[(i + 2) % 5]:
-            for x in X:
-                if not g.adjacent(x, v):
-                    toggles.append(("L4.2-C4", x, v))
+            toggles.extend(("L4.2-C4", x, v) for x in bits_of(xmask & ~rows[v]))
         for u in V[(i - 1) % 5]:
-            for w in V[(i + 1) % 5]:
-                if not g.adjacent(u, w):
-                    toggles.append(("L4.2-C5", u, w))
+            toggles.extend(("L4.2-C5", u, w) for w in bits_of(masks[(i + 1) % 5] & ~rows[u]))
     for i in range(5):
         if {(i - 1) % 5, i, (i + 1) % 5} <= large:
             for y in V[i]:
-                for z in V[(i - 1) % 5] + V[(i + 1) % 5]:
-                    if g.adjacent(y, z):
-                        toggles.append(("L4.2-C6", y, z))
+                for side in (masks[(i - 1) % 5], masks[(i + 1) % 5]):
+                    toggles.extend(("L4.2-C6", y, z) for z in bits_of(rows[y] & side))
     for i in range(5):
         j = (i + 1) % 5
         if i in large and j in large:
             for y in V[i]:
-                for z in non(y, V[j]):
-                    for x in X + V[(i + 3) % 5]:
-                        if not g.adjacent(x, y) and not g.adjacent(x, z):
-                            toggles.append(("L4.2-C7", x, y))
+                for z in bits_of(masks[j] & ~rows[y]):
+                    away = ~(rows[y] | rows[z])
+                    for side in (xmask, masks[(i + 3) % 5]):
+                        toggles.extend(("L4.2-C7", x, y) for x in bits_of(side & away))
 
     out = []
     seen = set()
     for claim, u, v in toggles:
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             continue
         seen.add(key)
-        out.append((claim, subgraph_complement(g, key)))
+        flipped = list(rows)
+        flipped[u] ^= 1 << v
+        flipped[v] ^= 1 << u
+        out.append((claim, _graph(g.n, tuple(flipped))))
     return out
 
 

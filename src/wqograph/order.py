@@ -61,11 +61,28 @@ their detection may take; from then on they apply to every node.  Pruning
 that starts partway is still sound, since every assignment it drops is not
 the least.  Calls that succeed at once, and searches too small to repay the
 detection, never pay for it.  The detection is a pure function of the
-pattern, cached beside the plan, so node counts repeat whatever the cache
-holds.  It keeps only automorphisms it has checked, and its work is bounded
-by n(h)**2 + n(h) + 1 refinements of a partition of the pattern (see
-:func:`_lex_leader`); a test that runs out only drops constraints.  It is
-not charged to the caller's budget and never raises.
+graph, cached, so node counts repeat whatever the cache holds.  It keeps
+only automorphisms it has checked, and its work is bounded by n**2 + n + 1
+refinements of a partition of the graph's n vertices (see
+:func:`_symmetry`); a test that runs out only drops constraints.  It is not
+charged to the caller's budget and never raises.
+
+At that same point the search drops roots by the host's symmetry.  Every
+root tried so far failed without constraints, so no embedding f sends p_0
+to it, and none sends p_0 to its image under an automorphism s of the
+host, since s^-1 . f would send p_0 to it.  The roots left in the host
+orbit of a failed root are dropped, once, before the constraints start; if
+none is left, the search returns None.  It drops only roots without an
+embedding, so the first embedding is unchanged, and the pruned tree is a
+subtree of the plain one, so nodes never rise.  A host with twins (two
+vertices with equal rows or equal closed rows, which an automorphism
+swaps) takes its twin classes as the orbits, read off in one pass over its
+rows; a host without twins takes the orbits :func:`_symmetry` finds for
+it, at most n(g)**2 individualisations, cached with the patterns' and not
+charged either.  Twin-rich hosts, such as the blown-up members of the
+structure pipeline, are where that detection costs most and where small
+patterns' searches are short.  Labels break symmetry, so
+:func:`labelled_embed` drops no root.
 
 The set-up that depends on the pattern alone (the search order, the degrees
 in that order, each position's adjacency to the later ones) is a plan held
@@ -117,7 +134,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, connected_components
+from .graphs import Graph, bits_of, connected_components
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -252,7 +269,7 @@ def _plan(h: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Lex-leader constraints from the pattern's automorphisms
+# Symmetry: lex-leader constraints for the pattern, orbits for the host
 
 
 def _refine(rows, cells: list[int], queue: list[int], trace: list, expect=None) -> bool:
@@ -370,9 +387,11 @@ def _orbit(v: int, gens) -> int:
 
 
 @lru_cache(maxsize=256)
-def _lex_leader(h: Graph):
-    """The lex-leader constraints of pattern ``h`` in search order, and the
-    detection nodes spent on them.
+def _symmetry(h: Graph):
+    """The lex-leader constraints of ``h`` in search order, the detection
+    nodes spent on them, and the orbits of ``h``'s automorphisms found: one
+    mask per vertex, holding its orbit.  The search reads the constraints of
+    its pattern and the orbits of a host without twins.
 
     For each position i the constraints are None or the positions q > i,
     counted from i + 1, whose host vertex must lie above p_i's: those that an
@@ -392,11 +411,13 @@ def _lex_leader(h: Graph):
     an automorphism.  One node is one such individualisation; after
     ``n(h) ** 2`` of them every open test gives up and keeps the orbit found
     so far, which only drops constraints.  With the chain's own, at most
-    n(h), that bounds the refinements by n(h) ** 2 + n(h) + 1."""
-    order = _plan(h)[0]
+    n(h), that bounds the refinements by n(h) ** 2 + n(h) + 1.  The orbits
+    are those of the group the checked automorphisms generate, so each lies
+    inside an orbit of the full group."""
     n, rows = h.n, h.rows
     if n < 2:
-        return (None,) * n, 0
+        return (None,) * n, 0, tuple(1 << v for v in range(n))
+    order = sorted(range(n), key=lambda v: (-h.degree(v), v))
     limit = n * n
     nodes = 0
     by_degree: dict[int, int] = {}
@@ -473,7 +494,33 @@ def _lex_leader(h: Graph):
                 todo &= ~orbit
         if orbit != 1 << v:
             bounds[i] = tuple(q - i - 1 for q in range(i + 1, n) if orbit >> order[q] & 1)
-    return tuple(bounds), nodes
+    orbits = [0] * n
+    for v in range(n):
+        if not orbits[v]:
+            orbit = _orbit(v, gens)
+            for w in bits_of(orbit):
+                orbits[w] = orbit
+    return tuple(bounds), nodes, tuple(orbits)
+
+
+def _twins(g: Graph):
+    """The twin classes of ``g``, one mask per vertex holding its class, or
+    None if ``g`` has no twins.
+
+    Twins have equal rows (false twins) or equal closed rows (true twins),
+    and swapping two of them is an automorphism, so each class lies inside
+    an orbit.  A row never equals a closed row, which holds its own vertex
+    (if N(u) = N[v], then u and v are adjacent and u is in N(u)), so one
+    table keeps both kinds."""
+    rows = g.rows
+    closed = [row | 1 << v for v, row in enumerate(rows)]
+    if len(set(rows)) == len(set(closed)) == g.n:
+        return None
+    classes: dict[int, int] = {}
+    for v, (row, c) in enumerate(zip(rows, closed)):
+        classes[row] = classes.get(row, 0) | 1 << v
+        classes[c] = classes.get(c, 0) | 1 << v
+    return [classes[row] | classes[c] for row, c in zip(rows, closed)]
 
 
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
@@ -564,7 +611,10 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
 
     # The lex-leader constraints start once a root candidate has failed and
     # the search has spent as many nodes as their detection may (n(h)**2).
-    detect = base_candidates is None
+    # Every root tried until then failed without them, so no embedding sends
+    # the first position into the host orbit of any of them: those roots
+    # are dropped, and if none is left the loop ends with None.
+    detect, first = base_candidates is None, roots
     try:
         while roots:
             low = roots & -roots
@@ -573,8 +623,11 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                 break
             if detect and roots and spent >= nh * nh:
                 detect = False
+                orbits = _twins(g) or _symmetry(g)[2]
+                for w in bits_of(first ^ roots):
+                    roots &= ~orbits[w]
                 bounds = [
-                    sum(1 << j * width for j in b or ()) for b in _lex_leader(h)[0]
+                    sum(1 << j * width for j in b or ()) for b in _symmetry(h)[0]
                 ]
         else:
             return None

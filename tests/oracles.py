@@ -69,7 +69,7 @@ from wqograph.classifier import (
     pair_corpus,
 )
 from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
-from wqograph.order import SearchBudgetExceeded, _lex_leader, induced_embed
+from wqograph.order import SearchBudgetExceeded, _symmetry, _twins, induced_embed
 from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
@@ -364,14 +364,15 @@ def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
     return tuple(out)
 
 
-def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None):
+def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None, host_orbits=True):
     """The package's embedding search as it ran on lists of candidate masks,
     one per later position, before it packed them into one integer: the
     same order, degree filter, forward check, last-pair look-ahead,
-    lex-leader constraints (from ``order._lex_leader``, started at the same
-    node) and budget charging.  The package must return its assignment,
-    spend its nodes and run out of budget at its node.  ``base_candidates``
-    None means every host vertex."""
+    lex-leader constraints of the pattern, root pruning by the host's
+    orbits (both taken from ``order``, started at the same node) and budget
+    charging.  The package must return its assignment, spend its nodes and
+    run out of budget at its node.  ``base_candidates`` None means every
+    host vertex; ``host_orbits`` False leaves the root pruning out."""
     nh, ng = h.n, g.n
     if nh > ng:
         return None
@@ -438,13 +439,19 @@ def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None):
 
     detect = base_candidates is None
     roots = list(bits_of(cand[0]))
+    failed = []
     try:
-        for k, w in enumerate(roots):
+        while roots:
+            w = roots.pop(0)
             if rec(0, 1 << w, cand[1:]):
                 break
-            if detect and k + 1 < len(roots) and spent >= nh * nh:
+            failed.append(w)
+            if detect and roots and spent >= nh * nh:
                 detect = False
-                bounds = _lex_leader(h)[0]
+                if host_orbits:
+                    orbits = _twins(g) or _symmetry(g)[2]
+                    roots = [x for x in roots if not any(orbits[f] >> x & 1 for f in failed)]
+                bounds = _symmetry(h)[0]
         else:
             return None
     finally:

@@ -227,6 +227,15 @@ class TestBudgetAndRange:
         assert main(["embed", "--h", "P4", "--g", "P6", "--budget", "0"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_host_orbits_fit_a_smaller_budget(self, capsys):
+        # P1+2P2 is not in thm52(12).  The search spends 510 nodes to show
+        # it; without dropping roots in the host's orbits it spent 8,444,
+        # and this budget ran out.
+        g6 = encode_graph6(antichains.gen_thm52(12))
+        assert main(["embed", "--h", "P1+2P2", "--g", "g6:" + g6, "--budget", "2000"]) == 1
+        assert capsys.readouterr().out.strip() == "no induced embedding"
+        assert main(["embed", "--h", "P1+2P2", "--g", "g6:" + g6, "--budget", "509"]) == 2
+
     def test_zero_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV, "0")
         assert main(["free", "--g", "P6", "--forbidden", "P4"]) == 2

@@ -21,7 +21,8 @@ from wqograph.order import (
     QuasiOrder,
     SearchBudget,
     SearchBudgetExceeded,
-    _lex_leader,
+    _symmetry,
+    _twins,
     _plan,
     _split_free,
     _split_tree,
@@ -191,14 +192,14 @@ class TestSearchAgainstOracle:
     @pytest.mark.parametrize(
         "pattern, host, nodes, oracle_nodes",
         [
-            ("P1+2P2", gen_thm52(12), 8_444, 448_800),
-            ("co(P1+P4)", gen_thm52(12), 11_932, 43_392),
+            ("P1+2P2", gen_thm52(12), 510, 448_800),
+            ("co(P1+P4)", gen_thm52(12), 464, 43_392),
             # Every second vertex's only non-neighbour among the last
             # vertex's candidates is itself, so each first vertex is cut.
             ("3P1", build("2K2"), 4, 12),
             ("3P1", build("C5"), 5, 15),
-            ("C8", build("C9"), 70, 117),
-            (gen_thm52(3), gen_thm52(4), 347, 1_200),
+            ("C8", build("C9"), 66, 117),
+            (gen_thm52(3), gen_thm52(4), 148, 1_200),
         ],
         ids=[
             "thm52-12-P1+2P2",
@@ -288,12 +289,77 @@ class TestSearchAgainstLists:
         self.check(h, g, None, lambda b: induced_embed(h, g, b), data)
 
 
+@st.composite
+def symmetric_hosts(draw, max_n=20):
+    """A relabelled cycle, biclique, disjoint union of copies of a small
+    graph, 2-lift of a small graph (each edge uv becomes u0v0 and u1v1, or
+    u0v1 and u1v0) or thm51/thm52 member, on at most ``max_n`` vertices."""
+    kind = draw(st.sampled_from(("cycle", "biclique", "copies", "lift", "member")))
+    if kind == "cycle":
+        g = cycle_graph(draw(st.integers(3, max_n)))
+    elif kind == "biclique":
+        g = biclique(draw(st.integers(1, max_n // 2)), draw(st.integers(1, max_n // 2)))
+    elif kind == "copies":
+        part = draw(small_graphs(5).filter(lambda g: g.n))
+        g = disjoint_union([part] * draw(st.integers(1, max_n // part.n)))
+    elif kind == "lift":
+        base = draw(small_graphs(max_n // 2))
+        k = base.n
+        edges = []
+        for u, v in base.edges():
+            if draw(st.booleans()):
+                edges += [(u, v + k), (u + k, v)]
+            else:
+                edges += [(u, v), (u + k, v + k)]
+        g = Graph.from_edges(2 * k, edges)
+    else:
+        g = draw(st.sampled_from([gen_thm51(2), gen_thm51(3), gen_thm52(3), gen_thm52(4)]))
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+class TestHostOrbits:
+    """Roots that failed before the lex-leader constraints start, and the
+    roots in their host orbits, are dropped: the same embedding as every
+    reference, the nodes of the exact reference, and never more nodes than
+    without the pruning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_graphs(7), symmetric_graphs(9)), symmetric_hosts(), st.data())
+    def test_symmetric_hosts(self, h, g, data):
+        def search(budget):
+            return induced_embed(h, g, budget)
+
+        TestSearchAgainstOracle.check(h, g, [g.mask] * h.n, search)
+        TestSearchAgainstLists.check(h, g, None, search, data)
+        pruned, unpruned = SearchBudget(10**9), SearchBudget(10**9)
+        assert search(pruned) == oracle_embed_exact(h, g, None, unpruned, host_orbits=False)
+        assert pruned.used <= unpruned.used
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_root_pruned(self, seed):
+        # Each vertex of C9 is in one orbit, so once the first roots fail
+        # and the constraints start, no root is left.
+        rng = random.Random(seed)
+        g = relabel(cycle_graph(9), rng.sample(range(9), 9))
+        pruned, unpruned = SearchBudget(10**9), SearchBudget(10**9)
+        assert induced_embed(cycle_graph(8), g, pruned) is None
+        assert oracle_embed_exact(cycle_graph(8), g, None, unpruned, host_orbits=False) is None
+        assert pruned.used < unpruned.used
+
+    def test_twin_classes(self):
+        # false twins (equal rows) in K2,3 and true twins (equal closed rows)
+        # in K3 + P2; a graph without twins has none
+        assert _twins(biclique(2, 3)) == [0b00011] * 2 + [0b11100] * 3
+        assert _twins(build("K3+P2")) == [0b00111] * 3 + [0b11000] * 2
+        assert _twins(cycle_graph(5)) is None
+
+
 class TestLexLeader:
     """The constraints the search takes from the pattern's automorphisms."""
 
     @staticmethod
     def constrained(h):
-        bounds, _ = _lex_leader(h)
+        bounds = _symmetry(h)[0]
         return [tuple(i + 1 + j for j in b or ()) for i, b in enumerate(bounds)]
 
     @settings(max_examples=300, deadline=None)
@@ -330,12 +396,12 @@ class TestLexLeader:
         gives the oracle's embedding into a relabelled host."""
         rng = random.Random(big.n)
         h = relabel(big, rng.sample(range(big.n), big.n))
-        bounds, nodes = _lex_leader(h)
+        bounds, nodes, _ = _symmetry(h)
         assert 0 < nodes <= h.n**2
         assert bounds[0] is not None
         h = relabel(small, rng.sample(range(small.n), small.n))
         g = relabel(host, rng.sample(range(host.n), host.n))
-        assert _lex_leader(h)[0][0] is not None
+        assert _symmetry(h)[0][0] is not None
         TestSearchAgainstOracle.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
 class TestLabelledEmbed:
     def test_equal_labels_reduce_to_plain(self):
@@ -484,7 +550,7 @@ class TestSplitFree:
         assert _split_tree(gen_thm51(3)) is None and _split_tree(gen_thm52(3)) is None
 
     def test_free_verdict_spends_no_node(self):
-        # the search needs 11,932 nodes to show this (see test_pinned_nodes)
+        # the search needs 464 nodes to show this (see test_pinned_nodes)
         budget = SearchBudget(0)
         assert is_free(gen_thm52(12), [build("co(P1+P4)")], budget).free
         assert budget.used == 0
