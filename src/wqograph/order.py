@@ -60,20 +60,20 @@ is left, and the search has spent at least n(h)**2 nodes, the most that
 their detection may take; from then on they apply to every node.  Pruning
 that starts partway is still sound, since every assignment it drops is not
 the least.  Calls that succeed at once, and searches too small to repay the
-detection, never pay for it.  The detection is a pure function of the
-graph, cached, so node counts repeat whatever the cache holds.  It keeps
-only automorphisms it has checked, and its work is bounded by n**2 + n + 1
-refinements of a partition of the graph's n vertices (see
-:func:`_symmetry`); a test that runs out only drops constraints.  It is not
-charged to the caller's budget and never raises.
+detection, never pay for it.  The detection keeps only automorphisms it has
+checked, and its work is bounded by 2n**2 + n + 1 refinements of a partition
+of the graph's n vertices (see :func:`_symmetry`); a test that runs out
+only drops constraints.  It is not charged to the caller's budget and never
+raises.
 
 At that same point the search drops roots by the host's symmetry.  Every
 root tried so far failed without constraints, so no embedding f sends p_0
 to it, and none sends p_0 to its image under an automorphism s of the
 host, since s^-1 . f would send p_0 to it.  The roots left in the host
 orbit of a failed root are dropped, once, before the constraints start; if
-none is left, the search returns None.  It drops only roots without an
-embedding, so the first embedding is unchanged, and the pruned tree is a
+none is left, the search returns None without reading the pattern's
+constraints, which are then never worked out.  It drops only roots without
+an embedding, so the first embedding is unchanged, and the pruned tree is a
 subtree of the plain one, so nodes never rise.  A host with twins (two
 vertices with equal rows or equal closed rows, which an automorphism
 swaps) takes its twin classes as the orbits, read off in one pass over its
@@ -81,8 +81,30 @@ rows; a host without twins takes the orbits :func:`_symmetry` finds for
 it, at most n(g)**2 individualisations, cached with the patterns' and not
 charged either.  Twin-rich hosts, such as the blown-up members of the
 structure pipeline, are where that detection costs most and where small
-patterns' searches are short.  Labels break symmetry, so
+patterns' searches are short.  The twin classes are cached by host, which
+is often searched for several patterns in a row.  Labels break symmetry, so
 :func:`labelled_embed` drops no root.
+
+Symmetry detection runs once per isomorphism class, not once per graph.
+Graphs are keyed by a label-free invariant: the degree multiset and the
+cell sizes and trace of the equitable refinement of the degree partition,
+which the detection computes first anyway.  The first graph of a key whose
+detection finishes within its bound stands for its class.  A later graph
+with that key is matched against it by the detection's own search, at most
+n**2 individualisations, each end checked to be an isomorphism.  On a match
+it takes the representative's orbits through the isomorphism, in O(n); its
+constraints follow its own search order, so it runs its own detection for
+them, and only when they are read.  A miss or a failed match runs the
+graph's own detection at once.  A finished detection's generators give the
+whole group, so a copy whose own detection would finish too reads exactly
+its own orbits.  A copy whose own detection would run out (which takes a
+graph whose detection nears its bound, such as four disjoint Shrikhande
+graphs under some labellings) reads the whole group's orbits instead,
+which contain its own: its searches drop the same roots or more, so they
+never spend more nodes than with an empty table, and can spend fewer once
+another copy of its class has finished.  A budget that suffices with an
+empty table therefore always suffices.  A graph tries one representative,
+the one of its key, and the table keeps at most 256 classes.
 
 The set-up that depends on the pattern alone (the search order, the degrees
 in that order, each position's adjacency to the later ones) is a plan held
@@ -252,6 +274,12 @@ def _with_partner(cs: int, cl: int, rows, adjacent: bool) -> int:
     return cs & ~blocked
 
 
+def _search_order(h: Graph) -> list[int]:
+    """The vertices of ``h`` in search order: by descending degree, then by
+    index."""
+    return sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+
+
 @lru_cache(maxsize=256)
 def _plan(h: Graph):
     """The search plan of pattern ``h``: its vertices in search order, their
@@ -259,7 +287,7 @@ def _plan(h: Graph):
     adjacency of the last two, and the packed forward-check words of each
     host size met so far (filled in by :func:`_embed`)."""
     nh = h.n
-    order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
+    order = _search_order(h)
     degrees = [h.degree(v) for v in order]
     later = [
         [h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)
@@ -386,123 +414,230 @@ def _orbit(v: int, gens) -> int:
     return orbit
 
 
+class _Symmetry:
+    """The automorphisms of one graph as the search reads them: ``orbits``,
+    one mask per vertex holding its orbit; ``bounds``, the lex-leader
+    constraints in search order, which a transported result gets from a
+    detection run on first read; and ``nodes``, the individualisations
+    spent so far."""
+
+    __slots__ = ("nodes", "orbits", "_bounds")
+
+    def __init__(self, nodes: int, orbits: tuple[int, ...], bounds):
+        self.nodes, self.orbits, self._bounds = nodes, orbits, bounds
+
+    @property
+    def bounds(self) -> tuple:
+        if callable(self._bounds):
+            own = self._bounds()
+            self.nodes += own.nodes
+            self._bounds = own.bounds
+        return self._bounds
+
+
+def _degree_refinement(rows):
+    """The equitable refinement of the degree partition of the graph with
+    ``rows``, and its class key: the degree multiset (and so n), and the
+    refinement's cell sizes and trace.  No part of the key depends on vertex
+    labels, so isomorphic graphs have equal keys."""
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degrees = sorted(by_degree)
+    cells, trace = [by_degree[d] for d in degrees], []
+    _refine(rows, cells, list(range(len(cells))), trace)
+    key = (
+        tuple((d, by_degree[d].bit_count()) for d in degrees),
+        tuple(cell.bit_count() for cell in cells),
+        tuple(trace),
+    )
+    return cells, key
+
+
+class _Chain:
+    """The individualisation chain of one graph along its search order, the
+    search for bijections along it, and, once :meth:`detect` has run, the
+    automorphisms it found (see :func:`_symmetry`)."""
+
+    def __init__(self, h: Graph, cells: list[int]):
+        n, rows = h.n, h.rows
+        self.rows = rows
+        self.order = order = _search_order(h)
+        chain, traces = [cells], [[]]
+        # steps[k]: the position individualised between chain[k] and
+        # chain[k + 1] and the index of its cell; positions whose vertex is
+        # already alone in its cell are fixed by every automorphism that
+        # fixes the earlier ones.
+        steps = []
+        for i, v in enumerate(order):
+            cells = chain[-1]
+            if len(cells) == n:
+                break
+            x = next(x for x, cell in enumerate(cells) if cell >> v & 1)
+            if cells[x] == 1 << v:
+                continue
+            cells, trace = cells.copy(), []
+            _individualise(rows, cells, x, v, trace)
+            steps.append((i, x))
+            chain.append(cells)
+            traces.append(trace)
+        self.chain, self.traces, self.steps = chain, traces, steps
+
+    def extend(self, target, k: int, right: list[int], cands: int, spent: SearchBudget):
+        """A bijection from this graph onto the graph with rows ``target``,
+        whose partition ``right`` matches chain[k], that sends the vertex
+        individualised at step k into ``cands``; None if none is found before
+        ``spent`` runs out."""
+        x, last = self.steps[k][1], k + 1 == len(self.steps)
+        while cands and spent.used < spent.limit:
+            low = cands & -cands
+            cands ^= low
+            spent.used += 1
+            cells = right.copy()
+            if not _individualise(target, cells, x, low.bit_length() - 1, [], self.traces[k + 1]):
+                continue
+            if last:
+                found = self.bijection(target, cells)
+            else:
+                found = self.extend(target, k + 1, cells, cells[self.steps[k + 1][1]], spent)
+            if found is not None:
+                return found
+        return None
+
+    def bijection(self, target, cells: list[int]):
+        """The map of the discrete partition that ends the chain onto the
+        discrete ``cells``, cell by cell, if it maps this graph's rows onto
+        ``target``; else None."""
+        found = [0] * len(cells)
+        for a, b in zip(self.chain[-1], cells):
+            found[a.bit_length() - 1] = b.bit_length() - 1
+        for v, row in enumerate(self.rows):
+            image = 0
+            while row:
+                bit = row & -row
+                row ^= bit
+                image |= 1 << found[bit.bit_length() - 1]
+            if image != target[found[v]]:
+                return None
+        return found
+
+    def detect(self) -> _Symmetry:
+        """Search the automorphisms along the chain, deepest level first,
+        within n**2 individualisations."""
+        n, rows, order, chain = len(self.rows), self.rows, self.order, self.chain
+        spent = SearchBudget(n * n)
+        gens: list[list[int]] = []
+        bounds: list = [None] * n
+        for k in range(len(self.steps) - 1, -1, -1):
+            i, x = self.steps[k]
+            v = order[i]
+            orbit = _orbit(v, gens)
+            todo = chain[k][x] & ~orbit
+            while todo and spent.used < spent.limit:
+                low = todo & -todo
+                sigma = self.extend(rows, k, chain[k], low, spent)
+                if sigma is None:
+                    todo &= ~_orbit(low.bit_length() - 1, gens)
+                else:
+                    gens.append(sigma)
+                    orbit = _orbit(v, gens)
+                    todo &= ~orbit
+            if orbit != 1 << v:
+                bounds[i] = tuple(q - i - 1 for q in range(i + 1, n) if orbit >> order[q] & 1)
+        orbits = [0] * n
+        for v in range(n):
+            if not orbits[v]:
+                orbit = _orbit(v, gens)
+                for w in bits_of(orbit):
+                    orbits[w] = orbit
+        # Finished within the bound, every test ran to its end: the
+        # generators give the whole group.
+        self.finished = spent.used < spent.limit
+        self.orbits = tuple(orbits)
+        return _Symmetry(spent.used, self.orbits, tuple(bounds))
+
+    def transport(self, h: Graph, cells: list[int], phi: list[int], nodes: int) -> _Symmetry:
+        """The result for ``h``, onto which ``phi`` maps this graph, whose
+        detection finished: this graph's orbits mapped through ``phi``, and
+        the constraints of ``h``'s own detection, run when they are read."""
+        orbits = [0] * len(phi)
+        for v, orbit in enumerate(self.orbits):
+            if not orbits[phi[v]]:
+                image = 0
+                for u in bits_of(orbit):
+                    image |= 1 << phi[u]
+                for w in bits_of(image):
+                    orbits[w] = image
+        return _Symmetry(nodes, tuple(orbits), lambda: _Chain(h, cells).detect())
+
+
+# Isomorphism classes met so far, by class key: the chain of the first member
+# whose detection finished, which stands for the class.  The oldest is
+# dropped past _MAX_CLASSES.
+_CLASSES: dict[tuple, _Chain] = {}
+_MAX_CLASSES = 256
+
+
 @lru_cache(maxsize=256)
-def _symmetry(h: Graph):
-    """The lex-leader constraints of ``h`` in search order, the detection
-    nodes spent on them, and the orbits of ``h``'s automorphisms found: one
-    mask per vertex, holding its orbit.  The search reads the constraints of
-    its pattern and the orbits of a host without twins.
+def _symmetry(h: Graph) -> _Symmetry:
+    """The automorphisms of ``h`` found by individualisation and refinement
+    (McKay & Piperno, *Practical graph isomorphism II*, 2014): its orbits,
+    one mask per vertex, and its lex-leader constraints in search order.
+    The search reads the constraints of its pattern and the orbits of a host
+    without twins.
 
     For each position i the constraints are None or the positions q > i,
     counted from i + 1, whose host vertex must lie above p_i's: those that an
     automorphism fixing the first i pattern vertices maps p_i onto.
 
-    Orbits are found by individualisation and refinement (McKay & Piperno,
-    *Practical graph isomorphism II*, 2014).  The chain starts from the
-    equitable refinement of the degree partition and individualises p_0,
-    p_1, ... in turn, skipping a vertex already alone in its cell, until the
-    partition is discrete; past that point only the identity fixes the
-    prefix.  Levels are done deepest first, so the automorphisms found at a
-    level (they fix its prefix) close the orbits of every shallower one.  An
-    automorphism mapping p_i to q is searched by individualising q in p_i's
-    place, then at each deeper step every vertex of the cell matching the
-    chain's, keeping only refinements whose traces equal the chain's; a
-    discrete end gives a bijection that is kept only if it is checked to be
-    an automorphism.  One node is one such individualisation; after
-    ``n(h) ** 2`` of them every open test gives up and keeps the orbit found
-    so far, which only drops constraints.  With the chain's own, at most
-    n(h), that bounds the refinements by n(h) ** 2 + n(h) + 1.  The orbits
-    are those of the group the checked automorphisms generate, so each lies
-    inside an orbit of the full group."""
-    n, rows = h.n, h.rows
+    The chain starts from the equitable refinement of the degree partition
+    and individualises p_0, p_1, ... in turn, skipping a vertex already
+    alone in its cell, until the partition is discrete; past that point only
+    the identity fixes the prefix.  Levels are done deepest first, so the
+    automorphisms found at a level (they fix its prefix) close the orbits of
+    every shallower one.  An automorphism mapping p_i to q is searched by
+    individualising q in p_i's place, then at each deeper step every vertex
+    of the cell matching the chain's, keeping only refinements whose traces
+    equal the chain's; a discrete end gives a bijection that is kept only if
+    it is checked to be an automorphism.  One node is one such
+    individualisation; after ``n(h) ** 2`` of them every open test gives up
+    and keeps the orbit found so far, which only drops constraints.  The
+    orbits are those of the group the checked automorphisms generate, so
+    each lies inside an orbit of the full group.
+
+    A detection runs once per isomorphism class (see the module docstring).
+    A finished detection on a graph whose degree refinement is not discrete
+    stands for its class.  A later graph with its key is matched by the
+    same search along the representative's chain, with the graph's rows as
+    the target and each discrete end checked to be an isomorphism phi.  Its
+    orbits are the representative's mapped through phi; its constraints are
+    those of its own detection, run when they are first read.  A failed
+    match is followed by the graph's own detection.  The reported nodes are
+    the match's and the detection's, so at most 2n(h)**2; with the graph's
+    degree refinement and its chain, at most n(h), that bounds the
+    refinements by 2n(h)**2 + n(h) + 1."""
+    n = h.n
     if n < 2:
-        return (None,) * n, 0, tuple(1 << v for v in range(n))
-    order = sorted(range(n), key=lambda v: (-h.degree(v), v))
-    limit = n * n
-    nodes = 0
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    chain = [[by_degree[d] for d in sorted(by_degree)]]
-    _refine(rows, chain[0], list(range(len(by_degree))), [])
-    traces: list[list] = [[]]
-    # steps[k]: the position individualised between chain[k] and chain[k + 1]
-    # and the index of its cell; positions whose vertex is already alone in
-    # its cell are fixed by every automorphism that fixes the earlier ones.
-    steps = []
-    for i, v in enumerate(order):
-        cells = chain[-1]
-        if len(cells) == n:
-            break
-        x = next(x for x, cell in enumerate(cells) if cell >> v & 1)
-        if cells[x] == 1 << v:
-            continue
-        cells, trace = cells.copy(), []
-        _individualise(rows, cells, x, v, trace)
-        steps.append((i, x))
-        chain.append(cells)
-        traces.append(trace)
-    depth = len(steps)
-
-    def extend(k: int, right: list[int], cands: int):
-        # Images in cands of the vertex individualised at step k, in the
-        # partition right that matches chain[k].
-        nonlocal nodes
-        x = steps[k][1]
-        while cands and nodes < limit:
-            low = cands & -cands
-            cands ^= low
-            nodes += 1
-            cells = right.copy()
-            if not _individualise(rows, cells, x, low.bit_length() - 1, [], traces[k + 1]):
-                continue
-            if k + 1 < depth:
-                found = extend(k + 1, cells, cells[steps[k + 1][1]])
-            else:
-                found = [0] * n
-                for a, b in zip(chain[depth], cells):
-                    found[a.bit_length() - 1] = b.bit_length() - 1
-                for v, row in enumerate(rows):
-                    image = 0
-                    while row:
-                        bit = row & -row
-                        row ^= bit
-                        image |= 1 << found[bit.bit_length() - 1]
-                    if image != rows[found[v]]:
-                        found = None
-                        break
-            if found is not None:
-                return found
-        return None
-
-    gens: list[list[int]] = []
-    bounds: list = [None] * n
-    for k in range(depth - 1, -1, -1):
-        i, x = steps[k]
-        v = order[i]
-        orbit = _orbit(v, gens)
-        todo = chain[k][x] & ~orbit
-        while todo and nodes < limit:
-            low = todo & -todo
-            sigma = extend(k, chain[k], low)
-            if sigma is None:
-                todo &= ~_orbit(low.bit_length() - 1, gens)
-            else:
-                gens.append(sigma)
-                orbit = _orbit(v, gens)
-                todo &= ~orbit
-        if orbit != 1 << v:
-            bounds[i] = tuple(q - i - 1 for q in range(i + 1, n) if orbit >> order[q] & 1)
-    orbits = [0] * n
-    for v in range(n):
-        if not orbits[v]:
-            orbit = _orbit(v, gens)
-            for w in bits_of(orbit):
-                orbits[w] = orbit
-    return tuple(bounds), nodes, tuple(orbits)
+        return _Symmetry(0, tuple(1 << v for v in range(n)), (None,) * n)
+    cells, key = _degree_refinement(h.rows)
+    rep = _CLASSES.get(key)
+    spent = SearchBudget(n * n)
+    if rep is not None:
+        phi = rep.extend(h.rows, 0, cells, cells[rep.steps[0][1]], spent)
+        if phi is not None:
+            return rep.transport(h, cells, phi, spent.used)
+    chain = _Chain(h, cells)
+    found = chain.detect()
+    found.nodes += spent.used
+    if rep is None and chain.steps and chain.finished:
+        if len(_CLASSES) >= _MAX_CLASSES:
+            del _CLASSES[next(iter(_CLASSES))]
+        _CLASSES[key] = chain
+    return found
 
 
+@lru_cache(maxsize=256)
 def _twins(g: Graph):
     """The twin classes of ``g``, one mask per vertex holding its class, or
     None if ``g`` has no twins.
@@ -511,7 +646,8 @@ def _twins(g: Graph):
     and swapping two of them is an automorphism, so each class lies inside
     an orbit.  A row never equals a closed row, which holds its own vertex
     (if N(u) = N[v], then u and v are adjacent and u is in N(u)), so one
-    table keeps both kinds."""
+    table keeps both kinds.  Cached by graph, as a host is searched for
+    several patterns."""
     rows = g.rows
     closed = [row | 1 << v for v, row in enumerate(rows)]
     if len(set(rows)) == len(set(closed)) == g.n:
@@ -520,7 +656,7 @@ def _twins(g: Graph):
     for v, (row, c) in enumerate(zip(rows, closed)):
         classes[row] = classes.get(row, 0) | 1 << v
         classes[c] = classes.get(c, 0) | 1 << v
-    return [classes[row] | classes[c] for row, c in zip(rows, closed)]
+    return tuple(classes[row] | classes[c] for row, c in zip(rows, closed))
 
 
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
@@ -623,12 +759,13 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                 break
             if detect and roots and spent >= nh * nh:
                 detect = False
-                orbits = _twins(g) or _symmetry(g)[2]
+                orbits = _twins(g) or _symmetry(g).orbits
                 for w in bits_of(first ^ roots):
                     roots &= ~orbits[w]
-                bounds = [
-                    sum(1 << j * width for j in b or ()) for b in _symmetry(h)[0]
-                ]
+                if roots:
+                    bounds = [
+                        sum(1 << j * width for j in b or ()) for b in _symmetry(h).bounds
+                    ]
         else:
             return None
     finally:

@@ -449,9 +449,9 @@ def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None, host_or
             if detect and roots and spent >= nh * nh:
                 detect = False
                 if host_orbits:
-                    orbits = _twins(g) or _symmetry(g)[2]
+                    orbits = _twins(g) or _symmetry(g).orbits
                     roots = [x for x in roots if not any(orbits[f] >> x & 1 for f in failed)]
-                bounds = _symmetry(h)[0]
+                bounds = _symmetry(h).bounds
         else:
             return None
     finally:

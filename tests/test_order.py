@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,9 @@ from wqograph.order import (
     QuasiOrder,
     SearchBudget,
     SearchBudgetExceeded,
+    _CLASSES,
+    _Chain,
+    _degree_refinement,
     _symmetry,
     _twins,
     _plan,
@@ -73,6 +77,28 @@ def symmetric_graphs(draw, max_n=16):
     else:
         g = draw(st.sampled_from(members))
     return relabel(g, draw(st.permutations(range(g.n))))
+
+
+# Searches without an embedding whose nodes are pinned: the pattern, the
+# host, the nodes of the package's search and of the unpruned reference.
+PINNED = [
+    ("P1+2P2", gen_thm52(12), 510, 448_800),
+    ("co(P1+P4)", gen_thm52(12), 464, 43_392),
+    # Every second vertex's only non-neighbour among the last vertex's
+    # candidates is itself, so each first vertex is cut.
+    ("3P1", build("2K2"), 4, 12),
+    ("3P1", build("C5"), 5, 15),
+    ("C8", build("C9"), 66, 117),
+    (gen_thm52(3), gen_thm52(4), 148, 1_200),
+]
+PINNED_IDS = [
+    "thm52-12-P1+2P2",
+    "thm52-12-co(P1+P4)",
+    "2K2-3P1",
+    "C5-3P1",
+    "C9-C8",
+    "thm52-4-thm52-3",
+]
 
 
 class TestInducedEmbed:
@@ -189,27 +215,7 @@ class TestSearchAgainstOracle:
         assert labelled_embed(h, g, chain, budget) == (4, 0)
         assert budget.used == 6
 
-    @pytest.mark.parametrize(
-        "pattern, host, nodes, oracle_nodes",
-        [
-            ("P1+2P2", gen_thm52(12), 510, 448_800),
-            ("co(P1+P4)", gen_thm52(12), 464, 43_392),
-            # Every second vertex's only non-neighbour among the last
-            # vertex's candidates is itself, so each first vertex is cut.
-            ("3P1", build("2K2"), 4, 12),
-            ("3P1", build("C5"), 5, 15),
-            ("C8", build("C9"), 66, 117),
-            (gen_thm52(3), gen_thm52(4), 148, 1_200),
-        ],
-        ids=[
-            "thm52-12-P1+2P2",
-            "thm52-12-co(P1+P4)",
-            "2K2-3P1",
-            "C5-3P1",
-            "C9-C8",
-            "thm52-4-thm52-3",
-        ],
-    )
+    @pytest.mark.parametrize("pattern, host, nodes, oracle_nodes", PINNED, ids=PINNED_IDS)
     def test_pinned_nodes(self, pattern, host, nodes, oracle_nodes):
         h = build(pattern)
         fast, plain = SearchBudget(10**9), SearchBudget(10**9)
@@ -349,8 +355,8 @@ class TestHostOrbits:
     def test_twin_classes(self):
         # false twins (equal rows) in K2,3 and true twins (equal closed rows)
         # in K3 + P2; a graph without twins has none
-        assert _twins(biclique(2, 3)) == [0b00011] * 2 + [0b11100] * 3
-        assert _twins(build("K3+P2")) == [0b00111] * 3 + [0b11000] * 2
+        assert _twins(biclique(2, 3)) == (0b00011,) * 2 + (0b11100,) * 3
+        assert _twins(build("K3+P2")) == (0b00111,) * 3 + (0b11000,) * 2
         assert _twins(cycle_graph(5)) is None
 
 
@@ -359,7 +365,7 @@ class TestLexLeader:
 
     @staticmethod
     def constrained(h):
-        bounds = _symmetry(h)[0]
+        bounds = _symmetry(h).bounds
         return [tuple(i + 1 + j for j in b or ()) for i, b in enumerate(bounds)]
 
     @settings(max_examples=300, deadline=None)
@@ -396,13 +402,190 @@ class TestLexLeader:
         gives the oracle's embedding into a relabelled host."""
         rng = random.Random(big.n)
         h = relabel(big, rng.sample(range(big.n), big.n))
-        bounds, nodes, _ = _symmetry(h)
-        assert 0 < nodes <= h.n**2
-        assert bounds[0] is not None
+        found = _symmetry(h)
+        assert 0 < found.nodes <= h.n**2
+        assert found.bounds[0] is not None
         h = relabel(small, rng.sample(range(small.n), small.n))
         g = relabel(host, rng.sample(range(host.n), host.n))
-        assert _symmetry(h)[0][0] is not None
+        assert _symmetry(h).bounds[0] is not None
         TestSearchAgainstOracle.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
+
+
+def shrikhande():
+    """The Shrikhande graph: Z4 x Z4, each vertex adjacent to those that
+    differ by +-(0, 1), +-(1, 0) or +-(1, 1)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph.from_edges(
+        16,
+        [
+            (u, v)
+            for u, v in combinations(range(16), 2)
+            if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
+        ],
+    )
+
+
+def cfi_k4(twisted: bool):
+    """The Cai-Fürer-Immerman graph over K4 (40 vertices), with one edge's
+    pairs crossed when ``twisted``: the two are not isomorphic, yet
+    individualisation and refinement treat them alike down to discrete
+    partitions."""
+    ids: dict = {}
+
+    def vertex(name):
+        return ids.setdefault(name, len(ids))
+
+    base = list(combinations(range(4), 2))
+    edges = []
+    for v in range(4):
+        mine = [e for e in base if v in e]
+        for size in (0, 2):
+            for even in combinations(mine, size):
+                for e in mine:
+                    edges.append((vertex(("m", v, even)), vertex(("a", v, e, e in even))))
+    for e in base:
+        u, v = e
+        for side in (False, True):
+            cross = side != (twisted and e == base[0])
+            edges.append((vertex(("a", u, e, side)), vertex(("a", v, e, cross))))
+    return Graph.from_edges(len(ids), edges)
+
+
+def cold(g):
+    """``_symmetry(g)`` with its memo and the class table emptied first."""
+    _symmetry.cache_clear()
+    _CLASSES.clear()
+    return _symmetry(g)
+
+
+@contextmanager
+def detections():
+    """A one-item list counting the full detections run inside the block."""
+    ran = [0]
+    detect = _Chain.detect
+
+    def counted(chain):
+        ran[0] += 1
+        return detect(chain)
+
+    _Chain.detect = counted
+    try:
+        yield ran
+    finally:
+        _Chain.detect = detect
+
+
+class TestClasses:
+    """One full detection per isomorphism class: a copy of a class whose
+    detection finished reads the same constraints and orbits as its own
+    detection would, a graph of another class with the same key runs its
+    own, a detection that ran out stands for no class, and a known class
+    never adds a search node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            symmetric_hosts(),
+            st.sampled_from([paley(13), gen_thm51(6), gen_thm52(12), cycle_graph(40)]),
+        ),
+        st.data(),
+    )
+    def test_copies_read_their_own_detection(self, g, data):
+        first = relabel(g, data.draw(st.permutations(range(g.n)), label="first"))
+        copy = relabel(g, data.draw(st.permutations(range(g.n)), label="copy"))
+        own = cold(copy)
+        cold(first)
+        stored = _degree_refinement(first.rows)[1] in _CLASSES
+        with detections() as ran:
+            found = _symmetry(copy)
+        # a graph on fewer than two vertices needs no detection
+        assert ran == [0 if stored or g.n < 2 else 1]
+        assert (found.bounds, found.orbits) == (own.bounds, own.orbits)
+        # a match, then the copy's own detection for its constraints
+        assert 0 <= found.nodes <= 2 * g.n**2
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (cycle_graph(6), build("2K3")),
+            # the cube and the Moebius ladder on 8 vertices, both 3-regular
+            (
+                Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]),
+                Graph.from_edges(8, [(u, (u + 1) % 8) for u in range(8)] + [(u, u + 4) for u in range(4)]),
+            ),
+            (cfi_k4(False), cfi_k4(True)),
+        ],
+        ids=["C6-2K3", "cube-ladder", "CFI-K4"],
+    )
+    def test_same_key_other_class(self, a, b):
+        rng = random.Random(a.n)
+        a, b = (relabel(g, rng.sample(range(g.n), g.n)) for g in (a, b))
+        assert _degree_refinement(a.rows)[1] == _degree_refinement(b.rows)[1]
+        own = cold(b)
+        cold(a)
+        assert _CLASSES
+        with detections() as ran:
+            found = _symmetry(b)
+        assert ran == [1]
+        assert (found.bounds, found.orbits) == (own.bounds, own.orbits)
+
+    def test_unfinished_detection_stands_for_no_class(self):
+        # Four disjoint Shrikhande graphs: the detection of one labelling
+        # runs out at 64**2 nodes, that of another finishes.
+        g = disjoint_union([shrikhande()] * 4)
+        runs_out, finishes = (relabel(g, random.Random(s).sample(range(64), 64)) for s in (4, 0))
+        partial = cold(runs_out)
+        assert partial.nodes == 64**2
+        assert not _CLASSES
+        with detections() as ran:
+            whole = _symmetry(finishes)
+        assert ran == [1] and whole.nodes < 64**2
+        # A copy whose own detection runs out reads the whole group once
+        # its class is known: orbits that contain its own.
+        _symmetry.cache_clear()
+        with detections() as ran:
+            found = _symmetry(runs_out)
+        assert ran == [0]
+        assert all(o & ~f == 0 for o, f in zip(partial.orbits, found.orbits))
+        assert found.orbits != partial.orbits
+
+    def test_known_class_never_adds_nodes(self):
+        # K4 is not in the Shrikhande graph.  Searched for in a copy whose
+        # own detection runs out, it drops the roots in the whole group's
+        # orbits once the class is known, so never spends more nodes than
+        # with an empty table; here it spends fewer.
+        g = disjoint_union([shrikhande()] * 4)
+        runs_out, finishes = (relabel(g, random.Random(s).sample(range(64), 64)) for s in (4, 0))
+        h = build("K4")
+        used = []
+        for warm in (False, True):
+            cold(finishes if warm else runs_out)
+            _symmetry.cache_clear()
+            budget = SearchBudget(10**9)
+            assert induced_embed(h, runs_out, budget) is None
+            used.append(budget.used)
+        cold_nodes, warm_nodes = used
+        assert warm_nodes <= cold_nodes
+        assert (cold_nodes, warm_nodes) == (257, 21)
+
+    @pytest.mark.parametrize("pattern, host, nodes, oracle_nodes", PINNED, ids=PINNED_IDS)
+    def test_pinned_nodes_after_warming(self, pattern, host, nodes, oracle_nodes):
+        # These graphs' detections finish, so their node counts repeat
+        # whatever the class table holds.
+        h = build(pattern)
+        rng = random.Random(nodes)
+        for warm in (False, True):
+            _symmetry.cache_clear()
+            _CLASSES.clear()
+            if warm:
+                for g in (h, host) * 3:
+                    _symmetry(relabel(g, rng.sample(range(g.n), g.n)))
+                _symmetry.cache_clear()
+            budget = SearchBudget(10**9)
+            assert induced_embed(h, host, budget) is None
+            assert budget.used == nodes
+
+
 class TestLabelledEmbed:
     def test_equal_labels_reduce_to_plain(self):
         rng = random.Random(2)
