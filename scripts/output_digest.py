@@ -21,9 +21,10 @@ Families:
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
 - ``free``: ``is_free`` (verdict, pattern index and witness) of those five
-  patterns, the gem ``co(P1+P4)`` and ``P1+2P2`` over the same battery, and
-  of each forbidden pattern of thm51 (2..12) and thm52 (3..12), one at a
-  time and all together, in canonical and randomly relabelled members;
+  patterns, the gem ``co(P1+P4)``, ``P1+P4`` and ``P1+2P2`` over the same
+  battery, and of each forbidden pattern of thm51 (2..12) and thm52
+  (3..12), one at a time and all together, in canonical and randomly
+  relabelled members;
 - ``delete``: ``delete_vertices`` of random vertex sets, with some vertices
   out of range, over the same battery;
 - ``uniform``: ``uniformicity(g, 3)``, the order and the witness or None,
@@ -81,7 +82,7 @@ CLAIMS_TOGGLES = 4  # per member
 BATTERY_SEED = 20261018
 BATTERY_SIZE = 3000
 PATTERNS = ("K3", "P4", "C5", "co(2P1+P2)", "P2+P3")
-FREE_PATTERNS = PATTERNS + ("co(P1+P4)", "P1+2P2")
+FREE_PATTERNS = PATTERNS + ("co(P1+P4)", "P1+P4", "P1+2P2")
 FREE_SEED = 20261023
 FREE_FAMILIES = (("thm51", range(2, 13)), ("thm52", range(3, 13)))
 UNIFORM_SEED = 20261019

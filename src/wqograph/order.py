@@ -124,22 +124,21 @@ masks of the host G, by these rules:
 
 The splits end in base cases tested directly on masks: K1, K2 and 2P1;
 P3 (the set is not a disjoint union of cliques); co(P3) (non-adjacency is
-not an equivalence); P4 (the set is not a cograph: a part with two
-vertices or more that is connected and has a connected complement,
-found by splitting parts by their components and co-components); and 2K2
-(non-adjacent a and c with b in N(a) - N[c] and d in N(c) - N[a], b and d
-non-adjacent).  The split tree is built once per pattern and cached beside
-the plan.  A pattern stays on the search when it does not split down to
-base cases, when its tree would run a P4 test inside an edge loop (P2+P4
-is decided faster by the search), or when the tree's cost degree is above
-four: a vertex loop adds one to the degree of the test inside it, an edge
-loop two, and a decision on an n-vertex host costs O(n**4) mask
-operations at most, whatever the pattern.  The decider spends no node: a
-free verdict from it returns at once, even with a zero budget; when it
-finds the pattern, :func:`induced_embed` names the witness as before, with
-the caller's budget.  The pattern index and the witness are those of the
-search alone, and a call with one pattern runs out of budget at the node
-it always did; with several, a pattern decided free no longer spends nodes
+not an equivalence); and 2K2 (non-adjacent a and c with b in N(a) - N[c]
+and d in N(c) - N[a], b and d non-adjacent).  The split tree is built once
+per pattern and cached beside the plan.  A pattern stays on the search when
+it does not split down to base cases, or when the tree's cost degree is
+above four: a vertex loop adds one to the degree of the test inside it, an
+edge loop two, and a decision on an n-vertex host costs O(n**4) mask
+operations at most, whatever the pattern.  No split removes a vertex of an
+induced P4, and no base case holds one, so every pattern holding P4 (P4,
+P1+P4, the gem co(P1+P4), P2+P4, P6) is searched; on thm52 hosts the
+search decides the gem faster than a cograph test.  The decider spends no
+node: a free verdict from it returns at once, even with a zero budget; when
+it finds the pattern, :func:`induced_embed` names the witness as before,
+with the caller's budget.  The pattern index and the witness are those of
+the search alone, and a call with one pattern runs out of budget at the
+node it always did; with several, a pattern decided free spends no nodes
 of the shared budget.
 
 Long searches accept an optional :class:`SearchBudget`; one node is one
@@ -863,47 +862,6 @@ def _classes(table):
     return test
 
 
-def _p4(host):
-    rows, closed = host[0], host[1]
-
-    def test(s):
-        # G[S] is P4-free iff every part with two vertices or more is
-        # disconnected or has a disconnected complement (Seinsche, 1974), so
-        # parts are split by their components, then by their co-components.
-        parts = [s]
-        while parts:
-            s = parts.pop()
-            if not s & (s - 1):
-                continue
-            low = s & -s
-            comp = frontier = low
-            while frontier:
-                reach = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    reach |= rows[b.bit_length() - 1]
-                frontier = reach & s & ~comp
-                comp |= frontier
-            if comp == s:
-                comp = frontier = low
-                while frontier:
-                    common = s
-                    while frontier:
-                        b = frontier & -frontier
-                        frontier ^= b
-                        common &= closed[b.bit_length() - 1]
-                    frontier = s & ~common & ~comp
-                    comp |= frontier
-                if comp == s:
-                    return True
-            parts.append(comp)
-            parts.append(s ^ comp)
-        return False
-
-    return test
-
-
 def _2k2(host):
     rows, _, away = host
 
@@ -946,7 +904,6 @@ _BASES = {
     (0, 0): (lambda host: _pair(host[2]), 1),
     (1, 1, 2): (lambda host: _classes(host[1]), 1),
     (0, 1, 1): (lambda host: _classes([~row for row in host[0]]), 1),
-    (1, 1, 2, 2): (_p4, 2),
     (1, 1, 1, 1): (_2k2, 3),
 }
 # A vertex loop adds one to the degree and an edge loop two.  A split tree
@@ -1009,17 +966,17 @@ def _edge_split(sub, need: int, join: bool):
 
 
 def _split(rows, s: int, memo: dict):
-    """The split tree of the pattern induced on ``s``, its degree and
-    whether it holds a P4 test; None if it does not split down to base
-    cases within ``_MAX_DEGREE``.  ``memo`` holds the answers for the masks
-    already tried: a pattern may split several ways, and without it one
-    whose splits all fail would be tried along exponentially many orders."""
+    """The split tree of the pattern induced on ``s`` and its degree; None if
+    it does not split down to base cases within ``_MAX_DEGREE``.  ``memo``
+    holds the answers for the masks already tried: a pattern may split
+    several ways, and without it one whose splits all fail would be tried
+    along exponentially many orders."""
     if s in memo:
         return memo[s]
     vs = [v for v in range(s.bit_length()) if s >> v & 1]
     base = _BASES.get(tuple(sorted((rows[v] & s).bit_count() for v in vs)))
     if base is not None:
-        return base[0], base[1], base[0] is _p4
+        return base
     isolated = [v for v in vs if not rows[v] & s]
     universal = [v for v in vs if rows[v] & s == s ^ 1 << v]
     matched = [
@@ -1027,7 +984,7 @@ def _split(rows, s: int, memo: dict):
     ]
     # In this order: an isolated vertex, two universal vertices (one edge
     # loop instead of two nested vertex loops), one universal vertex, a K2
-    # component.  An edge loop never runs a P4 test.
+    # component.
     splits = [(_vertex_split, False, isolated[:1])]
     if len(universal) >= 2:
         splits.append((_edge_split, True, universal[:2]))
@@ -1040,11 +997,11 @@ def _split(rows, s: int, memo: dict):
         found = _split(rows, s & ~sum(1 << v for v in taken), memo)
         if found is None:
             continue
-        sub, degree, has_p4 = found
+        sub, degree = found
         degree += len(taken)
-        if degree > _MAX_DEGREE or (split is _edge_split and has_p4):
+        if degree > _MAX_DEGREE:
             continue
-        memo[s] = split(sub, len(vs) - len(taken), join), degree, has_p4
+        memo[s] = split(sub, len(vs) - len(taken), join), degree
         break
     return memo[s]
 

@@ -160,8 +160,7 @@ def find_clique(g: Graph, size: int) -> tuple[int, ...] | None:
     memo = _anchors(g)
     key = f"K{size}"
     if key not in memo:
-        emb = None if _split_free(pattern(key), g) else induced_embed(pattern(key), g)
-        memo[key] = tuple(sorted(emb)) if emb is not None else None
+        memo[key] = is_free(g, [pattern(key)]).witness
     return memo[key]
 
 

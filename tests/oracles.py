@@ -511,12 +511,19 @@ def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:
 def oracle_lex_orbits(h: Graph, order) -> list[tuple[int, ...]]:
     """For each position i of ``order``, the positions q > i such that some
     automorphism of ``h`` fixing order[0..i-1] maps order[i] to order[q]."""
-    n = h.n
-    autos = [
-        p
-        for p in permutations(range(n))
-        if all(h.adjacent(p[u], p[v]) == h.adjacent(u, v) for u, v in combinations(range(n), 2))
-    ]
+    n, rows = h.n, h.rows
+    nbrs = [bits_of(row) for row in rows]
+    autos = []
+    for p in permutations(range(n)):
+        # p is an automorphism iff it maps every vertex's row onto its image's
+        for u in range(n):
+            mapped = 0
+            for w in nbrs[u]:
+                mapped |= 1 << p[w]
+            if mapped != rows[p[u]]:
+                break
+        else:
+            autos.append(p)
     out = []
     for i, v in enumerate(order):
         images = {p[v] for p in autos if all(p[order[j]] == order[j] for j in range(i))}

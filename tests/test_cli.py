@@ -263,15 +263,18 @@ class TestBudgetAndRange:
         assert all(c["exhausted"] for c in blob["incomparability"])
 
     def test_free_verdict_needs_no_budget(self, capsys):
-        # The gem has a split tree, so a zero budget decides this cell; the
-        # search alone exhausts it at its first node.
+        # P1+2P2 has a split tree, so a zero budget decides this cell; the
+        # search alone spends 510 nodes on it.  The gem and P2+P4 hold a P4,
+        # have no split tree, and exhaust the budget at their first node.
         g6 = encode_graph6(antichains.gen_thm52(12))
-        args = ["free", "--g", "g6:" + g6, "--forbidden", "co(P1+P4)", "--budget", "0"]
+        args = ["free", "--g", "g6:" + g6, "--forbidden", "P1+2P2", "--budget", "0"]
         assert main(args) == 0
         captured = capsys.readouterr()
         assert captured.out == "free\n" and not captured.err
-        assert main(args[:4] + ["P2+P4", "--budget", "0"]) == 2
-        assert capsys.readouterr().err.strip() == "budget: search budget exhausted after 1 nodes"
+        for searched in ("co(P1+P4)", "P2+P4"):
+            assert main(args[:4] + [searched, "--budget", "0"]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err == "budget: search budget exhausted after 1 nodes"
 
     def test_antichain_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv(BUDGET_ENV, raising=False)
