@@ -21,7 +21,8 @@ Families:
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
 - ``free``: ``is_free`` (verdict, pattern index and witness) of those five
-  patterns, the gem ``co(P1+P4)``, ``P1+P4`` and ``P1+2P2`` over the same
+  patterns, the gem ``co(P1+P4)``, ``P1+P4``, ``P1+2P2``, ``K4``, ``2K2``,
+  ``3P1``, the paw, the claw and a relabelled diamond over the same
   battery, and of each forbidden pattern of thm51 (2..12) and thm52
   (3..12), one at a time and all together, in canonical and randomly
   relabelled members;
@@ -82,7 +83,19 @@ CLAIMS_TOGGLES = 4  # per member
 BATTERY_SEED = 20261018
 BATTERY_SIZE = 3000
 PATTERNS = ("K3", "P4", "C5", "co(2P1+P2)", "P2+P3")
-FREE_PATTERNS = PATTERNS + ("co(P1+P4)", "P1+P4", "P1+2P2")
+# co(P2+2P1) is the diamond co(2P1+P2) under another labelling; co(P1+P3)
+# is the paw and K1,3 the claw.
+FREE_PATTERNS = PATTERNS + (
+    "co(P1+P4)",
+    "P1+P4",
+    "P1+2P2",
+    "K4",
+    "2K2",
+    "3P1",
+    "co(P1+P3)",
+    "K1,3",
+    "co(P2+2P1)",
+)
 FREE_SEED = 20261023
 FREE_FAMILIES = (("thm51", range(2, 13)), ("thm52", range(3, 13)))
 UNIFORM_SEED = 20261019

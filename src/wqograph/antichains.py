@@ -245,7 +245,8 @@ def verify_family(
     budget exhaustion is reported in the affected cell rather than aborting
     the whole report.  ``node_budget`` is per cell; ``None`` means
     unlimited.  Cells are emitted in sorted order, so the report is
-    deterministic for fixed inputs.
+    deterministic for fixed inputs.  A range and pattern list that leave no
+    cell raise ``ValueError``, so that no report passes with nothing checked.
     """
     spec = FAMILIES[family] if family in FAMILIES else None
     if spec is None:
@@ -255,6 +256,8 @@ def verify_family(
         if n < spec.min_n:
             raise ValueError(f"family {family} requires n >= {spec.min_n}")
     patterns = tuple(forbidden) if forbidden is not None else spec.forbidden
+    if len(ns) < 2 and not (ns and patterns):
+        raise ValueError(f"family {family} over n={list(ns)} has no cell to check")
     members = {n: family_member(family, n) for n in ns}
     parsed = [build(p) for p in patterns]
     freeness = []

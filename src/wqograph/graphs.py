@@ -448,6 +448,8 @@ def decode_graph6(text: str) -> Graph:
         if not 0 <= n <= 62:
             raise Graph6Error("vertex-count byte out of range", base)
         pos = 1
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"graph on {n} vertices exceeds the cap of {MAX_VERTICES}", base)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos < need:
         raise Graph6Error("truncated edge data", base + len(data))

@@ -1,7 +1,7 @@
 """The induced-subgraph quasi-order and its labelled refinement: finite
 quasi-orders on labels, the induced embedding search (plain and
 label-respecting), forbidden-subgraph freeness (decided without a search
-for patterns that split into small base cases), and the two special
+for small cliques, P3, the diamond and P2+P3), and the two special
 classes the classifier names (linear forests and the path-or-subdivided-claw
 class).
 
@@ -113,33 +113,27 @@ host is built from one pass over its rows: a pattern vertex of degree d
 keeps the host vertices whose degree leaves room for d neighbours and
 n(h) - 1 - d non-neighbours.
 
-:func:`is_free` first asks a freeness decider that needs no search.  A
-pattern H splits, and the decider tests a smaller pattern H' in vertex
-masks of the host G, by these rules:
+:func:`is_free` first asks a freeness decider that needs no search, for
+the patterns the library forbids (the paper's class is free of the diamond
+co(2P1+P2) and of P2+P3, and its decomposers look for K5).  The decider
+knows a pattern by its sorted degree sequence, so its choice is label-free,
+and tests the host's rows directly:
 
-- P1 + H': H' in G - N[v] for some vertex v;
-- K1 v H' (a universal vertex): H' in G[N(v)] for some v;
-- P2 + H' (a K2 component): H' in G - N[a] - N[b] for some edge ab;
-- K2 v H' (two universal vertices): H' in N(a) & N(b) for some edge ab.
+- a clique K_k, k <= 5: nested loops over common neighbourhoods;
+- P3: the host is not a disjoint union of cliques;
+- the diamond: some edge ab has a non-edge in N(a) & N(b);
+- P2 + P3: some edge ab has a P3 in G - N[a] - N[b].
 
-The splits end in base cases tested directly on masks: K1, K2 and 2P1;
-P3 (the set is not a disjoint union of cliques); co(P3) (non-adjacency is
-not an equivalence); and 2K2 (non-adjacent a and c with b in N(a) - N[c]
-and d in N(c) - N[a], b and d non-adjacent).  The split tree is built once
-per pattern and cached beside the plan.  A pattern stays on the search when
-it does not split down to base cases, or when the tree's cost degree is
-above four: a vertex loop adds one to the degree of the test inside it, an
-edge loop two, and a decision on an n-vertex host costs O(n**4) mask
-operations at most, whatever the pattern.  No split removes a vertex of an
-induced P4, and no base case holds one, so every pattern holding P4 (P4,
-P1+P4, the gem co(P1+P4), P2+P4, P6) is searched; on thm52 hosts the
-search decides the gem faster than a cograph test.  The decider spends no
-node: a free verdict from it returns at once, even with a zero budget; when
-it finds the pattern, :func:`induced_embed` names the witness as before,
-with the caller's budget.  The pattern index and the witness are those of
-the search alone, and a call with one pattern runs out of budget at the
-node it always did; with several, a pattern decided free spends no nodes
-of the shared budget.
+The P3, diamond and P2+P3 tests are one loop nest each, and the clique
+test enters one level per vertex of the clique.  A decision on an n-vertex
+host, which no budget bounds, costs O(n**4) mask operations at most; no
+larger clique is decided.  Every other pattern is searched.  The decider spends no node: a
+free verdict from it returns at once, even with a zero budget; when it
+finds the pattern, :func:`induced_embed` names the witness as before, with
+the caller's budget.  The pattern index and the witness are those of the
+search alone, and a call with one pattern runs out of budget at the node it
+always did; with several, a pattern decided free spends no nodes of the
+shared budget.
 
 Long searches accept an optional :class:`SearchBudget`; one node is one
 host vertex tried for one pattern vertex.  The search counts its nodes in a
@@ -806,12 +800,10 @@ def labelled_embed(
 
 
 # ---------------------------------------------------------------------------
-# Freeness by splitting
+# Freeness without a search
 #
-# A split tree is a composition of test factories.  A factory takes the host
-# tables (see _host) and returns a test on vertex masks S, true iff the
-# pattern has an induced copy in G[S].  A test is only called on masks with
-# at least as many vertices as its pattern.
+# Each test takes the host tables (see _host) and a vertex mask S, and says
+# whether G[S] holds an induced copy of its pattern.
 
 
 @lru_cache(maxsize=1)
@@ -823,206 +815,112 @@ def _host(g: Graph):
     return g.rows, closed, [~c for c in closed]
 
 
-def _pair(table):
-    """Test: some v and w in S with w in table[v], that is, an edge (K2,
-    table = rows) or a non-edge (2P1, table = the complements of the closed
-    neighbourhoods)."""
+def _clique(rows, s: int, k: int) -> bool:
+    """K_k: some vertex of S with a K_(k-1) among its later neighbours in S,
+    so that each level loops over the common neighbourhood of the vertices
+    chosen before it.  A level with too few vertices left is not entered."""
+    if k < 2:
+        return s.bit_count() >= k
+    while s:
+        low = s & -s
+        s ^= low
+        near = rows[low.bit_length() - 1] & s
+        if near.bit_count() >= k - 1 and _clique(rows, near, k - 1):
+            return True
+    return False
 
-    def test(s):
-        # each vertex against the later ones
-        while s:
-            low = s & -s
-            s ^= low
-            if s & table[low.bit_length() - 1]:
+
+def _p3(host, s: int) -> bool:
+    """P3: S is not a disjoint union of cliques.  The closed neighbourhood
+    in S of S's lowest vertex must be every member's, and is then removed."""
+    closed = host[1]
+    while s:
+        low = s & -s
+        part = closed[low.bit_length() - 1] & s
+        others = part ^ low
+        while others:
+            w = others & -others
+            others ^= w
+            if closed[w.bit_length() - 1] & s != part:
                 return True
-        return False
-
-    return test
-
-
-def _classes(table):
-    """Test: the sets table[v] & S do not partition S, that is, S is not
-    a disjoint union of cliques (P3, table = closed neighbourhoods) or not
-    complete multipartite (co(P3), table = complements of the rows).  The
-    lowest vertex's set must be every member's, and is then removed."""
-
-    def test(s):
-        while s:
-            low = s & -s
-            part = table[low.bit_length() - 1] & s
-            others = part ^ low
-            while others:
-                w = others & -others
-                others ^= w
-                if table[w.bit_length() - 1] & s != part:
-                    return True
-            s ^= part
-        return False
-
-    return test
+        s ^= part
+    return False
 
 
-def _2k2(host):
+def _diamond(host, s: int) -> bool:
+    """The diamond: some edge ab of G[S] with a non-edge in N(a) & N(b)."""
     rows, _, away = host
-
-    def test(s):
-        # a and c non-adjacent, b in N(a) - N[c], d in N(c) - N[a], b and d
-        # non-adjacent: then ab and cd are an induced 2K2.
-        t = s
-        while t:
-            low = t & -t
-            t ^= low
-            a = low.bit_length() - 1
-            near_a = rows[a] & s
-            if not near_a:
-                continue
-            others = away[a] & t
-            while others:
-                c = others & -others
-                others ^= c
-                c = c.bit_length() - 1
-                bs = near_a & away[c]
-                ds = rows[c] & away[a] & s
-                if not (bs and ds):
-                    continue
-                while bs:
-                    b = bs & -bs
-                    bs ^= b
-                    if ds & ~rows[b.bit_length() - 1]:
-                        return True
-        return False
-
-    return test
-
-
-# Base cases by sorted degree sequence, which names each of these graphs,
-# with the degree of their cost: a test on an n-vertex mask takes O(n**d)
-# mask operations.
-_BASES = {
-    (0,): (lambda host: bool, 0),
-    (1, 1): (lambda host: _pair(host[0]), 1),
-    (0, 0): (lambda host: _pair(host[2]), 1),
-    (1, 1, 2): (lambda host: _classes(host[1]), 1),
-    (0, 1, 1): (lambda host: _classes([~row for row in host[0]]), 1),
-    (1, 1, 1, 1): (_2k2, 3),
-}
-# A vertex loop adds one to the degree and an edge loop two.  A split tree
-# of higher degree than this stays on the search, so that a decision, which
-# no budget bounds, costs O(n**4) mask operations at most.
-_MAX_DEGREE = 4
-
-
-def _vertex_split(sub, need: int, join: bool):
-    """H in G[S] for some v in S, with H tested in S & N(v) (K1 v H) or in
-    S - N[v] (P1 + H)."""
-
-    def make(host):
-        # a join tests in N(v), a union in V - N[v]
-        inner, side = sub(host), host[0 if join else 2]
-
-        def test(s):
-            t = s
-            while t:
-                low = t & -t
-                t ^= low
-                rest = s & side[low.bit_length() - 1]
-                if rest.bit_count() >= need and inner(rest):
+    t = s
+    while t:
+        low = t & -t
+        t ^= low
+        near = rows[low.bit_length() - 1] & s
+        later = near & t
+        while later:
+            b = later & -later
+            later ^= b
+            common = near & rows[b.bit_length() - 1]
+            while common:
+                c = common & -common
+                if common & away[c.bit_length() - 1]:
                     return True
-            return False
-
-        return test
-
-    return make
+                common ^= c
+    return False
 
 
-def _edge_split(sub, need: int, join: bool):
-    """H in G[S] for some edge ab of G[S], with H tested in S & N(a) & N(b)
-    (K2 v H) or in S - N[a] - N[b] (P2 + H)."""
-
-    def make(host):
-        inner, rows, side = sub(host), host[0], host[0 if join else 2]
-
-        def test(s):
-            t = s
-            while t:
-                low = t & -t
-                t ^= low
-                a = low.bit_length() - 1
-                near = s & side[a]
-                if near.bit_count() < need:
-                    continue
-                later = rows[a] & t
-                while later:
-                    b = later & -later
-                    later ^= b
-                    rest = near & side[b.bit_length() - 1]
-                    if rest.bit_count() >= need and inner(rest):
+def _p2_p3(host, s: int) -> bool:
+    """P2 + P3: some edge ab of G[S] with a P3 in S - N[a] - N[b], tested in
+    the edge loop itself as by :func:`_p3`."""
+    rows, closed, away = host
+    t = s
+    while t:
+        low = t & -t
+        t ^= low
+        a = low.bit_length() - 1
+        far = s & away[a]
+        if far.bit_count() < 3:
+            continue
+        later = rows[a] & t
+        while later:
+            b = later & -later
+            later ^= b
+            rest = far & away[b.bit_length() - 1]
+            if rest.bit_count() < 3:
+                continue
+            while rest:
+                v = rest & -rest
+                part = closed[v.bit_length() - 1] & rest
+                others = part ^ v
+                while others:
+                    w = others & -others
+                    others ^= w
+                    if closed[w.bit_length() - 1] & rest != part:
                         return True
-            return False
-
-        return test
-
-    return make
+                rest ^= part
+    return False
 
 
-def _split(rows, s: int, memo: dict):
-    """The split tree of the pattern induced on ``s`` and its degree; None if
-    it does not split down to base cases within ``_MAX_DEGREE``.  ``memo``
-    holds the answers for the masks already tried: a pattern may split
-    several ways, and without it one whose splits all fail would be tried
-    along exponentially many orders."""
-    if s in memo:
-        return memo[s]
-    vs = [v for v in range(s.bit_length()) if s >> v & 1]
-    base = _BASES.get(tuple(sorted((rows[v] & s).bit_count() for v in vs)))
-    if base is not None:
-        return base
-    isolated = [v for v in vs if not rows[v] & s]
-    universal = [v for v in vs if rows[v] & s == s ^ 1 << v]
-    matched = [
-        (a, b) for a in vs for b in vs if a < b and rows[a] & s == 1 << b and rows[b] & s == 1 << a
-    ]
-    # In this order: an isolated vertex, two universal vertices (one edge
-    # loop instead of two nested vertex loops), one universal vertex, a K2
-    # component.
-    splits = [(_vertex_split, False, isolated[:1])]
-    if len(universal) >= 2:
-        splits.append((_edge_split, True, universal[:2]))
-    splits.append((_vertex_split, True, universal[:1]))
-    splits.append((_edge_split, False, list(matched[0]) if matched else []))
-    memo[s] = None
-    for split, join, taken in splits:
-        if not taken:
-            continue
-        found = _split(rows, s & ~sum(1 << v for v in taken), memo)
-        if found is None:
-            continue
-        sub, degree = found
-        degree += len(taken)
-        if degree > _MAX_DEGREE:
-            continue
-        memo[s] = split(sub, len(vs) - len(taken), join), degree
-        break
-    return memo[s]
-
-
-@lru_cache(maxsize=256)
-def _split_tree(h: Graph):
-    """The split tree of pattern ``h`` (a factory of host tests), or None
-    when ``h`` stays on the search."""
-    found = _split(h.rows, h.mask, {}) if h.n else None
-    return None if found is None else found[0]
+# The patterns decided without a search, keyed by their sorted degree
+# sequences, each of which names one graph: the cliques K1 to K5, P3, the
+# diamond and P2+P3.  No larger clique is decided, so that a decision, which
+# no budget bounds, costs O(n**4) mask operations at most.
+_TESTS = {
+    **{(k - 1,) * k: lambda host, s, k=k: _clique(host[0], s, k) for k in range(1, 6)},
+    (1, 1, 2): _p3,
+    (2, 2, 3, 3): _diamond,
+    (1, 1, 1, 1, 2): _p2_p3,
+}
 
 
 def _split_free(h: Graph, g: Graph) -> bool | None:
-    """Whether ``g`` is ``h``-free, decided by ``h``'s split tree without a
-    search; None if ``h`` has no split tree."""
-    tree = _split_tree(h)
-    if tree is None:
+    """Whether ``g`` is ``h``-free, decided without a search when ``h`` is
+    one of the patterns of ``_TESTS``; None for every other pattern."""
+    test = _TESTS.get(tuple(sorted(row.bit_count() for row in h.rows))) if h.n <= 5 else None
+    if test is None:
         return None
     if h.n > g.n:
         return True
-    return not tree(_host(g))(g.mask)
+    return not test(_host(g), g.mask)
 
 
 class FreeResult(NamedTuple):
@@ -1037,8 +935,8 @@ def is_free(
     """True iff no forbidden graph induced-embeds; otherwise the witness
     vertex set (sorted image) and the index of the pattern found.
 
-    A pattern with a split tree is decided first without a search; only a
-    pattern found that way, or one without a split tree, is searched."""
+    A pattern the decider knows is decided first without a search; only a
+    pattern found that way, or one it does not know, is searched."""
     for idx, pattern in enumerate(forbidden):
         if _split_free(pattern, g):
             continue

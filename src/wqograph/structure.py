@@ -11,12 +11,11 @@ uniform-template witness).  Claim failures signal an input outside the
 class; on class members every claim holds and every certificate replays.
 
 Membership in the class is decided without an embedding search, by the
-split trees of the freeness decider in :mod:`wqograph.order`:
+freeness decider in :mod:`wqograph.order`:
 
-- the diamond is K2 joined with 2P1, so G is diamond-free iff, for every
-  edge uv, N(u) & N(v) is a clique;
-- P2+P3 is P2 beside P3, so G is P2+P3-free iff, for every edge uv,
-  G - N[u] - N[v] is a disjoint union of cliques.
+- G is diamond-free iff, for every edge uv, N(u) & N(v) is a clique;
+- G is P2+P3-free iff, for every edge uv, G - N[u] - N[v] is a disjoint
+  union of cliques.
 
 The search for a forbidden pattern runs only when one of them fails, to name
 the witness that :class:`RouteError` carries.  The anchors of the most
@@ -188,8 +187,8 @@ def _normal_cycle(emb: tuple[int, ...] | None) -> tuple[int, ...] | None:
 def route(g: Graph) -> str:
     """Branch selection with class validation.
 
-    Membership is decided by :func:`~wqograph.order.is_free`, whose split
-    trees decide both forbidden patterns without a search; the embedding
+    Membership is decided by :func:`~wqograph.order.is_free`, whose decider
+    knows both forbidden patterns and needs no search for them; the embedding
     search runs only when one of them is found, to name the witness.  Raises
     :class:`RouteError` when the input contains one of the class's forbidden
     patterns, the diamond first.  A Sparse input is then free of K5 and of
@@ -217,7 +216,7 @@ def _caller_anchor(g: Graph, given: Sequence[int], size: int, shape: str):
     if (
         len(anchor) != size
         or len(set(anchor)) != size
-        or not all(isinstance(v, int) and 0 <= v < g.n for v in anchor)
+        or not all(type(v) is int and 0 <= v < g.n for v in anchor)
     ):
         raise ValueError(
             f"anchor {anchor} is not {shape}: "

@@ -142,6 +142,15 @@ class TestVerifyFamily:
         with pytest.raises(ValueError):
             verify_family("thm52", [2])
 
+    @pytest.mark.parametrize(
+        "family, ns, forbidden",
+        [("cycles", [4], None), ("thm51", [2], []), ("thm52", [], None)],
+    )
+    def test_no_cell_refused(self, family, ns, forbidden):
+        # one member and no pattern, or no member: nothing would be checked
+        with pytest.raises(ValueError, match="has no cell to check"):
+            verify_family(family, ns, forbidden)
+
 
 class TestSmallerIntoLarger:
     def test_thm51_2_not_into_3(self):

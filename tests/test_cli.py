@@ -255,7 +255,7 @@ class TestBudgetAndRange:
         assert main(self.ANTICHAIN) == 2  # every searched cell exhausted: unknown
         blob = json.loads(capsys.readouterr().out)
         assert not blob["ok"]
-        # the diamond's split tree decides its cells without a node; P2+P4,
+        # the decider knows the diamond and spends no node on its cells; P2+P4,
         # P6 and the incomparability cells need the search
         for cell in blob["freeness"]:
             diamond = cell["pattern"] == "co(2P1+P2)"
@@ -263,15 +263,17 @@ class TestBudgetAndRange:
         assert all(c["exhausted"] for c in blob["incomparability"])
 
     def test_free_verdict_needs_no_budget(self, capsys):
-        # P1+2P2 has a split tree, so a zero budget decides this cell; the
-        # search alone spends 510 nodes on it.  The gem and P2+P4 hold a P4,
-        # have no split tree, and exhaust the budget at their first node.
-        g6 = encode_graph6(antichains.gen_thm52(12))
-        args = ["free", "--g", "g6:" + g6, "--forbidden", "P1+2P2", "--budget", "0"]
+        # The decider knows the diamond, so a zero budget decides this cell;
+        # the search alone spends 26 nodes on it.  The decider does not know
+        # P1+2P2, the gem or P2+P4: on thm52(12), which is free of all three,
+        # they exhaust the budget at their first node.
+        g6 = encode_graph6(antichains.gen_thm51(12))
+        args = ["free", "--g", "g6:" + g6, "--forbidden", "co(2P1+P2)", "--budget", "0"]
         assert main(args) == 0
         captured = capsys.readouterr()
         assert captured.out == "free\n" and not captured.err
-        for searched in ("co(P1+P4)", "P2+P4"):
+        args[2] = "g6:" + encode_graph6(antichains.gen_thm52(12))
+        for searched in ("P1+2P2", "co(P1+P4)", "P2+P4"):
             assert main(args[:4] + [searched, "--budget", "0"]) == 2
             err = capsys.readouterr().err.strip()
             assert err == "budget: search budget exhausted after 1 nodes"

@@ -239,24 +239,29 @@ class TestVertexCap:
     """Every way a graph enters the library refuses more than
     ``MAX_VERTICES`` vertices."""
 
-    # 65 vertices in graph6's extended header, no edges
+    # 65 and 4,000 vertices in graph6's extended header, no edges
     G6_65 = chr(126) + "?@@" + "?" * ((65 * 64 // 2 + 5) // 6)
+    G6_4000 = chr(126) + "?}_" + "?" * ((4000 * 3999 // 2 + 5) // 6)
 
     @pytest.mark.parametrize(
-        "make",
+        "make, offset",
         [
-            lambda: Graph(65, (0,) * 65),
-            lambda: Graph.from_edges(65, []),
-            lambda: build("65P1"),
-            lambda: build("K65"),
-            lambda: build("co(65P1)"),
-            lambda: decode_graph6(TestVertexCap.G6_65),
+            (lambda: Graph(65, (0,) * 65), None),
+            (lambda: Graph.from_edges(65, []), None),
+            (lambda: build("65P1"), None),
+            (lambda: build("K65"), None),
+            (lambda: build("co(65P1)"), None),
+            (lambda: decode_graph6(TestVertexCap.G6_65), 0),
+            (lambda: decode_graph6(">>graph6<<" + TestVertexCap.G6_4000), 10),
         ],
-        ids=["Graph", "from_edges", "65P1", "K65", "co(65P1)", "graph6"],
+        ids=["Graph", "from_edges", "65P1", "K65", "co(65P1)", "graph6", "graph6-4000"],
     )
-    def test_over_cap_rejected(self, make):
-        with pytest.raises(ValueError, match="exceeds the cap of 64"):
+    def test_over_cap_rejected(self, make, offset):
+        with pytest.raises(ValueError, match="exceeds the cap of 64") as exc:
             make()
+        if offset is not None:
+            # refused at the header, before any edge byte is decoded
+            assert isinstance(exc.value, Graph6Error) and exc.value.offset == offset
 
     @pytest.mark.parametrize(
         "spec", ["P1000000", "1000000P1", "K2,1000000", "S1,1,1000000", "co(C1000000)"]

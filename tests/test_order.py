@@ -29,7 +29,6 @@ from wqograph.order import (
     _twins,
     _plan,
     _split_free,
-    _split_tree,
     induced_embed,
     in_class_S,
     is_free,
@@ -37,7 +36,6 @@ from wqograph.order import (
     labelled_embed,
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
-from wqograph.classifier import nonisomorphic_graphs
 from oracles import oracle_embed, oracle_embed_exact, oracle_embed_search, oracle_lex_orbits
 from strategies import small_graphs
 
@@ -662,11 +660,21 @@ class TestIsFree:
                 assert is_free(induced(g, s), patterns).free
 
 
-# Every graph with at most five vertices that has a split tree, and the
-# split patterns the library tests most.
-SPLIT_PATTERNS = [
-    g for n in range(1, 6) for g in nonisomorphic_graphs(n) if _split_tree(g) is not None
-] + [build(expr) for expr in ("P1+2P2", "P2+P3", "co(2P1+P2)")]
+def _relabelled(expr, perm):
+    h = build(expr)
+    return Graph.from_edges(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
+
+
+# The patterns the decider knows, and relabelled copies of the diamond and
+# of P2+P3: it knows a pattern by its degree sequence, whatever the labels.
+DECIDED_PATTERNS = [
+    build(expr) for expr in ("K1", "K2", "K3", "K4", "K5", "P3", "co(2P1+P2)", "P2+P3")
+] + [
+    _relabelled("co(2P1+P2)", (2, 0, 3, 1)),
+    _relabelled("co(2P1+P2)", (3, 1, 0, 2)),
+    _relabelled("P2+P3", (4, 2, 0, 3, 1)),
+    _relabelled("P2+P3", (1, 3, 4, 0, 2)),
+]
 
 
 @st.composite
@@ -682,7 +690,7 @@ def family_hosts(draw):
 
 
 class TestSplitFree:
-    """The split-tree decider says what the embedding search says, and a
+    """The freeness decider says what the embedding search says, and a
     free verdict from it spends no node."""
 
     @staticmethod
@@ -697,27 +705,22 @@ class TestSplitFree:
             assert found.witness == tuple(sorted(induced_embed(h, g)))
 
     @settings(max_examples=600, deadline=None)
-    @given(st.sampled_from(SPLIT_PATTERNS), small_graphs(11))
+    @given(st.sampled_from(DECIDED_PATTERNS), small_graphs(11))
     def test_random_hosts(self, h, g):
         self.check(h, g)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(SPLIT_PATTERNS), family_hosts())
+    @given(st.sampled_from(DECIDED_PATTERNS), family_hosts())
     def test_family_hosts(self, h, g):
         self.check(h, g)
 
     def test_family_members_free(self):
-        # the antichains' own freeness cells, on every member; the gem is
-        # searched
-        for family, ns, exprs in (
-            ("thm51", range(2, 13), ("co(2P1+P2)",)),
-            ("thm52", range(3, 13), ("P1+2P2",)),
-        ):
-            for n in ns:
-                for expr in exprs:
-                    assert _split_free(build(expr), family_member(family, n)) is True
+        # the antichains' own freeness cells, on every member: the diamond
+        # is decided, the gem and P1+2P2 are searched
+        for n in range(2, 13):
+            assert _split_free(build("co(2P1+P2)"), family_member("thm51", n)) is True
         for n in range(3, 13):
-            assert is_free(family_member("thm52", n), [build("co(P1+P4)")]).free
+            assert is_free(family_member("thm52", n), [build("co(P1+P4)"), build("P1+2P2")]).free
 
     @pytest.mark.parametrize(
         "expr",
@@ -734,30 +737,35 @@ class TestSplitFree:
             "6P1",
             "3K2",
             "12P1+12P2+P6",
+            "P1+2P2",
+            "2K2",
+            "3P1",
+            "co(P1+P3)",
+            "K1,3",
+            "K6",
         ],
     )
     def test_patterns_left_to_the_search(self, expr):
-        # A P4, which no split removes and no base case holds (P4, P1+P4,
-        # the gem co(P1+P4), P2+P4, P1+P2+P4), no split (P6, C5, C4,
-        # co(P2+P3)), or a split tree of degree above four (6P1 is five
-        # vertex loops over 2P1, 3K2 an edge loop over 2K2).  The last
-        # pattern may drop an isolated vertex or a K2 component first at
-        # each of 24 steps, and every order ends at P6.
-        assert _split_tree(build(expr)) is None
+        # Only K1 to K5, P3, the diamond and P2+P3 are decided; the paw
+        # co(P1+P3), the claw K1,3 and K6 are searched like the rest.
         assert _split_free(build(expr), build("P8")) is None
 
     def test_family_members_left_to_the_search(self):
-        assert _split_tree(gen_thm51(3)) is None and _split_tree(gen_thm52(3)) is None
+        assert _split_free(gen_thm51(3), build("P8")) is None
+        assert _split_free(gen_thm52(3), build("P8")) is None
 
     def test_free_verdict_spends_no_node(self):
-        # the search alone needs 510 nodes to show this (see test_pinned_nodes)
+        # the search alone needs 26 nodes to show this
+        h, g = build("co(2P1+P2)"), gen_thm51(12)
+        spent = SearchBudget(10**9)
+        assert induced_embed(h, g, spent) is None and spent.used == 26
         budget = SearchBudget(0)
-        assert is_free(gen_thm52(12), [build("P1+2P2")], budget).free
+        assert is_free(g, [h], budget).free
         assert budget.used == 0
 
     def test_budget_ends_where_the_search_ends(self):
         # on a non-free input the search names the witness with the budget
-        h, g = build("P1+2P2"), gen_thm51(3)
+        h, g = build("P2+P3"), gen_thm51(3)
         spent = SearchBudget(10**9)
         assert induced_embed(h, g, spent) is not None
         with pytest.raises(SearchBudgetExceeded) as exc:
@@ -765,7 +773,7 @@ class TestSplitFree:
         assert exc.value.nodes == spent.used
 
     def test_smaller_host_is_free(self):
-        assert _split_free(build("P1+2P2"), build("2K2")) is True
+        assert _split_free(build("P2+P3"), build("2K2")) is True
         assert _split_free(build("K1"), Graph.empty(0)) is True
         assert _split_free(build("K1"), Graph.empty(1)) is False
 

@@ -189,6 +189,7 @@ class TestCallerAnchor:
             (decompose_c4, "C4", (0, 1, 2, 4)),
             (decompose_c4, "C4", (0, 1, 2)),
             (decompose_k5, "K5", (0, 1, 2, 3, 4, 0)),
+            (decompose_k5, "K5", (True, 2, 3, 4, 0)),
         ],
     )
     def test_refused(self, decompose, spec, anchor):
@@ -217,7 +218,7 @@ class TestRoute:
     @given(st.integers(0, 14), st.sampled_from((0.3, 0.6, 0.8, 0.95)), st.randoms())
     @settings(max_examples=100, deadline=None)
     def test_find_clique_equals_search(self, n, density, rng):
-        """The split-tree decider answers K5-free hosts; the anchor equals
+        """The freeness decider answers K5-free hosts; the anchor equals
         the plain search's, free or not (dense hosts hold a K5)."""
         g = Graph.from_edges(
             n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
