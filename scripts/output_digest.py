@@ -20,6 +20,8 @@ Families:
 - ``route``: the branch, or the ``RouteError`` message and witness, over a
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
+- ``anchors``: ``find_induced_cycle`` with lengths 4 and 5, the C4 and C5
+  anchors of the decomposers, over the same battery;
 - ``free``: ``is_free`` (verdict, pattern index and witness) of those five
   patterns, the gem ``co(P1+P4)``, ``P1+P4``, ``P1+2P2``, ``K4``, ``2K2``,
   ``3P1``, the paw, the claw and a relabelled diamond over the same
@@ -198,6 +200,13 @@ def random_graphs() -> tuple[str, str, str]:
     return routes.hex(), embeds.hex(), deletes.hex()
 
 
+def anchors() -> str:
+    digest = Digest()
+    for g in battery():
+        digest.add([structure.find_induced_cycle(g, 4), structure.find_induced_cycle(g, 5)])
+    return digest.hex()
+
+
 def freeness() -> str:
     digest = Digest()
     patterns = [build(p) for p in FREE_PATTERNS]
@@ -358,6 +367,7 @@ def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
     digests["route"], digests["embed"], digests["delete"] = random_graphs()
+    digests["anchors"] = anchors()
     digests["free"] = freeness()
     orders = Digest()
     digests["uniform"] = uniform_searches(uniform_battery(), orders)

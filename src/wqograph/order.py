@@ -61,10 +61,10 @@ their detection may take; from then on they apply to every node.  Pruning
 that starts partway is still sound, since every assignment it drops is not
 the least.  Calls that succeed at once, and searches too small to repay the
 detection, never pay for it.  The detection keeps only automorphisms it has
-checked, and its work is bounded by 2n**2 + n + 1 refinements of a partition
-of the graph's n vertices (see :func:`_symmetry`); a test that runs out
-only drops constraints.  It is not charged to the caller's budget and never
-raises.
+checked.  A pattern's constraints cost its own detection only, at most
+n**2 + n + 1 refinements of a partition of its n vertices (see
+:func:`_symmetry`), and a test that runs out only drops constraints.  It is
+not charged to the caller's budget and never raises.
 
 At that same point the search drops roots by the host's symmetry.  Every
 root tried so far failed without constraints, so no embedding f sends p_0
@@ -77,34 +77,36 @@ an embedding, so the first embedding is unchanged, and the pruned tree is a
 subtree of the plain one, so nodes never rise.  A host with twins (two
 vertices with equal rows or equal closed rows, which an automorphism
 swaps) takes its twin classes as the orbits, read off in one pass over its
-rows; a host without twins takes the orbits :func:`_symmetry` finds for
-it, at most n(g)**2 individualisations, cached with the patterns' and not
+rows; a host without twins takes the orbits of its class (below), not
 charged either.  Twin-rich hosts, such as the blown-up members of the
-structure pipeline, are where that detection costs most and where small
-patterns' searches are short.  The twin classes are cached by host, which
-is often searched for several patterns in a row.  Labels break symmetry, so
-:func:`labelled_embed` drops no root.
+structure pipeline, are where detection costs most and where small
+patterns' searches are short.  :func:`_host_orbits` holds these choices and
+caches its result by host, which is often searched for several patterns in
+a row.  Labels break symmetry, so :func:`labelled_embed` drops no root.
 
-Symmetry detection runs once per isomorphism class, not once per graph.
-Graphs are keyed by a label-free invariant: the degree multiset and the
-cell sizes and trace of the equitable refinement of the degree partition,
-which the detection computes first anyway.  The first graph of a key whose
-detection finishes within its bound stands for its class.  A later graph
-with that key is matched against it by the detection's own search, at most
-n**2 individualisations, each end checked to be an isomorphism.  On a match
-it takes the representative's orbits through the isomorphism, in O(n); its
-constraints follow its own search order, so it runs its own detection for
-them, and only when they are read.  A miss or a failed match runs the
-graph's own detection at once.  A finished detection's generators give the
-whole group, so a copy whose own detection would finish too reads exactly
-its own orbits.  A copy whose own detection would run out (which takes a
-graph whose detection nears its bound, such as four disjoint Shrikhande
-graphs under some labellings) reads the whole group's orbits instead,
-which contain its own: its searches drop the same roots or more, so they
-never spend more nodes than with an empty table, and can spend fewer once
-another copy of its class has finished.  A budget that suffices with an
-empty table therefore always suffices.  A graph tries one representative,
-the one of its key, and the table keeps at most 256 classes.
+On the host side, symmetry detection runs once per isomorphism class, not
+once per graph.  Graphs are keyed by a label-free invariant: the degree
+multiset and the cell sizes and trace of the equitable refinement of the
+degree partition, which the detection computes first anyway.  The first
+graph of a key whose detection finishes within its bound stands for its
+class.  A later host with that key is matched against it by the
+detection's own search, at most n**2 individualisations, each end checked
+to be an isomorphism.  On a match it takes the representative's orbits
+through the isomorphism, in O(n); a miss or a failed match runs the host's
+own detection.  Host orbits thus cost a match, plus the host's own
+detection when the match misses: at most 2n**2 + n + 2 refinements.  A
+finished detection's generators give the whole group, so a copy whose own
+detection would finish too reads exactly its own orbits.  A copy whose own
+detection would run out (which takes a graph whose detection nears its
+bound, such as four disjoint Shrikhande graphs under some labellings) reads
+the whole group's orbits instead, which contain its own: its searches drop
+the same roots or more, so they never spend more nodes than with an empty
+table, and can spend fewer once another copy of its class has finished.  A
+budget that suffices with an empty table therefore always suffices.  A host
+tries one representative, the one of its key, and is never matched against
+itself; the table keeps at most 256 classes.  A pattern's constraints never
+come from the table: they are its own detection's, so they depend on the
+pattern alone.
 
 The set-up that depends on the pattern alone (the search order, the degrees
 in that order, each position's adjacency to the later ones) is a plan held
@@ -407,27 +409,6 @@ def _orbit(v: int, gens) -> int:
     return orbit
 
 
-class _Symmetry:
-    """The automorphisms of one graph as the search reads them: ``orbits``,
-    one mask per vertex holding its orbit; ``bounds``, the lex-leader
-    constraints in search order, which a transported result gets from a
-    detection run on first read; and ``nodes``, the individualisations
-    spent so far."""
-
-    __slots__ = ("nodes", "orbits", "_bounds")
-
-    def __init__(self, nodes: int, orbits: tuple[int, ...], bounds):
-        self.nodes, self.orbits, self._bounds = nodes, orbits, bounds
-
-    @property
-    def bounds(self) -> tuple:
-        if callable(self._bounds):
-            own = self._bounds()
-            self.nodes += own.nodes
-            self._bounds = own.bounds
-        return self._bounds
-
-
 def _degree_refinement(rows):
     """The equitable refinement of the degree partition of the graph with
     ``rows``, and its class key: the degree multiset (and so n), and the
@@ -515,9 +496,10 @@ class _Chain:
                 return None
         return found
 
-    def detect(self) -> _Symmetry:
+    def detect(self) -> None:
         """Search the automorphisms along the chain, deepest level first,
-        within n**2 individualisations."""
+        within n**2 individualisations, and keep their orbits, the
+        lex-leader constraints and the individualisations spent."""
         n, rows, order, chain = len(self.rows), self.rows, self.order, self.chain
         spent = SearchBudget(n * n)
         gens: list[list[int]] = []
@@ -547,13 +529,11 @@ class _Chain:
         # Finished within the bound, every test ran to its end: the
         # generators give the whole group.
         self.finished = spent.used < spent.limit
-        self.orbits = tuple(orbits)
-        return _Symmetry(spent.used, self.orbits, tuple(bounds))
+        self.nodes, self.orbits, self.bounds = spent.used, tuple(orbits), tuple(bounds)
 
-    def transport(self, h: Graph, cells: list[int], phi: list[int], nodes: int) -> _Symmetry:
-        """The result for ``h``, onto which ``phi`` maps this graph, whose
-        detection finished: this graph's orbits mapped through ``phi``, and
-        the constraints of ``h``'s own detection, run when they are read."""
+    def transport(self, phi: list[int]) -> tuple[int, ...]:
+        """This graph's orbits mapped through ``phi``, an isomorphism onto
+        another graph."""
         orbits = [0] * len(phi)
         for v, orbit in enumerate(self.orbits):
             if not orbits[phi[v]]:
@@ -562,7 +542,7 @@ class _Chain:
                     image |= 1 << phi[u]
                 for w in bits_of(image):
                     orbits[w] = image
-        return _Symmetry(nodes, tuple(orbits), lambda: _Chain(h, cells).detect())
+        return tuple(orbits)
 
 
 # Isomorphism classes met so far, by class key: the chain of the first member
@@ -573,12 +553,13 @@ _MAX_CLASSES = 256
 
 
 @lru_cache(maxsize=256)
-def _symmetry(h: Graph) -> _Symmetry:
+def _symmetry(h: Graph) -> _Chain:
     """The automorphisms of ``h`` found by individualisation and refinement
-    (McKay & Piperno, *Practical graph isomorphism II*, 2014): its orbits,
-    one mask per vertex, and its lex-leader constraints in search order.
-    The search reads the constraints of its pattern and the orbits of a host
-    without twins.
+    (McKay & Piperno, *Practical graph isomorphism II*, 2014), as its
+    finished chain: ``orbits``, one mask per vertex; ``bounds``, its
+    lex-leader constraints in search order; and ``nodes``, the
+    individualisations spent.  The search reads the constraints of its
+    pattern; :func:`_host_orbits` reads the orbits of a host without twins.
 
     For each position i the constraints are None or the positions q > i,
     counted from i + 1, whose host vertex must lie above p_i's: those that an
@@ -597,40 +578,24 @@ def _symmetry(h: Graph) -> _Symmetry:
     individualisation; after ``n(h) ** 2`` of them every open test gives up
     and keeps the orbit found so far, which only drops constraints.  The
     orbits are those of the group the checked automorphisms generate, so
-    each lies inside an orbit of the full group.
+    each lies inside an orbit of the full group.  With the degree refinement
+    and the chain, at most n(h) individualisations, a detection costs at
+    most n(h)**2 + n(h) + 1 refinements.
 
-    A detection runs once per isomorphism class (see the module docstring).
-    A finished detection on a graph whose degree refinement is not discrete
-    stands for its class.  A later graph with its key is matched by the
-    same search along the representative's chain, with the graph's rows as
-    the target and each discrete end checked to be an isomorphism phi.  Its
-    orbits are the representative's mapped through phi; its constraints are
-    those of its own detection, run when they are first read.  A failed
-    match is followed by the graph's own detection.  The reported nodes are
-    the match's and the detection's, so at most 2n(h)**2; with the graph's
-    degree refinement and its chain, at most n(h), that bounds the
-    refinements by 2n(h)**2 + n(h) + 1."""
-    n = h.n
-    if n < 2:
-        return _Symmetry(0, tuple(1 << v for v in range(n)), (None,) * n)
+    The result is always ``h``'s own detection, whatever the class table
+    holds.  A finished detection on a graph whose degree refinement is not
+    discrete is stored as its class's representative, if its key has
+    none."""
     cells, key = _degree_refinement(h.rows)
-    rep = _CLASSES.get(key)
-    spent = SearchBudget(n * n)
-    if rep is not None:
-        phi = rep.extend(h.rows, 0, cells, cells[rep.steps[0][1]], spent)
-        if phi is not None:
-            return rep.transport(h, cells, phi, spent.used)
     chain = _Chain(h, cells)
-    found = chain.detect()
-    found.nodes += spent.used
-    if rep is None and chain.steps and chain.finished:
+    chain.detect()
+    if chain.steps and chain.finished and key not in _CLASSES:
         if len(_CLASSES) >= _MAX_CLASSES:
             del _CLASSES[next(iter(_CLASSES))]
         _CLASSES[key] = chain
-    return found
+    return chain
 
 
-@lru_cache(maxsize=256)
 def _twins(g: Graph):
     """The twin classes of ``g``, one mask per vertex holding its class, or
     None if ``g`` has no twins.
@@ -639,8 +604,7 @@ def _twins(g: Graph):
     and swapping two of them is an automorphism, so each class lies inside
     an orbit.  A row never equals a closed row, which holds its own vertex
     (if N(u) = N[v], then u and v are adjacent and u is in N(u)), so one
-    table keeps both kinds.  Cached by graph, as a host is searched for
-    several patterns."""
+    table keeps both kinds."""
     rows = g.rows
     closed = [row | 1 << v for v, row in enumerate(rows)]
     if len(set(rows)) == len(set(closed)) == g.n:
@@ -650,6 +614,29 @@ def _twins(g: Graph):
         classes[row] = classes.get(row, 0) | 1 << v
         classes[c] = classes.get(c, 0) | 1 << v
     return tuple(classes[row] | classes[c] for row, c in zip(rows, closed))
+
+
+@lru_cache(maxsize=256)
+def _host_orbits(g: Graph) -> tuple[int, ...]:
+    """The orbits by which the search drops roots in host ``g``, one mask
+    per vertex: its twin classes if it has twins; else the orbits of the
+    representative of its class key, mapped through an isomorphism onto
+    ``g`` that the representative's chain finds, at most n(g)**2
+    individualisations; else, when there is no other representative or no
+    isomorphism is found, the orbits of ``g``'s own detection.  A graph is
+    never matched against its own chain.  With ``g``'s degree refinement,
+    that costs at most 2n(g)**2 + n(g) + 2 refinements.  Cached by graph, as
+    a host is searched for several patterns."""
+    twins = _twins(g)
+    if twins is not None:
+        return twins
+    cells, key = _degree_refinement(g.rows)
+    rep = _CLASSES.get(key)
+    if rep is not None and rep.rows != g.rows:
+        phi = rep.extend(g.rows, 0, cells, cells[rep.steps[0][1]], SearchBudget(g.n**2))
+        if phi is not None:
+            return rep.transport(phi)
+    return _symmetry(g).orbits
 
 
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
@@ -752,7 +739,7 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                 break
             if detect and roots and spent >= nh * nh:
                 detect = False
-                orbits = _twins(g) or _symmetry(g).orbits
+                orbits = _host_orbits(g)
                 for w in bits_of(first ^ roots):
                     roots &= ~orbits[w]
                 if roots:

@@ -164,24 +164,17 @@ def find_clique(g: Graph, size: int) -> tuple[int, ...] | None:
 
 
 def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
-    """First induced cycle in search order, normalized to start at its
-    smallest vertex and run towards the smaller of its two neighbours."""
+    """First induced cycle in search order, the vertices in cycle order.
+
+    The search returns the least embedding in position order, and the
+    cycle's rotations and reflections are embeddings too, so it starts at
+    its smallest vertex and runs towards the smaller of its two
+    neighbours."""
     memo = _anchors(g)
     key = f"C{length}"
     if key not in memo:
-        memo[key] = _normal_cycle(induced_embed(pattern(key), g))
+        memo[key] = induced_embed(pattern(key), g)
     return memo[key]
-
-
-def _normal_cycle(emb: tuple[int, ...] | None) -> tuple[int, ...] | None:
-    if emb is None:
-        return None
-    cyc = list(emb)
-    start = cyc.index(min(cyc))
-    cyc = cyc[start:] + cyc[:start]
-    if cyc[1] > cyc[-1]:
-        cyc = [cyc[0]] + cyc[:0:-1]
-    return tuple(cyc)
 
 
 def route(g: Graph) -> str:

@@ -69,7 +69,7 @@ from wqograph.classifier import (
     pair_corpus,
 )
 from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
-from wqograph.order import SearchBudgetExceeded, _symmetry, _twins, induced_embed
+from wqograph.order import SearchBudgetExceeded, _host_orbits, _symmetry, induced_embed
 from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
@@ -449,7 +449,7 @@ def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None, host_or
             if detect and roots and spent >= nh * nh:
                 detect = False
                 if host_orbits:
-                    orbits = _twins(g) or _symmetry(g).orbits
+                    orbits = _host_orbits(g)
                     roots = [x for x in roots if not any(orbits[f] >> x & 1 for f in failed)]
                 bounds = _symmetry(h).bounds
         else:

@@ -109,6 +109,45 @@ class TestCommands:
         out = capsys.readouterr().out.strip()
         assert decode_graph6(out).edge_count() == 0
 
+    def test_ops_script_from_file(self, capsys, tmp_path):
+        script = '[{"op":"sc","s":[0,1,2]},{"op":"del","v":3}]'
+        assert main(["ops", "--in", "C5", "--script", script]) == 0
+        inline = capsys.readouterr().out
+        path = tmp_path / "script.json"
+        path.write_text(script + "\n")
+        assert main(["ops", "--in", "C5", "--script", "@" + str(path)]) == 0
+        assert capsys.readouterr().out == inline
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--family", "thm51"], "gen: --family requires --n"),
+            (["gen"], "gen: provide --spec or --family/--n"),
+        ],
+        ids=["family-without-n", "bare"],
+    )
+    def test_gen_without_graph_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message and captured.out == ""
+
+    def test_audit(self, capsys):
+        assert main(["audit"]) == 0
+        *rows, last = capsys.readouterr().out.strip().splitlines()
+        assert last == "ok"
+        assert len(rows) == len(OPEN_WQO_PAIRS) + len(OPEN_CW_PAIRS) + len(OPEN_BOTH_PAIRS)
+        assert all(row.endswith(("): Open", "): wqo=Open cw=Open")) for row in rows)
+
+    def test_audit_json(self, capsys):
+        assert main(["audit", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["command"] == "audit" and blob["ok"] is True
+        assert [tuple(row[:2]) for row in blob["wqo_open"]] == list(OPEN_WQO_PAIRS)
+        assert [tuple(row[:2]) for row in blob["cw_open"]] == list(OPEN_CW_PAIRS)
+        assert [tuple(row[:2]) for row in blob["both_open"]] == list(OPEN_BOTH_PAIRS)
+        assert all(row[2:] == ["Open"] for row in blob["wqo_open"] + blob["cw_open"])
+        assert all(row[2:] == ["Open", "Open"] for row in blob["both_open"])
+
     def test_decompose_json(self, capsys):
         assert main(["decompose", "--in", "K5+3P1", "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
@@ -435,6 +474,13 @@ class TestNoTraceback:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_missing_script_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        assert main(["ops", "--in", "P3", "--script", "@" + str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def _run(argv) -> tuple[int, str, str]:

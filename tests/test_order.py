@@ -25,6 +25,7 @@ from wqograph.order import (
     _CLASSES,
     _Chain,
     _degree_refinement,
+    _host_orbits,
     _symmetry,
     _twins,
     _plan,
@@ -449,10 +450,18 @@ def cfi_k4(twisted: bool):
     return Graph.from_edges(len(ids), edges)
 
 
-def cold(g):
-    """``_symmetry(g)`` with its memo and the class table emptied first."""
+def clear_tables():
+    """Empty the memos of ``_symmetry`` and ``_host_orbits`` and the class
+    table."""
     _symmetry.cache_clear()
+    _host_orbits.cache_clear()
     _CLASSES.clear()
+
+
+def cold(g):
+    """``_symmetry(g)`` with its memo, the host orbits' and the class table
+    emptied first."""
+    clear_tables()
     return _symmetry(g)
 
 
@@ -473,34 +482,52 @@ def detections():
         _Chain.detect = detect
 
 
+CLASS_GRAPHS = st.one_of(
+    symmetric_hosts(),
+    st.sampled_from([paley(13), gen_thm51(6), gen_thm52(12), cycle_graph(40)]),
+)
+
+
 class TestClasses:
-    """One full detection per isomorphism class: a copy of a class whose
-    detection finished reads the same constraints and orbits as its own
-    detection would, a graph of another class with the same key runs its
+    """One full detection per isomorphism class on the host side: a copy of
+    a class whose detection finished reads the orbits of its own detection
+    without running it, a graph of another class with the same key runs its
     own, a detection that ran out stands for no class, and a known class
-    never adds a search node."""
+    never adds a search node.  A pattern's constraints come from its own
+    detection, whatever the class table holds."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(
-            symmetric_hosts(),
-            st.sampled_from([paley(13), gen_thm51(6), gen_thm52(12), cycle_graph(40)]),
-        ),
-        st.data(),
-    )
+    @given(CLASS_GRAPHS, st.data())
     def test_copies_read_their_own_detection(self, g, data):
         first = relabel(g, data.draw(st.permutations(range(g.n)), label="first"))
         copy = relabel(g, data.draw(st.permutations(range(g.n)), label="copy"))
         own = cold(copy)
+        assert own.nodes <= g.n**2
         cold(first)
         stored = _degree_refinement(first.rows)[1] in _CLASSES
+        twins = _twins(copy)
         with detections() as ran:
-            found = _symmetry(copy)
-        # a graph on fewer than two vertices needs no detection
-        assert ran == [0 if stored or g.n < 2 else 1]
-        assert (found.bounds, found.orbits) == (own.bounds, own.orbits)
-        # a match, then the copy's own detection for its constraints
-        assert 0 <= found.nodes <= 2 * g.n**2
+            orbits = _host_orbits(copy)
+        # twins need no detection, a match none either, and a copy equal to
+        # the first graph reads that graph's memoised detection
+        assert ran == [0 if stored or twins or copy == first else 1]
+        assert orbits == (twins or own.orbits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CLASS_GRAPHS, st.data())
+    def test_own_detection_whatever_the_table_holds(self, g, data):
+        h = relabel(g, data.draw(st.permutations(range(g.n)), label="h"))
+        empty = cold(h)
+        clear_tables()
+        for _ in range(2):
+            other = relabel(g, data.draw(st.permutations(range(g.n)), label="other"))
+            _symmetry(other)
+            _host_orbits(other)
+        _symmetry.cache_clear()
+        with detections() as ran:
+            warm = _symmetry(h)
+        assert ran == [1]
+        assert (warm.bounds, warm.orbits, warm.nodes) == (empty.bounds, empty.orbits, empty.nodes)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -518,34 +545,41 @@ class TestClasses:
     def test_same_key_other_class(self, a, b):
         rng = random.Random(a.n)
         a, b = (relabel(g, rng.sample(range(g.n), g.n)) for g in (a, b))
-        assert _degree_refinement(a.rows)[1] == _degree_refinement(b.rows)[1]
-        own = cold(b)
-        cold(a)
-        assert _CLASSES
-        with detections() as ran:
-            found = _symmetry(b)
-        assert ran == [1]
-        assert (found.bounds, found.orbits) == (own.bounds, own.orbits)
+        key = _degree_refinement(a.rows)[1]
+        assert _degree_refinement(b.rows)[1] == key
+        for first, other in ((a, b), (b, a)):
+            own = cold(other)
+            cold(first)
+            assert _CLASSES[key].rows == first.rows
+            # 2K3 has twins, so no detection runs for its host orbits
+            twins = _twins(other)
+            with detections() as ran:
+                orbits = _host_orbits(other)
+            assert ran == [0 if twins else 1]
+            assert orbits == (twins or own.orbits)
 
     def test_unfinished_detection_stands_for_no_class(self):
         # Four disjoint Shrikhande graphs: the detection of one labelling
         # runs out at 64**2 nodes, that of another finishes.
         g = disjoint_union([shrikhande()] * 4)
         runs_out, finishes = (relabel(g, random.Random(s).sample(range(64), 64)) for s in (4, 0))
+        assert _twins(runs_out) is None
         partial = cold(runs_out)
         assert partial.nodes == 64**2
         assert not _CLASSES
         with detections() as ran:
             whole = _symmetry(finishes)
         assert ran == [1] and whole.nodes < 64**2
-        # A copy whose own detection runs out reads the whole group once
-        # its class is known: orbits that contain its own.
-        _symmetry.cache_clear()
+        assert _CLASSES
+        # As a host, a copy whose own detection runs out reads the whole
+        # group's orbits once its class is known: orbits that contain its
+        # own.  As a pattern it keeps its own detection.
         with detections() as ran:
-            found = _symmetry(runs_out)
+            found = _host_orbits(runs_out)
         assert ran == [0]
-        assert all(o & ~f == 0 for o, f in zip(partial.orbits, found.orbits))
-        assert found.orbits != partial.orbits
+        assert all(o & ~f == 0 for o, f in zip(partial.orbits, found))
+        assert found != partial.orbits
+        assert _symmetry(runs_out) is partial
 
     def test_known_class_never_adds_nodes(self):
         # K4 is not in the Shrikhande graph.  Searched for in a copy whose
@@ -558,7 +592,6 @@ class TestClasses:
         used = []
         for warm in (False, True):
             cold(finishes if warm else runs_out)
-            _symmetry.cache_clear()
             budget = SearchBudget(10**9)
             assert induced_embed(h, runs_out, budget) is None
             used.append(budget.used)
@@ -573,8 +606,7 @@ class TestClasses:
         h = build(pattern)
         rng = random.Random(nodes)
         for warm in (False, True):
-            _symmetry.cache_clear()
-            _CLASSES.clear()
+            clear_tables()
             if warm:
                 for g in (h, host) * 3:
                     _symmetry(relabel(g, rng.sample(range(g.n), g.n)))

@@ -31,7 +31,6 @@ from wqograph.structure import (
     decompose_c4,
     decompose_c5,
     decompose_k5,
-    _normal_cycle,
     find_clique,
     find_induced_cycle,
     route,
@@ -39,6 +38,7 @@ from wqograph.structure import (
 from wqograph.uniform import verify_witness
 from oracles import (
     oracle_c5_case_of,
+    oracle_embed,
     oracle_first_inside,
     oracle_first_pair,
     oracle_first_two,
@@ -165,7 +165,7 @@ class TestAnchorMemo:
         for branch, g in graphs:
             # the anchor from a direct search, passed explicitly
             emb = induced_embed(pattern(branch), g)
-            anchor = tuple(sorted(emb)) if branch == "K5" else _normal_cycle(emb)
+            anchor = tuple(sorted(emb)) if branch == "K5" else emb
             expected.append(DECOMPOSERS[branch](g, anchor).to_json())
         for (i, (a_branch, a)), (j, (b_branch, b)) in permutations(enumerate(graphs), 2):
             assert route(a) == a_branch
@@ -195,6 +195,18 @@ class TestCallerAnchor:
     def test_refused(self, decompose, spec, anchor):
         with pytest.raises(ValueError, match=re.escape(f"anchor {anchor} is not")):
             decompose(build(spec), anchor)
+
+
+@st.composite
+def planted_cycles(draw):
+    """A C_k on 4..7 vertices plus up to 8 - k vertices joined to any of the
+    others, randomly relabelled, and k."""
+    k = draw(st.integers(4, 7))
+    n = draw(st.integers(k, 8))
+    edges = [(v, (v + 1) % k) for v in range(k)]
+    edges += [(u, v) for v in range(k, n) for u in range(v) if draw(st.booleans())]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]), k
 
 
 class TestRoute:
@@ -230,6 +242,18 @@ class TestRoute:
         cyc = find_induced_cycle(build("C5"), 5)
         assert cyc == (0, 1, 2, 3, 4)
         assert find_clique(build("K5+P1"), 5) == (0, 1, 2, 3, 4)
+
+    @given(st.one_of(st.tuples(small_graphs(8), st.integers(4, 7)), planted_cycles()))
+    @settings(max_examples=200, deadline=None)
+    def test_cycle_anchor_is_least(self, case):
+        """The anchor is the search's first embedding, which is the least in
+        position order, as brute force finds it: it starts at its smallest
+        vertex and runs towards the smaller of its two neighbours."""
+        g, k = case
+        cyc = find_induced_cycle(g, k)
+        assert cyc == oracle_embed(pattern(f"C{k}"), g)
+        if cyc is not None:
+            assert cyc[0] == min(cyc) and cyc[1] < cyc[-1]
 
 
 class TestDecomposeK5:
