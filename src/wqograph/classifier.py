@@ -9,10 +9,11 @@ Two pairs are equivalent when one arises from the other by complementing
 both members or by swapping a triangle member for the paw (co(P1+P3)) and
 vice versa; verdicts are invariant across an equivalence class.
 
-:func:`equivalent_pairs` memoises the last pair's class by the pair's value
-(its labelled graphs), so both tables share one class.  Each rule keeps, per
-side and canonical key, the side's first atom that holds (or none), found
-lazily in table order.
+Each table decides a class once, and a later pair of the class walks the
+deciding rule alone over its own members for its ``via``; its labelled
+members are built only if that rule misses the pair itself.  Each rule
+keeps, per side and canonical key, the side's first atom that holds (or
+none), found lazily in table order.
 """
 
 from __future__ import annotations
@@ -129,24 +130,47 @@ _KEYED = [(g, canonical_key(g)) for g in (pattern("K3"), pattern("co(P1+P3)"))]
 _SWAP = {k: other for (_, k), other in zip(_KEYED, reversed(_KEYED))}
 
 
+# Canonical key -> the complement's key, stored both ways.  Keys stop at
+# MAX_KEY_N vertices, so the table is finite.
+_CO_KEYS: dict[tuple, tuple] = {}
+
+
+def _co_key(g: Graph, key: tuple) -> tuple[tuple, Graph | None]:
+    """The key of g's complement (``key`` is g's), and the complement if it
+    was built to find that key."""
+    co_key = _CO_KEYS.get(key)
+    if co_key is not None:
+        return co_key, None
+    co = complement(g)
+    co_key = _CO_KEYS[key] = canonical_key(co)
+    _CO_KEYS[co_key] = key
+    return co_key, co
+
+
 @lru_cache(maxsize=1)
 def equivalent_pairs(pair: ClassPair) -> tuple[ClassPair, ...]:
-    """Closure under complement-both and the triangle <-> paw swap."""
-    seen: dict[tuple, ClassPair] = {}
-    frontier = [pair]
-    while frontier:
-        p = frontier.pop(0)
-        k = p.key()
-        if k in seen:
-            continue
-        seen[k] = p
-        ca, cb = complement(p.h1), complement(p.h2)
-        nxt = [ClassPair._keyed(ca, canonical_key(ca), cb, canonical_key(cb))]
+    """Closure under complement-both and the triangle <-> paw swap, in
+    breadth-first order from ``pair``, each member as first reached.  Keys
+    say whether a member is new before its graphs are built, so a new
+    member's labelled complements are built once and no others are.  The
+    last pair's class is memoised by value, so both tables share it."""
+    members = [pair]
+    seen = {pair.key()}
+    for p in members:  # grows as members are found
+        (ka, ca), (kb, cb) = _co_key(p.h1, p.k1), _co_key(p.h2, p.k2)
+        key = (ka, kb) if ka <= kb else (kb, ka)
+        if key not in seen:
+            seen.add(key)
+            members.append(
+                ClassPair._keyed(ca or complement(p.h1), ka, cb or complement(p.h2), kb)
+            )
         for ka, b, kb in ((p.k1, p.h2, p.k2), (p.k2, p.h1, p.k1)):
             if ka in _SWAP:
-                nxt.append(ClassPair._keyed(*_SWAP[ka], b, kb))
-        frontier.extend(nxt)
-    return tuple(seen.values())
+                q = ClassPair._keyed(*_SWAP[ka], b, kb)
+                if q.key() not in seen:
+                    seen.add(q.key())
+                    members.append(q)
+    return tuple(members)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +337,16 @@ class Verdict:
     family: str | None = None
 
 
+def _oriented(members: Sequence[ClassPair]) -> list[tuple]:
+    """Each member as (a, ka, b, kb), in both orientations."""
+    out: list[tuple] = []
+    for p in members:
+        out += (p.h1, p.k1, p.h2, p.k2), (p.h2, p.k2, p.h1, p.k1)
+    return out
+
+
 def _fire(rule: Rule, oriented: Sequence[tuple]) -> Verdict | None:
-    """The rule's verdict at its first match over ``oriented``, the class's
-    members as (a, ka, b, kb), each member in both orientations."""
+    """The rule's verdict at its first match over ``oriented``."""
     for a, ka, b, kb in oriented:
         hit = rule.match(a, ka, b, kb)
         if hit is not None:
@@ -325,34 +356,62 @@ def _fire(rule: Rule, oriented: Sequence[tuple]) -> Verdict | None:
     return None
 
 
-def _classify(members: Sequence[ClassPair], rules: Sequence[Rule]) -> Verdict:
-    """The first positive verdict in table order over the equivalence class
-    ``members``, else the first negative.  Once one rule of a polarity fired,
-    the later rules of that polarity cannot change the outcome and are not
-    evaluated."""
-    oriented: list[tuple] = []
-    for p in members:
-        oriented += (p.h1, p.k1, p.h2, p.k2), (p.h2, p.k2, p.h1, p.k1)
-    fired: dict[bool, Verdict] = {}
+def _decide(oriented: Sequence[tuple], rules: Sequence[Rule]) -> Rule | str | None:
+    """The first rule in table order of the positive polarity that fires
+    anywhere in ``oriented``, else the first negative, else None (Open); the
+    inconsistency message if both polarities fire.  Once a rule of a polarity
+    fired, the later rules of that polarity are not evaluated."""
+    fired: dict[bool, Rule] = {}
     for rule in rules:
         positive = rule.verdict in ("WqoLabelled", "Bounded")
-        if positive not in fired:
-            verdict = _fire(rule, oriented)
-            if verdict is not None:
-                fired[positive] = verdict
+        if positive not in fired and _fire(rule, oriented):
+            fired[positive] = rule
     if len(fired) == 2:
-        raise RuleInconsistencyError(
-            f"pair fired {fired[True].rule} and {fired[False].rule}"
-        )
-    return fired.get(True) or fired.get(False) or Verdict("Open")
+        return f"pair fired {fired[True].id} and {fired[False].id}"
+    return fired.get(True) or fired.get(False)
+
+
+# Member key -> a (rules, _decide's decision) entry per table that decided
+# the member's class.  Both moves are involutions, so every member closes to
+# the same keys, on which alone a decision depends.  An entry holds its rules
+# tuple and is read only for that object, so a tuple patched in later never
+# reads it.  The oldest key is dropped past _MAX_DECISIONS.
+_DECISIONS: dict[tuple, tuple] = {}
+_MAX_DECISIONS = 4096
+
+
+def _classify(pair: ClassPair, rules: Sequence[Rule]) -> Verdict:
+    """The first positive verdict in table order over the equivalence class
+    of ``pair``, else the first negative.  The class is decided at the first
+    visit of any member; every visit walks the deciding rule alone over its
+    own members in :func:`equivalent_pairs` order for its ``via`` and
+    family, closing the class only if the rule misses the pair itself."""
+    for table, decision in _DECISIONS.get(pair.key(), ()):
+        if table is rules:
+            break
+    else:
+        members = equivalent_pairs(pair)
+        decision = _decide(_oriented(members), rules)
+        entry = ((rules, decision),)
+        for p in members:
+            if len(_DECISIONS) >= _MAX_DECISIONS:
+                del _DECISIONS[next(iter(_DECISIONS))]
+            _DECISIONS[p.key()] = _DECISIONS.get(p.key(), ()) + entry
+    if isinstance(decision, str):
+        raise RuleInconsistencyError(decision)
+    if decision is None:
+        return Verdict("Open")
+    return _fire(decision, _oriented((pair,))) or _fire(
+        decision, _oriented(equivalent_pairs(pair)[1:])
+    )
 
 
 def classify_wqo(pair: ClassPair) -> Verdict:
-    return _classify(equivalent_pairs(pair), WQO_RULES)
+    return _classify(pair, WQO_RULES)
 
 
 def classify_cw(pair: ClassPair) -> Verdict:
-    return _classify(equivalent_pairs(pair), CW_RULES)
+    return _classify(pair, CW_RULES)
 
 
 @dataclass(frozen=True)
@@ -512,20 +571,18 @@ def pair_corpus(max_n: int = 5) -> list[ClassPair]:
 
 
 def check_rule_consistency(max_n: int = 5) -> list[tuple[str, str]]:
-    """Classify the whole corpus, each equivalence class once at its first
-    pair; every pair of an inconsistent class is collected with the class's
-    error (an empty result is the expected outcome)."""
+    """Decide the whole corpus in both tables, each equivalence class once at
+    its first pair; every pair of an inconsistent class is collected with
+    the class's error (an empty result is the expected outcome).  The
+    classes are kept apart from ``_DECISIONS``, which holds fewer."""
     errors: dict[tuple, str | None] = {}
     bad = []
     for pair in pair_corpus(max_n):
         if pair.key() not in errors:
             members = equivalent_pairs(pair)
-            try:
-                _classify(members, WQO_RULES)
-                _classify(members, CW_RULES)
-                error = None
-            except RuleInconsistencyError as exc:
-                error = str(exc)
+            oriented = _oriented(members)
+            decisions = (_decide(oriented, rules) for rules in (WQO_RULES, CW_RULES))
+            error = next((d for d in decisions if isinstance(d, str)), None)
             errors.update((p.key(), error) for p in members)
         if errors[pair.key()] is not None:
             name = encode_graph6(pair.h1) + "," + encode_graph6(pair.h2)

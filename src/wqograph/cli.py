@@ -87,10 +87,28 @@ def _parse_ns(text: str) -> list[int]:
 
 
 def _patterns(text: str) -> list[str]:
-    patterns = [p.strip() for p in text.split(",") if p.strip()]
+    """The expressions of a ``--forbidden`` list, split at its commas.  A
+    piece that starts with a digit and is no expression on its own continues
+    the expression before it, as the integers after the commas of ``K2,2``
+    and ``S1,1,2`` do: ``K1,3,P5`` names the claw and P5, and ``K2,3P1``
+    names K2 and 3P1."""
+    patterns: list[str] = []
+    for piece in (p.strip() for p in text.split(",")):
+        if patterns and "0" <= piece[:1] <= "9" and not _is_expression(piece):
+            patterns[-1] += "," + piece
+        elif piece:
+            patterns.append(piece)
     if not patterns:
         raise ValueError(f"--forbidden {text!r} names no pattern")
     return patterns
+
+
+def _is_expression(text: str) -> bool:
+    try:
+        build(text)
+    except GraphSpecError:
+        return False
+    return True
 
 
 def _criterion_ids(text: str) -> list[str]:

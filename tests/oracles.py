@@ -39,8 +39,9 @@ table.  ``ORACLE_CO_ATOMS`` are the second members of the clique-width
 rules as the classifier stated them before they became complement
 patterns, and ``oracle_co_atom`` evaluates one as it did then, through the
 package's ``induced_embed`` (what is checked is the rewrite, not the
-search).  ``oracle_rule_consistency`` classifies the corpus pair by pair,
-as the classifier did before it classified each equivalence class once.
+search).  ``oracle_rule_consistency`` classifies the corpus pair by pair
+through ``oracle_classify``, as the classifier did before it classified
+each equivalence class once.
 ``oracle_key_bits`` is the canonical key as a tuple of bits, as the package
 returned it before it returned the number those bits spell, which
 ``oracle_canonical_key`` reads off.  ``oracle_nonisomorphic_graphs`` builds
@@ -48,15 +49,20 @@ the corpus by keying every labelled graph, as the classifier did before it
 marked each class's relabellings.  ``oracle_template_from_json`` reads a
 template back from its JSON, as ``UniformTemplate.from_json`` did.
 ``oracle_classify`` is one table's verdict as the classifier found it
-before it memoised the last pair's class and resolved rule sides once per
-key: ``oracle_equivalent_pairs`` rebuilds the class on every call, and
+before it memoised the last pair's class, resolved rule sides once per key
+and decided each class once: ``oracle_equivalent_pairs`` rebuilds the class
+on every call, complementing every member it takes from its frontier, and
 every rule tries its atoms pair by pair on every member and orientation,
-each atom evaluated directly on the labelled graph.
+each atom evaluated directly on the labelled graph.  It stands in for the
+whole of ``classify_wqo`` and ``classify_cw``: the closure on keys, the
+table of class decisions, and the walk of the deciding rule that finds a
+later pair's own ``via``.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from wqograph import classifier
 from wqograph.acceptance import brute_force_embed as oracle_embed
 from wqograph.classifier import (
     ClassPair,
@@ -64,8 +70,6 @@ from wqograph.classifier import (
     Verdict,
     _matches,
     canonical_key,
-    classify_cw,
-    classify_wqo,
     pair_corpus,
 )
 from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
@@ -633,8 +637,8 @@ def oracle_rule_consistency(max_n: int) -> list[tuple[str, str]]:
     bad = []
     for pair in pair_corpus(max_n):
         try:
-            classify_wqo(pair)
-            classify_cw(pair)
+            oracle_classify(pair, classifier.WQO_RULES)
+            oracle_classify(pair, classifier.CW_RULES)
         except RuleInconsistencyError as exc:
             name = encode_graph6(pair.h1) + "," + encode_graph6(pair.h2)
             bad.append((name, str(exc)))

@@ -35,6 +35,7 @@ from oracles import (
     oracle_canonical_key,
     oracle_classify,
     oracle_co_atom,
+    oracle_equivalent_pairs,
     oracle_key_bits,
     oracle_nonisomorphic_graphs,
     oracle_rule_consistency,
@@ -273,6 +274,118 @@ class TestFastPath:
         assert outcomes[1] == "pair fired pos and neg"
 
 
+BULL = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
+# The triangle, the paw, their complements (3P1 and the co-paw P1+P3), and
+# self-complementary graphs: the members that give a class more than two
+# pairs, or fewer.
+SPECIAL = [build(e) for e in ("K3", "co(P1+P3)", "3P1", "P1+P3", "P4", "C5")] + [BULL]
+TRIANGLE, PAW = build("K3"), build("co(P1+P3)")
+
+
+def _relabel(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def class_graphs(draw, max_n=7):
+    """A random graph on at most max_n vertices, or a relabelled one of
+    ``SPECIAL``."""
+    if draw(st.booleans()):
+        return draw(relabelled_graphs(max_n))[1]
+    g = draw(st.sampled_from(SPECIAL))
+    return _relabel(g, draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def class_visits(draw):
+    """A pair, its complement-both partner, its triangle <-> paw partners and
+    a relabelled copy of each, in a drawn order, each with a drawn table
+    order."""
+    pairs = [(draw(class_graphs()), draw(class_graphs()))]
+    pairs.append((complement(pairs[0][0]), complement(pairs[0][1])))
+    for x, y in list(pairs):
+        for g, other in ((x, y), (y, x)):
+            if canonical_key(g) == canonical_key(TRIANGLE):
+                pairs.append((PAW, other))
+            elif canonical_key(g) == canonical_key(PAW):
+                pairs.append((TRIANGLE, other))
+    pairs += [
+        tuple(_relabel(g, draw(st.permutations(range(g.n)))) for g in pair)
+        for pair in pairs
+    ]
+    return [
+        (ClassPair.of(x, y), draw(st.permutations(tuple(TABLES))))
+        for x, y in draw(st.permutations(pairs))
+    ]
+
+
+class TestClosure:
+    @given(class_graphs(), class_graphs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle(self, a, b, cold):
+        """Member for member: labelled graphs, keys and order, whether the
+        table of complement keys is empty or warm."""
+        if cold:
+            classifier._CO_KEYS.clear()
+        equivalent_pairs.cache_clear()
+        pair = ClassPair.of(a, b)
+
+        def members(pairs):
+            return [(p.h1, p.h2, p.k1, p.k2) for p in pairs]
+
+        assert members(equivalent_pairs(pair)) == members(oracle_equivalent_pairs(pair))
+
+
+class TestDecisionReuse:
+    """A class is decided once per table; every later visit of a member or a
+    relabelled copy reads the decision and finds its own ``via``."""
+
+    @given(class_visits(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_members_and_copies(self, visits, cold):
+        if cold:
+            classifier._DECISIONS.clear()
+        for pair, order in visits:
+            _assert_tables(pair, order)
+
+    def test_injected_inconsistency_on_every_member(self, monkeypatch):
+        """Every member of an inconsistent class raises, and so does a
+        relabelled copy, on the first and on later visits."""
+        monkeypatch.setattr(
+            classifier,
+            "WQO_RULES",
+            WQO_RULES + (Rule("inj", "NotWqo", _sups("P3"), _sups("P3")),),
+        )
+        members = equivalent_pairs(ClassPair.of("K3", "P4"))
+        assert len(members) == 4
+        visits = list(members) + [
+            ClassPair.of(_relabel(p.h1, range(p.h1.n)[::-1]), p.h2) for p in members
+        ]
+        for _ in range(2):
+            for pair in visits:
+                with pytest.raises(RuleInconsistencyError, match="and inj$"):
+                    classify_wqo(pair)
+                _assert_tables(pair, ("wqo", "cw"))
+
+    def test_later_tables_never_read_dropped_ones(self, monkeypatch):
+        """Tables patched in one after another, each built right after the
+        one before it was dropped, so that it may reuse that one's memory and
+        id, while every other decision differs: each reads only its own."""
+        monkeypatch.setattr(classifier, "WQO_RULES", classifier.WQO_RULES)
+        pair = ClassPair.of("P3", "P4")
+        idle = Rule("idle", "WqoLabelled", _sups("K7"), (("any",),))
+        neg = Rule("neg", "NotWqo", (("any",),), (("any",),))
+        outcomes = []
+        for i in range(8):
+            first = _sups("K3") if i % 2 else _sups("P3")
+            pos = Rule("pos", "WqoLabelled", first, (("any",),))
+            classifier.WQO_RULES = None
+            classifier.WQO_RULES = (idle, pos, neg)
+            _assert_tables(pair, ("wqo",))
+            outcomes.append(_outcome(classify_wqo, pair))
+        assert outcomes[0] == "pair fired pos and neg" and outcomes[1].status == "NotWqo"
+
+
 class TestAudit:
     def test_lists_have_documented_sizes(self):
         assert len(OPEN_WQO_PAIRS) == 9
@@ -303,7 +416,7 @@ class TestCorpus:
             Rule("neg", "NotWqo", (("any",),), (("any",),)),
         )
         with pytest.raises(RuleInconsistencyError, match="pos and neg"):
-            _classify(equivalent_pairs(ClassPair.of("P3", "P4")), both)
+            _classify(ClassPair.of("P3", "P4"), both)
 
     def test_injected_inconsistency_equals_per_pair_oracle(self, monkeypatch):
         """With a negative rule that contradicts positive ones in each table,

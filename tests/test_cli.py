@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import wqograph
 from wqograph import antichains
 from wqograph.classifier import OPEN_BOTH_PAIRS, OPEN_CW_PAIRS, OPEN_WQO_PAIRS
-from wqograph.cli import BUDGET_ENV, main, parse_graph_arg
+from wqograph.cli import BUDGET_ENV, _patterns, main, parse_graph_arg
 from wqograph.graphs import build, decode_graph6, encode_graph6, to_json_dict
 from wqograph.uniform import UniformWitness, verify_witness
 from oracles import oracle_template_from_json
@@ -67,6 +67,49 @@ class TestCommands:
         assert main(["free", "--g", "P6", "--forbidden", "P4,K3", "--json"]) == 1
         blob = json.loads(capsys.readouterr().out)
         assert blob["pattern"] == "P4" and len(blob["witness"]) == 4
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_free_biclique_pattern(self, capsys, flags):
+        """The comma inside K2,2 does not split the list."""
+        assert main(["free", "--g", "C4", "--forbidden", "K2,2", *flags]) == 1
+        out = capsys.readouterr().out
+        if flags:
+            assert json.loads(out)["pattern"] == "K2,2"
+        else:
+            assert out == "contains K2,2 at [0, 1, 2, 3]\n"
+
+    @pytest.mark.parametrize(
+        "forbidden, patterns",
+        [
+            ("K1,3,P5", ["K1,3", "P5"]),
+            ("S1,1,2,P4", ["S1,1,2", "P4"]),
+            ("K2,3P1", ["K2", "3P1"]),
+            ("K3,P4", ["K3", "P4"]),
+            ("co(K1,3+P2), K2, 2", ["co(K1,3+P2)", "K2,2"]),
+        ],
+    )
+    def test_free_list_split(self, capsys, forbidden, patterns):
+        """Each pattern of the list is found in a host that holds it alone:
+        the list splits into exactly ``patterns``."""
+        assert _patterns(forbidden) == patterns
+        for index, expr in enumerate(patterns):
+            code = main(["free", "--g", expr, "--forbidden", forbidden, "--json"])
+            assert code == 1
+            assert json.loads(capsys.readouterr().out)["pattern"] in patterns[: index + 1]
+
+    def test_free_malformed_subdivided_claw_exit_2(self, capsys):
+        assert main(["free", "--g", "P4", "--forbidden", "S1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "S1,1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_antichain_verify_claw(self, capsys):
+        args = ["antichain", "verify", "--family", "thm52", "--n", "3", "--forbidden", "K1,3"]
+        assert main(args + ["--json"]) == 1
+        (cell,) = json.loads(capsys.readouterr().out)["freeness"]
+        assert cell["pattern"] == "K1,3" and not cell["free"]
+        assert main(args) == 1
+        assert "n=3 K1,3: VIOLATED" in capsys.readouterr().out
 
     def test_antichain_verify(self, capsys):
         code = main(
