@@ -20,6 +20,9 @@ Families:
 - ``route``: the branch, or the ``RouteError`` message and witness, over a
   fixed battery of random graphs with at most 14 vertices;
 - ``embed``: ``induced_embed`` of five patterns into the same battery;
+- ``nodes``: the nodes (``SearchBudget.used``) of each ``induced_embed`` call
+  of the ``embed`` and ``antichain`` families, so that two checkouts can be
+  compared on search effort as well as on first embeddings;
 - ``anchors``: ``find_induced_cycle`` with lengths 4 and 5, the C4 and C5
   anchors of the decomposers, over the same battery;
 - ``free``: ``is_free`` (verdict, pattern index and witness) of those five
@@ -72,7 +75,7 @@ import sys
 from wqograph import antichains, classifier, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
 from wqograph.ops import apply_script
-from wqograph.order import induced_embed, is_free
+from wqograph.order import SearchBudget, induced_embed, is_free
 
 MEMBERS = (
     ("K5", instances.k5_instance, instances.k5_branch_valid, 150),
@@ -183,7 +186,15 @@ def battery() -> list[Graph]:
     return graphs
 
 
-def random_graphs() -> tuple[str, str, str]:
+def counted_embed(h: Graph, g: Graph, nodes: Digest):
+    """``induced_embed(h, g)``, with the nodes it spent added to ``nodes``."""
+    budget = SearchBudget(1 << 62)
+    emb = induced_embed(h, g, budget)
+    nodes.add(budget.used)
+    return emb
+
+
+def random_graphs(nodes: Digest) -> tuple[str, str, str]:
     routes, embeds, deletes = Digest(), Digest(), Digest()
     patterns = [build(p) for p in PATTERNS]
     rng = random.Random(BATTERY_SEED + 1)
@@ -193,7 +204,7 @@ def random_graphs() -> tuple[str, str, str]:
         except structure.RouteError as exc:
             routes.add(["error", str(exc), list(exc.witness or ())])
         for h in patterns:
-            emb = induced_embed(h, g)
+            emb = counted_embed(h, g, nodes)
             embeds.add(None if emb is None else list(emb))
         drop = [v for v in range(g.n + 3) if rng.random() < 0.3]
         deletes.add([drop, list(delete_vertices(g, drop).rows)])
@@ -282,7 +293,7 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def antichain() -> str:
+def antichain(nodes: Digest) -> str:
     digest = Digest()
     rng = random.Random(ANTICHAIN_SEED)
     for family, ns in FAMILY_REPORTS:
@@ -292,7 +303,7 @@ def antichain() -> str:
         for i, small in enumerate(members):
             for large in members[i + 1 :]:
                 for h, g in ((small, large), (large, small)):
-                    emb = induced_embed(h, g)
+                    emb = counted_embed(h, g, nodes)
                     emb = None if emb is None else list(emb)
                     digest.add([family, list(h.rows), list(g.rows), emb])
     patterns = [build(p) for p in SMALL_PATTERNS]
@@ -301,7 +312,7 @@ def antichain() -> str:
             member = antichains.family_member(family, n)
             for g in (member, relabelled(member, rng)):
                 for expr, h in zip(SMALL_PATTERNS, patterns):
-                    emb = induced_embed(h, g)
+                    emb = counted_embed(h, g, nodes)
                     digest.add([family, n, expr, list(g.rows), None if emb is None else list(emb)])
     for n in range(3, 17):
         member = antichains.gen_thm52(n)
@@ -366,14 +377,16 @@ def instance_rows() -> str:
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
-    digests["route"], digests["embed"], digests["delete"] = random_graphs()
+    nodes = Digest()
+    digests["route"], digests["embed"], digests["delete"] = random_graphs(nodes)
     digests["anchors"] = anchors()
     digests["free"] = freeness()
     orders = Digest()
     digests["uniform"] = uniform_searches(uniform_battery(), orders)
     digests["uniform-hard"] = uniform_searches(uniform_hard_battery(), orders)
     digests["uniform-order"] = orders.hex()
-    digests["antichain"] = antichain()
+    digests["antichain"] = antichain(nodes)
+    digests["nodes"] = nodes.hex()
     digests["classify"] = classify()
     digests["tables"] = tables()
     digests["corpus"] = corpus()

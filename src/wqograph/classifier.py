@@ -559,15 +559,12 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def pair_corpus(max_n: int = 5) -> list[ClassPair]:
-    """Every unordered pair of graphs with at most max_n vertices each."""
-    graphs: list[Graph] = []
-    for n in range(1, max_n + 1):
-        graphs.extend(nonisomorphic_graphs(n))
-    out = []
-    for i, a in enumerate(graphs):
-        for b in graphs[i:]:
-            out.append(ClassPair.of(a, b))
-    return out
+    """Every unordered pair of graphs with at most max_n vertices each, each
+    graph keyed once."""
+    keyed = [(g, canonical_key(g)) for n in range(1, max_n + 1) for g in nonisomorphic_graphs(n)]
+    return [
+        ClassPair._keyed(a, ka, b, kb) for i, (a, ka) in enumerate(keyed) for b, kb in keyed[i:]
+    ]
 
 
 def check_rule_consistency(max_n: int = 5) -> list[tuple[str, str]]:

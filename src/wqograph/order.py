@@ -56,25 +56,38 @@ more nodes.  Labels can break the symmetry, so only plain
 :func:`induced_embed` applies them, never :func:`labelled_embed`.
 
 The constraints are applied only once a root candidate has failed, another
-is left, and the search has spent at least n(h)**2 nodes, the most that
-their detection may take; from then on they apply to every node.  Pruning
-that starts partway is still sound, since every assignment it drops is not
-the least.  Calls that succeed at once, and searches too small to repay the
-detection, never pay for it.  The detection keeps only automorphisms it has
-checked.  A pattern's constraints cost its own detection only, at most
-n**2 + n + 1 refinements of a partition of its n vertices (see
-:func:`_symmetry`), and a test that runs out only drops constraints.  It is
-not charged to the caller's budget and never raises.
+is left, and the search is projected to spend n(h)**2 nodes, the most that
+their detection may take: with t roots failed, r left and s nodes spent,
+once s * (t + r) >= n(h)**2 * t, that is once the nodes per failed root so
+far, over all the roots, reach n(h)**2.  Having spent n(h)**2 nodes passes
+this test, so the projection starts no later than a count of n(h)**2 would.
+From then on they apply to every node.  Pruning that starts partway is
+still sound, since every assignment it drops is not the least.  Calls that
+succeed at once, and searches projected too small to repay the detection,
+never pay for it.  The detection keeps only automorphisms it has checked.
+A pattern's constraints cost its own detection only, at most n**2 + n + 1
+refinements of a partition of its n vertices (see :func:`_symmetry`), and a
+test that runs out only drops constraints.  It is not charged to the
+caller's budget and never raises.
 
-At that same point the search drops roots by the host's symmetry.  Every
-root tried so far failed without constraints, so no embedding f sends p_0
-to it, and none sends p_0 to its image under an automorphism s of the
-host, since s^-1 . f would send p_0 to it.  The roots left in the host
-orbit of a failed root are dropped, once, before the constraints start; if
-none is left, the search returns None without reading the pattern's
-constraints, which are then never worked out.  It drops only roots without
-an embedding, so the first embedding is unchanged, and the pruned tree is a
-subtree of the plain one, so nodes never rise.  A host with twins (two
+At that same point the search drops roots by the host's symmetry.  No
+embedding sends p_0 to a root that has failed.  Before the constraints
+start this is plain; after, suppose one did.  Every earlier root failed
+too, or was dropped as having no embedding, so the least embedding in
+position order sends p_0 to that root, and it keeps every constraint, so
+the search would have found it.  Nor does any embedding f send p_0 to the
+image of a failed root under an automorphism s of the host, since s^-1 . f
+would send p_0 to that root.  So the roots left in the host orbits of the
+roots failed so far are dropped when the constraints start, and from then
+on the roots left in the orbit of each root that fails; once none is left,
+the search returns None, and if none is left at the start the pattern's
+constraints are never worked out.  It drops only roots without an
+embedding, so the first embedding is unchanged, and the pruned tree is a
+subtree of the plain one, so nodes never rise.  Nor do they rise against
+starting at n(h)**2 spent nodes and dropping the orbits of the roots failed
+by then only: the constraints start at the same root or earlier, and the
+roots dropped include those, so every root searched is searched there too,
+under the same constraints or more.  A host with twins (two
 vertices with equal rows or equal closed rows, which an automorphism
 swaps) takes its twin classes as the orbits, read off in one pass over its
 rows; a host without twins takes the orbits of its class (below), not
@@ -726,19 +739,23 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         return False
 
     # The lex-leader constraints start once a root candidate has failed and
-    # the search has spent as many nodes as their detection may (n(h)**2).
-    # Every root tried until then failed without them, so no embedding sends
-    # the first position into the host orbit of any of them: those roots
-    # are dropped, and if none is left the loop ends with None.
-    detect, first = base_candidates is None, roots
+    # the search, at its nodes per failed root so far, would spend as many
+    # nodes over all its roots as their detection may (n(h)**2).  Every root
+    # tried until then failed, so no embedding sends the first position into
+    # the host orbit of any of them: those roots are dropped, and so is the
+    # orbit of each root that fails later; if none is left the loop ends
+    # with None.
+    detect, first, orbits = base_candidates is None, roots, None
+    total = first.bit_count()
     try:
         while roots:
             low = roots & -roots
             roots ^= low
             if rec(0, low, rest):
                 break
-            if detect and roots and spent >= nh * nh:
-                detect = False
+            if orbits is not None:
+                roots &= ~orbits[low.bit_length() - 1]
+            elif detect and roots and spent * total >= nh * nh * (first ^ roots).bit_count():
                 orbits = _host_orbits(g)
                 for w in bits_of(first ^ roots):
                     roots &= ~orbits[w]

@@ -368,7 +368,9 @@ def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
     return tuple(out)
 
 
-def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None, host_orbits=True):
+def oracle_embed_exact(
+    h: Graph, g: Graph, base_candidates, budget=None, host_orbits=True, projected=True
+):
     """The package's embedding search as it ran on lists of candidate masks,
     one per later position, before it packed them into one integer: the
     same order, degree filter, forward check, last-pair look-ahead,
@@ -376,7 +378,13 @@ def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None, host_or
     orbits (both taken from ``order``, started at the same node) and budget
     charging.  The package must return its assignment, spend its nodes and
     run out of budget at its node.  ``base_candidates`` None means every
-    host vertex; ``host_orbits`` False leaves the root pruning out."""
+    host vertex; ``host_orbits`` False leaves the root pruning out.
+
+    The pruning starts once a root has failed and the nodes per failed root
+    so far, times the number of roots, reach n(h)**2; from then on the host
+    orbit of every root that fails is dropped too.  ``projected`` False
+    runs the earlier rule instead: start once n(h)**2 nodes are spent, and
+    drop the orbits of the roots failed by then only."""
     nh, ng = h.n, g.n
     if nh > ng:
         return None
@@ -444,18 +452,30 @@ def oracle_embed_exact(h: Graph, g: Graph, base_candidates, budget=None, host_or
     detect = base_candidates is None
     roots = list(bits_of(cand[0]))
     failed = []
+    pruning = False
     try:
         while roots:
             w = roots.pop(0)
             if rec(0, 1 << w, cand[1:]):
                 break
             failed.append(w)
-            if detect and roots and spent >= nh * nh:
+            if pruning:
+                roots = [x for x in roots if not orbits[w] >> x & 1]
+                continue
+            if not detect or not roots:
+                continue
+            if projected:
+                start = spent * (len(failed) + len(roots)) >= nh * nh * len(failed)
+            else:
+                start = spent >= nh * nh
+            if start:
                 detect = False
                 if host_orbits:
                     orbits = _host_orbits(g)
                     roots = [x for x in roots if not any(orbits[f] >> x & 1 for f in failed)]
-                bounds = _symmetry(h).bounds
+                    pruning = projected
+                if roots:
+                    bounds = _symmetry(h).bounds
         else:
             return None
     finally:

@@ -29,7 +29,7 @@ from wqograph.classifier import (
     pair_corpus,
 )
 from wqograph import classifier
-from wqograph.graphs import Graph, build, complement, encode_graph6
+from wqograph.graphs import Graph, build, complement, encode_graph6, induced
 from oracles import (
     ORACLE_CO_ATOMS,
     oracle_canonical_key,
@@ -410,6 +410,17 @@ class TestCorpus:
             156,
         ]
 
+    def test_pairs_keyed_once_equal_pairs_of(self):
+        """The corpus keys each graph once; its pairs, their order, members
+        and keys are those of ``ClassPair.of`` on every pair of graphs."""
+        graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+        want = [ClassPair.of(a, b) for i, a in enumerate(graphs) for b in graphs[i:]]
+
+        def members(pairs):
+            return [(p.h1, p.h2, p.k1, p.k2) for p in pairs]
+
+        assert members(pair_corpus(5)) == members(want)
+
     def test_rule_inconsistency_raised(self):
         both = (
             Rule("pos", "WqoLabelled", (("any",),), (("any",),)),
@@ -478,6 +489,67 @@ class TestCorpus:
         for g, own in zip(graphs, masks):
             assert own == min(mask(g, p) for p in perms)
         assert len({canonical_key(g) for g in graphs}) == 156
+
+
+def wqo_but_unbounded(pairs) -> list[tuple[str, str]]:
+    """The pairs, by graph6 names, that read ``WqoLabelled`` in the wqo
+    table and ``Unbounded`` in the clique-width table.  The abstract
+    conjectures that wqo implies bounded clique-width for finitely many
+    forbidden graphs, so each is a transcription error in one table or a
+    counterexample to the conjecture."""
+    return [
+        (encode_graph6(p.h1), encode_graph6(p.h2))
+        for p in pairs
+        if classify_wqo(p).status == "WqoLabelled" and classify_cw(p).status == "Unbounded"
+    ]
+
+
+class TestAgainstTheAbstract:
+    """The two tables read together against the abstract: H-free graphs are
+    wqo, and of bounded clique-width, iff H is an induced subgraph of P4;
+    and no pair may read wqo with unbounded clique-width.  These test the
+    transcription of the tables; they prove nothing new."""
+
+    def test_monogenic_diagonal(self):
+        p4 = build("P4")
+        inside = {
+            canonical_key(induced(p4, vs))
+            for k in range(1, 5)
+            for vs in itertools.combinations(range(4), k)
+        }
+        verdicts = {}
+        for n in range(1, 7):
+            for h in nonisomorphic_graphs(n):
+                pair = ClassPair.of(h, h)
+                want = (
+                    ("WqoLabelled", "Bounded")
+                    if canonical_key(h) in inside
+                    else ("NotWqo", "Unbounded")
+                )
+                got = (classify_wqo(pair).status, classify_cw(pair).status)
+                assert got == want, encode_graph6(h)
+                verdicts[got] = verdicts.get(got, 0) + 1
+        assert verdicts == {("WqoLabelled", "Bounded"): 6, ("NotWqo", "Unbounded"): 202}
+
+    def test_no_wqo_pair_with_unbounded_clique_width(self):
+        corpus = pair_corpus(5)
+        assert len(corpus) == 1378
+        assert wqo_but_unbounded(corpus) == []
+
+    def test_conjecture_check_names_every_pair(self, monkeypatch):
+        # Two synthetic tables, each consistent on its own, that read every
+        # pair wqo and unbounded: the check must name each one.
+        anything = (("any",),)
+        monkeypatch.setattr(
+            classifier, "WQO_RULES", (Rule("all-wqo", "WqoLabelled", anything, anything),)
+        )
+        monkeypatch.setattr(
+            classifier, "CW_RULES", (Rule("all-unbounded", "Unbounded", anything, anything),)
+        )
+        corpus = pair_corpus(4)
+        named = wqo_but_unbounded(corpus)
+        assert len(named) == len(corpus) == 171
+        assert named == [(encode_graph6(p.h1), encode_graph6(p.h2)) for p in corpus]
 
 
 class TestComplementPatterns:

@@ -318,6 +318,16 @@ class TestBudgetAndRange:
         assert capsys.readouterr().out.strip() == "no induced embedding"
         assert main(["embed", "--h", "P1+2P2", "--g", "g6:" + g6, "--budget", "509"]) == 2
 
+    def test_projected_trigger_fits_a_smaller_budget(self, capsys):
+        # C8 is not in C9.  The first root fails after 11 nodes; at that rate
+        # the nine roots would take more than 8**2, so the host's orbits start
+        # at once, and C9's one orbit drops every root left.  Waiting for 64
+        # spent nodes instead, the search took 66.
+        assert main(["embed", "--h", "C8", "--g", "C9", "--budget", "11"]) == 1
+        assert capsys.readouterr().out.strip() == "no induced embedding"
+        assert main(["embed", "--h", "C8", "--g", "C9", "--budget", "10"]) == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_zero_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV, "0")
         assert main(["free", "--g", "P6", "--forbidden", "P4"]) == 2
@@ -346,7 +356,7 @@ class TestBudgetAndRange:
 
     def test_free_verdict_needs_no_budget(self, capsys):
         # The decider knows the diamond, so a zero budget decides this cell;
-        # the search alone spends 26 nodes on it.  The decider does not know
+        # the search alone spends 13 nodes on it.  The decider does not know
         # P1+2P2, the gem or P2+P4: on thm52(12), which is free of all three,
         # they exhaust the budget at their first node.
         g6 = encode_graph6(antichains.gen_thm51(12))

@@ -87,8 +87,8 @@ PINNED = [
     # candidates is itself, so each first vertex is cut.
     ("3P1", build("2K2"), 4, 12),
     ("3P1", build("C5"), 5, 15),
-    ("C8", build("C9"), 66, 117),
-    (gen_thm52(3), gen_thm52(4), 148, 1_200),
+    ("C8", build("C9"), 11, 117),
+    (gen_thm52(3), gen_thm52(4), 74, 1_200),
 ]
 PINNED_IDS = [
     "thm52-12-P1+2P2",
@@ -323,10 +323,11 @@ def symmetric_hosts(draw, max_n=20):
 
 
 class TestHostOrbits:
-    """Roots that failed before the lex-leader constraints start, and the
-    roots in their host orbits, are dropped: the same embedding as every
-    reference, the nodes of the exact reference, and never more nodes than
-    without the pruning."""
+    """Roots that failed before the lex-leader constraints start, and every
+    root that fails after, drop the roots in their host orbits: the same
+    embedding as every reference, the nodes of the exact reference, and
+    never more nodes than without the pruning or with the pruning started
+    only once n(h)**2 nodes are spent."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(small_graphs(7), symmetric_graphs(9)), symmetric_hosts(), st.data())
@@ -339,6 +340,18 @@ class TestHostOrbits:
         pruned, unpruned = SearchBudget(10**9), SearchBudget(10**9)
         assert search(pruned) == oracle_embed_exact(h, g, None, unpruned, host_orbits=False)
         assert pruned.used <= unpruned.used
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_graphs(7), symmetric_graphs(9)), symmetric_hosts())
+    def test_never_more_nodes_than_the_square_trigger(self, h, g):
+        # The projected trigger fires at the same failed root as the n(h)**2
+        # one or earlier, and from then on drops the orbits of later failed
+        # roots too, so the roots searched are a subset of the earlier
+        # rule's, each under the same constraints or more.
+        projected, square = SearchBudget(10**9), SearchBudget(10**9)
+        found = induced_embed(h, g, projected)
+        assert found == oracle_embed_exact(h, g, None, square, projected=False)
+        assert projected.used <= square.used
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_root_pruned(self, seed):
@@ -597,7 +610,7 @@ class TestClasses:
             used.append(budget.used)
         cold_nodes, warm_nodes = used
         assert warm_nodes <= cold_nodes
-        assert (cold_nodes, warm_nodes) == (257, 21)
+        assert (cold_nodes, warm_nodes) == (135, 7)
 
     @pytest.mark.parametrize("pattern, host, nodes, oracle_nodes", PINNED, ids=PINNED_IDS)
     def test_pinned_nodes_after_warming(self, pattern, host, nodes, oracle_nodes):
@@ -787,10 +800,10 @@ class TestSplitFree:
         assert _split_free(gen_thm52(3), build("P8")) is None
 
     def test_free_verdict_spends_no_node(self):
-        # the search alone needs 26 nodes to show this
+        # the search alone needs 13 nodes to show this
         h, g = build("co(2P1+P2)"), gen_thm51(12)
         spent = SearchBudget(10**9)
-        assert induced_embed(h, g, spent) is None and spent.used == 26
+        assert induced_embed(h, g, spent) is None and spent.used == 13
         budget = SearchBudget(0)
         assert is_free(g, [h], budget).free
         assert budget.used == 0
