@@ -66,8 +66,8 @@ still sound, since every assignment it drops is not the least.  Calls that
 succeed at once, and searches projected too small to repay the detection,
 never pay for it.  The detection keeps only automorphisms it has checked.
 A pattern's constraints cost its own detection only, at most n**2 + n + 1
-refinements of a partition of its n vertices (see :func:`_symmetry`), and a
-test that runs out only drops constraints.  It is not charged to the
+refinements of a partition of its n vertices (see :attr:`_Record.chain`),
+and a test that runs out only drops constraints.  It is not charged to the
 caller's budget and never raises.
 
 At that same point the search drops roots by the host's symmetry.  No
@@ -93,40 +93,40 @@ swaps) takes its twin classes as the orbits, read off in one pass over its
 rows; a host without twins takes the orbits of its class (below), not
 charged either.  Twin-rich hosts, such as the blown-up members of the
 structure pipeline, are where detection costs most and where small
-patterns' searches are short.  :func:`_host_orbits` holds these choices and
-caches its result by host, which is often searched for several patterns in
-a row.  Labels break symmetry, so :func:`labelled_embed` drops no root.
+patterns' searches are short.  :attr:`_Record.host_orbits` holds these
+choices; a host is often searched for several patterns in a row.  Labels
+break symmetry, so :func:`labelled_embed` drops no root.
 
 On the host side, symmetry detection runs once per isomorphism class, not
 once per graph.  Graphs are keyed by a label-free invariant: the degree
 multiset and the cell sizes and trace of the equitable refinement of the
 degree partition, which the detection computes first anyway.  The first
 graph of a key whose detection finishes within its bound stands for its
-class.  A later host with that key is matched against it by the
-detection's own search, at most n**2 individualisations, each end checked
-to be an isomorphism.  On a match it takes the representative's orbits
-through the isomorphism, in O(n); a miss or a failed match runs the host's
-own detection.  Host orbits thus cost a match, plus the host's own
-detection when the match misses: at most 2n**2 + n + 2 refinements.  A
-finished detection's generators give the whole group, so a copy whose own
-detection would finish too reads exactly its own orbits.  A copy whose own
-detection would run out (which takes a graph whose detection nears its
-bound, such as four disjoint Shrikhande graphs under some labellings) reads
-the whole group's orbits instead, which contain its own: its searches drop
-the same roots or more, so they never spend more nodes than with an empty
-table, and can spend fewer once another copy of its class has finished.  A
-budget that suffices with an empty table therefore always suffices.  A host
-tries one representative, the one of its key, and is never matched against
-itself; the table keeps at most 256 classes.  A pattern's constraints never
-come from the table: they are its own detection's, so they depend on the
-pattern alone.
+class.  A later host with that key is matched against it by the detection's
+own search, at most n**2 individualisations, each end checked to be an
+isomorphism.  On a match it takes the representative's orbits through the
+isomorphism, in O(n); a miss or a failed match runs the host's own
+detection.  Host orbits thus cost a match, plus the host's own detection
+when the match misses, with one degree refinement: at most 2n**2 + n + 1
+refinements.  A finished detection's generators give the whole group, so a
+copy whose own detection would finish too reads exactly its own orbits.  A
+copy whose own detection would run out (which takes a graph whose detection
+nears its bound, such as four disjoint Shrikhande graphs under some
+labellings) reads the whole group's orbits instead, which contain its own:
+its searches drop the same roots or more, so they never spend more nodes
+than with an empty table, and can spend fewer once another copy of its class
+has finished.  A budget that suffices with an empty table therefore always
+suffices.  A host tries one representative, the one of its key, and is never
+matched against itself; the table keeps at most 256 classes.  A pattern's
+constraints never come from the table: they are its own detection's, so they
+depend on the pattern alone.
 
-The set-up that depends on the pattern alone (the search order, the degrees
-in that order, each position's adjacency to the later ones) is a plan held
-in a bounded cache keyed by the pattern graph.  The degree filter on the
-host is built from one pass over its rows: a pattern vertex of degree d
-keeps the host vertices whose degree leaves room for d neighbours and
-n(h) - 1 - d non-neighbours.
+What the search keeps of a graph is one record (:class:`_Record`) in a
+cache of 512 keyed by the graph, with fields worked out on first read: the
+search order, the pattern's plan, the degree refinement, the detection and
+the host orbits.  The degree filter on the host is built from one pass over
+its rows: a pattern vertex of degree d keeps the host vertices whose degree
+leaves room for d neighbours and n(h) - 1 - d non-neighbours.
 
 :func:`is_free` first asks a freeness decider that needs no search, for
 the patterns the library forbids (the paper's class is free of the diamond
@@ -161,7 +161,7 @@ never as "no embedding".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, bits_of, connected_components
@@ -280,28 +280,6 @@ def _with_partner(cs: int, cl: int, rows, adjacent: bool) -> int:
         if not blocked & cs:
             return cs
     return cs & ~blocked
-
-
-def _search_order(h: Graph) -> list[int]:
-    """The vertices of ``h`` in search order: by descending degree, then by
-    index."""
-    return sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-
-
-@lru_cache(maxsize=256)
-def _plan(h: Graph):
-    """The search plan of pattern ``h``: its vertices in search order, their
-    degrees in that order, each position's adjacency to the later ones, the
-    adjacency of the last two, and the packed forward-check words of each
-    host size met so far (filled in by :func:`_embed`)."""
-    nh = h.n
-    order = _search_order(h)
-    degrees = [h.degree(v) for v in order]
-    later = [
-        [h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)
-    ]
-    last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
-    return order, degrees, later, last_pair_adjacent, {}
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +423,11 @@ def _degree_refinement(rows):
 class _Chain:
     """The individualisation chain of one graph along its search order, the
     search for bijections along it, and, once :meth:`detect` has run, the
-    automorphisms it found (see :func:`_symmetry`)."""
+    automorphisms it found (see :attr:`_Record.chain`)."""
 
-    def __init__(self, h: Graph, cells: list[int]):
-        n, rows = h.n, h.rows
-        self.rows = rows
-        self.order = order = _search_order(h)
+    def __init__(self, rows, order: list[int], cells: list[int]):
+        n = len(rows)
+        self.rows, self.order = rows, order
         chain, traces = [cells], [[]]
         # steps[k]: the position individualised between chain[k] and
         # chain[k + 1] and the index of its cell; positions whose vertex is
@@ -565,50 +542,6 @@ _CLASSES: dict[tuple, _Chain] = {}
 _MAX_CLASSES = 256
 
 
-@lru_cache(maxsize=256)
-def _symmetry(h: Graph) -> _Chain:
-    """The automorphisms of ``h`` found by individualisation and refinement
-    (McKay & Piperno, *Practical graph isomorphism II*, 2014), as its
-    finished chain: ``orbits``, one mask per vertex; ``bounds``, its
-    lex-leader constraints in search order; and ``nodes``, the
-    individualisations spent.  The search reads the constraints of its
-    pattern; :func:`_host_orbits` reads the orbits of a host without twins.
-
-    For each position i the constraints are None or the positions q > i,
-    counted from i + 1, whose host vertex must lie above p_i's: those that an
-    automorphism fixing the first i pattern vertices maps p_i onto.
-
-    The chain starts from the equitable refinement of the degree partition
-    and individualises p_0, p_1, ... in turn, skipping a vertex already
-    alone in its cell, until the partition is discrete; past that point only
-    the identity fixes the prefix.  Levels are done deepest first, so the
-    automorphisms found at a level (they fix its prefix) close the orbits of
-    every shallower one.  An automorphism mapping p_i to q is searched by
-    individualising q in p_i's place, then at each deeper step every vertex
-    of the cell matching the chain's, keeping only refinements whose traces
-    equal the chain's; a discrete end gives a bijection that is kept only if
-    it is checked to be an automorphism.  One node is one such
-    individualisation; after ``n(h) ** 2`` of them every open test gives up
-    and keeps the orbit found so far, which only drops constraints.  The
-    orbits are those of the group the checked automorphisms generate, so
-    each lies inside an orbit of the full group.  With the degree refinement
-    and the chain, at most n(h) individualisations, a detection costs at
-    most n(h)**2 + n(h) + 1 refinements.
-
-    The result is always ``h``'s own detection, whatever the class table
-    holds.  A finished detection on a graph whose degree refinement is not
-    discrete is stored as its class's representative, if its key has
-    none."""
-    cells, key = _degree_refinement(h.rows)
-    chain = _Chain(h, cells)
-    chain.detect()
-    if chain.steps and chain.finished and key not in _CLASSES:
-        if len(_CLASSES) >= _MAX_CLASSES:
-            del _CLASSES[next(iter(_CLASSES))]
-        _CLASSES[key] = chain
-    return chain
-
-
 def _twins(g: Graph):
     """The twin classes of ``g``, one mask per vertex holding its class, or
     None if ``g`` has no twins.
@@ -629,27 +562,100 @@ def _twins(g: Graph):
     return tuple(classes[row] | classes[c] for row, c in zip(rows, closed))
 
 
-@lru_cache(maxsize=256)
-def _host_orbits(g: Graph) -> tuple[int, ...]:
-    """The orbits by which the search drops roots in host ``g``, one mask
-    per vertex: its twin classes if it has twins; else the orbits of the
-    representative of its class key, mapped through an isomorphism onto
-    ``g`` that the representative's chain finds, at most n(g)**2
-    individualisations; else, when there is no other representative or no
-    isomorphism is found, the orbits of ``g``'s own detection.  A graph is
-    never matched against its own chain.  With ``g``'s degree refinement,
-    that costs at most 2n(g)**2 + n(g) + 2 refinements.  Cached by graph, as
-    a host is searched for several patterns."""
-    twins = _twins(g)
-    if twins is not None:
-        return twins
-    cells, key = _degree_refinement(g.rows)
-    rep = _CLASSES.get(key)
-    if rep is not None and rep.rows != g.rows:
-        phi = rep.extend(g.rows, 0, cells, cells[rep.steps[0][1]], SearchBudget(g.n**2))
-        if phi is not None:
-            return rep.transport(phi)
-    return _symmetry(g).orbits
+class _Record:
+    """What the search keeps of graph ``g``, each field worked out on its
+    first read; :func:`_record` holds one record per graph."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The vertices in search order: by descending degree, then by index."""
+        g = self.graph
+        return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+    @cached_property
+    def plan(self):
+        """The search plan of ``g`` as a pattern: :attr:`order`, the degrees
+        in that order, each position's adjacency to the later ones, the
+        adjacency of the last two, and the packed forward-check words of each
+        host size met so far (filled in by :func:`_embed`)."""
+        h, order, nh = self.graph, self.order, self.graph.n
+        degrees = [h.degree(v) for v in order]
+        later = [[h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)]
+        last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
+        return order, degrees, later, last_pair_adjacent, {}
+
+    @cached_property
+    def refinement(self):
+        """:func:`_degree_refinement` of ``g``: its cells, which :attr:`chain`
+        and :attr:`host_orbits` share and never change, and its class key."""
+        return _degree_refinement(self.graph.rows)
+
+    @cached_property
+    def chain(self) -> _Chain:
+        """The automorphisms of ``g`` found by individualisation and
+        refinement (McKay & Piperno, *Practical graph isomorphism II*, 2014),
+        as its finished chain: ``orbits``, one mask per vertex; ``bounds``,
+        its lex-leader constraints in search order, for each position i None
+        or the positions q > i, counted from i + 1, that an automorphism
+        fixing the first i pattern vertices maps p_i onto, so whose host
+        vertex must lie above p_i's; and ``nodes``, the individualisations
+        spent.
+
+        The chain starts from :attr:`refinement` and individualises p_0,
+        p_1, ... in turn, skipping a vertex already alone in its cell, until
+        the partition is discrete.  Levels are done deepest first, so the
+        automorphisms found at a level (they fix its prefix) close the orbits
+        of every shallower one.  An automorphism mapping p_i to q is searched
+        by individualising q in p_i's place, then at each deeper step every
+        vertex of the cell matching the chain's, keeping only refinements
+        whose traces equal the chain's; a discrete end gives a bijection that
+        is kept only if it is checked to be an automorphism.  One node is one
+        such individualisation; after ``n(g) ** 2`` of them every open test
+        gives up and keeps the orbit found so far, which only drops
+        constraints.  The orbits are those of the group the checked
+        automorphisms generate, so each lies inside an orbit of the full
+        group.  A detection costs at most n(g)**2 + n(g) + 1 refinements.
+
+        It is always ``g``'s own detection, whatever the class table holds.
+        A finished detection on a graph whose degree refinement is not
+        discrete is stored as its class's representative, if its key has
+        none."""
+        cells, key = self.refinement
+        chain = _Chain(self.graph.rows, self.order, cells)
+        chain.detect()
+        if chain.steps and chain.finished and key not in _CLASSES:
+            if len(_CLASSES) >= _MAX_CLASSES:
+                del _CLASSES[next(iter(_CLASSES))]
+            _CLASSES[key] = chain
+        return chain
+
+    @cached_property
+    def host_orbits(self) -> tuple[int, ...]:
+        """The orbits by which the search drops roots in host ``g``, one
+        mask per vertex: its twin classes if it has twins; else the orbits of
+        the representative of its class key, mapped through an isomorphism
+        onto ``g`` that the representative's chain finds, at most n(g)**2
+        individualisations; else, when there is no other representative or
+        no isomorphism is found, the orbits of :attr:`chain`.  A graph is
+        never matched against its own chain.  With :attr:`refinement`, that
+        costs at most 2n(g)**2 + n(g) + 1 refinements."""
+        g = self.graph
+        twins = _twins(g)
+        if twins is not None:
+            return twins
+        cells, key = self.refinement
+        rep = _CLASSES.get(key)
+        if rep is not None and rep.rows != g.rows:
+            phi = rep.extend(g.rows, 0, cells, cells[rep.steps[0][1]], SearchBudget(g.n**2))
+            if phi is not None:
+                return rep.transport(phi)
+        return self.chain.orbits
+
+
+_record = lru_cache(maxsize=512)(_Record)
 
 
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
@@ -662,7 +668,8 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         return None
     if nh == 0:
         return ()
-    order, degrees, later, last_pair_adjacent, packed = _plan(h)
+    record = _record(h)
+    order, degrees, later, last_pair_adjacent, packed = record.plan
     width, field = ng + 1, (1 << ng) - 1
     # words[pos], over the fields of the positions after pos: R (a one at
     # the foot of each field), V*R and R in the fields of those not adjacent
@@ -756,12 +763,12 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
             if orbits is not None:
                 roots &= ~orbits[low.bit_length() - 1]
             elif detect and roots and spent * total >= nh * nh * (first ^ roots).bit_count():
-                orbits = _host_orbits(g)
+                orbits = _record(g).host_orbits
                 for w in bits_of(first ^ roots):
                     roots &= ~orbits[w]
                 if roots:
                     bounds = [
-                        sum(1 << j * width for j in b or ()) for b in _symmetry(h).bounds
+                        sum(1 << j * width for j in b or ()) for b in record.chain.bounds
                     ]
         else:
             return None
@@ -806,17 +813,8 @@ def labelled_embed(
 # ---------------------------------------------------------------------------
 # Freeness without a search
 #
-# Each test takes the host tables (see _host) and a vertex mask S, and says
-# whether G[S] holds an induced copy of its pattern.
-
-
-@lru_cache(maxsize=1)
-def _host(g: Graph):
-    """The rows of ``g``, its closed neighbourhoods and their complements
-    (the vertices w != v not adjacent to v), kept for the last host, which
-    is usually tested for more than one pattern in a row."""
-    closed = [row | 1 << v for v, row in enumerate(g.rows)]
-    return g.rows, closed, [~c for c in closed]
+# Each test takes the host's rows, closed rows and their complements (the
+# w != v not adjacent to v) and a vertex mask S: does G[S] hold its pattern?
 
 
 def _clique(rows, s: int, k: int) -> bool:
@@ -924,7 +922,8 @@ def _split_free(h: Graph, g: Graph) -> bool | None:
         return None
     if h.n > g.n:
         return True
-    return not test(_host(g), g.mask)
+    closed = [row | 1 << v for v, row in enumerate(g.rows)]
+    return not test((g.rows, closed, [~c for c in closed]), g.mask)
 
 
 class FreeResult(NamedTuple):

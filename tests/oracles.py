@@ -73,7 +73,7 @@ from wqograph.classifier import (
     pair_corpus,
 )
 from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
-from wqograph.order import SearchBudgetExceeded, _host_orbits, _symmetry, induced_embed
+from wqograph.order import SearchBudgetExceeded, _record, induced_embed
 from wqograph.uniform import UniformTemplate, WitnessCheck
 
 
@@ -471,11 +471,11 @@ def oracle_embed_exact(
             if start:
                 detect = False
                 if host_orbits:
-                    orbits = _host_orbits(g)
+                    orbits = _record(g).host_orbits
                     roots = [x for x in roots if not any(orbits[f] >> x & 1 for f in failed)]
                     pruning = projected
                 if roots:
-                    bounds = _symmetry(h).bounds
+                    bounds = _record(h).chain.bounds
         else:
             return None
     finally:

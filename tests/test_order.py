@@ -24,11 +24,10 @@ from wqograph.order import (
     SearchBudgetExceeded,
     _CLASSES,
     _Chain,
+    _Record,
     _degree_refinement,
-    _host_orbits,
-    _symmetry,
+    _record,
     _twins,
-    _plan,
     _split_free,
     induced_embed,
     in_class_S,
@@ -377,20 +376,20 @@ class TestLexLeader:
 
     @staticmethod
     def constrained(h):
-        bounds = _symmetry(h).bounds
+        bounds = _record(h).chain.bounds
         return [tuple(i + 1 + j for j in b or ()) for i, b in enumerate(bounds)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(small_graphs(7), symmetric_graphs(7)))
     def test_equal_stabiliser_orbits(self, h):
-        assert self.constrained(h) == oracle_lex_orbits(h, _plan(h)[0])
+        assert self.constrained(h) == oracle_lex_orbits(h, _record(h).order)
 
     def test_refinement_alone_is_no_proof(self):
         # A 4-regular graph on 9 vertices in which individualised partitions
         # refine alike although no automorphism maps one onto the other: the
         # bijection read off them must be checked.
         h = decode_graph6("HHUmdjI")
-        assert self.constrained(h) == oracle_lex_orbits(h, _plan(h)[0])
+        assert self.constrained(h) == oracle_lex_orbits(h, _record(h).order)
 
     @pytest.mark.parametrize(
         "big, small, host",
@@ -414,12 +413,12 @@ class TestLexLeader:
         gives the oracle's embedding into a relabelled host."""
         rng = random.Random(big.n)
         h = relabel(big, rng.sample(range(big.n), big.n))
-        found = _symmetry(h)
+        found = _record(h).chain
         assert 0 < found.nodes <= h.n**2
         assert found.bounds[0] is not None
         h = relabel(small, rng.sample(range(small.n), small.n))
         g = relabel(host, rng.sample(range(host.n), host.n))
-        assert _symmetry(h).bounds[0] is not None
+        assert _record(h).chain.bounds[0] is not None
         TestSearchAgainstOracle.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
 
 
@@ -435,6 +434,16 @@ def shrikhande():
             if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
         ],
     )
+
+
+def cube():
+    """The 3-cube, 3-regular on 8 vertices."""
+    return Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1])
+
+
+def moebius_ladder():
+    """The Moebius ladder on 8 vertices, 3-regular like the cube."""
+    return Graph.from_edges(8, [(u, (u + 1) % 8) for u in range(8)] + [(u, u + 4) for u in range(4)])
 
 
 def cfi_k4(twisted: bool):
@@ -464,18 +473,16 @@ def cfi_k4(twisted: bool):
 
 
 def clear_tables():
-    """Empty the memos of ``_symmetry`` and ``_host_orbits`` and the class
-    table."""
-    _symmetry.cache_clear()
-    _host_orbits.cache_clear()
+    """Empty the per-graph records and the class table."""
+    _record.cache_clear()
     _CLASSES.clear()
 
 
 def cold(g):
-    """``_symmetry(g)`` with its memo, the host orbits' and the class table
-    emptied first."""
+    """``g``'s own detection, with the records and the class table emptied
+    first."""
     clear_tables()
-    return _symmetry(g)
+    return _record(g).chain
 
 
 @contextmanager
@@ -520,7 +527,7 @@ class TestClasses:
         stored = _degree_refinement(first.rows)[1] in _CLASSES
         twins = _twins(copy)
         with detections() as ran:
-            orbits = _host_orbits(copy)
+            orbits = _record(copy).host_orbits
         # twins need no detection, a match none either, and a copy equal to
         # the first graph reads that graph's memoised detection
         assert ran == [0 if stored or twins or copy == first else 1]
@@ -534,11 +541,11 @@ class TestClasses:
         clear_tables()
         for _ in range(2):
             other = relabel(g, data.draw(st.permutations(range(g.n)), label="other"))
-            _symmetry(other)
-            _host_orbits(other)
-        _symmetry.cache_clear()
+            _record(other).chain
+            _record(other).host_orbits
+        _record.cache_clear()
         with detections() as ran:
-            warm = _symmetry(h)
+            warm = _record(h).chain
         assert ran == [1]
         assert (warm.bounds, warm.orbits, warm.nodes) == (empty.bounds, empty.orbits, empty.nodes)
 
@@ -546,11 +553,7 @@ class TestClasses:
         "a, b",
         [
             (cycle_graph(6), build("2K3")),
-            # the cube and the Moebius ladder on 8 vertices, both 3-regular
-            (
-                Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]),
-                Graph.from_edges(8, [(u, (u + 1) % 8) for u in range(8)] + [(u, u + 4) for u in range(4)]),
-            ),
+            (cube(), moebius_ladder()),
             (cfi_k4(False), cfi_k4(True)),
         ],
         ids=["C6-2K3", "cube-ladder", "CFI-K4"],
@@ -567,9 +570,63 @@ class TestClasses:
             # 2K3 has twins, so no detection runs for its host orbits
             twins = _twins(other)
             with detections() as ran:
-                orbits = _host_orbits(other)
+                orbits = _record(other).host_orbits
             assert ran == [0 if twins else 1]
             assert orbits == (twins or own.orbits)
+
+    @pytest.mark.parametrize(
+        "stored, host",
+        [(None, cfi_k4(False)), (cube(), moebius_ladder()), (cfi_k4(False), cfi_k4(True))],
+        ids=["no-representative", "cube-ladder", "CFI-K4"],
+    )
+    def test_one_degree_refinement_per_host(self, stored, host, monkeypatch):
+        # A twin-free host of a new class, with no representative or one its
+        # match misses, runs its own detection for its orbits: the two share
+        # one degree refinement.
+        rng = random.Random(host.n)
+        host = relabel(host, rng.sample(range(host.n), host.n))
+        assert _twins(host) is None
+        clear_tables()
+        if stored is not None:
+            _record(stored).chain
+            assert _degree_refinement(host.rows)[1] in _CLASSES
+        refined = []
+        monkeypatch.setattr(
+            "wqograph.order._degree_refinement",
+            lambda rows: refined.append(rows) or _degree_refinement(rows),
+        )
+        with detections() as ran:
+            record = _record(host)
+            orbits = record.host_orbits
+            chain = record.chain
+        assert ran == [1] and orbits == chain.orbits
+        assert refined == [host.rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(CLASS_GRAPHS, st.data())
+    def test_either_field_first(self, g, data):
+        # A fresh record's host orbits and detection, read in either order,
+        # with or without its class stored, equal a cold detection's, and
+        # leave the refinement they share as it was.
+        first = relabel(g, data.draw(st.permutations(range(g.n)), label="first"))
+        h = relabel(g, data.draw(st.permutations(range(g.n)), label="h"))
+        stored = data.draw(st.booleans(), label="stored")
+        own = cold(h)
+        for chain_first in (False, True):
+            clear_tables()
+            if stored:
+                _record(first).chain
+            record = _Record(h)
+            cells = list(record.refinement[0])
+            if chain_first:
+                chain = record.chain
+                orbits = record.host_orbits
+            else:
+                orbits = record.host_orbits
+                chain = record.chain
+            assert (chain.orbits, chain.bounds, chain.nodes) == (own.orbits, own.bounds, own.nodes)
+            assert orbits == (_twins(h) or own.orbits)
+            assert record.refinement[0] == cells
 
     def test_unfinished_detection_stands_for_no_class(self):
         # Four disjoint Shrikhande graphs: the detection of one labelling
@@ -581,18 +638,18 @@ class TestClasses:
         assert partial.nodes == 64**2
         assert not _CLASSES
         with detections() as ran:
-            whole = _symmetry(finishes)
+            whole = _record(finishes).chain
         assert ran == [1] and whole.nodes < 64**2
         assert _CLASSES
         # As a host, a copy whose own detection runs out reads the whole
         # group's orbits once its class is known: orbits that contain its
         # own.  As a pattern it keeps its own detection.
         with detections() as ran:
-            found = _host_orbits(runs_out)
+            found = _record(runs_out).host_orbits
         assert ran == [0]
         assert all(o & ~f == 0 for o, f in zip(partial.orbits, found))
         assert found != partial.orbits
-        assert _symmetry(runs_out) is partial
+        assert _record(runs_out).chain is partial
 
     def test_known_class_never_adds_nodes(self):
         # K4 is not in the Shrikhande graph.  Searched for in a copy whose
@@ -622,8 +679,8 @@ class TestClasses:
             clear_tables()
             if warm:
                 for g in (h, host) * 3:
-                    _symmetry(relabel(g, rng.sample(range(g.n), g.n)))
-                _symmetry.cache_clear()
+                    _record(relabel(g, rng.sample(range(g.n), g.n))).chain
+                _record.cache_clear()
             budget = SearchBudget(10**9)
             assert induced_embed(h, host, budget) is None
             assert budget.used == nodes
