@@ -60,7 +60,14 @@ Families:
 - ``corpus``: the rows of every graph of ``nonisomorphic_graphs(n)`` for
   n = 0..6, in order;
 - ``instances``: the rows of ``k5_instance``, ``c5_instance`` and
-  ``c4_instance`` for seeds 0..4,999.
+  ``c4_instance`` for seeds 0..4,999;
+- ``orbits``: the host orbits of each graph of the battery and of the
+  graphs the ``antichain`` benchmark sets up for seed 1, then its own
+  detection (``orbits``, ``bounds`` and ``nodes``), read in that order from
+  a cleared record cache and class table, so that the orbits a copy reads
+  through a match against its class's representative are compared
+  directly, and not only through the nodes they save.  It runs last, so
+  that clearing the tables changes no other family.
 
 Takes no arguments; under a minute on one core.
 """
@@ -69,13 +76,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 
 from wqograph import antichains, classifier, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
 from wqograph.ops import apply_script
-from wqograph.order import SearchBudget, induced_embed, is_free
+from wqograph.order import _CLASSES, SearchBudget, _record, induced_embed, is_free
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import workloads  # noqa: E402  (the benchmark's input makers)
 
 MEMBERS = (
     ("K5", instances.k5_instance, instances.k5_branch_valid, 150),
@@ -215,6 +226,28 @@ def anchors() -> str:
     digest = Digest()
     for g in battery():
         digest.add([structure.find_induced_cycle(g, 4), structure.find_induced_cycle(g, 5)])
+    return digest.hex()
+
+
+def antichain_hosts() -> list[Graph]:
+    """The graphs of the ``antichain`` benchmark's seed-1 inputs, each once,
+    in the order it sets them up."""
+    free_cells, incomparable, rigid = workloads.antichain_setup(1)
+    graphs = [g for _, g, _ in free_cells]
+    graphs += [g for _, small, large in incomparable for g in (small, large)]
+    graphs += [g for _, _, g in rigid]
+    return list(dict.fromkeys(graphs))
+
+
+def orbits() -> str:
+    digest = Digest()
+    _record.cache_clear()
+    _CLASSES.clear()
+    for g in battery() + antichain_hosts():
+        record = _record(g)
+        host = record.host_orbits
+        chain = record.chain
+        digest.add([list(g.rows), host, chain.orbits, chain.bounds, chain.nodes])
     return digest.hex()
 
 
@@ -391,6 +424,7 @@ def main() -> int:
     digests["tables"] = tables()
     digests["corpus"] = corpus()
     digests["instances"] = instance_rows()
+    digests["orbits"] = orbits()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

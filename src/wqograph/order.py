@@ -26,10 +26,15 @@ spare bit exactly when it is not empty, and never into the next field: with
 F that value in every field and H the spare bits, the wipe-out test is
 (nxt + F) & H == H.  The next position takes the lowest field, and the word
 shifted down by one field is the rest.  These words depend only on the
-pattern and ng and are kept in the plan per host size.  The fields hold the
-masks a list of one mask per position would, and the candidates are tried
-and dropped in the same order, so nodes, first embeddings and the node at
-which a budget runs out are those of the per-position loop.
+pattern and ng and are kept in the plan per host size.  They are built
+from the plan's one adjacency mask per position, over the later positions,
+which takes one pass over the pattern's rows.  R over k fields is
+(2**(k*w) - 1) // (2**w - 1) with w = ng + 1, and A takes one step per
+adjacent field, so a position's words cost O(1 + its later neighbours)
+big-integer operations.  The fields hold the masks a list of one mask per
+position would, and the candidates are tried and dropped in the same order,
+so nodes, first embeddings and the node at which a budget runs out are those
+of the per-position loop.
 
 Once only the last two pattern vertices S and L are left, the search looks
 ahead on that pair: it keeps a candidate w of S only if some candidate
@@ -104,9 +109,10 @@ degree partition, which the detection computes first anyway.  The first
 graph of a key whose detection finishes within its bound stands for its
 class.  A later host with that key is matched against it by the detection's
 own search, at most n**2 individualisations, each end checked to be an
-isomorphism.  On a match it takes the representative's orbits through the
-isomorphism, in O(n); a miss or a failed match runs the host's own
-detection.  Host orbits thus cost a match, plus the host's own detection
+isomorphism by its degrees and then each edge once
+(:meth:`_Chain.bijection`).  On a match it takes the representative's orbits
+through the isomorphism, in O(n); a miss or a failed match runs the host's
+own detection.  Host orbits thus cost a match, plus the host's own detection
 when the match misses, with one degree refinement: at most 2n**2 + n + 1
 refinements.  A finished detection's generators give the whole group, so a
 copy whose own detection would finish too reads exactly its own orbits.  A
@@ -341,17 +347,37 @@ def _refine(rows, cells: list[int], queue: list[int], trace: list, expect=None) 
             if not inside:
                 continue
             if single:
+                # Two fragments, the vertices outside the splitter's rows
+                # first: the general split below, with no lists built.
                 if inside == cell:
                     continue
-                frags = [cell ^ inside, inside]
-            else:
-                frags = [cell]
-                for plane in planes:
-                    inside = cell & plane
-                    if inside and inside != cell:
-                        frags = [part for f in frags for part in (f & ~plane, f & plane) if part]
-                if len(frags) == 1:
-                    continue
+                cell ^= inside
+                a, b = cell.bit_count(), inside.bit_count()
+                trace.append((s, x, a, b))
+                if expect is not None and (
+                    len(trace) > len(expect) or trace[-1] != expect[len(trace) - 1]
+                ):
+                    return False
+                cells[x] = cell
+                if a == 1:
+                    unsplit ^= low
+                y = len(cells)
+                if b > 1:
+                    unsplit |= 1 << y
+                cells.append(inside)
+                # queue the new cell, or the kept one if it is the smaller
+                # and not queued already
+                z = y if x in queued or a >= b else x
+                queued.add(z)
+                queue.append(z)
+                continue
+            frags = [cell]
+            for plane in planes:
+                inside = cell & plane
+                if inside and inside != cell:
+                    frags = [part for f in frags for part in (f & ~plane, f & plane) if part]
+            if len(frags) == 1:
+                continue
             sizes = [f.bit_count() for f in frags]
             trace.append((s, x, *sizes))
             if expect is not None and (
@@ -428,6 +454,7 @@ class _Chain:
     def __init__(self, rows, order: list[int], cells: list[int]):
         n = len(rows)
         self.rows, self.order = rows, order
+        self.degrees = [row.bit_count() for row in rows]
         chain, traces = [cells], [[]]
         # steps[k]: the position individualised between chain[k] and
         # chain[k + 1] and the index of its cell; positions whose vertex is
@@ -472,18 +499,26 @@ class _Chain:
     def bijection(self, target, cells: list[int]):
         """The map of the discrete partition that ends the chain onto the
         discrete ``cells``, cell by cell, if it maps this graph's rows onto
-        ``target``; else None."""
+        ``target``; else None.
+
+        Every vertex must keep its degree, and every edge uv with u > v must
+        map onto an edge of ``target``.  Equal degrees give the two graphs
+        equal edge counts, so a bijection that maps edges into edges maps
+        them onto the edges, and non-edges onto non-edges: it is an
+        isomorphism.  Each edge is tested once, and the test stops at the
+        first miss."""
         found = [0] * len(cells)
         for a, b in zip(self.chain[-1], cells):
             found[a.bit_length() - 1] = b.bit_length() - 1
+        if [target[w].bit_count() for w in found] != self.degrees:
+            return None
         for v, row in enumerate(self.rows):
-            image = 0
+            image, row = target[found[v]], row & ((1 << v) - 1)
             while row:
                 bit = row & -row
                 row ^= bit
-                image |= 1 << found[bit.bit_length() - 1]
-            if image != target[found[v]]:
-                return None
+                if not image >> found[bit.bit_length() - 1] & 1:
+                    return None
         return found
 
     def detect(self) -> None:
@@ -580,11 +615,25 @@ class _Record:
         """The search plan of ``g`` as a pattern: :attr:`order`, the degrees
         in that order, each position's adjacency to the later ones, the
         adjacency of the last two, and the packed forward-check words of each
-        host size met so far (filled in by :func:`_embed`)."""
-        h, order, nh = self.graph, self.order, self.graph.n
-        degrees = [h.degree(v) for v in order]
-        later = [[h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)]
-        last_pair_adjacent = nh >= 2 and h.adjacent(order[-2], order[-1])
+        host size met so far (filled in by :func:`_embed`).
+
+        The adjacency of position p is one mask whose bit j is set when p is
+        adjacent to position p + 1 + j: its row renumbered by position and
+        shifted down, so the plan costs one pass over the rows, O(n + m)."""
+        rows, order = self.graph.rows, self.order
+        at = [0] * len(order)
+        for p, v in enumerate(order):
+            at[v] = p
+        degrees, later = [], []
+        for p, v in enumerate(order):
+            row, adjacent = rows[v], 0
+            degrees.append(row.bit_count())
+            while row:
+                low = row & -row
+                row ^= low
+                adjacent |= 1 << at[low.bit_length() - 1]
+            later.append(adjacent >> p + 1)
+        last_pair_adjacent = len(order) >= 2 and later[-2] == 1
         return order, degrees, later, last_pair_adjacent, {}
 
     @cached_property
@@ -674,16 +723,20 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     # words[pos], over the fields of the positions after pos: R (a one at
     # the foot of each field), V*R and R in the fields of those not adjacent
     # to pos (so (V - w)*R & ~A is the one xor the other shifted by w), F, H.
+    # R over k fields is (2**(k*width) - 1) / (2**width - 1), and each
+    # position has one field fewer than the one before.
     words = packed.get(ng)
     if words is None:
         words = packed[ng] = []
+        r = ((1 << (nh - 1) * width) - 1) // ((1 << width) - 1)
         for adjacent in later:
-            r = non = 0
-            for j, a in enumerate(adjacent):
-                r |= 1 << j * width
-                if not a:
-                    non |= field << j * width
-            words.append((r, non & r * field, non & r, r * field, r << ng))
+            non = r
+            while adjacent:
+                low = adjacent & -adjacent
+                adjacent ^= low
+                non ^= 1 << (low.bit_length() - 1) * width
+            words.append((r, non * field, non, r * field, r << ng))
+            r >>= width
     # at_least[d]: host vertices of degree d or more.  A pattern vertex of
     # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
     # enough neighbours and enough non-neighbours.
@@ -813,8 +866,9 @@ def labelled_embed(
 # ---------------------------------------------------------------------------
 # Freeness without a search
 #
-# Each test takes the host's rows, closed rows and their complements (the
-# w != v not adjacent to v) and a vertex mask S: does G[S] hold its pattern?
+# Each test takes the host's rows and a vertex mask S: does G[S] hold its
+# pattern?  A vertex's closed row N[v] is rows[v] | 1 << v, and the vertices
+# w != v not adjacent to v are ~N[v]; both are formed where they are used.
 
 
 def _clique(rows, s: int, k: int) -> bool:
@@ -832,26 +886,24 @@ def _clique(rows, s: int, k: int) -> bool:
     return False
 
 
-def _p3(host, s: int) -> bool:
+def _p3(rows, s: int) -> bool:
     """P3: S is not a disjoint union of cliques.  The closed neighbourhood
     in S of S's lowest vertex must be every member's, and is then removed."""
-    closed = host[1]
     while s:
         low = s & -s
-        part = closed[low.bit_length() - 1] & s
+        part = (rows[low.bit_length() - 1] | low) & s
         others = part ^ low
         while others:
             w = others & -others
             others ^= w
-            if closed[w.bit_length() - 1] & s != part:
+            if (rows[w.bit_length() - 1] | w) & s != part:
                 return True
         s ^= part
     return False
 
 
-def _diamond(host, s: int) -> bool:
+def _diamond(rows, s: int) -> bool:
     """The diamond: some edge ab of G[S] with a non-edge in N(a) & N(b)."""
-    rows, _, away = host
     t = s
     while t:
         low = t & -t
@@ -864,39 +916,38 @@ def _diamond(host, s: int) -> bool:
             common = near & rows[b.bit_length() - 1]
             while common:
                 c = common & -common
-                if common & away[c.bit_length() - 1]:
+                if common & ~(rows[c.bit_length() - 1] | c):
                     return True
                 common ^= c
     return False
 
 
-def _p2_p3(host, s: int) -> bool:
+def _p2_p3(rows, s: int) -> bool:
     """P2 + P3: some edge ab of G[S] with a P3 in S - N[a] - N[b], tested in
     the edge loop itself as by :func:`_p3`."""
-    rows, closed, away = host
     t = s
     while t:
         low = t & -t
         t ^= low
         a = low.bit_length() - 1
-        far = s & away[a]
+        far = s & ~(rows[a] | low)
         if far.bit_count() < 3:
             continue
         later = rows[a] & t
         while later:
             b = later & -later
             later ^= b
-            rest = far & away[b.bit_length() - 1]
+            rest = far & ~(rows[b.bit_length() - 1] | b)
             if rest.bit_count() < 3:
                 continue
             while rest:
                 v = rest & -rest
-                part = closed[v.bit_length() - 1] & rest
+                part = (rows[v.bit_length() - 1] | v) & rest
                 others = part ^ v
                 while others:
                     w = others & -others
                     others ^= w
-                    if closed[w.bit_length() - 1] & rest != part:
+                    if (rows[w.bit_length() - 1] | w) & rest != part:
                         return True
                 rest ^= part
     return False
@@ -907,7 +958,7 @@ def _p2_p3(host, s: int) -> bool:
 # diamond and P2+P3.  No larger clique is decided, so that a decision, which
 # no budget bounds, costs O(n**4) mask operations at most.
 _TESTS = {
-    **{(k - 1,) * k: lambda host, s, k=k: _clique(host[0], s, k) for k in range(1, 6)},
+    **{(k - 1,) * k: lambda rows, s, k=k: _clique(rows, s, k) for k in range(1, 6)},
     (1, 1, 2): _p3,
     (2, 2, 3, 3): _diamond,
     (1, 1, 1, 1, 2): _p2_p3,
@@ -922,8 +973,7 @@ def _split_free(h: Graph, g: Graph) -> bool | None:
         return None
     if h.n > g.n:
         return True
-    closed = [row | 1 << v for v, row in enumerate(g.rows)]
-    return not test((g.rows, closed, [~c for c in closed]), g.mask)
+    return not test(g.rows, g.mask)
 
 
 class FreeResult(NamedTuple):

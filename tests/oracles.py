@@ -24,6 +24,13 @@ must return the same first counterexample.  ``oracle_same_side_components``
 is the matrix search that the bitset one in ``antichains`` replaced.
 ``oracle_delete_vertices`` is vertex deletion as it was before rows were
 shifted in place: the subgraph induced by the survivors.
+``oracle_refine`` is the partition refinement as it split every cell by
+building fragment and size lists, before one-plane splitters took a path of
+their own; ``oracle_image_rows`` is the isomorphism check of a bijection as
+it built every image row bit by bit, before it compared degrees and tested
+edges; ``oracle_words`` builds the search's packed forward-check words pair
+by pair, as before the plan held one adjacency mask per position.  The
+package's refinement, bijection check and words must agree with them.
 ``oracle_canonical_templates`` lists the templates of order k up to a
 permutation of the classes, by marking the orbit of each template kept.
 ``oracle_verify_witness`` checks a witness pair by pair through the
@@ -485,6 +492,112 @@ def oracle_embed_exact(
     for p, v in enumerate(order):
         out[v] = assign[p]
     return tuple(out)
+
+
+def oracle_refine(rows, cells: list[int], queue: list[int], trace: list, expect=None) -> bool:
+    """``order._refine`` with the general split for every splitter, one-plane
+    splitters too: the fragments and their sizes built as lists, plane by
+    plane.  It must give the same cells, trace, queue and result."""
+    queued = set(queue)
+    # bit x set: cell x has two vertices or more, so it may still split
+    unsplit = 0
+    for x, cell in enumerate(cells):
+        if cell & (cell - 1):
+            unsplit |= 1 << x
+    for s in queue:
+        if not unsplit:
+            break
+        queued.discard(s)
+        splitter = cells[s]
+        if splitter & (splitter - 1):
+            # planes[k]: the vertices whose neighbour count in the splitter has bit k
+            planes: list[int] = []
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                carry = rows[low.bit_length() - 1]
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            planes.reverse()
+            touched = 0
+            for plane in planes:
+                touched |= plane
+        else:
+            touched = rows[splitter.bit_length() - 1]
+            planes = [touched]
+        todo = unsplit
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            cell = cells[x]
+            if not cell & touched:
+                continue
+            frags = [cell]
+            for plane in planes:
+                inside = cell & plane
+                if inside and inside != cell:
+                    frags = [part for f in frags for part in (f & ~plane, f & plane) if part]
+            if len(frags) == 1:
+                continue
+            sizes = [f.bit_count() for f in frags]
+            trace.append((s, x, *sizes))
+            if expect is not None and (
+                len(trace) > len(expect) or trace[-1] != expect[len(trace) - 1]
+            ):
+                return False
+            # A cell no longer queued is stable, and the counts into its
+            # first largest fragment follow from those into the others.
+            skip = -1 if x in queued else sizes.index(max(sizes))
+            cells[x] = frags[0]
+            if not frags[0] & (frags[0] - 1):
+                unsplit ^= low
+            if skip and x not in queued:
+                queued.add(x)
+                queue.append(x)
+            for k in range(1, len(frags)):
+                y = len(cells)
+                if k != skip:
+                    queued.add(y)
+                    queue.append(y)
+                if frags[k] & (frags[k] - 1):
+                    unsplit |= 1 << y
+                cells.append(frags[k])
+    return expect is None or len(trace) == len(expect)
+
+
+def oracle_image_rows(rows, target, phi) -> bool:
+    """Whether ``phi`` maps the graph with ``rows`` onto the graph with rows
+    ``target``: the image of each row, built bit by bit, is the target's row
+    of the image vertex, as ``_Chain.bijection`` checked it before it
+    compared degrees and tested each edge once."""
+    return all(
+        sum(1 << phi[u] for u in bits_of(row)) == target[phi[v]] for v, row in enumerate(rows)
+    )
+
+
+def oracle_words(h: Graph, ng: int) -> list:
+    """The packed forward-check words of pattern ``h`` for a host of ``ng``
+    vertices, built pair by pair through ``h.adjacent`` along the search
+    order, R bit by bit, as ``order._embed`` built them before the plan held
+    one adjacency mask per position."""
+    nh = h.n
+    order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
+    width, field = ng + 1, (1 << ng) - 1
+    words = []
+    for p in range(nh):
+        r = non = 0
+        for j, q in enumerate(range(p + 1, nh)):
+            r |= 1 << j * width
+            if not h.adjacent(order[p], order[q]):
+                non |= field << j * width
+        words.append((r, non & r * field, non & r, r * field, r << ng))
+    return words
 
 
 def oracle_canonical_templates(k: int) -> list:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wqograph.graphs import (
     Graph,
     biclique,
+    bits_of,
     build,
     complement,
     complete_graph,
@@ -27,6 +28,7 @@ from wqograph.order import (
     _Record,
     _degree_refinement,
     _record,
+    _refine,
     _twins,
     _split_free,
     induced_embed,
@@ -36,7 +38,16 @@ from wqograph.order import (
     labelled_embed,
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
-from oracles import oracle_embed, oracle_embed_exact, oracle_embed_search, oracle_lex_orbits
+from oracles import (
+    oracle_embed,
+    oracle_embed_exact,
+    oracle_embed_search,
+    oracle_image_rows,
+    oracle_isomorphic,
+    oracle_lex_orbits,
+    oracle_refine,
+    oracle_words,
+)
 from strategies import small_graphs
 
 
@@ -420,6 +431,115 @@ class TestLexLeader:
         g = relabel(host, rng.sample(range(host.n), host.n))
         assert _record(h).chain.bounds[0] is not None
         TestSearchAgainstOracle.check(h, g, [g.mask] * h.n, lambda b: induced_embed(h, g, b))
+
+
+def two_switched(g, data):
+    """``g`` with one 2-switch drawn from ``data``: edges ab and cd, with ac
+    and bd not edges, become ac and bd, so every degree stays; ``g`` itself
+    if no such pair of edges exists."""
+    rows, edges = g.rows, g.edges()
+    switches = [
+        (a, b, c, d)
+        for u, v in edges
+        for a, b in ((u, v), (v, u))
+        for c, d in edges
+        if len({a, b, c, d}) == 4 and not rows[a] >> c & 1 and not rows[b] >> d & 1
+    ]
+    if not switches:
+        return g
+    a, b, c, d = data.draw(st.sampled_from(switches))
+    kept = set(edges) - {tuple(sorted(e)) for e in ((a, b), (c, d))}
+    return Graph.from_edges(g.n, kept | {(a, c), (b, d)})
+
+
+class TestAgainstOldPaths:
+    """The bijection check, the one-plane split of the refinement and the
+    plan's packed words against the paths they replaced (kept in
+    ``oracles``)."""
+
+    @staticmethod
+    def chain(g):
+        """The individualisation chain of ``g``, without a detection."""
+        record = _record(g)
+        return _Chain(g.rows, record.order, record.refinement[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(7), st.data())
+    def test_bijection(self, g, data):
+        chain = self.chain(g)
+        phi = data.draw(st.permutations(range(g.n)))
+        kind = data.draw(st.sampled_from(("relabelled", "switched", "added", "other")))
+        if kind == "relabelled":
+            target = g
+        elif kind == "switched":
+            target = two_switched(g, data)
+        elif kind == "added":
+            non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.adjacent(u, v)]
+            added = data.draw(st.lists(st.sampled_from(non_edges), max_size=3)) if non_edges else []
+            target = Graph.from_edges(g.n, g.edges() + added)
+        else:
+            target = data.draw(small_graphs(7).filter(lambda t: t.n == g.n))
+        target = relabel(target, phi)
+        # the discrete end of the chain mapped through phi, or through another map
+        psi = data.draw(st.sampled_from([phi, data.draw(st.permutations(range(g.n)))]))
+        cells = [1 << psi[cell.bit_length() - 1] for cell in chain.chain[-1]]
+        found = chain.bijection(target.rows, cells)
+        assert (found is not None) == oracle_image_rows(g.rows, target.rows, psi)
+        if found is not None:
+            assert found == list(psi)
+            assert oracle_isomorphic(g, target)
+        if kind == "relabelled" and psi is phi:
+            assert found == list(phi)
+
+    def test_bijection_keeps_degrees(self):
+        # Under the identity every edge of P3 maps onto an edge of K3, yet
+        # the two are not isomorphic: the degrees tell them apart.
+        p3 = build("P3")
+        chain = self.chain(p3)
+        assert chain.bijection(build("K3").rows, chain.chain[-1]) is None
+        assert chain.bijection(p3.rows, chain.chain[-1]) == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_graphs(10), symmetric_hosts(16)), st.data())
+    def test_refine(self, g, data):
+        """From an ordered partition drawn at random, then along random
+        individualisations, each refined once plainly and once against the
+        trace of another vertex of the same cell: the cells, trace, queue
+        and result of the general split."""
+
+        def both(cells, queue, expect=None):
+            got, want = (cells.copy(), queue.copy(), []), (cells.copy(), queue.copy(), [])
+            assert _refine(g.rows, *got, expect) == oracle_refine(g.rows, *want, expect)
+            assert got == want
+            return got
+
+        if not g.n:
+            return
+        parts = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        cells = [sum(1 << v for v in range(g.n) if parts[v] == k) for k in range(4)]
+        cells = [cell for cell in cells if cell]
+        queue = data.draw(st.permutations(range(len(cells))))
+        cells = both(cells, list(queue))[0]
+        while len(cells) < g.n:
+            x = data.draw(st.sampled_from([x for x, c in enumerate(cells) if c & (c - 1)]))
+            v, w = data.draw(
+                st.lists(st.sampled_from(bits_of(cells[x])), min_size=2, max_size=2, unique=True)
+            )
+            split = cells.copy()
+            split[x] ^= 1 << v
+            other = cells.copy()
+            other[x] ^= 1 << w
+            cells, _, expect = both(split + [1 << v], [len(cells)])
+            both(other + [1 << w], [len(other)], expect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(9).filter(lambda h: h.n), st.integers(0, 12))
+    def test_words(self, h, extra):
+        ng = h.n + extra
+        induced_embed(h, Graph.empty(ng))
+        order, _, _, last_pair_adjacent, packed = _record(h).plan
+        assert packed[ng] == oracle_words(h, ng)
+        assert last_pair_adjacent == (h.n >= 2 and h.adjacent(order[-2], order[-1]))
 
 
 def shrikhande():
