@@ -45,6 +45,11 @@ Families:
 - ``uniform-order``: the orders alone (or None) of the ``uniform`` and
   ``uniform-hard`` searches, so that two checkouts whose witnesses differ
   can still be compared on verdicts;
+- ``uniform-nodes``: the nodes (``SearchBudget.used``) of each of those
+  searches, and for the first 300 graphs of each battery the node at which
+  the search runs out under budgets of 0, 1, 5, 17 and 60 nodes (or None
+  where it finishes), so that two checkouts are compared on search effort
+  and on where an exhausted budget stops;
 - ``antichain``: ``verify_family`` reports (thm51 2..6, thm52 3..5, cycles
   4..13); ``induced_embed`` both ways between randomly relabelled members of
   one family; the first embeddings of paths, cycles, cliques and matchings
@@ -83,7 +88,14 @@ import sys
 from wqograph import antichains, classifier, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
 from wqograph.ops import apply_script
-from wqograph.order import _CLASSES, SearchBudget, _record, induced_embed, is_free
+from wqograph.order import (
+    _CLASSES,
+    SearchBudget,
+    SearchBudgetExceeded,
+    _record,
+    induced_embed,
+    is_free,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import workloads  # noqa: E402  (the benchmark's input makers)
@@ -121,6 +133,8 @@ UNIFORM_EXPANSIONS = 500
 UNIFORM_HARD_SEED = 20261021
 UNIFORM_HARD_GRAPHS = 300
 UNIFORM_HARD_MUTANTS = 300
+UNIFORM_PROBE_GRAPHS = 300  # per battery
+UNIFORM_PROBE_LIMITS = (0, 1, 5, 17, 60)
 ANTICHAIN_SEED = 20261020
 FAMILY_REPORTS = (("thm51", range(2, 7)), ("thm52", range(3, 6)), ("cycles", range(4, 14)))
 RELABELLED_PAIRS = (("thm51", range(2, 6)), ("thm52", range(3, 6)), ("cycles", range(4, 14)))
@@ -310,15 +324,29 @@ def uniform_hard_battery() -> list[Graph]:
     return graphs
 
 
-def uniform_searches(battery: list[Graph], orders: Digest) -> str:
+def uniform_searches(battery: list[Graph], orders: Digest, nodes: Digest) -> str:
     """The digest of the orders and witnesses; the orders alone also go to
-    ``orders``."""
+    ``orders``, and the nodes and budget probes to ``nodes``."""
     digest = Digest()
-    for g in battery:
-        found = uniform.uniformicity(g, 3)
+    for i, g in enumerate(battery):
+        budget = SearchBudget(1 << 62)
+        found = uniform.uniformicity(g, 3, budget=budget)
         digest.add(None if found is None else [found[0], found[1].to_json()])
         orders.add(None if found is None else found[0])
+        nodes.add(budget.used)
+        if i < UNIFORM_PROBE_GRAPHS:
+            nodes.add([exhausted_at(g, limit) for limit in UNIFORM_PROBE_LIMITS])
     return digest.hex()
+
+
+def exhausted_at(g: Graph, limit: int) -> int | None:
+    """The node at which ``uniformicity(g, 3)`` runs out of a budget of
+    ``limit`` nodes, or None if it finishes within it."""
+    try:
+        uniform.uniformicity(g, 3, budget=SearchBudget(limit))
+    except SearchBudgetExceeded as exc:
+        return exc.nodes
+    return None
 
 
 def relabelled(g: Graph, rng: random.Random) -> Graph:
@@ -414,10 +442,11 @@ def main() -> int:
     digests["route"], digests["embed"], digests["delete"] = random_graphs(nodes)
     digests["anchors"] = anchors()
     digests["free"] = freeness()
-    orders = Digest()
-    digests["uniform"] = uniform_searches(uniform_battery(), orders)
-    digests["uniform-hard"] = uniform_searches(uniform_hard_battery(), orders)
+    orders, uniform_nodes = Digest(), Digest()
+    digests["uniform"] = uniform_searches(uniform_battery(), orders, uniform_nodes)
+    digests["uniform-hard"] = uniform_searches(uniform_hard_battery(), orders, uniform_nodes)
     digests["uniform-order"] = orders.hex()
+    digests["uniform-nodes"] = uniform_nodes.hex()
     digests["antichain"] = antichain(nodes)
     digests["nodes"] = nodes.hex()
     digests["classify"] = classify()

@@ -143,7 +143,8 @@ and tests the host's rows directly:
 - a clique K_k, k <= 5: nested loops over common neighbourhoods;
 - P3: the host is not a disjoint union of cliques;
 - the diamond: some edge ab has a non-edge in N(a) & N(b);
-- P2 + P3: some edge ab has a P3 in G - N[a] - N[b].
+- P2 + P3: some edge ab has a P3 in G - N[a] - N[b], each distinct such
+  rest tested once per call.
 
 The P3, diamond and P2+P3 tests are one loop nest each, and the clique
 test enters one level per vertex of the clique.  A decision on an n-vertex
@@ -924,8 +925,10 @@ def _diamond(rows, s: int) -> bool:
 
 def _p2_p3(rows, s: int) -> bool:
     """P2 + P3: some edge ab of G[S] with a P3 in S - N[a] - N[b], tested in
-    the edge loop itself as by :func:`_p3`."""
+    the edge loop itself as by :func:`_p3`, once per distinct rest
+    S - N[a] - N[b]: on a host with twins many edges leave the same one."""
     t = s
+    clear = set()  # the rests already shown to be P3-free
     while t:
         low = t & -t
         t ^= low
@@ -938,8 +941,9 @@ def _p2_p3(rows, s: int) -> bool:
             b = later & -later
             later ^= b
             rest = far & ~(rows[b.bit_length() - 1] | b)
-            if rest.bit_count() < 3:
+            if rest.bit_count() < 3 or rest in clear:
                 continue
+            clear.add(rest)
             while rest:
                 v = rest & -rest
                 part = (rows[v.bit_length() - 1] | v) & rest

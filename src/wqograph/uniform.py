@@ -198,10 +198,14 @@ def is_k_uniform(
     vertex cap of the template's class graph.
 
     Vertices are placed 0..n-1 on the open parts and then on a fresh one
-    (parts open in first-use order); one search node is one part tried for
-    one vertex, or one K = 1 tried in a copy test.  ``modes[p][q]`` holds
-    what the placed vertices still allow between parts p and q: bit 1 a
-    matching, bit 2 a co-matching.  Each complete split is tested for
+    (parts open in first-use order); one search node is one part p tried
+    for one vertex v, charged before any test, or one K = 1 tried in a copy
+    test.  ``modes[p][q]`` holds what the placed vertices still allow
+    between parts p and q: bit 1 a matching, bit 2 a co-matching.  A node
+    tests on v's row that p stays a clique or an independent set, then the
+    modes v leaves with each other open part q in turn, and stops at the
+    first q left with none.  The modes that narrow are written both ways as
+    v joins p and restored as it leaves.  Each complete split is tested for
     copies, and the search goes on when none fit.
     """
     if not 1 <= k <= MAX_VERTICES:
@@ -212,38 +216,6 @@ def is_k_uniform(
     spent = 0
     parts = [0] * k
     modes = [[3] * k for _ in range(k)]
-
-    def narrowed(v: int, p: int, opened: int) -> list[tuple[int, int, int]] | None:
-        """``(q, old, new)`` for each part q whose modes with part p narrow
-        when v joins p, or None if v cannot join p."""
-        nv = rows[v]
-        pm = parts[p]
-        if pm & (pm - 1):
-            inside = nv & pm
-            if inside != (pm if rows[(pm & -pm).bit_length() - 1] & pm else 0):
-                return None
-        out = []
-        for q in range(opened):
-            if q == p:
-                continue
-            qm = parts[q]
-            old = modes[p][q]
-            mode = 0
-            # a matching lets v have one neighbour in q, with none in p yet
-            hit = nv & qm
-            if old & 1 and not hit & (hit - 1):
-                if not hit or not rows[(hit & -hit).bit_length() - 1] & pm:
-                    mode = 1
-            # a co-matching lets v miss one vertex of q, adjacent to all of p
-            miss = qm & ~nv
-            if old & 2 and not miss & (miss - 1):
-                if not miss or rows[(miss & -miss).bit_length() - 1] & pm == pm:
-                    mode |= 2
-            if not mode:
-                return None
-            if mode != old:
-                out.append((q, old, mode))
-        return out
 
     def witness(opened: int) -> UniformWitness | None:
         """The witness of the complete split if the closure of the deviation
@@ -319,23 +291,46 @@ def is_k_uniform(
         nonlocal spent
         if v == n:
             return witness(opened)
-        bit = 1 << v
-        for p in range(min(opened + 1, k)):
+        nv = rows[v]
+        for p in range(opened + (opened < k)):
             spent += 1
             if spent > cap:
                 raise SearchBudgetExceeded(budget.used + spent)
-            changes = narrowed(v, p, opened)
-            if changes is None:
+            pm = parts[p]
+            if pm & (pm - 1) and nv & pm != (pm if rows[pm.bit_length() - 1] & pm else 0):
                 continue
-            for q, _, mode in changes:
-                modes[p][q] = modes[q][p] = mode
-            parts[p] |= bit
-            found = place(v + 1, max(opened, p + 1))
-            if found is not None:
-                return found
-            parts[p] ^= bit
-            for q, old, _ in changes:
-                modes[p][q] = modes[q][p] = old
+            mp = modes[p]
+            changes = ()
+            for q in range(opened):
+                if q == p:
+                    continue
+                qm = parts[q]
+                old = mp[q]
+                mode = 0
+                # a matching lets v have one neighbour in q, with none in p yet
+                hit = nv & qm
+                if old & 1 and not hit & (hit - 1):
+                    if not hit or not rows[hit.bit_length() - 1] & pm:
+                        mode = 1
+                # a co-matching lets v miss one vertex of q, adjacent to all of p
+                miss = qm & ~nv
+                if old & 2 and not miss & (miss - 1):
+                    if not miss or rows[miss.bit_length() - 1] & pm == pm:
+                        mode |= 2
+                if not mode:
+                    break
+                if mode != old:
+                    changes += ((q, old, mode),)
+            else:
+                for q, _, mode in changes:
+                    mp[q] = modes[q][p] = mode
+                parts[p] |= 1 << v
+                found = place(v + 1, opened + (p == opened))
+                if found is not None:
+                    return found
+                parts[p] ^= 1 << v
+                for q, old, _ in changes:
+                    mp[q] = modes[q][p] = old
         return None
 
     try:

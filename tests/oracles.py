@@ -31,6 +31,12 @@ it built every image row bit by bit, before it compared degrees and tested
 edges; ``oracle_words`` builds the search's packed forward-check words pair
 by pair, as before the plan held one adjacency mask per position.  The
 package's refinement, bijection check and words must agree with them.
+``oracle_is_k_uniform`` is the uniformicity search as it ran before its
+node loop was inlined, with one helper call per node that built a list of
+changes: the package's search must return its witness, spend its nodes
+and run out of budget at its node.  ``oracle_p2_p3`` is the P2+P3 test
+of the freeness decider as it ran before it tested each distinct rest set
+once per call.
 ``oracle_canonical_templates`` lists the templates of order k up to a
 permutation of the classes, by marking the orbit of each template kept.
 ``oracle_verify_witness`` checks a witness pair by pair through the
@@ -79,9 +85,9 @@ from wqograph.classifier import (
     canonical_key,
     pair_corpus,
 )
-from wqograph.graphs import Graph, bits_of, complement, encode_graph6, induced, pattern
-from wqograph.order import SearchBudgetExceeded, _record, induced_embed
-from wqograph.uniform import UniformTemplate, WitnessCheck
+from wqograph.graphs import MAX_VERTICES, Graph, bits_of, complement, encode_graph6, induced, pattern
+from wqograph.order import SearchBudget, SearchBudgetExceeded, _record, induced_embed
+from wqograph.uniform import UniformTemplate, UniformWitness, WitnessCheck
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:
@@ -224,6 +230,198 @@ def oracle_k_uniform(g: Graph, k: int) -> bool:
                     for v in range(u + 1, n)
                 ):
                     return True
+    return False
+
+
+def oracle_is_k_uniform(
+    g: Graph,
+    k: int,
+    *,
+    budget: SearchBudget | None = None,
+) -> UniformWitness | None:
+    """``uniform.is_k_uniform`` as it ran before its node loop was inlined:
+    the witness of the first split into at most k parts with a copy
+    relation that fits, as the ``uniform`` module docstring sets out, or
+    None.  ``k`` must lie in 1..64, the vertex cap of the template's class
+    graph.
+
+    Vertices are placed 0..n-1 on the open parts and then on a fresh one
+    (parts open in first-use order); one search node is one part tried for
+    one vertex, or one K = 1 tried in a copy test.  ``modes[p][q]`` holds
+    what the placed vertices still allow between parts p and q: bit 1 a
+    matching, bit 2 a co-matching.  Each complete split is tested for
+    copies, and the search goes on when none fit.
+    """
+    if not 1 <= k <= MAX_VERTICES:
+        raise ValueError(f"k must be in 1..{MAX_VERTICES}, got {k}")
+    n = g.n
+    rows = g.rows
+    cap = 1 << 62 if budget is None else budget.limit - budget.used
+    spent = 0
+    parts = [0] * k
+    modes = [[3] * k for _ in range(k)]
+
+    def narrowed(v: int, p: int, opened: int) -> list[tuple[int, int, int]] | None:
+        """``(q, old, new)`` for each part q whose modes with part p narrow
+        when v joins p, or None if v cannot join p."""
+        nv = rows[v]
+        pm = parts[p]
+        if pm & (pm - 1):
+            inside = nv & pm
+            if inside != (pm if rows[(pm & -pm).bit_length() - 1] & pm else 0):
+                return None
+        out = []
+        for q in range(opened):
+            if q == p:
+                continue
+            qm = parts[q]
+            old = modes[p][q]
+            mode = 0
+            # a matching lets v have one neighbour in q, with none in p yet
+            hit = nv & qm
+            if old & 1 and not hit & (hit - 1):
+                if not hit or not rows[(hit & -hit).bit_length() - 1] & pm:
+                    mode = 1
+            # a co-matching lets v miss one vertex of q, adjacent to all of p
+            miss = qm & ~nv
+            if old & 2 and not miss & (miss - 1):
+                if not miss or rows[(miss & -miss).bit_length() - 1] & pm == pm:
+                    mode |= 2
+            if not mode:
+                return None
+            if mode != old:
+                out.append((q, old, mode))
+        return out
+
+    def witness(opened: int) -> UniformWitness | None:
+        """The witness of the complete split if the closure of the deviation
+        pairs fits it, for the first choice of K, 0 before 1 in part order,
+        between parts whose edges and non-edges both form a non-empty
+        matching.  A deviation is kept as ``(p, q, K(p, q), devs)``: for
+        each vertex u of part p, ``devs`` pairs u with the mask of its
+        partner in part q (0 if none).
+
+        The closure fits iff no component holds a cross pair of a non-empty
+        deviation's parts that is not a deviation pair.  That keeps two
+        vertices of one part apart too: if u and u' of part p share a
+        component, one of them, say u, was joined to a partner v in some
+        part q, and (u', v) is then such a cross pair."""
+        nonlocal spent
+        matrix = [[0] * k for _ in range(k)]
+        fixed = []  # the deviations with one option
+        pairs = []  # (K = 0, K = 1) where both deviations are non-empty
+        for p in range(opened):
+            pm = parts[p]
+            matrix[p][p] = int(bool(rows[(pm & -pm).bit_length() - 1] & pm))
+            members = bits_of(pm)
+            for q in range(p + 1, opened):
+                options = []
+                for kpq, flip in ((0, 0), (1, -1)):  # K = 0: edges; K = 1: non-edges
+                    if modes[p][q] >> kpq & 1:
+                        devs = [(u, (rows[u] ^ flip) & parts[q]) for u in members]
+                        if not any(d for _, d in devs):
+                            matrix[p][q] = matrix[q][p] = kpq
+                            break  # an empty deviation imposes nothing
+                        options.append((p, q, kpq, devs))
+                else:
+                    if len(options) == 2:
+                        pairs.append(options)
+                    else:
+                        fixed += options
+        todo = [(0, fixed, 0)]  # pairs decided, deviations taken, nodes
+        while todo:
+            i, chosen, nodes = todo.pop()
+            spent += nodes
+            if spent > cap:
+                raise SearchBudgetExceeded(budget.used + spent)
+            comp = [1 << v for v in range(n)]
+            for _, _, _, devs in chosen:
+                for u, d in devs:
+                    if d and not comp[u] & d:
+                        joined = comp[u] | comp[d.bit_length() - 1]
+                        for w in bits_of(joined):
+                            comp[w] = joined
+            if not all(
+                not comp[u] & parts[q] or comp[u] & parts[q] == d
+                for _, q, _, devs in chosen
+                for u, d in devs
+            ):
+                continue
+            if i < len(pairs):  # K = 0 on top, and K = 1 costs a node
+                todo += [(i + 1, chosen + [opt], opt[2]) for opt in pairs[i][::-1]]
+                continue
+            for p, q, kpq, _ in chosen:
+                matrix[p][q] = matrix[q][p] = kpq
+            f = Graph.from_edges(k, [(p, q) for p, q, _, _ in chosen])
+            template = UniformTemplate(k, f, tuple(map(tuple, matrix)))
+            part_of = [0] * n
+            for p in range(opened):
+                for v in bits_of(parts[p]):
+                    part_of[v] = p
+            copies: dict[int, int] = {}  # component mask -> copy
+            assign = [(copies.setdefault(comp[v], len(copies)), part_of[v]) for v in range(n)]
+            return UniformWitness(template, tuple(assign))
+        return None
+
+    def place(v: int, opened: int) -> UniformWitness | None:
+        nonlocal spent
+        if v == n:
+            return witness(opened)
+        bit = 1 << v
+        for p in range(min(opened + 1, k)):
+            spent += 1
+            if spent > cap:
+                raise SearchBudgetExceeded(budget.used + spent)
+            changes = narrowed(v, p, opened)
+            if changes is None:
+                continue
+            for q, _, mode in changes:
+                modes[p][q] = modes[q][p] = mode
+            parts[p] |= bit
+            found = place(v + 1, max(opened, p + 1))
+            if found is not None:
+                return found
+            parts[p] ^= bit
+            for q, old, _ in changes:
+                modes[p][q] = modes[q][p] = old
+        return None
+
+    try:
+        return place(0, 0)
+    finally:
+        if budget is not None:
+            budget.used += spent
+
+
+def oracle_p2_p3(rows, s: int) -> bool:
+    """P2 + P3: some edge ab of G[S] with a P3 in S - N[a] - N[b], tested in
+    the edge loop itself as by ``order._p3``, once per edge (``order._p2_p3``
+    as it ran before it tested each distinct rest once)."""
+    t = s
+    while t:
+        low = t & -t
+        t ^= low
+        a = low.bit_length() - 1
+        far = s & ~(rows[a] | low)
+        if far.bit_count() < 3:
+            continue
+        later = rows[a] & t
+        while later:
+            b = later & -later
+            later ^= b
+            rest = far & ~(rows[b.bit_length() - 1] | b)
+            if rest.bit_count() < 3:
+                continue
+            while rest:
+                v = rest & -rest
+                part = (rows[v.bit_length() - 1] | v) & rest
+                others = part ^ v
+                while others:
+                    w = others & -others
+                    others ^= w
+                    if (rows[w.bit_length() - 1] | w) & rest != part:
+                        return True
+                rest ^= part
     return False
 
 

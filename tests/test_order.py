@@ -911,6 +911,28 @@ def family_hosts(draw):
     return g
 
 
+@st.composite
+def twin_rich_hosts(draw, max_n=20):
+    """A graph on at most 8 vertices with each vertex blown up into 1 to 4
+    true or false twins, at most ``max_n`` vertices in all."""
+    base = draw(small_graphs(8))
+    blocks, start = [], 0
+    for v in range(base.n):
+        size = draw(st.integers(1, min(4, max_n - start - (base.n - v - 1))))
+        blocks.append((range(start, start + size), draw(st.booleans())))
+        start += size
+    edges = [
+        (x, y)
+        for u, (xs, true_twins) in enumerate(blocks)
+        for v, (ys, _) in enumerate(blocks[u:], u)
+        if (true_twins if u == v else base.adjacent(u, v))
+        for x in xs
+        for y in ys
+        if x < y
+    ]
+    return Graph.from_edges(start, edges)
+
+
 class TestSplitFree:
     """The freeness decider says what the embedding search says, and a
     free verdict from it spends no node."""
@@ -934,6 +956,15 @@ class TestSplitFree:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(DECIDED_PATTERNS), family_hosts())
     def test_family_hosts(self, h, g):
+        self.check(h, g)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.sampled_from([h for h in DECIDED_PATTERNS if (h.n, h.edge_count()) == (5, 3)]),
+        twin_rich_hosts(),
+    )
+    def test_twin_rich_hosts(self, h, g):
+        """P2+P3 on hosts where many edges leave the same rest."""
         self.check(h, g)
 
     def test_family_members_free(self):

@@ -27,6 +27,7 @@ from wqograph.uniform import (
 from oracles import (
     oracle_canonical_templates,
     oracle_forward_assignment,
+    oracle_is_k_uniform,
     oracle_isomorphic,
     oracle_k_uniform,
     oracle_template_from_json,
@@ -419,6 +420,41 @@ class TestClassPartition:
         for limit in range(full.used):
             with pytest.raises(SearchBudgetExceeded):
                 uniformicity(g, 3, budget=SearchBudget(limit))
+
+
+def outcome(search, g, k, limit):
+    """The witness and nodes of ``search(g, k)`` under a budget of
+    ``limit`` nodes, or the node at which that budget runs out."""
+    budget = SearchBudget(limit)
+    try:
+        return search(g, k, budget=budget), budget.used
+    except SearchBudgetExceeded as exc:
+        return "exhausted", exc.nodes
+
+
+class TestAgainstOldKernel:
+    """The node loop against the kernel it replaced, which called a helper
+    per node (kept in ``oracles``): the same witness, the same nodes, and
+    the same node at which a budget runs out."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            small_graphs(max_n=9),
+            near_uniform_graphs(),
+            st.builds(
+                lambda t, rng: restricted_expansion(rng, t, 10)[0],
+                templates(kmax=4),
+                st.randoms(use_true_random=False),
+            ),
+        ),
+        st.integers(1, 4),
+    )
+    def test_kernel(self, g, k):
+        found = assert_budget_exact(lambda b: is_k_uniform(g, k, budget=b))
+        assert found == assert_budget_exact(lambda b: oracle_is_k_uniform(g, k, budget=b))
+        for limit in (0, 1, 5, 17, 60):
+            assert outcome(is_k_uniform, g, k, limit) == outcome(oracle_is_k_uniform, g, k, limit)
 
 
 class TestUniformicity:
