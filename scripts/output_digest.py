@@ -64,6 +64,8 @@ Families:
   call cannot leak into the other's;
 - ``corpus``: the rows of every graph of ``nonisomorphic_graphs(n)`` for
   n = 0..6, in order;
+- ``corpus7``: the rows of the 1,044 graphs of ``nonisomorphic_graphs(7)``,
+  in order;
 - ``instances``: the rows of ``k5_instance``, ``c5_instance`` and
   ``c4_instance`` for seeds 0..4,999;
 - ``orbits``: the host orbits of each graph of the battery and of the
@@ -427,6 +429,13 @@ def corpus() -> str:
     return digest.hex()
 
 
+def corpus7() -> str:
+    digest = Digest()
+    for g in classifier.nonisomorphic_graphs(7):
+        digest.add(list(g.rows))
+    return digest.hex()
+
+
 def instance_rows() -> str:
     digest = Digest()
     for maker in INSTANCE_MAKERS:
@@ -452,6 +461,7 @@ def main() -> int:
     digests["classify"] = classify()
     digests["tables"] = tables()
     digests["corpus"] = corpus()
+    digests["corpus7"] = corpus7()
     digests["instances"] = instance_rows()
     digests["orbits"] = orbits()
     for name, value in digests.items():

@@ -9,11 +9,12 @@ Two pairs are equivalent when one arises from the other by complementing
 both members or by swapping a triangle member for the paw (co(P1+P3)) and
 vice versa; verdicts are invariant across an equivalence class.
 
-Each table decides a class once, and a later pair of the class walks the
-deciding rule alone over its own members for its ``via``; its labelled
-members are built only if that rule misses the pair itself.  Each rule
-keeps, per side and canonical key, the side's first atom that holds (or
-none), found lazily in table order.
+Each table decides a class once, in one walk over its members with the
+pair itself first, and that walk's verdict is the first visit's.  A later
+pair of the class walks the deciding rule alone over its own members for
+its ``via``; its labelled members are built only if that rule misses the
+pair itself.  Each rule keeps, per side and canonical key, the side's first
+atom that holds (or none), found in table order when a walk first reads it.
 """
 
 from __future__ import annotations
@@ -166,10 +167,11 @@ def equivalent_pairs(pair: ClassPair) -> tuple[ClassPair, ...]:
             )
         for ka, b, kb in ((p.k1, p.h2, p.k2), (p.k2, p.h1, p.k1)):
             if ka in _SWAP:
-                q = ClassPair._keyed(*_SWAP[ka], b, kb)
-                if q.key() not in seen:
-                    seen.add(q.key())
-                    members.append(q)
+                other, ko = _SWAP[ka]
+                key = (ko, kb) if ko <= kb else (kb, ko)
+                if key not in seen:
+                    seen.add(key)
+                    members.append(ClassPair._keyed(other, ko, b, kb))
     return tuple(members)
 
 
@@ -224,21 +226,6 @@ class Rule:
     _hits: tuple[dict, dict] = field(
         default_factory=lambda: ({}, {}), init=False, compare=False, repr=False
     )
-
-    def match(self, a: Graph, ka: tuple, b: Graph, kb: tuple) -> tuple | None:
-        """(atom_first, atom_second), each the first of its side in table
-        order that holds, or None; ``ka`` and ``kb`` are the canonical keys
-        of ``a`` and ``b``."""
-        firsts, seconds = self._hits
-        fa = firsts.get(ka)
-        if fa is None:
-            fa = firsts[ka] = next((t for t in self.first if _holds(a, ka, t)), ())
-        if not fa:
-            return None
-        sa = seconds.get(kb)
-        if sa is None:
-            sa = seconds[kb] = next((t for t in self.second if _holds(b, kb, t)), ())
-        return (fa, sa) if sa else None
 
 
 def _subs(*exprs: str) -> tuple[tuple, ...]:
@@ -346,29 +333,39 @@ def _oriented(members: Sequence[ClassPair]) -> list[tuple]:
 
 
 def _fire(rule: Rule, oriented: Sequence[tuple]) -> Verdict | None:
-    """The rule's verdict at its first match over ``oriented``."""
+    """The rule's verdict at its first match over ``oriented``: an atom of
+    its first side holds on a and one of its second on b.  A side missing
+    from ``_hits`` is resolved on first read, b's only where a's holds."""
+    firsts, seconds = rule._hits
     for a, ka, b, kb in oriented:
-        hit = rule.match(a, ka, b, kb)
-        if hit is not None:
-            satom = hit[1]
-            family = rule.families.get(satom[1]) if len(satom) > 1 else None
+        fa = firsts.get(ka)
+        if fa is None:
+            fa = firsts[ka] = next((t for t in rule.first if _holds(a, ka, t)), ())
+        if not fa:
+            continue
+        sa = seconds.get(kb)
+        if sa is None:
+            sa = seconds[kb] = next((t for t in rule.second if _holds(b, kb, t)), ())
+        if sa:
+            family = rule.families.get(sa[1]) if len(sa) > 1 else None
             return Verdict(rule.verdict, rule.id, (a, b), family)
     return None
 
 
-def _decide(oriented: Sequence[tuple], rules: Sequence[Rule]) -> Rule | str | None:
+def _decide(oriented: Sequence[tuple], rules: Sequence[Rule]) -> tuple:
     """The first rule in table order of the positive polarity that fires
-    anywhere in ``oriented``, else the first negative, else None (Open); the
-    inconsistency message if both polarities fire.  Once a rule of a polarity
-    fired, the later rules of that polarity are not evaluated."""
-    fired: dict[bool, Rule] = {}
+    anywhere in ``oriented``, else the first negative, else None (Open),
+    with its verdict at its first match in ``oriented``; the inconsistency
+    message if both polarities fire.  Once a rule of a polarity fired, the
+    later rules of that polarity are not evaluated."""
+    fired: dict[bool, tuple[Rule, Verdict]] = {}
     for rule in rules:
         positive = rule.verdict in ("WqoLabelled", "Bounded")
-        if positive not in fired and _fire(rule, oriented):
-            fired[positive] = rule
+        if positive not in fired and (verdict := _fire(rule, oriented)):
+            fired[positive] = rule, verdict
     if len(fired) == 2:
-        return f"pair fired {fired[True].id} and {fired[False].id}"
-    return fired.get(True) or fired.get(False)
+        return f"pair fired {fired[True][0].id} and {fired[False][0].id}", None
+    return fired.get(True) or fired.get(False) or (None, None)
 
 
 # Member key -> a (rules, _decide's decision) entry per table that decided
@@ -382,16 +379,19 @@ _MAX_DECISIONS = 4096
 
 def _classify(pair: ClassPair, rules: Sequence[Rule]) -> Verdict:
     """The first positive verdict in table order over the equivalence class
-    of ``pair``, else the first negative.  The class is decided at the first
-    visit of any member; every visit walks the deciding rule alone over its
-    own members in :func:`equivalent_pairs` order for its ``via`` and
-    family, closing the class only if the rule misses the pair itself."""
+    of ``pair``, else the first negative.  The first visit of any member
+    decides the class over its members in :func:`equivalent_pairs` order,
+    the pair first, and returns the decision walk's verdict.  A later visit
+    walks the deciding rule alone over its own members in that order for
+    its ``via`` and family, closing the class only if the rule misses the
+    pair itself."""
+    verdict = None
     for table, decision in _DECISIONS.get(pair.key(), ()):
         if table is rules:
             break
     else:
         members = equivalent_pairs(pair)
-        decision = _decide(_oriented(members), rules)
+        decision, verdict = _decide(_oriented(members), rules)
         entry = ((rules, decision),)
         for p in members:
             if len(_DECISIONS) >= _MAX_DECISIONS:
@@ -399,11 +399,11 @@ def _classify(pair: ClassPair, rules: Sequence[Rule]) -> Verdict:
             _DECISIONS[p.key()] = _DECISIONS.get(p.key(), ()) + entry
     if isinstance(decision, str):
         raise RuleInconsistencyError(decision)
-    if decision is None:
-        return Verdict("Open")
-    return _fire(decision, _oriented((pair,))) or _fire(
-        decision, _oriented(equivalent_pairs(pair)[1:])
-    )
+    if verdict is None and decision is not None:
+        verdict = _fire(decision, _oriented((pair,))) or _fire(
+            decision, _oriented(equivalent_pairs(pair)[1:])
+        )
+    return verdict or Verdict("Open")
 
 
 def classify_wqo(pair: ClassPair) -> Verdict:
@@ -539,13 +539,12 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     labelled graph of least edge mask (bit i for the i-th pair of
     ``combinations(range(n), 2)``), in ascending mask order.  The first mask
     not yet seen starts a class; its images under all n! vertex
-    permutations mark the class seen."""
+    permutations, the position-wise sums of its edges' image columns (pair
+    i's image bit under each permutation), mark the class seen."""
     pairs = list(combinations(range(n), 2))
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
-    images = [
-        [bit[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
-        for p in permutations(range(n))
-    ]
+    perms = list(permutations(range(n)))
+    images = [[bit[min(p[a], p[b]), max(p[a], p[b])] for p in perms] for a, b in pairs]
     seen = bytearray(1 << len(pairs))
     out = []
     for mask in range(len(seen)):
@@ -553,8 +552,8 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
             continue
         edges = [i for i in range(len(pairs)) if mask >> i & 1]
         out.append(Graph.from_edges(n, [pairs[i] for i in edges]))
-        for image in images:
-            seen[sum(image[i] for i in edges)] = 1
+        for image in map(sum, zip(*(images[i] for i in edges))):
+            seen[image] = 1
     return tuple(out)
 
 
@@ -578,7 +577,7 @@ def check_rule_consistency(max_n: int = 5) -> list[tuple[str, str]]:
         if pair.key() not in errors:
             members = equivalent_pairs(pair)
             oriented = _oriented(members)
-            decisions = (_decide(oriented, rules) for rules in (WQO_RULES, CW_RULES))
+            decisions = (_decide(oriented, rules)[0] for rules in (WQO_RULES, CW_RULES))
             error = next((d for d in decisions if isinstance(d, str)), None)
             errors.update((p.key(), error) for p in members)
         if errors[pair.key()] is not None:

@@ -29,12 +29,14 @@ shifted down by one field is the rest.  These words depend only on the
 pattern and ng and are kept in the plan per host size.  They are built
 from the plan's one adjacency mask per position, over the later positions,
 which takes one pass over the pattern's rows.  R over k fields is
-(2**(k*w) - 1) // (2**w - 1) with w = ng + 1, and A takes one step per
-adjacent field, so a position's words cost O(1 + its later neighbours)
-big-integer operations.  The fields hold the masks a list of one mask per
-position would, and the candidates are tried and dropped in the same order,
-so nodes, first embeddings and the node at which a budget runs out are those
-of the per-position loop.
+(2**(k*w) - 1) // (2**w - 1) with w = ng + 1.  A's feet are R & (a*S),
+with a the position's adjacency mask and S the sum of 2**(j*ng) over the
+fields: the j-th partial product puts bit j of a on field j's foot, j*w,
+and as every later index is below ng, no two overlap, so nothing carries.
+A position's words thus cost O(1) big-integer operations.  The fields hold
+the masks a list of one mask per position would, and the candidates are
+tried and dropped in the same order, so nodes, first embeddings and the
+node at which a budget runs out are those of the per-position loop.
 
 Once only the last two pattern vertices S and L are left, the search looks
 ahead on that pair: it keeps a candidate w of S only if some candidate
@@ -725,19 +727,17 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     # the foot of each field), V*R and R in the fields of those not adjacent
     # to pos (so (V - w)*R & ~A is the one xor the other shifted by w), F, H.
     # R over k fields is (2**(k*width) - 1) / (2**width - 1), and each
-    # position has one field fewer than the one before.
+    # position has one field fewer than the one before, and so has spread.
     words = packed.get(ng)
     if words is None:
         words = packed[ng] = []
         r = ((1 << (nh - 1) * width) - 1) // ((1 << width) - 1)
+        spread = ((1 << (nh - 1) * ng) - 1) // ((1 << ng) - 1)
         for adjacent in later:
-            non = r
-            while adjacent:
-                low = adjacent & -adjacent
-                adjacent ^= low
-                non ^= 1 << (low.bit_length() - 1) * width
+            non = r ^ (adjacent * spread & r)
             words.append((r, non * field, non, r * field, r << ng))
             r >>= width
+            spread >>= ng
     # at_least[d]: host vertices of degree d or more.  A pattern vertex of
     # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
     # enough neighbours and enough non-neighbours.

@@ -59,8 +59,13 @@ each equivalence class once.
 returned it before it returned the number those bits spell, which
 ``oracle_canonical_key`` reads off.  ``oracle_nonisomorphic_graphs`` builds
 the corpus by keying every labelled graph, as the classifier did before it
-marked each class's relabellings.  ``oracle_template_from_json`` reads a
-template back from its JSON, as ``UniformTemplate.from_json`` did.
+marked each class's relabellings, and ``oracle_marked_graphs`` marks them
+with one image row per permutation, as it did before it kept one image
+column per pair.  ``oracle_bit_words`` builds the packed words from the
+plan's adjacency masks bit by bit, as ``order._embed`` did before it spread
+each mask onto the field feet with one product.
+``oracle_template_from_json`` reads a template back from its JSON, as
+``UniformTemplate.from_json`` did.
 ``oracle_classify`` is one table's verdict as the classifier found it
 before it memoised the last pair's class, resolved rule sides once per key
 and decided each class once: ``oracle_equivalent_pairs`` rebuilds the class
@@ -130,6 +135,28 @@ def oracle_nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         if key not in seen:
             seen[key] = g
     return tuple(seen.values())
+
+
+def oracle_marked_graphs(n: int) -> tuple[Graph, ...]:
+    """The least edge mask of each class, in ascending order: the first mask
+    not yet seen starts a class, and each of its images, summed over its
+    edges from one row of image bits per vertex permutation, is marked."""
+    pairs = list(combinations(range(n), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    images = [
+        [bit[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
+        for p in permutations(range(n))
+    ]
+    seen = bytearray(1 << len(pairs))
+    out = []
+    for mask in range(len(seen)):
+        if seen[mask]:
+            continue
+        edges = [i for i in range(len(pairs)) if mask >> i & 1]
+        out.append(Graph.from_edges(n, [pairs[i] for i in edges]))
+        for image in images:
+            seen[sum(image[i] for i in edges)] = 1
+    return tuple(out)
 
 
 def oracle_template_from_json(obj: dict) -> UniformTemplate:
@@ -795,6 +822,26 @@ def oracle_words(h: Graph, ng: int) -> list:
             if not h.adjacent(order[p], order[q]):
                 non |= field << j * width
         words.append((r, non & r * field, non & r, r * field, r << ng))
+    return words
+
+
+def oracle_bit_words(h: Graph, ng: int) -> list:
+    """The packed forward-check words of pattern ``h`` for a host of ``ng``
+    vertices, built from the plan's adjacency mask of each position by
+    clearing the foot of each adjacent field one bit at a time."""
+    nh = h.n
+    later = _record(h).plan[2]
+    width, field = ng + 1, (1 << ng) - 1
+    words = []
+    r = ((1 << (nh - 1) * width) - 1) // ((1 << width) - 1)
+    for adjacent in later:
+        non = r
+        while adjacent:
+            low = adjacent & -adjacent
+            adjacent ^= low
+            non ^= 1 << (low.bit_length() - 1) * width
+        words.append((r, non * field, non, r * field, r << ng))
+        r >>= width
     return words
 
 

@@ -37,6 +37,8 @@ from oracles import (
     oracle_co_atom,
     oracle_equivalent_pairs,
     oracle_key_bits,
+    oracle_marked_graphs,
+    oracle_match,
     oracle_nonisomorphic_graphs,
     oracle_rule_consistency,
 )
@@ -190,8 +192,7 @@ class TestJointClassify:
                 assert name not in blob
                 continue
             a, b = verdict.via
-            ka, kb = canonical_key(a), canonical_key(b)
-            assert RULES[verdict.rule].match(a, ka, b, kb) is not None
+            assert oracle_match(RULES[verdict.rule], a, b) is not None
             assert ClassPair.of(a, b).key() in members
             assert blob[name] == [encode_graph6(a), encode_graph6(b)]
 
@@ -386,6 +387,38 @@ class TestDecisionReuse:
         assert outcomes[0] == "pair fired pos and neg" and outcomes[1].status == "NotWqo"
 
 
+class TestFirstVisit:
+    """From empty tables, the first visit of each class returns the verdict
+    of the walk that decides it, and that walk evaluates each atom only where
+    a lazy rule walk reads it.  The corpus ends up reading nearly every key
+    of every rule, so the count is pinned after its first 100 pairs too: a
+    walk that resolves a rule's first side on every member before it looks
+    for a match makes 770 evaluations there."""
+
+    def test_cold_corpus(self, monkeypatch):
+        for rule in WQO_RULES + CW_RULES:
+            for side in rule._hits:
+                side.clear()
+        classifier._ATOMS.clear()
+        classifier._DECISIONS.clear()
+        equivalent_pairs.cache_clear()
+        calls = []
+
+        def counted(g, atom):
+            calls.append(atom)
+            return _matches(g, atom)
+
+        monkeypatch.setattr(classifier, "_matches", counted)
+        corpus = pair_corpus(5)
+        outcomes, counts = [], []
+        for pair in corpus:
+            outcomes.append([_outcome(classify_wqo, pair), _outcome(classify_cw, pair)])
+            counts.append(len(calls))
+        assert counts[99] == 720 and counts[-1] == 2173
+        for pair, got in zip(corpus, outcomes):
+            assert got == [oracle_classify(pair, WQO_RULES), oracle_classify(pair, CW_RULES)]
+
+
 class TestAudit:
     def test_lists_have_documented_sizes(self):
         assert len(OPEN_WQO_PAIRS) == 9
@@ -456,6 +489,10 @@ class TestCorpus:
     def test_equals_key_loop(self):
         for n in range(6):
             assert nonisomorphic_graphs(n) == oracle_nonisomorphic_graphs(n)
+
+    def test_equals_marked_rows(self):
+        for n in range(7):
+            assert nonisomorphic_graphs(n) == oracle_marked_graphs(n)
 
     def test_keys_equal_networkx_atlas(self):
         """The atlas lists one graph per isomorphism class with at most seven

@@ -39,6 +39,7 @@ from wqograph.order import (
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
 from oracles import (
+    oracle_bit_words,
     oracle_embed,
     oracle_embed_exact,
     oracle_embed_search,
@@ -540,6 +541,22 @@ class TestAgainstOldPaths:
         order, _, _, last_pair_adjacent, packed = _record(h).plan
         assert packed[ng] == oracle_words(h, ng)
         assert last_pair_adjacent == (h.n >= 2 and h.adjacent(order[-2], order[-1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 24),
+        st.sampled_from((0.0, 0.15, 0.5, 0.85, 1.0)),
+        st.randoms(use_true_random=False),
+        st.integers(0, 64),
+    )
+    def test_words_up_to_64_vertices(self, nh, density, rng, extra):
+        """Words spread onto the field feet by one product equal those
+        cleared bit by bit, for patterns up to 24 vertices, dense ones
+        included, and hosts up to 64."""
+        h = random_graph(rng, nh, density)
+        ng = min(64, nh + extra)
+        induced_embed(h, Graph.empty(ng))
+        assert _record(h).plan[4][ng] == oracle_bit_words(h, ng)
 
 
 def shrikhande():
