@@ -74,7 +74,16 @@ Families:
   a cleared record cache and class table, so that the orbits a copy reads
   through a match against its class's representative are compared
   directly, and not only through the nodes they save.  It runs last, so
-  that clearing the tables changes no other family.
+  that clearing the tables changes no other family;
+- ``templates``: for each graph of the ``uniform`` battery with a witness
+  of order at most 3, a seeded flip set and a seeded (X, Y) split, the
+  witness carried through the subgraph and the bipartite complementation:
+  each doubled template (k, F rows, matrix), its assignment and its
+  ``verify_witness`` result on the complemented graph;
+- ``malformed``: the message that ``Graph(n, rows)`` raises (or None) on a
+  seeded battery of random graphs' rows with up to three bits toggled (a
+  bit without its mirror, a bit beyond n - 1 or a self-loop), a few of them
+  at orders outside 0..64 or around the cap.
 
 Takes no arguments; under a minute on one core.
 """
@@ -89,7 +98,7 @@ import sys
 
 from wqograph import antichains, classifier, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
-from wqograph.ops import apply_script
+from wqograph.ops import apply_script, bipartite_complement, subgraph_complement
 from wqograph.order import (
     _CLASSES,
     SearchBudget,
@@ -151,6 +160,9 @@ CLASSIFY_SEED = 20261024
 CLASSIFY_RANDOM_PAIRS = 300
 INSTANCE_MAKERS = (instances.k5_instance, instances.c5_instance, instances.c4_instance)
 INSTANCE_SEEDS = range(5000)
+TEMPLATES_SEED = 20261025
+MALFORMED_SEED = 20261026
+MALFORMED_ROWS = 3000
 
 
 class Digest:
@@ -444,6 +456,59 @@ def instance_rows() -> str:
     return digest.hex()
 
 
+def templates() -> str:
+    digest = Digest()
+    rng = random.Random(TEMPLATES_SEED)
+    for g in uniform_battery():
+        flip = [v for v in range(g.n) if rng.random() < 0.5]
+        sides = [rng.randrange(3) for _ in range(g.n)]
+        x = [v for v in range(g.n) if sides[v] == 0]
+        y = [v for v in range(g.n) if sides[v] == 1]
+        found = uniform.uniformicity(g, 3)
+        if found is None:
+            digest.add(None)
+            continue
+        witness = found[1]
+        for flipped, moved in (
+            (subgraph_complement(g, flip), uniform.transport_complement(witness, flip)),
+            (bipartite_complement(g, x, y), uniform.transport_bipartite(witness, x, y)),
+        ):
+            t = moved.template
+            check = uniform.verify_witness(flipped, moved)
+            digest.add([t.k, list(t.f.rows), t.matrix, moved.assign, check.ok, check.violation])
+    return digest.hex()
+
+
+def malformed() -> str:
+    digest = Digest()
+    rng = random.Random(MALFORMED_SEED)
+    for _ in range(MALFORMED_ROWS):
+        n = rng.randint(0, 14) if rng.random() < 0.95 else rng.choice((-1, 63, 64, 65))
+        p = rng.random()
+        rows = [0] * max(n, 0)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        for _ in range(rng.randint(0, 3) if n > 0 else 0):
+            v = rng.randrange(n)
+            kind = rng.choice(("mirror", "range", "loop"))
+            if kind == "mirror" and n > 1:
+                rows[v] ^= 1 << rng.choice([w for w in range(n) if w != v])
+            elif kind == "range":
+                rows[v] ^= 1 << rng.randint(n, 70)
+            elif kind == "loop":
+                rows[v] ^= 1 << v
+        try:
+            Graph(n, tuple(rows))
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        digest.add([n, rows, message])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
@@ -464,6 +529,8 @@ def main() -> int:
     digests["corpus7"] = corpus7()
     digests["instances"] = instance_rows()
     digests["orbits"] = orbits()
+    digests["templates"] = templates()
+    digests["malformed"] = malformed()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

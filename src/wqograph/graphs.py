@@ -7,11 +7,14 @@ neighbourhood intersection cheap for the sizes this library targets.  A fixed
 cap of ``MAX_VERTICES`` (64) vertices keeps rows word-sized.  Graph values are
 immutable after construction and safe for concurrent reads.
 
-Graphs are validated where they enter: the public constructor, the catalog,
-the parser and both codecs check every row.  Operations that derive a graph
-with no more vertices from a valid one (complement, induced subgraphs,
-subgraph and bipartite complementation) build their result with the
-unchecked ``_graph``.
+Graphs are validated where they enter: the public constructor (at O(n + m)
+cost, as symmetry is tested edge by edge), the catalog, the parser and both
+codecs.  ``from_edges`` stays validated on purpose: its edges mostly come
+from outside, and ``perfbench``'s tracer counts constructions at the
+constructor.  Operations that derive a graph from a valid one (complement,
+induced subgraphs, subgraph and bipartite complementation, and the doubled
+class graphs of ``uniform``, whose order is checked first) build it with
+the unchecked ``_graph``.
 
 Catalog expression grammar (EBNF)::
 
@@ -54,27 +57,31 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        if self.n > MAX_VERTICES:
-            raise ValueError(
-                f"graph on {self.n} vertices exceeds the cap of {MAX_VERTICES}"
-            )
-        if len(self.rows) != self.n:
+        """Every row's range and self-loop checks, then symmetry at edge
+        cost (``_mirrored``); only a failure runs the pair scan, which names
+        the first asymmetric pair."""
+        _check_order(self.n)
+        rows = self.rows
+        if len(rows) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         mask = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row & ~mask:
                 raise ValueError(f"row {v} references vertices outside 0..n-1")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        if _mirrored(rows):
+            return
         for v in range(self.n):
             for w in range(v + 1, self.n):
-                if (self.rows[v] >> w & 1) != (self.rows[w] >> v & 1):
+                if (rows[v] >> w & 1) != (rows[w] >> v & 1):
                     raise ValueError(f"adjacency not symmetric at pair ({v},{w})")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ``n`` vertices with ``edges``; ``n`` is checked,
+        with the constructor's messages, before anything is allocated."""
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -113,9 +120,35 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 
 
+def _check_order(n: int) -> None:
+    """Refuse a vertex count outside ``0..MAX_VERTICES``."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph on {n} vertices exceeds the cap of {MAX_VERTICES}")
+
+
+def _mirrored(rows: tuple[int, ...]) -> bool:
+    """Whether rows free of self-loops and of bits outside ``0..n-1`` are
+    symmetric: each bit above the diagonal has its mirror, and the rows hold
+    twice as many bits as lie above it, so no bit below lacks one."""
+    above = total = 0
+    for v, row in enumerate(rows):
+        total += row.bit_count()
+        up = row >> v + 1
+        above += up.bit_count()
+        bit = 1 << v
+        while up:
+            low = up & -up
+            if not rows[low.bit_length() + v] & bit:
+                return False
+            up ^= low
+    return total == 2 * above
+
+
 def _graph(n: int, rows: tuple[int, ...]) -> Graph:
     """A Graph built without the checks of ``__post_init__``; only for
-    results derived from a valid graph with no more vertices than it."""
+    results derived from a valid graph, on at most ``MAX_VERTICES``."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)

@@ -52,11 +52,7 @@ from .ops import (
     apply_script,
     bipartite_complement,
 )
-from .uniform import (
-    UniformTemplate,
-    UniformWitness,
-    verify_witness,
-)
+from .uniform import UniformWitness, _template, verify_witness
 
 CLASS_FORBIDDEN_EXPRS = ("co(2P1+P2)", "P2+P3")
 
@@ -330,14 +326,14 @@ def _template_witness(
     """Witness over the listed classes: the vertices of each copy group
     share a copy, in group order, and every other vertex gets a fresh copy
     in ascending order.  Returns the witness and the sorted vertex set it
-    covers; assignments are indexed by position in that sorted set."""
+    covers; assignments are indexed by position in that sorted set.  The
+    matrix is symmetric 0/1 by construction and F comes from
+    ``Graph.from_edges``, so the template is built unchecked."""
     k = len(class_lists)
     matrix = [[0] * k for _ in range(k)]
     for i, j in k_ones:
         matrix[i][j] = matrix[j][i] = 1
-    template = UniformTemplate(
-        k, Graph.from_edges(k, f_edges), tuple(tuple(r) for r in matrix)
-    )
+    template = _template(k, Graph.from_edges(k, f_edges), tuple(map(tuple, matrix)))
     cls = {v: c for c, lst in enumerate(class_lists) for v in lst}
     vertices = sorted(cls)
     copy_of = {v: c for c, group in enumerate(groups) for v in group}

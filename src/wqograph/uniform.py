@@ -20,7 +20,14 @@ primed classes (same copies) is then again a valid witness: pairs with at
 most one flipped vertex read the unchanged K and F entries, flipped pairs in
 different copies read the flipped K entry, and flipped pairs sharing a copy
 read the doubled F edge together with the flipped K entry, which combine to
-the required flip.
+the required flip.  The doubling works on row masks (F's row ``r`` becomes
+``r | r << k`` for both twins), so it costs O(k) big-integer operations and
+O(k²) matrix entries.
+
+``UniformTemplate(...)`` checks its class graph and matrix, as templates
+may come from outside.  Templates derived from a valid one (the doubling)
+or built symmetric by construction (the search's witness, and the
+structure certificates) skip those checks through ``_template``.
 
 The search (``is_k_uniform``, ``uniformicity``) asks whether the classes
 and copies of an order-k witness can be laid out at all.  Two vertices of
@@ -63,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import MAX_VERTICES, Graph, bits_of
+from .graphs import MAX_VERTICES, Graph, _check_order, _graph, bits_of
 from .order import SearchBudget, SearchBudgetExceeded
 
 
@@ -99,6 +106,17 @@ class UniformTemplate:
             "F_edges": [[u, v] for u, v in self.f.edges()],
             "K": [list(row) for row in self.matrix],
         }
+
+
+def _template(k: int, f: Graph, matrix: tuple[tuple[int, ...], ...]) -> UniformTemplate:
+    """A UniformTemplate built without the checks of ``__post_init__``; only
+    for templates derived from a valid one, or built with a class graph on k
+    vertices and a symmetric 0/1 matrix of order k by construction."""
+    t = object.__new__(UniformTemplate)
+    object.__setattr__(t, "k", k)
+    object.__setattr__(t, "f", f)
+    object.__setattr__(t, "matrix", matrix)
+    return t
 
 
 @dataclass(frozen=True)
@@ -162,10 +180,12 @@ def verify_witness(g: Graph, witness: UniformWitness) -> WitnessCheck:
     across = dict.fromkeys(in_class, 0)
     flips = dict.fromkeys(in_class, 0)
     for i in in_class:  # only the classes in use: k may far exceed n
+        entries = t.matrix[i]
+        f_row = t.f.rows[i]
         for j, members in in_class.items():
-            if t.matrix[i][j]:
+            if entries[j]:
                 across[i] |= members
-            if t.f.rows[i] >> j & 1:
+            if f_row >> j & 1:
                 flips[i] |= members
     for u, (c, i) in enumerate(witness.assign):
         wrong = (g.rows[u] ^ across[i] ^ flips[i] & in_copy[c]) >> u + 1
@@ -277,7 +297,7 @@ def is_k_uniform(
             for p, q, kpq, _ in chosen:
                 matrix[p][q] = matrix[q][p] = kpq
             f = Graph.from_edges(k, [(p, q) for p, q, _, _ in chosen])
-            template = UniformTemplate(k, f, tuple(map(tuple, matrix)))
+            template = _template(k, f, tuple(map(tuple, matrix)))
             part_of = [0] * n
             for p in range(opened):
                 for v in bits_of(parts[p]):
@@ -362,25 +382,19 @@ def uniformicity(
 
 
 def complement_template(template: UniformTemplate) -> UniformTemplate:
-    """Order-2k template accommodating one subgraph complementation."""
+    """Order-2k template accommodating one subgraph complementation, built
+    from row masks: class i and its primed twin i + k both get F's row i
+    doubled, ``r | r << k``, and K's rows become ``K_i + K_i`` and ``K_i``
+    followed by its flip.  Both are valid because ``template`` is, so the
+    result is built unchecked once 2k is within the vertex cap."""
     k = template.k
-    edges = []
-    for u, v in template.f.edges():
-        edges.append((u, v))
-        edges.append((u, v + k))
-        edges.append((v, u + k))
-        edges.append((u + k, v + k))
-    matrix = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(k):
-            base = template.matrix[i][j]
-            matrix[i][j] = base
-            matrix[i][j + k] = base
-            matrix[i + k][j] = base
-            matrix[i + k][j + k] = 1 - base
-    return UniformTemplate(
-        2 * k, Graph.from_edges(2 * k, edges), tuple(tuple(r) for r in matrix)
+    _check_order(2 * k)
+    rows = tuple(r | r << k for r in template.f.rows)
+    matrix = template.matrix
+    doubled = tuple(row + row for row in matrix) + tuple(
+        row + tuple(1 - x for x in row) for row in matrix
     )
+    return _template(2 * k, _graph(2 * k, rows + rows), doubled)
 
 
 def transport_complement(

@@ -65,7 +65,12 @@ column per pair.  ``oracle_bit_words`` builds the packed words from the
 plan's adjacency masks bit by bit, as ``order._embed`` did before it spread
 each mask onto the field feet with one product.
 ``oracle_template_from_json`` reads a template back from its JSON, as
-``UniformTemplate.from_json`` did.
+``UniformTemplate.from_json`` did.  ``oracle_complement_template`` is the
+template doubling as it ran before it worked on row masks, edge by edge and
+through the validating constructors, and ``oracle_graph_checks`` is the
+check of ``Graph(n, rows)`` as it ran before symmetry was tested edge by
+edge: every vertex pair scanned.  The package's doubling must return an
+equal template, and its constructor the same message or none.
 ``oracle_classify`` is one table's verdict as the classifier found it
 before it memoised the last pair's class, resolved rule sides once per key
 and decided each class once: ``oracle_equivalent_pairs`` rebuilds the class
@@ -888,6 +893,52 @@ def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:
             if g.adjacent(u, v) != t.law(witness.assign[u], witness.assign[v]):
                 return WitnessCheck(False, (u, v))
     return WitnessCheck(True)
+
+
+def oracle_complement_template(template: UniformTemplate) -> UniformTemplate:
+    """Order-2k template accommodating one subgraph complementation, built
+    edge by edge and entry by entry through the validating constructors."""
+    k = template.k
+    edges = []
+    for u, v in template.f.edges():
+        edges.append((u, v))
+        edges.append((u, v + k))
+        edges.append((v, u + k))
+        edges.append((u + k, v + k))
+    matrix = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            base = template.matrix[i][j]
+            matrix[i][j] = base
+            matrix[i][j + k] = base
+            matrix[i + k][j] = base
+            matrix[i + k][j + k] = 1 - base
+    return UniformTemplate(
+        2 * k, Graph.from_edges(2 * k, edges), tuple(tuple(r) for r in matrix)
+    )
+
+
+def oracle_graph_checks(n: int, rows: tuple[int, ...]) -> None:
+    """The checks of ``Graph(n, rows)`` with a pair scan for symmetry:
+    raise the first failure's ``ValueError``."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"graph on {n} vertices exceeds the cap of {MAX_VERTICES}"
+        )
+    if len(rows) != n:
+        raise ValueError("adjacency row count does not match vertex count")
+    mask = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~mask:
+            raise ValueError(f"row {v} references vertices outside 0..n-1")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v in range(n):
+        for w in range(v + 1, n):
+            if (rows[v] >> w & 1) != (rows[w] >> v & 1):
+                raise ValueError(f"adjacency not symmetric at pair ({v},{w})")
 
 
 def oracle_lex_orbits(h: Graph, order) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from wqograph.antichains import (
 from wqograph.graphs import Graph, build, disjoint_union, induced, mask_of
 from wqograph.order import induced_embed, is_free
 from oracles import oracle_reconstruct_thm52, oracle_same_side_components
-from strategies import small_graphs
+from strategies import pair_bits, small_graphs
 
 
 class TestThm51:
@@ -207,7 +207,7 @@ def thm52_like(draw):
     if kind == "random":
         n = draw(st.sampled_from((12, 16, 20)))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        bits = draw(pair_bits(len(pairs)))
         return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b])
     g = gen_thm52(draw(st.integers(3, 8)))
     if kind == "member":

@@ -42,6 +42,7 @@ from oracles import (
     oracle_nonisomorphic_graphs,
     oracle_rule_consistency,
 )
+from strategies import pair_bits
 
 
 @st.composite
@@ -49,7 +50,7 @@ def relabelled_graphs(draw, max_n=7):
     """A random graph on at most max_n vertices and a random relabelling."""
     n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
-    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    bits = draw(pair_bits(len(pairs)))
     perm = draw(st.permutations(range(n)))
     edges = [p for p, b in zip(pairs, bits) if b]
     g = Graph.from_edges(n, edges)
@@ -64,7 +65,7 @@ def same_order_pairs(draw, max_n=7):
     pairs = list(itertools.combinations(range(n), 2))
     graphs = []
     for _ in range(2):
-        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        bits = draw(pair_bits(len(pairs)))
         graphs.append(Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b]))
     return graphs
 

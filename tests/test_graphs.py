@@ -26,30 +26,13 @@ from wqograph.graphs import (
     to_json_dict,
 )
 from wqograph.structure import _first_inside, _first_pair, _first_two
-from oracles import oracle_delete_vertices, oracle_isomorphic
+from oracles import oracle_delete_vertices, oracle_graph_checks, oracle_isomorphic
 from strategies import small_graphs
 
 
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
-
-
-graphs_strategy = st.integers(0, 7).flatmap(
-    lambda n: st.builds(
-        lambda bits: Graph.from_edges(
-            n,
-            [
-                p
-                for p, b in zip(itertools.combinations(range(n), 2), bits)
-                if b
-            ],
-        ),
-        st.lists(
-            st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
-        ),
-    )
-)
 
 
 class TestCatalog:
@@ -229,7 +212,7 @@ class TestGraph6:
             decode_graph6(bad)
         assert info.value.offset == offset
 
-    @given(graphs_strategy)
+    @given(small_graphs(7))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, g):
         assert decode_graph6(encode_graph6(g)) == g
@@ -248,13 +231,14 @@ class TestVertexCap:
         [
             (lambda: Graph(65, (0,) * 65), None),
             (lambda: Graph.from_edges(65, []), None),
+            (lambda: Graph.from_edges(65, [(0, 70)]), None),
             (lambda: build("65P1"), None),
             (lambda: build("K65"), None),
             (lambda: build("co(65P1)"), None),
             (lambda: decode_graph6(TestVertexCap.G6_65), 0),
             (lambda: decode_graph6(">>graph6<<" + TestVertexCap.G6_4000), 10),
         ],
-        ids=["Graph", "from_edges", "65P1", "K65", "co(65P1)", "graph6", "graph6-4000"],
+        ids=["Graph", "from_edges", "from_edges-edge", "65P1", "K65", "co(65P1)", "graph6", "graph6-4000"],
     )
     def test_over_cap_rejected(self, make, offset):
         with pytest.raises(ValueError, match="exceeds the cap of 64") as exc:
@@ -270,6 +254,10 @@ class TestVertexCap:
         # every integer of the grammar bounds the vertex count from below
         with pytest.raises(GraphSpecError, match="1000000 exceeds the cap of 64"):
             build(spec)
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph.from_edges(-1, [])
 
     def test_cap_is_inclusive(self):
         assert MAX_VERTICES == 64
@@ -323,6 +311,55 @@ class TestBasics:
 
     def test_delete_vertices(self):
         assert delete_vertices(build("C5"), [0]) == build("P4")
+
+
+@st.composite
+def corrupted_rows(draw):
+    """``(n, rows)``: the rows of a random graph on at most 12 vertices with
+    up to three bits toggled, each a bit without its mirror (or a mirror
+    taken away), a bit beyond n - 1, or a self-loop."""
+    g = draw(small_graphs(12))
+    n = g.n
+    rows = list(g.rows)
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        kind = draw(st.sampled_from(("mirror", "range", "loop")))
+        v = draw(st.integers(0, n - 1))
+        if kind == "mirror" and n > 1:
+            rows[v] ^= 1 << draw(st.integers(0, n - 1).filter(lambda w: w != v))
+        elif kind == "range":
+            rows[v] ^= 1 << draw(st.integers(n, 70))
+        elif kind == "loop":
+            rows[v] ^= 1 << v
+    return n, tuple(rows)
+
+
+def check_message(check, n, rows):
+    """The message of the ``ValueError`` that ``check(n, rows)`` raises, or
+    None."""
+    try:
+        check(n, rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestChecks:
+    """The constructor tests symmetry edge by edge and falls back to the
+    pair scan only to name the failure: it raises what the scan did."""
+
+    @given(corrupted_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_same_message_as_pair_scan(self, case):
+        n, rows = case
+        assert check_message(Graph, n, rows) == check_message(oracle_graph_checks, n, rows)
+
+    def test_range_before_symmetry(self):
+        # asymmetric at (0, 1), but every row's range is checked first
+        assert check_message(Graph, 3, (2, 0, 8)) == "row 2 references vertices outside 0..n-1"
+
+    def test_missing_lower_mirror(self):
+        # every bit above the diagonal has its mirror; the count finds 1-0
+        assert check_message(Graph, 3, (0, 1, 0)) == "adjacency not symmetric at pair (0,1)"
 
 
 class TestDeleteVertices:

@@ -26,6 +26,7 @@ from wqograph.ops import (
     subgraph_complement,
 )
 from wqograph.structure import decompose_c5, find_induced_cycle
+from strategies import small_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -183,17 +184,6 @@ class TestSplitLabels:
             )
 
 
-small_graphs = st.integers(0, 12).flatmap(
-    lambda n: st.lists(
-        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
-    ).map(
-        lambda bits: Graph.from_edges(
-            n, [p for p, b in zip(itertools.combinations(range(n), 2), bits) if b]
-        )
-    )
-)
-
-
 def assert_valid(h):
     """``h`` passes the validating constructor and equals its result."""
     assert Graph(h.n, h.rows) == h
@@ -203,7 +193,7 @@ class TestTrustedResults:
     """Operations that build their result without validation return graphs
     the validating constructor accepts unchanged."""
 
-    @given(small_graphs, st.data())
+    @given(small_graphs(12), st.data())
     @settings(max_examples=150, deadline=None)
     def test_against_validating_constructor(self, g, data):
         side = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))

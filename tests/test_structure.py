@@ -43,7 +43,7 @@ from oracles import (
     oracle_first_pair,
     oracle_first_two,
 )
-from strategies import small_graphs
+from strategies import pair_bits, small_graphs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from certify_instances import exact_orders
@@ -204,7 +204,8 @@ def planted_cycles(draw):
     k = draw(st.integers(4, 7))
     n = draw(st.integers(k, 8))
     edges = [(v, (v + 1) % k) for v in range(k)]
-    edges += [(u, v) for v in range(k, n) for u in range(v) if draw(st.booleans())]
+    extra = [(u, v) for v in range(k, n) for u in range(v)]
+    edges += [p for p, b in zip(extra, draw(pair_bits(len(extra)))) if b]
     perm = draw(st.permutations(range(n)))
     return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]), k
 

@@ -26,6 +26,7 @@ from wqograph.uniform import (
 )
 from oracles import (
     oracle_canonical_templates,
+    oracle_complement_template,
     oracle_forward_assignment,
     oracle_is_k_uniform,
     oracle_isomorphic,
@@ -33,7 +34,7 @@ from oracles import (
     oracle_template_from_json,
     oracle_verify_witness,
 )
-from strategies import small_graphs
+from strategies import pair_bits, small_graphs
 
 
 def random_template(rng, kmax=3):
@@ -46,15 +47,21 @@ def random_template(rng, kmax=3):
     return UniformTemplate(k, Graph.from_edges(k, edges), tuple(map(tuple, matrix)))
 
 
+def fields(t: UniformTemplate) -> tuple:
+    """A template's order, class-graph order and rows, and matrix."""
+    return t.k, t.f.n, t.f.rows, t.matrix
+
+
 @st.composite
 def templates(draw, kmax=4):
     k = draw(st.integers(1, kmax))
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edges = [p for p in pairs if draw(st.booleans())]
+    edges = [p for p, b in zip(pairs, draw(pair_bits(len(pairs)))) if b]
+    entries = iter(draw(pair_bits(k * (k + 1) // 2)))
     matrix = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            matrix[i][j] = matrix[j][i] = draw(st.integers(0, 1))
+            matrix[i][j] = matrix[j][i] = next(entries)
     return UniformTemplate(k, Graph.from_edges(k, edges), tuple(map(tuple, matrix)))
 
 
@@ -592,6 +599,21 @@ class TestComplementTemplate:
         assert flipped.edge_count() == 0
         assert verify_witness(flipped, moved).ok
 
+    @settings(max_examples=200, deadline=None)
+    @given(templates(kmax=32))
+    def test_equals_edge_by_edge_doubling(self, t):
+        # the mask doubling builds its result unchecked: it must equal the
+        # doubling through the validating constructors, which accept it
+        doubled = complement_template(t)
+        assert fields(doubled) == fields(oracle_complement_template(t))
+        f = doubled.f
+        assert UniformTemplate(doubled.k, Graph(f.n, f.rows), doubled.matrix) == doubled
+
+    def test_order_33_refused(self):
+        t = UniformTemplate(33, empty_graph(33), ((0,) * 33,) * 33)
+        with pytest.raises(ValueError, match="graph on 66 vertices exceeds the cap of 64"):
+            complement_template(t)
+
 
 class TestBipartiteTemplate:
     def test_order_eight(self):
@@ -621,6 +643,22 @@ class TestBipartiteTemplate:
             moved = transport_bipartite(w, x, y)
             assert moved.template.k == 8 * t.k
             assert verify_witness(flipped, moved).ok
+
+    @settings(max_examples=100, deadline=None)
+    @given(templates(kmax=8), st.randoms(use_true_random=False))
+    def test_equals_three_doublings(self, t, rng):
+        copies = rng.randint(1, 3)
+        n = copies * t.k
+        sides = [rng.randrange(3) for _ in range(n)]
+        x = [v for v in range(n) if sides[v] == 0]
+        y = [v for v in range(n) if sides[v] == 1]
+        moved = transport_bipartite(witness_for_expansion(t, copies), x, y)
+        expected = t
+        for _ in range(3):
+            expected = oracle_complement_template(expected)
+        assert fields(moved.template) == fields(expected)
+        flipped = bipartite_complement(expand_template(t, copies), x, y)
+        assert verify_witness(flipped, moved).ok
 
     def test_overlap_rejected(self):
         t = UniformTemplate(1, empty_graph(1), ((0,),))
