@@ -83,7 +83,10 @@ Families:
 - ``malformed``: the message that ``Graph(n, rows)`` raises (or None) on a
   seeded battery of random graphs' rows with up to three bits toggled (a
   bit without its mirror, a bit beyond n - 1 or a self-loop), a few of them
-  at orders outside 0..64 or around the cap.
+  at orders outside 0..64 or around the cap;
+- ``expansions``: the rows of ``expand_template`` over seeded templates of
+  order 1..8 with 1..8 copies (at most 64 vertices), and the message it
+  raises for a few expansions over the vertex cap.
 
 Takes no arguments; under a minute on one core.
 """
@@ -163,6 +166,9 @@ INSTANCE_SEEDS = range(5000)
 TEMPLATES_SEED = 20261025
 MALFORMED_SEED = 20261026
 MALFORMED_ROWS = 3000
+EXPANSIONS_SEED = 20261027
+EXPANSIONS = 1000
+EXPANSIONS_OVER_CAP = ((1, 65), (5, 13), (8, 9), (9, 8), (33, 2), (64, 2))
 
 
 class Digest:
@@ -311,16 +317,21 @@ def uniform_battery() -> list[Graph]:
     return graphs
 
 
-def restricted_expansion(rng: random.Random) -> Graph:
-    """A random induced subgraph, with at most 10 vertices, of
-    an expansion of a random template of order at most 3."""
-    k = rng.randint(1, 3)
+def random_template(rng: random.Random, k: int) -> uniform.UniformTemplate:
+    """A template of order k: each F edge with probability 1/2, each K
+    entry 0 or 1."""
     f = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
     matrix = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             matrix[i][j] = matrix[j][i] = rng.randint(0, 1)
-    template = uniform.UniformTemplate(k, Graph.from_edges(k, f), tuple(tuple(r) for r in matrix))
+    return uniform.UniformTemplate(k, Graph.from_edges(k, f), tuple(tuple(r) for r in matrix))
+
+
+def restricted_expansion(rng: random.Random) -> Graph:
+    """A random induced subgraph, with at most 10 vertices, of
+    an expansion of a random template of order at most 3."""
+    template = random_template(rng, rng.randint(1, 3))
     g = uniform.expand_template(template, rng.randint(1, 4))
     size = rng.randint(1, min(g.n, 10))
     return induced(g, sorted(rng.sample(range(g.n), size)))
@@ -509,6 +520,25 @@ def malformed() -> str:
     return digest.hex()
 
 
+def expansions() -> str:
+    digest = Digest()
+    rng = random.Random(EXPANSIONS_SEED)
+    for _ in range(EXPANSIONS):
+        t = random_template(rng, rng.randint(1, 8))
+        copies = rng.randint(1, 8)
+        g = uniform.expand_template(t, copies)
+        digest.add([t.k, list(t.f.rows), t.matrix, copies, list(g.rows)])
+    for k, copies in EXPANSIONS_OVER_CAP:
+        t = random_template(rng, k)
+        try:
+            uniform.expand_template(t, copies)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        digest.add([k, copies, message])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
@@ -531,6 +561,7 @@ def main() -> int:
     digests["orbits"] = orbits()
     digests["templates"] = templates()
     digests["malformed"] = malformed()
+    digests["expansions"] = expansions()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

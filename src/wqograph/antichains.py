@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     MAX_VERTICES,
@@ -38,20 +38,6 @@ from .graphs import (
     mask_of,
 )
 from .order import SearchBudget, SearchBudgetExceeded, induced_embed, is_free
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    min_n: int
-    forbidden: tuple[str, ...]
-
-
-FAMILIES: dict[str, FamilySpec] = {
-    "thm51": FamilySpec("thm51", 2, ("co(2P1+P2)", "P2+P4", "P6")),
-    "thm52": FamilySpec("thm52", 3, ("co(P1+P4)", "P1+2P2")),
-    "cycles": FamilySpec("cycles", 4, ()),
-}
 
 
 def gen_thm51(n: int) -> Graph:
@@ -102,19 +88,30 @@ def gen_cycle(n: int) -> Graph:
     return cycle_graph(n)
 
 
-_GENERATORS = {"thm51": gen_thm51, "thm52": gen_thm52, "cycles": gen_cycle}
+@dataclass(frozen=True)
+class FamilySpec:
+    min_n: int
+    forbidden: tuple[str, ...]
+    generate: Callable[[int], Graph]
+
+
+FAMILIES: dict[str, FamilySpec] = {
+    "thm51": FamilySpec(2, ("co(2P1+P2)", "P2+P4", "P6"), gen_thm51),
+    "thm52": FamilySpec(3, ("co(P1+P4)", "P1+2P2"), gen_thm52),
+    "cycles": FamilySpec(4, (), gen_cycle),
+}
 
 
 def family_member(family: str, n: int) -> Graph:
     """Member n of a family; every member has at least n vertices, so an n
     above the vertex cap is refused before anything is built."""
-    if family not in _GENERATORS:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_GENERATORS)}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     if n > MAX_VERTICES:
         raise ValueError(
             f"{family}({n}) has at least {n} vertices, over the cap of {MAX_VERTICES}"
         )
-    return _GENERATORS[family](n)
+    return FAMILIES[family].generate(n)
 
 
 def reconstruct_thm52(g: Graph, x1: int) -> tuple[int, ...] | None:
@@ -248,7 +245,7 @@ def verify_family(
     deterministic for fixed inputs.  A range and pattern list that leave no
     cell raise ``ValueError``, so that no report passes with nothing checked.
     """
-    spec = FAMILIES[family] if family in FAMILIES else None
+    spec = FAMILIES.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
     ns = tuple(sorted(set(ns)))

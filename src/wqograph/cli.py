@@ -24,7 +24,6 @@ from .acceptance import CRITERIA, run_criteria
 from .graphs import (
     MAX_VERTICES,
     Graph,
-    Graph6Error,
     GraphSpecError,
     build,
     decode_graph6,
@@ -32,7 +31,7 @@ from .graphs import (
     from_json_dict,
     to_json_dict,
 )
-from .ops import OpScript, OpScriptError, apply_script
+from .ops import OpScript, apply_script
 from .order import (
     SearchBudget,
     SearchBudgetExceeded,
@@ -145,6 +144,14 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _print_graph(args, g: Graph) -> None:
+    """Print ``g`` in the ``--format`` asked for: graph6 or sorted JSON."""
+    if args.format == "json":
+        print(json.dumps(to_json_dict(g), sort_keys=True))
+    else:
+        print(encode_graph6(g))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -160,11 +167,7 @@ def cmd_gen(args) -> int:
     else:
         print("gen: provide --spec or --family/--n", file=sys.stderr)
         return 2
-    if args.format == "json":
-        out = json.dumps(to_json_dict(g), sort_keys=True)
-    else:
-        out = encode_graph6(g)
-    print(out)
+    _print_graph(args, g)
     return 0
 
 
@@ -260,11 +263,7 @@ def cmd_ops(args) -> int:
     else:
         raw = json.loads(args.script)
     script = OpScript.from_json(raw)
-    out = apply_script(g, script)
-    if args.format == "json":
-        print(json.dumps(to_json_dict(out), sort_keys=True))
-    else:
-        print(encode_graph6(out))
+    _print_graph(args, apply_script(g, script))
     return 0
 
 
@@ -438,9 +437,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphSpecError, Graph6Error, OpScriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SearchBudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 2

@@ -439,12 +439,10 @@ def pattern(expr: str) -> Graph:
 def encode_graph6(g: Graph) -> str:
     if g.n <= 62:
         head = chr(g.n + 63)
-    elif g.n <= 258047:
+    else:  # the 4-byte header; the vertex cap keeps n far below its bound
         head = chr(126) + "".join(
             chr(((g.n >> shift) & 63) + 63) for shift in (12, 6, 0)
         )
-    else:
-        raise ValueError("graph too large for graph6")
     bits = []
     for j in range(1, g.n):
         for i in range(j):

@@ -31,10 +31,10 @@ def class_members(
     count: int,
     *,
     start_seed: int = 0,
-    valid: Callable[[Graph], bool] | None = None,
+    valid: Callable[[Graph], bool],
 ) -> list[tuple[int, Graph]]:
-    """First ``count`` seeds whose candidate passes membership (plus any
-    extra validity predicate), scanning at most ``MAX_ATTEMPTS`` seeds from
+    """First ``count`` seeds whose candidate passes membership and
+    ``valid``, scanning at most ``MAX_ATTEMPTS`` seeds from
     ``start_seed``, or four per member asked for if that is more: the C4
     branch, the sparsest, accepts about one seed in 3.2."""
     out = []
@@ -43,7 +43,7 @@ def class_members(
     limit = max(MAX_ATTEMPTS, 4 * count)
     while len(out) < count and attempts < limit:
         g = maker(seed)
-        if is_class_member(g) and (valid is None or valid(g)):
+        if is_class_member(g) and valid(g):
             out.append((seed, g))
         seed += 1
         attempts += 1

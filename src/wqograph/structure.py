@@ -433,35 +433,28 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         parts.append(
             Part("star-forest", tuple(range(g.n)), _is_star_forest(image))
         )
-    elif case == 3:
-        small = mask_of(v for c in comps if len(c) == 1 for v in c)
-        dels = [xv for xv in x if g.rows[xv] & small]
-        _claim(claims, "L4.1-C3-DEL", [tuple(dels) if len(dels) > 2 else None])
-        deletions = tuple(dels)
-        script = _deletion_script(deletions)
-        image = apply_script(g, script)
-        keep = [v for v in range(image.n) if image.degree(v) > 0]
-        parts.append(
-            Part(
-                "complement-bipartite",
-                tuple(v for v in range(g.n) if v not in set(deletions)),
-                is_bipartite(complement(induced(image, keep))) is not None,
-                {"dropped_isolated": image.n - len(keep)},
-            )
-        )
     else:
-        dels = [xv for xv in x if g.rows[xv] & ~xmask]
-        _claim(claims, "L4.1-C4-DEL", [tuple(dels) if len(dels) > 2 else None])
-        deletions = tuple(dels)
+        # delete the X vertices touching a small outside clique (3) or any outsider (4)
+        reach = mask_of(v for c in comps if len(c) == 1 for v in c) if case == 3 else ~xmask
+        deletions = tuple(xv for xv in x if g.rows[xv] & reach)
+        _claim(claims, f"L4.1-C{case}-DEL", [deletions if len(deletions) > 2 else None])
         script = _deletion_script(deletions)
         image = apply_script(g, script)
-        parts.append(
-            Part(
-                "clique-union",
-                tuple(v for v in range(g.n) if v not in set(deletions)),
-                is_free(image, [pattern("P3")]).free,
+        survivors = bits_of(g.mask & ~mask_of(deletions))
+        if case == 3:
+            keep = [v for v in range(image.n) if image.degree(v) > 0]
+            parts.append(
+                Part(
+                    "complement-bipartite",
+                    survivors,
+                    is_bipartite(complement(induced(image, keep))) is not None,
+                    {"dropped_isolated": image.n - len(keep)},
+                )
             )
-        )
+        else:
+            parts.append(
+                Part("clique-union", survivors, is_free(image, [pattern("P3")]).free)
+            )
     if deletions:
         sets["D"] = deletions
     return DecompositionReport(
@@ -817,34 +810,25 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         claims, "L4.3-B4", [_first_pair(g, w1 + w2 + wlists[2] + wlists[3], xset, True)]
     )
 
-    def recompute_kernel():
-        live1 = mask_of(u for u in v1 if u not in deletions)
-        live2 = mask_of(u for u in v2 if u not in deletions)
-        x0 = [
-            v
-            for v in xset
-            if v not in deletions and g.rows[v] & live1 and g.rows[v] & live2
-        ]
+    # the live sets and the triangle kernel X0 + V10 + V20; a kernel side of
+    # at most one vertex is regularised by deleting it, and computed again
+    for regularised in (False, True):
+        live_x = [v for v in xset if v not in deletions]
+        live_v1 = [u for u in v1 if u not in deletions]
+        live_v2 = [u for u in v2 if u not in deletions]
+        touches_v1, touches_v2 = mask_of(live_v1), mask_of(live_v2)
+        x0 = [v for v in live_x if g.rows[v] & touches_v1 and g.rows[v] & touches_v2]
         near = mask_of(x0)
-        v10 = [u for u in v1 if u not in deletions and g.rows[u] & near]
-        v20 = [u for u in v2 if u not in deletions and g.rows[u] & near]
-        return x0, v10, v20
-
-    x0, v10, v20 = recompute_kernel()
-    if x0 and (len(v10) <= 1 or len(v20) <= 1):
+        v10 = [u for u in live_v1 if g.rows[u] & near]
+        v20 = [u for u in live_v2 if g.rows[u] & near]
+        if regularised or not x0 or (len(v10) > 1 and len(v20) > 1):
+            break
         deletions.add(v10[0] if len(v10) <= 1 else v20[0])
-        x0, v10, v20 = recompute_kernel()
     sets["X0"] = tuple(x0)
     sets["V10"] = tuple(v10)
     sets["V20"] = tuple(v20)
-
-    live_x = [v for v in xset if v not in deletions]
-    live_v1 = [u for u in v1 if u not in deletions]
-    live_v2 = [u for u in v2 if u not in deletions]
-    x0set = set(x0)
-    touches_v1 = mask_of(live_v1)
-    x1 = [v for v in live_x if v not in x0set and not g.rows[v] & touches_v1]
-    x2 = [v for v in live_x if v not in x0set and v not in set(x1)]
+    x1 = [v for v in live_x if not near >> v & 1 and not g.rows[v] & touches_v1]
+    x2 = [v for v in live_x if not near >> v & 1 and g.rows[v] & touches_v1]
     sets["X1"] = tuple(x1)
     sets["X2"] = tuple(x2)
 
@@ -889,8 +873,9 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     deletions |= on_cycle
     deletions_t = tuple(sorted(deletions))
     survivors = tuple(v for v in range(g.n) if v not in deletions)
-    kernel = tuple(sorted(set(x0) | set(v10) | set(v20)))
-    rest = tuple(v for v in survivors if v not in set(kernel))
+    in_kernel = near | mask_of(v10) | mask_of(v20)
+    kernel = bits_of(in_kernel)
+    rest = tuple(v for v in survivors if not in_kernel >> v & 1)
 
     # separation: flip each kernel side against its complete outsiders
     steps: list = list(_deletion_script(deletions_t).steps)

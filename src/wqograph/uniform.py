@@ -9,7 +9,9 @@ on slots (copy, class) where (c, i) and (d, j) are adjacent iff
 
 A witness assigns every vertex of a graph an injective slot so that the
 adjacency law holds pairwise; a graph admitting a witness over some order-k
-template is k-uniform, and uniformicity is the least such k.
+template is k-uniform, and uniformicity is the least such k.  One row-mask
+law, ``_law_rows``, gives the row each slot expects: ``expand_template``
+takes its rows from it, and ``verify_witness`` compares every row with it.
 
 ``complement_template`` doubles a template so that flipping the adjacency
 inside any vertex set of a witnessed graph stays witnessable: each class i
@@ -94,12 +96,6 @@ class UniformTemplate:
                 if self.matrix[i][j] != self.matrix[j][i]:
                     raise ValueError("matrix must be symmetric")
 
-    def law(self, ci: tuple[int, int], dj: tuple[int, int]) -> bool:
-        """Adjacency of two distinct slots."""
-        (c, i), (d, j) = ci, dj
-        same_copy_edge = c == d and self.f.adjacent(i, j) if i != j else False
-        return same_copy_edge != bool(self.matrix[i][j])
-
     def to_json(self) -> dict:
         return {
             "k": self.k,
@@ -138,43 +134,17 @@ class WitnessCheck:
     violation: tuple[int, int] | None = None
 
 
-def expand_template(template: UniformTemplate, copies: int) -> Graph:
-    """The graph on ``copies * k`` vertices; vertex c*k + i is slot (c, i)."""
-    if copies < 1:
-        raise ValueError("at least one copy required")
-    k = template.k
-    n = copies * k
-    slots = [(v // k, v % k) for v in range(n)]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if template.law(slots[u], slots[v])
-    ]
-    return Graph.from_edges(n, edges)
-
-
-def verify_witness(g: Graph, witness: UniformWitness) -> WitnessCheck:
-    """Check the adjacency law on every vertex pair.
-
-    Malformed assignments (wrong length, slot out of range, slot reuse)
-    raise; a law violation is reported as the first offending pair (u, v),
-    u < v, in lexicographic order.  Each vertex's row is compared with the
-    row its slot expects: the members of its K-classes, flipped on the
-    members of its F-neighbour classes in its own copy.
-    """
-    t = witness.template
-    if len(witness.assign) != g.n:
-        raise ValueError("assignment must cover every vertex")
-    seen = set()
+def _law_rows(t: UniformTemplate, assign) -> list[int]:
+    """Each slot's row: its K-classes' members, flipped on its F-neighbour
+    classes' members in its own copy (its own bit set iff K(i, i) = 1).
+    Slots out of range or reused raise."""
     in_class: dict[int, int] = {}
     in_copy: dict[int, int] = {}
-    for v, (c, i) in enumerate(witness.assign):
+    for v, (c, i) in enumerate(assign):
         if c < 0 or not 0 <= i < t.k:
             raise ValueError(f"vertex {v} assigned invalid slot ({c},{i})")
-        if (c, i) in seen:
+        if in_class.get(i, 0) & in_copy.get(c, 0):  # an earlier vertex holds (c, i)
             raise ValueError(f"slot ({c},{i}) assigned twice")
-        seen.add((c, i))
         in_class[i] = in_class.get(i, 0) | 1 << v
         in_copy[c] = in_copy.get(c, 0) | 1 << v
     across = dict.fromkeys(in_class, 0)
@@ -187,8 +157,31 @@ def verify_witness(g: Graph, witness: UniformWitness) -> WitnessCheck:
                 across[i] |= members
             if f_row >> j & 1:
                 flips[i] |= members
-    for u, (c, i) in enumerate(witness.assign):
-        wrong = (g.rows[u] ^ across[i] ^ flips[i] & in_copy[c]) >> u + 1
+    return [across[i] ^ flips[i] & in_copy[c] for c, i in assign]
+
+
+def expand_template(template: UniformTemplate, copies: int) -> Graph:
+    """The graph on ``copies * k`` vertices; vertex c*k + i is slot (c, i)."""
+    if copies < 1:
+        raise ValueError("at least one copy required")
+    k = template.k
+    n = copies * k
+    _check_order(n)
+    rows = _law_rows(template, [(v // k, v % k) for v in range(n)])
+    return Graph(n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
+
+
+def verify_witness(g: Graph, witness: UniformWitness) -> WitnessCheck:
+    """Check the adjacency law on every vertex pair.
+
+    Malformed assignments (wrong length, slot out of range, slot reuse)
+    raise; a law violation is reported as the first offending pair (u, v),
+    u < v, in lexicographic order, from the rows the slots expect.
+    """
+    if len(witness.assign) != g.n:
+        raise ValueError("assignment must cover every vertex")
+    for u, row in enumerate(_law_rows(witness.template, witness.assign)):
+        wrong = (g.rows[u] ^ row) >> u + 1
         if wrong:
             return WitnessCheck(False, (u, u + (wrong & -wrong).bit_length()))
     return WitnessCheck(True)

@@ -39,9 +39,16 @@ of the freeness decider as it ran before it tested each distinct rest set
 once per call.
 ``oracle_canonical_templates`` lists the templates of order k up to a
 permutation of the classes, by marking the orbit of each template kept.
-``oracle_verify_witness`` checks a witness pair by pair through the
-template's adjacency law, as ``uniform.verify_witness`` did before it
-compared rows.  ``oracle_lex_orbits`` lists, for each position of a search
+``oracle_law`` is the adjacency law of two slots, as
+``UniformTemplate.law`` stated it before the law was read off row masks
+alone.  ``oracle_verify_witness`` checks a witness pair by pair through
+it, as ``uniform.verify_witness`` did before it compared rows, and
+``oracle_expand_template`` expands a template pair by pair through it, as
+``uniform.expand_template`` did before it took its rows from the masks.
+``oracle_slot_error`` finds a malformed assignment's first bad slot with a
+set of the slots seen, as ``verify_witness`` did before it read reuse off
+its class and copy masks.
+``oracle_lex_orbits`` lists, for each position of a search
 order, the later positions that an automorphism fixing the earlier ones
 maps it onto, from all n! permutations; the embedding search's lex-leader
 constraints must equal it.
@@ -61,9 +68,7 @@ returned it before it returned the number those bits spell, which
 the corpus by keying every labelled graph, as the classifier did before it
 marked each class's relabellings, and ``oracle_marked_graphs`` marks them
 with one image row per permutation, as it did before it kept one image
-column per pair.  ``oracle_bit_words`` builds the packed words from the
-plan's adjacency masks bit by bit, as ``order._embed`` did before it spread
-each mask onto the field feet with one product.
+column per pair.
 ``oracle_template_from_json`` reads a template back from its JSON, as
 ``UniformTemplate.from_json`` did.  ``oracle_complement_template`` is the
 template doubling as it ran before it worked on row masks, edge by edge and
@@ -830,26 +835,6 @@ def oracle_words(h: Graph, ng: int) -> list:
     return words
 
 
-def oracle_bit_words(h: Graph, ng: int) -> list:
-    """The packed forward-check words of pattern ``h`` for a host of ``ng``
-    vertices, built from the plan's adjacency mask of each position by
-    clearing the foot of each adjacent field one bit at a time."""
-    nh = h.n
-    later = _record(h).plan[2]
-    width, field = ng + 1, (1 << ng) - 1
-    words = []
-    r = ((1 << (nh - 1) * width) - 1) // ((1 << width) - 1)
-    for adjacent in later:
-        non = r
-        while adjacent:
-            low = adjacent & -adjacent
-            adjacent ^= low
-            non ^= 1 << (low.bit_length() - 1) * width
-        words.append((r, non * field, non, r * field, r << ng))
-        r >>= width
-    return words
-
-
 def oracle_canonical_templates(k: int) -> list:
     """Templates of order k in search order (K packed bits ascending, then F
     edge sets ascending), one per orbit under the k! class orders: the
@@ -883,6 +868,13 @@ def oracle_canonical_templates(k: int) -> list:
     return out
 
 
+def oracle_law(t: UniformTemplate, ci: tuple[int, int], dj: tuple[int, int]) -> bool:
+    """Adjacency of two distinct slots."""
+    (c, i), (d, j) = ci, dj
+    same_copy_edge = c == d and t.f.adjacent(i, j) if i != j else False
+    return same_copy_edge != bool(t.matrix[i][j])
+
+
 def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:
     """The adjacency law pair by pair, u ascending, then v > u ascending;
     the first pair that breaks it is the violation.  The assignment is
@@ -890,9 +882,38 @@ def oracle_verify_witness(g: Graph, witness) -> WitnessCheck:
     t = witness.template
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.adjacent(u, v) != t.law(witness.assign[u], witness.assign[v]):
+            if g.adjacent(u, v) != oracle_law(t, witness.assign[u], witness.assign[v]):
                 return WitnessCheck(False, (u, v))
     return WitnessCheck(True)
+
+
+def oracle_slot_error(t: UniformTemplate, assign) -> str | None:
+    """The message for the first malformed slot of ``assign``, or None, as
+    ``uniform.verify_witness`` found it with a set of the slots seen."""
+    seen = set()
+    for v, (c, i) in enumerate(assign):
+        if c < 0 or not 0 <= i < t.k:
+            return f"vertex {v} assigned invalid slot ({c},{i})"
+        if (c, i) in seen:
+            return f"slot ({c},{i}) assigned twice"
+        seen.add((c, i))
+    return None
+
+
+def oracle_expand_template(template: UniformTemplate, copies: int) -> Graph:
+    """The graph on ``copies * k`` vertices; vertex c*k + i is slot (c, i)."""
+    if copies < 1:
+        raise ValueError("at least one copy required")
+    k = template.k
+    n = copies * k
+    slots = [(v // k, v % k) for v in range(n)]
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if oracle_law(template, slots[u], slots[v])
+    ]
+    return Graph.from_edges(n, edges)
 
 
 def oracle_complement_template(template: UniformTemplate) -> UniformTemplate:

@@ -39,7 +39,6 @@ from wqograph.order import (
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
 from oracles import (
-    oracle_bit_words,
     oracle_embed,
     oracle_embed_exact,
     oracle_embed_search,
@@ -551,12 +550,12 @@ class TestAgainstOldPaths:
     )
     def test_words_up_to_64_vertices(self, nh, density, rng, extra):
         """Words spread onto the field feet by one product equal those
-        cleared bit by bit, for patterns up to 24 vertices, dense ones
+        built pair by pair, for patterns up to 24 vertices, dense ones
         included, and hosts up to 64."""
         h = random_graph(rng, nh, density)
         ng = min(64, nh + extra)
         induced_embed(h, Graph.empty(ng))
-        assert _record(h).plan[4][ng] == oracle_bit_words(h, ng)
+        assert _record(h).plan[4][ng] == oracle_words(h, ng)
 
 
 def shrikhande():

@@ -27,10 +27,12 @@ from wqograph.uniform import (
 from oracles import (
     oracle_canonical_templates,
     oracle_complement_template,
+    oracle_expand_template,
     oracle_forward_assignment,
     oracle_is_k_uniform,
     oracle_isomorphic,
     oracle_k_uniform,
+    oracle_slot_error,
     oracle_template_from_json,
     oracle_verify_witness,
 )
@@ -87,6 +89,20 @@ class TestExpand:
         t = UniformTemplate(2, build("K2"), ((0, 0), (0, 0)))
         assert oracle_isomorphic(expand_template(t, 3), build("3K2"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(templates(kmax=8), st.integers(1, 8))
+    def test_equals_pairwise_expansion(self, t, copies):
+        """Rows from the row-mask law equal the expansion built pair by pair
+        through the slot law, up to 8 classes and 8 copies (64 vertices)."""
+        assert expand_template(t, copies) == oracle_expand_template(t, copies)
+
+    @pytest.mark.parametrize("k, copies", [(1, 65), (5, 13), (8, 9), (64, 2)])
+    def test_over_cap_refused(self, k, copies):
+        t = UniformTemplate(k, empty_graph(k), ((1,) * k,) * k)
+        message = f"graph on {k * copies} vertices exceeds the cap of 64"
+        with pytest.raises(ValueError, match=message):
+            expand_template(t, copies)
+
 
 class TestVerifyWitness:
     def test_expansion_identity(self):
@@ -112,6 +128,21 @@ class TestVerifyWitness:
             verify_witness(g, UniformWitness(t, ((0, 0), (0, 0))))
         with pytest.raises(ValueError):
             verify_witness(g, UniformWitness(t, ((0, 0),)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        templates(kmax=4),
+        st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 4)), max_size=10),
+    )
+    def test_malformed_same_message(self, t, assign):
+        """Slots out of range or reused: the same first message as the check
+        with a set of the slots seen, or none."""
+        try:
+            verify_witness(Graph.empty(len(assign)), UniformWitness(t, tuple(assign)))
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == oracle_slot_error(t, assign)
 
     @settings(max_examples=300, deadline=None)
     @given(templates(kmax=5), st.integers(1, 4), st.randoms(use_true_random=False))
