@@ -86,7 +86,11 @@ Families:
   at orders outside 0..64 or around the cap;
 - ``expansions``: the rows of ``expand_template`` over seeded templates of
   order 1..8 with 1..8 copies (at most 64 vertices), and the message it
-  raises for a few expansions over the vertex cap.
+  raises for a few expansions over the vertex cap;
+- ``room``: the verdict (embedding or not) and the nodes of
+  ``induced_embed`` for every ordered pair of the members thm51 2..8,
+  thm52 3..7 and cycles 4..16, so that the calls the room check settles
+  at no node are compared with their verdicts.
 
 Takes no arguments; under a minute on one core.
 """
@@ -169,6 +173,7 @@ MALFORMED_ROWS = 3000
 EXPANSIONS_SEED = 20261027
 EXPANSIONS = 1000
 EXPANSIONS_OVER_CAP = ((1, 65), (5, 13), (8, 9), (9, 8), (33, 2), (64, 2))
+ROOM_MEMBERS = (("thm51", range(2, 9)), ("thm52", range(3, 8)), ("cycles", range(4, 17)))
 
 
 class Digest:
@@ -539,6 +544,21 @@ def expansions() -> str:
     return digest.hex()
 
 
+def room() -> str:
+    digest = Digest()
+    members = [
+        (family, n, antichains.family_member(family, n))
+        for family, ns in ROOM_MEMBERS
+        for n in ns
+    ]
+    for fh, nh, h in members:
+        for fg, ng, g in members:
+            budget = SearchBudget(1 << 62)
+            found = induced_embed(h, g, budget) is not None
+            digest.add([fh, nh, fg, ng, found, budget.used])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
@@ -562,6 +582,7 @@ def main() -> int:
     digests["templates"] = templates()
     digests["malformed"] = malformed()
     digests["expansions"] = expansions()
+    digests["room"] = room()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

@@ -114,7 +114,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()!r})"
@@ -131,10 +131,17 @@ def _check_order(n: int) -> None:
 def _mirrored(rows: tuple[int, ...]) -> bool:
     """Whether rows free of self-loops and of bits outside ``0..n-1`` are
     symmetric: each bit above the diagonal has its mirror, and the rows hold
-    twice as many bits as lie above it, so no bit below lacks one."""
-    above = total = 0
+    twice as many bits as lie above it, so no bit below lacks one.  When
+    more than half the pairs are edges, the complement's rows, symmetric
+    exactly when these are, are walked instead."""
+    n = len(rows)
+    total = sum(map(int.bit_count, rows))
+    if 2 * total > n * (n - 1):
+        full = (1 << n) - 1
+        rows = [row ^ full ^ 1 << v for v, row in enumerate(rows)]
+        total = n * (n - 1) - total
+    above = 0
     for v, row in enumerate(rows):
-        total += row.bit_count()
         up = row >> v + 1
         above += up.bit_count()
         bit = 1 << v

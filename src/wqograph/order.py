@@ -136,6 +136,17 @@ the host orbits.  The degree filter on the host is built from one pass over
 its rows: a pattern vertex of degree d keeps the host vertices whose degree
 leaves room for d neighbours and n(h) - 1 - d non-neighbours.
 
+Before the pattern's record is read, a room check counts degrees.  The host
+degrees of an image S of h sum to 2m(h) plus the edges leaving S; that sum
+is at most T, the sum of the n(h) largest host degrees; and in a connected
+host an edge leaves every proper S.  So there is no embedding if 2m(h) > T,
+if 2m(h) = T with n(h) < n(g) and g connected, or if n(h) = n(g) (an
+embedding is then an isomorphism) and the degree multisets differ.  T is
+read off the degree filter's table in O(n(g)), connectivity is searched
+only when 2m(h) = T, and a refusal returns None spending no node, even
+under a zero budget; labels only narrow candidates, so labelled calls share
+it.  It settles C_s into C_l, s < l, at once.
+
 :func:`is_free` first asks a freeness decider that needs no search, for
 the patterns the library forbids (the paper's class is free of the diamond
 co(2P1+P2) and of P2+P3, and its decomposers look for K5).  The decider
@@ -710,6 +721,19 @@ class _Record:
 _record = lru_cache(maxsize=512)(_Record)
 
 
+def _connected(rows) -> bool:
+    """Whether the graph with these rows, on at least one vertex, is
+    connected: a search from vertex 0 over masks."""
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << len(rows)) - 1
+
+
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     """Core backtracking search; returns an assignment tuple or None.
 
@@ -720,6 +744,31 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         return None
     if nh == 0:
         return ()
+    # at_least[d]: host vertices of degree d or more.  A pattern vertex of
+    # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
+    # enough neighbours and enough non-neighbours.
+    rows = g.rows
+    at_least = [0] * (ng + 1)
+    for w, row in enumerate(rows):
+        at_least[row.bit_count()] |= 1 << w
+    for d in range(ng - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    # The room check (see the module docstring): need is 2m(h) less T, the
+    # sum of the nh largest host degrees, which is the sum over d >= 1 of
+    # min(nh, |at_least[d]|); it is added from d = 1 up, and stops once
+    # need is below 0 (room) or at_least[d] is empty (T complete).
+    need = sum(map(int.bit_count, h.rows))
+    d = 1
+    while need >= 0:
+        c = at_least[d].bit_count()
+        if not c:
+            if need or nh < ng and _connected(rows):
+                return None
+            break
+        need -= c if c < nh else nh
+        d += 1
+    if nh == ng and sorted(map(int.bit_count, h.rows)) != sorted(map(int.bit_count, rows)):
+        return None
     record = _record(h)
     order, degrees, later, last_pair_adjacent, packed = record.plan
     width, field = ng + 1, (1 << ng) - 1
@@ -738,14 +787,6 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
             words.append((r, non * field, non, r * field, r << ng))
             r >>= width
             spread >>= ng
-    # at_least[d]: host vertices of degree d or more.  A pattern vertex of
-    # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
-    # enough neighbours and enough non-neighbours.
-    at_least = [0] * (ng + 1)
-    for w, row in enumerate(g.rows):
-        at_least[row.bit_count()] |= 1 << w
-    for d in range(ng - 1, -1, -1):
-        at_least[d] |= at_least[d + 1]
     gmask = g.mask
     rest = 0
     for p, (v, dv) in enumerate(zip(order, degrees)):
@@ -757,7 +798,6 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     # roots: the first position's candidates; rest: the later ones'
     roots, rest = rest & field, rest >> width
     look_ahead = nh - 3
-    rows = g.rows
     assign = [0] * nh
     # Nodes are counted here and charged to the budget on the way out; the
     # search raises at the same node as spending them one by one would.
@@ -840,6 +880,7 @@ def induced_embed(
 ) -> tuple[int, ...] | None:
     """First induced embedding of ``h`` into ``g`` under the fixed search
     order, or None.  The search is complete: None means no embedding exists.
+    A call the room check refuses returns None spending no node.
     """
     return _embed(h, g, None, budget)
 

@@ -17,7 +17,11 @@ search must return its assignment and spend no more nodes.
 constraints as it ran on a list of candidate masks, one per later
 position, before it packed them into one integer: the package's search
 must return its assignment, spend its nodes and run out of budget at its
-node.  ``oracle_first_pair``,
+node.  ``oracle_room`` is the degree-counting room check restated from
+sorted degree lists and ``connected_components``; ``oracle_embed_exact``
+refuses where it does, at no node, unless asked for the slow path, and
+brute force must find no embedding wherever it refuses.
+``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
 that the structure claims ran before their bitset layer: the bitset helpers
 must return the same first counterexample.  ``oracle_same_side_components``
@@ -100,7 +104,16 @@ from wqograph.classifier import (
     canonical_key,
     pair_corpus,
 )
-from wqograph.graphs import MAX_VERTICES, Graph, bits_of, complement, encode_graph6, induced, pattern
+from wqograph.graphs import (
+    MAX_VERTICES,
+    Graph,
+    bits_of,
+    complement,
+    connected_components,
+    encode_graph6,
+    induced,
+    pattern,
+)
 from wqograph.order import SearchBudget, SearchBudgetExceeded, _record, induced_embed
 from wqograph.uniform import UniformTemplate, UniformWitness, WitnessCheck
 
@@ -610,8 +623,27 @@ def oracle_embed_search(h: Graph, g: Graph, base_candidates, budget=None):
     return tuple(out)
 
 
+def oracle_room(h: Graph, g: Graph) -> bool:
+    """Whether degree counting leaves room for an induced copy of ``h`` in
+    ``g``, from sorted degree lists: no more pattern vertices than host
+    vertices; twice h's edges at most the sum of g's n(h) largest degrees,
+    and below it if 0 < n(h) < n(g) and g is connected (edges leave every
+    image); and, on equal orders, equal degree lists."""
+    hdeg = sorted(h.degree(v) for v in range(h.n))
+    gdeg = sorted((g.degree(w) for w in range(g.n)), reverse=True)
+    if h.n > g.n:
+        return False
+    if h.n == g.n:
+        return hdeg == sorted(gdeg)
+    top = sum(gdeg[: h.n])
+    if h.n and len(connected_components(g)) == 1:
+        return sum(hdeg) < top
+    return sum(hdeg) <= top
+
+
 def oracle_embed_exact(
-    h: Graph, g: Graph, base_candidates, budget=None, host_orbits=True, projected=True
+    h: Graph, g: Graph, base_candidates, budget=None, host_orbits=True, projected=True,
+    room=True,
 ):
     """The package's embedding search as it ran on lists of candidate masks,
     one per later position, before it packed them into one integer: the
@@ -626,12 +658,16 @@ def oracle_embed_exact(
     so far, times the number of roots, reach n(h)**2; from then on the host
     orbit of every root that fails is dropped too.  ``projected`` False
     runs the earlier rule instead: start once n(h)**2 nodes are spent, and
-    drop the orbits of the roots failed by then only."""
+    drop the orbits of the roots failed by then only.  ``room`` False
+    searches where :func:`oracle_room` refuses, which else returns None at
+    once, spending no node."""
     nh, ng = h.n, g.n
     if nh > ng:
         return None
     if nh == 0:
         return ()
+    if room and not oracle_room(h, g):
+        return None
     order = sorted(range(nh), key=lambda v: (-h.degree(v), v))
     later = [[h.adjacent(order[p], order[q]) for q in range(p + 1, nh)] for p in range(nh)]
     rows, gmask = g.rows, g.mask

@@ -16,7 +16,7 @@ from wqograph.classifier import OPEN_BOTH_PAIRS, OPEN_CW_PAIRS, OPEN_WQO_PAIRS
 from wqograph.cli import BUDGET_ENV, _patterns, main, parse_graph_arg
 from wqograph.graphs import build, decode_graph6, encode_graph6, to_json_dict
 from wqograph.uniform import UniformWitness, verify_witness
-from oracles import oracle_template_from_json
+from oracles import oracle_room, oracle_template_from_json
 
 
 class TestGraphArgs:
@@ -319,14 +319,23 @@ class TestBudgetAndRange:
         assert main(["embed", "--h", "P1+2P2", "--g", "g6:" + g6, "--budget", "509"]) == 2
 
     def test_projected_trigger_fits_a_smaller_budget(self, capsys):
-        # C8 is not in C9.  The first root fails after 11 nodes; at that rate
-        # the nine roots would take more than 8**2, so the host's orbits start
-        # at once, and C9's one orbit drops every root left.  Waiting for 64
-        # spent nodes instead, the search took 66.
-        assert main(["embed", "--h", "C8", "--g", "C9", "--budget", "11"]) == 1
+        # C7+P1 is not in C10, and the room check leaves it to the search.
+        # The first root fails after 11 nodes; at that rate the ten roots
+        # would take more than 8**2, so the host's orbits start at once, and
+        # C10's one orbit drops every root left.  Waiting for 64 spent nodes
+        # instead, the search took 66.
+        assert oracle_room(build("C7+P1"), build("C10"))
+        assert main(["embed", "--h", "C7+P1", "--g", "C10", "--budget", "11"]) == 1
         assert capsys.readouterr().out.strip() == "no induced embedding"
-        assert main(["embed", "--h", "C8", "--g", "C9", "--budget", "10"]) == 2
+        assert main(["embed", "--h", "C7+P1", "--g", "C10", "--budget", "10"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_room_check_spends_no_node(self, capsys):
+        # 2m(C8) = 16 is the sum of eight degrees of the connected C9, so
+        # some edge would leave the image: refused before the search
+        assert not oracle_room(build("C8"), build("C9"))
+        assert main(["embed", "--h", "C8", "--g", "C9", "--budget", "0"]) == 1
+        assert capsys.readouterr().out.strip() == "no induced embedding"
 
     def test_zero_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV, "0")

@@ -312,13 +312,30 @@ class TestBasics:
     def test_delete_vertices(self):
         assert delete_vertices(build("C5"), [0]) == build("P4")
 
+    @given(small_graphs(20))
+    @settings(max_examples=200, deadline=None)
+    def test_edge_count(self, g):
+        assert g.edge_count() == len(g.edges())
+
+
+@st.composite
+def dense_graphs(draw, max_n=64):
+    """A graph on at most ``max_n`` vertices, each pair an edge with
+    probability 7/8: one byte per pair, an edge unless its low three bits
+    are clear."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    data = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, b in zip(pairs, data) if b & 7])
+
 
 @st.composite
 def corrupted_rows(draw):
-    """``(n, rows)``: the rows of a random graph on at most 12 vertices with
-    up to three bits toggled, each a bit without its mirror (or a mirror
-    taken away), a bit beyond n - 1, or a self-loop."""
-    g = draw(small_graphs(12))
+    """``(n, rows)``: the rows of a random graph on at most 12 vertices, or
+    of a dense one on at most 64, with up to three bits toggled, each a bit
+    without its mirror (or a mirror taken away), a bit beyond n - 1, or a
+    self-loop."""
+    g = draw(st.one_of(small_graphs(12), dense_graphs()))
     n = g.n
     rows = list(g.rows)
     for _ in range(draw(st.integers(0, 3)) if n else 0):

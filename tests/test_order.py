@@ -3,7 +3,7 @@ from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wqograph.graphs import (
@@ -38,6 +38,7 @@ from wqograph.order import (
     labelled_embed,
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
+from wqograph.classifier import nonisomorphic_graphs
 from oracles import (
     oracle_embed,
     oracle_embed_exact,
@@ -46,9 +47,10 @@ from oracles import (
     oracle_isomorphic,
     oracle_lex_orbits,
     oracle_refine,
+    oracle_room,
     oracle_words,
 )
-from strategies import small_graphs
+from strategies import pair_bits, small_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -97,7 +99,10 @@ PINNED = [
     # candidates is itself, so each first vertex is cut.
     ("3P1", build("2K2"), 4, 12),
     ("3P1", build("C5"), 5, 15),
-    ("C8", build("C9"), 11, 117),
+    # C8 into C9 is refused by the room check, at no node; C7+P1 into C10
+    # reaches the search, where C10's one orbit drops every root left.
+    ("C8", build("C9"), 0, 117),
+    ("C7+P1", build("C10"), 11, 110),
     (gen_thm52(3), gen_thm52(4), 74, 1_200),
 ]
 PINNED_IDS = [
@@ -106,6 +111,7 @@ PINNED_IDS = [
     "2K2-3P1",
     "C5-3P1",
     "C9-C8",
+    "C10-C7+P1",
     "thm52-4-thm52-3",
 ]
 
@@ -231,6 +237,7 @@ class TestSearchAgainstOracle:
         assert induced_embed(h, host, fast) is None
         assert oracle_embed_search(h, host, [host.mask] * h.n, plain) is None
         assert (fast.used, plain.used) == (nodes, oracle_nodes)
+        assert oracle_room(h, host) == (nodes > 0)
 
 
 class TestSearchAgainstLists:
@@ -305,6 +312,119 @@ class TestSearchAgainstLists:
 
 
 @st.composite
+def circulants(draw, max_n=7):
+    """A circulant graph on 1 to ``max_n`` vertices: i ~ i + s (mod n) for
+    each s of a drawn set of steps.  Every circulant is regular."""
+    n = draw(st.integers(1, max_n))
+    steps = draw(st.sets(st.integers(1, n // 2))) if n > 1 else ()
+    return Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+@st.composite
+def room_pairs(draw):
+    """A pattern and a host on at most 7 vertices each: the pattern random
+    or regular; the host random, regular, disconnected, the pattern beside
+    another graph, or of the pattern's order."""
+    h = draw(st.one_of(small_graphs(7), circulants()))
+    kind = draw(st.sampled_from(("random", "regular", "disconnected", "beside", "equal")))
+    if kind == "random":
+        g = draw(small_graphs(7))
+    elif kind == "regular":
+        g = draw(circulants())
+    elif kind == "disconnected":
+        parts = [draw(st.one_of(small_graphs(4), circulants(4))) for _ in range(2)]
+        g = disjoint_union(parts)
+    elif kind == "beside":
+        g = disjoint_union([h, draw(st.one_of(small_graphs(7 - h.n), circulants(max(1, 7 - h.n))))])
+    else:
+        pairs = list(combinations(range(h.n), 2))
+        bits = draw(pair_bits(len(pairs)))
+        g = Graph.from_edges(h.n, [p for p, b in zip(pairs, bits) if b])
+    return h, g
+
+
+# Counting cases, each refused by a mutant of the room check: a tight
+# count in a disconnected host (K2 in K2+K1), a sum over the smallest host
+# degrees (P3 in the claw), and equal orders, degree sums and degree sets
+# with unequal degree multisets.
+ROOM_EXAMPLES = [
+    (build("K2"), build("K2+K1")),
+    (build("C3"), build("C3+P2")),
+    (build("P3"), build("K1,3")),
+    (
+        Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)]),
+    ),
+]
+
+
+def room_examples(test):
+    for pair in ROOM_EXAMPLES:
+        test = example(pair)(test)
+    return test
+
+
+class TestRoom:
+    """The room check: 2m(h) against the n(h) largest host degrees, strictly
+    in a connected larger host, and the degree multisets on equal orders.
+    ``oracle_room`` restates it from sorted degree lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(room_pairs())
+    @room_examples
+    def test_refusal_is_sound(self, pair):
+        h, g = pair
+        if not oracle_room(h, g):
+            assert oracle_embed(h, g) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(room_pairs())
+    @room_examples
+    def test_same_answer_as_slow_path(self, pair):
+        h, g = pair
+        fast, slow = SearchBudget(10**9), SearchBudget(10**9)
+        assert induced_embed(h, g, fast) == oracle_embed_exact(h, g, None, slow, room=False)
+        assert fast.used <= slow.used
+
+    @settings(max_examples=300, deadline=None)
+    @given(room_pairs())
+    @room_examples
+    def test_refused_at_no_node(self, pair):
+        # even under a zero budget, for plain and labelled patterns alike
+        h, g = pair
+        if not oracle_room(h, g):
+            one = QuasiOrder.from_pairs(("a",), ())
+            budget = SearchBudget(0)
+            assert induced_embed(h, g, budget) is None
+            plain = LabelledGraph(h, ("a",) * h.n), LabelledGraph(g, ("a",) * g.n)
+            assert labelled_embed(*plain, one, budget) is None
+            assert budget.used == 0
+
+    def test_refusals_counted(self):
+        # every ordered pair of graphs on at most 5 vertices: the refusals
+        # agree with the brute force, and are pinned, so none is vacuous
+        graphs = [g for n in range(6) for g in nonisomorphic_graphs(n)]
+        refused = {True: 0, False: 0}
+        for h in graphs:
+            for g in graphs:
+                if h.n <= g.n and not oracle_room(h, g):
+                    refused[h.n == g.n] += 1
+                    assert oracle_embed(h, g) is None
+                    budget = SearchBudget(0)
+                    assert induced_embed(h, g, budget) is None and budget.used == 0
+        # 53 graphs; refused: 125 pairs with a smaller pattern, 1,240 of
+        # equal order (of the 1,246 non-isomorphic equal-order pairs)
+        assert (len(graphs), refused[False], refused[True]) == (53, 125, 1240)
+
+    def test_cycles_at_no_node(self):
+        # every proper induced subgraph of a cycle is a linear forest
+        for s in range(3, 17):
+            for l in range(s + 1, 18):
+                budget = SearchBudget(0)
+                assert induced_embed(cycle_graph(s), cycle_graph(l), budget) is None
+
+
+@st.composite
 def symmetric_hosts(draw, max_n=20):
     """A relabelled cycle, biclique, disjoint union of copies of a small
     graph, 2-lift of a small graph (each edge uv becomes u0v0 and u1v1, or
@@ -365,14 +485,17 @@ class TestHostOrbits:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_root_pruned(self, seed):
-        # Each vertex of C9 is in one orbit, so once the first roots fail
-        # and the constraints start, no root is left.
+        # Each vertex of C10 is in one orbit, so once the first roots fail
+        # and the constraints start, no root is left.  The room check leaves
+        # C7+P1 to the search.
         rng = random.Random(seed)
-        g = relabel(cycle_graph(9), rng.sample(range(9), 9))
+        h = build("C7+P1")
+        g = relabel(cycle_graph(10), rng.sample(range(10), 10))
+        assert oracle_room(h, g)
         pruned, unpruned = SearchBudget(10**9), SearchBudget(10**9)
-        assert induced_embed(cycle_graph(8), g, pruned) is None
-        assert oracle_embed_exact(cycle_graph(8), g, None, unpruned, host_orbits=False) is None
-        assert pruned.used < unpruned.used
+        assert induced_embed(h, g, pruned) is None
+        assert oracle_embed_exact(h, g, None, unpruned, host_orbits=False) is None
+        assert 0 < pruned.used < unpruned.used
 
     def test_twin_classes(self):
         # false twins (equal rows) in K2,3 and true twins (equal closed rows)
@@ -532,13 +655,21 @@ class TestAgainstOldPaths:
             cells, _, expect = both(split + [1 << v], [len(cells)])
             both(other + [1 << w], [len(other)], expect)
 
+    @staticmethod
+    def words(h, ng):
+        """The packed words the search builds for ``h`` on ``ng`` host
+        vertices.  A host that holds ``h`` passes the room check, and the
+        words are built before the first node, where a zero budget stops."""
+        with pytest.raises(SearchBudgetExceeded):
+            induced_embed(h, disjoint_union([h, Graph.empty(ng - h.n)]), SearchBudget(0))
+        return _record(h).plan[4][ng]
+
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(9).filter(lambda h: h.n), st.integers(0, 12))
     def test_words(self, h, extra):
         ng = h.n + extra
-        induced_embed(h, Graph.empty(ng))
-        order, _, _, last_pair_adjacent, packed = _record(h).plan
-        assert packed[ng] == oracle_words(h, ng)
+        assert self.words(h, ng) == oracle_words(h, ng)
+        order, _, _, last_pair_adjacent, _ = _record(h).plan
         assert last_pair_adjacent == (h.n >= 2 and h.adjacent(order[-2], order[-1]))
 
     @settings(max_examples=150, deadline=None)
@@ -554,8 +685,7 @@ class TestAgainstOldPaths:
         included, and hosts up to 64."""
         h = random_graph(rng, nh, density)
         ng = min(64, nh + extra)
-        induced_embed(h, Graph.empty(ng))
-        assert _record(h).plan[4][ng] == oracle_words(h, ng)
+        assert self.words(h, ng) == oracle_words(h, ng)
 
 
 def shrikhande():
