@@ -131,17 +131,10 @@ def _check_order(n: int) -> None:
 def _mirrored(rows: tuple[int, ...]) -> bool:
     """Whether rows free of self-loops and of bits outside ``0..n-1`` are
     symmetric: each bit above the diagonal has its mirror, and the rows hold
-    twice as many bits as lie above it, so no bit below lacks one.  When
-    more than half the pairs are edges, the complement's rows, symmetric
-    exactly when these are, are walked instead."""
-    n = len(rows)
-    total = sum(map(int.bit_count, rows))
-    if 2 * total > n * (n - 1):
-        full = (1 << n) - 1
-        rows = [row ^ full ^ 1 << v for v, row in enumerate(rows)]
-        total = n * (n - 1) - total
-    above = 0
+    twice as many bits as lie above it, so no bit below lacks one."""
+    above = total = 0
     for v, row in enumerate(rows):
+        total += row.bit_count()
         up = row >> v + 1
         above += up.bit_count()
         bit = 1 << v
@@ -281,24 +274,33 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
 # Basic predicates
 
 
+def _component(rows, comp: int) -> int:
+    """The vertices joined by a path to a vertex of the mask ``comp``: a
+    search over masks, one row read per vertex reached."""
+    frontier = comp
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
-    seen = 0
+    left = g.mask
     out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
+    while left:
+        comp = _component(g.rows, left & -left)
+        left ^= comp
         out.append(bits_of(comp))
     return out
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether ``g`` has at most one component."""
+    return not g.n or _component(g.rows, 1) == g.mask
 
 
 def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

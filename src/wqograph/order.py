@@ -184,7 +184,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, bits_of, connected_components
+from .graphs import Graph, bits_of, connected_components, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -721,19 +721,6 @@ class _Record:
 _record = lru_cache(maxsize=512)(_Record)
 
 
-def _connected(rows) -> bool:
-    """Whether the graph with these rows, on at least one vertex, is
-    connected: a search from vertex 0 over masks."""
-    seen = frontier = 1
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = rows[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen == (1 << len(rows)) - 1
-
-
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     """Core backtracking search; returns an assignment tuple or None.
 
@@ -762,7 +749,7 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     while need >= 0:
         c = at_least[d].bit_count()
         if not c:
-            if need or nh < ng and _connected(rows):
+            if need or nh < ng and is_connected(g):
                 return None
             break
         need -= c if c < nh else nh

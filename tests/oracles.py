@@ -21,6 +21,8 @@ node.  ``oracle_room`` is the degree-counting room check restated from
 sorted degree lists and ``connected_components``; ``oracle_embed_exact``
 refuses where it does, at no node, unless asked for the slow path, and
 brute force must find no embedding wherever it refuses.
+``oracle_components`` is a union-find over the edge list, against which
+``connected_components`` and ``is_connected`` are checked.
 ``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
 that the structure claims ran before their bitset layer: the bitset helpers
@@ -225,6 +227,25 @@ def oracle_delete_vertices(g: Graph, vertices) -> Graph:
     outside 0..n-1 delete nothing."""
     drop = set(vertices)
     return induced(g, [v for v in range(g.n) if v not in drop])
+
+
+def oracle_components(g: Graph) -> list[tuple[int, ...]]:
+    """Components as sorted vertex tuples, ordered by smallest vertex: a
+    union-find over the edge list, each root the smallest of its set."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        a, b = sorted((root(u), root(v)))
+        parent[b] = a
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(root(v), []).append(v)
+    return [tuple(groups[r]) for r in sorted(groups)]
 
 
 def oracle_same_side_components(g: Graph):

@@ -21,12 +21,18 @@ from wqograph.graphs import (
     from_json_dict,
     induced,
     is_bipartite,
+    is_connected,
     path_graph,
     subdivided_claw,
     to_json_dict,
 )
 from wqograph.structure import _first_inside, _first_pair, _first_two
-from oracles import oracle_delete_vertices, oracle_graph_checks, oracle_isomorphic
+from oracles import (
+    oracle_components,
+    oracle_delete_vertices,
+    oracle_graph_checks,
+    oracle_isomorphic,
+)
 from strategies import small_graphs
 
 
@@ -309,6 +315,13 @@ class TestBasics:
         comps = connected_components(build("P2+P3"))
         assert comps == [(0, 1), (2, 3, 4)]
 
+    @given(small_graphs(20))
+    @settings(max_examples=300, deadline=None)
+    def test_components_against_union_find(self, g):
+        comps = oracle_components(g)
+        assert connected_components(g) == comps
+        assert is_connected(g) == (len(comps) <= 1)
+
     def test_delete_vertices(self):
         assert delete_vertices(build("C5"), [0]) == build("P4")
 
@@ -319,23 +332,11 @@ class TestBasics:
 
 
 @st.composite
-def dense_graphs(draw, max_n=64):
-    """A graph on at most ``max_n`` vertices, each pair an edge with
-    probability 7/8: one byte per pair, an edge unless its low three bits
-    are clear."""
-    n = draw(st.integers(0, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    data = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [p for p, b in zip(pairs, data) if b & 7])
-
-
-@st.composite
 def corrupted_rows(draw):
-    """``(n, rows)``: the rows of a random graph on at most 12 vertices, or
-    of a dense one on at most 64, with up to three bits toggled, each a bit
-    without its mirror (or a mirror taken away), a bit beyond n - 1, or a
-    self-loop."""
-    g = draw(st.one_of(small_graphs(12), dense_graphs()))
+    """``(n, rows)``: the rows of a random graph on at most 12 vertices with
+    up to three bits toggled, each a bit without its mirror (or a mirror
+    taken away), a bit beyond n - 1, or a self-loop."""
+    g = draw(small_graphs(12))
     n = g.n
     rows = list(g.rows)
     for _ in range(draw(st.integers(0, 3)) if n else 0):
