@@ -90,7 +90,12 @@ Families:
 - ``room``: the verdict (embedding or not) and the nodes of
   ``induced_embed`` for every ordered pair of the members thm51 2..8,
   thm52 3..7 and cycles 4..16, so that the calls the room check settles
-  at no node are compared with their verdicts.
+  at no node are compared with their verdicts;
+- ``scripts``: over seeded random graphs on 0..64 vertices, ``induced`` of
+  a random vertex list (unsorted, with repeats, now and then a vertex out
+  of range) and ``apply_script`` of a random script of ``sc``, ``bc`` and
+  runs of ``del`` steps: the rows, or the message (and for a script the
+  failing step's index).
 
 Takes no arguments; under a minute on one core.
 """
@@ -105,7 +110,16 @@ import sys
 
 from wqograph import antichains, classifier, cli, instances, structure, uniform
 from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
-from wqograph.ops import apply_script, bipartite_complement, subgraph_complement
+from wqograph.ops import (
+    BipartiteComplement,
+    DeleteVertex,
+    OpScript,
+    OpScriptError,
+    SubgraphComplement,
+    apply_script,
+    bipartite_complement,
+    subgraph_complement,
+)
 from wqograph.order import (
     _CLASSES,
     SearchBudget,
@@ -174,6 +188,8 @@ EXPANSIONS_SEED = 20261027
 EXPANSIONS = 1000
 EXPANSIONS_OVER_CAP = ((1, 65), (5, 13), (8, 9), (9, 8), (33, 2), (64, 2))
 ROOM_MEMBERS = (("thm51", range(2, 9)), ("thm52", range(3, 8)), ("cycles", range(4, 17)))
+SCRIPTS_SEED = 20261028
+SCRIPTS_GRAPHS = 1500
 
 
 class Digest:
@@ -559,6 +575,45 @@ def room() -> str:
     return digest.hex()
 
 
+def scripts() -> str:
+    digest = Digest()
+    rng = random.Random(SCRIPTS_SEED)
+
+    def vertex(n: int) -> int:
+        return rng.randint(-1, n + 1) if rng.random() < 0.03 else rng.randrange(max(n, 1))
+
+    for _ in range(SCRIPTS_GRAPHS):
+        n = rng.randint(0, 64)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < p])
+        vs = [vertex(n) for _ in range(rng.randint(0, n + 4))]
+        try:
+            digest.add(["induced", vs, list(induced(g, vs).rows)])
+        except ValueError as exc:
+            digest.add(["induced", vs, str(exc)])
+        steps, order = [], n
+        for _ in range(rng.randint(0, 12)):
+            op = rng.choice(("sc", "bc", "del", "del", "del"))
+            if op == "del":
+                v = vertex(order)
+                steps.append(DeleteVertex(v))
+                order -= 0 <= v < order
+            elif op == "sc":
+                s = tuple(vertex(order) for _ in range(rng.randint(0, 5)))
+                steps.append(SubgraphComplement(s))
+            else:
+                side = [vertex(order) for _ in range(rng.randint(0, 6))]
+                cut = rng.randint(0, len(side))
+                steps.append(BipartiteComplement(tuple(side[:cut]), tuple(side[cut:])))
+        script = OpScript(tuple(steps))
+        try:
+            digest.add(["script", script.to_json(), list(apply_script(g, script).rows)])
+        except OpScriptError as exc:
+            digest.add(["script", script.to_json(), exc.step_index, str(exc)])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
@@ -583,6 +638,7 @@ def main() -> int:
     digests["malformed"] = malformed()
     digests["expansions"] = expansions()
     digests["room"] = room()
+    digests["scripts"] = scripts()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

@@ -241,33 +241,46 @@ def complement(g: Graph) -> Graph:
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, renumbered in ascending order."""
+    """Subgraph induced by ``vertices``, renumbered in ascending order;
+    a repeated vertex counts once, and the least vertex outside ``0..n-1``
+    is refused.  The rows are compacted by :func:`_compact`."""
     vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    keep = mask_of(vs)
-    rows = []
-    for v in vs:
-        row = 0
-        for w in _bits(g.rows[v] & keep):
-            row |= 1 << pos[w]
-        rows.append(row)
-    return _graph(len(vs), tuple(rows))
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        bad = next(v for v in vs if not 0 <= v < g.n)
+        raise ValueError(f"vertex {bad} out of range")
+    return _compact(g, mask_of(vs))
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
     """``g`` without ``vertices``, the rest renumbered in ascending order;
-    vertices outside ``0..n-1`` are ignored.  Each deleted bit is squeezed
-    out of every row, highest vertex first, so the lower ones keep their
-    positions."""
-    rows = list(g.rows)
-    for v in sorted({v for v in vertices if 0 <= v < g.n}, reverse=True):
-        del rows[v]
-        low = (1 << v) - 1
-        rows = [r & low | r >> (v + 1) << v for r in rows]
-    return _graph(len(rows), tuple(rows))
+    vertices outside ``0..n-1`` are ignored."""
+    return _compact(g, g.mask & ~mask_of(v for v in vertices if 0 <= v < g.n))
+
+
+def _compact(g: Graph, keep: int) -> Graph:
+    """The subgraph induced by the vertex mask ``keep``, within ``g.mask``.
+    Each maximal run of consecutive kept vertices moves down by the number
+    of vertices dropped below it: one mask and one shift per run."""
+    rows = g.rows
+    kept: list[int] = []
+    runs: list[tuple[int, int]] = []
+    below = 0
+    while keep:
+        low = keep & -keep
+        run = ((keep + low) & ~keep) - low
+        start = low.bit_length() - 1
+        size = run.bit_count()
+        kept += rows[start : start + size]
+        runs.append((run, start - below))
+        below += size
+        keep ^= run
+    out = []
+    for r in kept:
+        row = 0
+        for run, shift in runs:
+            row |= (r & run) >> shift
+        out.append(row)
+    return _graph(below, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -324,60 +324,65 @@ def c5_claim_mutants(g: Graph, report) -> list[tuple[str, Graph]]:
     Every candidate toggle is built so that, relative to the report's
     anchor (the sets do not move: toggles never touch cycle adjacencies),
     the named claim's predicate is false by construction.  Returns
-    (claim id, mutant) pairs in deterministic order.
+    (claim id, mutant) pairs in deterministic order; each mutant is built
+    as its toggle is found, unless a per-vertex mask of the pairs toggled
+    so far holds the pair.
     """
-    V = [sorted(report.sets[f"V{i + 1}"]) for i in range(5)]
-    X = sorted(report.sets["X"])
-    masks = [mask_of(vs) for vs in V]
-    xmask = mask_of(X)
+    V = [mask_of(report.sets[f"V{i + 1}"]) for i in range(5)]
+    xmask = mask_of(report.sets["X"])
     rows = g.rows
-    large = {i for i in range(5) if len(V[i]) >= 3}
-    toggles: list[tuple[str, int, int]] = []
+    large = {i for i in range(5) if V[i].bit_count() >= 3}
 
-    def least(m: int) -> int:
-        return (m & -m).bit_length() - 1
+    def lowest(m: int) -> int:
+        return m & -m
 
-    for i in range(5):
-        for x in X:
-            if rows[x] & masks[i] and masks[i] & ~rows[x]:
-                toggles.append(("L4.2-C1", x, least(masks[i] & ~rows[x])))
-        opp, nxt = masks[(i + 2) % 5], masks[(i + 1) % 5]
-        for y in V[i]:
-            if rows[y] & opp and opp & ~rows[y]:
-                toggles.append(("L4.2-C2", y, least(opp & ~rows[y])))
-        for y in V[i]:
-            if rows[y] & nxt and nxt & ~rows[y]:
-                toggles.append(("L4.2-C3", y, least(rows[y] & nxt)))
-    for i in sorted(large):
-        for v in V[(i - 2) % 5] + V[(i + 2) % 5]:
-            toggles.extend(("L4.2-C4", x, v) for x in bits_of(xmask & ~rows[v]))
-        for u in V[(i - 1) % 5]:
-            toggles.extend(("L4.2-C5", u, w) for w in bits_of(masks[(i + 1) % 5] & ~rows[u]))
-    for i in range(5):
-        if {(i - 1) % 5, i, (i + 1) % 5} <= large:
-            for y in V[i]:
-                for side in (masks[(i - 1) % 5], masks[(i + 1) % 5]):
-                    toggles.extend(("L4.2-C6", y, z) for z in bits_of(rows[y] & side))
-    for i in range(5):
-        j = (i + 1) % 5
-        if i in large and j in large:
-            for y in V[i]:
-                for z in bits_of(masks[j] & ~rows[y]):
-                    away = ~(rows[y] | rows[z])
-                    for side in (xmask, masks[(i + 3) % 5]):
-                        toggles.extend(("L4.2-C7", x, y) for x in bits_of(side & away))
+    def toggles():
+        """(claim, u, mask of the v) for the toggles of u and each v, in order."""
+        for i in range(5):
+            vi, opp, nxt = V[i], V[(i + 2) % 5], V[(i + 1) % 5]
+            for x in bits_of(xmask):
+                if rows[x] & vi and vi & ~rows[x]:
+                    yield "L4.2-C1", x, lowest(vi & ~rows[x])
+            for y in bits_of(vi):
+                if rows[y] & opp and opp & ~rows[y]:
+                    yield "L4.2-C2", y, lowest(opp & ~rows[y])
+            for y in bits_of(vi):
+                if rows[y] & nxt and nxt & ~rows[y]:
+                    yield "L4.2-C3", y, lowest(rows[y] & nxt)
+        for i in sorted(large):
+            for v in bits_of(V[(i - 2) % 5]) + bits_of(V[(i + 2) % 5]):
+                yield "L4.2-C4", v, xmask & ~rows[v]
+            for u in bits_of(V[(i - 1) % 5]):
+                yield "L4.2-C5", u, V[(i + 1) % 5] & ~rows[u]
+        for i in range(5):
+            if {(i - 1) % 5, i, (i + 1) % 5} <= large:
+                for y in bits_of(V[i]):
+                    yield "L4.2-C6", y, rows[y] & V[(i - 1) % 5]
+                    yield "L4.2-C6", y, rows[y] & V[(i + 1) % 5]
+        for i in range(5):
+            j = (i + 1) % 5
+            if i in large and j in large:
+                for y in bits_of(V[i]):
+                    for z in bits_of(V[j] & ~rows[y]):
+                        away = ~(rows[y] | rows[z])
+                        yield "L4.2-C7", y, xmask & away
+                        yield "L4.2-C7", y, V[(i + 3) % 5] & away
 
+    seen = [0] * g.n
     out = []
-    seen = set()
-    for claim, u, v in toggles:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        flipped = list(rows)
-        flipped[u] ^= 1 << v
-        flipped[v] ^= 1 << u
-        out.append((claim, _graph(g.n, tuple(flipped))))
+    for claim, u, vs in toggles():
+        vs &= ~seen[u]
+        seen[u] |= vs
+        ubit = 1 << u
+        while vs:
+            low = vs & -vs
+            vs ^= low
+            v = low.bit_length() - 1
+            seen[v] |= ubit
+            flipped = list(rows)
+            flipped[u] ^= low
+            flipped[v] ^= ubit
+            out.append((claim, _graph(g.n, tuple(flipped))))
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import MAX_VERTICES, Graph, _graph, bits_of, delete_vertices, mask_of
+from .graphs import MAX_VERTICES, Graph, _graph, bits_of, delete_vertices, induced, mask_of
 from .order import LabelledGraph, QuasiOrder
 
 
@@ -137,12 +137,26 @@ class OpScript:
 
 
 def apply_script(g: Graph, script: OpScript) -> Graph:
+    """Apply the steps in order; a failing step raises :class:`OpScriptError`
+    with its index.  A run of ``del`` steps is one ``induced`` call on the
+    survivors, each step's vertex read in the numbering the steps before it
+    leave."""
+    alive = None
     for i, step in enumerate(script.steps):
+        if type(step) is DeleteVertex:
+            if alive is None:
+                alive = list(range(g.n))
+            if not 0 <= step.v < len(alive):
+                raise OpScriptError(i, f"vertex {step.v} out of range")
+            del alive[step.v]
+            continue
+        if alive is not None:
+            g, alive = induced(g, alive), None
         try:
             g = step.apply(g)
         except ValueError as exc:
             raise OpScriptError(i, str(exc)) from exc
-    return g
+    return g if alive is None else induced(g, alive)
 
 
 def split_labels(

@@ -9,6 +9,12 @@ counterexample on failure), and emits a replayable certificate: an operation
 script plus per-part checkers (bipartite / star forest / clique union /
 uniform-template witness).  Claim failures signal an input outside the
 class; on class members every claim holds and every certificate replays.
+A Sparse member is named by ``route`` only; it has no decomposer yet.
+
+Vertex sets are masks: the cycle decomposers derive every set from the
+off-cycle neighbourhood mask of each cycle vertex (:func:`_cycle_split`),
+and a claim tests a vertex against a whole set with one AND.  The reports
+list each set as an ascending tuple.
 
 Membership in the class is decided without an embedding search, by the
 freeness decider in :mod:`wqograph.order`:
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -215,51 +222,74 @@ def _caller_anchor(g: Graph, given: Sequence[int], size: int, shape: str):
 
 
 # ---------------------------------------------------------------------------
-# Claim predicates: each returns the first counterexample in list order, or
-# None.  A vertex is tested against a whole list with one mask AND; the
-# partner is the first listed vertex in the hit, because some lists (such as
-# V_{i-1} + V_{i+1}) are not ascending.  ``edge`` says which relation is the
-# counterexample: an edge (True) or a non-edge (False).
+# Claim predicates: each takes vertex sets as masks, reads them in ascending
+# order and returns the first counterexample, or None.  A vertex is tested
+# against a whole set with one mask AND.  ``edge`` says which relation is
+# the counterexample: an edge (True) or a non-edge (False).
 
 
-def _first_pair(g: Graph, a: Sequence[int], b: Sequence[int], edge: bool):
-    """First (u, v), u from ``a`` and v from ``b``, that is an edge iff
-    ``edge``: a counterexample to ``a`` anticomplete (True) or complete
-    (False) to ``b``."""
-    bmask = mask_of(b)
-    for u in a:
-        hit = (g.rows[u] if edge else ~g.rows[u]) & bmask
+def _least(m: int) -> int:
+    return (m & -m).bit_length() - 1
+
+
+def _first_pair(g: Graph, a: int, b: Sequence[int], edge: bool):
+    """First (u, v), u from ``a`` and v from the list whose ascending parts
+    are the masks ``b``, that is an edge iff ``edge``: a counterexample to
+    ``a`` anticomplete (True) or complete (False) to that list.  The
+    partner is the least hit in the first part with one, so a list such as
+    V_(i-1) + V_(i+1) is read in its order."""
+    rows = g.rows
+    whole = 0
+    for part in b:
+        whole |= part
+    while a:
+        low = a & -a
+        a ^= low
+        u = low.bit_length() - 1
+        hit = (rows[u] if edge else ~rows[u]) & whole
         if hit:
-            return u, next(v for v in b if hit >> v & 1)
+            return u, next(_least(hit & part) for part in b if hit & part)
     return None
 
 
-def _first_inside(g: Graph, vs: Sequence[int], edge: bool):
-    """First (u, v), u listed before v in ``vs``, that is an edge iff
-    ``edge``: a counterexample to ``vs`` independent (True) or a clique
-    (False)."""
-    later = [0] * len(vs)
-    for i in range(len(vs) - 1, 0, -1):
-        later[i - 1] = later[i] | 1 << vs[i]
-    for i, u in enumerate(vs):
-        hit = (g.rows[u] if edge else ~g.rows[u]) & later[i]
+def _first_inside(g: Graph, vs: int, edge: bool):
+    """First (u, v), u < v in ``vs``, that is an edge iff ``edge``: a
+    counterexample to ``vs`` independent (True) or a clique (False)."""
+    rows = g.rows
+    while vs:
+        low = vs & -vs
+        vs ^= low
+        u = low.bit_length() - 1
+        hit = (rows[u] if edge else ~rows[u]) & vs
         if hit:
-            return u, next(v for v in vs[i + 1 :] if hit >> v & 1)
+            return u, _least(hit)
     return None
 
 
-def _first_two(g: Graph, a: Sequence[int], b: Sequence[int], edge: bool):
+def _first_two(g: Graph, a: int, b: int, edge: bool):
     """First u in ``a`` with two or more vertices of ``b`` adjacent to it iff
-    ``edge``, as (u, v, w) with v, w the first two: a counterexample to each
-    vertex of ``a`` having at most one neighbour (True) or non-neighbour
-    (False) in ``b``.  The vertices of ``b`` are distinct."""
-    bmask = mask_of(b)
-    for u in a:
-        hit = (g.rows[u] if edge else ~g.rows[u]) & bmask
+    ``edge``, as (u, v, w) with v < w the least two: a counterexample to
+    each vertex of ``a`` having at most one neighbour (True) or
+    non-neighbour (False) in ``b``."""
+    rows = g.rows
+    while a:
+        low = a & -a
+        a ^= low
+        u = low.bit_length() - 1
+        hit = (rows[u] if edge else ~rows[u]) & b
         if hit & (hit - 1):
-            v, w = [v for v in b if hit >> v & 1][:2]
-            return u, v, w
+            v = hit & -hit
+            return u, v.bit_length() - 1, _least(hit ^ v)
     return None
+
+
+def _touching(g: Graph, vs: int, m: int) -> int:
+    """The vertices of ``vs`` with a neighbour in ``m``."""
+    out = 0
+    for v in bits_of(vs):
+        if g.rows[v] & m:
+            out |= 1 << v
+    return out
 
 
 def _claim(claims: list[ClaimCheck], claim_id: str, found: Iterable) -> None:
@@ -280,9 +310,13 @@ def _deletion_script(deletions: Iterable[int]) -> OpScript:
     return OpScript(steps)
 
 
-def _local_ids(survivors: Sequence[int], subset: Iterable[int]) -> tuple[int, ...]:
-    pos = {v: i for i, v in enumerate(sorted(survivors))}
-    return tuple(sorted(pos[v] for v in subset))
+def _local(within: int, subset: int) -> int:
+    """The mask of the positions that the vertices of ``subset`` take among
+    the vertices of ``within``, renumbered in ascending order."""
+    out = 0
+    for v in bits_of(subset):
+        out |= 1 << (within & ((1 << v) - 1)).bit_count()
+    return out
 
 
 def _cycle_split(
@@ -291,55 +325,66 @@ def _cycle_split(
     prefix: str,
     claims: list[ClaimCheck],
     sets: dict[str, tuple[int, ...]],
-) -> tuple[set[int], dict[int, int]]:
-    """Split the off-cycle vertices of an induced cycle.
+) -> tuple[int, list[int], list[int], int]:
+    """Split the off-cycle vertices of an induced cycle, on vertex masks.
 
-    The junk set Y_i holds the common neighbours of cycle vertices i and
-    i + 1; each is claimed a clique of at most two.  Returns the junk and,
-    for every other off-cycle vertex in ascending order, its cycle-neighbour
-    pattern: bit i is set iff the vertex is adjacent to ``cyc[i]``.
+    Every set is a few mask operations on A_i, the mask of the off-cycle
+    neighbours of cycle vertex i.  The junk set Y_i = A_i & A_(i+1) holds
+    the common neighbours of cycle vertices i and i + 1; each is claimed a
+    clique of at most two.  Outside Y no vertex sees two consecutive cycle
+    vertices, so it sees one (W_i, the vertices that see only i), two
+    opposite ones (V_i, those that see i - 1 and i + 1; on a 4-cycle V_i is
+    V_(i+2)) or none (X).  Returns (Y, [W_i], [V_i], X), Y the union of the
+    Y_i.
     """
     n = len(cyc)
-    off = [v for v in range(g.n) if v not in cyc]
-    junk: set[int] = set()
+    off = g.mask & ~mask_of(cyc)
+    nbrs = [g.rows[c] & off for c in cyc]
+    junk = once = twice = 0
     for i in range(n):
-        both = g.rows[cyc[i]] & g.rows[cyc[(i + 1) % n]]
-        yi = tuple(v for v in off if both >> v & 1)
-        sets[f"Y{i + 1}"] = yi
-        big = yi if len(yi) > 2 else None
+        yi = nbrs[i] & nbrs[(i + 1) % n]
+        sets[f"Y{i + 1}"] = bits_of(yi)
+        big = sets[f"Y{i + 1}"] if yi.bit_count() > 2 else None
         _claim(claims, f"{prefix}-Y{i + 1}", [_first_inside(g, yi, False), big])
-        junk.update(yi)
-    cycle_rows = [g.rows[c] for c in cyc]
-    return junk, {
-        v: sum((row >> v & 1) << i for i, row in enumerate(cycle_rows))
-        for v in off
-        if v not in junk
-    }
+        junk |= yi
+        twice |= once & nbrs[i]
+        once |= nbrs[i]
+    rest = off & ~junk
+    w = [m & ~twice for m in nbrs]
+    v = [rest & nbrs[i - 1] & nbrs[(i + 1) % n] for i in range(n)]
+    return junk, w, v, rest & ~once
 
 
 def _template_witness(
+    n: int,
     class_lists: Sequence[Sequence[int]],
     f_edges: Sequence[tuple[int, int]],
     k_ones: Sequence[tuple[int, int]],
     groups: Sequence[Sequence[int]],
 ) -> tuple[UniformWitness, tuple[int, ...]]:
-    """Witness over the listed classes: the vertices of each copy group
-    share a copy, in group order, and every other vertex gets a fresh copy
-    in ascending order.  Returns the witness and the sorted vertex set it
-    covers; assignments are indexed by position in that sorted set.  The
-    matrix is symmetric 0/1 by construction and F comes from
-    ``Graph.from_edges``, so the template is built unchecked."""
+    """Witness over the listed classes of vertices below ``n``: the vertices
+    of each copy group share a copy, in group order (a later group wins),
+    and every other vertex gets a fresh copy in ascending order.  Returns
+    the witness and the sorted vertex set it covers; assignments are
+    indexed by position in that sorted set.  The matrix is symmetric 0/1 by
+    construction and F comes from ``Graph.from_edges``, so the template is
+    built unchecked."""
     k = len(class_lists)
     matrix = [[0] * k for _ in range(k)]
     for i, j in k_ones:
         matrix[i][j] = matrix[j][i] = 1
     template = _template(k, Graph.from_edges(k, f_edges), tuple(map(tuple, matrix)))
-    cls = {v: c for c, lst in enumerate(class_lists) for v in lst}
-    vertices = sorted(cls)
-    copy_of = {v: c for c, group in enumerate(groups) for v in group}
-    fresh = [v for v in vertices if v not in copy_of]
-    copy_of.update((v, c) for c, v in enumerate(fresh, start=len(groups)))
-    assign = tuple((copy_of[v], cls[v]) for v in vertices)
+    cls = [-1] * n
+    for c, lst in enumerate(class_lists):
+        for v in lst:
+            cls[v] = c
+    copy = [-1] * n
+    for c, group in enumerate(groups):
+        for v in group:
+            copy[v] = c
+    vertices = [v for v in range(n) if cls[v] >= 0]
+    fresh = count(len(groups))
+    assign = tuple((copy[v] if copy[v] >= 0 else next(fresh), cls[v]) for v in vertices)
     return UniformWitness(template, assign), tuple(vertices)
 
 
@@ -364,7 +409,7 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         anchor = find_clique(g, 5)
     if anchor is None:
         raise ValueError("no 5-clique present")
-    if _first_inside(g, anchor, False):
+    if _first_inside(g, mask_of(anchor), False):
         raise ValueError(f"anchor {anchor} is not a 5-clique")
     # greedy growth: the lowest vertex adjacent to the whole clique joins it;
     # one ascending pass suffices because the clique only grows
@@ -380,23 +425,23 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
     outside = bits_of(g.mask & ~xmask)
 
     claims: list[ClaimCheck] = []
-    _claim(claims, "L4.1-C1", [_first_two(g, outside, x, True)])
+    _claim(claims, "L4.1-C1", [_first_two(g, g.mask & ~xmask, xmask, True)])
 
     comps = _components_within(g, outside)
-    _claim(claims, "L4.1-P3", (_first_inside(g, comp, False) for comp in comps))
+    comp_masks = [mask_of(c) for c in comps]
+    _claim(claims, "L4.1-P3", (_first_inside(g, m, False) for m in comp_masks))
 
     large = [c for c in comps if len(c) >= 2]
-    comp_masks = [mask_of(c) for c in comps]
     touched = [[j for j, m in enumerate(comp_masks) if g.rows[xv] & m] for xv in x]
     _claim(
         claims,
         "L4.1-C2",
         (
-            _first_two(g, (xv,), comp, False)
+            _first_two(g, 1 << xv, m, False)
             for xv, hit in zip(x, touched)
             if hit
-            for j, comp in enumerate(comps)
-            if len(comp) >= 2 and hit != [j]
+            for j, m in enumerate(comp_masks)
+            if m.bit_count() >= 2 and hit != [j]
         ),
     )
 
@@ -543,75 +588,60 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         raise ValueError("no induced 5-cycle present")
     if not _is_induced_cycle(g, cyc):
         raise ValueError(f"anchor {cyc} is not an induced 5-cycle")
-    on_cycle = set(cyc)
-
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
-    junk, cycle_bits = _cycle_split(g, cyc, "L4.2", claims, sets)
-
+    junk, wm, vm, xm = _cycle_split(g, cyc, "L4.2", claims, sets)
     for i in range(5):
-        wi = tuple(v for v, bits in cycle_bits.items() if bits == 1 << i)
-        sets[f"W{i + 1}"] = wi
-        _claim(claims, f"L4.2-W{i + 1}", [wi if len(wi) > 1 else None])
-        junk.update(wi)
-
-    vsets: dict[int, list[int]] = {i: [] for i in range(5)}
-    xset: list[int] = []
-    # two opposite neighbours {i-1, i+1} name the set V_i
-    opposite = {1 << (i - 1) % 5 | 1 << (i + 1) % 5: i for i in range(5)}
-    for v, bits in cycle_bits.items():
-        if v in junk:
-            continue
-        if not bits:
-            xset.append(v)
-        else:
-            vsets[opposite[bits]].append(v)
+        sets[f"W{i + 1}"] = bits_of(wm[i])
+        _claim(claims, f"L4.2-W{i + 1}", [sets[f"W{i + 1}"] if wm[i].bit_count() > 1 else None])
+        junk |= wm[i]
     for i in range(5):
-        sets[f"V{i + 1}"] = tuple(vsets[i])
-        _claim(claims, f"L4.2-ind-V{i + 1}", [_first_inside(g, vsets[i], True)])
-    sets["X"] = tuple(xset)
-    _claim(claims, "L4.2-ind-X", [_first_inside(g, xset, True)])
+        sets[f"V{i + 1}"] = bits_of(vm[i])
+        _claim(claims, f"L4.2-ind-V{i + 1}", [_first_inside(g, vm[i], True)])
+    sets["X"] = bits_of(xm)
+    _claim(claims, "L4.2-ind-X", [_first_inside(g, xm, True)])
 
-    large = {i for i in range(5) if len(vsets[i]) >= 3}
-    x_large = len(xset) >= 3
+    large = {i for i in range(5) if vm[i].bit_count() >= 3}
+    x_large = xm.bit_count() >= 3
 
     # the seven claims
-    def vs(i: int) -> list[int]:
-        return vsets[i % 5]
+    def vs(i: int) -> int:
+        return vm[i % 5]
 
-    def at_most_one(a, b, edge: bool):
+    def at_most_one(a: int, b: int, edge: bool):
         return _first_two(g, a, b, edge) or _first_two(g, b, a, edge)
 
     def split(i: int, j: int):
         """Non-adjacent y in V_i, z in V_j and the first w in X + V_{i+3}
         adjacent to exactly one of them."""
-        ws = xset + vs(i + 3)
-        wmask = mask_of(ws)
-        for y in vs(i):
-            for z in vs(j):
-                hit = (g.rows[y] ^ g.rows[z]) & wmask
-                if hit and not g.adjacent(y, z):
-                    return next(w for w in ws if hit >> w & 1), y, z
+        ws = (xm, vs(i + 3))
+        wmask = xm | vs(i + 3)
+        rows = g.rows
+        for y in bits_of(vs(i)):
+            for z in bits_of(vs(j) & ~rows[y]):
+                hit = (rows[y] ^ rows[z]) & wmask
+                if hit:
+                    return next(_least(hit & w) for w in ws if hit & w), y, z
         return None
 
-    _claim(claims, "L4.2-C1", (at_most_one(vs(i), xset, True) for i in range(5)))
+    _claim(claims, "L4.2-C1", (at_most_one(vs(i), xm, True) for i in range(5)))
     _claim(claims, "L4.2-C2", (at_most_one(vs(i), vs(i + 2), True) for i in range(5)))
     _claim(claims, "L4.2-C3", (at_most_one(vs(i), vs(i + 1), False) for i in range(5)))
     _claim(
         claims,
         "L4.2-C4",
-        (_first_pair(g, xset, vs(i - 2) + vs(i + 2), True) for i in sorted(large)),
+        (_first_pair(g, xm, (vs(i - 2), vs(i + 2)), True) for i in sorted(large)),
     )
     _claim(
         claims,
         "L4.2-C5",
-        (_first_pair(g, vs(i - 1), vs(i + 1), True) for i in sorted(large)),
+        (_first_pair(g, vs(i - 1), (vs(i + 1),), True) for i in sorted(large)),
     )
     _claim(
         claims,
         "L4.2-C6",
         (
-            _first_pair(g, vs(i), vs(i - 1) + vs(i + 1), False)
+            _first_pair(g, vs(i), (vs(i - 1), vs(i + 1)), False)
             for i in range(5)
             if {(i - 1) % 5, i, (i + 1) % 5} <= large
         ),
@@ -623,16 +653,16 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     )
 
     # delete cycle, junk and all small sets; survivors carry the witness
-    small_vertices = [v for i in range(5) if i not in large for v in vsets[i]]
-    if not x_large:
-        small_vertices.extend(xset)
-    deletions = tuple(sorted(junk | on_cycle | set(small_vertices)))
+    small = 0 if x_large else xm
+    for i in range(5):
+        if i not in large:
+            small |= vm[i]
+    deletions = bits_of(junk | mask_of(cyc) | small)
     script = _deletion_script(deletions)
 
     case, rot = c5_case_of(large)
-    vr = [vsets[(p + rot) % 5] if (p + rot) % 5 in large else [] for p in range(5)]
-    xs = xset if x_large else []
-    part = _c5_witness_part(g, case, vr, xs, claims)
+    vr = [vm[(p + rot) % 5] if (p + rot) % 5 in large else 0 for p in range(5)]
+    part = _c5_witness_part(g, case, vr, xm if x_large else 0, claims)
     return DecompositionReport(
         "C5", cyc, case, sets, tuple(claims), deletions, script, (part,)
     )
@@ -652,31 +682,34 @@ def _is_induced_cycle(g: Graph, cyc: Sequence[int]) -> bool:
 def _c5_witness_part(
     g: Graph,
     case: int,
-    vr: list[list[int]],
-    xs: list[int],
+    vr: list[int],
+    xs: int,
     claims: list[ClaimCheck],
 ) -> Part:
+    """The uniform part over the surviving sets, given as masks: ``vr`` the
+    V sets at their canonical positions (0 where small) and ``xs`` X (0
+    where small)."""
     positions, stated, (f_edges, k_ones) = C5_CASES[case]
     if case in (4, 5):
         single = vr[0] if case == 4 else xs
-        classes, groups, bad = _paw_layout(g, single, vr[2], vr[3])
+        classes, groups, bad = _paw_layout(g, bits_of(single), bits_of(vr[2]), bits_of(vr[3]))
         _claim(claims, "L4.2-paw", [bad])
         if case == 4:
-            classes.append(xs)
+            classes.append(bits_of(xs))
     else:
-        classes = [vr[p] for p in positions] + [xs]
+        masks = [vr[p] for p in positions] + [xs]
+        classes = [bits_of(m) for m in masks]
         # the edges between an F-linked class pair share copies
         groups = [
             (u, v)
             for a, b in f_edges
-            for u in sorted(classes[a])
-            for v in sorted(classes[b])
-            if g.adjacent(u, v)
+            for u in classes[a]
+            for v in bits_of(g.rows[u] & masks[b])
         ]
         bad = None
     witness = check = None
     if bad is None:
-        witness, vertices = _template_witness(classes, f_edges, k_ones, groups)
+        witness, vertices = _template_witness(g.n, classes, f_edges, k_ones, groups)
         check = verify_witness(induced(g, vertices), witness)
     else:
         vertices = tuple(sorted(v for cls in classes for v in cls))
@@ -752,130 +785,102 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
 
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
-    on_cycle = set(cyc)
-    deletions, cycle_bits = _cycle_split(g, cyc, "L4.3", claims, sets)
-
-    wlists: dict[int, list[int]] = {i: [] for i in range(4)}
-    v1: list[int] = []
-    v2: list[int] = []
-    xset: list[int] = []
-    for v, bits in cycle_bits.items():
-        if not bits:
-            xset.append(v)
-        elif not bits & (bits - 1):
-            wlists[bits.bit_length() - 1].append(v)
-        elif bits == 0b1010:
-            v1.append(v)
-        elif bits == 0b0101:
-            v2.append(v)
-        else:  # unreachable once consecutive-neighbour junk is removed
-            raise AssertionError("unclassifiable vertex after junk removal")
-
+    deletions, wm, (v1, v2, _, _), xm = _cycle_split(g, cyc, "L4.3", claims, sets)
     for i in range(4):
-        if len(wlists[i]) == 1:
-            deletions.update(wlists[i])
-            wlists[i] = []
+        if wm[i].bit_count() == 1:
+            deletions |= wm[i]
+            wm[i] = 0
 
     _claim(
         claims,
         "L4.3-C5",
-        (
-            (wlists[i][0], wlists[i + 2][0])
-            for i in (0, 1)
-            if wlists[i] and wlists[i + 2]
-        ),
+        ((_least(wm[i]), _least(wm[i + 2])) for i in (0, 1) if wm[i] and wm[i + 2]),
     )
     # rotate so the nonempty one-neighbour sets sit at cycle positions 0, 1
-    occupied = {i for i in range(4) if wlists[i]}
     rot = 0
     for r in range(4):
-        if all(((p + r) % 4) not in occupied for p in (2, 3)):
+        if not wm[(2 + r) % 4] and not wm[(3 + r) % 4]:
             rot = r
             break
     cyc = tuple(cyc[(p + rot) % 4] for p in range(4))
-    wlists = {p: wlists[(p + rot) % 4] for p in range(4)}
+    wm = [wm[(p + rot) % 4] for p in range(4)]
     if rot % 2 == 1:
         v1, v2 = v2, v1
 
-    w1, w2 = wlists[0], wlists[1]
     for name, vs in (("V1", v1), ("V2", v2)):
-        sets[name] = tuple(vs)
+        sets[name] = bits_of(vs)
         _claim(claims, f"L4.3-B1-{name}", [_first_inside(g, vs, True)])
     for i in range(4):
-        sets[f"W{i + 1}"] = tuple(wlists[i])
-        _claim(claims, f"L4.3-B2-W{i + 1}", [_first_inside(g, wlists[i], True)])
-    sets["X"] = tuple(xset)
-    _claim(claims, "L4.3-B3", [_first_inside(g, xset, True)])
-    _claim(
-        claims, "L4.3-B4", [_first_pair(g, w1 + w2 + wlists[2] + wlists[3], xset, True)]
-    )
+        sets[f"W{i + 1}"] = bits_of(wm[i])
+        _claim(claims, f"L4.3-B2-W{i + 1}", [_first_inside(g, wm[i], True)])
+    sets["X"] = bits_of(xm)
+    _claim(claims, "L4.3-B3", [_first_inside(g, xm, True)])
+    _claim(claims, "L4.3-B4", (_first_pair(g, w, (xm,), True) for w in wm))
 
     # the live sets and the triangle kernel X0 + V10 + V20; a kernel side of
     # at most one vertex is regularised by deleting it, and computed again
     for regularised in (False, True):
-        live_x = [v for v in xset if v not in deletions]
-        live_v1 = [u for u in v1 if u not in deletions]
-        live_v2 = [u for u in v2 if u not in deletions]
-        touches_v1, touches_v2 = mask_of(live_v1), mask_of(live_v2)
-        x0 = [v for v in live_x if g.rows[v] & touches_v1 and g.rows[v] & touches_v2]
-        near = mask_of(x0)
-        v10 = [u for u in live_v1 if g.rows[u] & near]
-        v20 = [u for u in live_v2 if g.rows[u] & near]
-        if regularised or not x0 or (len(v10) > 1 and len(v20) > 1):
+        live_x, live_v1, live_v2 = xm & ~deletions, v1 & ~deletions, v2 & ~deletions
+        touches_v1 = _touching(g, live_x, live_v1)
+        x0 = _touching(g, touches_v1, live_v2)
+        v10, v20 = _touching(g, live_v1, x0), _touching(g, live_v2, x0)
+        if regularised or not x0 or (v10.bit_count() > 1 and v20.bit_count() > 1):
             break
-        deletions.add(v10[0] if len(v10) <= 1 else v20[0])
-    sets["X0"] = tuple(x0)
-    sets["V10"] = tuple(v10)
-    sets["V20"] = tuple(v20)
-    x1 = [v for v in live_x if not near >> v & 1 and not g.rows[v] & touches_v1]
-    x2 = [v for v in live_x if not near >> v & 1 and g.rows[v] & touches_v1]
-    sets["X1"] = tuple(x1)
-    sets["X2"] = tuple(x2)
+        deletions |= v10 & -v10 if v10.bit_count() <= 1 else v20 & -v20
+    sets["X0"] = bits_of(x0)
+    sets["V10"] = bits_of(v10)
+    sets["V20"] = bits_of(v20)
+    x1 = live_x & ~touches_v1
+    x2 = touches_v1 & ~x0
+    sets["X1"] = bits_of(x1)
+    sets["X2"] = bits_of(x2)
 
     # kernel claims; each x in X0 forms a triangle with its one neighbour in
     # each of V10 and V20
+    rows = g.rows
     worst = None
     triangles = []
-    for x in x0:
-        n10 = [u for u in v10 if g.adjacent(x, u)]
-        n20 = [u for u in v20 if g.adjacent(x, u)]
-        if len(n10) != 1 or len(n20) != 1 or not g.adjacent(n10[0], n20[0]):
-            worst = tuple([x] + n10[:2] + n20[:2])
+    for x in bits_of(x0):
+        n10, n20 = rows[x] & v10, rows[x] & v20
+        if n10.bit_count() != 1 or n20.bit_count() != 1 or not rows[_least(n10)] & n20:
+            worst = (x,) + bits_of(n10)[:2] + bits_of(n20)[:2]
             break
-        triangles.append((n10[0], x, n20[0]))
+        triangles.append((_least(n10), x, _least(n20)))
     _claim(claims, "L4.3-C1", [worst])
 
-    worst = None
-    for u in v10 + v20:
-        nx = [v for v in x0 if g.adjacent(u, v)]
-        if len(nx) != 1:
-            worst = tuple([u] + nx[:2])
-            break
-    _claim(claims, "L4.3-C2", [worst])
+    def one_in_x0(u: int):
+        nx = rows[u] & x0
+        return None if nx.bit_count() == 1 else (u,) + bits_of(nx)[:2]
+
+    _claim(claims, "L4.3-C2", (one_in_x0(u) for vi0 in (v10, v20) for u in bits_of(vi0)))
     _claim(
         claims,
         "L4.3-C3",
-        [_first_pair(g, v10, live_v2, False) or _first_pair(g, v20, live_v1, False)],
+        [_first_pair(g, v10, (live_v2,), False) or _first_pair(g, v20, (live_v1,), False)],
     )
 
-    def mixed(w: int, vi0: list[int]):
+    def mixed(w: int, vi0: int):
         """w with a neighbour and a non-neighbour in vi0, and the first of each."""
-        nbr = _first_pair(g, (w,), vi0, True)
-        non = _first_pair(g, (w,), vi0, False)
-        return (w, nbr[1], non[1]) if nbr and non else None
+        nbr, non = rows[w] & vi0, ~rows[w] & vi0
+        return (w, _least(nbr), _least(non)) if nbr and non else None
 
     _claim(
         claims,
         "L4.3-C4",
-        (mixed(w, vi0) for w in w1 + w2 + x1 + x2 for vi0 in (v10, v20)),
+        (
+            mixed(w, vi0)
+            for part in (wm[0], wm[1], x1, x2)
+            for w in bits_of(part)
+            for vi0 in (v10, v20)
+        ),
     )
 
-    deletions |= on_cycle
-    deletions_t = tuple(sorted(deletions))
-    survivors = tuple(v for v in range(g.n) if v not in deletions)
-    in_kernel = near | mask_of(v10) | mask_of(v20)
+    deletions |= mask_of(cyc)
+    deletions_t = bits_of(deletions)
+    alive = g.mask & ~deletions
+    in_kernel = x0 | v10 | v20
     kernel = bits_of(in_kernel)
-    rest = tuple(v for v in survivors if not in_kernel >> v & 1)
+    rest = alive & ~in_kernel
 
     # separation: flip each kernel side against its complete outsiders
     steps: list = list(_deletion_script(deletions_t).steps)
@@ -883,40 +888,40 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     for vi0 in (v10, v20):
         if not vi0:
             continue
-        complete = mask_of(vi0)
-        side = [w for w in rest if g.rows[w] & complete == complete]
+        side = 0
+        for w in bits_of(rest):
+            if rows[w] & vi0 == vi0:
+                side |= 1 << w
         if side:
             steps.append(
                 BipartiteComplement(
-                    _local_ids(survivors, side), _local_ids(survivors, vi0)
+                    bits_of(_local(alive, side)), bits_of(_local(alive, vi0))
                 )
             )
             n_complementations += 1
     script = OpScript(tuple(steps))
     final = apply_script(g, script)
 
-    kernel_local = _local_ids(survivors, kernel)
-    rest_local = _local_ids(survivors, rest)
-    separated = _first_pair(final, kernel_local, rest_local, True) is None
+    rest_local = _local(alive, rest)
+    separated = _first_pair(final, _local(alive, in_kernel), (rest_local,), True) is None
 
     parts: list[Part] = []
     # part A: bipartite and P2+P3-free
-    rest_graph = induced(final, rest_local)
-    rest_set = set(rest)
-    named_side1 = _local_ids(rest, [v for v in x1 + live_v1 + w1 if v in rest_set])
-    named_side2 = _local_ids(rest, [v for v in x2 + live_v2 + w2 if v in rest_set])
+    rest_graph = induced(final, bits_of(rest_local))
+    side1 = (x1 | live_v1 | wm[0]) & rest
+    side2 = (x2 | live_v2 | wm[1]) & rest
     named_ok = (
-        set(named_side1) | set(named_side2) == set(range(rest_graph.n))
-        and not set(named_side1) & set(named_side2)
-        and _first_inside(rest_graph, named_side1, True) is None
-        and _first_inside(rest_graph, named_side2, True) is None
+        side1 | side2 == rest
+        and not side1 & side2
+        and _first_inside(rest_graph, _local(rest, side1), True) is None
+        and _first_inside(rest_graph, _local(rest, side2), True) is None
     )
     bip = is_bipartite(rest_graph)
     p2p3_free = _split_free(pattern("P2+P3"), rest_graph)
     parts.append(
         Part(
             "bipartite-p2p3-free",
-            rest,
+            bits_of(rest),
             bip is not None and p2p3_free and separated,
             {
                 "sides": "named" if named_ok else "recomputed",
@@ -930,7 +935,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     tri_ok = all(c.ok for c in claims if c.id in ("L4.3-C1", "L4.3-C2", "L4.3-C3"))
     if kernel and tri_ok:
         wit, _ = _template_witness(
-            (v10, x0, v20), [(0, 1), (1, 2)], [(0, 2)], triangles
+            g.n, (bits_of(v10), bits_of(x0), bits_of(v20)), [(0, 1), (1, 2)], [(0, 2)], triangles
         )
         check = verify_witness(induced(g, kernel), wit)
         parts.append(

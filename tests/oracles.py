@@ -29,7 +29,17 @@ that the structure claims ran before their bitset layer: the bitset helpers
 must return the same first counterexample.  ``oracle_same_side_components``
 is the matrix search that the bitset one in ``antichains`` replaced.
 ``oracle_delete_vertices`` is vertex deletion as it was before rows were
-shifted in place: the subgraph induced by the survivors.
+shifted in place: the subgraph induced by the survivors, through
+``oracle_induced``, the induced subgraph as it was built one kept bit at a
+time before rows were compacted one run of kept vertices at a time.
+``oracle_apply_script`` applies a script one step at a time, as before a
+run of deletions became one ``induced`` call.  ``oracle_decompose_c5`` and
+``oracle_decompose_c4`` are the cycle decomposers as they ran on vertex
+lists and per-vertex pattern dicts before their sets became masks, with
+the claims through the pair-by-pair loops above, and
+``oracle_c5_claim_mutants`` lists the claim mutants through a toggle list
+and a set of pairs: the package must return the same reports, messages
+and mutants.
 ``oracle_refine`` is the partition refinement as it split every cell by
 building fragment and size lists, before one-plane splitters took a path of
 their own; ``oracle_image_rows`` is the isomorphism check of a bijection as
@@ -113,11 +123,36 @@ from wqograph.graphs import (
     complement,
     connected_components,
     encode_graph6,
-    induced,
+    is_bipartite,
     pattern,
 )
-from wqograph.order import SearchBudget, SearchBudgetExceeded, _record, induced_embed
-from wqograph.uniform import UniformTemplate, UniformWitness, WitnessCheck
+from wqograph.ops import BipartiteComplement, DeleteVertex, OpScript, OpScriptError
+from wqograph.order import (
+    SearchBudget,
+    SearchBudgetExceeded,
+    _record,
+    _split_free,
+    induced_embed,
+)
+from wqograph.structure import (
+    C5_CASES,
+    ClaimCheck,
+    DecompositionReport,
+    Part,
+    _caller_anchor,
+    _is_induced_cycle,
+    _paw_layout,
+    c5_case_of,
+    find_clique,
+    find_induced_cycle,
+)
+from wqograph.uniform import (
+    UniformTemplate,
+    UniformWitness,
+    WitnessCheck,
+    _template,
+    verify_witness,
+)
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:
@@ -226,7 +261,37 @@ def oracle_delete_vertices(g: Graph, vertices) -> Graph:
     """The subgraph induced by the vertices not listed; listed vertices
     outside 0..n-1 delete nothing."""
     drop = set(vertices)
-    return induced(g, [v for v in range(g.n) if v not in drop])
+    return oracle_induced(g, [v for v in range(g.n) if v not in drop])
+
+
+def oracle_induced(g: Graph, vertices) -> Graph:
+    """The induced subgraph, each kept neighbour moved one bit at a time
+    through a position table; the first vertex out of range in ascending
+    order is refused."""
+    vs = sorted(set(vertices))
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    pos = {v: i for i, v in enumerate(vs)}
+    rows = []
+    for v in vs:
+        row = 0
+        for w in bits_of(g.rows[v]):
+            if w in pos:
+                row |= 1 << pos[w]
+        rows.append(row)
+    return Graph(len(vs), tuple(rows))
+
+
+def oracle_apply_script(g: Graph, script) -> Graph:
+    """The script applied one step at a time, each step through its own
+    ``apply``."""
+    for i, step in enumerate(script.steps):
+        try:
+            g = step.apply(g)
+        except ValueError as exc:
+            raise OpScriptError(i, str(exc)) from exc
+    return g
 
 
 def oracle_components(g: Graph) -> list[tuple[int, ...]]:
@@ -1102,6 +1167,427 @@ def oracle_c5_case_of(large: set[int]) -> tuple[int, int]:
         return 7, next(iter(large))
     return 7, 0
 
+
+# The cycle decomposers as they ran on vertex lists, per-vertex pattern
+# dicts and list claims, before their sets became masks.
+
+
+def _oracle_claim(claims: list, claim_id: str, found) -> None:
+    worst = next(filter(None, found), None)
+    claims.append(ClaimCheck(claim_id, worst is None, worst))
+
+
+def _oracle_deletion_script(deletions) -> OpScript:
+    return OpScript(tuple(DeleteVertex(v) for v in sorted(deletions, reverse=True)))
+
+
+def _oracle_local_ids(survivors, subset) -> tuple[int, ...]:
+    pos = {v: i for i, v in enumerate(sorted(survivors))}
+    return tuple(sorted(pos[v] for v in subset))
+
+
+def _oracle_cycle_split(g: Graph, cyc, prefix: str, claims: list, sets: dict):
+    """The junk set Y and, for every other off-cycle vertex in ascending
+    order, its cycle-neighbour pattern: bit i set iff adjacent to cyc[i]."""
+    n = len(cyc)
+    off = [v for v in range(g.n) if v not in cyc]
+    junk: set[int] = set()
+    for i in range(n):
+        yi = tuple(v for v in off if g.adjacent(v, cyc[i]) and g.adjacent(v, cyc[(i + 1) % n]))
+        sets[f"Y{i + 1}"] = yi
+        big = yi if len(yi) > 2 else None
+        _oracle_claim(claims, f"{prefix}-Y{i + 1}", [oracle_first_inside(g, yi, False), big])
+        junk.update(yi)
+    return junk, {
+        v: sum(g.adjacent(v, c) << i for i, c in enumerate(cyc)) for v in off if v not in junk
+    }
+
+
+def _oracle_template_witness(class_lists, f_edges, k_ones, groups):
+    k = len(class_lists)
+    matrix = [[0] * k for _ in range(k)]
+    for i, j in k_ones:
+        matrix[i][j] = matrix[j][i] = 1
+    template = _template(k, Graph.from_edges(k, f_edges), tuple(map(tuple, matrix)))
+    cls = {v: c for c, lst in enumerate(class_lists) for v in lst}
+    vertices = sorted(cls)
+    copy_of = {v: c for c, group in enumerate(groups) for v in group}
+    fresh = [v for v in vertices if v not in copy_of]
+    copy_of.update((v, c) for c, v in enumerate(fresh, start=len(groups)))
+    assign = tuple((copy_of[v], cls[v]) for v in vertices)
+    return UniformWitness(template, assign), tuple(vertices)
+
+
+def _oracle_c5_witness_part(g: Graph, case: int, vr, xs, claims: list) -> Part:
+    positions, stated, (f_edges, k_ones) = C5_CASES[case]
+    if case in (4, 5):
+        single = vr[0] if case == 4 else xs
+        classes, groups, bad = _paw_layout(g, single, vr[2], vr[3])
+        _oracle_claim(claims, "L4.2-paw", [bad])
+        if case == 4:
+            classes.append(xs)
+    else:
+        classes = [vr[p] for p in positions] + [xs]
+        groups = [
+            (u, v)
+            for a, b in f_edges
+            for u in sorted(classes[a])
+            for v in sorted(classes[b])
+            if g.adjacent(u, v)
+        ]
+        bad = None
+    witness = check = None
+    if bad is None:
+        witness, vertices = _oracle_template_witness(classes, f_edges, k_ones, groups)
+        check = verify_witness(oracle_induced(g, vertices), witness)
+    else:
+        vertices = tuple(sorted(v for cls in classes for v in cls))
+    return Part(
+        "uniform",
+        vertices,
+        bool(check and check.ok),
+        {
+            "witness": witness,
+            "order": witness.template.k if witness else None,
+            "stated_order": stated,
+            "violation": None if not check or check.ok else check.violation,
+        },
+    )
+
+
+def oracle_decompose_c5(g: Graph, cycle=None) -> DecompositionReport:
+    """``decompose_c5`` on lists: the same anchor checks, sets, claims (the
+    partner of a concatenated list taken from its first part first), deletions
+    and witness."""
+    if cycle is not None:
+        cyc = _caller_anchor(g, cycle, 5, "an induced 5-cycle")
+    else:
+        cyc = find_induced_cycle(g, 5)
+    if cyc is None:
+        raise ValueError("no induced 5-cycle present")
+    if not _is_induced_cycle(g, cyc):
+        raise ValueError(f"anchor {cyc} is not an induced 5-cycle")
+    claims: list = []
+    sets: dict = {}
+    junk, cycle_bits = _oracle_cycle_split(g, cyc, "L4.2", claims, sets)
+    for i in range(5):
+        wi = tuple(v for v, bits in cycle_bits.items() if bits == 1 << i)
+        sets[f"W{i + 1}"] = wi
+        _oracle_claim(claims, f"L4.2-W{i + 1}", [wi if len(wi) > 1 else None])
+        junk.update(wi)
+    vsets: dict[int, list[int]] = {i: [] for i in range(5)}
+    xset: list[int] = []
+    opposite = {1 << (i - 1) % 5 | 1 << (i + 1) % 5: i for i in range(5)}
+    for v, bits in cycle_bits.items():
+        if v in junk:
+            continue
+        if not bits:
+            xset.append(v)
+        else:
+            vsets[opposite[bits]].append(v)
+    for i in range(5):
+        sets[f"V{i + 1}"] = tuple(vsets[i])
+        _oracle_claim(claims, f"L4.2-ind-V{i + 1}", [oracle_first_inside(g, vsets[i], True)])
+    sets["X"] = tuple(xset)
+    _oracle_claim(claims, "L4.2-ind-X", [oracle_first_inside(g, xset, True)])
+    large = {i for i in range(5) if len(vsets[i]) >= 3}
+    x_large = len(xset) >= 3
+
+    def vs(i):
+        return vsets[i % 5]
+
+    def at_most_one(a, b, edge):
+        return oracle_first_two(g, a, b, edge) or oracle_first_two(g, b, a, edge)
+
+    def split(i, j):
+        ws = xset + vs(i + 3)
+        for y in vs(i):
+            for z in vs(j):
+                if g.adjacent(y, z):
+                    continue
+                for w in ws:
+                    if g.adjacent(w, y) != g.adjacent(w, z):
+                        return w, y, z
+        return None
+
+    _oracle_claim(claims, "L4.2-C1", (at_most_one(vs(i), xset, True) for i in range(5)))
+    _oracle_claim(claims, "L4.2-C2", (at_most_one(vs(i), vs(i + 2), True) for i in range(5)))
+    _oracle_claim(claims, "L4.2-C3", (at_most_one(vs(i), vs(i + 1), False) for i in range(5)))
+    _oracle_claim(
+        claims,
+        "L4.2-C4",
+        (oracle_first_pair(g, xset, vs(i - 2) + vs(i + 2), True) for i in sorted(large)),
+    )
+    _oracle_claim(
+        claims,
+        "L4.2-C5",
+        (oracle_first_pair(g, vs(i - 1), vs(i + 1), True) for i in sorted(large)),
+    )
+    _oracle_claim(
+        claims,
+        "L4.2-C6",
+        (
+            oracle_first_pair(g, vs(i), vs(i - 1) + vs(i + 1), False)
+            for i in range(5)
+            if {(i - 1) % 5, i, (i + 1) % 5} <= large
+        ),
+    )
+    _oracle_claim(
+        claims,
+        "L4.2-C7",
+        (split(i, (i + 1) % 5) for i in range(5) if {i, (i + 1) % 5} <= large),
+    )
+    small_vertices = [v for i in range(5) if i not in large for v in vsets[i]]
+    if not x_large:
+        small_vertices.extend(xset)
+    deletions = tuple(sorted(junk | set(cyc) | set(small_vertices)))
+    script = _oracle_deletion_script(deletions)
+    case, rot = c5_case_of(large)
+    vr = [vsets[(p + rot) % 5] if (p + rot) % 5 in large else [] for p in range(5)]
+    xs = xset if x_large else []
+    part = _oracle_c5_witness_part(g, case, vr, xs, claims)
+    return DecompositionReport("C5", cyc, case, sets, tuple(claims), deletions, script, (part,))
+
+
+def oracle_decompose_c4(g: Graph, cycle=None) -> DecompositionReport:
+    """``decompose_c4`` on lists, as ``oracle_decompose_c5``; the script is
+    applied step by step."""
+    if cycle is not None:
+        cycle = _caller_anchor(g, cycle, 4, "an induced 4-cycle")
+    if find_clique(g, 5) is not None:
+        raise ValueError("decompose_c4 requires a K5-free input")
+    if find_induced_cycle(g, 5) is not None:
+        raise ValueError("decompose_c4 requires a C5-free input")
+    cyc = cycle if cycle is not None else find_induced_cycle(g, 4)
+    if cyc is None:
+        raise ValueError("no induced 4-cycle present")
+    if not _is_induced_cycle(g, cyc):
+        raise ValueError(f"anchor {cyc} is not an induced 4-cycle")
+    claims: list = []
+    sets: dict = {}
+    deletions, cycle_bits = _oracle_cycle_split(g, cyc, "L4.3", claims, sets)
+    wlists: dict[int, list[int]] = {i: [] for i in range(4)}
+    v1: list[int] = []
+    v2: list[int] = []
+    xset: list[int] = []
+    for v, bits in cycle_bits.items():
+        if not bits:
+            xset.append(v)
+        elif not bits & (bits - 1):
+            wlists[bits.bit_length() - 1].append(v)
+        elif bits == 0b1010:
+            v1.append(v)
+        elif bits == 0b0101:
+            v2.append(v)
+        else:
+            raise AssertionError("unclassifiable vertex after junk removal")
+    for i in range(4):
+        if len(wlists[i]) == 1:
+            deletions.update(wlists[i])
+            wlists[i] = []
+    _oracle_claim(
+        claims,
+        "L4.3-C5",
+        ((wlists[i][0], wlists[i + 2][0]) for i in (0, 1) if wlists[i] and wlists[i + 2]),
+    )
+    occupied = {i for i in range(4) if wlists[i]}
+    rot = 0
+    for r in range(4):
+        if all(((p + r) % 4) not in occupied for p in (2, 3)):
+            rot = r
+            break
+    cyc = tuple(cyc[(p + rot) % 4] for p in range(4))
+    wlists = {p: wlists[(p + rot) % 4] for p in range(4)}
+    if rot % 2 == 1:
+        v1, v2 = v2, v1
+    w1, w2 = wlists[0], wlists[1]
+    for name, vs in (("V1", v1), ("V2", v2)):
+        sets[name] = tuple(vs)
+        _oracle_claim(claims, f"L4.3-B1-{name}", [oracle_first_inside(g, vs, True)])
+    for i in range(4):
+        sets[f"W{i + 1}"] = tuple(wlists[i])
+        _oracle_claim(claims, f"L4.3-B2-W{i + 1}", [oracle_first_inside(g, wlists[i], True)])
+    sets["X"] = tuple(xset)
+    _oracle_claim(claims, "L4.3-B3", [oracle_first_inside(g, xset, True)])
+    _oracle_claim(
+        claims,
+        "L4.3-B4",
+        [oracle_first_pair(g, w1 + w2 + wlists[2] + wlists[3], xset, True)],
+    )
+    for regularised in (False, True):
+        live_x = [v for v in xset if v not in deletions]
+        live_v1 = [u for u in v1 if u not in deletions]
+        live_v2 = [u for u in v2 if u not in deletions]
+        x0 = [
+            v
+            for v in live_x
+            if any(g.adjacent(v, u) for u in live_v1) and any(g.adjacent(v, u) for u in live_v2)
+        ]
+        v10 = [u for u in live_v1 if any(g.adjacent(u, v) for v in x0)]
+        v20 = [u for u in live_v2 if any(g.adjacent(u, v) for v in x0)]
+        if regularised or not x0 or (len(v10) > 1 and len(v20) > 1):
+            break
+        deletions.add(v10[0] if len(v10) <= 1 else v20[0])
+    sets["X0"] = tuple(x0)
+    sets["V10"] = tuple(v10)
+    sets["V20"] = tuple(v20)
+    x1 = [v for v in live_x if v not in x0 and not any(g.adjacent(v, u) for u in live_v1)]
+    x2 = [v for v in live_x if v not in x0 and any(g.adjacent(v, u) for u in live_v1)]
+    sets["X1"] = tuple(x1)
+    sets["X2"] = tuple(x2)
+    worst = None
+    triangles = []
+    for x in x0:
+        n10 = [u for u in v10 if g.adjacent(x, u)]
+        n20 = [u for u in v20 if g.adjacent(x, u)]
+        if len(n10) != 1 or len(n20) != 1 or not g.adjacent(n10[0], n20[0]):
+            worst = tuple([x] + n10[:2] + n20[:2])
+            break
+        triangles.append((n10[0], x, n20[0]))
+    _oracle_claim(claims, "L4.3-C1", [worst])
+    worst = None
+    for u in v10 + v20:
+        nx = [v for v in x0 if g.adjacent(u, v)]
+        if len(nx) != 1:
+            worst = tuple([u] + nx[:2])
+            break
+    _oracle_claim(claims, "L4.3-C2", [worst])
+    _oracle_claim(
+        claims,
+        "L4.3-C3",
+        [
+            oracle_first_pair(g, v10, live_v2, False)
+            or oracle_first_pair(g, v20, live_v1, False)
+        ],
+    )
+
+    def mixed(w, vi0):
+        nbr = oracle_first_pair(g, (w,), vi0, True)
+        non = oracle_first_pair(g, (w,), vi0, False)
+        return (w, nbr[1], non[1]) if nbr and non else None
+
+    _oracle_claim(
+        claims, "L4.3-C4", (mixed(w, vi0) for w in w1 + w2 + x1 + x2 for vi0 in (v10, v20))
+    )
+    deletions |= set(cyc)
+    deletions_t = tuple(sorted(deletions))
+    survivors = tuple(v for v in range(g.n) if v not in deletions)
+    kernel = tuple(sorted(x0 + v10 + v20))
+    rest = tuple(v for v in survivors if v not in kernel)
+    steps: list = list(_oracle_deletion_script(deletions_t).steps)
+    n_complementations = 0
+    for vi0 in (v10, v20):
+        if not vi0:
+            continue
+        side = [w for w in rest if all(g.adjacent(w, u) for u in vi0)]
+        if side:
+            steps.append(
+                BipartiteComplement(
+                    _oracle_local_ids(survivors, side), _oracle_local_ids(survivors, vi0)
+                )
+            )
+            n_complementations += 1
+    script = OpScript(tuple(steps))
+    final = oracle_apply_script(g, script)
+    kernel_local = _oracle_local_ids(survivors, kernel)
+    rest_local = _oracle_local_ids(survivors, rest)
+    separated = oracle_first_pair(final, kernel_local, rest_local, True) is None
+    parts: list = []
+    rest_graph = oracle_induced(final, rest_local)
+    named_side1 = _oracle_local_ids(rest, [v for v in x1 + live_v1 + w1 if v in rest])
+    named_side2 = _oracle_local_ids(rest, [v for v in x2 + live_v2 + w2 if v in rest])
+    named_ok = (
+        set(named_side1) | set(named_side2) == set(range(rest_graph.n))
+        and not set(named_side1) & set(named_side2)
+        and oracle_first_inside(rest_graph, named_side1, True) is None
+        and oracle_first_inside(rest_graph, named_side2, True) is None
+    )
+    bip = is_bipartite(rest_graph)
+    p2p3_free = _split_free(pattern("P2+P3"), rest_graph)
+    parts.append(
+        Part(
+            "bipartite-p2p3-free",
+            rest,
+            bip is not None and p2p3_free and separated,
+            {
+                "sides": "named" if named_ok else "recomputed",
+                "separated": separated,
+                "p2p3_free": p2p3_free,
+            },
+        )
+    )
+    tri_ok = all(c.ok for c in claims if c.id in ("L4.3-C1", "L4.3-C2", "L4.3-C3"))
+    if kernel and tri_ok:
+        wit, _ = _oracle_template_witness((v10, x0, v20), [(0, 1), (1, 2)], [(0, 2)], triangles)
+        check = verify_witness(oracle_induced(g, kernel), wit)
+        detail = {"witness": wit, "order": 3, "violation": check.violation}
+        parts.append(Part("uniform", kernel, check.ok, detail))
+    elif kernel:
+        parts.append(Part("uniform", kernel, False, {"reason": "kernel claims failed"}))
+    claims.append(
+        ClaimCheck("L4.3-DEL", len(deletions_t) <= 17 and n_complementations <= 2, None)
+    )
+    return DecompositionReport(
+        "C4", cyc, None, sets, tuple(claims), deletions_t, script, tuple(parts)
+    )
+
+
+
+def oracle_c5_claim_mutants(g: Graph, report) -> list:
+    """The C5 claim mutants as the package listed them before it built each
+    mutant as its toggle was found: every toggle first, in one list, then
+    the mutants of the pairs not seen before, through a set of pairs."""
+    V = [sorted(report.sets[f"V{i + 1}"]) for i in range(5)]
+    X = sorted(report.sets["X"])
+    large = {i for i in range(5) if len(V[i]) >= 3}
+    adj = g.adjacent
+    toggles = []
+    for i in range(5):
+        for x in X:
+            non = [v for v in V[i] if not adj(x, v)]
+            if len(non) < len(V[i]) and non:
+                toggles.append(("L4.2-C1", x, non[0]))
+        for y in V[i]:
+            opp = V[(i + 2) % 5]
+            non = [v for v in opp if not adj(y, v)]
+            if len(non) < len(opp) and non:
+                toggles.append(("L4.2-C2", y, non[0]))
+        for y in V[i]:
+            nxt = V[(i + 1) % 5]
+            nbrs = [v for v in nxt if adj(y, v)]
+            if nbrs and len(nbrs) < len(nxt):
+                toggles.append(("L4.2-C3", y, nbrs[0]))
+    for i in sorted(large):
+        for v in V[(i - 2) % 5] + V[(i + 2) % 5]:
+            toggles.extend(("L4.2-C4", x, v) for x in X if not adj(x, v))
+        for u in V[(i - 1) % 5]:
+            toggles.extend(("L4.2-C5", u, w) for w in V[(i + 1) % 5] if not adj(u, w))
+    for i in range(5):
+        if {(i - 1) % 5, i, (i + 1) % 5} <= large:
+            for y in V[i]:
+                for side in (V[(i - 1) % 5], V[(i + 1) % 5]):
+                    toggles.extend(("L4.2-C6", y, z) for z in side if adj(y, z))
+    for i in range(5):
+        j = (i + 1) % 5
+        if i in large and j in large:
+            for y in V[i]:
+                for z in V[j]:
+                    if adj(y, z):
+                        continue
+                    for side in (X, V[(i + 3) % 5]):
+                        toggles.extend(
+                            ("L4.2-C7", x, y) for x in side if not adj(x, y) and not adj(x, z)
+                        )
+    out = []
+    seen = set()
+    edges = set(g.edges())
+    for claim, u, v in toggles:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((claim, Graph.from_edges(g.n, sorted(edges ^ {key}))))
+    return out
 
 def _co_atoms(op: str, *exprs: str) -> tuple[tuple, ...]:
     return tuple((op, e) for e in exprs)

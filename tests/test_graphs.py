@@ -22,6 +22,7 @@ from wqograph.graphs import (
     induced,
     is_bipartite,
     is_connected,
+    mask_of,
     path_graph,
     subdivided_claw,
     to_json_dict,
@@ -31,6 +32,7 @@ from oracles import (
     oracle_components,
     oracle_delete_vertices,
     oracle_graph_checks,
+    oracle_induced,
     oracle_isomorphic,
 )
 from strategies import small_graphs
@@ -137,20 +139,20 @@ class TestBipartite:
 
 
 class TestRelations:
-    """Relations between vertex sets, through the bitset claim helpers of
-    ``structure``: each returns the first counterexample in list order, or
-    None when the relation holds."""
+    """Relations between vertex sets, given as masks, through the bitset
+    claim helpers of ``structure``: each returns the first counterexample
+    in ascending order, or None when the relation holds."""
 
     def test_biclique_parts_complete(self):
         g = build("K2,2")
-        assert _first_pair(g, [0, 1], [2, 3], False) is None
-        assert _first_two(g, [0, 1], [2, 3], True) == (0, 2, 3)  # not a matching
+        assert _first_pair(g, 0b0011, (0b1100,), False) is None
+        assert _first_two(g, 0b0011, 0b1100, True) == (0, 2, 3)  # not a matching
 
     def test_2p2_matching(self):
         g = build("2P2")
-        assert _first_two(g, [0, 2], [1, 3], True) is None
-        assert _first_two(g, [1, 3], [0, 2], True) is None
-        assert _first_pair(g, [0, 2], [1, 3], True) == (0, 1)  # not anticomplete
+        assert _first_two(g, 0b0101, 0b1010, True) is None
+        assert _first_two(g, 0b1010, 0b0101, True) is None
+        assert _first_pair(g, 0b0101, (0b1010,), True) == (0, 1)  # not anticomplete
 
     def test_c6_alternating(self):
         # direct count: each side-A vertex has two B-neighbours (so not a
@@ -158,15 +160,15 @@ class TestRelations:
         g = build("C6")
         for v in (0, 2, 4):
             assert sum(g.adjacent(v, w) for w in (1, 3, 5)) == 2
-        assert _first_two(g, [0, 2, 4], [1, 3, 5], False) is None
-        assert _first_two(g, [1, 3, 5], [0, 2, 4], False) is None
-        assert _first_two(g, [0, 2, 4], [1, 3, 5], True) == (0, 1, 5)
+        assert _first_two(g, 0b010101, 0b101010, False) is None
+        assert _first_two(g, 0b101010, 0b010101, False) is None
+        assert _first_two(g, 0b010101, 0b101010, True) == (0, 1, 5)
 
     def test_anticomplete_is_also_matching(self):
         g = build("2P2")
-        assert _first_pair(g, [0, 1], [2, 3], True) is None
-        assert _first_two(g, [0, 1], [2, 3], True) is None
-        assert _first_two(g, [2, 3], [0, 1], True) is None
+        assert _first_pair(g, 0b0011, (0b1100,), True) is None
+        assert _first_two(g, 0b0011, 0b1100, True) is None
+        assert _first_two(g, 0b1100, 0b0011, True) is None
 
     def test_complement_duality(self):
         rng = random.Random(2)
@@ -175,12 +177,12 @@ class TestRelations:
             vs = list(range(g.n))
             rng.shuffle(vs)
             cut = rng.randint(1, g.n - 1)
-            a, b = vs[:cut], vs[cut:]
+            a, b = mask_of(vs[:cut]), mask_of(vs[cut:])
             gc = complement(g)
             for edge in (True, False):
-                assert _first_pair(g, a, b, edge) == _first_pair(gc, a, b, not edge)
+                assert _first_pair(g, a, (b,), edge) == _first_pair(gc, a, (b,), not edge)
                 assert _first_two(g, a, b, edge) == _first_two(gc, a, b, not edge)
-                assert _first_inside(g, vs, edge) == _first_inside(gc, vs, not edge)
+                assert _first_inside(g, g.mask, edge) == _first_inside(gc, g.mask, not edge)
 
 
 class TestGraph6:
@@ -380,9 +382,37 @@ class TestChecks:
         assert check_message(Graph, 3, (0, 1, 0)) == "adjacency not symmetric at pair (0,1)"
 
 
+def _result_or_message(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestInduced:
+    """``induced`` compacts each row one run of kept vertices at a time; the
+    per-bit loop it replaced is the reference, for the graph and for the
+    message that refuses a vertex out of range."""
+
+    @given(small_graphs(64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_bit_loop(self, g, data):
+        inside = st.integers(0, g.n - 1) if g.n else st.nothing()
+        anywhere = st.integers(-3, g.n + 3)
+        vs = data.draw(st.lists(st.one_of(inside, inside, inside, anywhere), max_size=80))
+        if data.draw(st.booleans()):
+            vs = [v for v in vs if 0 <= v < g.n]
+        assert _result_or_message(induced, g, vs) == _result_or_message(oracle_induced, g, vs)
+
+    def test_least_vertex_out_of_range_named(self):
+        g = build("P3")
+        assert _result_or_message(induced, g, [7, 5, 1, 5]) == "vertex 5 out of range"
+        assert _result_or_message(induced, g, [7, -2, 0, -1]) == "vertex -2 out of range"
+
+
 class TestDeleteVertices:
-    """Deletion squeezes bits out of the rows; the subgraph induced by the
-    survivors is the reference."""
+    """Deletion compacts the survivors' rows as ``induced`` does; the
+    per-bit induced subgraph of the survivors is the reference."""
 
     @given(small_graphs(20), st.lists(st.integers(-3, 23), max_size=25))
     @settings(max_examples=300, deadline=None)

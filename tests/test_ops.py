@@ -26,6 +26,7 @@ from wqograph.ops import (
     subgraph_complement,
 )
 from wqograph.structure import decompose_c5, find_induced_cycle
+from oracles import oracle_apply_script
 from strategies import small_graphs
 
 
@@ -137,6 +138,51 @@ class TestScripts:
         steps = (SubgraphComplement((0, 3, 5)), BipartiteComplement((1, 2), (4, 6)))
         undo = OpScript(steps[::-1])
         assert apply_script(apply_script(g, OpScript(steps)), undo) == g
+
+
+def _image_or_error(apply, g, script):
+    try:
+        return apply(g, script)
+    except OpScriptError as exc:
+        return exc.step_index, str(exc)
+
+
+class TestDeletionRuns:
+    """``apply_script`` applies a run of ``del`` steps as one ``induced``
+    call; applying the steps one at a time is the reference, for the image
+    and for the index and message of the step that fails."""
+
+    @given(small_graphs(12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_step_by_step(self, g, data):
+        n, steps = g.n, []
+        for _ in range(data.draw(st.integers(0, 10))):
+            op = data.draw(st.sampled_from(("sc", "bc", "del", "del", "del")))
+            low = -1 if data.draw(st.integers(0, 9)) == 0 else 0
+            vertex = st.integers(low, n + 1)
+            if op == "del":
+                v = data.draw(vertex)
+                steps.append(DeleteVertex(v))
+                n -= 0 <= v < n
+            elif op == "sc":
+                steps.append(SubgraphComplement(tuple(data.draw(st.lists(vertex, max_size=4)))))
+            else:
+                x = tuple(data.draw(st.lists(vertex, max_size=3)))
+                y = tuple(data.draw(st.lists(vertex, max_size=3)))
+                steps.append(BipartiteComplement(x, y))
+        script = OpScript(tuple(steps))
+        assert _image_or_error(apply_script, g, script) == _image_or_error(
+            oracle_apply_script, g, script
+        )
+
+    def test_run_reads_renumbered_vertices(self):
+        # P5 without vertex 0, then without the new vertex 0 (old 1), then
+        # without the new vertex 2 (old 4): old 2 and 3 remain, an edge
+        script = OpScript((DeleteVertex(0), DeleteVertex(0), DeleteVertex(2)))
+        assert apply_script(build("P5"), script) == build("P2")
+        script = OpScript((DeleteVertex(4), DeleteVertex(4)))
+        with pytest.raises(OpScriptError, match="step 1: vertex 4 out of range"):
+            apply_script(build("P5"), script)
 
 
 class TestDeletionCaveat:

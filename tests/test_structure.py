@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqograph.graphs import Graph, build, induced, is_bipartite, pattern
+from wqograph.graphs import Graph, build, induced, is_bipartite, mask_of, pattern
 from wqograph.instances import (
     c4_branch_valid,
     c4_instance,
@@ -38,6 +38,9 @@ from wqograph.structure import (
 from wqograph.uniform import verify_witness
 from oracles import (
     oracle_c5_case_of,
+    oracle_c5_claim_mutants,
+    oracle_decompose_c4,
+    oracle_decompose_c5,
     oracle_embed,
     oracle_first_inside,
     oracle_first_pair,
@@ -50,37 +53,38 @@ from certify_instances import exact_orders
 
 
 @st.composite
-def two_lists(draw):
-    """A graph with n <= 12 and two disjoint vertex lists in random order."""
+def three_sets(draw):
+    """A graph with n <= 12 and three disjoint vertex sets."""
     g = draw(small_graphs(12))
-    order = draw(st.permutations(range(g.n)))
-    cut = draw(st.integers(0, g.n))
-    end = draw(st.integers(cut, g.n))
-    return g, order[:cut], order[cut:end]
+    side = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    return g, *(sorted(v for v in range(g.n) if side[v] == s) for s in (1, 2, 3))
 
 
 class TestClaimHelpers:
-    """The bitset claim predicates return the first counterexample in list
-    order, as the pair-by-pair loops do; the lists need not be ascending."""
+    """The bitset claim predicates return the first counterexample of the
+    pair-by-pair loops over the ascending lists; a list given in parts is
+    read part by part."""
 
-    @given(two_lists(), st.booleans())
+    @given(three_sets(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_agree_with_loops(self, case, edge):
-        g, a, b = case
-        assert _first_pair(g, a, b, edge) == oracle_first_pair(g, a, b, edge)
-        assert _first_two(g, a, b, edge) == oracle_first_two(g, a, b, edge)
-        assert _first_inside(g, a + b, edge) == oracle_first_inside(g, a + b, edge)
+        g, a, b, c = case
+        am, bm, cm = mask_of(a), mask_of(b), mask_of(c)
+        assert _first_pair(g, am, (bm, cm), edge) == oracle_first_pair(g, a, b + c, edge)
+        assert _first_pair(g, am, (cm, bm), edge) == oracle_first_pair(g, a, c + b, edge)
+        assert _first_two(g, am, bm, edge) == oracle_first_two(g, a, b, edge)
+        assert _first_inside(g, am | bm, edge) == oracle_first_inside(g, sorted(a + b), edge)
 
     def test_partner_in_list_order(self):
         g = Graph.empty(4)
-        assert _first_pair(g, [3], [2, 0, 1], False) == (3, 2)
-        assert _first_two(g, [3], [2, 0, 1], False) == (3, 2, 0)
-        assert _first_inside(g, [3, 2, 0], False) == (3, 2)
-        assert _first_inside(g, [3, 2, 0], True) is None
+        assert _first_pair(g, 0b1000, (0b0100, 0b0011), False) == (3, 2)
+        assert _first_pair(g, 0b1000, (0b0011, 0b0100), False) == (3, 0)
+        assert _first_two(g, 0b1000, 0b0111, False) == (3, 0, 1)
+        assert _first_inside(g, 0b1101, False) == (0, 2)
+        assert _first_inside(g, 0b1101, True) is None
 
     def test_repeated_vertex_is_a_non_edge(self):
         # a 5-tuple anchor that repeats a vertex is not a 5-clique
-        assert _first_inside(build("K4"), [0, 1, 1, 2, 3], False) == (1, 1)
         with pytest.raises(ValueError, match="not a 5-clique"):
             decompose_k5(build("K5"), clique=(0, 1, 1, 2, 3))
 
@@ -642,3 +646,90 @@ class TestJunkClaimMutants:
                         continue
                     hits += failed[:1] == ("L4.3-C5",)
         assert hits
+
+
+def _split_seen_twice(g: Graph, report):
+    """Toggles of a C5 member that break L4.2-C7 from both parts of
+    X + V_(i+3): for V_i and V_(i+1) both large, y and z the least vertex of
+    each are made non-adjacent, and y is toggled with the least vertex of X
+    and with that of V_(i+3), which the member's C7 let see y and z
+    alike."""
+    V = [report.sets[f"V{i + 1}"] for i in range(5)]
+    X = report.sets["X"]
+    for i in range(5):
+        vi, vj, far = V[i], V[(i + 1) % 5], V[(i + 3) % 5]
+        if len(vi) >= 3 and len(vj) >= 3 and X and far:
+            y, z = vi[0], vj[0]
+            pairs = [(X[0], y), (far[0], y)] + [(y, z)] * g.adjacent(y, z)
+            yield _toggled(g, *pairs)
+
+
+MAKERS = (k5_instance, c5_instance, c4_instance)
+ORACLES = {decompose_c5: oracle_decompose_c5, decompose_c4: oracle_decompose_c4}
+
+
+def _report_or_message(decompose, g: Graph, cycle):
+    try:
+        return decompose(g, cycle).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstListOracle:
+    """The cycle decomposers on vertex masks return the report of the list
+    code they replaced, as JSON, or its ``ValueError`` message: on the
+    makers' graphs, members or not, and on one-pair toggles of them read
+    with the graph's own anchor, one end of the pair on the anchor half of
+    the time, so that junk sets and failed claims are reached."""
+
+    @given(st.sampled_from(MAKERS), st.integers(0, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reports_equal(self, maker, seed, data):
+        g = maker(seed)
+        for decompose, oracle in ORACLES.items():
+            report = _report_or_message(decompose, g, None)
+            assert report == _report_or_message(oracle, g, None)
+            if isinstance(report, str):
+                continue
+            anchor = tuple(report["anchor"])
+            for _ in range(3):
+                on_anchor = data.draw(st.booleans())
+                u = data.draw(st.sampled_from(anchor) if on_anchor else st.integers(0, g.n - 1))
+                v = data.draw(st.integers(0, g.n - 1).filter(lambda v: v != u))
+                m = _toggled(g, (u, v))
+                expected = _report_or_message(oracle, m, anchor)
+                assert _report_or_message(decompose, m, anchor) == expected
+
+    def test_claim_mutants(self):
+        """The claim mutants of the first certify members of the C5 branch,
+        against the mutant list as it was built before, and the report of
+        each mutant with the member's anchor, and of the two-pair toggles of
+        ``_split_seen_twice``; C1, C2 and C4-C7 each fail, with their first
+        witness, in some of these mutants."""
+        members = class_members(
+            c5_instance, 12, start_seed=CERTIFY_START_SEED, valid=c5_branch_valid
+        )
+        failed = set()
+        for _, g in members:
+            report = decompose_c5(g)
+            mutants = c5_claim_mutants(g, report)
+            assert mutants == oracle_c5_claim_mutants(g, report)
+            for m in [m for _, m in mutants] + list(_split_seen_twice(g, report)):
+                mrep = decompose_c5(m, report.anchor)
+                assert mrep.to_json() == oracle_decompose_c5(m, report.anchor).to_json()
+                failed.update(mrep.failed_claims())
+        assert {f"L4.2-C{k}" for k in (1, 2, 4, 5, 6, 7)} <= failed
+
+    def test_junk_members(self):
+        """The members with a junk vertex of the junk battery below, and
+        their one-pair toggles at the junk vertex's hubs."""
+        rng = random.Random(JUNK_SEED)
+        compared = 0
+        for _, decompose, h, cyc, hubs in junk_members(rng):
+            off = [v for v in range(h.n) if v not in cyc]
+            for m in [h] + [_toggled(h, (rng.choice(off), rng.choice(hubs))) for _ in range(4)]:
+                assert _report_or_message(decompose, m, cyc) == _report_or_message(
+                    ORACLES[decompose], m, cyc
+                )
+                compared += 1
+        assert compared >= 500
