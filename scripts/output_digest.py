@@ -95,7 +95,10 @@ Families:
   a random vertex list (unsorted, with repeats, now and then a vertex out
   of range) and ``apply_script`` of a random script of ``sc``, ``bc`` and
   runs of ``del`` steps: the rows, or the message (and for a script the
-  failing step's index).
+  failing step's index);
+- ``shapes``: ``connected_components``, the ``is_bipartite`` sides,
+  ``is_linear_forest`` and ``in_class_S`` over the battery of the ``route``
+  family and the graphs the ``antichain`` benchmark sets up for seed 1.
 
 Takes no arguments; under a minute on one core.
 """
@@ -109,7 +112,15 @@ import random
 import sys
 
 from wqograph import antichains, classifier, cli, instances, structure, uniform
-from wqograph.graphs import Graph, build, delete_vertices, encode_graph6, induced
+from wqograph.graphs import (
+    Graph,
+    build,
+    connected_components,
+    delete_vertices,
+    encode_graph6,
+    induced,
+    is_bipartite,
+)
 from wqograph.ops import (
     BipartiteComplement,
     DeleteVertex,
@@ -125,8 +136,10 @@ from wqograph.order import (
     SearchBudget,
     SearchBudgetExceeded,
     _record,
+    in_class_S,
     induced_embed,
     is_free,
+    is_linear_forest,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
@@ -614,6 +627,13 @@ def scripts() -> str:
     return digest.hex()
 
 
+def shapes() -> str:
+    digest = Digest()
+    for g in battery() + antichain_hosts():
+        digest.add([connected_components(g), is_bipartite(g), is_linear_forest(g), in_class_S(g)])
+    return digest.hex()
+
+
 def main() -> int:
     digests = {"selftest": selftest()}
     digests["decompose"], digests["mutants"], digests["claims"] = members_and_mutants()
@@ -639,6 +659,7 @@ def main() -> int:
     digests["expansions"] = expansions()
     digests["room"] = room()
     digests["scripts"] = scripts()
+    digests["shapes"] = shapes()
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

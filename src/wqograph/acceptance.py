@@ -82,16 +82,22 @@ def _restricted_expansion(rng: random.Random) -> tuple[Graph, UniformWitness]:
     return induced(g, keep), restrict_witness(witness, keep)
 
 
-def brute_force_embed(h: Graph, g: Graph) -> tuple[int, ...] | None:
-    """Independent oracle: try every injection in lexicographic order."""
+def _injections(h: Graph, g: Graph, fits: Callable[[int, int], bool] | None = None):
+    """The independent oracle: every injection of ``h`` into ``g``, in
+    lexicographic order, that keeps adjacency and non-adjacency and sends
+    each v to a w with ``fits(v, w)`` where given."""
     for image in permutations(range(g.n), h.n):
-        if all(
+        if (fits is None or all(map(fits, range(h.n), image))) and all(
             h.adjacent(u, v) == g.adjacent(image[u], image[v])
             for u in range(h.n)
             for v in range(u + 1, h.n)
         ):
-            return image
-    return None
+            yield image
+
+
+def brute_force_embed(h: Graph, g: Graph) -> tuple[int, ...] | None:
+    """The first induced embedding of ``h`` into ``g``, by brute force."""
+    return next(_injections(h, g), None)
 
 
 def brute_force_labelled_z_embed(
@@ -105,18 +111,11 @@ def brute_force_labelled_z_embed(
 ) -> bool:
     """Oracle for a labelled embedding that maps the marked set into the
     marked set and the unmarked set into the unmarked set."""
-    for image in permutations(range(gj.n), gi.n):
-        if not all(order.leq(li[v], lj[image[v]]) for v in range(gi.n)):
-            continue
-        if not all((v in zi) == (image[v] in zj) for v in range(gi.n)):
-            continue
-        if all(
-            gi.adjacent(u, v) == gj.adjacent(image[u], image[v])
-            for u in range(gi.n)
-            for v in range(u + 1, gi.n)
-        ):
-            return True
-    return False
+
+    def fits(v: int, w: int) -> bool:
+        return order.leq(li[v], lj[w]) and (v in zi) == (w in zj)
+
+    return next(_injections(gi, gj, fits), None) is not None
 
 
 def _random_quasi_order(rng: random.Random, size: int) -> QuasiOrder:

@@ -30,9 +30,8 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     _bits,
-    _graph,
+    _components,
     build,
-    connected_components,
     cycle_graph,
     encode_graph6,
     mask_of,
@@ -152,12 +151,9 @@ def _side_masks(g: Graph) -> tuple[int, int] | None:
     unless there are exactly two.  Every start of a reconstruction shares
     them, so the split of the most recent graph is memoised, keyed by the
     graph's value."""
-    link = tuple(mask_of(v for v in _bits(row) if row & g.rows[v]) for row in g.rows)
-    comps = connected_components(_graph(g.n, link))
-    if len(comps) != 2:
-        return None
-    one = mask_of(comps[1])
-    return g.mask ^ one, one
+    link = [mask_of(v for v in _bits(row) if row & g.rows[v]) for row in g.rows]
+    comps = _components(link, g.mask)
+    return (comps[0], comps[1]) if len(comps) == 2 else None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ neighbourhood intersection cheap for the sizes this library targets.  A fixed
 cap of ``MAX_VERTICES`` (64) vertices keeps rows word-sized.  Graph values are
 immutable after construction and safe for concurrent reads.
 
+Vertex sets are masks too: one kernel, :func:`_components`, splits a mask into
+the component masks of its induced subgraph for every component search over
+rows; ``is_bipartite`` colours breadth-first layers with :func:`_reach`.
+
 Graphs are validated where they enter: the public constructor (at O(n + m)
 cost, as symmetry is tested edge by edge), the catalog, the parser and both
 codecs.  ``from_edges`` stays validated on purpose: its edges mostly come
@@ -29,7 +33,6 @@ Examples: ``P4``, ``C5``, ``K5``, ``K2,2``, ``S1,1,2``, ``2P1+P2``,
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -91,10 +94,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
-
-    @staticmethod
-    def empty(n: int) -> "Graph":
-        return Graph(n, (0,) * n)
 
     @property
     def mask(self) -> int:
@@ -198,7 +197,7 @@ def complete_graph(r: int) -> Graph:
 
 
 def empty_graph(r: int) -> Graph:
-    return Graph.empty(r)
+    return Graph(r, (0,) * r)
 
 
 def biclique(r: int, s: int) -> Graph:
@@ -287,56 +286,67 @@ def _compact(g: Graph, keep: int) -> Graph:
 # Basic predicates
 
 
-def _component(rows, comp: int) -> int:
-    """The vertices joined by a path to a vertex of the mask ``comp``: a
-    search over masks, one row read per vertex reached."""
+def _component(rows, comp: int, within: int) -> int:
+    """The vertices of ``within`` joined to ``comp`` (a subset of it) by a path
+    inside it: a search over masks, one row read per vertex reached."""
     frontier = comp
+    left = within ^ comp
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        new = rows[low.bit_length() - 1] & ~comp
-        comp |= new
+        new = rows[low.bit_length() - 1] & left
+        left ^= new
         frontier |= new
-    return comp
+    return within ^ left
+
+
+def _components(rows, within: int) -> list[int]:
+    """The component masks of the mask ``within``, by least vertex."""
+    out = []
+    while within:
+        comp = _component(rows, within & -within, within)
+        within &= ~comp
+        out.append(comp)
+    return out
+
+
+def _reach(rows, m: int) -> int:
+    """The union of the rows of ``m``: the vertices with a neighbour in it."""
+    out = 0
+    while m:
+        low = m & -m
+        m ^= low
+        out |= rows[low.bit_length() - 1]
+    return out
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
-    left = g.mask
-    out = []
-    while left:
-        comp = _component(g.rows, left & -left)
-        left ^= comp
-        out.append(bits_of(comp))
-    return out
+    return [bits_of(comp) for comp in _components(g.rows, g.mask)]
 
 
 def is_connected(g: Graph) -> bool:
     """Whether ``g`` has at most one component."""
-    return not g.n or _component(g.rows, 1) == g.mask
+    return not g.n or _component(g.rows, 1, g.mask) == g.mask
 
 
 def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A 2-colouring (side0, side1) or None.  BFS from the lowest vertex of
-    each component; that vertex is coloured 0, so the result is deterministic.
-    """
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in _bits(g.rows[v]):
-                if colour[w] == -1:
-                    colour[w] = colour[v] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    side0 = tuple(v for v in range(g.n) if colour[v] == 0)
-    side1 = tuple(v for v in range(g.n) if colour[v] == 1)
-    return side0, side1
+    """A 2-colouring (side0, side1) or None: breadth-first layers from the
+    least vertex of each component alternate sides, that vertex on side 0;
+    an edge inside a layer closes an odd cycle."""
+    rows = g.rows
+    sides = [0, 0]
+    left = g.mask
+    while left:
+        layer, side = left & -left, 0
+        while layer:
+            left ^= layer
+            sides[side] |= layer
+            reach = _reach(rows, layer)
+            if reach & layer:
+                return None
+            layer, side = reach & left, side ^ 1
+    return bits_of(sides[0]), bits_of(sides[1])
 
 
 # ---------------------------------------------------------------------------

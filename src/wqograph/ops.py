@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import MAX_VERTICES, Graph, _graph, bits_of, delete_vertices, induced, mask_of
+from .graphs import MAX_VERTICES, Graph, _graph, bits_of, induced, mask_of
 from .order import LabelledGraph, QuasiOrder
 
 
@@ -76,14 +76,9 @@ class BipartiteComplement:
 
 @dataclass(frozen=True)
 class DeleteVertex:
-    v: int
+    """Remove vertex ``v`` and renumber the rest (see :func:`apply_script`)."""
 
-    def apply(self, g: Graph) -> Graph:
-        """Remove vertex ``v``; the rest keep their relative order,
-        renumbered."""
-        if not 0 <= self.v < g.n:
-            raise ValueError(f"vertex {self.v} out of range")
-        return delete_vertices(g, (self.v,))
+    v: int
 
     def to_json(self) -> dict:
         return {"op": "del", "v": self.v}

@@ -176,6 +176,9 @@ local integer and adds them to the budget when it returns or raises.
 Exhausting the budget raises :class:`SearchBudgetExceeded` at the same node
 as spending it node by node would, which callers must treat as "unknown",
 never as "no embedding".
+
+The two special classes share one forest test, :func:`_forest`: a graph with
+m edges and c components (component masks) is a forest iff m = n - c.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, bits_of, connected_components, is_connected
+from .graphs import Graph, _components, bits_of, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -1035,27 +1038,27 @@ def is_free(
 # Special families
 
 
-def _is_tree(g: Graph, comp: tuple[int, ...]) -> bool:
-    edges = sum(g.degree(v) for v in comp) // 2
-    return edges == len(comp) - 1
+def _forest(g: Graph) -> list[int] | None:
+    """The component masks of ``g`` if it is acyclic, else None: m edges
+    leave at least n - m components, and exactly n - m only in a forest."""
+    comps = _components(g.rows, g.mask)
+    return comps if g.n - g.edge_count() == len(comps) else None
 
 
 def is_linear_forest(g: Graph) -> bool:
     """Disjoint union of paths: acyclic with maximum degree at most 2."""
-    if any(g.degree(v) > 2 for v in range(g.n)):
-        return False
-    return all(_is_tree(g, comp) for comp in connected_components(g))
+    return all(row.bit_count() <= 2 for row in g.rows) and _forest(g) is not None
 
 
 def in_class_S(g: Graph) -> bool:
-    """Every component is a path or a subdivided claw (tree with exactly one
-    degree-3 vertex, three leaves, every other vertex of degree <= 2)."""
-    for comp in connected_components(g):
-        if not _is_tree(g, comp):
-            return False
-        degs = sorted(g.degree(v) for v in comp)
-        if degs[-1] <= 2:
-            continue  # path component
-        if degs[-1] != 3 or degs.count(3) != 1 or degs.count(1) != 3:
+    """Every component is a path or a subdivided claw: a tree with at most
+    one vertex of degree above 2, of degree 3 (it then has three leaves)."""
+    comps = _forest(g)
+    if comps is None:
+        return False
+    rows = g.rows
+    for comp in comps:
+        degs = sorted(rows[v].bit_count() for v in bits_of(comp))
+        if degs[-1] > 2 and (degs[-1] != 3 or degs[-2] == 3):
             return False
     return True

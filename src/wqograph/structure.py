@@ -11,10 +11,12 @@ uniform-template witness).  Claim failures signal an input outside the
 class; on class members every claim holds and every certificate replays.
 A Sparse member is named by ``route`` only; it has no decomposer yet.
 
-Vertex sets are masks: the cycle decomposers derive every set from the
-off-cycle neighbourhood mask of each cycle vertex (:func:`_cycle_split`),
-and a claim tests a vertex against a whole set with one AND.  The reports
-list each set as an ascending tuple.
+Vertex sets are masks in all three decomposers: the cycle decomposers
+derive every set from the off-cycle neighbourhood mask of each cycle vertex
+(:func:`_cycle_split`), the K5 decomposer's outside cliques and the paw
+layout's classes and copies are component masks
+(:func:`~wqograph.graphs._components`), and a claim tests a vertex against
+a whole set with one AND.  The reports list each set as an ascending tuple.
 
 Membership in the class is decided without an embedding search, by the
 freeness decider in :mod:`wqograph.order`:
@@ -36,15 +38,17 @@ used in JSON reports and by the mutation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count
+from operator import or_
 from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    _components,
+    _reach,
     bits_of,
     complement,
-    connected_components,
     induced,
     is_bipartite,
     mask_of,
@@ -283,26 +287,11 @@ def _first_two(g: Graph, a: int, b: int, edge: bool):
     return None
 
 
-def _touching(g: Graph, vs: int, m: int) -> int:
-    """The vertices of ``vs`` with a neighbour in ``m``."""
-    out = 0
-    for v in bits_of(vs):
-        if g.rows[v] & m:
-            out |= 1 << v
-    return out
-
-
 def _claim(claims: list[ClaimCheck], claim_id: str, found: Iterable) -> None:
     """Record a claim that holds iff ``found`` yields no counterexample; the
     first one it yields is the witness, and a generator is not run past it."""
     worst = next(filter(None, found), None)
     claims.append(ClaimCheck(claim_id, worst is None, worst))
-
-
-def _components_within(g: Graph, vertices: Iterable[int]) -> list[tuple[int, ...]]:
-    vs = sorted(set(vertices))
-    sub = induced(g, vs)
-    return [tuple(vs[i] for i in comp) for comp in connected_components(sub)]
 
 
 def _deletion_script(deletions: Iterable[int]) -> OpScript:
@@ -356,35 +345,31 @@ def _cycle_split(
 
 
 def _template_witness(
-    n: int,
-    class_lists: Sequence[Sequence[int]],
+    classes: Sequence[int],
     f_edges: Sequence[tuple[int, int]],
     k_ones: Sequence[tuple[int, int]],
-    groups: Sequence[Sequence[int]],
+    groups: Sequence[int],
 ) -> tuple[UniformWitness, tuple[int, ...]]:
-    """Witness over the listed classes of vertices below ``n``: the vertices
-    of each copy group share a copy, in group order (a later group wins),
+    """Witness over the classes, given as vertex masks: the vertices of each
+    copy group (a mask) share a copy, in group order (a later group wins),
     and every other vertex gets a fresh copy in ascending order.  Returns
     the witness and the sorted vertex set it covers; assignments are
     indexed by position in that sorted set.  The matrix is symmetric 0/1 by
     construction and F comes from ``Graph.from_edges``, so the template is
     built unchecked."""
-    k = len(class_lists)
+    k = len(classes)
     matrix = [[0] * k for _ in range(k)]
     for i, j in k_ones:
         matrix[i][j] = matrix[j][i] = 1
     template = _template(k, Graph.from_edges(k, f_edges), tuple(map(tuple, matrix)))
-    cls = [-1] * n
-    for c, lst in enumerate(class_lists):
-        for v in lst:
-            cls[v] = c
-    copy = [-1] * n
-    for c, group in enumerate(groups):
-        for v in group:
-            copy[v] = c
-    vertices = [v for v in range(n) if cls[v] >= 0]
+    cls, copy = {}, {}
+    for c, m in enumerate(classes):
+        cls.update(dict.fromkeys(bits_of(m), c))
+    for c, m in enumerate(groups):
+        copy.update(dict.fromkeys(bits_of(m), c))
+    vertices = sorted(cls)
     fresh = count(len(groups))
-    assign = tuple((copy[v] if copy[v] >= 0 else next(fresh), cls[v]) for v in vertices)
+    assign = tuple((copy[v] if v in copy else next(fresh), cls[v]) for v in vertices)
     return UniformWitness(template, assign), tuple(vertices)
 
 
@@ -422,17 +407,17 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         xmask |= low
         common &= g.rows[low.bit_length() - 1]
     x = bits_of(xmask)
-    outside = bits_of(g.mask & ~xmask)
+    outside = g.mask & ~xmask
 
     claims: list[ClaimCheck] = []
-    _claim(claims, "L4.1-C1", [_first_two(g, g.mask & ~xmask, xmask, True)])
+    _claim(claims, "L4.1-C1", [_first_two(g, outside, xmask, True)])
 
-    comps = _components_within(g, outside)
-    comp_masks = [mask_of(c) for c in comps]
-    _claim(claims, "L4.1-P3", (_first_inside(g, m, False) for m in comp_masks))
+    # the outside cliques, as masks in order of least vertex
+    comps = _components(g.rows, outside)
+    _claim(claims, "L4.1-P3", (_first_inside(g, m, False) for m in comps))
 
-    large = [c for c in comps if len(c) >= 2]
-    touched = [[j for j, m in enumerate(comp_masks) if g.rows[xv] & m] for xv in x]
+    large = [m for m in comps if m & (m - 1)]
+    touched = [[j for j, m in enumerate(comps) if g.rows[xv] & m] for xv in x]
     _claim(
         claims,
         "L4.1-C2",
@@ -440,14 +425,14 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
             _first_two(g, 1 << xv, m, False)
             for xv, hit in zip(x, touched)
             if hit
-            for j, m in enumerate(comp_masks)
-            if m.bit_count() >= 2 and hit != [j]
+            for j, m in enumerate(comps)
+            if m & (m - 1) and hit != [j]
         ),
     )
 
     sets = {"X": x}
     for i, comp in enumerate(comps, start=1):
-        sets[f"X{i}"] = comp
+        sets[f"X{i}"] = bits_of(comp)
 
     # the case hypotheses overlap; the effective precedence keeps them
     # disjoint: a lone small outside clique belongs to the star-forest case
@@ -480,8 +465,8 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
         )
     else:
         # delete the X vertices touching a small outside clique (3) or any outsider (4)
-        reach = mask_of(v for c in comps if len(c) == 1 for v in c) if case == 3 else ~xmask
-        deletions = tuple(xv for xv in x if g.rows[xv] & reach)
+        singles = reduce(or_, (m for m in comps if not m & (m - 1)), 0)
+        deletions = bits_of(xmask & _reach(g.rows, singles if case == 3 else outside))
         _claim(claims, f"L4.1-C{case}-DEL", [deletions if len(deletions) > 2 else None])
         script = _deletion_script(deletions)
         image = apply_script(g, script)
@@ -508,14 +493,10 @@ def decompose_k5(g: Graph, clique: Sequence[int] | None = None) -> Decomposition
 
 
 def _is_star_forest(g: Graph) -> bool:
-    """Every component is an isolated vertex or a star."""
-    for comp in connected_components(g):
-        edges = sum(g.degree(v) for v in comp) // 2
-        if edges != len(comp) - 1 and len(comp) > 1:
-            return False
-        if sum(1 for v in comp if g.degree(v) > 1) > 1:
-            return False
-    return True
+    """Every component is an isolated vertex or a star: no edge joins two
+    vertices of degree 2 or more, which also rules out every cycle."""
+    hubs = mask_of(v for v, row in enumerate(g.rows) if row & (row - 1))
+    return not _reach(g.rows, hubs) & hubs
 
 
 # ---------------------------------------------------------------------------
@@ -692,27 +673,26 @@ def _c5_witness_part(
     positions, stated, (f_edges, k_ones) = C5_CASES[case]
     if case in (4, 5):
         single = vr[0] if case == 4 else xs
-        classes, groups, bad = _paw_layout(g, bits_of(single), bits_of(vr[2]), bits_of(vr[3]))
+        classes, groups, bad = _paw_layout(g, single, vr[2], vr[3])
         _claim(claims, "L4.2-paw", [bad])
         if case == 4:
-            classes.append(bits_of(xs))
+            classes.append(xs)
     else:
-        masks = [vr[p] for p in positions] + [xs]
-        classes = [bits_of(m) for m in masks]
+        classes = [vr[p] for p in positions] + [xs]
         # the edges between an F-linked class pair share copies
         groups = [
-            (u, v)
+            1 << u | 1 << v
             for a, b in f_edges
-            for u in classes[a]
-            for v in bits_of(g.rows[u] & masks[b])
+            for u in bits_of(classes[a])
+            for v in bits_of(g.rows[u] & classes[b])
         ]
         bad = None
     witness = check = None
     if bad is None:
-        witness, vertices = _template_witness(g.n, classes, f_edges, k_ones, groups)
+        witness, vertices = _template_witness(classes, f_edges, k_ones, groups)
         check = verify_witness(induced(g, vertices), witness)
     else:
-        vertices = tuple(sorted(v for cls in classes for v in cls))
+        vertices = bits_of(reduce(or_, classes))
     return Part(
         "uniform",
         vertices,
@@ -727,9 +707,9 @@ def _c5_witness_part(
 
 
 def _paw_layout(
-    g: Graph, single: list[int], pair_a: list[int], pair_b: list[int]
-) -> tuple[list[list[int]], list[tuple[int, ...]], tuple[int, ...] | None]:
-    """Classes and copy groups of ``_PAW_TEMPLATE`` over the three sets.
+    g: Graph, single: int, pair_a: int, pair_b: int
+) -> tuple[list[int], list[int], tuple[int, ...] | None]:
+    """Classes and copy groups (masks) of ``_PAW_TEMPLATE`` over three set masks.
 
     Complementing the edges between A and B must leave components that
     each induced-embed into the paw; each component is one copy, and class
@@ -740,20 +720,16 @@ def _paw_layout(
     then the three sets themselves.
     """
     sets = (single, pair_a, pair_b)
-    set_of = {v: s for s, vs in enumerate(sets) for v in vs}
-    base = sorted(set_of)
-    flipped = induced(bipartite_complement(g, pair_a, pair_b), base)
-    classes: list[list[int]] = [[] for _ in range(12)]
-    groups = []
-    for comp in connected_components(flipped):
-        group = tuple(base[v] for v in comp)
-        emb = induced_embed(induced(flipped, comp), _PAW)
+    flipped = bipartite_complement(g, bits_of(pair_a), bits_of(pair_b))
+    at = [0] * 4  # the vertices at each paw vertex
+    groups = _components(flipped.rows, single | pair_a | pair_b)
+    for comp in groups:
+        emb = induced_embed(induced(flipped, bits_of(comp)), _PAW)
         if emb is None:
-            return [list(vs) for vs in sets], [], group
-        for v, p in zip(group, emb):
-            classes[4 * set_of[v] + p].append(v)
-        groups.append(group)
-    return classes, groups, None
+            return list(sets), [], bits_of(comp)
+        for v, p in zip(bits_of(comp), emb):
+            at[p] |= 1 << v
+    return [at[p] & s for s in sets for p in range(4)], groups, None
 
 
 # ---------------------------------------------------------------------------
@@ -819,11 +795,13 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
 
     # the live sets and the triangle kernel X0 + V10 + V20; a kernel side of
     # at most one vertex is regularised by deleting it, and computed again
+    rows = g.rows
     for regularised in (False, True):
         live_x, live_v1, live_v2 = xm & ~deletions, v1 & ~deletions, v2 & ~deletions
-        touches_v1 = _touching(g, live_x, live_v1)
-        x0 = _touching(g, touches_v1, live_v2)
-        v10, v20 = _touching(g, live_v1, x0), _touching(g, live_v2, x0)
+        touches_v1 = live_x & _reach(rows, live_v1)
+        x0 = touches_v1 & _reach(rows, live_v2)
+        reach_x0 = _reach(rows, x0)
+        v10, v20 = live_v1 & reach_x0, live_v2 & reach_x0
         if regularised or not x0 or (v10.bit_count() > 1 and v20.bit_count() > 1):
             break
         deletions |= v10 & -v10 if v10.bit_count() <= 1 else v20 & -v20
@@ -836,8 +814,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     sets["X2"] = bits_of(x2)
 
     # kernel claims; each x in X0 forms a triangle with its one neighbour in
-    # each of V10 and V20
-    rows = g.rows
+    # each of V10 and V20, one mask per triangle
     worst = None
     triangles = []
     for x in bits_of(x0):
@@ -845,7 +822,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         if n10.bit_count() != 1 or n20.bit_count() != 1 or not rows[_least(n10)] & n20:
             worst = (x,) + bits_of(n10)[:2] + bits_of(n20)[:2]
             break
-        triangles.append((_least(n10), x, _least(n20)))
+        triangles.append(n10 | 1 << x | n20)
     _claim(claims, "L4.3-C1", [worst])
 
     def one_in_x0(u: int):
@@ -934,9 +911,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     # part B: order-3 template over V10, X0, V20, one triangle per copy
     tri_ok = all(c.ok for c in claims if c.id in ("L4.3-C1", "L4.3-C2", "L4.3-C3"))
     if kernel and tri_ok:
-        wit, _ = _template_witness(
-            g.n, (bits_of(v10), bits_of(x0), bits_of(v20)), [(0, 1), (1, 2)], [(0, 2)], triangles
-        )
+        wit, _ = _template_witness((v10, x0, v20), [(0, 1), (1, 2)], [(0, 2)], triangles)
         check = verify_witness(induced(g, kernel), wit)
         parts.append(
             Part(

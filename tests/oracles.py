@@ -23,6 +23,14 @@ refuses where it does, at no node, unless asked for the slow path, and
 brute force must find no embedding wherever it refuses.
 ``oracle_components`` is a union-find over the edge list, against which
 ``connected_components`` and ``is_connected`` are checked.
+``oracle_is_bipartite`` is the 2-colouring as it ran as a breadth-first
+search over a queue of vertices, before it coloured layers as masks;
+``oracle_is_linear_forest``, ``oracle_in_class_S`` and
+``oracle_is_star_forest`` are the forest predicates as they ran as loops
+over the components, counting each one's edges and degrees, before they
+shared one forest test, and read their components from
+``oracle_components``; ``oracle_touching`` is the vertex-by-vertex loop that
+the union of rows (``graphs._reach``) replaced.
 ``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
 that the structure claims ran before their bitset layer: the bitset helpers
@@ -33,10 +41,15 @@ shifted in place: the subgraph induced by the survivors, through
 ``oracle_induced``, the induced subgraph as it was built one kept bit at a
 time before rows were compacted one run of kept vertices at a time.
 ``oracle_apply_script`` applies a script one step at a time, as before a
-run of deletions became one ``induced`` call.  ``oracle_decompose_c5`` and
+run of deletions became one ``induced`` call, each ``del`` step through
+``delete_vertices`` after its own range check.  ``oracle_decompose_c5`` and
 ``oracle_decompose_c4`` are the cycle decomposers as they ran on vertex
 lists and per-vertex pattern dicts before their sets became masks, with
-the claims through the pair-by-pair loops above, and
+the claims through the pair-by-pair loops above, the C4 remainder's
+2-colouring through ``oracle_is_bipartite`` and, in C5 cases 4 and 5, the
+paw layout through ``_oracle_paw_layout``, which lays the classes and
+copies out on vertex lists and an induced subgraph of the three sets, as
+before they became component masks; and
 ``oracle_c5_claim_mutants`` lists the claim mutants through a toggle list
 and a set of pairs: the package must return the same reports, messages
 and mutants.
@@ -50,9 +63,7 @@ package's refinement, bijection check and words must agree with them.
 ``oracle_is_k_uniform`` is the uniformicity search as it ran before its
 node loop was inlined, with one helper call per node that built a list of
 changes: the package's search must return its witness, spend its nodes
-and run out of budget at its node.  ``oracle_p2_p3`` is the P2+P3 test
-of the freeness decider as it ran before it tested each distinct rest set
-once per call.
+and run out of budget at its node.
 ``oracle_canonical_templates`` lists the templates of order k up to a
 permutation of the classes, by marking the orbit of each template kept.
 ``oracle_law`` is the adjacency law of two slots, as
@@ -103,6 +114,7 @@ table of class decisions, and the walk of the deciding rule that finds a
 later pair's own ``via``.
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -122,11 +134,17 @@ from wqograph.graphs import (
     bits_of,
     complement,
     connected_components,
+    delete_vertices,
     encode_graph6,
-    is_bipartite,
     pattern,
 )
-from wqograph.ops import BipartiteComplement, DeleteVertex, OpScript, OpScriptError
+from wqograph.ops import (
+    BipartiteComplement,
+    DeleteVertex,
+    OpScript,
+    OpScriptError,
+    bipartite_complement,
+)
 from wqograph.order import (
     SearchBudget,
     SearchBudgetExceeded,
@@ -141,7 +159,6 @@ from wqograph.structure import (
     Part,
     _caller_anchor,
     _is_induced_cycle,
-    _paw_layout,
     c5_case_of,
     find_clique,
     find_induced_cycle,
@@ -284,11 +301,17 @@ def oracle_induced(g: Graph, vertices) -> Graph:
 
 
 def oracle_apply_script(g: Graph, script) -> Graph:
-    """The script applied one step at a time, each step through its own
-    ``apply``."""
+    """The script applied one step at a time: a ``del`` step through
+    ``delete_vertices`` once its vertex is checked, every other step through
+    its own ``apply``."""
     for i, step in enumerate(script.steps):
         try:
-            g = step.apply(g)
+            if type(step) is DeleteVertex:
+                if not 0 <= step.v < g.n:
+                    raise ValueError(f"vertex {step.v} out of range")
+                g = delete_vertices(g, (step.v,))
+            else:
+                g = step.apply(g)
         except ValueError as exc:
             raise OpScriptError(i, str(exc)) from exc
     return g
@@ -311,6 +334,74 @@ def oracle_components(g: Graph) -> list[tuple[int, ...]]:
     for v in range(g.n):
         groups.setdefault(root(v), []).append(v)
     return [tuple(groups[r]) for r in sorted(groups)]
+
+
+def oracle_is_bipartite(g: Graph):
+    """A 2-colouring (side0, side1) or None: a breadth-first search over a
+    queue from the lowest vertex of each component, that vertex coloured 0."""
+    colour = [-1] * g.n
+    for start in range(g.n):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in bits_of(g.rows[v]):
+                if colour[w] == -1:
+                    colour[w] = colour[v] ^ 1
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    side0 = tuple(v for v in range(g.n) if colour[v] == 0)
+    side1 = tuple(v for v in range(g.n) if colour[v] == 1)
+    return side0, side1
+
+
+def _oracle_is_tree(g: Graph, comp: tuple[int, ...]) -> bool:
+    edges = sum(g.degree(v) for v in comp) // 2
+    return edges == len(comp) - 1
+
+
+def oracle_is_linear_forest(g: Graph) -> bool:
+    """Disjoint union of paths: acyclic with maximum degree at most 2."""
+    if any(g.degree(v) > 2 for v in range(g.n)):
+        return False
+    return all(_oracle_is_tree(g, comp) for comp in oracle_components(g))
+
+
+def oracle_in_class_S(g: Graph) -> bool:
+    """Every component is a path or a subdivided claw (tree with exactly one
+    degree-3 vertex, three leaves, every other vertex of degree <= 2)."""
+    for comp in oracle_components(g):
+        if not _oracle_is_tree(g, comp):
+            return False
+        degs = sorted(g.degree(v) for v in comp)
+        if degs[-1] <= 2:
+            continue  # path component
+        if degs[-1] != 3 or degs.count(3) != 1 or degs.count(1) != 3:
+            return False
+    return True
+
+
+def oracle_is_star_forest(g: Graph) -> bool:
+    """Every component is an isolated vertex or a star."""
+    for comp in oracle_components(g):
+        edges = sum(g.degree(v) for v in comp) // 2
+        if edges != len(comp) - 1 and len(comp) > 1:
+            return False
+        if sum(1 for v in comp if g.degree(v) > 1) > 1:
+            return False
+    return True
+
+
+def oracle_touching(g: Graph, vs: int, m: int) -> int:
+    """The vertices of ``vs`` with a neighbour in ``m``."""
+    out = 0
+    for v in bits_of(vs):
+        if g.rows[v] & m:
+            out |= 1 << v
+    return out
 
 
 def oracle_same_side_components(g: Graph):
@@ -527,38 +618,6 @@ def oracle_is_k_uniform(
     finally:
         if budget is not None:
             budget.used += spent
-
-
-def oracle_p2_p3(rows, s: int) -> bool:
-    """P2 + P3: some edge ab of G[S] with a P3 in S - N[a] - N[b], tested in
-    the edge loop itself as by ``order._p3``, once per edge (``order._p2_p3``
-    as it ran before it tested each distinct rest once)."""
-    t = s
-    while t:
-        low = t & -t
-        t ^= low
-        a = low.bit_length() - 1
-        far = s & ~(rows[a] | low)
-        if far.bit_count() < 3:
-            continue
-        later = rows[a] & t
-        while later:
-            b = later & -later
-            later ^= b
-            rest = far & ~(rows[b.bit_length() - 1] | b)
-            if rest.bit_count() < 3:
-                continue
-            while rest:
-                v = rest & -rest
-                part = (rows[v.bit_length() - 1] | v) & rest
-                others = part ^ v
-                while others:
-                    w = others & -others
-                    others ^= w
-                    if (rows[w.bit_length() - 1] | w) & rest != part:
-                        return True
-                rest ^= part
-    return False
 
 
 def _charge(budget) -> None:
@@ -1222,7 +1281,7 @@ def _oracle_c5_witness_part(g: Graph, case: int, vr, xs, claims: list) -> Part:
     positions, stated, (f_edges, k_ones) = C5_CASES[case]
     if case in (4, 5):
         single = vr[0] if case == 4 else xs
-        classes, groups, bad = _paw_layout(g, single, vr[2], vr[3])
+        classes, groups, bad = _oracle_paw_layout(g, single, vr[2], vr[3])
         _oracle_claim(claims, "L4.2-paw", [bad])
         if case == 4:
             classes.append(xs)
@@ -1253,6 +1312,28 @@ def _oracle_c5_witness_part(g: Graph, case: int, vr, xs, claims: list) -> Part:
             "violation": None if not check or check.ok else check.violation,
         },
     )
+
+
+def _oracle_paw_layout(g: Graph, single, pair_a, pair_b):
+    """The classes and copy groups of the paw template over three vertex
+    lists, through the subgraph induced by their union: (classes, groups,
+    violation), the classes the three lists where a component does not
+    embed into the paw."""
+    sets = (single, pair_a, pair_b)
+    set_of = {v: s for s, vs in enumerate(sets) for v in vs}
+    base = sorted(set_of)
+    flipped = oracle_induced(bipartite_complement(g, pair_a, pair_b), base)
+    classes: list[list[int]] = [[] for _ in range(12)]
+    groups = []
+    for comp in oracle_components(flipped):
+        group = tuple(base[v] for v in comp)
+        emb = induced_embed(oracle_induced(flipped, comp), pattern("co(P1+P3)"))
+        if emb is None:
+            return [list(vs) for vs in sets], [], group
+        for v, p in zip(group, emb):
+            classes[4 * set_of[v] + p].append(v)
+        groups.append(group)
+    return classes, groups, None
 
 
 def oracle_decompose_c5(g: Graph, cycle=None) -> DecompositionReport:
@@ -1502,7 +1583,7 @@ def oracle_decompose_c4(g: Graph, cycle=None) -> DecompositionReport:
         and oracle_first_inside(rest_graph, named_side1, True) is None
         and oracle_first_inside(rest_graph, named_side2, True) is None
     )
-    bip = is_bipartite(rest_graph)
+    bip = oracle_is_bipartite(rest_graph)
     p2p3_free = _split_free(pattern("P2+P3"), rest_graph)
     parts.append(
         Part(

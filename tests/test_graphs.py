@@ -10,13 +10,17 @@ from wqograph.graphs import (
     Graph,
     Graph6Error,
     GraphSpecError,
+    _components,
+    _reach,
     biclique,
+    bits_of,
     build,
     complement,
     connected_components,
     cycle_graph,
     decode_graph6,
     delete_vertices,
+    empty_graph,
     encode_graph6,
     from_json_dict,
     induced,
@@ -33,9 +37,21 @@ from oracles import (
     oracle_delete_vertices,
     oracle_graph_checks,
     oracle_induced,
+    oracle_is_bipartite,
     oracle_isomorphic,
+    oracle_touching,
 )
-from strategies import small_graphs
+from strategies import bipartite_graphs, counted, pair_bits, small_graphs
+
+
+@st.composite
+def graphs_with_masks(draw, masks: int, max_n=16):
+    """A graph on at most ``max_n`` vertices and ``masks`` random vertex
+    masks of it."""
+    g = draw(small_graphs(max_n))
+    return (g,) + tuple(
+        mask_of(v for v, b in enumerate(draw(pair_bits(g.n))) if b) for _ in range(masks)
+    )
 
 
 def random_graph(rng, n, p=0.5):
@@ -192,8 +208,8 @@ class TestGraph6:
         assert encode_graph6(build("P3")) == chr(66) + chr(103)
 
     def test_single_vertex_shortest(self):
-        assert encode_graph6(Graph.empty(1)) == "@"
-        assert decode_graph6("@") == Graph.empty(1)
+        assert encode_graph6(empty_graph(1)) == "@"
+        assert decode_graph6("@") == empty_graph(1)
 
     def test_round_trip_500(self):
         rng = random.Random(3)
@@ -270,7 +286,7 @@ class TestVertexCap:
     def test_cap_is_inclusive(self):
         assert MAX_VERTICES == 64
         g = build("co(64P1)")
-        assert g == complement(Graph.empty(64)) == build("K64")
+        assert g == complement(empty_graph(64)) == build("K64")
         assert decode_graph6(encode_graph6(g)) == g
 
 
@@ -331,6 +347,57 @@ class TestBasics:
     @settings(max_examples=200, deadline=None)
     def test_edge_count(self, g):
         assert g.edge_count() == len(g.edges())
+
+
+class TestMaskKernel:
+    """The component kernel, the union of rows and the layered 2-colouring
+    against the list paths they replaced; each test asserts how many cases
+    it checked, and how many of the kind that tells the two apart."""
+
+    def test_is_bipartite_against_bfs(self):
+        def check(g):
+            sides = is_bipartite(g)
+            assert sides == oracle_is_bipartite(g)
+            return sides is not None
+
+        kinds = counted(small_graphs(14), check, 300)
+        assert len(kinds) == 300
+        assert kinds.count(True) >= 20 and kinds.count(False) >= 100
+
+    def test_is_bipartite_on_bipartite_graphs(self):
+        def check(g):
+            sides = is_bipartite(g)
+            assert sides is not None and sides == oracle_is_bipartite(g)
+            return g.edge_count() > 0 and len(oracle_components(g)) > 1
+
+        kinds = counted(bipartite_graphs(14), check, 200)
+        assert len(kinds) == 200 and kinds.count(True) >= 30
+
+    def test_odd_cycle_in_a_later_component(self):
+        assert is_bipartite(build("P2+C4+C5")) is None
+        assert is_bipartite(build("P3+C4")) == ((0, 2, 3, 5), (1, 4, 6))
+
+    def test_components_of_a_mask(self):
+        def check(case):
+            g, m = case
+            vs = bits_of(m)
+            comps = connected_components(induced(g, vs))
+            assert _components(g.rows, m) == [mask_of(vs[i] for i in c) for c in comps]
+            # an edge leaving the mask tells a search confined to it apart
+            return len(comps) > 1 and bool(_reach(g.rows, m) & g.mask & ~m)
+
+        kinds = counted(graphs_with_masks(1), check, 300)
+        assert len(kinds) == 300 and kinds.count(True) >= 10
+
+    def test_reach_against_touching(self):
+        def check(case):
+            g, vs, m = case
+            touching = vs & _reach(g.rows, m)
+            assert touching == oracle_touching(g, vs, m)
+            return 0 < touching != vs
+
+        kinds = counted(graphs_with_masks(2), check, 300)
+        assert len(kinds) == 300 and kinds.count(True) >= 5
 
 
 @st.composite
@@ -425,7 +492,7 @@ class TestDeleteVertices:
         assert delete_vertices(g, [4, 7, 0, 4]) == build("P3")
 
     def test_every_vertex(self):
-        assert delete_vertices(build("K64"), range(64)) == Graph.empty(0)
+        assert delete_vertices(build("K64"), range(64)) == empty_graph(0)
 
 
 class TestExpressionIntegers:

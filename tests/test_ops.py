@@ -85,21 +85,26 @@ class TestBipartiteComplement:
             bipartite_complement(build("P4"), [0, 1], [1, 2])
 
 
+def delete(g: Graph, v: int) -> Graph:
+    """``g`` after the one-step script ``del v``."""
+    return apply_script(g, OpScript((DeleteVertex(v),)))
+
+
 class TestDeleteVertex:
     def test_cycle_to_path(self):
         for k in range(4, 9):
-            assert DeleteVertex(0).apply(build(f"C{k}")) == build(f"P{k - 1}")
+            assert delete(build(f"C{k}"), 0) == build(f"P{k - 1}")
 
     def test_claw_centre(self):
-        assert DeleteVertex(0).apply(build("K1,3")) == build("3P1")
+        assert delete(build("K1,3"), 0) == build("3P1")
 
     def test_path_endpoint(self):
-        assert DeleteVertex(5).apply(build("P6")) == build("P5")
+        assert delete(build("P6"), 5) == build("P5")
 
     def test_out_of_range(self):
         for v in (3, -1):
-            with pytest.raises(ValueError, match="out of range"):
-                DeleteVertex(v).apply(build("P3"))
+            with pytest.raises(OpScriptError, match=f"step 0: vertex {v} out of range"):
+                delete(build("P3"), v)
 
 
 class TestScripts:
@@ -191,7 +196,7 @@ class TestDeletionCaveat:
 
     def test_cycles_vs_paths(self):
         cycles = [build(f"C{k}") for k in range(4, 9)]
-        paths = [DeleteVertex(0).apply(c) for c in cycles]
+        paths = [delete(c, 0) for c in cycles]
         for small, large in itertools.combinations(cycles, 2):
             assert induced_embed(small, large) is None
         for small, large in zip(paths, paths[1:]):
@@ -250,7 +255,7 @@ class TestTrustedResults:
         assert_valid(subgraph_complement(g, x))
         assert_valid(bipartite_complement(g, x, y))
         for v in range(g.n):
-            assert_valid(DeleteVertex(v).apply(g))
+            assert_valid(delete(g, v))
         if find_induced_cycle(g, 5) is not None:
             for _, mutant in c5_claim_mutants(g, decompose_c5(g)):
                 assert_valid(mutant)

@@ -16,6 +16,7 @@ from wqograph.graphs import (
     cycle_graph,
     decode_graph6,
     disjoint_union,
+    empty_graph,
     induced,
 )
 from wqograph.order import (
@@ -44,13 +45,15 @@ from oracles import (
     oracle_embed_exact,
     oracle_embed_search,
     oracle_image_rows,
+    oracle_in_class_S,
+    oracle_is_linear_forest,
     oracle_isomorphic,
     oracle_lex_orbits,
     oracle_refine,
     oracle_room,
     oracle_words,
 )
-from strategies import pair_bits, small_graphs
+from strategies import counted, forest_like_graphs, pair_bits, small_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -222,8 +225,8 @@ class TestSearchAgainstOracle:
         # root candidates fail, which is as many nodes as a 2-vertex
         # pattern's symmetry detection may take.
         chain = QuasiOrder.from_pairs((1, 0), [(1, 0)])
-        h = LabelledGraph(Graph.empty(2), (1, 0))
-        g = LabelledGraph(Graph.empty(2), (0, 1))
+        h = LabelledGraph(empty_graph(2), (1, 0))
+        g = LabelledGraph(empty_graph(2), (0, 1))
         assert labelled_embed(h, g, chain) == (1, 0)
         g = LabelledGraph(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), (0, 1, 1, 1, 1))
         budget = SearchBudget(10**9)
@@ -661,7 +664,7 @@ class TestAgainstOldPaths:
         vertices.  A host that holds ``h`` passes the room check, and the
         words are built before the first node, where a zero budget stops."""
         with pytest.raises(SearchBudgetExceeded):
-            induced_embed(h, disjoint_union([h, Graph.empty(ng - h.n)]), SearchBudget(0))
+            induced_embed(h, disjoint_union([h, empty_graph(ng - h.n)]), SearchBudget(0))
         return _record(h).plan[4][ng]
 
     @settings(max_examples=200, deadline=None)
@@ -967,14 +970,14 @@ class TestLabelledEmbed:
 
     def test_incomparable_labels_block(self):
         order = QuasiOrder.from_pairs(("a", "b"), ())
-        h = LabelledGraph(Graph.empty(1), ("a",))
-        g = LabelledGraph(Graph.empty(1), ("b",))
+        h = LabelledGraph(empty_graph(1), ("a",))
+        g = LabelledGraph(empty_graph(1), ("b",))
         assert labelled_embed(h, g, order) is None
 
     def test_unknown_label_rejected(self):
         order = QuasiOrder.from_pairs(("a",), ())
-        h = LabelledGraph(Graph.empty(1), ("z",))
-        g = LabelledGraph(Graph.empty(1), ("a",))
+        h = LabelledGraph(empty_graph(1), ("z",))
+        g = LabelledGraph(empty_graph(1), ("a",))
         with pytest.raises(ValueError):
             labelled_embed(h, g, order)
 
@@ -1173,8 +1176,8 @@ class TestSplitFree:
 
     def test_smaller_host_is_free(self):
         assert _split_free(build("P2+P3"), build("2K2")) is True
-        assert _split_free(build("K1"), Graph.empty(0)) is True
-        assert _split_free(build("K1"), Graph.empty(1)) is False
+        assert _split_free(build("K1"), empty_graph(0)) is True
+        assert _split_free(build("K1"), empty_graph(1)) is False
 
 
 class TestAntichainCheck:
@@ -1217,3 +1220,31 @@ class TestFamilies:
         assert is_linear_forest(build("P1+2P2"))
         assert not is_linear_forest(build("K1,3"))
         assert not is_linear_forest(build("C4"))
+
+    # Each test below asserts how many cases it checked, and how many of the
+    # kinds that tell the shared forest test apart from the per-component
+    # loops: graphs of maximum degree 2 that only a cycle keeps out, and
+    # accepted components with a vertex of degree 3.
+
+    def test_linear_forest_against_components(self):
+        def check(g):
+            verdict = is_linear_forest(g)
+            assert verdict == oracle_is_linear_forest(g)
+            return verdict, not verdict and max(map(int.bit_count, g.rows), default=0) <= 2
+
+        kinds = counted(forest_like_graphs(14), check, 300)
+        assert len(kinds) == 300
+        assert sum(v for v, _ in kinds) >= 30 and sum(c for _, c in kinds) >= 5
+
+    def test_class_S_against_components(self):
+        def check(g):
+            verdict = in_class_S(g)
+            assert verdict == oracle_in_class_S(g)
+            degrees = [row.bit_count() for row in g.rows]
+            cyclic = not verdict and max(degrees, default=0) <= 2
+            return verdict, cyclic, verdict and 3 in degrees
+
+        kinds = counted(forest_like_graphs(14), check, 300)
+        assert len(kinds) == 300
+        assert sum(v for v, _, _ in kinds) >= 30 and sum(v for _, _, v in kinds) >= 10
+        assert sum(c for _, c, _ in kinds) >= 5 and sum(not v for v, _, _ in kinds) >= 30

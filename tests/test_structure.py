@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqograph.graphs import Graph, build, induced, is_bipartite, mask_of, pattern
+from wqograph.graphs import (
+    Graph,
+    build,
+    empty_graph,
+    induced,
+    is_bipartite,
+    mask_of,
+    pattern,
+)
 from wqograph.instances import (
     c4_branch_valid,
     c4_instance,
@@ -27,6 +35,7 @@ from wqograph.structure import (
     _first_inside,
     _first_pair,
     _first_two,
+    _is_star_forest,
     c5_case_of,
     decompose_c4,
     decompose_c5,
@@ -39,14 +48,16 @@ from wqograph.uniform import verify_witness
 from oracles import (
     oracle_c5_case_of,
     oracle_c5_claim_mutants,
+    oracle_components,
     oracle_decompose_c4,
     oracle_decompose_c5,
     oracle_embed,
     oracle_first_inside,
     oracle_first_pair,
     oracle_first_two,
+    oracle_is_star_forest,
 )
-from strategies import pair_bits, small_graphs
+from strategies import counted, forest_like_graphs, pair_bits, small_graphs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from certify_instances import exact_orders
@@ -76,7 +87,7 @@ class TestClaimHelpers:
         assert _first_inside(g, am | bm, edge) == oracle_first_inside(g, sorted(a + b), edge)
 
     def test_partner_in_list_order(self):
-        g = Graph.empty(4)
+        g = empty_graph(4)
         assert _first_pair(g, 0b1000, (0b0100, 0b0011), False) == (3, 2)
         assert _first_pair(g, 0b1000, (0b0011, 0b0100), False) == (3, 0)
         assert _first_two(g, 0b1000, 0b0111, False) == (3, 0, 1)
@@ -97,6 +108,29 @@ CERTIFY_MEMBERS = (
     (c4_instance, c4_branch_valid, 150),
 )
 CERTIFY_START_SEED = 1_000_000
+
+
+class TestStarForest:
+    def test_against_components(self):
+        """Against the per-component loop; asserts how many cases it
+        checked, and how many forests it turned down (two adjacent vertices
+        of degree 2 or more)."""
+
+        def check(g):
+            verdict = _is_star_forest(g)
+            assert verdict == oracle_is_star_forest(g)
+            forest = g.edge_count() == g.n - len(oracle_components(g))
+            return verdict, forest and not verdict
+
+        kinds = counted(forest_like_graphs(14), check, 300)
+        assert len(kinds) == 300
+        assert sum(v for v, _ in kinds) >= 30 and sum(f for _, f in kinds) >= 30
+
+    def test_fixed_cases(self):
+        assert _is_star_forest(build("K1,4+P2+2P1"))
+        assert not _is_star_forest(build("P4"))
+        assert not _is_star_forest(build("C4"))
+        assert not _is_star_forest(build("K3"))
 
 
 class TestMembership:

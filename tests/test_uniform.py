@@ -138,7 +138,7 @@ class TestVerifyWitness:
         """Slots out of range or reused: the same first message as the check
         with a set of the slots seen, or none."""
         try:
-            verify_witness(Graph.empty(len(assign)), UniformWitness(t, tuple(assign)))
+            verify_witness(empty_graph(len(assign)), UniformWitness(t, tuple(assign)))
             message = None
         except ValueError as exc:
             message = str(exc)
