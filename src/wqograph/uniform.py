@@ -52,6 +52,13 @@ form a non-empty matching (parts of at most two vertices), both are tried
 depth first, K = 0 first in part order; joining more pairs never mends a
 misfit, so a choice that misfits is dropped with all the choices after it.
 
+Two vertices of one class sit in different copies, so they agree on the
+rest of their class and, in each other class, on every vertex outside
+their two copies: they differ on at most 2(k - 1) vertices besides
+themselves, exactly 2(k - 1) when F is complete and the copies are full.
+The search never places a vertex beside one further off; this only
+prunes, so the witness found is the same.
+
 A split with a fitting relation is itself a witness, so the check is exact,
 and the first such split the search reaches is the witness it returns.
 Part p is class p, with K(p, p) = 1 iff the part holds an edge (it is then
@@ -219,7 +226,10 @@ def is_k_uniform(
     modes v leaves with each other open part q in turn, and stops at the
     first q left with none.  The modes that narrow are written both ways as
     v joins p and restored as it leaves.  Each complete split is tested for
-    copies, and the search goes on when none fit.
+    copies, and the search goes on when none fit.  A node first refuses p
+    if it holds a vertex not near v: ``near[v]`` masks the u < v whose rows
+    differ from v's outside u and v on at most 2(k - 1) vertices, worked
+    out when the search first reaches v (all u when 2(k - 1) >= n - 2).
     """
     if not 1 <= k <= MAX_VERTICES:
         raise ValueError(f"k must be in 1..{MAX_VERTICES}, got {k}")
@@ -229,6 +239,8 @@ def is_k_uniform(
     spent = 0
     parts = [0] * k
     modes = [[3] * k for _ in range(k)]
+    room = 2 * (k - 1)
+    near: list[int | None] = [None] * n if room < n - 2 else [-1] * n  # every pair is near
 
     def witness(opened: int) -> UniformWitness | None:
         """The witness of the complete split if the closure of the deviation
@@ -305,11 +317,18 @@ def is_k_uniform(
         if v == n:
             return witness(opened)
         nv = rows[v]
+        nearv = near[v]
+        if nearv is None:
+            nearv = near[v] = sum(
+                1 << u for u in range(v) if ((rows[u] ^ nv) & ~(1 << u | 1 << v)).bit_count() <= room
+            )
         for p in range(opened + (opened < k)):
             spent += 1
             if spent > cap:
                 raise SearchBudgetExceeded(budget.used + spent)
             pm = parts[p]
+            if pm & ~nearv:
+                continue
             if pm & (pm - 1) and nv & pm != (pm if rows[pm.bit_length() - 1] & pm else 0):
                 continue
             mp = modes[p]

@@ -62,8 +62,8 @@ by pair, as before the plan held one adjacency mask per position.  The
 package's refinement, bijection check and words must agree with them.
 ``oracle_is_k_uniform`` is the uniformicity search as it ran before its
 node loop was inlined, with one helper call per node that built a list of
-changes: the package's search must return its witness, spend its nodes
-and run out of budget at its node.
+changes and no near-twin look-ahead: the package's search must return its
+witness, spend at most its nodes, and finish wherever it finishes.
 ``oracle_canonical_templates`` lists the templates of order k up to a
 permutation of the classes, by marking the orbit of each template kept.
 ``oracle_law`` is the adjacency law of two slots, as
@@ -466,11 +466,11 @@ def oracle_is_k_uniform(
     *,
     budget: SearchBudget | None = None,
 ) -> UniformWitness | None:
-    """``uniform.is_k_uniform`` as it ran before its node loop was inlined:
-    the witness of the first split into at most k parts with a copy
-    relation that fits, as the ``uniform`` module docstring sets out, or
-    None.  ``k`` must lie in 1..64, the vertex cap of the template's class
-    graph.
+    """``uniform.is_k_uniform`` as it ran before its node loop was inlined
+    and before the near-twin look-ahead: the witness of the first split
+    into at most k parts with a copy relation that fits, as the ``uniform``
+    module docstring sets out, or None.  ``k`` must lie in 1..64, the
+    vertex cap of the template's class graph.
 
     Vertices are placed 0..n-1 on the open parts and then on a fresh one
     (parts open in first-use order); one search node is one part tried for

@@ -309,7 +309,7 @@ def assert_budget_exact(search):
 # Three 8-vertex graphs that split into at most 3 cliques or independent sets
 # joined pairwise by a matching or a co-matching, but have no witness of
 # order 3, with the nodes ``uniformicity(g, 3)`` spends on them.
-NO_WITNESS_NODES = {"Gg?Vns": 232, "GQXdg{": 160, "G`txEc": 155}
+NO_WITNESS_NODES = {"Gg?Vns": 231, "GQXdg{": 111, "G`txEc": 94}
 
 
 # The two 3-uniform graphs with more than 10 vertices on which a slot search
@@ -317,14 +317,14 @@ NO_WITNESS_NODES = {"Gg?Vns": 232, "GQXdg{": 160, "G`txEc": 155}
 # templates without an assignment, with the nodes ``uniformicity(g, 3)``
 # spends on them.
 TAIL_NODES = {
-    "O???C???CAG???_Q?????": 139_052,
-    "YC?C_??c_???cc???????????????Ccc????cc_O???????cc_S???@?": 2_124,
+    "O???C???CAG???_Q?????": 137_910,
+    "YC?C_??c_???cc???????????????Ccc????cc_O???????cc_S???@?": 98,
 }
 
 
 # Random graphs on 9 and 10 vertices with no witness of order 4, with the
 # nodes ``uniformicity(g, 4)`` spends on them.
-ORDER_4_REFUTATIONS = {"HTJ_p@i": 960, "Hjbsh~z": 812, r"Icn\w{hY?": 1_114}
+ORDER_4_REFUTATIONS = {"HTJ_p@i": 887, "Hjbsh~z": 791, r"Icn\w{hY?": 972}
 
 
 class TestClassPartition:
@@ -472,8 +472,10 @@ def outcome(search, g, k, limit):
 
 class TestAgainstOldKernel:
     """The node loop against the kernel it replaced, which called a helper
-    per node (kept in ``oracles``): the same witness, the same nodes, and
-    the same node at which a budget runs out."""
+    per node and had no near-twin look-ahead (kept in ``oracles``).  The
+    look-ahead only prunes: the same witness, never more nodes, and under
+    a budget that either side finishes in, the kernel finishes with the
+    oracle's witness; where both run out, they run out at the same node."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -489,10 +491,63 @@ class TestAgainstOldKernel:
         st.integers(1, 4),
     )
     def test_kernel(self, g, k):
-        found = assert_budget_exact(lambda b: is_k_uniform(g, k, budget=b))
-        assert found == assert_budget_exact(lambda b: oracle_is_k_uniform(g, k, budget=b))
+        found, nodes = assert_budget_exact(lambda b: is_k_uniform(g, k, budget=b))
+        old = assert_budget_exact(lambda b: oracle_is_k_uniform(g, k, budget=b))
+        assert found == old[0] and nodes <= old[1]
         for limit in (0, 1, 5, 17, 60):
-            assert outcome(is_k_uniform, g, k, limit) == outcome(oracle_is_k_uniform, g, k, limit)
+            pruned = outcome(is_k_uniform, g, k, limit)
+            if pruned[0] == "exhausted" and outcome(oracle_is_k_uniform, g, k, limit)[0] == "exhausted":
+                assert pruned == ("exhausted", limit + 1)
+            else:
+                assert pruned == (found, nodes)
+
+    def test_look_ahead_prunes(self):
+        """On seeded random graphs and restricted template expansions with at
+        most 10 vertices, for k = 2..4, the look-ahead spends strictly fewer
+        nodes than the oracle on a counted share of the searches."""
+        rng = random.Random(36)
+        fewer = searches = 0
+        for _ in range(60):
+            n = rng.randint(6, 10)
+            pairs = list(combinations(range(n), 2))
+            for g in (
+                Graph.from_edges(n, rng.sample(pairs, len(pairs) // 2)),
+                restricted_expansion(rng, random_template(rng, kmax=4), 10)[0],
+            ):
+                for k in (2, 3, 4):
+                    budget, old = SearchBudget(10**9), SearchBudget(10**9)
+                    assert is_k_uniform(g, k, budget=budget) == oracle_is_k_uniform(g, k, budget=old)
+                    assert budget.used <= old.used
+                    fewer += budget.used < old.used
+                    searches += 1
+        assert (fewer, searches) == (106, 360)
+
+    def test_near_bound_is_tight(self):
+        """In an expansion of a template whose F is complete, two vertices of
+        one class differ on exactly 2(k - 1) vertices besides themselves:
+        the members of each other class in their two copies.  The
+        look-ahead's room is that bound, so such pairs may share a part, and
+        the witness found keeps counted pairs at the bound in one part."""
+
+        def differ(g, u, v):
+            return ((g.rows[u] ^ g.rows[v]) & ~(1 << u | 1 << v)).bit_count()
+
+        same_class = at_bound = 0
+        for k in (2, 3, 4):
+            for template in dedup_templates(k):
+                if template.f.edge_count() < k * (k - 1) // 2:
+                    continue
+                for copies in (2, 3, 4):
+                    g = expand_template(template, copies)
+                    pairs = list(combinations(range(g.n), 2))
+                    classes = [(u, v) for u, v in pairs if u % k == v % k]
+                    assert all(differ(g, u, v) == 2 * (k - 1) for u, v in classes)
+                    same_class += len(classes)
+                    found = is_k_uniform(g, k)
+                    assert_witness(g, k, found)
+                    parts = [(u, v) for u, v in pairs if found.assign[u][1] == found.assign[v][1]]
+                    at_bound += sum(differ(g, u, v) == 2 * (k - 1) for u, v in parts)
+        assert (same_class, at_bound) == (4_320, 3_583)
 
 
 class TestUniformicity:
