@@ -162,8 +162,14 @@ def _bits(mask: int):
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
-    """Vertices of a bitmask in ascending order."""
-    return tuple(_bits(mask))
+    """Vertices of a bitmask in ascending order, gathered in a loop rather
+    than from :func:`_bits`, which costs a generator per call."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def mask_of(vertices: Iterable[int]) -> int:

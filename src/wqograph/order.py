@@ -130,28 +130,33 @@ constraints never come from the table: they are its own detection's, so they
 depend on the pattern alone.
 
 What the search keeps of a graph is one record (:class:`_Record`) in a
-cache of 512 keyed by the graph, with fields worked out on first read: the
-search order, the pattern's plan, the degree refinement, the detection and
-the host orbits.  The degree filter on the host is built from one pass over
-its rows: a pattern vertex of degree d keeps the host vertices whose degree
-leaves room for d neighbours and n(h) - 1 - d non-neighbours.
+cache of 512 keyed by the graph, which hosts and patterns share, with fields
+worked out on first read: the search order, the sorted degrees, the sums of
+the k largest degrees, whether the graph is connected, the pattern's plan,
+the degree refinement, the detection and the host orbits.  The degree
+filter on the host is built from one pass over its rows once the room check
+has passed: a pattern vertex of degree d keeps the host vertices whose
+degree leaves room for d neighbours and n(h) - 1 - d non-neighbours.
 
-Before the pattern's record is read, a room check counts degrees.  The host
+Before the degree filter is built, a room check counts degrees.  The host
 degrees of an image S of h sum to 2m(h) plus the edges leaving S; that sum
 is at most T, the sum of the n(h) largest host degrees; and in a connected
 host an edge leaves every proper S.  So there is no embedding if 2m(h) > T,
 if 2m(h) = T with n(h) < n(g) and g connected, or if n(h) = n(g) (an
-embedding is then an isomorphism) and the degree multisets differ.  T is
-read off the degree filter's table in O(n(g)), connectivity is searched
-only when 2m(h) = T, and a refusal returns None spending no node, even
-under a zero budget; labels only narrow candidates, so labelled calls share
-it.  It settles C_s into C_l, s < l, at once.
+embedding is then an isomorphism) and the degree multisets differ.  2m(h)
+and T are read off the two records' sums of largest degrees, and the
+multisets are their sorted degree tuples, so a check costs two record
+lookups and a few comparisons; a host's connectivity is searched the first
+time a call is tight (2m(h) = T), and kept in its record.  A refusal returns
+None spending no node, even under a zero budget; labels only narrow
+candidates, so labelled calls share it.  It settles C_s into C_l, s < l, at
+once.
 
 :func:`is_free` first asks a freeness decider that needs no search, for
 the patterns the library forbids (the paper's class is free of the diamond
 co(2P1+P2) and of P2+P3, and its decomposers look for K5).  The decider
-knows a pattern by its sorted degree sequence, so its choice is label-free,
-and tests the host's rows directly:
+knows a pattern by its sorted degree sequence, read from its record, so its
+choice is label-free, and tests the host's rows directly:
 
 - a clique K_k, k <= 5: nested loops over common neighbourhoods;
 - P3: the host is not a disjoint union of cliques;
@@ -185,6 +190,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, _components, bits_of, is_connected
@@ -615,8 +621,10 @@ def _twins(g: Graph):
 
 
 class _Record:
-    """What the search keeps of graph ``g``, each field worked out on its
-    first read; :func:`_record` holds one record per graph."""
+    """What the search keeps of graph ``g``, as a pattern or as a host,
+    each field worked out on its first read; :func:`_record` holds one
+    record per graph.  :attr:`degrees`, :attr:`top` and :attr:`connected`
+    are the degree facts of the room check (see the module docstring)."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -626,6 +634,26 @@ class _Record:
         """The vertices in search order: by descending degree, then by index."""
         g = self.graph
         return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+    @cached_property
+    def top(self) -> tuple[int, ...]:
+        """top[k]: the sum of the k largest degrees of ``g``, for k = 0 ..
+        n(g); top[n(g)] is 2m(g)."""
+        degrees = sorted(map(int.bit_count, self.graph.rows), reverse=True)
+        return tuple(accumulate(degrees, initial=0))
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """The degrees of ``g`` in ascending order: its degree multiset.
+        Only equal-order calls and the freeness decider read it, so most
+        hosts never hold it."""
+        return tuple(sorted(map(int.bit_count, self.graph.rows)))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether ``g`` is connected; read by the room check only when it
+        is tight."""
+        return is_connected(self.graph)
 
     @cached_property
     def plan(self):
@@ -727,6 +755,8 @@ _record = lru_cache(maxsize=512)(_Record)
 def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     """Core backtracking search; returns an assignment tuple or None.
 
+    The host's record is read first, then the pattern's, and the room check
+    decides from their degree facts before the degree filter is built.
     ``base_candidates`` None means every host vertex, and only then are the
     pattern's lex-leader constraints applied."""
     nh, ng = h.n, g.n
@@ -734,6 +764,14 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         return None
     if nh == 0:
         return ()
+    # The room check (see the module docstring), from the two records:
+    # 2m(h) against T, the sum of the nh largest host degrees.
+    host, record = _record(g), _record(h)
+    need, room = record.top[nh], host.top[nh]
+    if need > room or need == room and nh < ng and host.connected:
+        return None
+    if nh == ng and record.degrees != host.degrees:
+        return None
     # at_least[d]: host vertices of degree d or more.  A pattern vertex of
     # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
     # enough neighbours and enough non-neighbours.
@@ -743,23 +781,6 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
         at_least[row.bit_count()] |= 1 << w
     for d in range(ng - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
-    # The room check (see the module docstring): need is 2m(h) less T, the
-    # sum of the nh largest host degrees, which is the sum over d >= 1 of
-    # min(nh, |at_least[d]|); it is added from d = 1 up, and stops once
-    # need is below 0 (room) or at_least[d] is empty (T complete).
-    need = sum(map(int.bit_count, h.rows))
-    d = 1
-    while need >= 0:
-        c = at_least[d].bit_count()
-        if not c:
-            if need or nh < ng and is_connected(g):
-                return None
-            break
-        need -= c if c < nh else nh
-        d += 1
-    if nh == ng and sorted(map(int.bit_count, h.rows)) != sorted(map(int.bit_count, rows)):
-        return None
-    record = _record(h)
     order, degrees, later, last_pair_adjacent, packed = record.plan
     width, field = ng + 1, (1 << ng) - 1
     # words[pos], over the fields of the positions after pos: R (a one at
@@ -847,7 +868,7 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
             if orbits is not None:
                 roots &= ~orbits[low.bit_length() - 1]
             elif detect and roots and spent * total >= nh * nh * (first ^ roots).bit_count():
-                orbits = _record(g).host_orbits
+                orbits = host.host_orbits
                 for w in bits_of(first ^ roots):
                     roots &= ~orbits[w]
                 if roots:
@@ -1002,8 +1023,9 @@ _TESTS = {
 
 def _split_free(h: Graph, g: Graph) -> bool | None:
     """Whether ``g`` is ``h``-free, decided without a search when ``h`` is
-    one of the patterns of ``_TESTS``; None for every other pattern."""
-    test = _TESTS.get(tuple(sorted(row.bit_count() for row in h.rows))) if h.n <= 5 else None
+    one of the patterns of ``_TESTS``, which it looks up by the sorted
+    degrees of ``h``'s record; None for every other pattern."""
+    test = _TESTS.get(_record(h).degrees) if h.n <= 5 else None
     if test is None:
         return None
     if h.n > g.n:

@@ -30,7 +30,9 @@ search over a queue of vertices, before it coloured layers as masks;
 over the components, counting each one's edges and degrees, before they
 shared one forest test, and read their components from
 ``oracle_components``; ``oracle_touching`` is the vertex-by-vertex loop that
-the union of rows (``graphs._reach``) replaced.
+the union of rows (``graphs._reach``) replaced.  ``oracle_bits_of`` lists a
+mask's vertices through a generator, as ``bits_of`` did before it gathered
+them in a loop.
 ``oracle_first_pair``,
 ``oracle_first_inside`` and ``oracle_first_two`` are the pair-by-pair loops
 that the structure claims ran before their bitset layer: the bitset helpers
@@ -393,6 +395,20 @@ def oracle_is_star_forest(g: Graph) -> bool:
         if sum(1 for v in comp if g.degree(v) > 1) > 1:
             return False
     return True
+
+
+def oracle_bits_of(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask in ascending order, drawn from a
+    generator, as ``bits_of`` built them before it gathered them in a
+    loop."""
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    return tuple(bits(mask))
 
 
 def oracle_touching(g: Graph, vs: int, m: int) -> int:

@@ -39,6 +39,7 @@ from oracles import (
     oracle_induced,
     oracle_is_bipartite,
     oracle_isomorphic,
+    oracle_bits_of,
     oracle_touching,
 )
 from strategies import bipartite_graphs, counted, pair_bits, small_graphs
@@ -339,6 +340,18 @@ class TestBasics:
         comps = oracle_components(g)
         assert connected_components(g) == comps
         assert is_connected(g) == (len(comps) <= 1)
+
+    @given(
+        st.one_of(
+            st.integers(0, 64).flatmap(lambda k: st.integers(0, (1 << k) - 1)),
+            st.sets(st.integers(0, 63), max_size=6).map(mask_of),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_of_against_generator(self, mask):
+        # masks of 0 to 64 bits, dense or with a few bits set
+        assert bits_of(mask) == oracle_bits_of(mask)
+        assert mask_of(bits_of(mask)) == mask
 
     def test_delete_vertices(self):
         assert delete_vertices(build("C5"), [0]) == build("P4")
