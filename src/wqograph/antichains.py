@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Sequence
 from .graphs import (
     MAX_VERTICES,
     Graph,
-    _bits,
     _components,
+    bits_of,
     build,
     cycle_graph,
     encode_graph6,
@@ -151,7 +151,7 @@ def _side_masks(g: Graph) -> tuple[int, int] | None:
     unless there are exactly two.  Every start of a reconstruction shares
     them, so the split of the most recent graph is memoised, keyed by the
     graph's value."""
-    link = [mask_of(v for v in _bits(row) if row & g.rows[v]) for row in g.rows]
+    link = [mask_of(v for v in bits_of(row) if row & g.rows[v]) for row in g.rows]
     comps = _components(link, g.mask)
     return (comps[0], comps[1]) if len(comps) == 2 else None
 

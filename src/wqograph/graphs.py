@@ -109,7 +109,7 @@ class Graph:
         out = []
         for v in range(self.n):
             row = self.rows[v] >> (v + 1) << (v + 1)
-            out.extend((v, w) for w in _bits(row))
+            out.extend((v, w) for w in bits_of(row))
         return out
 
     def edge_count(self) -> int:
@@ -154,16 +154,9 @@ def _graph(n: int, rows: tuple[int, ...]) -> Graph:
     return g
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def bits_of(mask: int) -> tuple[int, ...]:
     """Vertices of a bitmask in ascending order, gathered in a loop rather
-    than from :func:`_bits`, which costs a generator per call."""
+    than drawn from a generator, which costs an object per call."""
     out = []
     while mask:
         low = mask & -mask

@@ -131,12 +131,12 @@ depend on the pattern alone.
 
 What the search keeps of a graph is one record (:class:`_Record`) in a
 cache of 512 keyed by the graph, which hosts and patterns share, with fields
-worked out on first read: the search order, the sorted degrees, the sums of
-the k largest degrees, whether the graph is connected, the pattern's plan,
-the degree refinement, the detection and the host orbits.  The degree
-filter on the host is built from one pass over its rows once the room check
-has passed: a pattern vertex of degree d keeps the host vertices whose
-degree leaves room for d neighbours and n(h) - 1 - d non-neighbours.
+worked out on first read: the search order, the sums of the k largest
+degrees, whether the graph is connected, the pattern's plan, the degree
+refinement, the detection and the host orbits.  The degree filter on the
+host is built from one pass over its rows once the room check has passed: a
+pattern vertex of degree d keeps the host vertices whose degree leaves room
+for d neighbours and n(h) - 1 - d non-neighbours.
 
 Before the degree filter is built, a room check counts degrees.  The host
 degrees of an image S of h sum to 2m(h) plus the edges leaving S; that sum
@@ -145,7 +145,7 @@ host an edge leaves every proper S.  So there is no embedding if 2m(h) > T,
 if 2m(h) = T with n(h) < n(g) and g connected, or if n(h) = n(g) (an
 embedding is then an isomorphism) and the degree multisets differ.  2m(h)
 and T are read off the two records' sums of largest degrees, and the
-multisets are their sorted degree tuples, so a check costs two record
+multisets are equal exactly when those sums are, so a check costs two record
 lookups and a few comparisons; a host's connectivity is searched the first
 time a call is tight (2m(h) = T), and kept in its record.  A refusal returns
 None spending no node, even under a zero budget; labels only narrow
@@ -155,8 +155,8 @@ once.
 :func:`is_free` first asks a freeness decider that needs no search, for
 the patterns the library forbids (the paper's class is free of the diamond
 co(2P1+P2) and of P2+P3, and its decomposers look for K5).  The decider
-knows a pattern by its sorted degree sequence, read from its record, so its
-choice is label-free, and tests the host's rows directly:
+knows a pattern by its sorted degree sequence, so its choice is label-free,
+and tests the host's rows directly:
 
 - a clique K_k, k <= 5: nested loops over common neighbourhoods;
 - P3: the host is not a disjoint union of cliques;
@@ -623,8 +623,8 @@ def _twins(g: Graph):
 class _Record:
     """What the search keeps of graph ``g``, as a pattern or as a host,
     each field worked out on its first read; :func:`_record` holds one
-    record per graph.  :attr:`degrees`, :attr:`top` and :attr:`connected`
-    are the degree facts of the room check (see the module docstring)."""
+    record per graph.  :attr:`top` and :attr:`connected` are the degree
+    facts of the room check (see the module docstring)."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -638,16 +638,10 @@ class _Record:
     @cached_property
     def top(self) -> tuple[int, ...]:
         """top[k]: the sum of the k largest degrees of ``g``, for k = 0 ..
-        n(g); top[n(g)] is 2m(g)."""
+        n(g); top[n(g)] is 2m(g), and the whole tuple fixes the degree
+        multiset."""
         degrees = sorted(map(int.bit_count, self.graph.rows), reverse=True)
         return tuple(accumulate(degrees, initial=0))
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        """The degrees of ``g`` in ascending order: its degree multiset.
-        Only equal-order calls and the freeness decider read it, so most
-        hosts never hold it."""
-        return tuple(sorted(map(int.bit_count, self.graph.rows)))
 
     @cached_property
     def connected(self) -> bool:
@@ -770,7 +764,7 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
     need, room = record.top[nh], host.top[nh]
     if need > room or need == room and nh < ng and host.connected:
         return None
-    if nh == ng and record.degrees != host.degrees:
+    if nh == ng and record.top != host.top:
         return None
     # at_least[d]: host vertices of degree d or more.  A pattern vertex of
     # degree dv needs a host degree in dv .. dv + ng - nh, so that it has
@@ -1023,9 +1017,8 @@ _TESTS = {
 
 def _split_free(h: Graph, g: Graph) -> bool | None:
     """Whether ``g`` is ``h``-free, decided without a search when ``h`` is
-    one of the patterns of ``_TESTS``, which it looks up by the sorted
-    degrees of ``h``'s record; None for every other pattern."""
-    test = _TESTS.get(_record(h).degrees) if h.n <= 5 else None
+    one of the patterns of ``_TESTS``; None for every other pattern."""
+    test = _TESTS.get(tuple(sorted(row.bit_count() for row in h.rows))) if h.n <= 5 else None
     if test is None:
         return None
     if h.n > g.n:
