@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(antichains.FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--format", choices=("g6", "json"), default="g6")
-    p.set_defaults(func=cmd_gen, json=False)
+    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("embed", help="induced embedding search")
     p.add_argument("--h", required=True, help="pattern graph")
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="graph", required=True)
     p.add_argument("--script", required=True, help="JSON list or @file")
     p.add_argument("--format", choices=("g6", "json"), default="g6")
-    p.set_defaults(func=cmd_ops, json=False)
+    p.set_defaults(func=cmd_ops)
 
     p = sub.add_parser("decompose", help="route and certify a class member")
     p.add_argument("--in", dest="graph", required=True)

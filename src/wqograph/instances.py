@@ -16,7 +16,7 @@ from typing import Callable
 
 from .graphs import Graph, _graph, bits_of, mask_of, pattern
 from .order import _split_free
-from .structure import C5_CASES, CLASS_FORBIDDEN_EXPRS, find_clique, find_induced_cycle
+from .structure import C5_CASES, CLASS_FORBIDDEN_EXPRS, _branch
 
 
 def is_class_member(g: Graph) -> bool:
@@ -315,7 +315,7 @@ def c4_instance(seed: int) -> Graph:
 
 def c5_branch_valid(g: Graph) -> bool:
     """Class member suitable for the 5-cycle decomposer."""
-    return find_clique(g, 5) is None and find_induced_cycle(g, 5) is not None
+    return _branch(g) == "C5"
 
 
 def c5_claim_mutants(g: Graph, report) -> list[tuple[str, Graph]]:
@@ -388,12 +388,8 @@ def c5_claim_mutants(g: Graph, report) -> list[tuple[str, Graph]]:
 
 def c4_branch_valid(g: Graph) -> bool:
     """Class member suitable for the 4-cycle decomposer."""
-    return (
-        find_clique(g, 5) is None
-        and find_induced_cycle(g, 5) is None
-        and find_induced_cycle(g, 4) is not None
-    )
+    return _branch(g) == "C4"
 
 
 def k5_branch_valid(g: Graph) -> bool:
-    return find_clique(g, 5) is not None
+    return _branch(g) == "K5"

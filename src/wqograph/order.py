@@ -193,7 +193,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, _components, bits_of, is_connected
+from .graphs import Graph, _components, _reach, bits_of, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -287,20 +287,11 @@ class LabelledGraph:
 # Embedding search
 
 
-def _with_partner(cs: int, cl: int, rows, adjacent: bool) -> int:
-    """The host vertices w in ``cs`` that have some x != w in ``cl`` which
-    is adjacent to w iff ``adjacent``.
-
-    Bit-parallel over ``cl``: the union of the x's rows when adjacent, else
-    the complement of the intersection of the x's closed neighbourhoods
-    (stopping once that intersection no longer meets ``cs``)."""
-    if adjacent:
-        reach = 0
-        while cl:
-            low = cl & -cl
-            cl ^= low
-            reach |= rows[low.bit_length() - 1]
-        return cs & reach
+def _with_partner(cs: int, cl: int, rows) -> int:
+    """The host vertices w in ``cs`` with some x != w in ``cl`` not adjacent
+    to w (for an adjacent partner, :func:`~wqograph.graphs._reach`): the
+    complement of the intersection of the x's closed neighbourhoods, stopping
+    once that intersection no longer meets ``cs``."""
     blocked = -1
     while cl:
         low = cl & -cl
@@ -837,7 +828,10 @@ def _embed(h: Graph, g: Graph, base_candidates, budget: SearchBudget | None):
                 return True
             head, tail = nxt & field, nxt >> width
             if pos == look_ahead:
-                head = _with_partner(head, tail, rows, last_pair_adjacent)
+                if last_pair_adjacent:
+                    head &= _reach(rows, tail)
+                else:
+                    head = _with_partner(head, tail, rows)
                 if not head:
                     continue
             if rec(pos + 1, head, tail):

@@ -2,7 +2,7 @@
 (``co(2P1+P2)``) and of ``P2+P3``.
 
 Members of that class split by which dense anchor they contain, with
-precedence K5 > C5 > C4 > Sparse (:func:`route`).  Each dense branch has a
+precedence K5 > C5 > C4 > Sparse (:func:`_branch`).  Each dense branch has a
 decomposer that finds the anchor, names the vertex sets the analysis uses,
 checks every structural claim as an executable predicate (reporting a
 counterexample on failure), and emits a replayable certificate: an operation
@@ -184,8 +184,19 @@ def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
     return memo[key]
 
 
+def _branch(g: Graph) -> str:
+    """The branch of ``g`` by its anchors alone; membership is not checked."""
+    if find_clique(g, 5) is not None:
+        return "K5"
+    if find_induced_cycle(g, 5) is not None:
+        return "C5"
+    if find_induced_cycle(g, 4) is not None:
+        return "C4"
+    return "Sparse"
+
+
 def route(g: Graph) -> str:
-    """Branch selection with class validation.
+    """Branch selection with class validation: the :func:`_branch` of a member.
 
     Membership is decided by :func:`~wqograph.order.is_free`, whose decider
     knows both forbidden patterns and needs no search for them; the embedding
@@ -200,13 +211,7 @@ def route(g: Graph) -> str:
     if not found.free:
         expr = CLASS_FORBIDDEN_EXPRS[found.pattern_index]
         raise RouteError(f"input contains {expr}", found.witness)
-    if find_clique(g, 5) is not None:
-        return "K5"
-    if find_induced_cycle(g, 5) is not None:
-        return "C5"
-    if find_induced_cycle(g, 4) is not None:
-        return "C4"
-    return "Sparse"
+    return _branch(g)
 
 
 def _caller_anchor(g: Graph, given: Sequence[int], size: int, shape: str):

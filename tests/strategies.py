@@ -1,11 +1,23 @@
-"""Hypothesis strategies shared by the test modules, and :func:`counted`,
+"""Hypothesis strategies shared by the test modules, :func:`counted`,
 which runs a check under hypothesis and returns what each case gave, so
-that a test can assert how many cases it checked and of which kinds."""
+that a test can assert how many cases it checked and of which kinds, and
+the seeded graph helpers :func:`random_graph` and :func:`relabel`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqograph.graphs import Graph
+
+
+def random_graph(rng, n, p=0.5):
+    """G(n, p) drawn from ``rng``, one draw per pair in row order."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def relabel(g, perm):
+    """``g`` with vertex v renamed ``perm[v]``."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def pair_bits(m: int):

@@ -18,7 +18,7 @@ from wqograph.antichains import (
 from wqograph.graphs import Graph, build, disjoint_union, induced, mask_of
 from wqograph.order import induced_embed, is_free
 from oracles import oracle_reconstruct_thm52, oracle_same_side_components
-from strategies import pair_bits, small_graphs
+from strategies import pair_bits, relabel, small_graphs
 
 
 class TestThm51:
@@ -170,8 +170,7 @@ def relabelled_unions(draw):
     """A disjoint union of up to three small graphs, randomly relabelled, so
     that one, two and three link components all occur."""
     g = disjoint_union(draw(st.lists(small_graphs(6), min_size=1, max_size=3)))
-    perm = draw(st.permutations(range(g.n)))
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return relabel(g, draw(st.permutations(range(g.n))))
 
 
 def oracle_side_masks(g: Graph):

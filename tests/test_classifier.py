@@ -42,7 +42,7 @@ from oracles import (
     oracle_nonisomorphic_graphs,
     oracle_rule_consistency,
 )
-from strategies import pair_bits
+from strategies import pair_bits, relabel
 
 
 @st.composite
@@ -284,8 +284,9 @@ SPECIAL = [build(e) for e in ("K3", "co(P1+P3)", "3P1", "P1+P3", "P4", "C5")] + 
 TRIANGLE, PAW = build("K3"), build("co(P1+P3)")
 
 
-def _relabel(g: Graph, perm) -> Graph:
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+def members_of(pairs):
+    """The labelled graphs and keys of each pair, in order."""
+    return [(p.h1, p.h2, p.k1, p.k2) for p in pairs]
 
 
 @st.composite
@@ -295,7 +296,7 @@ def class_graphs(draw, max_n=7):
     if draw(st.booleans()):
         return draw(relabelled_graphs(max_n))[1]
     g = draw(st.sampled_from(SPECIAL))
-    return _relabel(g, draw(st.permutations(range(g.n))))
+    return relabel(g, draw(st.permutations(range(g.n))))
 
 
 @st.composite
@@ -312,7 +313,7 @@ def class_visits(draw):
             elif canonical_key(g) == canonical_key(PAW):
                 pairs.append((TRIANGLE, other))
     pairs += [
-        tuple(_relabel(g, draw(st.permutations(range(g.n)))) for g in pair)
+        tuple(relabel(g, draw(st.permutations(range(g.n)))) for g in pair)
         for pair in pairs
     ]
     return [
@@ -332,10 +333,7 @@ class TestClosure:
         equivalent_pairs.cache_clear()
         pair = ClassPair.of(a, b)
 
-        def members(pairs):
-            return [(p.h1, p.h2, p.k1, p.k2) for p in pairs]
-
-        assert members(equivalent_pairs(pair)) == members(oracle_equivalent_pairs(pair))
+        assert members_of(equivalent_pairs(pair)) == members_of(oracle_equivalent_pairs(pair))
 
 
 class TestDecisionReuse:
@@ -361,7 +359,7 @@ class TestDecisionReuse:
         members = equivalent_pairs(ClassPair.of("K3", "P4"))
         assert len(members) == 4
         visits = list(members) + [
-            ClassPair.of(_relabel(p.h1, range(p.h1.n)[::-1]), p.h2) for p in members
+            ClassPair.of(relabel(p.h1, range(p.h1.n)[::-1]), p.h2) for p in members
         ]
         for _ in range(2):
             for pair in visits:
@@ -450,10 +448,7 @@ class TestCorpus:
         graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
         want = [ClassPair.of(a, b) for i, a in enumerate(graphs) for b in graphs[i:]]
 
-        def members(pairs):
-            return [(p.h1, p.h2, p.k1, p.k2) for p in pairs]
-
-        assert members(pair_corpus(5)) == members(want)
+        assert members_of(pair_corpus(5)) == members_of(want)
 
     def test_rule_inconsistency_raised(self):
         both = (

@@ -42,7 +42,7 @@ from oracles import (
     oracle_bits_of,
     oracle_touching,
 )
-from strategies import bipartite_graphs, counted, pair_bits, small_graphs
+from strategies import bipartite_graphs, counted, pair_bits, random_graph, small_graphs
 
 
 @st.composite
@@ -53,11 +53,6 @@ def graphs_with_masks(draw, masks: int, max_n=16):
     return (g,) + tuple(
         mask_of(v for v, b in enumerate(draw(pair_bits(g.n))) if b) for _ in range(masks)
     )
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 class TestCatalog:

@@ -27,12 +27,7 @@ from wqograph.ops import (
 )
 from wqograph.structure import decompose_c5, find_induced_cycle
 from oracles import oracle_apply_script
-from strategies import small_graphs
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from strategies import random_graph, small_graphs
 
 
 class TestSubgraphComplement:

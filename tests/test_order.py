@@ -53,16 +53,7 @@ from oracles import (
     oracle_room,
     oracle_words,
 )
-from strategies import counted, forest_like_graphs, pair_bits, small_graphs
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
-def relabel(g, perm):
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+from strategies import counted, forest_like_graphs, pair_bits, random_graph, relabel, small_graphs
 
 
 def paley(q):
@@ -1042,20 +1033,15 @@ class TestIsFree:
                 assert is_free(induced(g, s), patterns).free
 
 
-def _relabelled(expr, perm):
-    h = build(expr)
-    return Graph.from_edges(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
-
-
 # The patterns the decider knows, and relabelled copies of the diamond and
 # of P2+P3: it knows a pattern by its degree sequence, whatever the labels.
 DECIDED_PATTERNS = [
     build(expr) for expr in ("K1", "K2", "K3", "K4", "K5", "P3", "co(2P1+P2)", "P2+P3")
 ] + [
-    _relabelled("co(2P1+P2)", (2, 0, 3, 1)),
-    _relabelled("co(2P1+P2)", (3, 1, 0, 2)),
-    _relabelled("P2+P3", (4, 2, 0, 3, 1)),
-    _relabelled("P2+P3", (1, 3, 4, 0, 2)),
+    relabel(build("co(2P1+P2)"), (2, 0, 3, 1)),
+    relabel(build("co(2P1+P2)"), (3, 1, 0, 2)),
+    relabel(build("P2+P3"), (4, 2, 0, 3, 1)),
+    relabel(build("P2+P3"), (1, 3, 4, 0, 2)),
 ]
 
 

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqograph import order, structure
+from wqograph.antichains import FAMILIES, family_member
 from wqograph.graphs import (
     Graph,
     build,
@@ -29,7 +32,7 @@ from wqograph.instances import (
     k5_instance,
 )
 from wqograph.ops import BipartiteComplement, apply_script
-from wqograph.order import induced_embed, is_free
+from wqograph.order import SearchBudget, induced_embed, is_free
 from wqograph.structure import (
     RouteError,
     _first_inside,
@@ -57,7 +60,7 @@ from oracles import (
     oracle_first_two,
     oracle_is_star_forest,
 )
-from strategies import counted, forest_like_graphs, pair_bits, small_graphs
+from strategies import counted, forest_like_graphs, pair_bits, relabel, small_graphs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from certify_instances import exact_orders
@@ -211,6 +214,69 @@ class TestAnchorMemo:
             assert DECOMPOSERS[a_branch](a).to_json() == expected[i]
             assert DECOMPOSERS[b_branch](b).to_json() == expected[j]
             assert DECOMPOSERS[a_branch](a).to_json() == expected[i]
+
+
+class TestRecordEviction:
+    """A record evicted from ``order._record`` is worked out again from its
+    graph alone: with an 8-entry cache, the certify members' routes and
+    reports and the cells on relabelled family members come out as with an
+    unbounded cache, and every search spends the same nodes."""
+
+    @staticmethod
+    def run(monkeypatch, maxsize, members, cells):
+        order._CLASSES.clear()
+        structure._anchors.cache_clear()
+        nodes = []
+        embed = order._embed
+
+        def charged(h, g, base_candidates, budget):
+            # a call without a budget gets one it cannot exhaust
+            budget = SearchBudget(10**15) if budget is None else budget
+            before = budget.used
+            try:
+                return embed(h, g, base_candidates, budget)
+            finally:
+                nodes.append(budget.used - before)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "_record", lru_cache(maxsize=maxsize)(order._Record))
+            patch.setattr(order, "_embed", charged)
+            reports = []
+            for g in members:
+                branch = route(g)
+                reports.append((branch, DECOMPOSERS[branch](g).to_json()))
+            found = [
+                is_free(a, [b]) if kind == "free" else induced_embed(a, b)
+                for kind, a, b in cells
+            ]
+            return reports, found, nodes, order._record.cache_info().misses
+
+    def test_small_cache_evicts_and_changes_nothing(self, monkeypatch):
+        members = [
+            g
+            for maker, valid, count in CERTIFY_MEMBERS
+            for _, g in class_members(maker, count, start_seed=CERTIFY_START_SEED, valid=valid)
+        ]
+        rng = random.Random(1)
+
+        def relabelled(family, n):
+            g = family_member(family, n)
+            return relabel(g, rng.sample(range(g.n), g.n))
+
+        cells = [
+            ("free", relabelled(family, n), build(expr))
+            for family, top in (("thm51", 12), ("thm52", 12))
+            for n in range(FAMILIES[family].min_n, top + 1)
+            for expr in FAMILIES[family].forbidden
+        ]
+        for family, top in (("thm51", 6), ("thm52", 5), ("cycles", 13)):
+            graphs = [relabelled(family, n) for n in range(FAMILIES[family].min_n, top + 1)]
+            cells += [("incomparable", a, b) for a, b in combinations(graphs, 2)]
+        *unbounded, _ = self.run(monkeypatch, None, members, cells)
+        *small, misses = self.run(monkeypatch, 8, members, cells)
+        assert small == unbounded
+        assert misses > 8 and sum(unbounded[2]) > 0
+        assert (len(members), len(cells)) == (550, 111)
 
 
 class TestCallerAnchor:
