@@ -5,7 +5,10 @@ Vertices are dense integers ``0..n-1``.  Adjacency is one Python int per
 vertex (bit ``w`` set on row ``v`` iff ``vw`` is an edge), which keeps
 neighbourhood intersection cheap for the sizes this library targets.  A fixed
 cap of ``MAX_VERTICES`` (64) vertices keeps rows word-sized.  Graph values are
-immutable after construction and safe for concurrent reads.
+immutable after construction and safe for concurrent reads: a graph keeps its
+hash, ``hash((n, rows))``, in a slot written once, on first use, and every
+writer writes the same value, so every memo keyed by a graph hashes it at the
+cost of one slot read after that.
 
 Vertex sets are masks too: one kernel, :func:`_components`, splits a mask into
 the component masks of its induced subgraph for every component search over
@@ -33,7 +36,7 @@ Examples: ``P4``, ``C5``, ``K5``, ``K2,2``, ``S1,1,2``, ``2P1+P2``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -52,12 +55,16 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """A finite simple undirected graph on vertices ``0..n-1``."""
+    """A finite simple undirected graph on vertices ``0..n-1``, equal to
+    another when its ``n`` and ``rows`` are.  Its hash, ``hash((n, rows))``,
+    is kept in the ``_hash`` slot, unset until first use and then written
+    once; copies and pickles rebuild the graph from ``n`` and ``rows``."""
 
     n: int
     rows: tuple[int, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         """Every row's range and self-loop checks, then symmetry at edge
@@ -118,6 +125,17 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.rows))
+            _set_hash(self, h)
+            return h
+
+    def __reduce__(self):
+        return _graph, (self.n, self.rows)
+
 
 def _check_order(n: int) -> None:
     """Refuse a vertex count outside ``0..MAX_VERTICES``."""
@@ -145,12 +163,18 @@ def _mirrored(rows: tuple[int, ...]) -> bool:
     return total == 2 * above
 
 
+# Writers of Graph's slots: a slot's own descriptor skips the frozen
+# ``__setattr__``, as ``object.__setattr__`` does, without looking the name up.
+_set_n, _set_rows, _set_hash = (Graph.__dict__[f].__set__ for f in ("n", "rows", "_hash"))
+
+
 def _graph(n: int, rows: tuple[int, ...]) -> Graph:
     """A Graph built without the checks of ``__post_init__``; only for
-    results derived from a valid graph, on at most ``MAX_VERTICES``."""
+    results derived from a valid graph, on at most ``MAX_VERTICES``.  It
+    fills the same slots as the constructor, and leaves ``_hash`` unset."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "rows", rows)
+    _set_n(g, n)
+    _set_rows(g, rows)
     return g
 
 
@@ -420,7 +444,7 @@ class _Parser:
             g = self.expr()
             self.take(")")
             return g
-        if ch in "PCKS":
+        if ch and ch in "PCKS":  # "" (end of input) is in every string
             self.pos += 1
             first = self.integer()
             if ch == "P":

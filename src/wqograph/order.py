@@ -133,10 +133,13 @@ What the search keeps of a graph is one record (:class:`_Record`) in a
 cache of 512 keyed by the graph, which hosts and patterns share, with fields
 worked out on first read: the search order, the sums of the k largest
 degrees, whether the graph is connected, the pattern's plan, the degree
-refinement, the detection and the host orbits.  The degree filter on the
-host is built from one pass over its rows once the room check has passed: a
-pattern vertex of degree d keeps the host vertices whose degree leaves room
-for d neighbours and n(h) - 1 - d non-neighbours.
+refinement, the detection and the host orbits.  A graph keeps its hash
+after first use, so a later lookup of the same graph object costs a slot
+read and one probe of the cache, whatever the graph's order; an equal copy
+is found by one comparison of rows.  The degree filter on the host is built
+from one pass over its rows once the room check has passed: a pattern vertex
+of degree d keeps the host vertices whose degree leaves room for d
+neighbours and n(h) - 1 - d non-neighbours.
 
 Before the degree filter is built, a room check counts degrees.  The host
 degrees of an image S of h sum to 2m(h) plus the edges leaving S; that sum

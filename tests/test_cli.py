@@ -252,6 +252,12 @@ class TestCommands:
     def test_bad_expression_exit_2(self, capsys):
         assert main(["gen", "--spec", "S2,1,1"]) == 2
 
+    def test_empty_expression_exit_2(self, capsys):
+        assert main(["embed", "--h", "", "--g", "C5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: expected P/C/K/S atom, 'co(' or '(' at position 0 in ''\n"
+        assert captured.out == ""
+
     def test_over_cap_exit_2(self, capsys):
         assert main(["gen", "--spec", "65P1"]) == 2
         err = capsys.readouterr().err

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from wqograph.graphs import (
     Graph6Error,
     GraphSpecError,
     _components,
+    _graph,
     _reach,
     biclique,
     bits_of,
@@ -28,9 +32,11 @@ from wqograph.graphs import (
     is_connected,
     mask_of,
     path_graph,
+    pattern,
     subdivided_claw,
     to_json_dict,
 )
+from wqograph.ops import bipartite_complement, subgraph_complement
 from wqograph.structure import _first_inside, _first_pair, _first_two
 from oracles import (
     oracle_components,
@@ -90,6 +96,27 @@ class TestCatalog:
     def test_malformed(self, bad):
         with pytest.raises(GraphSpecError):
             build(bad)
+
+    @pytest.mark.parametrize(
+        "spec, message, position",
+        [
+            ("", "expected P/C/K/S atom, 'co(' or '('", 0),
+            ("P4+", "expected P/C/K/S atom, 'co(' or '('", 3),
+            ("2", "expected P/C/K/S atom, 'co(' or '('", 1),
+            ("2P1+ ", "expected P/C/K/S atom, 'co(' or '('", 5),
+            ("co(", "expected P/C/K/S atom, 'co(' or '('", 3),
+            ("(", "expected P/C/K/S atom, 'co(' or '('", 1),
+            ("P\u0663", "expected an integer", 1),
+            ("P\u00b2", "expected an integer", 1),
+        ],
+    )
+    def test_error_positions(self, spec, message, position):
+        """Where the text ends as an atom is due, the parser asks for an atom
+        at a position inside the text; it never steps past the end."""
+        with pytest.raises(GraphSpecError) as info:
+            build(spec)
+        assert str(info.value) == f"{message} at position {position} in {spec!r}"
+        assert position <= len(spec)
 
 
 class TestComplementInduced:
@@ -355,6 +382,87 @@ class TestBasics:
     @settings(max_examples=200, deadline=None)
     def test_edge_count(self, g):
         assert g.edge_count() == len(g.edges())
+
+
+def _paths(g: Graph, data) -> dict:
+    """``g`` rebuilt by every construction path, each a fresh object."""
+    inside = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)) if g.n else set()
+    x = {v for v in inside if v % 2}
+    y = inside - x
+    return {
+        "constructor": Graph(g.n, g.rows),
+        "from_edges": Graph.from_edges(g.n, g.edges()),
+        "graph6": decode_graph6(encode_graph6(g)),
+        "json": from_json_dict(to_json_dict(g)),
+        "unchecked": _graph(g.n, g.rows),
+        "complement": complement(complement(g)),
+        "induced": induced(g, range(g.n)),
+        "delete_vertices": delete_vertices(g, []),
+        "subgraph_complement": subgraph_complement(subgraph_complement(g, inside), inside),
+        "bipartite_complement": bipartite_complement(bipartite_complement(g, x, y), x, y),
+    }
+
+
+def _repr_by_pairs(g: Graph) -> str:
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.rows[u] >> v & 1]
+    return f"Graph(n={g.n}, edges={edges!r})"
+
+
+class TestValue:
+    """A graph is a value whatever built it: it hashes as ``(n, rows)``
+    before and after its hash is kept, equal graphs hash equal, no field
+    can be assigned, and copies, pickles and ``repr`` see the value."""
+
+    @given(small_graphs(12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_path(self, g, data):
+        value = hash((g.n, g.rows))
+        built = _paths(g, data)
+        for path, x in built.items():
+            assert x == g and x.n == g.n and x.rows == g.rows, path
+            assert not hasattr(x, "_hash"), path  # nothing kept before first use
+            assert hash(x) == value and x._hash == value, path
+            assert hash(x) == value, path
+            assert repr(x) == _repr_by_pairs(g), path
+        assert len(set(built.values()) | {g}) == 1
+
+    @given(small_graphs(12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_copies_and_pickles(self, g, hashed):
+        x = _graph(g.n, g.rows)
+        if hashed:
+            hash(x)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is Graph and y == g and y.rows == g.rows
+            assert hash(y) == hash(x) == hash((g.n, g.rows))
+
+    @given(small_graphs(8), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_frozen(self, g, hashed):
+        for x in (Graph(g.n, g.rows), _graph(g.n, g.rows)):
+            if hashed:
+                hash(x)
+            for name, value in (("n", 0), ("rows", ()), ("_hash", 0)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, name, value)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(x, name)
+            assert x == g and hash(x) == hash((g.n, g.rows))
+
+    @pytest.mark.parametrize(
+        "spec, built",
+        [
+            ("P5", path_graph(5)),
+            ("C7", cycle_graph(7)),
+            ("K2,3", biclique(2, 3)),
+            ("S1,1,2", subdivided_claw(1, 1, 2)),
+            ("co(2P1+P2)", complement(Graph.from_edges(4, [(2, 3)]))),
+        ],
+    )
+    def test_catalog_paths(self, spec, built):
+        for x in (build(spec), pattern(spec), built):
+            assert x == built and hash(x) == hash((built.n, built.rows))
+            assert repr(x) == _repr_by_pairs(built)
 
 
 class TestMaskKernel:

@@ -2,12 +2,15 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
+import networkx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from wqograph.graphs import (
     Graph,
+    _graph,
     biclique,
     bits_of,
     build,
@@ -39,7 +42,8 @@ from wqograph.order import (
     labelled_embed,
 )
 from wqograph.antichains import family_member, gen_thm51, gen_thm52
-from wqograph.classifier import nonisomorphic_graphs
+from wqograph.classifier import canonical_key, nonisomorphic_graphs
+from wqograph.structure import _anchors, find_clique
 from oracles import (
     oracle_embed,
     oracle_embed_exact,
@@ -427,6 +431,74 @@ class TestRoom:
             for l in range(s + 1, 18):
                 budget = SearchBudget(0)
                 assert induced_embed(cycle_graph(s), cycle_graph(l), budget) is None
+
+
+def as_networkx(g: Graph) -> networkx.Graph:
+    x = networkx.Graph()
+    x.add_nodes_from(range(g.n))
+    x.add_edges_from(g.edges())
+    return x
+
+
+class TestRoomAgainstNetworkx:
+    """Every refusal of the room check is confirmed by an independent solver,
+    networkx's VF2 (``subgraph_is_isomorphic`` asks for an induced copy)."""
+
+    MEMBERS = [
+        family_member(family, n)
+        for family, ns in (("thm51", range(2, 9)), ("thm52", range(3, 8)), ("cycles", range(4, 17)))
+        for n in ns
+    ]
+
+    def test_refusals_have_no_embedding(self):
+        # The members of the ``room`` digest battery, as patterns, into the
+        # members on at most 16 vertices and into the disconnected C_a + C_b,
+        # 4 <= a <= b <= 8, where 2m(h) may meet the room and still embed
+        # (C5 into C5 + C5).
+        unions = [disjoint_union([cycle_graph(a), cycle_graph(b)]) for a in range(4, 9) for b in range(a, 9)]
+        refused = {"battery": 0, "unions": 0}
+        for kind, hosts in (("battery", [g for g in self.MEMBERS if g.n <= 16]), ("unions", unions)):
+            for g in hosts:
+                for h in (h for h in self.MEMBERS if h.n <= g.n):
+                    budget = SearchBudget(0)
+                    try:
+                        found = induced_embed(h, g, budget)
+                    except SearchBudgetExceeded:
+                        continue  # the room check let it through to the search
+                    assert found is None and budget.used == 0
+                    refused[kind] += 1
+                    assert not GraphMatcher(as_networkx(g), as_networkx(h)).subgraph_is_isomorphic()
+        assert refused == {"battery": 116, "unions": 35}
+        assert induced_embed(cycle_graph(5), disjoint_union([cycle_graph(5)] * 2)) is not None
+
+
+class TestMemosByValue:
+    """A graph and an equal graph built by another path share every memo
+    keyed by a graph: the search record, the canonical key's cache entry and
+    the anchor memo."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(7))
+    @example(cycle_graph(7))
+    def test_equal_copies_share_memos(self, g):
+        a, b = Graph(g.n, g.rows), _graph(g.n, g.rows)
+        assert a is not b and hash(a) == hash(b) == hash((g.n, g.rows))
+        assert _record(a) is _record(b)
+        key = canonical_key(a)
+        before = canonical_key.cache_info()
+        assert canonical_key(b) is key
+        after = canonical_key.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        find_clique(a, 3)
+        memo = _anchors(a)
+        assert _anchors(b) is memo and "K3" in memo
+        if g.n >= 2 and g.edge_count() < g.n * (g.n - 1) // 2:
+            # K_n into a graph on n vertices with fewer edges: refused by
+            # the room check through either copy's record, at no node
+            for host in (a, b):
+                budget = SearchBudget(0)
+                assert induced_embed(complete_graph(g.n), host, budget) is None
+                assert budget.used == 0
 
 
 @st.composite
