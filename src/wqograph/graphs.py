@@ -133,8 +133,14 @@ class Graph:
             _set_hash(self, h)
             return h
 
-    def __reduce__(self):
-        return _graph, (self.n, self.rows)
+    def __getstate__(self):
+        """``(n, rows)``: what copies and pickles keep, never ``_hash``."""
+        return self.n, self.rows
+
+    def __setstate__(self, state):
+        n, rows = state
+        _set_n(self, n)
+        _set_rows(self, rows)
 
 
 def _check_order(n: int) -> None:

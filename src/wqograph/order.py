@@ -158,8 +158,9 @@ once.
 :func:`is_free` first asks a freeness decider that needs no search, for
 the patterns the library forbids (the paper's class is free of the diamond
 co(2P1+P2) and of P2+P3, and its decomposers look for K5).  The decider
-knows a pattern by its sorted degree sequence, so its choice is label-free,
-and tests the host's rows directly:
+knows a pattern by its degree sequence, read as the ``top`` of the
+pattern's record, so its choice is label-free, and tests the host's rows
+directly:
 
 - a clique K_k, k <= 5: nested loops over common neighbourhoods;
 - P3: the host is not a disjoint union of cliques;
@@ -614,6 +615,11 @@ def _twins(g: Graph):
     return tuple(classes[row] | classes[c] for row, c in zip(rows, closed))
 
 
+def _top(degrees: Iterable[int]) -> tuple[int, ...]:
+    """The sums of the k largest ``degrees``, for k = 0 .. their number."""
+    return tuple(accumulate(sorted(degrees, reverse=True), initial=0))
+
+
 class _Record:
     """What the search keeps of graph ``g``, as a pattern or as a host,
     each field worked out on its first read; :func:`_record` holds one
@@ -634,8 +640,7 @@ class _Record:
         """top[k]: the sum of the k largest degrees of ``g``, for k = 0 ..
         n(g); top[n(g)] is 2m(g), and the whole tuple fixes the degree
         multiset."""
-        degrees = sorted(map(int.bit_count, self.graph.rows), reverse=True)
-        return tuple(accumulate(degrees, initial=0))
+        return _top(map(int.bit_count, self.graph.rows))
 
     @cached_property
     def connected(self) -> bool:
@@ -1000,22 +1005,23 @@ def _p2_p3(rows, s: int) -> bool:
     return False
 
 
-# The patterns decided without a search, keyed by their sorted degree
-# sequences, each of which names one graph: the cliques K1 to K5, P3, the
-# diamond and P2+P3.  No larger clique is decided, so that a decision, which
-# no budget bounds, costs O(n**4) mask operations at most.
+# The patterns decided without a search, keyed by the ``top`` of their
+# records, which fixes their degree sequences, each of which names one graph:
+# the cliques K1 to K5, P3, the diamond and P2+P3.  No larger clique is
+# decided, so that a decision, which no budget bounds, costs O(n**4) mask
+# operations at most.
 _TESTS = {
-    **{(k - 1,) * k: lambda rows, s, k=k: _clique(rows, s, k) for k in range(1, 6)},
-    (1, 1, 2): _p3,
-    (2, 2, 3, 3): _diamond,
-    (1, 1, 1, 1, 2): _p2_p3,
+    **{_top((k - 1,) * k): lambda rows, s, k=k: _clique(rows, s, k) for k in range(1, 6)},
+    _top((1, 1, 2)): _p3,
+    _top((2, 2, 3, 3)): _diamond,
+    _top((1, 1, 1, 1, 2)): _p2_p3,
 }
 
 
 def _split_free(h: Graph, g: Graph) -> bool | None:
     """Whether ``g`` is ``h``-free, decided without a search when ``h`` is
     one of the patterns of ``_TESTS``; None for every other pattern."""
-    test = _TESTS.get(tuple(sorted(row.bit_count() for row in h.rows))) if h.n <= 5 else None
+    test = _TESTS.get(_record(h).top) if h.n <= 5 else None
     if test is None:
         return None
     if h.n > g.n:

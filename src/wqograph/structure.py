@@ -33,6 +33,15 @@ does not search again for what ``route`` found.
 
 Claim identifiers are stable strings ("L4.1-C1", "L4.2-C3", "L4.3-C4", ...)
 used in JSON reports and by the mutation tests.
+
+The fixed parts of a certificate are shared values, built once at import:
+the check of each claim that holds (one per claim id, in ``_HELD``), the
+``del`` step of each vertex id (below ``MAX_VERTICES``, in ``_DELETE``) and
+the template of each C5 case and of the C4 triangle kernel.  This is safe
+because all of them are frozen, so no report can change another's, and
+every table is bounded by construction: a fixed set of claim ids, 64 vertex
+ids and eight templates.  A failed claim is a fresh check with its witness,
+and every claim is still evaluated and every witness still verified.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _components,
     _reach,
@@ -63,7 +73,7 @@ from .ops import (
     apply_script,
     bipartite_complement,
 )
-from .uniform import UniformWitness, _template, verify_witness
+from .uniform import UniformTemplate, UniformWitness, _template, verify_witness
 
 CLASS_FORBIDDEN_EXPRS = ("co(2P1+P2)", "P2+P3")
 
@@ -146,6 +156,35 @@ class DecompositionReport:
             "parts": [p.to_json() for p in self.parts],
             "ok": self.ok,
         }
+
+
+# ---------------------------------------------------------------------------
+# Shared certificate parts
+#
+# Each claim that holds is one shared check per claim id, and each deletion
+# one shared step per vertex id: both are frozen values, so every report can
+# hold the same object, and both tables are fixed at import (the claim ids
+# below; vertex ids below ``MAX_VERTICES``).  A failed claim is a fresh check
+# with its witness.
+
+
+def _numbered(stem: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{stem}{i}" for i in range(1, n + 1))
+
+
+_YS, _WS, _VS = (_numbered(name, 5) for name in "YWV")  # set names
+_C5_Y, _C5_W, _C5_IND_V = (_numbered(f"L4.2-{stem}", 5) for stem in ("Y", "W", "ind-V"))
+_C4_Y, _C4_B2 = _numbered("L4.3-Y", 4), _numbered("L4.3-B2-W", 4)
+_HELD = {
+    claim_id: ClaimCheck(claim_id, True)
+    for claim_id in (
+        *("L4.1-C1", "L4.1-P3", "L4.1-C2", "L4.1-C3-DEL", "L4.1-C4-DEL"),
+        *_C5_Y, *_C5_W, *_C5_IND_V, "L4.2-ind-X", *_numbered("L4.2-C", 7), "L4.2-paw",
+        *_C4_Y, "L4.3-C5", "L4.3-B1-V1", "L4.3-B1-V2", *_C4_B2, "L4.3-B3", "L4.3-B4",
+        *_numbered("L4.3-C", 4), "L4.3-DEL",
+    )
+}
+_DELETE = tuple(DeleteVertex(v) for v in range(MAX_VERTICES))
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +333,15 @@ def _first_two(g: Graph, a: int, b: int, edge: bool):
 
 def _claim(claims: list[ClaimCheck], claim_id: str, found: Iterable) -> None:
     """Record a claim that holds iff ``found`` yields no counterexample; the
-    first one it yields is the witness, and a generator is not run past it."""
+    first one it yields is the witness, and a generator is not run past it.
+    A claim that holds is its shared check in ``_HELD``."""
     worst = next(filter(None, found), None)
-    claims.append(ClaimCheck(claim_id, worst is None, worst))
+    claims.append(_HELD[claim_id] if worst is None else ClaimCheck(claim_id, False, worst))
 
 
-def _deletion_script(deletions: Iterable[int]) -> OpScript:
-    steps = tuple(DeleteVertex(v) for v in sorted(deletions, reverse=True))
-    return OpScript(steps)
+def _deletion_script(deletions: Sequence[int]) -> OpScript:
+    """The ``del`` steps of ascending ``deletions``, highest first."""
+    return OpScript(tuple(_DELETE[v] for v in reversed(deletions)))
 
 
 def _local(within: int, subset: int) -> int:
@@ -316,7 +356,7 @@ def _local(within: int, subset: int) -> int:
 def _cycle_split(
     g: Graph,
     cyc: Sequence[int],
-    prefix: str,
+    y_ids: Sequence[str],
     claims: list[ClaimCheck],
     sets: dict[str, tuple[int, ...]],
 ) -> tuple[int, list[int], list[int], int]:
@@ -337,9 +377,9 @@ def _cycle_split(
     junk = once = twice = 0
     for i in range(n):
         yi = nbrs[i] & nbrs[(i + 1) % n]
-        sets[f"Y{i + 1}"] = bits_of(yi)
-        big = sets[f"Y{i + 1}"] if yi.bit_count() > 2 else None
-        _claim(claims, f"{prefix}-Y{i + 1}", [_first_inside(g, yi, False), big])
+        sets[_YS[i]] = bits_of(yi)
+        big = sets[_YS[i]] if yi.bit_count() > 2 else None
+        _claim(claims, y_ids[i], [_first_inside(g, yi, False), big])
         junk |= yi
         twice |= once & nbrs[i]
         once |= nbrs[i]
@@ -349,33 +389,40 @@ def _cycle_split(
     return junk, w, v, rest & ~once
 
 
-def _template_witness(
-    classes: Sequence[int],
-    f_edges: Sequence[tuple[int, int]],
-    k_ones: Sequence[tuple[int, int]],
-    groups: Sequence[int],
-) -> tuple[UniformWitness, tuple[int, ...]]:
-    """Witness over the classes, given as vertex masks: the vertices of each
-    copy group (a mask) share a copy, in group order (a later group wins),
-    and every other vertex gets a fresh copy in ascending order.  Returns
-    the witness and the sorted vertex set it covers; assignments are
-    indexed by position in that sorted set.  The matrix is symmetric 0/1 by
-    construction and F comes from ``Graph.from_edges``, so the template is
-    built unchecked."""
-    k = len(classes)
+def _uniform_template(
+    k: int, f_edges: Iterable[tuple[int, int]], k_ones: Iterable[tuple[int, int]]
+) -> UniformTemplate:
+    """The order-k template with F's ``f_edges`` and K = 1 on ``k_ones``.
+    The matrix is symmetric 0/1 by construction and F comes from
+    ``Graph.from_edges``, so the template is built unchecked."""
     matrix = [[0] * k for _ in range(k)]
     for i, j in k_ones:
         matrix[i][j] = matrix[j][i] = 1
-    template = _template(k, Graph.from_edges(k, f_edges), tuple(map(tuple, matrix)))
-    cls, copy = {}, {}
+    return _template(k, Graph.from_edges(k, f_edges), tuple(map(tuple, matrix)))
+
+
+def _template_witness(
+    template: UniformTemplate, classes: Sequence[int], groups: Sequence[int]
+) -> tuple[UniformWitness, tuple[int, ...]]:
+    """Witness of ``template`` over its classes, given as vertex masks: the
+    vertices of each copy group (a mask inside the classes) share a copy, in
+    group order (a later group wins), and every other vertex gets a fresh
+    copy in ascending order.  Returns the witness and the ascending vertex
+    set it covers; assignments are indexed by position in that set.  Each
+    vertex's class and copy are read from lists indexed by vertex."""
+    covered = reduce(or_, classes, 0)
+    cls = [0] * covered.bit_length()
+    copy = [-1] * len(cls)
     for c, m in enumerate(classes):
-        cls.update(dict.fromkeys(bits_of(m), c))
+        for v in bits_of(m):
+            cls[v] = c
     for c, m in enumerate(groups):
-        copy.update(dict.fromkeys(bits_of(m), c))
-    vertices = sorted(cls)
+        for v in bits_of(m):
+            copy[v] = c
+    vertices = bits_of(covered)
     fresh = count(len(groups))
-    assign = tuple((copy[v] if v in copy else next(fresh), cls[v]) for v in vertices)
-    return UniformWitness(template, assign), tuple(vertices)
+    assign = tuple((copy[v] if copy[v] >= 0 else next(fresh), cls[v]) for v in vertices)
+    return UniformWitness(template, assign), vertices
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +580,11 @@ C5_CASES = {
     6: ((0, 2), 3, (((0, 1),), ())),
     7: ((0,), 2, (((0, 1),), ())),
 }
+# Each case's template, built once; its order is the case's stated order.
+_C5_TEMPLATES = {
+    case: _uniform_template(stated, f_edges, k_ones)
+    for case, (_, stated, (f_edges, k_ones)) in C5_CASES.items()
+}
 # Built in reverse, so that the first case and its smallest rotation win.
 _C5_CASE_OF = {
     frozenset((p + rot) % 5 for p in positions): (case, rot)
@@ -576,14 +628,14 @@ def decompose_c5(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
         raise ValueError(f"anchor {cyc} is not an induced 5-cycle")
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
-    junk, wm, vm, xm = _cycle_split(g, cyc, "L4.2", claims, sets)
+    junk, wm, vm, xm = _cycle_split(g, cyc, _C5_Y, claims, sets)
     for i in range(5):
-        sets[f"W{i + 1}"] = bits_of(wm[i])
-        _claim(claims, f"L4.2-W{i + 1}", [sets[f"W{i + 1}"] if wm[i].bit_count() > 1 else None])
+        sets[_WS[i]] = bits_of(wm[i])
+        _claim(claims, _C5_W[i], [sets[_WS[i]] if wm[i].bit_count() > 1 else None])
         junk |= wm[i]
     for i in range(5):
-        sets[f"V{i + 1}"] = bits_of(vm[i])
-        _claim(claims, f"L4.2-ind-V{i + 1}", [_first_inside(g, vm[i], True)])
+        sets[_VS[i]] = bits_of(vm[i])
+        _claim(claims, _C5_IND_V[i], [_first_inside(g, vm[i], True)])
     sets["X"] = bits_of(xm)
     _claim(claims, "L4.2-ind-X", [_first_inside(g, xm, True)])
 
@@ -675,7 +727,7 @@ def _c5_witness_part(
     """The uniform part over the surviving sets, given as masks: ``vr`` the
     V sets at their canonical positions (0 where small) and ``xs`` X (0
     where small)."""
-    positions, stated, (f_edges, k_ones) = C5_CASES[case]
+    positions, stated, (f_edges, _) = C5_CASES[case]
     if case in (4, 5):
         single = vr[0] if case == 4 else xs
         classes, groups, bad = _paw_layout(g, single, vr[2], vr[3])
@@ -694,7 +746,7 @@ def _c5_witness_part(
         bad = None
     witness = check = None
     if bad is None:
-        witness, vertices = _template_witness(classes, f_edges, k_ones, groups)
+        witness, vertices = _template_witness(_C5_TEMPLATES[case], classes, groups)
         check = verify_witness(induced(g, vertices), witness)
     else:
         vertices = bits_of(reduce(or_, classes))
@@ -740,6 +792,10 @@ def _paw_layout(
 # ---------------------------------------------------------------------------
 # C4 branch
 
+# The order-3 template of the triangle kernel over V10, X0, V20: F is the
+# path 0-1-2 and K = 1 between V10 and V20, so each copy is one triangle.
+_TRIANGLES = _uniform_template(3, ((0, 1), (1, 2)), ((0, 2),))
+
 
 def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionReport:
     """Certify a (K5, C5)-free class member containing an induced 4-cycle.
@@ -766,7 +822,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
 
     claims: list[ClaimCheck] = []
     sets: dict[str, tuple[int, ...]] = {}
-    deletions, wm, (v1, v2, _, _), xm = _cycle_split(g, cyc, "L4.3", claims, sets)
+    deletions, wm, (v1, v2, _, _), xm = _cycle_split(g, cyc, _C4_Y, claims, sets)
     for i in range(4):
         if wm[i].bit_count() == 1:
             deletions |= wm[i]
@@ -788,12 +844,12 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     if rot % 2 == 1:
         v1, v2 = v2, v1
 
-    for name, vs in (("V1", v1), ("V2", v2)):
+    for name, claim_id, vs in (("V1", "L4.3-B1-V1", v1), ("V2", "L4.3-B1-V2", v2)):
         sets[name] = bits_of(vs)
-        _claim(claims, f"L4.3-B1-{name}", [_first_inside(g, vs, True)])
+        _claim(claims, claim_id, [_first_inside(g, vs, True)])
     for i in range(4):
-        sets[f"W{i + 1}"] = bits_of(wm[i])
-        _claim(claims, f"L4.3-B2-W{i + 1}", [_first_inside(g, wm[i], True)])
+        sets[_WS[i]] = bits_of(wm[i])
+        _claim(claims, _C4_B2[i], [_first_inside(g, wm[i], True)])
     sets["X"] = bits_of(xm)
     _claim(claims, "L4.3-B3", [_first_inside(g, xm, True)])
     _claim(claims, "L4.3-B4", (_first_pair(g, w, (xm,), True) for w in wm))
@@ -916,7 +972,7 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     # part B: order-3 template over V10, X0, V20, one triangle per copy
     tri_ok = all(c.ok for c in claims if c.id in ("L4.3-C1", "L4.3-C2", "L4.3-C3"))
     if kernel and tri_ok:
-        wit, _ = _template_witness((v10, x0, v20), [(0, 1), (1, 2)], [(0, 2)], triangles)
+        wit, _ = _template_witness(_TRIANGLES, (v10, x0, v20), triangles)
         check = verify_witness(induced(g, kernel), wit)
         parts.append(
             Part(
@@ -929,13 +985,8 @@ def decompose_c4(g: Graph, cycle: Sequence[int] | None = None) -> DecompositionR
     elif kernel:
         parts.append(Part("uniform", kernel, False, {"reason": "kernel claims failed"}))
 
-    claims.append(
-        ClaimCheck(
-            "L4.3-DEL",
-            len(deletions_t) <= 17 and n_complementations <= 2,
-            None,
-        )
-    )
+    del_ok = len(deletions_t) <= 17 and n_complementations <= 2
+    claims.append(_HELD["L4.3-DEL"] if del_ok else ClaimCheck("L4.3-DEL", False, None))
     return DecompositionReport(
         "C4", cyc, None, sets, tuple(claims), deletions_t, script, tuple(parts)
     )

@@ -144,26 +144,36 @@ class WitnessCheck:
 def _law_rows(t: UniformTemplate, assign) -> list[int]:
     """Each slot's row: its K-classes' members, flipped on its F-neighbour
     classes' members in its own copy (its own bit set iff K(i, i) = 1).
-    Slots out of range or reused raise."""
-    in_class: dict[int, int] = {}
+
+    Class members are masks in a list of length k (k is F's order, at most
+    ``MAX_VERTICES``); copy members are masks in a dict, as copy ids are
+    unbounded and a list sized by the largest would allocate that much.
+    The first vertex, in assignment order, whose slot is out of range or
+    already held raises, the range checked first."""
+    k = t.k
+    in_class = [0] * k
     in_copy: dict[int, int] = {}
     for v, (c, i) in enumerate(assign):
-        if c < 0 or not 0 <= i < t.k:
+        if c < 0 or not 0 <= i < k:
             raise ValueError(f"vertex {v} assigned invalid slot ({c},{i})")
-        if in_class.get(i, 0) & in_copy.get(c, 0):  # an earlier vertex holds (c, i)
+        held = in_copy.get(c, 0)
+        if in_class[i] & held:  # an earlier vertex holds (c, i)
             raise ValueError(f"slot ({c},{i}) assigned twice")
-        in_class[i] = in_class.get(i, 0) | 1 << v
-        in_copy[c] = in_copy.get(c, 0) | 1 << v
-    across = dict.fromkeys(in_class, 0)
-    flips = dict.fromkeys(in_class, 0)
-    for i in in_class:  # only the classes in use: k may far exceed n
-        entries = t.matrix[i]
-        f_row = t.f.rows[i]
-        for j, members in in_class.items():
+        in_class[i] |= 1 << v
+        in_copy[c] = held | 1 << v
+    used = [(i, members) for i, members in enumerate(in_class) if members]
+    across = [0] * k
+    flips = [0] * k
+    f_rows, matrix = t.f.rows, t.matrix
+    for i, _ in used:  # only the classes in use: k may far exceed n
+        entries, f_row = matrix[i], f_rows[i]
+        row = flip = 0
+        for j, members in used:
             if entries[j]:
-                across[i] |= members
+                row |= members
             if f_row >> j & 1:
-                flips[i] |= members
+                flip |= members
+        across[i], flips[i] = row, flip
     return [across[i] ^ flips[i] & in_copy[c] for c, i in assign]
 
 

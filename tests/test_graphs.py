@@ -429,11 +429,20 @@ class TestValue:
     @given(small_graphs(12), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_copies_and_pickles(self, g, hashed):
+        """The state pair reads and writes ``(n, rows)`` on a graph hashed
+        or not, and a copy or pickle starts with ``_hash`` unset."""
         x = _graph(g.n, g.rows)
         if hashed:
             hash(x)
-        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        state = Graph.__getstate__(x)
+        assert state == (g.n, g.rows)
+        y = object.__new__(Graph)
+        y.__setstate__(state)
+        assert not hasattr(y, "_hash") and y == g and hash(y) == hash((g.n, g.rows))
+        pickles = [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(6)]
+        for y in [copy.copy(x), copy.deepcopy(x)] + pickles:
             assert type(y) is Graph and y == g and y.rows == g.rows
+            assert not hasattr(y, "_hash")
             assert hash(y) == hash(x) == hash((g.n, g.rows))
 
     @given(small_graphs(8), st.booleans())

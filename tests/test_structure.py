@@ -31,9 +31,10 @@ from wqograph.instances import (
     k5_branch_valid,
     k5_instance,
 )
-from wqograph.ops import BipartiteComplement, apply_script
+from wqograph.ops import BipartiteComplement, DeleteVertex, apply_script
 from wqograph.order import SearchBudget, induced_embed, is_free
 from wqograph.structure import (
+    C5_CASES,
     RouteError,
     _first_inside,
     _first_pair,
@@ -47,7 +48,7 @@ from wqograph.structure import (
     find_induced_cycle,
     route,
 )
-from wqograph.uniform import verify_witness
+from wqograph.uniform import UniformTemplate, verify_witness
 from oracles import (
     oracle_c5_case_of,
     oracle_c5_claim_mutants,
@@ -833,3 +834,77 @@ class TestAgainstListOracle:
                 )
                 compared += 1
         assert compared >= 500
+
+
+class TestSharedParts:
+    """Held claims, delete steps and case templates are shared values: one
+    object per claim id, per vertex id and per case, the same in every
+    report; a failed claim is a fresh check with its witness.  The reports
+    themselves equal the list oracles' (``TestAgainstListOracle``)."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        out = []
+        for maker, valid, decompose in (
+            (c5_instance, c5_branch_valid, decompose_c5),
+            (c4_instance, c4_branch_valid, decompose_c4),
+        ):
+            members = class_members(maker, 40, start_seed=CERTIFY_START_SEED, valid=valid)
+            out += [(g, decompose(g)) for _, g in members]
+        return out
+
+    def test_held_claims_and_delete_steps(self, reports):
+        held_in = {}
+        for _, report in reports:
+            for c in report.claims:
+                assert c.ok and c.witness is None
+                assert c is structure._HELD[c.id] and c.to_json() == {"id": c.id, "ok": True}
+                held_in[c.id] = held_in.get(c.id, 0) + 1
+            for step in report.script.steps:
+                if isinstance(step, DeleteVertex):
+                    assert step is structure._DELETE[step.v] == DeleteVertex(step.v)
+        # every C5 and C4 claim id is met, L4.2-paw only in cases 4 and 5
+        assert len(held_in) == 24 + 18 and held_in["L4.2-C1"] == held_in["L4.3-DEL"] == 40
+        assert all(c.id == claim_id for claim_id, c in structure._HELD.items())
+
+    def test_failed_claims_are_fresh(self, reports):
+        fresh = 0
+        for g, report in reports[:10]:
+            for claim, mutant in c5_claim_mutants(g, report)[:3]:
+                first, second = (decompose_c5(mutant, report.anchor) for _ in range(2))
+                for a, b in zip(first.claims, second.claims):
+                    assert a == b
+                    if a.ok:
+                        assert a is b is structure._HELD[a.id]
+                    else:
+                        assert a is not b and a.witness is not None
+                        assert structure._HELD[a.id].ok
+                        fresh += 1
+        assert fresh >= 20
+
+    def test_case_templates(self, reports):
+        """One template per case, equal to the one the validating
+        constructor builds from ``C5_CASES``, at the case's stated order;
+        every report of a case holds that object."""
+        for case, (_, stated, (f_edges, k_ones)) in C5_CASES.items():
+            matrix = [[0] * stated for _ in range(stated)]
+            for i, j in k_ones:
+                matrix[i][j] = matrix[j][i] = 1
+            f = Graph.from_edges(stated, f_edges)
+            built = UniformTemplate(stated, f, tuple(map(tuple, matrix)))
+            assert structure._C5_TEMPLATES[case] == built
+        assert len({id(t) for t in structure._C5_TEMPLATES.values()}) == len(C5_CASES)
+        cases = set()
+        for _, report in reports:
+            for part in report.parts:
+                witness = part.detail.get("witness")
+                if witness is None:
+                    continue
+                shared = (
+                    structure._C5_TEMPLATES[report.case]
+                    if report.branch == "C5"
+                    else structure._TRIANGLES
+                )
+                assert witness.template is shared
+                cases.add(report.case)
+        assert len(cases) >= 4

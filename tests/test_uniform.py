@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from wqograph.order import SearchBudget, SearchBudgetExceeded, induced_embed
 from wqograph.ops import bipartite_complement, subgraph_complement
 from wqograph.uniform import (
     UniformTemplate,
+    _law_rows,
     UniformWitness,
     WitnessCheck,
     complement_template,
@@ -32,6 +34,7 @@ from oracles import (
     oracle_is_k_uniform,
     oracle_isomorphic,
     oracle_k_uniform,
+    oracle_law,
     oracle_slot_error,
     oracle_template_from_json,
     oracle_verify_witness,
@@ -104,6 +107,11 @@ class TestExpand:
             expand_template(t, copies)
 
 
+# Copy ids as a witness from outside may give them: small ones that collide,
+# and unbounded ones, which the slot law keeps in a dict, not a list.
+COPY_IDS = st.one_of(st.integers(-1, 3), st.integers(0, 10**12))
+
+
 class TestVerifyWitness:
     def test_expansion_identity(self):
         rng = random.Random(0)
@@ -129,14 +137,15 @@ class TestVerifyWitness:
         with pytest.raises(ValueError):
             verify_witness(g, UniformWitness(t, ((0, 0),)))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         templates(kmax=4),
-        st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 4)), max_size=10),
+        st.lists(st.tuples(COPY_IDS, st.integers(-2, 5)), max_size=10),
     )
     def test_malformed_same_message(self, t, assign):
         """Slots out of range or reused: the same first message as the check
-        with a set of the slots seen, or none."""
+        with a set of the slots seen, or none.  The first offending vertex in
+        assignment order names it, its range checked before its reuse."""
         try:
             verify_witness(empty_graph(len(assign)), UniformWitness(t, tuple(assign)))
             message = None
@@ -172,6 +181,57 @@ class TestVerifyWitness:
             moved = w.assign[:v] + (rng.choice(free),) + w.assign[v + 1 :]
             bad = UniformWitness(t, moved)
             assert verify_witness(g, bad) == oracle_verify_witness(g, bad)
+
+
+class TestLawRows:
+    """``_law_rows`` (class masks in a list of length k, copy masks in a
+    dict) against the pair-by-pair slot law; its slot checks are
+    ``TestVerifyWitness.test_malformed_same_message``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(templates(kmax=6), st.data())
+    def test_rows_equal_pairwise_law(self, t, data):
+        """Each row holds exactly the vertices whose slots the law makes
+        adjacent to its own, plus itself iff K(i, i) = 1; a graph built
+        from the law passes ``verify_witness``, and one with a pair flipped
+        fails at the pair-by-pair check's first violation."""
+        slot = st.tuples(COPY_IDS.filter(lambda c: c >= 0), st.integers(0, t.k - 1))
+        slots = data.draw(st.lists(slot, max_size=12, unique=True))
+        rows = _law_rows(t, slots)
+        n = len(slots)
+        for u, (cu, i) in enumerate(slots):
+            expected = t.matrix[i][i] << u
+            for v in range(n):
+                if v != u and oracle_law(t, (cu, i), slots[v]):
+                    expected |= 1 << v
+            assert rows[u] == expected
+        g = Graph.from_edges(
+            n, [(u, v) for u, v in combinations(range(n), 2) if oracle_law(t, slots[u], slots[v])]
+        )
+        w = UniformWitness(t, tuple(slots))
+        assert verify_witness(g, w) == oracle_verify_witness(g, w) == WitnessCheck(True)
+        if n > 1:
+            pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            u, v = sorted(data.draw(pair))
+            flipped = Graph.from_edges(n, sorted(set(g.edges()) ^ {(u, v)}))
+            assert verify_witness(flipped, w) == oracle_verify_witness(flipped, w)
+            assert not verify_witness(flipped, w).ok
+
+    def test_huge_copy_id_allocates_nothing_large(self):
+        """A copy id of 10**12 is checked and, reused, refused, without an
+        allocation sized by the id."""
+        t = UniformTemplate(2, build("K2"), ((0, 0), (0, 0)))
+        huge = 10**12
+        tracemalloc.start()
+        try:
+            ok = verify_witness(build("K2"), UniformWitness(t, ((huge, 0), (huge, 1))))
+            with pytest.raises(ValueError, match=rf"^slot \({huge},1\) assigned twice$"):
+                verify_witness(empty_graph(3), UniformWitness(t, ((huge, 1), (0, 1), (huge, 1))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok == WitnessCheck(True)
+        assert peak < 64 * 1024
 
 
 class TestSearch:
